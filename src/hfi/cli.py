@@ -7,7 +7,12 @@ Subcommands:
   plumbing   combinatorial checks on a plumbing-graph file
   family     realize prescribed (d, d-bar, d-under, mu-bar) invariants
 
-Exit codes: 0 on success, 2 on a parse error, 3 on an oracle mismatch.
+Exit codes: 0 on success; 1 when an oracle complex is over its generator
+limit (or, for ``plumbing``, the graph is not negative definite); 2 on a
+parse error or invalid input -- any ValueError or OSError, such as a
+non-coprime Sigma triple, Y(0), a non-monotone M(...), a missing @file or
+impossible ``family`` invariants -- reported as ``error: <message>`` on
+stderr, never as a traceback; 3 on an oracle mismatch.
 Root-profile files are written and read in HF-minus gradings; the internal
 normalization (3-sphere tower topped at grading 0) is two higher.
 """
@@ -22,7 +27,7 @@ from pathlib import Path
 from . import complexes, plumbing
 from .brieskorn import BrieskornParams, brieskorn_root
 from .cterms import correction_terms, realization_family
-from .expr import ParseError, parse
+from .expr import parse
 from .localclass import d_invariant, mu_bar
 from .monotone import decompose, monotone_subroot
 from .report import (OracleMismatchError, OracleSizeError, class_complex,
@@ -30,39 +35,38 @@ from .report import (OracleMismatchError, OracleSizeError, class_complex,
 from .roots import SymmetricRootProfile, profile_to_text
 
 
+def _error(message, code: int) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return code
+
+
 def _cmd_eval(args) -> int:
     try:
-        ast = parse(args.expr)
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    try:
-        report = evaluate(ast, input_text=args.expr, oracle=args.oracle,
-                          truncation=args.truncation)
+        report = evaluate(parse(args.expr), input_text=args.expr,
+                          oracle=args.oracle, truncation=args.truncation)
+        dumped = (complexes.complex_to_json(class_complex(report.total))
+                  if args.dump_complex else None)
     except OracleMismatchError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
+        return _error(e, 3)
     except OracleSizeError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+        return _error(e, 1)
+    except (ValueError, OSError) as e:  # ParseError is a ValueError
+        return _error(e, 2)
     if args.format == "json":
         out = report.to_json()
-        if args.dump_complex:
-            out["complex"] = complexes.complex_to_json(
-                class_complex(report.total))
+        if dumped is not None:
+            out["complex"] = dumped
         print(json.dumps(out, indent=2))
     else:
         print(report.to_text())
-        if args.dump_complex:
-            print(json.dumps(complexes.complex_to_json(
-                class_complex(report.total)), indent=2))
+        if dumped is not None:
+            print(json.dumps(dumped, indent=2))
     return 0
 
 
 def _cmd_root(args) -> int:
     if args.kind != "sigma":
-        print(f"error: unknown root kind {args.kind!r}", file=sys.stderr)
-        return 2
+        return _error(f"unknown root kind {args.kind!r}", 2)
     profile = brieskorn_root(BrieskornParams(args.a1, args.a2, args.a3))
     hf_minus = SymmetricRootProfile(tuple(g - 2 for g in profile.leaves),
                                     tuple(g - 2 for g in profile.angles))
@@ -79,8 +83,7 @@ def _cmd_decompose(args) -> int:
     try:
         profile = profile_from_hf_minus_file(path)
     except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return _error(e, 2)
     root = monotone_subroot(profile)
     cls = decompose(root)
     d, d_bar, d_under = correction_terms(cls)
@@ -95,14 +98,12 @@ def _cmd_plumbing(args) -> int:
     try:
         g = plumbing.graph_from_text(Path(args.file).read_text())
     except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return _error(e, 2)
     if args.check == "negdef":
         print("negative definite:", plumbing.is_negative_definite(g))
         return 0
     if not plumbing.is_negative_definite(g):
-        print("error: plumbing graph is not negative definite", file=sys.stderr)
-        return 1
+        return _error("plumbing graph is not negative definite", 1)
     if args.check == "rational":
         print("rational:", plumbing.is_rational(g))
     else:
@@ -111,8 +112,11 @@ def _cmd_plumbing(args) -> int:
 
 
 def _cmd_family(args) -> int:
-    cls = realization_family(args.M, args.N, args.d, args.mu, args.k)
-    d, d_bar, d_under = correction_terms(cls)
+    try:
+        cls = realization_family(args.M, args.N, args.d, args.mu, args.k)
+        d, d_bar, d_under = correction_terms(cls)
+    except ValueError as e:
+        return _error(e, 2)
     print(f"class:   {cls}")
     print(f"d:       {d}")
     print(f"d_bar:   {d_bar}")

@@ -12,7 +12,16 @@ Conventions
 * Complexes are stored in the "h-normalized" convention in which the trivial
   one-generator complex plays the role of the 3-sphere and has
   (d, d-bar, d-under) = (0, 0, 0).
-* Truncation: the matrices store exact polynomials; the positive integer
+* Maps: every graded map (differential, involution, cone differential,
+  homotopy, local map) is a ``Map``, a tuple with one column per source
+  generator.  Column j is a frozenset of pairs (i, e), one for each term
+  U^e x_i of the image of x_j.  Addition is a symmetric difference per
+  column, composition adds exponents, and only nonzero entries are stored;
+  no map is held as a matrix of polynomials.  In a valid complex each entry
+  is 0 or a single U^e with e fixed by the gradings, so e is redundant there.
+  It is kept explicit anyway, so that input of the wrong degree (or an entry
+  with several terms) is still represented and ``validate`` can report it.
+* Truncation: maps store exact exponents; the positive integer
   ``truncation`` N only governs how far computations expand the basis
   {U^k x : k < N}.  Every reported quantity is recomputed at N+2 and must
   agree (stability under refinement is the computable proxy for working over
@@ -28,9 +37,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import gf2
-from .upoly import UPoly
 
-Matrix = tuple[tuple[UPoly, ...], ...]
+Map = tuple[frozenset[tuple[int, int]], ...]
 
 
 class TruncationUnstableError(RuntimeError):
@@ -49,20 +57,42 @@ class SearchSizeError(RuntimeError):
 # construction helpers
 
 
-def _to_poly_matrix(rows, n) -> Matrix:
+def _to_map(m, n) -> Map:
+    """Normalize an n x n map given as sparse columns or as dense rows.
+
+    Sparse input is a sequence of n sets of (row, exponent) pairs.  In dense
+    input ``m[i][j]`` is the coefficient of x_i in the image of x_j: an int
+    (its parity: 0 or 1) or an iterable of U-exponents.
+    """
+    if all(isinstance(col, (set, frozenset)) for col in m):
+        cols = [frozenset(col) for col in m]
+    else:
+        cols = [set() for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                v = m[i][j]
+                exps = ((0,) if v % 2 else ()) if isinstance(v, int) else frozenset(v)
+                cols[j].update((i, e) for e in exps)
+    if len(cols) != n:
+        raise ValueError(f"map has {len(cols)} columns, expected {n}")
+    if any(e < 0 for col in cols for _, e in col):
+        raise ValueError("map entry with a negative U-exponent")
+    return tuple(map(frozenset, cols))
+
+
+def mat_mul(a: Map, b: Map) -> Map:
+    """Composition a.b: U^e x_k in b(x_j) and U^f x_i in a(x_k) give U^(e+f) x_i."""
     out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            v = rows[i][j]
-            if isinstance(v, UPoly):
-                row.append(v)
-            elif isinstance(v, int):
-                row.append(UPoly.one() if v % 2 else UPoly.zero())
-            else:
-                row.append(UPoly(frozenset(v)))
-        out.append(tuple(row))
+    for col in b:
+        acc: set = set()
+        for k, e in col:
+            acc ^= {(i, e + f) for i, f in a[k]}
+        out.append(frozenset(acc))
     return tuple(out)
+
+
+def mat_add(a: Map, b: Map) -> Map:
+    return tuple(x ^ y for x, y in zip(a, b))
 
 
 def default_truncation(gradings) -> int:
@@ -74,14 +104,14 @@ def default_truncation(gradings) -> int:
 class IotaComplex:
     """A free GF(2)[U]-complex with involution.
 
-    ``diff[i][j]`` is the U-polynomial coefficient of generator i in the
-    boundary of generator j (and likewise for ``iota``).
+    ``diff[j]`` holds a pair (i, e) for each term U^e x_i of the boundary of
+    generator j (and likewise for ``iota``).
     """
 
     labels: tuple[str, ...]
     gradings: tuple[Fraction, ...]
-    diff: Matrix
-    iota: Matrix
+    diff: Map
+    iota: Map
     tau: Fraction
     truncation: int
 
@@ -100,17 +130,19 @@ class IotaComplex:
     def with_truncation(self, n: int) -> "IotaComplex":
         return IotaComplex(self.labels, self.gradings, self.diff, self.iota, self.tau, n)
 
-    def entry(self, i: int, j: int) -> UPoly:
-        return self.diff[i][j]
-
 
 def iota_complex(labels, gradings, diff, iota, tau=None, truncation=None) -> IotaComplex:
+    """Build an IotaComplex; ``diff`` and ``iota`` are read by ``_to_map``.
+
+    Entries are stored as given: an entry of the wrong degree is kept for
+    ``validate`` to report, and a negative exponent raises ValueError.
+    """
     n = len(labels)
     gradings = tuple(Fraction(g) for g in gradings)
     if len(gradings) != n:
         raise ValueError("labels/gradings length mismatch")
-    diff = _to_poly_matrix(diff, n)
-    iota = _to_poly_matrix(iota, n)
+    diff = _to_map(diff, n)
+    iota = _to_map(iota, n)
     if tau is None:
         tau = gradings[0]
     tau = Fraction(tau)
@@ -124,38 +156,6 @@ def trivial_complex(grading=0) -> IotaComplex:
     return iota_complex(("x",), (grading,), ((0,),), ((1,),), tau=Fraction(grading))
 
 
-def identity_matrix(n: int) -> Matrix:
-    one, zero = UPoly.one(), UPoly.zero()
-    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = UPoly.zero()
-            for k in range(n):
-                if a[i][k] and b[k][j]:
-                    acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_truncate(a: Matrix, n: int) -> Matrix:
-    return tuple(tuple(x.truncate(n) for x in row) for row in a)
-
-
-def mat_is_zero(a: Matrix) -> bool:
-    return all(not x for row in a for x in row)
-
-
 # ---------------------------------------------------------------------------
 # expanded GF(2) model: basis {U^k x_i : 0 <= k < N}
 
@@ -163,7 +163,7 @@ def mat_is_zero(a: Matrix) -> bool:
 class Expanded:
     """Per-grading GF(2) bases and boundary matrices of a truncated complex."""
 
-    def __init__(self, gradings, diff: Matrix, truncation: int):
+    def __init__(self, gradings, diff: Map, truncation: int):
         self.gradings = tuple(Fraction(g) for g in gradings)
         self.diff = diff
         self.N = truncation
@@ -193,13 +193,10 @@ class Expanded:
         tgt_index = self.index.get(g - 1, {})
         M = gf2.as_mat(len(tgt_index), len(src))
         for col, (j, k) in enumerate(src):
-            for i in range(len(self.gradings)):
-                for e in self.diff[i][j].exps:
-                    kk = k + e
-                    if kk < self.N:
-                        pos = tgt_index.get((i, kk))
-                        if pos is not None:
-                            M[pos, col] ^= 1
+            for i, e in self.diff[j]:
+                pos = tgt_index.get((i, k + e))
+                if pos is not None:
+                    M[pos, col] ^= 1
         self._bmat[g] = M
         return M
 
@@ -278,14 +275,13 @@ class Diagnostics:
                          for name, ok, detail in self.checks)
 
 
-def _degree_check(c: IotaComplex, mat: Matrix, degree: int) -> str | None:
-    for j in range(c.n):
-        for i in range(c.n):
-            for e in mat[i][j].exps:
-                if c.gradings[i] - 2 * e != c.gradings[j] + degree:
-                    return (f"entry ({c.labels[i]}, {c.labels[j]}) exponent {e}: "
-                            f"grading {c.gradings[i]} - {2*e} != "
-                            f"{c.gradings[j]} + ({degree})")
+def _degree_check(c: IotaComplex, m: Map, degree: int) -> str | None:
+    for j, col in enumerate(m):
+        for i, e in sorted(col):
+            if c.gradings[i] - 2 * e != c.gradings[j] + degree:
+                return (f"entry ({c.labels[i]}, {c.labels[j]}) exponent {e}: "
+                        f"grading {c.gradings[i]} - {2*e} != "
+                        f"{c.gradings[j]} + ({degree})")
     return None
 
 
@@ -304,20 +300,21 @@ def validate(c: IotaComplex) -> Diagnostics:
     if not structural_ok:
         return Diagnostics(tuple(checks))
 
-    n_tr = c.truncation
-    d2 = mat_truncate(mat_mul(c.diff, c.diff), n_tr)
-    witness = ""
-    if not mat_is_zero(d2):
-        j = next(j for j in range(c.n) for i in range(c.n) if d2[i][j])
-        witness = f"d(d({c.labels[j]})) != 0"
-    checks.append(("d^2 = 0", mat_is_zero(d2), witness or "ok"))
+    def first_nonzero(m: Map) -> int | None:
+        """First column with a term below U^truncation."""
+        return next((j for j, col in enumerate(m)
+                     if any(e < c.truncation for _, e in col)), None)
 
-    comm = mat_truncate(mat_add(mat_mul(c.iota, c.diff), mat_mul(c.diff, c.iota)), n_tr)
-    checks.append(("iota chain map", mat_is_zero(comm),
-                   "ok" if mat_is_zero(comm) else "iota d != d iota"))
+    j = first_nonzero(mat_mul(c.diff, c.diff))
+    checks.append(("d^2 = 0", j is None,
+                   "ok" if j is None else f"d(d({c.labels[j]})) != 0"))
 
-    rhs = mat_add(mat_mul(c.iota, c.iota), identity_matrix(c.n))
-    H = solve_homotopy(c, c, rhs)
+    j = first_nonzero(mat_add(mat_mul(c.iota, c.diff), mat_mul(c.diff, c.iota)))
+    checks.append(("iota chain map", j is None,
+                   "ok" if j is None else "iota d != d iota"))
+
+    identity = tuple(frozenset({(j, 0)}) for j in range(c.n))
+    H = solve_homotopy(c, c, mat_add(mat_mul(c.iota, c.iota), identity))
     checks.append(("iota^2 ~ id", H is not None,
                    "homotopy found" if H is not None else
                    "no homotopy H with dH + Hd = iota^2 + id"))
@@ -356,40 +353,34 @@ def tensor(a: IotaComplex, b: IotaComplex) -> IotaComplex:
     No grading shift is applied: classes are stored in the h-normalized
     convention, where the trivial complex is the unit.
     """
-    labels = []
-    gradings = []
-    pairs = [(i, k) for i in range(a.n) for k in range(b.n)]
-    for i, k in pairs:
-        labels.append(f"{a.labels[i]}*{b.labels[k]}")
-        gradings.append(a.gradings[i] + b.gradings[k])
-    n = len(pairs)
-    pos = {p: idx for idx, p in enumerate(pairs)}
-    zero = UPoly.zero()
-    diff = [[zero] * n for _ in range(n)]
-    iota = [[zero] * n for _ in range(n)]
-    for (j, l), col in pos.items():
-        for i in range(a.n):
-            if a.diff[i][j]:
-                diff[pos[(i, l)]][col] = diff[pos[(i, l)]][col] + a.diff[i][j]
-        for k in range(b.n):
-            if b.diff[k][l]:
-                diff[pos[(j, k)]][col] = diff[pos[(j, k)]][col] + b.diff[k][l]
-        for i in range(a.n):
-            if not a.iota[i][j]:
-                continue
-            for k in range(b.n):
-                if b.iota[k][l]:
-                    iota[pos[(i, k)]][col] = iota[pos[(i, k)]][col] + a.iota[i][j] * b.iota[k][l]
+    m = b.n  # generator x_i (x) y_k has index i * m + k
+    labels = [f"{la}*{lb}" for la in a.labels for lb in b.labels]
+    gradings = [ga + gb for ga in a.gradings for gb in b.gradings]
+    diff, iota = [], []
+    for j in range(a.n):
+        for l in range(b.n):
+            diff.append(frozenset((i * m + l, e) for i, e in a.diff[j])
+                        ^ frozenset((j * m + k, e) for k, e in b.diff[l]))
+            acc: set = set()
+            for i, e in a.iota[j]:
+                acc ^= {(i * m + k, e + f) for k, f in b.iota[l]}
+            iota.append(frozenset(acc))
     return iota_complex(labels, gradings, diff, iota, tau=a.tau + b.tau)
 
 
 def dual(a: IotaComplex) -> IotaComplex:
     """Dual complex: gradings negated, differential and iota transposed."""
+    def transpose(m: Map) -> Map:
+        cols: list[set] = [set() for _ in m]
+        for j, col in enumerate(m):
+            for i, e in col:
+                cols[i].add((j, e))
+        return tuple(map(frozenset, cols))
+
     labels = tuple(f"{l}^" for l in a.labels)
     gradings = tuple(-g for g in a.gradings)
-    diff = tuple(tuple(a.diff[j][i] for j in range(a.n)) for i in range(a.n))
-    iota = tuple(tuple(a.iota[j][i] for j in range(a.n)) for i in range(a.n))
-    return iota_complex(labels, gradings, diff, iota, tau=-a.tau)
+    return iota_complex(labels, gradings, transpose(a.diff), transpose(a.iota),
+                        tau=-a.tau)
 
 
 @dataclass(frozen=True)
@@ -404,7 +395,7 @@ class ConeComplex:
     base: IotaComplex
     labels: tuple[str, ...]
     gradings: tuple[Fraction, ...]
-    diff: Matrix
+    diff: Map
 
     @property
     def n(self) -> int:
@@ -415,15 +406,14 @@ def mapping_cone(a: IotaComplex) -> ConeComplex:
     n = a.n
     labels = tuple(a.labels) + tuple(f"Q{l}" for l in a.labels)
     gradings = tuple(g + 1 for g in a.gradings) + tuple(a.gradings)
-    zero = UPoly.zero()
-    diff = [[zero] * (2 * n) for _ in range(2 * n)]
-    ident = identity_matrix(n)
-    for j in range(n):
-        for i in range(n):
-            diff[i][j] = a.diff[i][j]
-            diff[n + i][n + j] = a.diff[i][j]
-            diff[n + i][j] = ident[i][j] + a.iota[i][j]
-    return ConeComplex(a, labels, tuple(gradings), _to_poly_matrix(diff, 2 * n))
+
+    def to_q(col):
+        return frozenset((n + i, e) for i, e in col)
+
+    # d(x_j) = d x_j + Q(x_j + iota x_j);  d(Q x_j) = Q d x_j
+    diff = (tuple(col | (to_q(a.iota[j]) ^ {(n + j, 0)}) for j, col in enumerate(a.diff))
+            + tuple(to_q(col) for col in a.diff))
+    return ConeComplex(a, labels, gradings, diff)
 
 
 # ---------------------------------------------------------------------------
@@ -457,9 +447,7 @@ def homology_ranks(c, window, truncation: int | None = None) -> dict[Fraction, i
 
 
 def _chain_data(c):
-    if isinstance(c, IotaComplex):
-        return c.gradings, c.diff
-    if isinstance(c, ConeComplex):
+    if isinstance(c, (IotaComplex, ConeComplex)):
         return c.gradings, c.diff
     raise TypeError(f"not a complex: {c!r}")
 
@@ -583,6 +571,32 @@ class _System:
         row = self.rows.setdefault(eq_key, [set(), 0])
         row[1] = bit
 
+    def declare(self, name, X: Map) -> None:
+        """Register the entries of the variable map X, row by row.
+
+        The solution sets free unknowns to 0, so which solution is returned
+        depends on the unknowns' order; declaring them up front fixes it.
+        """
+        for i, j in sorted((i, j) for j, col in enumerate(X) for i, _ in col):
+            self.var((name, i, j))
+
+    def add_products(self, eq, L: Map, name, X: Map, R: Map, N: int) -> None:
+        """Add the terms of L.X + X.R below U^N to equations (eq, i, j, e).
+
+        Each entry (i, e) of column j of X is the unknown (name, i, j): the
+        coefficient of U^e x_i in X(x_j), which is 0 or 1.
+        """
+        for j, col in enumerate(X):
+            for l, e in col:
+                for i, u in L[l]:
+                    if e + u < N:
+                        self.toggle((eq, i, j, e + u), (name, l, j))
+        for j, col in enumerate(R):
+            for l, u in col:
+                for i, e in X[l]:
+                    if e + u < N:
+                        self.toggle((eq, i, j, e + u), (name, i, l))
+
     def solve(self) -> dict | None:
         nv = len(self.vars)
         A = gf2.as_mat(len(self.rows), nv)
@@ -597,65 +611,42 @@ class _System:
         return {k: int(x[idx]) for k, idx in self.vars.items()}
 
 
-def _map_var_exponent(gb, ga, degree) -> int | None:
-    """Exponent of a degree-``degree`` GF(2)[U]-map entry from grading ga to gb."""
-    e = gb - ga - degree
-    if e.denominator != 1 or int(e) % 2 != 0:
-        return None
-    e = int(e) // 2
-    return e if e >= 0 else None
+def _variable_map(a: IotaComplex, b: IotaComplex, degree: int, N: int) -> Map:
+    """Every term U^e x_i (e < N) that a degree-``degree`` map a -> b can have."""
+    at: dict[Fraction, list[int]] = {}
+    for i, g in enumerate(b.gradings):
+        at.setdefault(g, []).append(i)
+    return tuple(frozenset((i, e) for e in range(N) for i in at.get(ga + degree + 2 * e, ()))
+                 for ga in a.gradings)
 
 
-def solve_homotopy(a: IotaComplex, b: IotaComplex, rhs: Matrix) -> Matrix | None:
+def _chosen(sol: dict, name, X: Map) -> Map:
+    """The entries of the variable map X that the solution sets to 1."""
+    return tuple(frozenset((i, e) for i, e in col if sol[(name, i, j)])
+                 for j, col in enumerate(X))
+
+
+def solve_homotopy(a: IotaComplex, b: IotaComplex, rhs: Map) -> Map | None:
     """Solve d_b H + H d_a = rhs for a degree +1 map H: a -> b, mod U^N."""
     N = max(a.truncation, b.truncation)
+    H = _variable_map(a, b, 1, N)
     sys = _System()
-    hvars = {}
-    for i in range(b.n):
-        for j in range(a.n):
-            e = _map_var_exponent(b.gradings[i], a.gradings[j], 1)
-            if e is not None and e < N:
-                hvars[(i, j)] = e
-    for (i, j), e in hvars.items():
-        sys.var(("h", i, j))
-    for i in range(b.n):
-        for j in range(a.n):
-            # d_b H term
-            for l in range(b.n):
-                if (l, j) in hvars and b.diff[i][l]:
-                    for u in b.diff[i][l].exps:
-                        ex = hvars[(l, j)] + u
-                        if ex < N:
-                            sys.toggle((i, j, ex), ("h", l, j))
-            # H d_a term
-            for l in range(a.n):
-                if (i, l) in hvars and a.diff[l][j]:
-                    for u in a.diff[l][j].exps:
-                        ex = hvars[(i, l)] + u
-                        if ex < N:
-                            sys.toggle((i, j, ex), ("h", i, l))
-            for u in rhs[i][j].exps:
-                if u < N:
-                    key = (i, j, u)
-                    sys.rows.setdefault(key, [set(), 0])
-                    sys.rows[key][1] ^= 1
+    sys.declare("h", H)
+    sys.add_products("e", b.diff, "h", H, a.diff, N)
+    for j, col in enumerate(rhs):
+        for i, u in col:
+            if u < N:
+                sys.set_rhs(("e", i, j, u), 1)
     sol = sys.solve()
-    if sol is None:
-        return None
-    zero = UPoly.zero()
-    H = [[zero] * a.n for _ in range(b.n)]
-    for (i, j), e in hvars.items():
-        if sol.get(("h", i, j)):
-            H[i][j] = UPoly.monomial(e)
-    return tuple(tuple(row) for row in H)
+    return None if sol is None else _chosen(sol, "h", H)
 
 
 @dataclass(frozen=True)
 class LocalMapWitness:
     """A grading-preserving chain map F with homotopy H for iota-commutation."""
 
-    F: Matrix
-    H: Matrix
+    F: Map
+    H: Map
     source: IotaComplex
     target: IotaComplex
 
@@ -686,78 +677,32 @@ def find_local_map(a: IotaComplex, b: IotaComplex,
     if za is None or zb is None:
         raise RuntimeError("missing deep tower class")
 
-    fvars, hvars = {}, {}
-    for i in range(b.n):
-        for j in range(a.n):
-            e = _map_var_exponent(b.gradings[i], a.gradings[j], 0)
-            if e is not None and e < N:
-                fvars[(i, j)] = e
-            e = _map_var_exponent(b.gradings[i], a.gradings[j], 1)
-            if e is not None and e < N:
-                hvars[(i, j)] = e
+    F = _variable_map(a, b, 0, N)
+    H = _variable_map(a, b, 1, N)
+    nf, nh = sum(map(len, F)), sum(map(len, H))
     w_dim = eb.dim(probe + 1)
-    if (len(fvars) + len(hvars) + w_dim) > max_unknowns:
+    if (nf + nh + w_dim) > max_unknowns:
         raise SearchSizeError(
-            f"local-map system too large: {len(fvars)} F-vars, "
-            f"{len(hvars)} H-vars, {w_dim} slack vars (limit {max_unknowns})")
+            f"local-map system too large: {nf} F-vars, "
+            f"{nh} H-vars, {w_dim} slack vars (limit {max_unknowns})")
 
     sys = _System()
+    sys.declare("f", F)
+    sys.declare("h", H)
     # (1) chain-map condition: d_b F + F d_a = 0
-    for i in range(b.n):
-        for j in range(a.n):
-            for l in range(b.n):
-                if (l, j) in fvars and b.diff[i][l]:
-                    for u in b.diff[i][l].exps:
-                        ex = fvars[(l, j)] + u
-                        if ex < N:
-                            sys.toggle(("c", i, j, ex), ("f", l, j))
-            for l in range(a.n):
-                if (i, l) in fvars and a.diff[l][j]:
-                    for u in a.diff[l][j].exps:
-                        ex = fvars[(i, l)] + u
-                        if ex < N:
-                            sys.toggle(("c", i, j, ex), ("f", i, l))
-    # (2) iota-commutation up to homotopy: F iota_a + iota_b F + d_b H + H d_a = 0
-    for i in range(b.n):
-        for j in range(a.n):
-            for l in range(a.n):
-                if (i, l) in fvars and a.iota[l][j]:
-                    for u in a.iota[l][j].exps:
-                        ex = fvars[(i, l)] + u
-                        if ex < N:
-                            sys.toggle(("q", i, j, ex), ("f", i, l))
-            for l in range(b.n):
-                if (l, j) in fvars and b.iota[i][l]:
-                    for u in b.iota[i][l].exps:
-                        ex = fvars[(l, j)] + u
-                        if ex < N:
-                            sys.toggle(("q", i, j, ex), ("f", l, j))
-            for l in range(b.n):
-                if (l, j) in hvars and b.diff[i][l]:
-                    for u in b.diff[i][l].exps:
-                        ex = hvars[(l, j)] + u
-                        if ex < N:
-                            sys.toggle(("q", i, j, ex), ("h", l, j))
-            for l in range(a.n):
-                if (i, l) in hvars and a.diff[l][j]:
-                    for u in a.diff[l][j].exps:
-                        ex = hvars[(i, l)] + u
-                        if ex < N:
-                            sys.toggle(("q", i, j, ex), ("h", i, l))
+    sys.add_products("c", b.diff, "f", F, a.diff, N)
+    # (2) iota-commutation up to homotopy: iota_b F + F iota_a + d_b H + H d_a = 0
+    sys.add_products("q", b.iota, "f", F, a.iota, N)
+    sys.add_products("q", b.diff, "h", H, a.diff, N)
     # (3) tower pinning: F(z_a) + d_b(w) = z_b at the probe grading
-    basis_a = ea.basis.get(probe, [])
     tgt_index = eb.index.get(probe, {})
+    for row, (j, k) in enumerate(ea.basis.get(probe, [])):
+        if za[row]:
+            for i, e in F[j]:
+                pos = tgt_index.get((i, k + e))
+                if pos is not None:
+                    sys.toggle(("p", pos), ("f", i, j))
     bw = eb.boundary_matrix(probe + 1)
-    for row, (j, k) in enumerate(basis_a):
-        if not za[row]:
-            continue
-        for i in range(b.n):
-            if (i, j) in fvars:
-                kk = k + fvars[(i, j)]
-                if kk < N:
-                    pos = tgt_index.get((i, kk))
-                    if pos is not None:
-                        sys.toggle(("p", pos), ("f", i, j))
     for q in range(w_dim):
         for pos in np.flatnonzero(bw[:, q]):
             sys.toggle(("p", int(pos)), ("w", q))
@@ -767,16 +712,7 @@ def find_local_map(a: IotaComplex, b: IotaComplex,
     sol = sys.solve()
     if sol is None:
         return None
-    zero = UPoly.zero()
-    F = [[zero] * a.n for _ in range(b.n)]
-    H = [[zero] * a.n for _ in range(b.n)]
-    for (i, j), e in fvars.items():
-        if sol.get(("f", i, j)):
-            F[i][j] = UPoly.monomial(e)
-    for (i, j), e in hvars.items():
-        if sol.get(("h", i, j)):
-            H[i][j] = UPoly.monomial(e)
-    return LocalMapWitness(tuple(tuple(r) for r in F), tuple(tuple(r) for r in H), a, b)
+    return LocalMapWitness(_chosen(sol, "f", F), _chosen(sol, "h", H), a, b)
 
 
 def locally_equivalent(a: IotaComplex, b: IotaComplex) -> bool:
@@ -790,8 +726,13 @@ def locally_equivalent(a: IotaComplex, b: IotaComplex) -> bool:
 
 
 def complex_to_json(c: IotaComplex) -> dict:
-    def mat(m):
-        return [[sorted(p.exps) for p in row] for row in m]
+    def mat(m: Map) -> list:
+        """Row i, column j: the sorted exponents of x_i in the image of x_j."""
+        rows = [[[] for _ in m] for _ in m]
+        for j, col in enumerate(m):
+            for i, e in col:
+                rows[i][j].append(e)
+        return [[sorted(exps) for exps in row] for row in rows]
 
     return {
         "labels": list(c.labels),

@@ -44,12 +44,6 @@ def rank(A: np.ndarray) -> int:
     return len(rref(A)[1])
 
 
-def hstack(*mats: np.ndarray) -> np.ndarray:
-    """Column-concatenate, tolerating 0-column blocks of equal row count."""
-    mats = tuple(m for m in mats if m.shape[1] > 0) or mats[:1]
-    return np.hstack(mats)
-
-
 def kernel(A: np.ndarray) -> np.ndarray:
     """Basis of ker(A) as columns of the returned matrix."""
     rows, cols = A.shape

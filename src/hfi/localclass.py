@@ -99,10 +99,6 @@ def I(delta) -> LocalClass:
     return LocalClass.make({}, shift=delta)
 
 
-def add(a: LocalClass, b: LocalClass) -> LocalClass:
-    return a + b
-
-
 def neg(a: LocalClass) -> LocalClass:
     return -a
 

@@ -11,7 +11,6 @@ computed independently and must agree with the closed-form engine.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -186,10 +185,3 @@ def evaluate_text(text: str, oracle: bool = False,
 
     return evaluate(parse(text), input_text=text, oracle=oracle,
                     truncation=truncation)
-
-
-def report_from_json(obj) -> dict:
-    """Round-trip helper: parse a JSON report back into plain values."""
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    return obj

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .complexes import Diagnostics, IotaComplex, iota_complex
-from .upoly import UPoly
 
 
 @dataclass(frozen=True)
@@ -140,21 +139,14 @@ def standard_complex(p: SymmetricRootProfile) -> IotaComplex:
     n = p.n
     labels = [f"v{i + 1}" for i in range(n)] + [f"a{i + 1}" for i in range(n - 1)]
     gradings = list(p.leaves) + [a + 1 for a in p.angles]
-    m = len(labels)
-    zero = UPoly.zero()
-    diff = [[zero] * m for _ in range(m)]
-    iota = [[zero] * m for _ in range(m)]
-    for i in range(n - 1):
-        col = n + i
-        e_left = int((p.leaves[i] - p.angles[i]) / 2)
-        e_right = int((p.leaves[i + 1] - p.angles[i]) / 2)
-        diff[i][col] = diff[i][col] + UPoly.monomial(e_left)
-        diff[i + 1][col] = diff[i + 1][col] + UPoly.monomial(e_right)
-    one = UPoly.one()
-    for i in range(n):
-        iota[n - 1 - i][i] = one
-    for i in range(n - 1):
-        iota[n + (n - 2 - i)][n + i] = one
+    # columns (see complexes.Map): leaves are cycles, d(a_i) hits v_i and v_{i+1}
+    diff = [frozenset()] * n + [
+        frozenset({(i, int((p.leaves[i] - p.angles[i]) / 2)),
+                   (i + 1, int((p.leaves[i + 1] - p.angles[i]) / 2))})
+        for i in range(n - 1)]
+    # J_0 reflects the leaves and the angles
+    iota = ([frozenset({(n - 1 - i, 0)}) for i in range(n)]
+            + [frozenset({(2 * n - 2 - i, 0)}) for i in range(n - 1)])
     return iota_complex(labels, gradings, diff, iota, tau=p.leaves[0])
 
 

@@ -141,3 +141,100 @@ def test_mixed_coset_tensor_keeps_tau_sum():
     b = standard_complex(to_profile(MonotoneRoot(((Fraction(1, 2), Fraction(1, 2)),))))
     t = tensor(a, b)
     assert t.tau == a.tau + b.tau
+
+
+def test_validate_rejects_inhomogeneous_entry():
+    # d(x) = (1 + U^2) y: the U^2 term has the wrong degree
+    c = iota_complex(("x", "y"), (1, 0),
+                     [[[], []], [[0, 2], []]],
+                     ((1, 0), (0, 1)))
+    failed = dict(validate(c).failed())
+    assert "differential degree -1" in failed
+    assert "exponent 2" in failed["differential degree -1"]
+
+
+def test_negative_exponent_is_refused():
+    with pytest.raises(ValueError):
+        iota_complex(("x", "y"), (1, 0),
+                     [[[], []], [[-1], []]],
+                     ((1, 0), (0, 1)))
+
+
+# ---------------------------------------------------------------------------
+# the sparse map layer: columns of (row, U-exponent) pairs
+
+SIZE = 4
+
+
+def _maps():
+    col = st.frozensets(st.tuples(st.integers(0, SIZE - 1), st.integers(0, 6)),
+                        max_size=5)
+    return st.tuples(*[col] * SIZE)
+
+
+IDENTITY = tuple(frozenset({(j, 0)}) for j in range(SIZE))
+ZERO = (frozenset(),) * SIZE
+
+
+@given(_maps(), _maps())
+def test_map_addition_commutes(x, y):
+    assert complexes.mat_add(x, y) == complexes.mat_add(y, x)
+
+
+@given(_maps())
+def test_map_addition_cancels(x):
+    add = complexes.mat_add
+    assert add(x, x) == ZERO
+    assert add(x, ZERO) == x
+
+
+def test_map_composition_convolves_exponents():
+    # (1 + U) x composed with itself is (1 + U^2) x over GF(2): the U terms cancel
+    x = (frozenset({(0, 0), (0, 1)}),)
+    assert complexes.mat_mul(x, x) == (frozenset({(0, 0), (0, 2)}),)
+
+
+@given(_maps(), _maps(), _maps())
+def test_map_composition_is_associative(x, y, z):
+    mul = complexes.mat_mul
+    assert mul(mul(x, y), z) == mul(x, mul(y, z))
+
+
+@given(_maps(), _maps(), _maps())
+def test_map_composition_distributes(x, y, z):
+    mul, add = complexes.mat_mul, complexes.mat_add
+    assert mul(x, add(y, z)) == add(mul(x, y), mul(x, z))
+    assert mul(add(x, y), z) == add(mul(x, z), mul(y, z))
+
+
+@given(_maps())
+def test_zero_and_identity_maps(x):
+    assert complexes.mat_mul(IDENTITY, IDENTITY) == IDENTITY
+    assert complexes.mat_mul(x, ZERO) == ZERO
+    assert complexes.mat_mul(ZERO, x) == ZERO
+
+
+@given(_maps())
+def test_identity_map_is_unit(x):
+    assert complexes.mat_mul(x, IDENTITY) == x
+    assert complexes.mat_mul(IDENTITY, x) == x
+
+
+@given(_maps(), _maps(), st.integers(0, 8))
+def test_truncation_commutes_with_composition(x, y, n):
+    def trunc(m):
+        return tuple(frozenset(p for p in col if p[1] < n) for col in m)
+
+    assert trunc(complexes.mat_mul(trunc(x), trunc(y))) == trunc(complexes.mat_mul(x, y))
+    assert trunc(complexes.mat_add(x, y)) == complexes.mat_add(trunc(x), trunc(y))
+
+
+def test_local_map_witness_is_an_iota_chain_map():
+    a, b = tensor(std(2, 0), std(0, -2)), std(2, 0)
+    w = find_local_map(a, b)
+    assert w is not None
+    mul, add = complexes.mat_mul, complexes.mat_add
+    zero = (frozenset(),) * a.n
+    assert add(mul(b.diff, w.F), mul(w.F, a.diff)) == zero
+    assert (add(mul(b.iota, w.F), mul(w.F, a.iota))
+            == add(mul(b.diff, w.H), mul(w.H, a.diff)))

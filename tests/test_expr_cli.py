@@ -187,3 +187,19 @@ def test_cli_eval_file_atom(tmp_path, capsys):
     assert main(["eval", f"@{path} - Sigma(5,8,13)"]) == 0
     out = capsys.readouterr().out
     assert "total:      (0)[Δ=0]" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "Sigma(2,4,5)"],
+    ["eval", "Y(0)"],
+    ["eval", "M(0,2)"],
+    ["eval", "@missing.txt"],
+    ["family", "--M", "1", "--N", "1", "--d", "1", "--mu", "0"],
+])
+def test_cli_invalid_input_exits_2_with_message(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
