@@ -7,7 +7,7 @@ subroot in the Y-basis.
 """
 
 from hfi.brieskorn import (BrieskornParams, brieskorn_root, seifert_plumbing,
-                           tau_sequence)
+                           tau_closed_form, tau_sequence)
 from hfi.cterms import correction_terms
 from hfi.localclass import d_invariant, mu_bar
 from hfi.monotone import decompose, monotone_subroot
@@ -26,8 +26,11 @@ print("K^2 + s =", k_squared(graph) + graph.n)
 # Step 2: the tau sequence.  tau(v) is the Euler characteristic of the v-th
 # cycle in the generalized Laufer computation sequence; its local minima and
 # the maxima between them are the combinatorial content of the graded root.
+# The pipeline itself streams the same values from the closed form
+# tau(n+1) - tau(n) = 1 + b0 n - sum_i ceil(n omega_i / a_i).
 taus = tau_sequence(graph, center, 40)
 print("\ntau(0..40):", taus)
+assert list(tau_closed_form(params, 40)) == taus
 
 # Step 3: the graded-root profile.  tau value t sits at grading
 # -2t + (K^2 + s)/4; leaves are the minima, angles the in-between maxima.

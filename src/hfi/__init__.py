@@ -14,7 +14,8 @@ classes, three ways that cross-check each other:
 ``expr`` / ``report`` / ``cli`` form the expression frontend (``hfi`` tool).
 """
 
-from .brieskorn import BrieskornParams, brieskorn_class, brieskorn_root
+from .brieskorn import (MAX_SIGMA_ALPHA, BrieskornParams, SigmaSizeError,
+                        brieskorn_class, brieskorn_root)
 from .complexes import (ConeComplex, IotaComplex, SearchSizeError,
                         TruncationUnstableError, WindowError, dual,
                         find_local_map, homology_ranks, iota_complex,

@@ -10,8 +10,9 @@ Subcommands:
 Exit codes: 0 on success; 1 when an oracle complex is over its generator
 limit (or, for ``plumbing``, the graph is not negative definite); 2 on a
 parse error or invalid input -- any ValueError or OSError, such as a
-non-coprime Sigma triple, Y(0), a non-monotone M(...), a missing @file or
-impossible ``family`` invariants -- reported as ``error: <message>`` on
+non-coprime Sigma triple, a Sigma triple whose alpha = a1 a2 a3 exceeds
+``brieskorn.MAX_SIGMA_ALPHA``, Y(0), a non-monotone M(...), a missing @file
+or impossible ``family`` invariants -- reported as ``error: <message>`` on
 stderr, never as a traceback; 3 on an oracle mismatch.
 Root-profile files are written and read in HF-minus gradings; the internal
 normalization (3-sphere tower topped at grading 0) is two higher.
@@ -67,7 +68,10 @@ def _cmd_eval(args) -> int:
 def _cmd_root(args) -> int:
     if args.kind != "sigma":
         return _error(f"unknown root kind {args.kind!r}", 2)
-    profile = brieskorn_root(BrieskornParams(args.a1, args.a2, args.a3))
+    try:
+        profile = brieskorn_root(BrieskornParams(args.a1, args.a2, args.a3))
+    except ValueError as e:  # bad triple, or alpha above MAX_SIGMA_ALPHA
+        return _error(e, 2)
     hf_minus = SymmetricRootProfile(tuple(g - 2 for g in profile.leaves),
                                     tuple(g - 2 for g in profile.angles))
     text = profile_to_text(hf_minus)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .localclass import LocalClass
-from .roots import SymmetricRootProfile, mirror_merge
+from .roots import SymmetricRootProfile
 
 Params = tuple[tuple[Fraction, Fraction], ...]
 
@@ -109,13 +109,23 @@ def monotone_subroot(p: SymmetricRootProfile) -> MonotoneRoot:
     validated three ways in the test suite: round-trip identity on monotone
     input, oracle local equivalence on random profiles, and the Brieskorn
     anchors; on any conflict the oracle wins.
+
+    The mirror-merge grading of leaf i is the minimum of the angles i..n-i,
+    so one running minimum outward from the centre gives all of them (the
+    central leaf of an odd profile is its own mirror image).  After one sort
+    by (-h, -c), a pair is on the frontier iff its c exceeds every c before it.
     """
     n = p.n
-    pairs = {(p.leaves[i - 1], mirror_merge(p, i)) for i in range(1, (n + 1) // 2 + 1)}
-    frontier = [hc for hc in pairs
-                if not any(other != hc and other[0] >= hc[0] and other[1] >= hc[1]
-                           for other in pairs)]
-    frontier.sort(key=lambda hc: -hc[0])
+    pairs = [(p.leaves[n // 2], p.leaves[n // 2])] if n % 2 else []
+    c = None
+    for i in reversed(range(n // 2)):
+        c = p.angles[i] if c is None else min(c, p.angles[i])
+        pairs.append((p.leaves[i], c))
+    pairs.sort(key=lambda hc: (-hc[0], -hc[1]))
+    frontier = []
+    for h, c in pairs:
+        if not frontier or c > frontier[-1][1]:
+            frontier.append((h, c))
     return MonotoneRoot(tuple(frontier))
 
 

@@ -5,6 +5,8 @@ vertex weights on the diagonal and 1 for each edge.  Rationality is decided
 by Laufer's computation sequence for the minimal cycle (the fundamental
 cycle Z_min satisfies chi(Z_min) = 1 exactly for rational graphs), and the
 almost-rational check lowers one vertex weight at a time within a bound.
+Negative definiteness and K^2 come from one exact elimination along the
+tree, which has no fill-in.
 """
 
 from __future__ import annotations
@@ -88,45 +90,89 @@ def canonical_K(g: PlumbingGraph) -> list[int]:
     return [-w - 2 for w in g.weights()]
 
 
-def _leading_minor_dets(m: list[list[int]]) -> list[Fraction]:
-    """Exact determinants of all leading principal minors (fraction-free)."""
-    n = len(m)
-    dets = []
-    for k in range(1, n + 1):
-        a = [[Fraction(m[i][j]) for j in range(k)] for i in range(k)]
-        det = Fraction(1)
-        sign = 1
-        for col in range(k):
-            piv = next((r for r in range(col, k) if a[r][col] != 0), None)
-            if piv is None:
-                det = Fraction(0)
-                break
-            if piv != col:
-                a[col], a[piv] = a[piv], a[col]
-                sign = -sign
-            det *= a[col][col]
-            for r in range(col + 1, k):
-                f = a[r][col] / a[col][col]
-                for c in range(col, k):
-                    a[r][c] -= f * a[col][c]
-        dets.append(sign * det)
-    return dets
+def tree_elimination(g: PlumbingGraph,
+                     rhs: list[int]) -> tuple[list[Fraction], list[Fraction]]:
+    """Symmetric Gaussian elimination of the intersection form, leaves first.
+
+    Vertices are eliminated children before parents (reverse BFS order from
+    the first vertex).  On a tree, eliminating v only changes its parent's
+    diagonal entry and right-hand side, so there is no fill-in and the pass
+    takes O(n) exact steps.  Returns the pivots d_v and the eliminated
+    right-hand side b_v in elimination order, so that M = L D L^T with
+    D = diag(d) and b = L^{-1} rhs.  The pass stops after the first zero
+    pivot, since no later vertex can be divided by it.
+    """
+    adj = g.adjacency()
+    parent = [-1] * g.n
+    order = [0]
+    for v in order:  # BFS; the list grows while it is read
+        for w in adj[v]:
+            if w != parent[v]:
+                parent[w] = v
+                order.append(w)
+    diag = [Fraction(w) for w in g.weights()]
+    b = [Fraction(r) for r in rhs]
+    pivots: list[Fraction] = []
+    out: list[Fraction] = []
+    for v in reversed(order):
+        d = diag[v]
+        pivots.append(d)
+        out.append(b[v])
+        if d == 0:
+            break
+        p = parent[v]
+        if p >= 0:  # the edge entry is 1: subtract row v / d from row p
+            diag[p] -= 1 / d
+            b[p] -= b[v] / d
+    return pivots, out
 
 
 def is_negative_definite(g: PlumbingGraph) -> bool:
-    """Exact test: leading principal minors alternate in sign, starting negative."""
-    dets = _leading_minor_dets(intersection_form(g))
-    return all(d != 0 and (d > 0) == (k % 2 == 1)
-               for k, d in enumerate(dets))
+    """Exact test: every pivot of the tree elimination is negative.
+
+    M = L D L^T is congruent to D, so M is negative definite iff all pivots
+    are negative (a zero pivot ends the pass and the test fails).
+    """
+    pivots, _ = tree_elimination(g, [0] * g.n)
+    return all(d < 0 for d in pivots)
 
 
 def chi(g: PlumbingGraph, x: list[int]) -> Fraction:
     """chi(x) = -( <x, x> + <K, x> ) / 2."""
-    m = intersection_form(g)
-    K = canonical_K(g)
-    xx = sum(x[i] * m[i][j] * x[j] for i in range(g.n) for j in range(g.n))
-    kx = sum(K[i] * x[i] for i in range(g.n))
+    idx = {v: i for i, (v, _) in enumerate(g.vertices)}
+    xx = (sum(w * xi * xi for w, xi in zip(g.weights(), x))
+          + 2 * sum(x[idx[a]] * x[idx[b]] for a, b in g.edges))
+    kx = sum(k * xi for k, xi in zip(canonical_K(g), x))
     return Fraction(-(xx + kx), 2)
+
+
+def laufer_closure(weights: list[int], adj: list[list[int]], pairing: list[int],
+                   stack: list[int], counts: list[int] | None = None,
+                   fixed: int = -1) -> int:
+    """Laufer's closure: add base vertices while one pairs positively.
+
+    ``pairing[v]`` holds <x, E_v> for the current cycle x and is updated in
+    place; ``stack`` holds the candidate vertices (it is emptied).  The
+    vertex ``fixed`` is never added.  When ``counts`` is given, it is x and
+    gets the added multiplicities.  Each addition of E_v changes chi by
+    1 - <x, E_v>; the total change is returned, in exact integers.
+    """
+    dchi = 0
+    while stack:
+        v = stack.pop()
+        if v == fixed or pairing[v] <= 0:
+            continue
+        dchi += 1 - pairing[v]
+        if counts is not None:
+            counts[v] += 1
+        pairing[v] += weights[v]
+        for w in adj[v]:
+            pairing[w] += 1
+            if pairing[w] > 0:
+                stack.append(w)
+        if pairing[v] > 0:
+            stack.append(v)
+    return dchi
 
 
 def minimal_cycle(g: PlumbingGraph) -> list[int]:
@@ -143,19 +189,7 @@ def minimal_cycle(g: PlumbingGraph) -> list[int]:
     x = [1] * g.n
     # pairing[v] = <x, E_v>
     pairing = [weights[v] + len(adj[v]) for v in range(g.n)]
-    stack = [v for v in range(g.n) if pairing[v] > 0]
-    while stack:
-        v = stack.pop()
-        if pairing[v] <= 0:
-            continue
-        x[v] += 1
-        pairing[v] += weights[v]
-        for w in adj[v]:
-            pairing[w] += 1
-            if pairing[w] > 0:
-                stack.append(w)
-        if pairing[v] > 0:
-            stack.append(v)
+    laufer_closure(weights, adj, pairing, list(range(g.n)), counts=x)
     return x
 
 
@@ -196,23 +230,16 @@ def is_almost_rational(g: PlumbingGraph, bound: int = 64) -> ARVerdict:
 
 
 def k_squared(g: PlumbingGraph) -> Fraction:
-    """<K, K> computed exactly: solve M x = K and return K . x."""
-    m = intersection_form(g)
-    K = canonical_K(g)
-    n = g.n
-    a = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(K[i])] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * p for v, p in zip(a[r], a[col])]
-    x = [a[i][n] for i in range(n)]
-    return sum(Fraction(K[i]) * x[i] for i in range(n))
+    """<K, K> = K^T M^{-1} K, computed exactly by one tree elimination.
+
+    With M = L D L^T and b = L^{-1} K this is the sum of b_v^2 / d_v.
+    Raises ValueError when a pivot is zero (M singular, or a form whose
+    elimination in leaf order needs pivoting; definite forms never do).
+    """
+    pivots, b = tree_elimination(g, canonical_K(g))
+    if pivots[-1] == 0:
+        raise ValueError("zero pivot in the tree elimination of the intersection form")
+    return sum((bv * bv / d for bv, d in zip(b, pivots)), Fraction(0))
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,91 @@
+"""Slow, direct reference implementations that the fast paths are checked against.
+
+The production code eliminates the intersection form along the tree, takes
+the monotone subroot with one running minimum and one sorted sweep, and
+compresses a tau stream run by run.  These are the definitions those
+replace: dense Fraction elimination, the O(n^2) Pareto scan over
+``mirror_merge``, and the list-based extrema scan.
+"""
+
+from fractions import Fraction
+
+from hfi.plumbing import PlumbingGraph, canonical_K, intersection_form
+from hfi.roots import SymmetricRootProfile, mirror_merge
+
+
+def leading_minor_dets(m: list[list[int]]) -> list[Fraction]:
+    """Exact determinants of all leading principal minors (fraction-free)."""
+    n = len(m)
+    dets = []
+    for k in range(1, n + 1):
+        a = [[Fraction(m[i][j]) for j in range(k)] for i in range(k)]
+        det = Fraction(1)
+        sign = 1
+        for col in range(k):
+            piv = next((r for r in range(col, k) if a[r][col] != 0), None)
+            if piv is None:
+                det = Fraction(0)
+                break
+            if piv != col:
+                a[col], a[piv] = a[piv], a[col]
+                sign = -sign
+            det *= a[col][col]
+            for r in range(col + 1, k):
+                f = a[r][col] / a[col][col]
+                for c in range(col, k):
+                    a[r][c] -= f * a[col][c]
+        dets.append(sign * det)
+    return dets
+
+
+def dense_is_negative_definite(g: PlumbingGraph) -> bool:
+    """Sylvester: leading principal minors alternate in sign, starting negative."""
+    dets = leading_minor_dets(intersection_form(g))
+    return all(d != 0 and (d > 0) == (k % 2 == 1)
+               for k, d in enumerate(dets))
+
+
+def dense_k_squared(g: PlumbingGraph) -> Fraction:
+    """<K, K>: solve M x = K by dense Gauss-Jordan and return K . x."""
+    m = intersection_form(g)
+    K = canonical_K(g)
+    n = g.n
+    a = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(K[i])] for i in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if a[r][col] != 0)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+        inv = 1 / a[col][col]
+        a[col] = [v * inv for v in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [v - f * p for v, p in zip(a[r], a[col])]
+    x = [a[i][n] for i in range(n)]
+    return sum(Fraction(K[i]) * x[i] for i in range(n))
+
+
+def pareto_subroot_params(p: SymmetricRootProfile) -> tuple:
+    """Monotone-subroot parameters by the O(n^2) Pareto-frontier definition."""
+    n = p.n
+    pairs = {(p.leaves[i - 1], mirror_merge(p, i)) for i in range(1, (n + 1) // 2 + 1)}
+    frontier = [hc for hc in pairs
+                if not any(other != hc and other[0] >= hc[0] and other[1] >= hc[1]
+                           for other in pairs)]
+    frontier.sort(key=lambda hc: -hc[0])
+    return tuple(frontier)
+
+
+def compress_list(taus: list[int]) -> tuple[list[int], list[int]]:
+    """Leaf/angle tau values by scanning the deduplicated list for extrema."""
+    comp: list[int] = []
+    for t in taus:
+        if not comp or comp[-1] != t:
+            comp.append(t)
+    last = len(comp) - 1
+    minima = [i for i, t in enumerate(comp)
+              if (i == 0 or comp[i - 1] > t) and (i == last or comp[i + 1] > t)]
+    leaves = [comp[i] for i in minima]
+    angles = [max(comp[minima[j]:minima[j + 1] + 1])
+              for j in range(len(minima) - 1)]
+    return leaves, angles

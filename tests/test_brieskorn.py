@@ -1,14 +1,16 @@
 """Brieskorn spheres: plumbing data, graded roots, classes, mu-bar cross-check."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from hfi import gf2
-from hfi.brieskorn import (BrieskornParams, brieskorn_class, brieskorn_monotone,
-                           brieskorn_root, negative_continued_fraction,
-                           seifert_plumbing, tau_sequence)
+from hfi.brieskorn import (MAX_SIGMA_ALPHA, BrieskornParams, SigmaSizeError,
+                           brieskorn_class, brieskorn_monotone, brieskorn_root,
+                           negative_continued_fraction, seifert_plumbing,
+                           tau_sequence)
 from hfi.localclass import I, Y, d_invariant, mu_bar
 from hfi.monotone import M
 from hfi.plumbing import intersection_form, is_negative_definite
@@ -40,7 +42,7 @@ def test_seifert_plumbing_is_negative_definite():
         assert is_negative_definite(g)
         assert center == "c"
         # unimodular: integer homology sphere
-        from hfi.plumbing import _leading_minor_dets
+        from dense_reference import leading_minor_dets as _leading_minor_dets
         assert abs(_leading_minor_dets(intersection_form(g))[-1]) == 1
 
 
@@ -139,3 +141,17 @@ def test_mu_bar_matches_wu_class_oracle():
 def test_insufficient_steps_raises():
     with pytest.raises(RuntimeError):
         brieskorn_root(BrieskornParams(5, 8, 13), max_steps=10)
+
+
+def test_alpha_above_budget_raises_before_any_tau_step(monkeypatch):
+    def no_tau(*args):
+        raise AssertionError("a tau step ran")
+
+    monkeypatch.setattr("hfi.brieskorn._tau_deltas", no_tau)
+    a3 = MAX_SIGMA_ALPHA // 6 + 1
+    while math.gcd(a3, 6) != 1:
+        a3 += 1
+    with pytest.raises(SigmaSizeError) as e:
+        brieskorn_class(BrieskornParams(2, 3, a3))
+    assert isinstance(e.value, ValueError)
+    assert str(MAX_SIGMA_ALPHA) in str(e.value) and str(6 * a3) in str(e.value)

@@ -1,0 +1,121 @@
+"""Differential tests: each fast production path against its slow definition.
+
+- closed-form tau against the Laufer computation sequence, step for step;
+- the tree elimination (K^2, negative definiteness) against dense Fraction
+  elimination;
+- the running-minimum monotone subroot against the O(n^2) Pareto scan;
+- the run-by-run extrema compression against the list scan.
+
+Seeds are fixed and example counts bounded, so the suite stays fast.
+"""
+
+import math
+from fractions import Fraction
+
+from hypothesis import given, seed, settings, strategies as st
+
+from dense_reference import (compress_list, dense_is_negative_definite,
+                             dense_k_squared, pareto_subroot_params)
+from hfi.brieskorn import (BrieskornParams, _compress_to_profile,
+                           negative_continued_fraction, seifert_invariants,
+                           seifert_plumbing, tau_closed_form, tau_sequence)
+from hfi.monotone import monotone_subroot
+from hfi.plumbing import PlumbingGraph, is_negative_definite, k_squared
+from hfi.roots import SymmetricRootProfile
+
+MAX_ALPHA = 5000
+TRIPLES = [(a1, a2, a3)
+           for a1 in range(2, 18)
+           for a2 in range(a1 + 1, MAX_ALPHA // (2 * a1) + 2)
+           for a3 in range(a2 + 1, MAX_ALPHA // (a1 * a2) + 1)
+           if math.gcd(a1, a2) == math.gcd(a1, a3) == math.gcd(a2, a3) == 1]
+
+
+def _vertices(triple) -> int:
+    _, omegas = seifert_invariants(BrieskornParams(*triple))
+    return 1 + sum(len(negative_continued_fraction(a, w))
+                   for a, w in zip(triple, omegas))
+
+
+# dense elimination is O(n^3) (O(n^4) for all leading minors): small graphs only
+SMALL_TRIPLES = [t for t in TRIPLES if _vertices(t) <= 16]
+
+
+@seed(20170604)
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(TRIPLES))
+def test_closed_form_tau_matches_laufer_sequence(triple):
+    b = BrieskornParams(*triple)
+    g, center = seifert_plumbing(b)
+    steps = 2 * math.prod(triple) + 16
+    assert list(tau_closed_form(b, steps)) == tau_sequence(g, center, steps)
+
+
+@seed(20170605)
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(SMALL_TRIPLES))
+def test_tree_elimination_matches_dense_on_seifert_plumbings(triple):
+    g, _ = seifert_plumbing(BrieskornParams(*triple))
+    assert is_negative_definite(g) and dense_is_negative_definite(g)
+    assert k_squared(g) == dense_k_squared(g)
+
+
+@st.composite
+def weighted_trees(draw):
+    n = draw(st.integers(1, 10))
+    parents = [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    weights = draw(st.lists(st.integers(-5, 1), min_size=n, max_size=n))
+    order = draw(st.permutations(range(n)))  # the elimination root varies
+    verts = tuple((f"v{i}", weights[i]) for i in order)
+    edges = tuple((f"v{p}", f"v{i}") for i, p in enumerate(parents, 1))
+    return PlumbingGraph(verts, edges)
+
+
+@seed(20170606)
+@settings(max_examples=100, deadline=None)
+@given(weighted_trees())
+def test_tree_elimination_matches_dense_on_random_trees(g):
+    negdef = dense_is_negative_definite(g)
+    assert is_negative_definite(g) == negdef
+    try:
+        k2 = k_squared(g)
+    except ValueError:  # zero pivot: never for a definite form
+        assert not negdef
+    else:
+        assert k2 == dense_k_squared(g)
+
+
+@st.composite
+def symmetric_profiles(draw):
+    """Valid symmetric profiles: even gradings, angles below adjacent leaves."""
+    n = draw(st.integers(1, 14))
+    half = draw(st.lists(st.integers(-6, 6), min_size=(n + 1) // 2,
+                         max_size=(n + 1) // 2))
+    leaves = [2 * h for h in half] + [2 * h for h in half[: n // 2][::-1]]
+    angles = []
+    for i in range(n // 2):
+        top = min(leaves[i], leaves[i + 1])
+        angles.append(top - 2 * draw(st.integers(0, 4)))
+    angles += angles[: (n - 1) // 2][::-1]
+    return SymmetricRootProfile(tuple(leaves), tuple(angles))
+
+
+@seed(20170607)
+@settings(max_examples=100, deadline=None)
+@given(symmetric_profiles())
+def test_linear_subroot_matches_pareto_definition(p):
+    assert monotone_subroot(p).params == pareto_subroot_params(p)
+
+
+@seed(20170608)
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-4, 4), max_size=40))
+def test_streamed_compression_matches_list_scan(taus):
+    assert _compress_to_profile(iter(taus)) == compress_list(taus)
+
+
+def test_reference_definitions_on_a_known_profile():
+    # the profile of Sigma(2,7,15): (0, -4) dominates (-2, -4) and (-6, -8)
+    p = SymmetricRootProfile((-6, -2, 0, 0, -2, -6), (-8, -4, -4, -4, -8))
+    assert pareto_subroot_params(p) == ((Fraction(0), Fraction(-4)),)
+    assert monotone_subroot(p).params == ((Fraction(0), Fraction(-4)),)

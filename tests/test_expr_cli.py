@@ -194,6 +194,7 @@ def test_cli_eval_file_atom(tmp_path, capsys):
     ["eval", "Y(0)"],
     ["eval", "M(0,2)"],
     ["eval", "@missing.txt"],
+    ["eval", "Sigma(1009,1013,1019)"],  # alpha above MAX_SIGMA_ALPHA
     ["family", "--M", "1", "--N", "1", "--d", "1", "--mu", "0"],
 ])
 def test_cli_invalid_input_exits_2_with_message(argv, capsys):

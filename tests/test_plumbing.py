@@ -56,7 +56,7 @@ def test_e8_frozen_values():
     m = intersection_form(g)
     assert is_negative_definite(g)
     # unimodular: determinant of the 8x8 form is 1
-    from hfi.plumbing import _leading_minor_dets
+    from dense_reference import leading_minor_dets as _leading_minor_dets
     assert _leading_minor_dets(m)[-1] == 1
     assert canonical_K(g) == [0] * 8
     assert k_squared(g) == 0
