@@ -8,7 +8,10 @@ Conventions
 -----------
 * U has degree -2; the differential has degree -1; the involution degree 0.
 * Gradings are exact ``Fraction``s, all congruent to ``tau`` mod 1; the
-  U-inverted homology tower lives in ``tau + 2Z``.
+  U-inverted homology tower lives in ``tau + 2Z``.  That is the API; inside
+  the expanded model (``Expanded``) a grading is the int offset from tau,
+  and a grading outside ``tau + Z`` is refused with a ValueError that
+  names it.
 * Complexes are stored in the "h-normalized" convention in which the trivial
   one-generator complex plays the role of the 3-sphere and has
   (d, d-bar, d-under) = (0, 0, 0).
@@ -26,6 +29,10 @@ Conventions
   {U^k x : k < N}.  Every reported quantity is recomputed at N+2 and must
   agree (stability under refinement is the computable proxy for working over
   the untruncated ring).
+* Chains: a generator x_i contributes at most one basis element U^k x_i to
+  a grading, so a chain at a grading is an int with bit i set for x_i (see
+  ``gf2``).  U^m is a mask, Q.(chains of C) in the mapping cone is a shift
+  by n, and the local-map and homotopy searches are int-column systems.
 """
 
 from __future__ import annotations
@@ -33,8 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from itertools import chain
 
 from . import gf2
 
@@ -160,99 +166,133 @@ def trivial_complex(grading=0) -> IotaComplex:
 # expanded GF(2) model: basis {U^k x_i : 0 <= k < N}
 
 
+def _bits(v: int):
+    """Indices of the set bits of v, lowest first."""
+    while v:
+        low = v & -v
+        yield low.bit_length() - 1
+        v ^= low
+
+
+def _offsets(gradings, base: Fraction) -> list[int]:
+    """The gradings as int offsets from base, in integer arithmetic.
+
+    Raises ValueError naming the first grading that is not in base + Z.
+    """
+    bn, bd = base.as_integer_ratio()
+    off = []
+    for g in gradings:
+        num, den = g.as_integer_ratio()
+        t, rest = divmod(num * bd - bn * den, den * bd)
+        if rest:
+            raise ValueError(f"grading {g} is not in {base} + Z: the gradings "
+                             f"of a complex must differ from tau by integers")
+        off.append(t)
+    return off
+
+
 class Expanded:
-    """Per-grading GF(2) bases and boundary matrices of a truncated complex."""
+    """The truncated complex as one GF(2) chain group per grading.
 
-    def __init__(self, gradings, diff: Map, truncation: int):
-        self.gradings = tuple(Fraction(g) for g in gradings)
-        self.diff = diff
-        self.N = truncation
-        self.gmax = max(self.gradings)
-        self.gmin = min(self.gradings)
-        # homology at grading g needs complete chain groups at g+1, g, g-1
-        self.stable_low = self.gmax - 2 * self.N + 2
-        self.basis: dict[Fraction, list[tuple[int, int]]] = {}
-        self.index: dict[Fraction, dict[tuple[int, int], int]] = {}
-        for i, g in enumerate(self.gradings):
-            for k in range(self.N):
-                gr = g - 2 * k
-                self.basis.setdefault(gr, []).append((i, k))
-        for gr, elems in self.basis.items():
-            self.index[gr] = {e: p for p, e in enumerate(elems)}
-        self._bmat: dict[Fraction, np.ndarray] = {}
+    Gradings are int offsets t from ``base`` = tau; ``offset`` and
+    ``grading`` convert, and every method takes and returns offsets.  Each generator x_i contributes at most one basis element
+    U^k x_i (k < N) to a grading, so a chain there is an int with bit i for
+    x_i:
 
-    def dim(self, g) -> int:
-        return len(self.basis.get(Fraction(g), ()))
+    * ``present[t]`` is the chain group at t as such a mask, and ``basis[t]``
+      lists its generators in increasing order;
+    * the boundary column of x_j at t is the degree-checked differential of
+      x_j masked by ``present[t - 1]``;
+    * U^m from t to t - 2m is the mask ``present[t - 2m]``.
+    """
 
-    def boundary_matrix(self, g) -> np.ndarray:
-        """Matrix of the differential from grading g to grading g-1."""
-        g = Fraction(g)
-        if g in self._bmat:
-            return self._bmat[g]
-        src = self.basis.get(g, [])
-        tgt_index = self.index.get(g - 1, {})
-        M = gf2.as_mat(len(tgt_index), len(src))
-        for col, (j, k) in enumerate(src):
-            for i, e in self.diff[j]:
-                pos = tgt_index.get((i, k + e))
-                if pos is not None:
-                    M[pos, col] ^= 1
-        self._bmat[g] = M
-        return M
+    def __init__(self, gradings, diff: Map, truncation: int, tau):
+        self.base = Fraction(tau)
+        off = _offsets(gradings, self.base)
+        self.n = len(off)
+        self.N = N = truncation
+        self.top = max(off)
+        self.bottom = min(off)
+        # homology at offset t needs complete chain groups at t+1, t, t-1
+        self.stable_low = self.top - 2 * N + 2
+        # d(x_j): the terms U^e x_i of degree -1
+        self.dbits = []
+        for t, col in zip(off, diff):
+            bits = 0
+            for i, e in col:
+                if off[i] - 2 * e == t - 1:
+                    bits |= 1 << i
+            self.dbits.append(bits)
+        groups: dict[int, list[int]] = {}
+        for i, t in enumerate(off):
+            groups.setdefault(t, []).append(i)
+        masks = {t: sum(1 << i for i in gens) for t, gens in groups.items()}
+        self.present: dict[int, int] = {}
+        self.basis: dict[int, tuple[int, ...]] = {}
+        for t in range(self.top, self.bottom - 2 * N + 1, -1):
+            # present[t] = masks[t] + masks[t+2] + ... + masks[t + 2N - 2]
+            mask = self.present.get(t + 2, 0) ^ masks.get(t, 0) ^ masks.get(t + 2 * N, 0)
+            if mask:
+                self.present[t] = mask
+                self.basis[t] = tuple(sorted(chain.from_iterable(
+                    groups.get(t + 2 * k, ()) for k in range(N))))
+        self._bmat: dict[int, gf2.Matrix] = {}
+        self._cycles: dict[int, gf2.Matrix] = {}
 
-    def cycles(self, g) -> np.ndarray:
-        return gf2.kernel(self.boundary_matrix(g))
+    def offset(self, g) -> int:
+        return _offsets([Fraction(g)], self.base)[0]
 
-    def boundaries(self, g) -> np.ndarray:
-        """Columns spanning the boundaries landing in grading g."""
-        B = self.boundary_matrix(Fraction(g) + 1)
-        if B.shape[0] != self.dim(g):  # no chains above
-            return gf2.as_mat(self.dim(g), 0)
+    def grading(self, t: int) -> Fraction:
+        return self.base + t
+
+    def dim(self, t: int) -> int:
+        return len(self.basis.get(t, ()))
+
+    def boundary_matrix(self, t: int) -> gf2.Matrix:
+        """Matrix of the differential from offset t to t-1, one column per basis[t]."""
+        B = self._bmat.get(t)
+        if B is None:
+            below = self.present.get(t - 1, 0)
+            dbits = self.dbits
+            B = self._bmat[t] = gf2.Matrix(
+                self.n, [dbits[j] & below for j in self.basis.get(t, ())])
         return B
 
-    def umap(self, vectors: np.ndarray, g, m: int) -> np.ndarray:
-        """Apply U^m to column vectors at grading g, landing at g - 2m."""
-        g = Fraction(g)
-        src = self.basis.get(g, [])
-        tgt_index = self.index.get(g - 2 * m, {})
-        out = gf2.as_mat(len(tgt_index), vectors.shape[1])
-        for row, (i, k) in enumerate(src):
-            kk = k + m
-            if kk >= self.N:
-                continue
-            pos = tgt_index.get((i, kk))
-            if pos is not None:
-                out[pos] ^= vectors[row]
-        return out
+    def cycles(self, t: int) -> gf2.Matrix:
+        Z = self._cycles.get(t)
+        if Z is None:
+            units = gf2.Matrix(self.n, [1 << j for j in self.basis.get(t, ())])
+            Z = self._cycles[t] = gf2.kernel(self.boundary_matrix(t), units)
+        return Z
 
-    def homology_dim(self, g) -> int:
-        g = Fraction(g)
-        if g - 1 < self.stable_low - 1:
-            raise WindowError(f"grading {g} is below the truncation-stable window "
-                              f"(stable down to {self.stable_low})")
-        zdim = self.dim(g) - gf2.rank(self.boundary_matrix(g))
-        bdim = gf2.rank(self.boundary_matrix(g + 1))
-        return zdim - bdim
+    def boundaries(self, t: int) -> gf2.Matrix:
+        """Columns spanning the boundaries landing in offset t."""
+        return self.boundary_matrix(t + 1)
 
-    def probe(self, parity_anchor) -> Fraction:
-        """Deepest stable grading <= gmin - 2 congruent to parity_anchor mod 2."""
-        g = self.gmin - 2
-        while (g - parity_anchor) % 2 != 0:
-            g -= 1
-        if g < self.stable_low:
+    def umap(self, vectors: gf2.Matrix, t: int, m: int) -> gf2.Matrix:
+        """Apply U^m to chains at offset t, landing at t - 2m."""
+        low = self.present.get(t - 2 * m, 0)
+        return gf2.Matrix(self.n, [v & low for v in vectors.cols])
+
+    def homology_dim(self, t: int) -> int:
+        if t < self.stable_low:
+            raise WindowError(f"grading {self.grading(t)} is below the truncation-stable "
+                              f"window (stable down to {self.grading(self.stable_low)})")
+        return (self.dim(t) - gf2.rank(self.boundary_matrix(t))
+                - gf2.rank(self.boundary_matrix(t + 1)))
+
+    def probe(self, parity: int) -> int:
+        """Deepest stable offset <= bottom - 2 congruent to parity mod 2."""
+        t = self.bottom - 2
+        t -= (t - parity) % 2
+        if t < self.stable_low:
             raise WindowError("truncation too small for a deep probe grading")
-        return g
+        return t
 
-    def tower_rep(self, g) -> np.ndarray | None:
-        """A cycle at grading g that is nonzero in homology, or None."""
-        Z = self.cycles(g)
-        B = self.boundaries(g)
-        rb = gf2.rank(B)
-        for c in range(Z.shape[1]):
-            cand = Z[:, : c + 1]
-            if gf2.rank(np.concatenate([B, cand], axis=1)) > rb:
-                return Z[:, c]
-        return None
+    def tower_rep(self, t: int) -> int | None:
+        """A cycle at offset t that is nonzero in homology, or None."""
+        B = gf2.Echelon(self.boundaries(t).cols)
+        return next((z for z in self.cycles(t).cols if z not in B), None)
 
 
 # ---------------------------------------------------------------------------
@@ -325,10 +365,10 @@ def validate(c: IotaComplex) -> Diagnostics:
 
 
 def _single_tower_check(c: IotaComplex) -> tuple[bool, str]:
-    exp = Expanded(c.gradings, c.diff, c.truncation)
+    exp = Expanded(c.gradings, c.diff, c.truncation, c.tau)
     try:
-        p_even = exp.probe(c.tau)
-        p_odd = exp.probe(c.tau + 1)
+        p_even = exp.probe(0)
+        p_odd = exp.probe(1)
     except WindowError as e:
         return False, str(e)
     d_even = exp.homology_dim(p_even)
@@ -429,9 +469,8 @@ def homology_ranks(c, window, truncation: int | None = None) -> dict[Fraction, i
     refused with a WindowError.
     """
     gradings, diff = _chain_data(c)
-    N = truncation or (c.truncation if isinstance(c, IotaComplex)
-                       else c.base.truncation)
-    exp = Expanded(gradings, diff, N)
+    base = c if isinstance(c, IotaComplex) else c.base
+    exp = Expanded(gradings, diff, truncation or base.truncation, base.tau)
     if isinstance(window, tuple) and len(window) == 2 and not isinstance(window[0], tuple):
         lo, hi = Fraction(window[0]), Fraction(window[1])
         anchor = gradings[0]
@@ -443,7 +482,7 @@ def homology_ranks(c, window, truncation: int | None = None) -> dict[Fraction, i
             g -= 1
     else:
         gs = [Fraction(g) for g in window]
-    return {g: exp.homology_dim(g) for g in gs}
+    return {g: exp.homology_dim(exp.offset(g)) for g in gs}
 
 
 def _chain_data(c):
@@ -454,72 +493,56 @@ def _chain_data(c):
 
 # ---------------------------------------------------------------------------
 # correction terms
+#
+# The scans work in offsets from tau in the Expanded models, so tau has
+# parity 0.  Each scan eliminates the boundaries at its probe grading once
+# and reduces U^m (cycles at r) against that basis for every r.
 
 
-def _d_scan(c: IotaComplex, N: int) -> Fraction:
-    """Top of the U-inverted tower of H(C)."""
-    exp = Expanded(c.gradings, c.diff, N)
-    probe = exp.probe(c.tau)
-    B0 = exp.boundaries(probe)
-    rb = gf2.rank(B0)
-    r = c.gmax
-    while (r - c.tau) % 2 != 0:
-        r -= 1
+def _d_scan(exp: Expanded) -> Fraction:
+    """Top of the U-inverted tower of H(C), from the model ``exp`` of C."""
+    probe = exp.probe(0)
+    B0 = gf2.Echelon(exp.boundaries(probe).cols)
+    r = exp.top - exp.top % 2
     while r >= probe:
-        Z = exp.cycles(r)
-        if Z.shape[1]:
-            V = exp.umap(Z, r, int((r - probe) / 2))
-            if gf2.rank(np.concatenate([B0, V], axis=1)) > rb:
-                return r
+        V = exp.umap(exp.cycles(r), r, (r - probe) // 2)
+        if any(v not in B0 for v in V.cols):
+            return exp.grading(r)
         r -= 2
     raise RuntimeError("no tower class found; complex violates the tower axiom")
 
 
-def _cone_scans(c: IotaComplex, N: int) -> tuple[Fraction, Fraction]:
-    """(d-bar, d-under) from the mapping cone, h-normalized convention."""
+def _cone_scans(c: IotaComplex, base: Expanded) -> tuple[Fraction, Fraction]:
+    """(d-bar, d-under) from the mapping cone, h-normalized convention.
+
+    ``base`` is the model of C at the truncation wanted; its cycles give
+    Q.(cycles of C), which sit in the cone as the same bits shifted by n.
+    """
     cone = mapping_cone(c)
-    exp = Expanded(cone.gradings, cone.diff, N)
-    base_exp = Expanded(c.gradings, c.diff, N)
-    gmax = max(cone.gradings)
+    exp = Expanded(cone.gradings, cone.diff, base.N, c.tau)
 
-    def q_cycles_at(g: Fraction) -> np.ndarray:
-        """Q.(cycles of C) at cone grading g, in the cone's expanded basis."""
-        Zc = base_exp.cycles(g)
-        src = base_exp.basis.get(g, [])
-        tgt_index = exp.index.get(g, {})
-        out = gf2.as_mat(len(tgt_index), Zc.shape[1])
-        for row, (i, k) in enumerate(src):
-            pos = tgt_index.get((c.n + i, k))
-            if pos is not None:
-                out[pos] ^= Zc[row]
-        return out
-
-    def scan(parity, member_of_q_image: bool) -> Fraction:
+    def scan(parity: int, member_of_q_image: bool) -> int:
         probe = exp.probe(parity)
-        B0 = exp.boundaries(probe)
-        QZ0 = q_cycles_at(probe)
-        BQ = np.concatenate([B0, QZ0], axis=1)
-        rb, rbq = gf2.rank(B0), gf2.rank(BQ)
-        r = gmax
-        while (r - parity) % 2 != 0:
-            r -= 1
+        B0 = gf2.Echelon(exp.boundaries(probe).cols)
+        BQ = B0.copy()
+        for z in base.cycles(probe).cols:
+            BQ.add(z << c.n)
+        r = exp.top - (exp.top - parity) % 2
         while r >= probe:
-            Z = exp.cycles(r)
-            if Z.shape[1]:
-                V = exp.umap(Z, r, int((r - probe) / 2))
-                if member_of_q_image:
-                    # some U^m z nonzero in homology but in the image of Q
-                    if gf2.intersection_dim(V, BQ) > gf2.intersection_dim(V, B0):
-                        return r
-                else:
-                    # some U^m z surviving outside B + Q.cycles
-                    if gf2.rank(np.concatenate([BQ, V], axis=1)) > rbq:
-                        return r
+            V = exp.umap(exp.cycles(r), r, (r - probe) // 2).cols
+            if member_of_q_image:
+                # some U^m z nonzero in homology but in the image of Q:
+                # dim(V & BQ) - dim(V & B0) = rank(V mod B0) - rank(V mod BQ)
+                if B0.rank_mod(V) > BQ.rank_mod(V):
+                    return r
+            elif any(v not in BQ for v in V):
+                # some U^m z surviving outside B + Q.cycles
+                return r
             r -= 2
         raise RuntimeError("cone scan found no qualifying tower class")
 
-    d_under = scan(c.tau + 1, member_of_q_image=False) - 1
-    d_bar = scan(c.tau, member_of_q_image=True)
+    d_under = exp.grading(scan(1, member_of_q_image=False)) - 1
+    d_bar = exp.grading(scan(0, member_of_q_image=True))
     return d_bar, d_under
 
 
@@ -528,14 +551,14 @@ def correction_terms(c: IotaComplex,
     """(d, d-bar, d-under), exact, stable under truncation refinement.
 
     The trivial complex returns (0, 0, 0).  Results are computed at N and at
-    N+2 and must agree, otherwise TruncationUnstableError is raised.
+    N+2 and must agree, otherwise TruncationUnstableError is raised.  A
+    grading outside tau + Z raises ValueError.
     """
     N = truncation or c.truncation
 
     def at(n):
-        d = _d_scan(c, n)
-        d_bar, d_under = _cone_scans(c, n)
-        return d, d_bar, d_under
+        base = Expanded(c.gradings, c.diff, n, c.tau)
+        return (_d_scan(base), *_cone_scans(c, base))
 
     first, second = at(N), at(N + 2)
     if first != second:
@@ -553,23 +576,34 @@ def correction_terms(c: IotaComplex,
 
 
 class _System:
-    """An affine GF(2) system assembled from symbolic variables."""
+    """An affine GF(2) system assembled from symbolic variables.
+
+    Equations and unknowns are numbered in order of first use.  Column v is
+    an int with bit r set when unknown v occurs in equation r, and the
+    right-hand side is an int over the equations in the same way.
+    """
 
     def __init__(self):
         self.vars: dict = {}
-        self.rows: dict = {}
+        self.eqs: dict = {}
+        self.cols: list[int] = []
+        self.rhs = 0
 
     def var(self, key) -> int:
-        return self.vars.setdefault(key, len(self.vars))
+        v = self.vars.setdefault(key, len(self.vars))
+        if v == len(self.cols):
+            self.cols.append(0)
+        return v
+
+    def eq(self, key) -> int:
+        return self.eqs.setdefault(key, len(self.eqs))
 
     def toggle(self, eq_key, var_key):
-        row = self.rows.setdefault(eq_key, [set(), 0])
-        v = self.var(var_key)
-        row[0] ^= {v}
+        self.cols[self.var(var_key)] ^= 1 << self.eq(eq_key)
 
-    def set_rhs(self, eq_key, bit):
-        row = self.rows.setdefault(eq_key, [set(), 0])
-        row[1] = bit
+    def set_rhs(self, eq_key):
+        """Set the right-hand side of an equation to 1 (it is 0 until set)."""
+        self.rhs |= 1 << self.eq(eq_key)
 
     def declare(self, name, X: Map) -> None:
         """Register the entries of the variable map X, row by row.
@@ -586,38 +620,38 @@ class _System:
         Each entry (i, e) of column j of X is the unknown (name, i, j): the
         coefficient of U^e x_i in X(x_j), which is 0 or 1.
         """
-        for j, col in enumerate(X):
-            for l, e in col:
+        cols, eqn = self.cols, self.eq
+        # column j of X as (i, e, index of the unknown (name, i, j))
+        xv = [[(i, e, self.var((name, i, j))) for i, e in col] for j, col in enumerate(X)]
+        for j, col in enumerate(xv):
+            for l, e, v in col:
                 for i, u in L[l]:
                     if e + u < N:
-                        self.toggle((eq, i, j, e + u), (name, l, j))
+                        cols[v] ^= 1 << eqn((eq, i, j, e + u))
         for j, col in enumerate(R):
             for l, u in col:
-                for i, e in X[l]:
+                for i, e, v in xv[l]:
                     if e + u < N:
-                        self.toggle((eq, i, j, e + u), (name, i, l))
+                        cols[v] ^= 1 << eqn((eq, i, j, e + u))
 
     def solve(self) -> dict | None:
-        nv = len(self.vars)
-        A = gf2.as_mat(len(self.rows), nv)
-        b = np.zeros(len(self.rows), dtype=np.uint8)
-        for r, (vs, rhs) in enumerate(self.rows.values()):
-            for v in vs:
-                A[r, v] = 1
-            b[r] = rhs
-        x = gf2.solve_affine(A, b)
+        x = gf2.solve_affine(gf2.Matrix(len(self.eqs), self.cols), self.rhs)
         if x is None:
             return None
-        return {k: int(x[idx]) for k, idx in self.vars.items()}
+        return {k: x >> v & 1 for k, v in self.vars.items()}
 
 
 def _variable_map(a: IotaComplex, b: IotaComplex, degree: int, N: int) -> Map:
     """Every term U^e x_i (e < N) that a degree-``degree`` map a -> b can have."""
-    at: dict[Fraction, list[int]] = {}
-    for i, g in enumerate(b.gradings):
-        at.setdefault(g, []).append(i)
-    return tuple(frozenset((i, e) for e in range(N) for i in at.get(ga + degree + 2 * e, ()))
-                 for ga in a.gradings)
+    try:
+        ob = _offsets(b.gradings, a.tau)
+    except ValueError:  # b lies in another coset: no term has the right degree
+        return (frozenset(),) * a.n
+    at: dict[int, list[int]] = {}
+    for i, t in enumerate(ob):
+        at.setdefault(t, []).append(i)
+    return tuple(frozenset((i, e) for e in range(N) for i in at.get(t + degree + 2 * e, ()))
+                 for t in _offsets(a.gradings, a.tau))
 
 
 def _chosen(sol: dict, name, X: Map) -> Map:
@@ -636,7 +670,7 @@ def solve_homotopy(a: IotaComplex, b: IotaComplex, rhs: Map) -> Map | None:
     for j, col in enumerate(rhs):
         for i, u in col:
             if u < N:
-                sys.set_rhs(("e", i, j, u), 1)
+                sys.set_rhs(("e", i, j, u))
     sol = sys.solve()
     return None if sol is None else _chosen(sol, "h", H)
 
@@ -665,11 +699,10 @@ def find_local_map(a: IotaComplex, b: IotaComplex,
         raise ValueError(f"tower cosets differ: tau={a.tau} vs {b.tau}")
     span = max(a.gmax, b.gmax) - min(a.gmin, b.gmin)
     N = int(math.ceil(span / 2)) + 6
-    ea = Expanded(a.gradings, a.diff, N)
-    eb = Expanded(b.gradings, b.diff, N)
-    probe = min(ea.probe(a.tau), eb.probe(a.tau))
-    while (probe - a.tau) % 2 != 0:
-        probe -= 1
+    # both models count offsets from a.tau, so they share gradings
+    ea = Expanded(a.gradings, a.diff, N, a.tau)
+    eb = Expanded(b.gradings, b.diff, N, a.tau)
+    probe = min(ea.probe(0), eb.probe(0))
     if probe < max(ea.stable_low, eb.stable_low):
         raise WindowError("no common deep probe grading; increase truncation")
     za = ea.tower_rep(probe)
@@ -694,20 +727,18 @@ def find_local_map(a: IotaComplex, b: IotaComplex,
     # (2) iota-commutation up to homotopy: iota_b F + F iota_a + d_b H + H d_a = 0
     sys.add_products("q", b.iota, "f", F, a.iota, N)
     sys.add_products("q", b.diff, "h", H, a.diff, N)
-    # (3) tower pinning: F(z_a) + d_b(w) = z_b at the probe grading
-    tgt_index = eb.index.get(probe, {})
-    for row, (j, k) in enumerate(ea.basis.get(probe, [])):
-        if za[row]:
-            for i, e in F[j]:
-                pos = tgt_index.get((i, k + e))
-                if pos is not None:
-                    sys.toggle(("p", pos), ("f", i, j))
-    bw = eb.boundary_matrix(probe + 1)
-    for q in range(w_dim):
-        for pos in np.flatnonzero(bw[:, q]):
-            sys.toggle(("p", int(pos)), ("w", q))
-    for pos in range(len(tgt_index)):
-        sys.set_rhs(("p", pos), int(zb[pos]))
+    # (3) tower pinning: F(z_a) + d_b(w) = z_b at the probe grading, one
+    # equation ("p", i) per generator y_i of b there
+    at_probe = eb.present.get(probe, 0)
+    for j in _bits(za):
+        for i, e in F[j]:
+            if at_probe >> i & 1:
+                sys.toggle(("p", i), ("f", i, j))
+    for j, col in zip(eb.basis.get(probe + 1, ()), eb.boundary_matrix(probe + 1).cols):
+        for i in _bits(col):
+            sys.toggle(("p", i), ("w", j))
+    for i in _bits(zb):
+        sys.set_rhs(("p", i))
 
     sol = sys.solve()
     if sol is None:

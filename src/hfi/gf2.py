@@ -1,86 +1,135 @@
-"""Dense linear algebra over GF(2) on top of numpy uint8 arrays.
+"""Linear algebra over GF(2) on Python-int bitsets.
 
-All matrices are 2-d numpy arrays of dtype uint8 with entries in {0, 1};
-arithmetic is mod 2.  Columns are vectors throughout: the column span of a
-matrix is the subspace it represents.
+A vector is an int: bit i is coordinate i.  A ``Matrix`` holds its row count
+and its columns as such ints, so its column span is the subspace it
+represents, and a matrix with no columns still knows how many rows it has.
+Packing a vector into machine words is the idea of M4RI (Albrecht, Bard and
+Hart, ACM TOMS 2010); here Python's ints do the packing and one XOR adds two
+vectors.
+
+One elimination serves every routine: ``Echelon`` keeps a basis with one
+vector per leading (highest) bit and reduces vectors against it.  ``rank``,
+``kernel`` and ``solve_affine`` feed it the columns in order.  For a fixed
+column order the pivot columns, and the expression of each column through the
+pivot columns before it, do not depend on how the elimination runs, so the
+kernel basis and the solution with free variables zero are the ones the
+reduced row-echelon form gives, vector for vector.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from collections.abc import Iterable, Sequence
 
 
-def as_mat(rows: int, cols: int) -> np.ndarray:
-    return np.zeros((rows, cols), dtype=np.uint8)
+class Matrix:
+    """An nrows x len(cols) matrix over GF(2); bit i of ``cols[j]`` is entry (i, j)."""
+
+    __slots__ = ("nrows", "cols")
+
+    def __init__(self, nrows: int, cols: Sequence[int]):
+        self.nrows = nrows
+        self.cols = tuple(cols)
+
+    @property
+    def ncols(self) -> int:
+        return len(self.cols)
+
+    @property
+    def size(self) -> int:
+        return self.nrows * len(self.cols)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, Matrix) and self.nrows == other.nrows
+                and self.cols == other.cols)
+
+    def __repr__(self) -> str:
+        return f"Matrix({self.nrows}, {list(self.cols)!r})"
 
 
-def rref(A: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Reduced row-echelon form of A mod 2; returns (R, pivot_columns)."""
-    R = (A.copy() % 2).astype(np.uint8)
-    rows, cols = R.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        hit = np.flatnonzero(R[r:, c])
-        if hit.size == 0:
-            continue
-        p = r + hit[0]
-        if p != r:
-            R[[r, p]] = R[[p, r]]
-        others = np.flatnonzero(R[:, c])
-        others = others[others != r]
-        if others.size:
-            R[others] ^= R[r]
-        pivots.append(c)
-        r += 1
-    return R, pivots
+class Echelon:
+    """A subspace held as an echelon basis: at most one vector per leading bit.
+
+    Each basis vector carries a tag.  ``add(v, tag)`` XORs basis vectors
+    into v and their tags into tag, so a tag records which combination of
+    the added vectors a basis vector (or a reduced vector) is.
+    """
+
+    __slots__ = ("vecs", "tags")
+
+    def __init__(self, vectors: Iterable[int] = ()):
+        self.vecs: dict[int, int] = {}  # bit_length of the leading bit -> vector
+        self.tags: dict[int, int] = {}
+        for v in vectors:
+            self.add(v)
+
+    def __len__(self) -> int:
+        return len(self.vecs)
+
+    def __contains__(self, v: int) -> bool:
+        return not self.reduce(v)[0]
+
+    def copy(self) -> Echelon:
+        e = Echelon()
+        e.vecs, e.tags = dict(self.vecs), dict(self.tags)
+        return e
+
+    def reduce(self, v: int, tag: int = 0) -> tuple[int, int]:
+        """Reduce v until it is 0 or its leading bit has no basis vector."""
+        vecs, tags = self.vecs, self.tags
+        while v:
+            h = v.bit_length()
+            p = vecs.get(h)
+            if p is None:
+                break
+            v ^= p
+            tag ^= tags[h]
+        return v, tag
+
+    def add(self, v: int, tag: int = 0) -> tuple[int, int]:
+        """Reduce v; a nonzero remainder joins the basis.  Returns (remainder, tag)."""
+        v, tag = self.reduce(v, tag)
+        if v:
+            h = v.bit_length()
+            self.vecs[h] = v
+            self.tags[h] = tag
+        return v, tag
+
+    def rank_mod(self, vectors: Iterable[int]) -> int:
+        """dim(span(self, vectors)) - dim(self); self is left unchanged."""
+        e = self.copy()
+        for v in vectors:
+            e.add(v)
+        return len(e) - len(self)
 
 
-def rank(A: np.ndarray) -> int:
-    if A.size == 0:
-        return 0
-    return len(rref(A)[1])
+def rank(A: Matrix) -> int:
+    return len(Echelon(A.cols))
 
 
-def kernel(A: np.ndarray) -> np.ndarray:
-    """Basis of ker(A) as columns of the returned matrix."""
-    rows, cols = A.shape
-    R, pivots = rref(A)
-    free = [c for c in range(cols) if c not in pivots]
-    K = as_mat(cols, len(free))
-    for idx, f in enumerate(free):
-        K[f, idx] = 1
-        # back-substitute pivot rows
-        for r, p in enumerate(pivots):
-            if R[r, f]:
-                K[p, idx] = 1
-    return K
+def kernel(A: Matrix, units: Matrix | None = None) -> Matrix:
+    """Basis of ker(A), one vector per free column, as the columns of a matrix.
+
+    Column j of A stands for the unit vector ``units.cols[j]`` (by default
+    1 << j), so the kernel comes back in the coordinates of ``units``.
+    """
+    if units is None:
+        units = Matrix(A.ncols, [1 << j for j in range(A.ncols)])
+    e = Echelon()
+    out = []
+    for col, unit in zip(A.cols, units.cols):
+        v, tag = e.add(col, unit)
+        if not v:
+            out.append(tag)
+    return Matrix(units.nrows, out)
 
 
-def solve_affine(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """One solution x of A x = b mod 2, or None if the system is inconsistent.
+def solve_affine(A: Matrix, b: int) -> int | None:
+    """One solution x of A x = b, or None if the system is inconsistent.
 
     Free variables are set to zero.
     """
-    rows, cols = A.shape
-    aug = np.concatenate([A % 2, (b % 2).reshape(rows, 1)], axis=1).astype(np.uint8)
-    R, pivots = rref(aug)
-    if cols in pivots:
-        return None
-    x = np.zeros(cols, dtype=np.uint8)
-    for r, p in enumerate(pivots):
-        x[p] = R[r, cols]
-    return x
-
-
-def in_span(M: np.ndarray, v: np.ndarray) -> bool:
-    """Is the column vector v in the column span of M?"""
-    return solve_affine(M, v) is not None
-
-
-def intersection_dim(V: np.ndarray, W: np.ndarray) -> int:
-    """dim(col-span V ∩ col-span W) via the rank formula."""
-    rv, rw = rank(V), rank(W)
-    return rv + rw - rank(np.concatenate([V, W], axis=1))
+    e = Echelon()
+    for j, col in enumerate(A.cols):
+        e.add(col, 1 << j)
+    rest, x = e.reduce(b)
+    return None if rest else x

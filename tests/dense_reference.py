@@ -1,13 +1,16 @@
 """Slow, direct reference implementations that the fast paths are checked against.
 
 The production code eliminates the intersection form along the tree, takes
-the monotone subroot with one running minimum and one sorted sweep, and
-compresses a tau stream run by run.  These are the definitions those
-replace: dense Fraction elimination, the O(n^2) Pareto scan over
-``mirror_merge``, and the list-based extrema scan.
+the monotone subroot with one running minimum and one sorted sweep,
+compresses a tau stream run by run, and does GF(2) linear algebra on int
+bitsets.  These are the definitions those replace: dense Fraction
+elimination, the O(n^2) Pareto scan over ``mirror_merge``, the list-based
+extrema scan, and the reduced row-echelon form of a numpy uint8 array.
 """
 
 from fractions import Fraction
+
+import numpy as np
 
 from hfi.plumbing import PlumbingGraph, canonical_K, intersection_form
 from hfi.roots import SymmetricRootProfile, mirror_merge
@@ -89,3 +92,61 @@ def compress_list(taus: list[int]) -> tuple[list[int], list[int]]:
     angles = [max(comp[minima[j]:minima[j + 1] + 1])
               for j in range(len(minima) - 1)]
     return leaves, angles
+
+
+def dense_rref(A: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Reduced row-echelon form of A mod 2; returns (R, pivot_columns)."""
+    R = (A.copy() % 2).astype(np.uint8)
+    rows, cols = R.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        hit = np.flatnonzero(R[r:, c])
+        if hit.size == 0:
+            continue
+        p = r + hit[0]
+        if p != r:
+            R[[r, p]] = R[[p, r]]
+        others = np.flatnonzero(R[:, c])
+        others = others[others != r]
+        if others.size:
+            R[others] ^= R[r]
+        pivots.append(c)
+        r += 1
+    return R, pivots
+
+
+def dense_rank(A: np.ndarray) -> int:
+    if A.size == 0:
+        return 0
+    return len(dense_rref(A)[1])
+
+
+def dense_kernel(A: np.ndarray) -> np.ndarray:
+    """Basis of ker(A) as columns, one per free column of the RREF."""
+    rows, cols = A.shape
+    R, pivots = dense_rref(A)
+    free = [c for c in range(cols) if c not in pivots]
+    K = np.zeros((cols, len(free)), dtype=np.uint8)
+    for idx, f in enumerate(free):
+        K[f, idx] = 1
+        # back-substitute pivot rows
+        for r, p in enumerate(pivots):
+            if R[r, f]:
+                K[p, idx] = 1
+    return K
+
+
+def dense_solve_affine(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """One solution x of A x = b mod 2 with free variables zero, or None."""
+    rows, cols = A.shape
+    aug = np.concatenate([A % 2, (b % 2).reshape(rows, 1)], axis=1).astype(np.uint8)
+    R, pivots = dense_rref(aug)
+    if cols in pivots:
+        return None
+    x = np.zeros(cols, dtype=np.uint8)
+    for r, p in enumerate(pivots):
+        x[p] = R[r, cols]
+    return x

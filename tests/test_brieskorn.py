@@ -3,7 +3,6 @@
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from hfi import gf2
@@ -119,12 +118,14 @@ def _wu_class_mu_bar(params: BrieskornParams) -> Fraction:
     (signature is -s for a negative-definite form).
     """
     g, _ = seifert_plumbing(params)
-    m = np.array(intersection_form(g), dtype=np.int64)
-    a = np.mod(m, 2).astype(np.uint8)
-    b = np.mod(np.diag(m), 2).astype(np.uint8)
-    w = gf2.solve_affine(a, b)
-    assert w is not None
-    wmw = int(w.astype(np.int64) @ m @ w.astype(np.int64))
+    m = intersection_form(g)
+    n = g.n
+    a = gf2.Matrix(n, [sum((m[i][j] & 1) << i for i in range(n)) for j in range(n)])
+    b = sum((m[i][i] & 1) << i for i in range(n))
+    x = gf2.solve_affine(a, b)
+    assert x is not None
+    w = [x >> i & 1 for i in range(n)]
+    wmw = sum(w[i] * m[i][j] * w[j] for i in range(n) for j in range(n))
     total = -g.n - wmw
     assert total % 8 == 0
     return Fraction(total, 8)

@@ -160,6 +160,25 @@ def test_negative_exponent_is_refused():
                      ((1, 0), (0, 1)))
 
 
+def test_grading_off_the_tau_coset_is_refused(monkeypatch):
+    # A scan or probe on such a complex looks for a grading in tau + 2Z at or
+    # below the generators and never finds one, so the check must come first.
+    def no_scan(*args):
+        raise AssertionError("a scan or probe ran on an off-coset complex")
+
+    monkeypatch.setattr(complexes, "_d_scan", no_scan)
+    monkeypatch.setattr(complexes, "_cone_scans", no_scan)
+    monkeypatch.setattr(complexes.Expanded, "probe", no_scan)
+    c = iota_complex(["a"], ["1/2"], [[0]], [[1]], tau=0)
+    with pytest.raises(ValueError, match="grading 1/2"):
+        correction_terms(c)
+    with pytest.raises(ValueError, match="grading 1/2"):
+        find_local_map(c, c)
+    mixed = iota_complex(["a", "b"], [0, "1/2"], [[0, 0], [0, 0]], [[1, 0], [0, 1]])
+    with pytest.raises(ValueError, match="grading 1/2"):
+        homology_ranks(mixed, [0, -1])
+
+
 # ---------------------------------------------------------------------------
 # the sparse map layer: columns of (row, U-exponent) pairs
 

@@ -4,18 +4,24 @@
 - the tree elimination (K^2, negative definiteness) against dense Fraction
   elimination;
 - the running-minimum monotone subroot against the O(n^2) Pareto scan;
-- the run-by-run extrema compression against the list scan.
+- the run-by-run extrema compression against the list scan;
+- bitset GF(2) rank, kernel and affine solve against the dense reduced
+  row-echelon form, vector for vector.
 
 Seeds are fixed and example counts bounded, so the suite stays fast.
 """
 
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import given, seed, settings, strategies as st
 
 from dense_reference import (compress_list, dense_is_negative_definite,
-                             dense_k_squared, pareto_subroot_params)
+                             dense_k_squared, dense_kernel, dense_rank,
+                             dense_solve_affine, pareto_subroot_params)
+from hfi import gf2
 from hfi.brieskorn import (BrieskornParams, _compress_to_profile,
                            negative_continued_fraction, seifert_invariants,
                            seifert_plumbing, tau_closed_form, tau_sequence)
@@ -119,3 +125,58 @@ def test_reference_definitions_on_a_known_profile():
     p = SymmetricRootProfile((-6, -2, 0, 0, -2, -6), (-8, -4, -4, -4, -8))
     assert pareto_subroot_params(p) == ((Fraction(0), Fraction(-4)),)
     assert monotone_subroot(p).params == ((Fraction(0), Fraction(-4)),)
+
+
+@st.composite
+def gf2_systems(draw):
+    """(A, b): a dense 0/1 matrix of up to 60 x 60 with some zero rows and
+    columns, and a right-hand side that is consistent about half the time."""
+    rows, cols = draw(st.integers(0, 60)), draw(st.integers(0, 60))
+    density = draw(st.sampled_from([0.05, 0.2, 0.5]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    A = (np.array([[rng.random() < density for _ in range(cols)] for _ in range(rows)],
+                  dtype=np.uint8).reshape(rows, cols))
+    A[rng.sample(range(rows), rows // 4), :] = 0
+    A[:, rng.sample(range(cols), cols // 4)] = 0
+    if draw(st.booleans()):
+        b = A.astype(np.int64) @ np.array([rng.randrange(2) for _ in range(cols)],
+                                          dtype=np.int64) % 2
+    else:
+        b = np.array([rng.randrange(2) for _ in range(rows)])
+    return A, b.astype(np.uint8)
+
+
+def _bits(v) -> int:
+    """A dense 0/1 vector as an int, bit i for entry i."""
+    return sum(1 << i for i in np.flatnonzero(v).tolist())
+
+
+def _bitset(A: np.ndarray) -> gf2.Matrix:
+    return gf2.Matrix(A.shape[0], [_bits(A[:, j]) for j in range(A.shape[1])])
+
+
+@seed(20170609)
+@settings(max_examples=60, deadline=None)
+@given(gf2_systems())
+def test_bitset_rank_matches_dense(system):
+    A, _ = system
+    assert gf2.rank(_bitset(A)) == dense_rank(A)
+
+
+@seed(20170610)
+@settings(max_examples=60, deadline=None)
+@given(gf2_systems())
+def test_bitset_kernel_matches_dense_basis(system):
+    A, _ = system
+    K = dense_kernel(A)
+    assert gf2.kernel(_bitset(A)) == gf2.Matrix(A.shape[1], [_bits(K[:, c])
+                                                            for c in range(K.shape[1])])
+
+
+@seed(20170611)
+@settings(max_examples=60, deadline=None)
+@given(gf2_systems())
+def test_bitset_solve_affine_matches_dense(system):
+    A, b = system
+    x = dense_solve_affine(A, b)
+    assert gf2.solve_affine(_bitset(A), _bits(b)) == (None if x is None else _bits(x))

@@ -3,6 +3,15 @@
 The files under ``tests/golden/`` were written by ``complexes.complex_to_json``
 (through ``json.dumps(..., indent=2)``) and by ``hfi eval ... --dump-complex
 --format json``.  Any change to how maps are stored must leave them intact.
+
+``local_map_witnesses.json`` holds ``find_local_map``'s F and H, as sorted
+(row, U-exponent) pairs per column, written by the dense numpy GF(2) solver
+that the bitset core replaced.  The sides are tensor products of standard
+complexes of symmetric root profiles: the 165 <-> 21 generator pair of
+locally equivalent complexes (both directions feasible) and a 35 <-> 9 pair
+whose 35 -> 9 direction is infeasible.  The solution with free unknowns zero
+is unique once the unknowns are ordered, so any difference means the order
+of the unknowns or the equations drifted.
 """
 
 import json
@@ -12,7 +21,7 @@ from hfi import complexes
 from hfi.cli import main
 from hfi.monotone import M, to_profile
 from hfi.report import class_complex, evaluate_text
-from hfi.roots import standard_complex
+from hfi.roots import SymmetricRootProfile, standard_complex
 
 GOLDEN = Path(__file__).with_name("golden")
 EXPR = "Y(1) - Y(2) + I[-2]"
@@ -35,3 +44,21 @@ def test_complex_to_json_of_standard_complex():
 def test_cli_dump_complex_json(capsys):
     assert main(["eval", EXPR, "--dump-complex", "--format", "json"]) == 0
     assert capsys.readouterr().out == (GOLDEN / "eval_dump_complex.json").read_text()
+
+
+def _side(profiles):
+    c = None
+    for leaves, angles in profiles:
+        f = standard_complex(SymmetricRootProfile(tuple(leaves), tuple(angles)))
+        c = f if c is None else complexes.tensor(c, f)
+    return c
+
+
+def test_local_map_witnesses():
+    def cols(m):
+        return [sorted([i, e] for i, e in col) for col in m]
+
+    for entry in json.loads((GOLDEN / "local_map_witnesses.json").read_text()):
+        w = complexes.find_local_map(_side(entry["source"]), _side(entry["target"]))
+        got = None if w is None else {"F": cols(w.F), "H": cols(w.H)}
+        assert got == entry["witness"], entry["pair"]
