@@ -70,15 +70,16 @@ def _cmd_root(args) -> int:
         return _error(f"unknown root kind {args.kind!r}", 2)
     try:
         profile = brieskorn_root(BrieskornParams(args.a1, args.a2, args.a3))
-    except ValueError as e:  # bad triple, or alpha above MAX_SIGMA_ALPHA
+        hf_minus = SymmetricRootProfile(tuple(g - 2 for g in profile.leaves),
+                                        tuple(g - 2 for g in profile.angles))
+        text = profile_to_text(hf_minus)
+        if args.output:
+            Path(args.output).write_text(text)
+        else:
+            print(text, end="")
+    # a bad triple, alpha above MAX_SIGMA_ALPHA, or an unwritable output file
+    except (ValueError, OSError) as e:
         return _error(e, 2)
-    hf_minus = SymmetricRootProfile(tuple(g - 2 for g in profile.leaves),
-                                    tuple(g - 2 for g in profile.angles))
-    text = profile_to_text(hf_minus)
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        print(text, end="")
     return 0
 
 
@@ -86,7 +87,7 @@ def _cmd_decompose(args) -> int:
     path = args.file[1:] if args.file.startswith("@") else args.file
     try:
         profile = profile_from_hf_minus_file(path)
-    except ValueError as e:
+    except (ValueError, OSError) as e:
         return _error(e, 2)
     root = monotone_subroot(profile)
     cls = decompose(root)
@@ -101,7 +102,7 @@ def _cmd_decompose(args) -> int:
 def _cmd_plumbing(args) -> int:
     try:
         g = plumbing.graph_from_text(Path(args.file).read_text())
-    except ValueError as e:
+    except (ValueError, OSError) as e:
         return _error(e, 2)
     if args.check == "negdef":
         print("negative definite:", plumbing.is_negative_definite(g))

@@ -16,23 +16,26 @@ Conventions
   one-generator complex plays the role of the 3-sphere and has
   (d, d-bar, d-under) = (0, 0, 0).
 * Maps: every graded map (differential, involution, cone differential,
-  homotopy, local map) is a ``Map``, a tuple with one column per source
-  generator.  Column j is a frozenset of pairs (i, e), one for each term
-  U^e x_i of the image of x_j.  Addition is a symmetric difference per
-  column, composition adds exponents, and only nonzero entries are stored;
-  no map is held as a matrix of polynomials.  In a valid complex each entry
-  is 0 or a single U^e with e fixed by the gradings, so e is redundant there.
-  It is kept explicit anyway, so that input of the wrong degree (or an entry
-  with several terms) is still represented and ``validate`` can report it.
-* Truncation: maps store exact exponents; the positive integer
-  ``truncation`` N only governs how far computations expand the basis
-  {U^k x : k < N}.  Every reported quantity is recomputed at N+2 and must
-  agree (stability under refinement is the computable proxy for working over
-  the untruncated ring).
+  homotopy, local map) is a ``Map``, a tuple of ints with one column per
+  source generator: bit i of column j means that x_i occurs in the image of
+  x_j.  In a graded map of degree deg each entry is 0 or a single U^e, and
+  the gradings fix e = (g_i - g_j - deg)/2, so the exponent is never stored;
+  where it matters (truncation masks, serialization) it is read off the
+  gradings.  Addition XORs columns, and composition XORs the columns of the
+  left map that the bits of the right one select: the exponents add by
+  themselves.  Raw input is the one place with explicit (row, exponent)
+  pairs.  ``iota_complex`` reads them once, keeps the terms of the right
+  degree as bits and records the first term of a wrong degree as a defect
+  of the complex, which ``validate`` reports.
+* Truncation: maps are exact; the positive integer ``truncation`` N only
+  governs how far computations expand the basis {U^k x : k < N}.  Every
+  reported quantity is recomputed at N+2 and must agree (stability under
+  refinement is the computable proxy for working over the untruncated ring).
 * Chains: a generator x_i contributes at most one basis element U^k x_i to
   a grading, so a chain at a grading is an int with bit i set for x_i (see
-  ``gf2``).  U^m is a mask, Q.(chains of C) in the mapping cone is a shift
-  by n, and the local-map and homotopy searches are int-column systems.
+  ``gf2``), just like a map column.  U^m is a mask, Q.(chains of C) in the
+  mapping cone is a shift by n, and the local-map and homotopy searches are
+  int-column systems.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from itertools import chain
 
 from . import gf2
 
-Map = tuple[frozenset[tuple[int, int]], ...]
+Map = tuple[int, ...]
 
 
 class TruncationUnstableError(RuntimeError):
@@ -63,37 +66,60 @@ class SearchSizeError(RuntimeError):
 # construction helpers
 
 
-def _to_map(m, n) -> Map:
-    """Normalize an n x n map given as sparse columns or as dense rows.
+def _bits(v: int):
+    """Indices of the set bits of v, lowest first."""
+    while v:
+        low = v & -v
+        yield low.bit_length() - 1
+        v ^= low
+
+
+def _read_map(m, labels, gradings, degree: int) -> tuple[Map, str | None]:
+    """Read a raw n x n map of the given degree into bit columns.
 
     Sparse input is a sequence of n sets of (row, exponent) pairs.  In dense
     input ``m[i][j]`` is the coefficient of x_i in the image of x_j: an int
-    (its parity: 0 or 1) or an iterable of U-exponents.
+    (its parity: 0 or 1) or an iterable of U-exponents.  The terms of the
+    given degree become bits.  The others are dropped, and the first of them
+    (by column, then row and exponent) is described in the returned message.
+    A negative exponent raises ValueError.
     """
+    n = len(labels)
     if all(isinstance(col, (set, frozenset)) for col in m):
-        cols = [frozenset(col) for col in m]
+        cols = list(m)
     else:
         cols = [set() for _ in range(n)]
         for i in range(n):
             for j in range(n):
                 v = m[i][j]
-                exps = ((0,) if v % 2 else ()) if isinstance(v, int) else frozenset(v)
+                exps = ((0,) if v % 2 else ()) if isinstance(v, int) else v
                 cols[j].update((i, e) for e in exps)
     if len(cols) != n:
         raise ValueError(f"map has {len(cols)} columns, expected {n}")
     if any(e < 0 for col in cols for _, e in col):
         raise ValueError("map entry with a negative U-exponent")
-    return tuple(map(frozenset, cols))
+    out, defect = [], None
+    for j, col in enumerate(cols):
+        bits = 0
+        for i, e in sorted(col):
+            if gradings[i] - 2 * e == gradings[j] + degree:
+                bits |= 1 << i
+            elif defect is None:
+                defect = (f"entry ({labels[i]}, {labels[j]}) exponent {e}: "
+                          f"grading {gradings[i]} - {2*e} != "
+                          f"{gradings[j]} + ({degree})")
+        out.append(bits)
+    return tuple(out), defect
 
 
 def mat_mul(a: Map, b: Map) -> Map:
-    """Composition a.b: U^e x_k in b(x_j) and U^f x_i in a(x_k) give U^(e+f) x_i."""
+    """Composition a.b: x_k in b(x_j) and x_i in a(x_k) give x_i in a(b(x_j))."""
     out = []
     for col in b:
-        acc: set = set()
-        for k, e in col:
-            acc ^= {(i, e + f) for i, f in a[k]}
-        out.append(frozenset(acc))
+        acc = 0
+        for k in _bits(col):
+            acc ^= a[k]
+        out.append(acc)
     return tuple(out)
 
 
@@ -106,12 +132,19 @@ def default_truncation(gradings) -> int:
     return int(math.ceil(span / 2)) + 6
 
 
+DEGREE_CHECKS = (("differential degree -1", -1), ("iota degree 0", 0))
+
+
 @dataclass(frozen=True)
 class IotaComplex:
     """A free GF(2)[U]-complex with involution.
 
-    ``diff[j]`` holds a pair (i, e) for each term U^e x_i of the boundary of
-    generator j (and likewise for ``iota``).
+    ``diff`` and ``iota`` are bit-column maps of degree -1 and 0: bit i of
+    ``diff[j]`` means that U^e x_i, with e = (g_i - g_j + 1)/2, is a term of
+    the boundary of x_j (and likewise for ``iota``, with e = (g_i - g_j)/2).
+    ``defects`` holds a (check, message) pair for each map whose raw input
+    had a term of the wrong degree, which ``iota_complex`` dropped;
+    ``validate`` reports it, and ``tensor`` and ``dual`` carry it forward.
     """
 
     labels: tuple[str, ...]
@@ -120,58 +153,53 @@ class IotaComplex:
     iota: Map
     tau: Fraction
     truncation: int
+    defects: tuple[tuple[str, str], ...] = ()
 
     @property
     def n(self) -> int:
         return len(self.labels)
 
-    @property
-    def gmax(self) -> Fraction:
-        return max(self.gradings)
 
-    @property
-    def gmin(self) -> Fraction:
-        return min(self.gradings)
+def graded_complex(labels, gradings, diff: Map, iota: Map, tau: Fraction,
+                   defects=()) -> IotaComplex:
+    """An IotaComplex from ``Fraction`` gradings and bit-column maps.
 
-    def with_truncation(self, n: int) -> "IotaComplex":
-        return IotaComplex(self.labels, self.gradings, self.diff, self.iota, self.tau, n)
+    The maps are taken as graded: every bit is a term of the right degree.
+    """
+    return IotaComplex(tuple(labels), tuple(gradings), tuple(diff), tuple(iota),
+                       tau, default_truncation(gradings), tuple(defects))
 
 
 def iota_complex(labels, gradings, diff, iota, tau=None, truncation=None) -> IotaComplex:
-    """Build an IotaComplex; ``diff`` and ``iota`` are read by ``_to_map``.
+    """Build an IotaComplex from raw maps; ``diff`` and ``iota`` are read by ``_read_map``.
 
-    Entries are stored as given: an entry of the wrong degree is kept for
-    ``validate`` to report, and a negative exponent raises ValueError.
+    A term of the wrong degree is dropped and recorded in ``defects`` for
+    ``validate`` to report; a negative exponent raises ValueError.
     """
-    n = len(labels)
+    labels = tuple(labels)
     gradings = tuple(Fraction(g) for g in gradings)
-    if len(gradings) != n:
+    if len(gradings) != len(labels):
         raise ValueError("labels/gradings length mismatch")
-    diff = _to_map(diff, n)
-    iota = _to_map(iota, n)
-    if tau is None:
-        tau = gradings[0]
-    tau = Fraction(tau)
+    maps, defects = [], []
+    for m, (check, degree) in zip((diff, iota), DEGREE_CHECKS):
+        bits, defect = _read_map(m, labels, gradings, degree)
+        maps.append(bits)
+        if defect is not None:
+            defects.append((check, defect))
+    tau = gradings[0] if tau is None else Fraction(tau)
     if truncation is None:
         truncation = default_truncation(gradings)
-    return IotaComplex(tuple(labels), gradings, diff, iota, tau, truncation)
+    return IotaComplex(labels, gradings, *maps, tau, truncation, tuple(defects))
 
 
 def trivial_complex(grading=0) -> IotaComplex:
     """One generator, zero differential, identity involution."""
-    return iota_complex(("x",), (grading,), ((0,),), ((1,),), tau=Fraction(grading))
+    g = Fraction(grading)
+    return graded_complex(("x",), (g,), (0,), (1,), g)
 
 
 # ---------------------------------------------------------------------------
 # expanded GF(2) model: basis {U^k x_i : 0 <= k < N}
-
-
-def _bits(v: int):
-    """Indices of the set bits of v, lowest first."""
-    while v:
-        low = v & -v
-        yield low.bit_length() - 1
-        v ^= low
 
 
 def _offsets(gradings, base: Fraction) -> list[int]:
@@ -195,14 +223,15 @@ class Expanded:
     """The truncated complex as one GF(2) chain group per grading.
 
     Gradings are int offsets t from ``base`` = tau; ``offset`` and
-    ``grading`` convert, and every method takes and returns offsets.  Each generator x_i contributes at most one basis element
-    U^k x_i (k < N) to a grading, so a chain there is an int with bit i for
-    x_i:
+    ``grading`` convert, and every method takes and returns offsets.  Each
+    generator x_i contributes at most one basis element U^k x_i (k < N) to a
+    grading, so a chain there is an int with bit i for x_i:
 
     * ``present[t]`` is the chain group at t as such a mask, and ``basis[t]``
       lists its generators in increasing order;
-    * the boundary column of x_j at t is the degree-checked differential of
-      x_j masked by ``present[t - 1]``;
+    * ``dbits`` is the differential as given, a graded bit-column ``Map``:
+      the boundary of U^k x_j at t is ``dbits[j]`` masked by
+      ``present[t - 1]``, which drops the terms U^(k+e) x_i with k + e >= N;
     * U^m from t to t - 2m is the mask ``present[t - 2m]``.
     """
 
@@ -215,14 +244,7 @@ class Expanded:
         self.bottom = min(off)
         # homology at offset t needs complete chain groups at t+1, t, t-1
         self.stable_low = self.top - 2 * N + 2
-        # d(x_j): the terms U^e x_i of degree -1
-        self.dbits = []
-        for t, col in zip(off, diff):
-            bits = 0
-            for i, e in col:
-                if off[i] - 2 * e == t - 1:
-                    bits |= 1 << i
-            self.dbits.append(bits)
+        self.dbits = diff
         groups: dict[int, list[int]] = {}
         for i, t in enumerate(off):
             groups.setdefault(t, []).append(i)
@@ -315,16 +337,6 @@ class Diagnostics:
                          for name, ok, detail in self.checks)
 
 
-def _degree_check(c: IotaComplex, m: Map, degree: int) -> str | None:
-    for j, col in enumerate(m):
-        for i, e in sorted(col):
-            if c.gradings[i] - 2 * e != c.gradings[j] + degree:
-                return (f"entry ({c.labels[i]}, {c.labels[j]}) exponent {e}: "
-                        f"grading {c.gradings[i]} - {2*e} != "
-                        f"{c.gradings[j]} + ({degree})")
-    return None
-
-
 def validate(c: IotaComplex) -> Diagnostics:
     """Check every defining invariant; returns per-check diagnostics."""
     checks = []
@@ -332,28 +344,28 @@ def validate(c: IotaComplex) -> Diagnostics:
     checks.append(("coset", not bad,
                    "all gradings differ from tau by integers" if not bad
                    else f"gradings {bad} not in tau + Z"))
-    err = _degree_check(c, c.diff, -1)
-    checks.append(("differential degree -1", err is None, err or "ok"))
-    err = _degree_check(c, c.iota, 0)
-    checks.append(("iota degree 0", err is None, err or "ok"))
+    for check, _ in DEGREE_CHECKS:
+        err = next((msg for name, msg in c.defects if name == check), None)
+        checks.append((check, err is None, err or "ok"))
     structural_ok = all(ok for _, ok, _ in checks)
     if not structural_ok:
         return Diagnostics(tuple(checks))
 
-    def first_nonzero(m: Map) -> int | None:
-        """First column with a term below U^truncation."""
-        return next((j for j, col in enumerate(m)
-                     if any(e < c.truncation for _, e in col)), None)
+    def first_nonzero(m: Map, degree: int) -> int | None:
+        """First column of the degree-``degree`` map m with a term below U^truncation."""
+        below = _variable_map(c, c, degree, c.truncation)
+        return next((j for j, (col, keep) in enumerate(zip(m, below)) if col & keep),
+                    None)
 
-    j = first_nonzero(mat_mul(c.diff, c.diff))
+    j = first_nonzero(mat_mul(c.diff, c.diff), -2)
     checks.append(("d^2 = 0", j is None,
                    "ok" if j is None else f"d(d({c.labels[j]})) != 0"))
 
-    j = first_nonzero(mat_add(mat_mul(c.iota, c.diff), mat_mul(c.diff, c.iota)))
+    j = first_nonzero(mat_add(mat_mul(c.iota, c.diff), mat_mul(c.diff, c.iota)), -1)
     checks.append(("iota chain map", j is None,
                    "ok" if j is None else "iota d != d iota"))
 
-    identity = tuple(frozenset({(j, 0)}) for j in range(c.n))
+    identity = tuple(1 << j for j in range(c.n))
     H = solve_homotopy(c, c, mat_add(mat_mul(c.iota, c.iota), identity))
     checks.append(("iota^2 ~ id", H is not None,
                    "homotopy found" if H is not None else
@@ -391,36 +403,43 @@ def tensor(a: IotaComplex, b: IotaComplex) -> IotaComplex:
     """Tensor product over GF(2)[U]; gradings add, iota = iota_a (x) iota_b.
 
     No grading shift is applied: classes are stored in the h-normalized
-    convention, where the trivial complex is the unit.
+    convention, where the trivial complex is the unit.  The operands'
+    defects are carried forward.
     """
     m = b.n  # generator x_i (x) y_k has index i * m + k
     labels = [f"{la}*{lb}" for la in a.labels for lb in b.labels]
     gradings = [ga + gb for ga in a.gradings for gb in b.gradings]
+
+    def spread(col: int) -> int:
+        """Bit i of a column of a, moved to bit i * m (the row x_i (x) y_0)."""
+        return sum(1 << (i * m) for i in _bits(col))
+
     diff, iota = [], []
-    for j in range(a.n):
-        for l in range(b.n):
-            diff.append(frozenset((i * m + l, e) for i, e in a.diff[j])
-                        ^ frozenset((j * m + k, e) for k, e in b.diff[l]))
-            acc: set = set()
-            for i, e in a.iota[j]:
-                acc ^= {(i * m + k, e + f) for k, f in b.iota[l]}
-            iota.append(frozenset(acc))
-    return iota_complex(labels, gradings, diff, iota, tau=a.tau + b.tau)
+    for j, (da, ia) in enumerate(zip(map(spread, a.diff), map(spread, a.iota))):
+        for k, (db, ib) in enumerate(zip(b.diff, b.iota)):
+            diff.append((da << k) ^ (db << (j * m)))
+            # the copies ib << (i * m) fill disjoint blocks of m bits, so the
+            # integer product is their XOR
+            iota.append(ia * ib)
+    return graded_complex(labels, gradings, diff, iota, a.tau + b.tau,
+                          a.defects + b.defects)
+
+
+def _transpose(m: Map) -> Map:
+    cols = [0] * len(m)
+    for j, col in enumerate(m):
+        for i in _bits(col):
+            cols[i] |= 1 << j
+    return tuple(cols)
 
 
 def dual(a: IotaComplex) -> IotaComplex:
-    """Dual complex: gradings negated, differential and iota transposed."""
-    def transpose(m: Map) -> Map:
-        cols: list[set] = [set() for _ in m]
-        for j, col in enumerate(m):
-            for i, e in col:
-                cols[i].add((j, e))
-        return tuple(map(frozenset, cols))
+    """Dual complex: gradings negated, differential and iota transposed.
 
-    labels = tuple(f"{l}^" for l in a.labels)
-    gradings = tuple(-g for g in a.gradings)
-    return iota_complex(labels, gradings, transpose(a.diff), transpose(a.iota),
-                        tau=-a.tau)
+    An entry keeps its exponent, and the operand's defects are carried forward.
+    """
+    return graded_complex([f"{l}^" for l in a.labels], [-g for g in a.gradings],
+                          _transpose(a.diff), _transpose(a.iota), -a.tau, a.defects)
 
 
 @dataclass(frozen=True)
@@ -447,12 +466,10 @@ def mapping_cone(a: IotaComplex) -> ConeComplex:
     labels = tuple(a.labels) + tuple(f"Q{l}" for l in a.labels)
     gradings = tuple(g + 1 for g in a.gradings) + tuple(a.gradings)
 
-    def to_q(col):
-        return frozenset((n + i, e) for i, e in col)
-
     # d(x_j) = d x_j + Q(x_j + iota x_j);  d(Q x_j) = Q d x_j
-    diff = (tuple(col | (to_q(a.iota[j]) ^ {(n + j, 0)}) for j, col in enumerate(a.diff))
-            + tuple(to_q(col) for col in a.diff))
+    diff = (tuple(col | ((iota_col ^ (1 << j)) << n)
+                  for j, (col, iota_col) in enumerate(zip(a.diff, a.iota)))
+            + tuple(col << n for col in a.diff))
     return ConeComplex(a, labels, gradings, diff)
 
 
@@ -461,34 +478,16 @@ def mapping_cone(a: IotaComplex) -> ConeComplex:
 
 
 def homology_ranks(c, window, truncation: int | None = None) -> dict[Fraction, int]:
-    """Exact GF(2) homology dimensions on a grading window.
+    """Exact GF(2) homology dimensions at the gradings in ``window``.
 
-    ``c`` may be an IotaComplex or a ConeComplex; ``window`` is either an
-    iterable of gradings or a (low, high) pair, expanded in integer steps from
-    the anchor grading.  Gradings outside the truncation-stable range are
-    refused with a WindowError.
+    ``c`` may be an IotaComplex or a ConeComplex.  Gradings outside the
+    truncation-stable range are refused with a WindowError.
     """
-    gradings, diff = _chain_data(c)
+    if not isinstance(c, (IotaComplex, ConeComplex)):
+        raise TypeError(f"not a complex: {c!r}")
     base = c if isinstance(c, IotaComplex) else c.base
-    exp = Expanded(gradings, diff, truncation or base.truncation, base.tau)
-    if isinstance(window, tuple) and len(window) == 2 and not isinstance(window[0], tuple):
-        lo, hi = Fraction(window[0]), Fraction(window[1])
-        anchor = gradings[0]
-        start = hi - ((hi - anchor) % 1)
-        gs = []
-        g = start
-        while g >= lo:
-            gs.append(g)
-            g -= 1
-    else:
-        gs = [Fraction(g) for g in window]
-    return {g: exp.homology_dim(exp.offset(g)) for g in gs}
-
-
-def _chain_data(c):
-    if isinstance(c, (IotaComplex, ConeComplex)):
-        return c.gradings, c.diff
-    raise TypeError(f"not a complex: {c!r}")
+    exp = Expanded(c.gradings, c.diff, truncation or base.truncation, base.tau)
+    return {Fraction(g): exp.homology_dim(exp.offset(g)) for g in window}
 
 
 # ---------------------------------------------------------------------------
@@ -611,28 +610,30 @@ class _System:
         The solution sets free unknowns to 0, so which solution is returned
         depends on the unknowns' order; declaring them up front fixes it.
         """
-        for i, j in sorted((i, j) for j, col in enumerate(X) for i, _ in col):
+        for i, j in sorted((i, j) for j, col in enumerate(X) for i in _bits(col)):
             self.var((name, i, j))
 
-    def add_products(self, eq, L: Map, name, X: Map, R: Map, N: int) -> None:
-        """Add the terms of L.X + X.R below U^N to equations (eq, i, j, e).
+    def add_products(self, eq, L: Map, name, X: Map, R: Map, below: Map) -> None:
+        """Add the entries of L.X + X.R that ``below`` keeps to equations (eq, i, j).
 
-        Each entry (i, e) of column j of X is the unknown (name, i, j): the
-        coefficient of U^e x_i in X(x_j), which is 0 or 1.
+        Bit i of column j of X is the unknown (name, i, j): the coefficient
+        of x_i in X(x_j), which is 0 or 1.  ``below`` masks the entries of
+        the product's degree that lie below U^N (see ``_variable_map``).
         """
         cols, eqn = self.cols, self.eq
-        # column j of X as (i, e, index of the unknown (name, i, j))
-        xv = [[(i, e, self.var((name, i, j))) for i, e in col] for j, col in enumerate(X)]
-        for j, col in enumerate(xv):
-            for l, e, v in col:
-                for i, u in L[l]:
-                    if e + u < N:
-                        cols[v] ^= 1 << eqn((eq, i, j, e + u))
-        for j, col in enumerate(R):
-            for l, u in col:
-                for i, e, v in xv[l]:
-                    if e + u < N:
-                        cols[v] ^= 1 << eqn((eq, i, j, e + u))
+        # column j of X as (i, index of the unknown (name, i, j))
+        xv = [[(i, self.var((name, i, j))) for i in _bits(col)] for j, col in enumerate(X)]
+        rows = [tuple(_bits(col)) for col in L]
+        for j, (col, keep) in enumerate(zip(xv, below)):
+            for l, v in col:
+                for i in rows[l]:
+                    if keep >> i & 1:
+                        cols[v] ^= 1 << eqn((eq, i, j))
+        for j, (col, keep) in enumerate(zip(R, below)):
+            for l in _bits(col):
+                for i, v in xv[l]:
+                    if keep >> i & 1:
+                        cols[v] ^= 1 << eqn((eq, i, j))
 
     def solve(self) -> dict | None:
         x = gf2.solve_affine(gf2.Matrix(len(self.eqs), self.cols), self.rhs)
@@ -642,35 +643,45 @@ class _System:
 
 
 def _variable_map(a: IotaComplex, b: IotaComplex, degree: int, N: int) -> Map:
-    """Every term U^e x_i (e < N) that a degree-``degree`` map a -> b can have."""
+    """Every term U^e x_i (e < N) that a degree-``degree`` map a -> b can have.
+
+    Column j has bit i when gr(x_i) = gr(x_j) + degree + 2e for some
+    0 <= e < N, so this is also the mask of the entries below U^N of any map
+    a -> b of that degree.
+    """
     try:
         ob = _offsets(b.gradings, a.tau)
     except ValueError:  # b lies in another coset: no term has the right degree
-        return (frozenset(),) * a.n
-    at: dict[int, list[int]] = {}
+        return (0,) * a.n
+    at: dict[int, int] = {}
     for i, t in enumerate(ob):
-        at.setdefault(t, []).append(i)
-    return tuple(frozenset((i, e) for e in range(N) for i in at.get(t + degree + 2 * e, ()))
-                 for t in _offsets(a.gradings, a.tau))
+        at[t] = at.get(t, 0) | 1 << i
+    oa = _offsets(a.gradings, a.tau)
+    # the masks at distinct offsets are disjoint, so their sum is their union
+    col = {t: sum(at.get(t + degree + 2 * e, 0) for e in range(N)) for t in set(oa)}
+    return tuple(col[t] for t in oa)
 
 
 def _chosen(sol: dict, name, X: Map) -> Map:
     """The entries of the variable map X that the solution sets to 1."""
-    return tuple(frozenset((i, e) for i, e in col if sol[(name, i, j)])
+    return tuple(sum(1 << i for i in _bits(col) if sol[(name, i, j)])
                  for j, col in enumerate(X))
 
 
 def solve_homotopy(a: IotaComplex, b: IotaComplex, rhs: Map) -> Map | None:
-    """Solve d_b H + H d_a = rhs for a degree +1 map H: a -> b, mod U^N."""
+    """Solve d_b H + H d_a = rhs for a degree +1 map H: a -> b, mod U^N.
+
+    ``rhs`` is a degree-0 map a -> b.
+    """
     N = max(a.truncation, b.truncation)
     H = _variable_map(a, b, 1, N)
+    below = _variable_map(a, b, 0, N)
     sys = _System()
     sys.declare("h", H)
-    sys.add_products("e", b.diff, "h", H, a.diff, N)
-    for j, col in enumerate(rhs):
-        for i, u in col:
-            if u < N:
-                sys.set_rhs(("e", i, j, u))
+    sys.add_products("e", b.diff, "h", H, a.diff, below)
+    for j, (col, keep) in enumerate(zip(rhs, below)):
+        for i in _bits(col & keep):
+            sys.set_rhs(("e", i, j))
     sol = sys.solve()
     return None if sol is None else _chosen(sol, "h", H)
 
@@ -697,8 +708,7 @@ def find_local_map(a: IotaComplex, b: IotaComplex,
     """
     if ((a.tau - b.tau).denominator != 1) or int(a.tau - b.tau) % 2 != 0:
         raise ValueError(f"tower cosets differ: tau={a.tau} vs {b.tau}")
-    span = max(a.gmax, b.gmax) - min(a.gmin, b.gmin)
-    N = int(math.ceil(span / 2)) + 6
+    N = default_truncation(a.gradings + b.gradings)
     # both models count offsets from a.tau, so they share gradings
     ea = Expanded(a.gradings, a.diff, N, a.tau)
     eb = Expanded(b.gradings, b.diff, N, a.tau)
@@ -712,7 +722,7 @@ def find_local_map(a: IotaComplex, b: IotaComplex,
 
     F = _variable_map(a, b, 0, N)
     H = _variable_map(a, b, 1, N)
-    nf, nh = sum(map(len, F)), sum(map(len, H))
+    nf, nh = (sum(col.bit_count() for col in X) for X in (F, H))
     w_dim = eb.dim(probe + 1)
     if (nf + nh + w_dim) > max_unknowns:
         raise SearchSizeError(
@@ -723,17 +733,17 @@ def find_local_map(a: IotaComplex, b: IotaComplex,
     sys.declare("f", F)
     sys.declare("h", H)
     # (1) chain-map condition: d_b F + F d_a = 0
-    sys.add_products("c", b.diff, "f", F, a.diff, N)
-    # (2) iota-commutation up to homotopy: iota_b F + F iota_a + d_b H + H d_a = 0
-    sys.add_products("q", b.iota, "f", F, a.iota, N)
-    sys.add_products("q", b.diff, "h", H, a.diff, N)
+    sys.add_products("c", b.diff, "f", F, a.diff, _variable_map(a, b, -1, N))
+    # (2) iota-commutation up to homotopy: iota_b F + F iota_a + d_b H + H d_a = 0;
+    # these products have degree 0, so F is their mask below U^N
+    sys.add_products("q", b.iota, "f", F, a.iota, F)
+    sys.add_products("q", b.diff, "h", H, a.diff, F)
     # (3) tower pinning: F(z_a) + d_b(w) = z_b at the probe grading, one
     # equation ("p", i) per generator y_i of b there
     at_probe = eb.present.get(probe, 0)
     for j in _bits(za):
-        for i, e in F[j]:
-            if at_probe >> i & 1:
-                sys.toggle(("p", i), ("f", i, j))
+        for i in _bits(F[j] & at_probe):
+            sys.toggle(("p", i), ("f", i, j))
     for j, col in zip(eb.basis.get(probe + 1, ()), eb.boundary_matrix(probe + 1).cols):
         for i in _bits(col):
             sys.toggle(("p", i), ("w", j))
@@ -757,19 +767,17 @@ def locally_equivalent(a: IotaComplex, b: IotaComplex) -> bool:
 
 
 def complex_to_json(c: IotaComplex) -> dict:
-    def mat(m: Map) -> list:
-        """Row i, column j: the sorted exponents of x_i in the image of x_j."""
-        rows = [[[] for _ in m] for _ in m]
-        for j, col in enumerate(m):
-            for i, e in col:
-                rows[i][j].append(e)
-        return [[sorted(exps) for exps in row] for row in rows]
+    def mat(m: Map, degree: int) -> list:
+        """Row i, column j: [e] if U^e x_i is the x_i-term of the image of x_j, else []."""
+        g = c.gradings
+        return [[[int((g[i] - g[j] - degree) / 2)] if m[j] >> i & 1 else []
+                 for j in range(c.n)] for i in range(c.n)]
 
     return {
         "labels": list(c.labels),
         "gradings": [str(g) for g in c.gradings],
         "tau": str(c.tau),
         "truncation": c.truncation,
-        "differential": mat(c.diff),
-        "iota": mat(c.iota),
+        "differential": mat(c.diff, -1),
+        "iota": mat(c.iota, 0),
     }

@@ -19,10 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
-def _fmt(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 @dataclass(frozen=True)
 class LocalClass:
     coeffs: tuple[tuple[int, int], ...]  # sorted (index, coefficient), coefficient != 0
@@ -38,9 +34,6 @@ class LocalClass:
             if c:
                 items.append((i, int(c)))
         return LocalClass(tuple(items), Fraction(shift))
-
-    def coeff(self, i: int) -> int:
-        return dict(self.coeffs).get(i, 0)
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.coeffs)
@@ -72,11 +65,11 @@ class LocalClass:
         else:
             body = " ".join(f"{'+' if c > 0 else '-'}{abs(c)}*Y[{i}]"
                             for i, c in self.coeffs)
-        return f"({body})[Δ={_fmt(self.shift)}]"
+        return f"({body})[Δ={self.shift}]"
 
     def to_json(self) -> dict:
         return {"coeffs": {str(i): c for i, c in self.coeffs},
-                "shift": _fmt(self.shift)}
+                "shift": str(self.shift)}
 
     @staticmethod
     def from_json(obj) -> "LocalClass":

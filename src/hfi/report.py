@@ -110,11 +110,6 @@ class Report:
         return "\n".join(lines)
 
 
-def shifted_trivial_complex(delta) -> complexes.IotaComplex:
-    """Iota-complex of the shifted trivial class: one tower at grading -delta."""
-    return complexes.trivial_complex(-Fraction(delta))
-
-
 def class_complex(a: LocalClass,
                   max_generators: int = MAX_ORACLE_GENERATORS) -> complexes.IotaComplex:
     """An explicit iota-complex realizing the class ``a``.
@@ -128,7 +123,7 @@ def class_complex(a: LocalClass,
         raise OracleSizeError(
             f"oracle complex needs {size} generators, over the limit of "
             f"{max_generators}")
-    acc = shifted_trivial_complex(a.shift)
+    acc = complexes.trivial_complex(-a.shift)  # one tower at grading -shift
     for i, c in a.coeffs:
         factor = standard_complex(to_profile(MonotoneRoot(((2 * i, 0),))))
         if c < 0:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import Diagnostics, IotaComplex, iota_complex
+from .complexes import Diagnostics, IotaComplex, graded_complex
 
 
 @dataclass(frozen=True)
@@ -139,15 +139,12 @@ def standard_complex(p: SymmetricRootProfile) -> IotaComplex:
     n = p.n
     labels = [f"v{i + 1}" for i in range(n)] + [f"a{i + 1}" for i in range(n - 1)]
     gradings = list(p.leaves) + [a + 1 for a in p.angles]
-    # columns (see complexes.Map): leaves are cycles, d(a_i) hits v_i and v_{i+1}
-    diff = [frozenset()] * n + [
-        frozenset({(i, int((p.leaves[i] - p.angles[i]) / 2)),
-                   (i + 1, int((p.leaves[i + 1] - p.angles[i]) / 2))})
-        for i in range(n - 1)]
+    # bit columns (see complexes.Map): leaves are cycles, d(a_i) hits v_i and v_{i+1}
+    diff = [0] * n + [(1 << i) | (1 << (i + 1)) for i in range(n - 1)]
     # J_0 reflects the leaves and the angles
-    iota = ([frozenset({(n - 1 - i, 0)}) for i in range(n)]
-            + [frozenset({(2 * n - 2 - i, 0)}) for i in range(n - 1)])
-    return iota_complex(labels, gradings, diff, iota, tau=p.leaves[0])
+    iota = ([1 << (n - 1 - i) for i in range(n)]
+            + [1 << (2 * n - 2 - i) for i in range(n - 1)])
+    return graded_complex(labels, gradings, diff, iota, p.leaves[0])
 
 
 # ---------------------------------------------------------------------------
@@ -155,16 +152,13 @@ def standard_complex(p: SymmetricRootProfile) -> IotaComplex:
 
 
 def profile_to_text(p: RootProfile, coset: Fraction | None = None) -> str:
-    def fmt(x: Fraction) -> str:
-        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
     lines = []
     if coset is None:
         coset = p.leaves[0] % 2
-    lines.append(f"coset: {fmt(coset)}")
-    lines.append("leaves: " + " ".join(fmt(g) for g in p.leaves))
+    lines.append(f"coset: {coset}")
+    lines.append("leaves: " + " ".join(map(str, p.leaves)))
     if p.angles:
-        lines.append("angles: " + " ".join(fmt(g) for g in p.angles))
+        lines.append("angles: " + " ".join(map(str, p.angles)))
     else:
         lines.append("angles:")
     return "\n".join(lines) + "\n"

@@ -5,7 +5,8 @@ the monotone subroot with one running minimum and one sorted sweep,
 compresses a tau stream run by run, and does GF(2) linear algebra on int
 bitsets.  These are the definitions those replace: dense Fraction
 elimination, the O(n^2) Pareto scan over ``mirror_merge``, the list-based
-extrema scan, and the reduced row-echelon form of a numpy uint8 array.
+extrema scan, the reduced row-echelon form of a numpy uint8 array, and the
+composition of maps stored as columns of explicit (row, U-exponent) pairs.
 """
 
 from fractions import Fraction
@@ -150,3 +151,30 @@ def dense_solve_affine(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     for r, p in enumerate(pivots):
         x[p] = R[r, cols]
     return x
+
+
+def expand_map(m, source, target, degree: int) -> tuple[frozenset, ...]:
+    """A bit-column map of the given degree as columns of (row, U-exponent) pairs.
+
+    Bit i of column j is the term U^e x_i of the image of x_j, with
+    e = (gr(x_i) - gr(x_j) - degree) / 2 read off the ``source`` and
+    ``target`` gradings.
+    """
+    out = []
+    for j, col in enumerate(m):
+        rows = [i for i in range(col.bit_length()) if col >> i & 1]
+        out.append(frozenset((i, int((Fraction(target[i]) - Fraction(source[j]) - degree) / 2))
+                             for i in rows))
+    return tuple(out)
+
+
+def pair_mul(a, b) -> tuple[frozenset, ...]:
+    """Composition a.b of pair maps: U^e x_k in b(x_j) and U^f x_i in a(x_k)
+    give U^(e+f) x_i in a(b(x_j)), with equal terms cancelling over GF(2)."""
+    out = []
+    for col in b:
+        acc: set = set()
+        for k, e in col:
+            acc ^= {(i, e + f) for i, f in a[k]}
+        out.append(frozenset(acc))
+    return tuple(out)

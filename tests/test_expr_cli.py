@@ -154,8 +154,9 @@ def test_cli_root_output_and_decompose(tmp_path, capsys):
 
 
 def test_cli_decompose_missing_file(capsys):
-    with pytest.raises(OSError):
-        main(["decompose", "/nonexistent/file.txt"])
+    assert main(["decompose", "/nonexistent/file.txt"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "/nonexistent/file.txt" in err
 
 
 def test_cli_plumbing_checks(tmp_path, capsys):
@@ -196,6 +197,8 @@ def test_cli_eval_file_atom(tmp_path, capsys):
     ["eval", "@missing.txt"],
     ["eval", "Sigma(1009,1013,1019)"],  # alpha above MAX_SIGMA_ALPHA
     ["family", "--M", "1", "--N", "1", "--d", "1", "--mu", "0"],
+    ["plumbing", "/nonexistent/graph.txt"],
+    ["root", "sigma", "2", "3", "5", "-o", "/nonexistent/d/out"],
 ])
 def test_cli_invalid_input_exits_2_with_message(argv, capsys):
     assert main(argv) == 2

@@ -2,11 +2,18 @@
 
 The files under ``tests/golden/`` were written by ``complexes.complex_to_json``
 (through ``json.dumps(..., indent=2)``) and by ``hfi eval ... --dump-complex
---format json``.  Any change to how maps are stored must leave them intact.
+--format json``, when maps were still stored as explicit (row, U-exponent)
+pairs.  Maps are now bit columns whose exponents are implied by the
+gradings, and ``complex_to_json`` recomputes each exponent as
+e = (gr(x_i) - gr(x_j) - degree) / 2, so the files must stay intact.  Raw
+(row, exponent) input is read, and its degrees checked, only once, by
+``iota_complex``; the complexes here are built from bit columns directly.
 
 ``local_map_witnesses.json`` holds ``find_local_map``'s F and H, as sorted
 (row, U-exponent) pairs per column, written by the dense numpy GF(2) solver
-that the bitset core replaced.  The sides are tensor products of standard
+that the bitset core replaced.  The test expands the witness's bit columns
+with ``dense_reference.expand_map``: F has degree 0 and H degree +1, read
+off the source and target gradings.  The sides are tensor products of standard
 complexes of symmetric root profiles: the 165 <-> 21 generator pair of
 locally equivalent complexes (both directions feasible) and a 35 <-> 9 pair
 whose 35 -> 9 direction is infeasible.  The solution with free unknowns zero
@@ -17,6 +24,7 @@ of the unknowns or the equations drifted.
 import json
 from pathlib import Path
 
+from dense_reference import expand_map
 from hfi import complexes
 from hfi.cli import main
 from hfi.monotone import M, to_profile
@@ -55,10 +63,12 @@ def _side(profiles):
 
 
 def test_local_map_witnesses():
-    def cols(m):
-        return [sorted([i, e] for i, e in col) for col in m]
+    def cols(m, a, b, degree):
+        return [sorted([i, e] for i, e in col)
+                for col in expand_map(m, a.gradings, b.gradings, degree)]
 
     for entry in json.loads((GOLDEN / "local_map_witnesses.json").read_text()):
-        w = complexes.find_local_map(_side(entry["source"]), _side(entry["target"]))
-        got = None if w is None else {"F": cols(w.F), "H": cols(w.H)}
+        a, b = _side(entry["source"]), _side(entry["target"])
+        w = complexes.find_local_map(a, b)
+        got = None if w is None else {"F": cols(w.F, a, b, 0), "H": cols(w.H, a, b, 1)}
         assert got == entry["witness"], entry["pair"]
