@@ -22,8 +22,9 @@ from .complexes import (ConeComplex, IotaComplex, SearchSizeError,
                         locally_equivalent, mapping_cone, tensor,
                         trivial_complex, validate)
 from .complexes import correction_terms as complex_correction_terms
-from .cterms import (STProfile, asymptotic_check, correction_terms,
-                     lemma_identity, realization_family, stabilized_terms)
+from .cterms import (MAX_CLASS_WEIGHT, ClassWeightError, STProfile,
+                     asymptotic_check, correction_terms, lemma_identity,
+                     realization_family, stabilized_terms)
 from .expr import ExpressionAST, ParseError, parse
 from .localclass import (I, LocalClass, SphericalParams, Y, d_invariant,
                          mu_bar, realizability_check, rokhlin,

@@ -11,7 +11,8 @@ Exit codes: 0 on success; 1 when an oracle complex is over its generator
 limit (or, for ``plumbing``, the graph is not negative definite); 2 on a
 parse error or invalid input -- any ValueError or OSError, such as a
 non-coprime Sigma triple, a Sigma triple whose alpha = a1 a2 a3 exceeds
-``brieskorn.MAX_SIGMA_ALPHA``, Y(0), a non-monotone M(...), a missing @file
+``brieskorn.MAX_SIGMA_ALPHA``, a class whose weight sum |c_i| exceeds
+``cterms.MAX_CLASS_WEIGHT``, Y(0), a non-monotone M(...), a missing @file
 or impossible ``family`` invariants -- reported as ``error: <message>`` on
 stderr, never as a traceback; 3 on an oracle mismatch.
 Root-profile files are written and read in HF-minus gradings; the internal
@@ -86,12 +87,11 @@ def _cmd_root(args) -> int:
 def _cmd_decompose(args) -> int:
     path = args.file[1:] if args.file.startswith("@") else args.file
     try:
-        profile = profile_from_hf_minus_file(path)
+        root = monotone_subroot(profile_from_hf_minus_file(path))
+        cls = decompose(root)
+        d, d_bar, d_under = correction_terms(cls)
     except (ValueError, OSError) as e:
         return _error(e, 2)
-    root = monotone_subroot(profile)
-    cls = decompose(root)
-    d, d_bar, d_under = correction_terms(cls)
     print(f"monotone subroot: {root}")
     print(f"class:            {cls}")
     print(f"d, d_bar, d_under: {d}, {d_bar}, {d_under}")

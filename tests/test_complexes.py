@@ -12,7 +12,9 @@ from hfi import complexes
 from hfi.complexes import (correction_terms, dual, ensure_valid,
                            homology_ranks, iota_complex, locally_equivalent,
                            find_local_map, tensor, trivial_complex, validate)
+from hfi.localclass import I, LocalClass, Y
 from hfi.monotone import M, MonotoneRoot, to_profile
+from hfi.report import class_complex
 from hfi.roots import standard_complex
 
 
@@ -201,6 +203,71 @@ def test_validate_rejects_iota_squared_not_homotopic_to_id():
     bad = iota_complex(c.labels, c.gradings, diff, iota, tau=c.tau)
     assert bad.diff == c.diff
     assert [name for name, _ in validate(bad).failed()] == ["iota^2 ~ id"]
+
+
+def _involutive_complexes():
+    """A standard complex, a tensor product, a dual and class complexes:
+    four fixed ones and four more drawn from a fixed seed."""
+    fixed = [std(4, 0, 2, 2), tensor(std(2, 0), std(4, 0, 2, 2)),
+             dual(std(4, 0, 2, 2)), class_complex(Y(1) - Y(2) + I(-2))]
+    rng = random.Random(20170623)
+    drawn = []
+    while len(drawn) < 2:
+        root = _root_from_seed([(rng.randint(-3, 3), rng.randint(-3, 3))
+                                for _ in range(2)])
+        if root is not None:
+            drawn.append(standard_complex(to_profile(root)))
+    for _ in range(2):
+        coeffs = {i: rng.choice((-1, 1)) for i in rng.sample((1, 2, 3), 2)}
+        drawn.append(class_complex(LocalClass.make(coeffs, rng.choice((0, 2, -2)))))
+    return fixed + drawn
+
+
+def test_validate_skips_the_homotopy_solve_when_iota_squared_is_id(monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("solve_homotopy ran")
+
+    monkeypatch.setattr(complexes, "solve_homotopy", no_solve)
+    for c in _involutive_complexes():
+        diag = validate(c)
+        assert diag.ok, str(diag)
+        assert dict((name, detail) for name, _, detail in diag.checks)[
+            "iota^2 ~ id"] == "iota^2 = id exactly"
+
+
+def test_homotopy_solver_agrees_with_the_exact_involution_shortcut():
+    mul, add = complexes.mat_mul, complexes.mat_add
+    for c in _involutive_complexes():
+        square_plus_id = add(mul(c.iota, c.iota), tuple(1 << j for j in range(c.n)))
+        H = complexes.solve_homotopy(c, c, square_plus_id)
+        assert H is not None and len(H) == c.n
+        below = complexes._variable_map(c, c, 0, c.truncation)
+        assert ([col & keep for col, keep in zip(add(mul(c.diff, H), mul(H, c.diff)), below)]
+                == [col & keep for col, keep in zip(square_plus_id, below)])
+
+
+def _dropped_above_truncation():
+    """Complexes a, b with N = 1 and a degree-0 map rhs: a -> b, such that
+    the one homotopy H with dH + Hd = rhs also has a term at U^1.
+
+    a is x (grading 0) with d = 0; b is y (1), w (0), z (2) with
+    d(y) = w + U z.  H(x) = y gives d(H(x)) = w + U z, and U z = 0 mod U^1.
+    """
+    a = iota_complex(("x",), (0,), [set()], [{(0, 0)}], truncation=1)
+    b = iota_complex(("y", "w", "z"), (1, 0, 2), [{(1, 0), (2, 1)}, set(), set()],
+                     [{(0, 0)}, {(1, 0)}, {(2, 0)}], truncation=1)
+    return a, b
+
+
+def test_homotopy_equations_stop_below_u_to_the_n():
+    # the U z term of dH, in L.X, and its transpose, in X.R, lie at U^N:
+    # an equation for either would force H = 0 and make the system infeasible
+    a, b = _dropped_above_truncation()
+    assert complexes.solve_homotopy(a, b, (0b010,)) == (0b001,)
+    da, db = (dataclasses.replace(dual(c), truncation=1) for c in (a, b))
+    # dual(b): y^ (-1), w^ (0), z^ (-2) with d(w^) = y^, d(z^) = U y^, so
+    # H(y^) = x^ gives H(d(w^)) = x^ and H(d(z^)) = U x^ = 0 mod U^1
+    assert complexes.solve_homotopy(db, da, (0, 1, 0)) == (1, 0, 0)
 
 
 def test_negative_exponent_is_refused():

@@ -8,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from hfi.complexes import correction_terms as oracle_terms
 from hfi.complexes import dual, tensor
-from hfi.cterms import (STProfile, asymptotic_check, correction_terms,
-                        d_lower_offset, d_upper_offset_direct, lemma_identity,
-                        p_q_sequences, realization_family, stabilized_terms)
+from hfi.cterms import (MAX_CLASS_WEIGHT, ClassWeightError, STProfile,
+                        asymptotic_check, correction_terms, d_lower_offset,
+                        d_upper_offset_direct, lemma_identity, p_q_sequences,
+                        realization_family, stabilized_terms)
 from hfi.localclass import I, Y, d_invariant, mu_bar, zero
 from hfi.monotone import M, to_profile
 from hfi.roots import standard_complex
@@ -20,6 +21,18 @@ def test_profile_of_class():
     p = STProfile.of_class(Y(3) - 2 * Y(1) + Y(2))
     assert p.s == (3, 2)
     assert p.t == (1, 1)
+
+
+def test_class_weight_above_budget_raises_before_expanding():
+    # one unit over the cap, and one so large that expanding it cannot fit
+    # in memory: both must fail on the weight sum alone
+    for a in (MAX_CLASS_WEIGHT * Y(1) - Y(2), 99999999999 * Y(1)):
+        weight = sum(abs(c) for _, c in a.coeffs)
+        with pytest.raises(ClassWeightError) as e:
+            correction_terms(a)
+        assert isinstance(e.value, ValueError)
+        assert str(MAX_CLASS_WEIGHT) in str(e.value) and str(weight) in str(e.value)
+    assert STProfile.of_class(MAX_CLASS_WEIGHT * Y(1)).m == MAX_CLASS_WEIGHT
 
 
 def test_profile_validation():

@@ -6,7 +6,11 @@
 - the running-minimum monotone subroot against the O(n^2) Pareto scan;
 - the run-by-run extrema compression against the list scan;
 - bitset GF(2) rank, kernel and affine solve against the dense reduced
-  row-echelon form, vector for vector.
+  row-echelon form, vector for vector;
+- the Y-basis calculus against the iota-complex oracle: two small classes
+  are equal exactly when their complexes are locally equivalent (the class
+  is a complete invariant, Dai-Stoffregen), and the closed-form correction
+  terms equal the oracle's.
 
 Seeds are fixed and example counts bounded, so the suite stays fast.
 """
@@ -14,6 +18,7 @@ Seeds are fixed and example counts bounded, so the suite stays fast.
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 from hypothesis import given, seed, settings, strategies as st
@@ -21,12 +26,14 @@ from hypothesis import given, seed, settings, strategies as st
 from dense_reference import (compress_list, dense_is_negative_definite,
                              dense_k_squared, dense_kernel, dense_rank,
                              dense_solve_affine, pareto_subroot_params)
-from hfi import gf2
+from hfi import complexes, cterms, gf2
 from hfi.brieskorn import (BrieskornParams, _compress_to_profile,
                            negative_continued_fraction, seifert_invariants,
                            seifert_plumbing, tau_closed_form, tau_sequence)
+from hfi.localclass import I, Y
 from hfi.monotone import monotone_subroot
 from hfi.plumbing import PlumbingGraph, is_negative_definite, k_squared
+from hfi.report import class_complex
 from hfi.roots import SymmetricRootProfile
 
 MAX_ALPHA = 5000
@@ -180,3 +187,29 @@ def test_bitset_solve_affine_matches_dense(system):
     A, b = system
     x = dense_solve_affine(A, b)
     assert gf2.solve_affine(_bitset(A), _bits(b)) == (None if x is None else _bits(x))
+
+
+# coefficients in {-2..2} on Y(1) and Y(2) and shifts 0, +-2, at most 81
+# generators (3 per unit of |c_i|)
+SMALL_CLASSES = [c1 * Y(1) + c2 * Y(2) + I(shift)
+                 for c1, c2, shift in product(range(-2, 3), range(-2, 3), (0, 2, -2))
+                 if 3 ** (abs(c1) + abs(c2)) <= 81]
+
+
+def test_class_correction_terms_match_the_oracle():
+    for a in SMALL_CLASSES:
+        assert cterms.correction_terms(a) == complexes.correction_terms(class_complex(a)), a
+
+
+def test_class_equality_is_local_equivalence():
+    # 64 pairs: 16 equal, 16 unequal with equal correction terms (where the
+    # terms cannot tell them apart), 32 drawn at random
+    rng = random.Random(20170624)
+    terms = {a: cterms.correction_terms(a) for a in SMALL_CLASSES}
+    twins = [(a, b) for a in SMALL_CLASSES for b in SMALL_CLASSES
+             if a != b and terms[a] == terms[b]]
+    pairs = ([(a, a) for a in rng.sample(SMALL_CLASSES, 16)] + rng.sample(twins, 16)
+             + [(rng.choice(SMALL_CLASSES), rng.choice(SMALL_CLASSES)) for _ in range(32)])
+    built = {a: class_complex(a) for a in SMALL_CLASSES}
+    for a, b in pairs:
+        assert complexes.locally_equivalent(built[a], built[b]) == (a == b), (a, b)

@@ -6,10 +6,13 @@ from fractions import Fraction
 import pytest
 
 from hfi.cli import main
+from hfi.cterms import MAX_CLASS_WEIGHT
 from hfi.expr import (ExpressionAST, FileAtom, IAtom, MAtom, ParseError,
                       SigmaAtom, YAtom, parse)
 from hfi.localclass import I, Y
+from hfi.monotone import M, to_profile
 from hfi.report import evaluate_text
+from hfi.roots import profile_to_text
 
 
 # ---------------------------------------------------------------- grammar
@@ -153,6 +156,18 @@ def test_cli_root_output_and_decompose(tmp_path, capsys):
     assert "+1*Y[2]" in out and "-1*Y[1]" in out
 
 
+def test_cli_decompose_class_over_weight_budget(tmp_path, capsys):
+    # M(4K, 0; 4K - 2, 2; ...) decomposes to K terms +Y and K - 1 terms -Y
+    K = MAX_CLASS_WEIGHT // 2 + 1
+    root = M(*[(4 * K - 2 * i, 2 * i) for i in range(K)])
+    path = tmp_path / "heavy.txt"
+    path.write_text(profile_to_text(to_profile(root)))
+    assert main(["decompose", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert str(2 * K - 1) in captured.err and str(MAX_CLASS_WEIGHT) in captured.err
+
+
 def test_cli_decompose_missing_file(capsys):
     assert main(["decompose", "/nonexistent/file.txt"]) == 2
     err = capsys.readouterr().err
@@ -199,6 +214,8 @@ def test_cli_eval_file_atom(tmp_path, capsys):
     ["family", "--M", "1", "--N", "1", "--d", "1", "--mu", "0"],
     ["plumbing", "/nonexistent/graph.txt"],
     ["root", "sigma", "2", "3", "5", "-o", "/nonexistent/d/out"],
+    ["eval", "99999999999*Y(1)"],  # weight sum |c_i| above MAX_CLASS_WEIGHT
+    ["eval", "1000000*Y(1) - 1000000*Y(2)"],
 ])
 def test_cli_invalid_input_exits_2_with_message(argv, capsys):
     assert main(argv) == 2

@@ -4,13 +4,17 @@
 ``_cone_scans``, ``_single_tower_check``, ``_compress_to_profile``) and the
 methods of ``complexes.Expanded`` by name, and its counter for
 ``Expanded.__init__`` reads the model's ``basis``.  A rename in ``hfi``
-breaks the traced benchmark runs; this test makes it break tier-1 too.
+breaks the traced benchmark runs; these tests make it break tier-1 too.
+The local-equivalence metrics (``find_local_map`` spans and calls, the
+feasible fraction, ``solve_homotopy`` self time) rest on the hooks that
+``locally_equivalent`` and ``validate`` reach through module globals.
 """
 
 import importlib.util
 from pathlib import Path
 
 from hfi import complexes
+from hfi.complexes import dual, iota_complex, tensor
 from hfi.monotone import M, to_profile
 from hfi.roots import standard_complex
 
@@ -45,3 +49,37 @@ def test_tracer_installs_and_counts_a_traced_oracle_call():
     # correction_terms builds two models per truncation, validate one
     assert tracer.counters["complexes.expanded_builds"] == 5
     assert tracer.counters["complexes.expanded_dim"] > 0
+
+
+def _traced(fn, *args):
+    """(result, span names, counters) of fn(*args) run under the tracer."""
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        out = fn(*args)
+    finally:
+        tracer.uninstall()
+    return out, {span[2] for span in tracer.spans}, tracer.counters
+
+
+def test_tracer_sees_both_local_map_searches():
+    a = standard_complex(to_profile(M(4, 0, 2, 2)))
+    b = tensor(a, tensor(standard_complex(to_profile(M(2, 0))),
+                         dual(standard_complex(to_profile(M(2, 0))))))
+    equivalent, names, counters = _traced(complexes.locally_equivalent, a, b)
+    assert equivalent
+    assert "complexes.find_local_map" in names
+    assert counters["complexes.find_local_map_calls"] == 2
+    assert counters["complexes.localmap_feasible"] == 2
+
+
+def test_tracer_sees_the_homotopy_solve_only_when_iota_squared_is_not_id():
+    c = standard_complex(to_profile(M(2, 0)))
+    diag, names, _ = _traced(complexes.validate, c)
+    assert diag.ok and "complexes.solve_homotopy" not in names
+    # the iota on std(2, 0) with iota^2(v2) = 0 of test_complexes.py
+    bad = iota_complex(c.labels, c.gradings, [[0, 0, [1]], [0, 0, [1]], [0, 0, 0]],
+                       [[1, 0, 0], [1, 0, 0], [0, 0, 1]], tau=c.tau)
+    diag, names, _ = _traced(complexes.validate, bad)
+    assert [name for name, _ in diag.failed()] == ["iota^2 ~ id"]
+    assert "complexes.solve_homotopy" in names
