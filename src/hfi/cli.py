@@ -8,7 +8,8 @@ Subcommands:
   family     realize prescribed (d, d-bar, d-under, mu-bar) invariants
 
 Exit codes: 0 on success; 1 when an oracle complex is over its generator
-limit (or, for ``plumbing``, the graph is not negative definite); 2 on a
+limit or its truncation N is over ``report.MAX_ORACLE_TRUNCATION`` (or, for
+``plumbing``, the graph is not negative definite); 2 on a
 parse error or invalid input -- any ValueError or OSError, such as a
 non-coprime Sigma triple, a Sigma triple whose alpha = a1 a2 a3 exceeds
 ``brieskorn.MAX_SIGMA_ALPHA``, a class whose weight sum |c_i| exceeds

@@ -20,13 +20,14 @@ Conventions
   source generator: bit i of column j means that x_i occurs in the image of
   x_j.  In a graded map of degree deg each entry is 0 or a single U^e, and
   the gradings fix e = (g_i - g_j - deg)/2, so the exponent is never stored;
-  where it matters (truncation masks, serialization) it is read off the
-  gradings.  Addition XORs columns, and composition XORs the columns of the
-  left map that the bits of the right one select: the exponents add by
-  themselves.  Raw input is the one place with explicit (row, exponent)
-  pairs.  ``iota_complex`` reads them once, keeps the terms of the right
-  degree as bits and records the first term of a wrong degree as a defect
-  of the complex, which ``validate`` reports.
+  serialization reads it off the gradings, and the truncation masks (the
+  entries with e < N) are the chain groups ``Expanded.present``.  Addition
+  XORs columns, and composition XORs the columns of the left map that the
+  bits of the right one select: the exponents add by themselves.  Raw input
+  is the one place with explicit (row, exponent) pairs.  ``iota_complex``
+  reads them once, keeps the terms of the right degree as bits and records
+  the first term of a wrong degree as a defect of the complex, which
+  ``validate`` reports.
 * The involution: ``validate`` checks iota^2 ~ id.  On the complexes built
   here (standard complexes of symmetric graded roots, where iota reflects
   the root, and their tensor products and duals) iota^2 = id exactly, and
@@ -237,12 +238,14 @@ class Expanded:
     * ``dbits`` is the differential as given, a graded bit-column ``Map``:
       the boundary of U^k x_j at t is ``dbits[j]`` masked by
       ``present[t - 1]``, which drops the terms U^(k+e) x_i with k + e >= N;
-    * U^m from t to t - 2m is the mask ``present[t - 2m]``.
+    * U^m from t to t - 2m is the mask ``present[t - 2m]``;
+    * ``offsets[i]`` is the offset of x_i, and ``below`` masks graded maps
+      into this complex by ``present``.
     """
 
     def __init__(self, gradings, diff: Map, truncation: int, tau):
         self.base = Fraction(tau)
-        off = _offsets(gradings, self.base)
+        self.offsets = off = _offsets(gradings, self.base)
         self.n = len(off)
         self.N = N = truncation
         self.top = max(off)
@@ -271,6 +274,13 @@ class Expanded:
 
     def grading(self, t: int) -> Fraction:
         return self.base + t
+
+    def below(self, offsets, degree: int) -> Map:
+        """The entries below U^N of a degree-``degree`` map into this complex
+        from generators at ``offsets``: bit i of column j is set when x_i is
+        at offsets[j] + degree + 2e for some 0 <= e < N."""
+        present = self.present
+        return tuple(present.get(t + degree, 0) for t in offsets)
 
     def dim(self, t: int) -> int:
         return len(self.basis.get(t, ()))
@@ -365,9 +375,11 @@ def validate(c: IotaComplex) -> Diagnostics:
     if not structural_ok:
         return Diagnostics(tuple(checks))
 
+    exp = Expanded(c.gradings, c.diff, c.truncation, c.tau)
+
     def first_nonzero(m: Map, degree: int) -> int | None:
         """First column of the degree-``degree`` map m with a term below U^truncation."""
-        below = _variable_map(c, c, degree, c.truncation)
+        below = exp.below(exp.offsets, degree)
         return next((j for j, (col, keep) in enumerate(zip(m, below)) if col & keep),
                     None)
 
@@ -390,13 +402,12 @@ def validate(c: IotaComplex) -> Diagnostics:
                        "homotopy found" if H is not None else
                        "no homotopy H with dH + Hd = iota^2 + id"))
 
-    tower_ok, detail = _single_tower_check(c)
+    tower_ok, detail = _single_tower_check(exp)
     checks.append(("single U-inverted tower", tower_ok, detail))
     return Diagnostics(tuple(checks))
 
 
-def _single_tower_check(c: IotaComplex) -> tuple[bool, str]:
-    exp = Expanded(c.gradings, c.diff, c.truncation, c.tau)
+def _single_tower_check(exp: Expanded) -> tuple[bool, str]:
     try:
         p_even = exp.probe(0)
         p_odd = exp.probe(1)
@@ -637,7 +648,8 @@ class _System:
 
         Bit i of column j of X is the unknown (name, i, j): the coefficient
         of x_i in X(x_j), which is 0 or 1.  ``below`` masks the entries of
-        the product's degree that lie below U^N (see ``_variable_map``).
+        the product's degree that lie below U^N: it is ``Expanded.below``
+        of the target's model, read off ``Expanded.present``.
         """
         cols, eqn = self.cols, self.eq
         # column j of X as (i, index of the unknown (name, i, j))
@@ -661,26 +673,6 @@ class _System:
         return {k: x >> v & 1 for k, v in self.vars.items()}
 
 
-def _variable_map(a: IotaComplex, b: IotaComplex, degree: int, N: int) -> Map:
-    """Every term U^e x_i (e < N) that a degree-``degree`` map a -> b can have.
-
-    Column j has bit i when gr(x_i) = gr(x_j) + degree + 2e for some
-    0 <= e < N, so this is also the mask of the entries below U^N of any map
-    a -> b of that degree.
-    """
-    try:
-        ob = _offsets(b.gradings, a.tau)
-    except ValueError:  # b lies in another coset: no term has the right degree
-        return (0,) * a.n
-    at: dict[int, int] = {}
-    for i, t in enumerate(ob):
-        at[t] = at.get(t, 0) | 1 << i
-    oa = _offsets(a.gradings, a.tau)
-    # the masks at distinct offsets are disjoint, so their sum is their union
-    col = {t: sum(at.get(t + degree + 2 * e, 0) for e in range(N)) for t in set(oa)}
-    return tuple(col[t] for t in oa)
-
-
 def _chosen(sol: dict, name, X: Map) -> Map:
     """The entries of the variable map X that the solution sets to 1."""
     return tuple(sum(1 << i for i in _bits(col) if sol[(name, i, j)])
@@ -690,11 +682,13 @@ def _chosen(sol: dict, name, X: Map) -> Map:
 def solve_homotopy(a: IotaComplex, b: IotaComplex, rhs: Map) -> Map | None:
     """Solve d_b H + H d_a = rhs for a degree +1 map H: a -> b, mod U^N.
 
-    ``rhs`` is a degree-0 map a -> b.
+    ``rhs`` is a degree-0 map a -> b.  A grading of b outside a.tau + Z
+    raises ValueError.
     """
-    N = max(a.truncation, b.truncation)
-    H = _variable_map(a, b, 1, N)
-    below = _variable_map(a, b, 0, N)
+    eb = Expanded(b.gradings, b.diff, max(a.truncation, b.truncation), a.tau)
+    oa = _offsets(a.gradings, eb.base)
+    H = eb.below(oa, 1)
+    below = eb.below(oa, 0)
     sys = _System()
     sys.declare("h", H)
     sys.add_products("e", b.diff, "h", H, a.diff, below)
@@ -739,8 +733,8 @@ def find_local_map(a: IotaComplex, b: IotaComplex,
     if za is None or zb is None:
         raise RuntimeError("missing deep tower class")
 
-    F = _variable_map(a, b, 0, N)
-    H = _variable_map(a, b, 1, N)
+    F = eb.below(ea.offsets, 0)
+    H = eb.below(ea.offsets, 1)
     nf, nh = (sum(col.bit_count() for col in X) for X in (F, H))
     w_dim = eb.dim(probe + 1)
     if (nf + nh + w_dim) > max_unknowns:
@@ -752,7 +746,7 @@ def find_local_map(a: IotaComplex, b: IotaComplex,
     sys.declare("f", F)
     sys.declare("h", H)
     # (1) chain-map condition: d_b F + F d_a = 0
-    sys.add_products("c", b.diff, "f", F, a.diff, _variable_map(a, b, -1, N))
+    sys.add_products("c", b.diff, "f", F, a.diff, eb.below(ea.offsets, -1))
     # (2) iota-commutation up to homotopy: iota_b F + F iota_a + d_b H + H d_a = 0;
     # these products have degree 0, so F is their mask below U^N
     sys.add_products("q", b.iota, "f", F, a.iota, F)

@@ -8,10 +8,12 @@ implemented independently of the max-min bound S so that their equality is a
 genuine cross-check rather than code reuse.
 
 Both bounds expand the class into its s and t lists, one entry per unit of
-|c_i|, and take O(min(m, n)^2) steps.  The weight sum |c_i| is capped at
-MAX_CLASS_WEIGHT: a balanced class at the cap took about a second with
-CPython 3.11 on one core of a shared x86-64 server.  A heavier class raises
-ClassWeightError, a ValueError, before anything is expanded.
+|c_i|, and take O(m + n) steps, each row keeping its own running minimum or
+maximum.  The weight sum |c_i| is capped at MAX_CLASS_WEIGHT, which bounds
+that expansion: ``hfi eval "6000*Y(1) - 6000*Y(2)"``, a balanced class at
+the cap, took 0.02 s with CPython 3.11 on one core of a shared x86-64
+server.  A heavier class raises ClassWeightError, a ValueError, before
+anything is expanded.
 """
 
 from __future__ import annotations
@@ -87,10 +89,8 @@ def d_lower_offset(st: STProfile) -> int:
     K = min(st.m, st.n)
     best = None
     for k in range(K + 1):
-        entries = P[: k + 1]
-        if not (k == K and K == st.m):
-            entries = entries + [Q[k]]
-        row = min(entries)
+        low = P[k] if k == 0 else min(low, P[k])  # min(P_0..P_k)
+        row = low if k == K == st.m else min(low, Q[k])
         best = row if best is None else max(best, row)
     return best
 
@@ -104,13 +104,11 @@ def d_upper_offset_direct(st: STProfile) -> int:
     """
     P, Q = p_q_sequences(st)
     K = min(st.m, st.n + 1)
-    best = None
-    for k in range(K + 1):
-        entries = Q[:k]
-        if not (k == K and K == st.n + 1):
-            entries = entries + [P[k]]
-        row = max(entries)
-        best = row if best is None else min(best, row)
+    best = P[0]  # row 0: the Q prefix is empty, and P_0 stays as n + 1 > 0
+    for k in range(1, K + 1):
+        high = Q[0] if k == 1 else max(high, Q[k - 1])  # max(Q_0..Q_{k-1})
+        row = high if k == K == st.n + 1 else max(high, P[k])
+        best = min(best, row)
     return best
 
 

@@ -48,7 +48,9 @@ class SymmetricRootProfile(RootProfile):
 
 
 def validate_profile(p: RootProfile) -> Diagnostics:
-    """Check the profile invariants and the graded-root axioms on the top part."""
+    """Check that no angle lies above an adjacent leaf and that all gradings
+    lie in one coset of 2Z; together these make every merge exponent
+    (gr(v) - gr(alpha))/2 a non-negative integer."""
     checks = []
     bad = [(i, a) for i, a in enumerate(p.angles)
            if a > min(p.leaves[i], p.leaves[i + 1])]
@@ -59,24 +61,6 @@ def validate_profile(p: RootProfile) -> Diagnostics:
     off = [g for g in p.leaves + p.angles if ((g - base) / 2).denominator != 1]
     checks.append(("single coset of 2Z", not off,
                    "ok" if not off else f"grading {off[0]} not in {base} + 2Z"))
-    if not off:
-        # every merge exponent (gr(v) - gr(alpha))/2 is a non-negative integer
-        exps_ok = all((p.leaves[i] - p.angles[i]) % 2 == 0
-                      and (p.leaves[i + 1] - p.angles[i]) % 2 == 0
-                      for i in range(len(p.angles)))
-        checks.append(("integral U-exponents", exps_ok, "ok" if exps_ok else
-                       "leaf/angle difference not an even integer"))
-    if isinstance(p, SymmetricRootProfile):
-        # distinct J-invariant vertices are nested central intervals at distinct
-        # gradings, so uniqueness per grading is automatic in this encoding;
-        # record the check for the axiom list.
-        checks.append(("one J-invariant vertex per grading", True,
-                       "automatic for interval-encoded symmetric profiles"))
-    try:
-        reconstruct_tree(p)
-        checks.append(("tree reconstruction", True, "ok"))
-    except ValueError as e:
-        checks.append(("tree reconstruction", False, str(e)))
     return Diagnostics(tuple(checks))
 
 

@@ -5,14 +5,17 @@ the monotone subroot with one running minimum and one sorted sweep,
 compresses a tau stream run by run, and does GF(2) linear algebra on int
 bitsets.  These are the definitions those replace: dense Fraction
 elimination, the O(n^2) Pareto scan over ``mirror_merge``, the list-based
-extrema scan, the reduced row-echelon form of a numpy uint8 array, and the
-composition of maps stored as columns of explicit (row, U-exponent) pairs.
+extrema scan, the reduced row-echelon form of a numpy uint8 array, the
+composition of maps stored as columns of explicit (row, U-exponent) pairs,
+and the max-min and min-max correction-term bounds row by row over fresh
+prefix slices.
 """
 
 from fractions import Fraction
 
 import numpy as np
 
+from hfi.cterms import p_q_sequences
 from hfi.plumbing import PlumbingGraph, canonical_K, intersection_form
 from hfi.roots import SymmetricRootProfile, mirror_merge
 
@@ -178,3 +181,30 @@ def pair_mul(a, b) -> tuple[frozenset, ...]:
             acc ^= {(i, e + f) for i, f in a[k]}
         out.append(frozenset(acc))
     return tuple(out)
+
+
+def slice_d_lower_offset(st) -> int:
+    """max over k = 0..min(m, n) of min(P_0..P_k, Q_k), without Q_m when K = m."""
+    P, Q = p_q_sequences(st)
+    K = min(st.m, st.n)
+    rows = []
+    for k in range(K + 1):
+        entries = P[: k + 1]
+        if not (k == K and K == st.m):
+            entries = entries + [Q[k]]
+        rows.append(min(entries))
+    return max(rows)
+
+
+def slice_d_upper_offset(st) -> int:
+    """min over k = 0..min(m, n+1) of max(Q_0..Q_{k-1}, P_k), without P_{n+1}
+    when K = n + 1."""
+    P, Q = p_q_sequences(st)
+    K = min(st.m, st.n + 1)
+    rows = []
+    for k in range(K + 1):
+        entries = Q[:k]
+        if not (k == K and K == st.n + 1):
+            entries = entries + [P[k]]
+        rows.append(max(entries))
+    return min(rows)

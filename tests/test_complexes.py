@@ -176,11 +176,11 @@ def test_validate_finds_a_homotopy_when_iota_squared_is_not_id():
     assert c.n == 15
     mul, add = complexes.mat_mul, complexes.mat_add
     rng = random.Random(20170620)
-    K = tuple(rng.getrandbits(c.n) & col
-              for col in complexes._variable_map(c, c, 1, c.truncation))
+    exp = complexes.Expanded(c.gradings, c.diff, c.truncation, c.tau)
+    K = tuple(rng.getrandbits(c.n) & col for col in exp.below(exp.offsets, 1))
     iota = add(c.iota, add(mul(c.diff, K), mul(K, c.diff)))
     square_plus_id = add(mul(iota, iota), tuple(1 << j for j in range(c.n)))
-    below = complexes._variable_map(c, c, 0, c.truncation)
+    below = exp.below(exp.offsets, 0)
     assert any(col & keep for col, keep in zip(square_plus_id, below))
     diag = validate(dataclasses.replace(c, iota=iota))
     assert diag.ok, str(diag)
@@ -241,9 +241,44 @@ def test_homotopy_solver_agrees_with_the_exact_involution_shortcut():
         square_plus_id = add(mul(c.iota, c.iota), tuple(1 << j for j in range(c.n)))
         H = complexes.solve_homotopy(c, c, square_plus_id)
         assert H is not None and len(H) == c.n
-        below = complexes._variable_map(c, c, 0, c.truncation)
+        exp = complexes.Expanded(c.gradings, c.diff, c.truncation, c.tau)
+        below = exp.below(exp.offsets, 0)
         assert ([col & keep for col, keep in zip(add(mul(c.diff, H), mul(H, c.diff)), below)]
                 == [col & keep for col, keep in zip(square_plus_id, below)])
+
+
+def _mask_from_gradings(a, b, degree, N):
+    """Bit i of column j set iff (g_i - g_j - degree)/2, with g_i a grading
+    of b and g_j one of a, is an integer e with 0 <= e < N."""
+    def keep(gi, gj):
+        e = Fraction(gi - gj - degree, 2)
+        return e.denominator == 1 and 0 <= e < N
+
+    return tuple(sum(1 << i for i, gi in enumerate(b.gradings) if keep(gi, gj))
+                 for gj in a.gradings)
+
+
+def test_below_masks_match_the_gradings():
+    # the masks of every graded-map system are read off Expanded.present
+    singles = _involutive_complexes()
+    rng = random.Random(20170624)
+    pairs = [(c, c) for c in singles]
+    for _ in range(4):
+        a, b = rng.sample(singles[:3], 2)
+        pairs += [(a, dual(a)), (dual(a), a), (a, tensor(a, b)), (tensor(a, b), b)]
+    for a, b in pairs:
+        oa = complexes._offsets(a.gradings, a.tau)
+        for N in sorted({1, 2, a.truncation}):
+            eb = complexes.Expanded(b.gradings, b.diff, N, a.tau)
+            for degree in (-2, -1, 0, 1):
+                assert eb.below(oa, degree) == _mask_from_gradings(a, b, degree, N)
+
+
+def test_homotopy_onto_another_coset_is_refused():
+    a = trivial_complex()
+    b = iota_complex(["y"], ["1/2"], [[0]], [[1]], tau="1/2")
+    with pytest.raises(ValueError, match="grading 1/2"):
+        complexes.solve_homotopy(a, b, (0,))
 
 
 def _dropped_above_truncation():

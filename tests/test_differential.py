@@ -5,6 +5,8 @@
   elimination;
 - the running-minimum monotone subroot against the O(n^2) Pareto scan;
 - the run-by-run extrema compression against the list scan;
+- the running-minimum and running-maximum correction-term bounds against
+  their row-by-row prefix-slice definitions;
 - bitset GF(2) rank, kernel and affine solve against the dense reduced
   row-echelon form, vector for vector;
 - the Y-basis calculus against the iota-complex oracle: two small classes
@@ -25,7 +27,8 @@ from hypothesis import given, seed, settings, strategies as st
 
 from dense_reference import (compress_list, dense_is_negative_definite,
                              dense_k_squared, dense_kernel, dense_rank,
-                             dense_solve_affine, pareto_subroot_params)
+                             dense_solve_affine, pareto_subroot_params,
+                             slice_d_lower_offset, slice_d_upper_offset)
 from hfi import complexes, cterms, gf2
 from hfi.brieskorn import (BrieskornParams, _compress_to_profile,
                            negative_continued_fraction, seifert_invariants,
@@ -125,6 +128,35 @@ def test_linear_subroot_matches_pareto_definition(p):
 @given(st.lists(st.integers(-4, 4), max_size=40))
 def test_streamed_compression_matches_list_scan(taus):
     assert _compress_to_profile(iter(taus)) == compress_list(taus)
+
+
+@st.composite
+def st_profiles(draw):
+    """Weakly decreasing s and t lists."""
+    s, t = (draw(st.lists(st.integers(1, 9), max_size=12)) for _ in range(2))
+    return cterms.STProfile(tuple(sorted(s, reverse=True)),
+                            tuple(sorted(t, reverse=True)))
+
+
+def _assert_running_bounds_match(p):
+    assert cterms.d_lower_offset(p) == slice_d_lower_offset(p)
+    assert cterms.d_upper_offset_direct(p) == slice_d_upper_offset(p)
+
+
+@seed(20170625)
+@settings(max_examples=300, deadline=None)
+@given(st_profiles())
+def test_running_bounds_match_prefix_slices(p):
+    _assert_running_bounds_match(p)
+
+
+def test_running_bounds_match_prefix_slices_on_the_edge_rows():
+    # m = 0 and n = 0; the max-min bound's last row without Q_m (K = m, here
+    # m = n and m < n) and the min-max bound's without P_{n+1} (K = n + 1,
+    # here m = n + 1 and m > n + 1)
+    for s, t in (((), ()), ((), (3, 1)), ((4, 2), ()), ((2, 2), (2, 1)),
+                 ((5, 2), (3, 3, 1)), ((5, 3, 2), (4, 1)), ((5, 3, 2), (4,))):
+        _assert_running_bounds_match(cterms.STProfile(s, t))
 
 
 def test_reference_definitions_on_a_known_profile():

@@ -5,13 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+from hfi import complexes
 from hfi.cli import main
 from hfi.cterms import MAX_CLASS_WEIGHT
 from hfi.expr import (ExpressionAST, FileAtom, IAtom, MAtom, ParseError,
                       SigmaAtom, YAtom, parse)
 from hfi.localclass import I, Y
 from hfi.monotone import M, to_profile
-from hfi.report import evaluate_text
+from hfi.report import MAX_ORACLE_TRUNCATION, evaluate_text
 from hfi.roots import profile_to_text
 
 
@@ -138,6 +139,21 @@ def test_cli_eval_oracle_size_guard(capsys):
     # 3^12 generators is over the limit: refused, not attempted
     assert main(["eval", "12*Y(1)", "--oracle"]) == 1
     assert "generators" in capsys.readouterr().err
+
+
+def test_cli_eval_oracle_truncation_guard(capsys, monkeypatch):
+    # N = 100006 (from the gradings) and N = 100000 (given) are over the
+    # limit: refused before any expanded model is built
+    def no_model(*args):
+        raise AssertionError("an expanded model was built")
+
+    monkeypatch.setattr(complexes.Expanded, "__init__", no_model)
+    for argv, N in ((["Y(100000)"], 100006),
+                    (["Y(1)", "--truncation", "100000"], 100000)):
+        assert main(["eval", *argv, "--oracle"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"N = {N}" in err and str(MAX_ORACLE_TRUNCATION) in err
 
 
 def test_cli_root_output_and_decompose(tmp_path, capsys):
