@@ -6,8 +6,9 @@ graded-root profile, reduce it to its monotone subroot, and decompose the
 subroot in the Y-basis.
 """
 
-from hfi.brieskorn import (BrieskornParams, brieskorn_root, seifert_plumbing,
-                           tau_closed_form, tau_sequence)
+from hfi.brieskorn import (BrieskornParams, _compress_to_profile,
+                           brieskorn_root, seifert_plumbing, tau_closed_form,
+                           tau_sequence)
 from hfi.cterms import correction_terms
 from hfi.localclass import d_invariant, mu_bar
 from hfi.monotone import decompose, monotone_subroot
@@ -21,7 +22,8 @@ graph, center = seifert_plumbing(params)
 print("plumbing tree:")
 print(graph_to_text(graph))
 print("negative definite:", is_negative_definite(graph))
-print("K^2 + s =", k_squared(graph) + graph.n)
+q = k_squared(graph) + graph.n
+print("K^2 + s =", q)
 
 # Step 2: the tau sequence.  tau(v) is the Euler characteristic of the v-th
 # cycle in the generalized Laufer computation sequence; its local minima and
@@ -37,6 +39,15 @@ assert list(tau_closed_form(params, 40)) == taus
 profile = brieskorn_root(params)
 print("\nleaves:", profile.leaves)
 print("angles:", profile.angles)
+
+# Cross-engine check at the stopping point: tau is nondecreasing from
+# n = alpha on, so alpha + 1 Laufer steps on the plumbing tree give the
+# same leaves and angles as the closed-form pipeline.
+steps = params.a1 * params.a2 * params.a3 + 1
+leaf_taus, angle_taus = _compress_to_profile(tau_sequence(graph, center, steps))
+assert [-2 * t + q / 4 for t in leaf_taus] == list(profile.leaves)
+assert [-2 * t + q / 4 for t in angle_taus] == list(profile.angles)
+print(f"Laufer sequence over alpha + 1 = {steps} steps agrees")
 
 # Step 4: monotone subroot and Y-basis class.
 root = monotone_subroot(profile)

@@ -8,9 +8,8 @@ fraction of a_i/omega_i, where omega_i inverts -(alpha/a_i) mod a_i
 The graded root comes from the computation-sequence function tau: starting
 from the zero cycle, repeatedly add the central vertex and take the Laufer
 closure over the other vertices; tau(n) is the Euler characteristic chi of
-the n-th cycle.  Local minima of tau are the leaves, the maxima between them
-the angles, and tau-value t sits at grading -2t + (K^2 + s)/4 in the
-h-normalized convention (HF-minus gradings are 2 lower).
+the n-th cycle.  Local minima of tau are the leaves and the maxima between
+them the angles.
 
 For Seifert spheres the differences of tau have a closed form (Nemethi,
 "On the Ozsvath-Szabo invariant of negative definite plumbed
@@ -20,15 +19,49 @@ Floer absolute gradings from Seifert invariants", Algebr. Geom. Topol. 14
 
     Delta(n) = tau(n+1) - tau(n) = 1 + b0 n - sum_i ceil(n omega_i / a_i).
 
+Stopping rule.  Put b0 = (1 + sum_i omega_i alpha/a_i)/alpha into it:
+
+    Delta(n) = 1 + n/alpha - sum_i eps_i(n),
+    eps_i(n) = ceil(n omega_i/a_i) - n omega_i/a_i, in [0, 1).
+
+(1) With three fibres the eps_i sum to less than 3, so Delta(n) > n/alpha - 2.
+    Delta is an integer, so Delta >= -1 for every n >= 0 and Delta >= 0 for
+    n >= alpha: tau is nondecreasing from n = alpha, and every leaf and
+    angle lies in tau(0..alpha).
+(2) a_i divides alpha, so each ceiling grows by exactly alpha omega_i/a_i
+    when n grows by alpha, and b0 alpha - sum_i omega_i alpha/a_i = 1 (the
+    identity ``seifert_invariants`` checks at runtime).  So
+    Delta(n + alpha) = Delta(n) + 1: tau is quasi-periodic, tends to
+    infinity, and Delta(alpha) = Delta(0) + 1 = 2.
+So ``brieskorn_root`` streams alpha + 1 steps, tau(0..alpha+1), which end on
+a strict rise; every later step is >= 0 and only extends that last rising
+run, so the compression of this prefix is the profile of the whole
+sequence.  Fewer steps are refused: the proof does not cover them.
+
 Two tau engines are kept.  Production (``brieskorn_root``) uses the closed
-form, ``tau_closed_form``: O(alpha) integer steps streamed straight into
+form, ``tau_closed_form``: alpha + 1 integer steps streamed straight into
 the extrema compression, so memory is O(leaves).  The cross-check is
 ``tau_sequence``, the Laufer sequence on the plumbing tree itself; the
 tests compare the two step for step.  K^2 comes from one O(n) elimination
 along the tree (``plumbing.k_squared``).  alpha is capped at
-MAX_SIGMA_ALPHA: spheres near the cap took 1.0-1.6 s each with CPython
-3.11 on one core of a shared x86-64 server.  A larger sphere raises
-SigmaSizeError, a ValueError, before any tau step.
+MAX_SIGMA_ALPHA: five spheres with alpha between 999,294 and 999,985 took
+0.5-1.2 s each with CPython 3.11 on one core of a shared x86-64 server.  A
+larger sphere raises SigmaSizeError, a ValueError, before any tau step.
+
+Grading conventions.
+* h-normalized gradings (every profile, complex and class inside ``hfi``):
+  the 3-sphere's tower is topped at grading 0, so S^3 has
+  (d, d-bar, d-underbar) = (0, 0, 0).  HF-minus gradings are 2 lower; root
+  profile files use them, and the shift is applied once on read and once on
+  write (``hfi.cli``, ``hfi.report``).
+* tau-value t sits at grading -2t + (K^2 + s)/4, with K the canonical class
+  of the plumbing and s its number of vertices.  The offset (K^2 + s)/4 is
+  an even integer for a homology sphere: the intersection form is
+  unimodular and K is characteristic, so K^2 = signature = -s (mod 8) (van
+  der Blij), and K^2 + s is divisible by 8.  So every leaf and angle
+  grading is an even integer, computed in ints.
+* I[Delta] is a single tower starting at grading -Delta, so
+  d(I[Delta]) = -Delta and mu-bar(I[Delta]) = Delta/2 (``hfi.localclass``).
 
 Orientation: Sigma(a1, a2, a3) is oriented as the boundary of its
 negative-definite plumbing, i.e. as the link of the singularity
@@ -201,32 +234,32 @@ def brieskorn_root(b: BrieskornParams,
                    max_steps: int | None = None) -> SymmetricRootProfile:
     """Graded-root profile of Sigma(a1,a2,a3), h-normalized gradings.
 
-    The tau sequence is run until the central multiplicity passes 2*alpha
-    (plus margin) and the tail is strictly increasing well above the global
-    minimum, so the finite part of the root is complete: the last 33 values
-    must rise strictly and end at least 8 above the minimum.  The tail is
-    checked first, from its closed-form differences, and then the whole
-    sequence is streamed into the extrema compression.
+    Streams tau(0..max_steps) from the closed form into the extrema
+    compression; max_steps defaults to alpha + 1, the stopping rule proved
+    in the module docstring (Delta >= 0 from n = alpha on, and
+    Delta(alpha) = 2).  A larger max_steps gives the same profile, and a
+    smaller one raises RuntimeError.  Gradings are ints, -2t + (K^2 + s)/4,
+    since K^2 + s is divisible by 8; anything else raises AssertionError.
     """
     alpha = b.a1 * b.a2 * b.a3
     if alpha > MAX_SIGMA_ALPHA:
         raise SigmaSizeError(
             f"Sigma({b.a1},{b.a2},{b.a3}) has alpha = {alpha}, above the "
             f"limit MAX_SIGMA_ALPHA = {MAX_SIGMA_ALPHA}")
-    steps = max_steps or (2 * alpha + 16)
-    # The last min(32, steps) differences: when all are positive, the
-    # sequence ends at least 32 above its minimum, or for steps < 32 it rises
-    # from tau(0) = 0, its minimum, to their sum.
-    tail = list(_tau_deltas(b, max(0, steps - 32), steps))
-    if not (all(d > 0 for d in tail) and sum(tail) >= 8):
-        raise RuntimeError("tau sequence tail not clearly increasing; "
-                           "raise max_steps")
+    steps = alpha + 1 if max_steps is None else max_steps
+    if steps < alpha + 1:
+        raise RuntimeError(
+            f"max_steps = {steps} is below alpha + 1 = {alpha + 1}, the step "
+            "count the stopping rule needs; raise max_steps")
     leaf_taus, angle_taus = _compress_to_profile(tau_closed_form(b, steps))
     g, _ = seifert_plumbing(b)
-    offset = (k_squared(g) + g.n) / 4
-    leaves = [-2 * t + offset for t in leaf_taus]
-    angles = [-2 * t + offset for t in angle_taus]
-    return SymmetricRootProfile(tuple(leaves), tuple(angles))
+    q = k_squared(g) + g.n
+    if q.denominator != 1 or q.numerator % 8:
+        raise AssertionError(f"K^2 + s = {q} is not divisible by 8; "
+                             "not a homology sphere")
+    offset = q.numerator // 4
+    return SymmetricRootProfile(tuple([-2 * t + offset for t in leaf_taus]),
+                                tuple([-2 * t + offset for t in angle_taus]))
 
 
 def brieskorn_monotone(b: BrieskornParams) -> MonotoneRoot:

@@ -144,6 +144,13 @@ def test_insufficient_steps_raises():
         brieskorn_root(BrieskornParams(5, 8, 13), max_steps=10)
 
 
+def test_stopping_rule_is_alpha_plus_one_steps():
+    b = BrieskornParams(5, 8, 13)
+    with pytest.raises(RuntimeError):
+        brieskorn_root(b, max_steps=520)
+    assert brieskorn_root(b, max_steps=521) == brieskorn_root(b)
+
+
 def test_alpha_above_budget_raises_before_any_tau_step(monkeypatch):
     def no_tau(*args):
         raise AssertionError("a tau step ran")

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from dense_reference import expand_map, pair_mul
+import hfi
 from hfi import complexes
 from hfi.complexes import (correction_terms, dual, ensure_valid,
                            homology_ranks, iota_complex, locally_equivalent,
@@ -85,6 +86,18 @@ def test_local_map_exists_only_one_way():
     assert find_local_map(a, b) is not None
     assert find_local_map(b, a) is None
     assert not locally_equivalent(a, b)
+
+
+def test_local_map_search_above_its_size_limit_raises():
+    # this pair's system has 5 F-, 2 H- and 1 slack unknowns, 8 in all
+    a, b = std(0, -4), std(0, -2)
+    with pytest.raises(hfi.SearchSizeError) as e:
+        find_local_map(a, b, max_unknowns=7)
+    assert isinstance(e.value, RuntimeError)
+    msg = str(e.value)
+    assert all(s in msg for s in ("limit 7", "5 F-vars", "2 H-vars", "1 slack vars"))
+    assert find_local_map(a, b, max_unknowns=8) is not None
+    assert find_local_map(a, b) is not None
 
 
 def test_local_equivalence_is_reflexive():

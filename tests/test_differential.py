@@ -1,6 +1,8 @@
 """Differential tests: each fast production path against its slow definition.
 
 - closed-form tau against the Laufer computation sequence, step for step;
+- the alpha + 1 stopping rule of ``brieskorn_root`` against the old
+  2 alpha + 16 stopping point, with the two facts its proof rests on;
 - the tree elimination (K^2, negative definiteness) against dense Fraction
   elimination;
 - the running-minimum monotone subroot against the O(n^2) Pareto scan;
@@ -30,9 +32,10 @@ from dense_reference import (compress_list, dense_is_negative_definite,
                              dense_solve_affine, pareto_subroot_params,
                              slice_d_lower_offset, slice_d_upper_offset)
 from hfi import complexes, cterms, gf2
-from hfi.brieskorn import (BrieskornParams, _compress_to_profile,
-                           negative_continued_fraction, seifert_invariants,
-                           seifert_plumbing, tau_closed_form, tau_sequence)
+from hfi.brieskorn import (BrieskornParams, _compress_to_profile, _tau_deltas,
+                           brieskorn_root, negative_continued_fraction,
+                           seifert_invariants, seifert_plumbing,
+                           tau_closed_form, tau_sequence)
 from hfi.localclass import I, Y
 from hfi.monotone import monotone_subroot
 from hfi.plumbing import PlumbingGraph, is_negative_definite, k_squared
@@ -65,6 +68,24 @@ def test_closed_form_tau_matches_laufer_sequence(triple):
     g, center = seifert_plumbing(b)
     steps = 2 * math.prod(triple) + 16
     assert list(tau_closed_form(b, steps)) == tau_sequence(g, center, steps)
+
+
+@seed(20170626)
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(TRIPLES))
+def test_stopping_rule_at_alpha_plus_one(triple):
+    b = BrieskornParams(*triple)
+    alpha = math.prod(triple)
+    # quasi-periodicity: Delta(n + alpha) = Delta(n) + 1
+    assert list(_tau_deltas(b, alpha, 2 * alpha)) == [
+        d + 1 for d in _tau_deltas(b, 0, alpha)]
+    # tau is nondecreasing from n = alpha
+    assert all(d >= 0 for d in _tau_deltas(b, alpha, 2 * alpha + 16))
+    # the old stopping point, through the same parameter, gives the same root
+    assert brieskorn_root(b) == brieskorn_root(b, max_steps=2 * alpha + 16)
+    # the grading offset (K^2 + s)/4 is an even integer
+    g, _ = seifert_plumbing(b)
+    assert (k_squared(g) + g.n) % 8 == 0
 
 
 @seed(20170605)
