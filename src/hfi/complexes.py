@@ -7,7 +7,8 @@ correction terms (d, d-bar, d-under), and a feasibility search for local maps.
 Conventions
 -----------
 * U has degree -2; the differential has degree -1; the involution degree 0.
-* Gradings are exact ``Fraction``s, all congruent to ``tau`` mod 1; the
+* Gradings are exact, int or ``Fraction``, and keep the type they arrive
+  in, so no float appears; all are congruent to ``tau`` mod 1, and the
   U-inverted homology tower lives in ``tau + 2Z``.  That is the API; inside
   the expanded model (``Expanded``) a grading is the int offset from tau,
   and a grading outside ``tau + Z`` is refused with a ValueError that
@@ -46,7 +47,6 @@ Conventions
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -54,6 +54,7 @@ from itertools import chain
 from . import gf2
 
 Map = tuple[int, ...]
+Grading = int | Fraction
 
 
 class TruncationUnstableError(RuntimeError):
@@ -135,7 +136,7 @@ def mat_add(a: Map, b: Map) -> Map:
 
 def default_truncation(gradings) -> int:
     span = max(gradings) - min(gradings)
-    return int(math.ceil(span / 2)) + 6
+    return -(-span // 2) + 6
 
 
 DEGREE_CHECKS = (("differential degree -1", -1), ("iota degree 0", 0))
@@ -154,10 +155,10 @@ class IotaComplex:
     """
 
     labels: tuple[str, ...]
-    gradings: tuple[Fraction, ...]
+    gradings: tuple[Grading, ...]
     diff: Map
     iota: Map
-    tau: Fraction
+    tau: Grading
     truncation: int
     defects: tuple[tuple[str, str], ...] = ()
 
@@ -166,9 +167,9 @@ class IotaComplex:
         return len(self.labels)
 
 
-def graded_complex(labels, gradings, diff: Map, iota: Map, tau: Fraction,
+def graded_complex(labels, gradings, diff: Map, iota: Map, tau: Grading,
                    defects=()) -> IotaComplex:
-    """An IotaComplex from ``Fraction`` gradings and bit-column maps.
+    """An IotaComplex from exact gradings and bit-column maps.
 
     The maps are taken as graded: every bit is a term of the right degree.
     """
@@ -200,15 +201,14 @@ def iota_complex(labels, gradings, diff, iota, tau=None, truncation=None) -> Iot
 
 def trivial_complex(grading=0) -> IotaComplex:
     """One generator, zero differential, identity involution."""
-    g = Fraction(grading)
-    return graded_complex(("x",), (g,), (0,), (1,), g)
+    return graded_complex(("x",), (grading,), (0,), (1,), grading)
 
 
 # ---------------------------------------------------------------------------
 # expanded GF(2) model: basis {U^k x_i : 0 <= k < N}
 
 
-def _offsets(gradings, base: Fraction) -> list[int]:
+def _offsets(gradings, base: Grading) -> list[int]:
     """The gradings as int offsets from base, in integer arithmetic.
 
     Raises ValueError naming the first grading that is not in base + Z.
@@ -244,7 +244,7 @@ class Expanded:
     """
 
     def __init__(self, gradings, diff: Map, truncation: int, tau):
-        self.base = Fraction(tau)
+        self.base = tau
         self.offsets = off = _offsets(gradings, self.base)
         self.n = len(off)
         self.N = N = truncation
@@ -272,7 +272,7 @@ class Expanded:
     def offset(self, g) -> int:
         return _offsets([Fraction(g)], self.base)[0]
 
-    def grading(self, t: int) -> Fraction:
+    def grading(self, t: int) -> Grading:
         return self.base + t
 
     def below(self, offsets, degree: int) -> Map:
@@ -483,7 +483,7 @@ class ConeComplex:
 
     base: IotaComplex
     labels: tuple[str, ...]
-    gradings: tuple[Fraction, ...]
+    gradings: tuple[Grading, ...]
     diff: Map
 
     @property
@@ -507,7 +507,7 @@ def mapping_cone(a: IotaComplex) -> ConeComplex:
 # homology ranks
 
 
-def homology_ranks(c, window, truncation: int | None = None) -> dict[Fraction, int]:
+def homology_ranks(c, window, truncation: int | None = None) -> dict[Grading, int]:
     """Exact GF(2) homology dimensions at the gradings in ``window``.
 
     ``c`` may be an IotaComplex or a ConeComplex.  Gradings outside the
@@ -517,7 +517,7 @@ def homology_ranks(c, window, truncation: int | None = None) -> dict[Fraction, i
         raise TypeError(f"not a complex: {c!r}")
     base = c if isinstance(c, IotaComplex) else c.base
     exp = Expanded(c.gradings, c.diff, truncation or base.truncation, base.tau)
-    return {Fraction(g): exp.homology_dim(exp.offset(g)) for g in window}
+    return {g: exp.homology_dim(exp.offset(g)) for g in window}
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +528,7 @@ def homology_ranks(c, window, truncation: int | None = None) -> dict[Fraction, i
 # and reduces U^m (cycles at r) against that basis for every r.
 
 
-def _d_scan(exp: Expanded) -> Fraction:
+def _d_scan(exp: Expanded) -> Grading:
     """Top of the U-inverted tower of H(C), from the model ``exp`` of C."""
     probe = exp.probe(0)
     B0 = gf2.Echelon(exp.boundaries(probe).cols)
@@ -541,7 +541,7 @@ def _d_scan(exp: Expanded) -> Fraction:
     raise RuntimeError("no tower class found; complex violates the tower axiom")
 
 
-def _cone_scans(c: IotaComplex, base: Expanded) -> tuple[Fraction, Fraction]:
+def _cone_scans(c: IotaComplex, base: Expanded) -> tuple[Grading, Grading]:
     """(d-bar, d-under) from the mapping cone, h-normalized convention.
 
     ``base`` is the model of C at the truncation wanted; its cycles give
@@ -576,7 +576,7 @@ def _cone_scans(c: IotaComplex, base: Expanded) -> tuple[Fraction, Fraction]:
 
 
 def correction_terms(c: IotaComplex,
-                     truncation: int | None = None) -> tuple[Fraction, Fraction, Fraction]:
+                     truncation: int | None = None) -> tuple[Grading, Grading, Grading]:
     """(d, d-bar, d-under), exact, stable under truncation refinement.
 
     The trivial complex returns (0, 0, 0).  Results are computed at N and at
@@ -783,7 +783,7 @@ def complex_to_json(c: IotaComplex) -> dict:
     def mat(m: Map, degree: int) -> list:
         """Row i, column j: [e] if U^e x_i is the x_i-term of the image of x_j, else []."""
         g = c.gradings
-        return [[[int((g[i] - g[j] - degree) / 2)] if m[j] >> i & 1 else []
+        return [[[(g[i] - g[j] - degree) // 2] if m[j] >> i & 1 else []
                  for j in range(c.n)] for i in range(c.n)]
 
     return {

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .localclass import LocalClass, Y, d_invariant, mu_bar, neg
+from .roots import rational
 
 MAX_CLASS_WEIGHT = 12_000
 
@@ -202,8 +203,8 @@ def realization_family(M: int, N: int, d, mu_bar_target, k: int = 0) -> LocalCla
     if M == 0 and N == 0:
         raise ValueError("d-bar = d = d-under admits only the trivial class; "
                          "need M, N not both zero")
-    d = Fraction(d)
-    mu = Fraction(mu_bar_target)
+    d = rational(d)
+    mu = rational(mu_bar_target)
     if (d / 2).denominator != 1 or mu.denominator != 1:
         raise ValueError("need an even integer d and an integer mu-bar")
     if k < 0:

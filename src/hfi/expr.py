@@ -127,8 +127,12 @@ class _Scanner:
         m = re.match(r"-?\d+(/\d+)?", self.text[self.pos:])
         if not m:
             raise ParseError("expected a rational (p or p/q)", self.pos)
+        try:
+            value = Fraction(m.group())
+        except ZeroDivisionError:
+            raise ParseError(f"zero denominator in {m.group()}", self.pos) from None
         self.pos += m.end()
-        return Fraction(m.group())
+        return value
 
 
 def _parse_atom(s: _Scanner) -> Atom:

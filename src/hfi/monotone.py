@@ -10,16 +10,16 @@ that is locally equivalent to it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
+from .complexes import Grading
 from .localclass import LocalClass
 from .roots import SymmetricRootProfile
 
-Params = tuple[tuple[Fraction, Fraction], ...]
+Params = tuple[tuple[Grading, Grading], ...]
 
 
 def _normalize_params(params) -> Params:
-    out = tuple((Fraction(h), Fraction(r)) for h, r in params)
+    out = tuple((h, r) for h, r in params)
     if not out:
         raise ValueError("a root needs at least one (h, r) pair")
     base = out[0][0]
@@ -74,7 +74,7 @@ def M(*pairs) -> MonotoneRoot:
     return MonotoneRoot(tuple(pairs))
 
 
-def delta_tilde(m: MonotoneRoot) -> Fraction:
+def delta_tilde(m: MonotoneRoot) -> Grading:
     """h_1 - r_1 of a type-one (projective) root."""
     if m.type != 1:
         raise ValueError(f"delta-tilde is defined for type-one roots, got type {m.type}")
@@ -130,26 +130,10 @@ def monotone_subroot(p: SymmetricRootProfile) -> MonotoneRoot:
 
 
 def simplify_weak(w: WeaklyMonotoneRoot) -> MonotoneRoot:
-    """Delete redundant parameter pairs until the root is strictly monotone.
-
-    When h_i = h_{i+1} the pair (h_i, r_i) is deleted; when r_i = r_{i+1}
-    (with h already strict there) the pair (h_{i+1}, r_{i+1}) is deleted —
-    the same collapses the Pareto-frontier rule performs.
-    """
-    params = list(w.params)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(params) - 1):
-            if params[i][0] == params[i + 1][0]:
-                del params[i]
-                changed = True
-                break
-            if params[i][1] == params[i + 1][1]:
-                del params[i + 1]
-                changed = True
-                break
-    return MonotoneRoot(tuple(params))
+    """The monotone root locally equivalent to a weakly monotone one: the
+    monotone subroot of its profile, whose Pareto frontier drops each pair
+    that an equal h or r makes redundant."""
+    return monotone_subroot(to_profile(w))
 
 
 def swap(x: WeaklyMonotoneRoot, y: WeaklyMonotoneRoot,
@@ -189,10 +173,10 @@ def decompose(m: MonotoneRoot) -> LocalClass:
     """
     coeffs: dict[int, int] = {}
 
-    def bump(idx: Fraction, amount: int):
+    def bump(idx: Grading, amount: int):
         if idx % 2 != 0:
             raise ValueError("parameter difference not an even integer")
-        i = int(idx) // 2
+        i = idx // 2
         if i:
             coeffs[i] = coeffs.get(i, 0) + amount
 

@@ -137,13 +137,13 @@ def is_negative_definite(g: PlumbingGraph) -> bool:
     return all(d < 0 for d in pivots)
 
 
-def chi(g: PlumbingGraph, x: list[int]) -> Fraction:
-    """chi(x) = -( <x, x> + <K, x> ) / 2."""
+def chi(g: PlumbingGraph, x: list[int]) -> int:
+    """chi(x) = -( <x, x> + <K, x> ) / 2, an integer since K is characteristic."""
     idx = {v: i for i, (v, _) in enumerate(g.vertices)}
     xx = (sum(w * xi * xi for w, xi in zip(g.weights(), x))
           + 2 * sum(x[idx[a]] * x[idx[b]] for a, b in g.edges))
     kx = sum(k * xi for k, xi in zip(canonical_K(g), x))
-    return Fraction(-(xx + kx), 2)
+    return -(xx + kx) // 2
 
 
 def laufer_closure(weights: list[int], adj: list[list[int]], pairing: list[int],

@@ -8,7 +8,8 @@ generators beyond U-powers, so only the finite top part is stored.
 The standard complex of a symmetric profile has one generator per leaf (at
 the leaf grading) and one per angle (at gr(alpha)+1), with
 d(alpha_i) = U^{(gr(v_i)-gr(alpha_i))/2} v_i + U^{(gr(v_{i+1})-gr(alpha_i))/2} v_{i+1}
-and the reflection involution J_0.
+and the reflection involution J_0.  Gradings keep the exact type they are
+given in, int or ``Fraction`` (the convention of ``hfi.complexes``).
 """
 
 from __future__ import annotations
@@ -16,17 +17,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import Diagnostics, IotaComplex, graded_complex
+from .complexes import Diagnostics, Grading, IotaComplex, graded_complex
 
 
 @dataclass(frozen=True)
 class RootProfile:
-    leaves: tuple[Fraction, ...]
-    angles: tuple[Fraction, ...]
+    leaves: tuple[Grading, ...]
+    angles: tuple[Grading, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "leaves", tuple(Fraction(g) for g in self.leaves))
-        object.__setattr__(self, "angles", tuple(Fraction(g) for g in self.angles))
+        object.__setattr__(self, "leaves", tuple(self.leaves))
+        object.__setattr__(self, "angles", tuple(self.angles))
         if len(self.leaves) < 1:
             raise ValueError("a profile needs at least one leaf")
         if len(self.angles) != len(self.leaves) - 1:
@@ -58,7 +59,7 @@ def validate_profile(p: RootProfile) -> Diagnostics:
                    "ok" if not bad else f"angle {bad[0][0] + 1} at {bad[0][1]} "
                    f"exceeds an adjacent leaf"))
     base = p.leaves[0]
-    off = [g for g in p.leaves + p.angles if ((g - base) / 2).denominator != 1]
+    off = [g for g in p.leaves + p.angles if (g - base) % 2]
     checks.append(("single coset of 2Z", not off,
                    "ok" if not off else f"grading {off[0]} not in {base} + 2Z"))
     return Diagnostics(tuple(checks))
@@ -66,7 +67,7 @@ def validate_profile(p: RootProfile) -> Diagnostics:
 
 @dataclass(frozen=True)
 class TreeVertex:
-    grading: Fraction
+    grading: Grading
     span: tuple[int, int]  # 1-indexed inclusive leaf interval
 
 
@@ -92,7 +93,7 @@ def reconstruct_tree(p: RootProfile) -> list[TreeVertex]:
     return sorted(verts, key=lambda v: (-v.grading, v.span))
 
 
-def merge_grading(p: RootProfile, i: int, j: int) -> Fraction:
+def merge_grading(p: RootProfile, i: int, j: int) -> Grading:
     """Grading where leaves i and j (1-indexed) merge: min intervening angle."""
     if not (1 <= i <= j <= p.n):
         raise IndexError("leaf indices out of range")
@@ -101,7 +102,7 @@ def merge_grading(p: RootProfile, i: int, j: int) -> Fraction:
     return min(p.angles[i - 1:j - 1])
 
 
-def mirror_merge(p: SymmetricRootProfile, i: int) -> Fraction:
+def mirror_merge(p: SymmetricRootProfile, i: int) -> Grading:
     """Grading of the first J-invariant vertex on the path from leaf i.
 
     For a leaf in the left half this is min over the mirror-spanning angles
@@ -135,7 +136,7 @@ def standard_complex(p: SymmetricRootProfile) -> IotaComplex:
 # profile text format
 
 
-def profile_to_text(p: RootProfile, coset: Fraction | None = None) -> str:
+def profile_to_text(p: RootProfile, coset: Grading | None = None) -> str:
     lines = []
     if coset is None:
         coset = p.leaves[0] % 2
@@ -148,6 +149,14 @@ def profile_to_text(p: RootProfile, coset: Fraction | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def rational(value) -> Fraction:
+    """``Fraction(value)`` for outside text; a zero denominator is a ValueError."""
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None
+
+
 def profile_from_text(text: str, symmetric: bool = True) -> RootProfile:
     coset = None
     leaves: list[Fraction] | None = None
@@ -157,7 +166,7 @@ def profile_from_text(text: str, symmetric: bool = True) -> RootProfile:
         if not line:
             continue
         key, _, rest = line.partition(":")
-        vals = [Fraction(tok) for tok in rest.split()]
+        vals = [rational(tok) for tok in rest.split()]
         key = key.strip().lower()
         if key == "coset":
             coset = vals[0] if vals else None

@@ -4,8 +4,9 @@ The production code eliminates the intersection form along the tree, takes
 the monotone subroot with one running minimum and one sorted sweep,
 compresses a tau stream run by run, and does GF(2) linear algebra on int
 bitsets.  These are the definitions those replace: dense Fraction
-elimination, the O(n^2) Pareto scan over ``mirror_merge``, the list-based
-extrema scan, the reduced row-echelon form of a numpy uint8 array, the
+elimination, the O(n^2) Pareto scan over ``mirror_merge``, the pair-deleting
+restart loop that simplifies a weakly monotone root, the list-based extrema
+scan, the reduced row-echelon form of a numpy uint8 array, the
 composition of maps stored as columns of explicit (row, U-exponent) pairs,
 and the max-min and min-max correction-term bounds row by row over fresh
 prefix slices.
@@ -16,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from hfi.cterms import p_q_sequences
+from hfi.monotone import MonotoneRoot, WeaklyMonotoneRoot
 from hfi.plumbing import PlumbingGraph, canonical_K, intersection_form
 from hfi.roots import SymmetricRootProfile, mirror_merge
 
@@ -81,6 +83,29 @@ def pareto_subroot_params(p: SymmetricRootProfile) -> tuple:
                            for other in pairs)]
     frontier.sort(key=lambda hc: -hc[0])
     return tuple(frontier)
+
+
+def restart_simplify_weak(w: WeaklyMonotoneRoot) -> MonotoneRoot:
+    """Delete redundant parameter pairs until the root is strictly monotone.
+
+    When h_i = h_{i+1} the pair (h_i, r_i) is deleted; when r_i = r_{i+1}
+    (with h already strict there) the pair (h_{i+1}, r_{i+1}) is deleted.
+    The scan restarts from the left after each deletion.
+    """
+    params = list(w.params)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(params) - 1):
+            if params[i][0] == params[i + 1][0]:
+                del params[i]
+                changed = True
+                break
+            if params[i][1] == params[i + 1][1]:
+                del params[i + 1]
+                changed = True
+                break
+    return MonotoneRoot(tuple(params))
 
 
 def compress_list(taus: list[int]) -> tuple[list[int], list[int]]:

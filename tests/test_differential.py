@@ -6,6 +6,8 @@
 - the tree elimination (K^2, negative definiteness) against dense Fraction
   elimination;
 - the running-minimum monotone subroot against the O(n^2) Pareto scan;
+- ``simplify_weak`` (the monotone subroot of the profile) against the
+  pair-deleting restart loop, in the cosets 0, 1 and 1/2 of 2Z;
 - the run-by-run extrema compression against the list scan;
 - the running-minimum and running-maximum correction-term bounds against
   their row-by-row prefix-slice definitions;
@@ -22,7 +24,7 @@ Seeds are fixed and example counts bounded, so the suite stays fast.
 import math
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 
 import numpy as np
 from hypothesis import given, seed, settings, strategies as st
@@ -30,14 +32,15 @@ from hypothesis import given, seed, settings, strategies as st
 from dense_reference import (compress_list, dense_is_negative_definite,
                              dense_k_squared, dense_kernel, dense_rank,
                              dense_solve_affine, pareto_subroot_params,
-                             slice_d_lower_offset, slice_d_upper_offset)
+                             restart_simplify_weak, slice_d_lower_offset,
+                             slice_d_upper_offset)
 from hfi import complexes, cterms, gf2
 from hfi.brieskorn import (BrieskornParams, _compress_to_profile, _tau_deltas,
                            brieskorn_root, negative_continued_fraction,
                            seifert_invariants, seifert_plumbing,
                            tau_closed_form, tau_sequence)
 from hfi.localclass import I, Y
-from hfi.monotone import monotone_subroot
+from hfi.monotone import WeaklyMonotoneRoot, monotone_subroot, simplify_weak
 from hfi.plumbing import PlumbingGraph, is_negative_definite, k_squared
 from hfi.report import class_complex
 from hfi.roots import SymmetricRootProfile
@@ -142,6 +145,27 @@ def symmetric_profiles(draw):
 @given(symmetric_profiles())
 def test_linear_subroot_matches_pareto_definition(p):
     assert monotone_subroot(p).params == pareto_subroot_params(p)
+
+
+@st.composite
+def weakly_monotone_roots(draw):
+    """Weakly monotone roots of 1..9 pairs in the coset 0, 1 or 1/2 of 2Z,
+    with repeated h and r values and h_n = r_n both likely."""
+    coset = draw(st.sampled_from([0, 1, Fraction(1, 2)]))
+    n = draw(st.integers(1, 9))
+    steps = st.lists(st.integers(0, 2), min_size=n, max_size=n)
+    rs = list(accumulate(draw(steps)))
+    hs = list(accumulate(draw(steps)))[::-1]
+    lift = rs[-1] - hs[-1] + draw(st.integers(0, 2))  # h_n >= r_n
+    return WeaklyMonotoneRoot(tuple((coset + 2 * (h + lift), coset + 2 * r)
+                                    for h, r in zip(hs, rs)))
+
+
+@seed(20170627)
+@settings(max_examples=300, deadline=None)
+@given(weakly_monotone_roots())
+def test_simplify_weak_matches_the_restart_loop(w):
+    assert simplify_weak(w) == restart_simplify_weak(w)
 
 
 @seed(20170608)

@@ -7,13 +7,13 @@ import pytest
 
 from hfi import complexes
 from hfi.cli import main
-from hfi.cterms import MAX_CLASS_WEIGHT
+from hfi.cterms import MAX_CLASS_WEIGHT, realization_family
 from hfi.expr import (ExpressionAST, FileAtom, IAtom, MAtom, ParseError,
                       SigmaAtom, YAtom, parse)
 from hfi.localclass import I, Y
 from hfi.monotone import M, to_profile
 from hfi.report import MAX_ORACLE_TRUNCATION, evaluate_text
-from hfi.roots import profile_to_text
+from hfi.roots import profile_from_text, profile_to_text
 
 
 # ---------------------------------------------------------------- grammar
@@ -232,6 +232,9 @@ def test_cli_eval_file_atom(tmp_path, capsys):
     ["root", "sigma", "2", "3", "5", "-o", "/nonexistent/d/out"],
     ["eval", "99999999999*Y(1)"],  # weight sum |c_i| above MAX_CLASS_WEIGHT
     ["eval", "1000000*Y(1) - 1000000*Y(2)"],
+    ["eval", "I[1/0]"],  # zero denominators
+    ["eval", "M(1/0,0)"],
+    ["family", "--M", "1", "--N", "1", "--d", "1/0", "--mu", "0"],
 ])
 def test_cli_invalid_input_exits_2_with_message(argv, capsys):
     assert main(argv) == 2
@@ -240,3 +243,27 @@ def test_cli_invalid_input_exits_2_with_message(argv, capsys):
     err = captured.err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["decompose", "{profile}"], ["eval", "@{profile}"]],
+                         ids=["decompose", "eval-file-atom"])
+def test_cli_zero_denominator_in_a_profile_file_exits_2(argv, tmp_path, capsys):
+    profile = tmp_path / "root.txt"
+    profile.write_text("coset: 0\nleaves: 1/0\nangles:\n")
+    assert main([a.format(profile=profile) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "1/0" in err and "Traceback" not in err
+
+
+def test_zero_denominator_errors_name_the_token():
+    text = "Y(1) + I[ 3/0]"
+    with pytest.raises(ParseError) as e:
+        parse(text)
+    assert e.value.position == text.index("3/0") and "3/0" in str(e.value)
+    with pytest.raises(ValueError, match="'-1/0'"):
+        profile_from_text("leaves: 0 -1/0 0\nangles: -2 -2\n")
+    with pytest.raises(ValueError, match="'5/0'"):
+        realization_family(1, 1, "5/0", 0)

@@ -1,10 +1,17 @@
-"""Symmetric graded-root profiles and their standard complexes."""
+"""Symmetric graded-root profiles, their standard complexes, and exact gradings."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
-from hfi.complexes import correction_terms, homology_ranks, validate
+from hfi import cterms
+from hfi.brieskorn import BrieskornParams, brieskorn_root, seifert_plumbing
+from hfi.complexes import (complex_to_json, correction_terms, homology_ranks,
+                           validate)
+from hfi.monotone import M, MonotoneRoot, decompose, monotone_subroot
+from hfi.plumbing import chi, minimal_cycle
+from hfi.report import class_complex, evaluate_text
 from hfi.roots import (RootProfile, SymmetricRootProfile, merge_grading,
                        mirror_merge, profile_from_text, profile_to_text,
                        reconstruct_tree, standard_complex, validate_profile)
@@ -108,3 +115,57 @@ def test_standard_complex_homology_matches_tree_rank_function():
         alive = sum(1 for v in p.leaves if v >= g)
         merged = sum(1 for a in p.angles if a >= g)
         assert ranks[g] == max(alive - merged, 1 if g <= min(p.angles) else 0)
+
+
+# ---------------------------------------------------------------------------
+# exact gradings: kept in the type they arrive in, never a float
+
+
+def _floats(obj) -> list:
+    """Every float inside obj, walking tuples, lists, dicts and dataclasses."""
+    if isinstance(obj, float):
+        return [obj]
+    if dataclasses.is_dataclass(obj):
+        obj = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+    elif isinstance(obj, dict):
+        obj = [*obj.keys(), *obj.values()]
+    elif not isinstance(obj, (list, tuple)):
+        return []
+    return [x for item in obj for x in _floats(item)]
+
+
+def test_int_gradings_stay_ints_and_no_float_appears():
+    p = brieskorn_root(BrieskornParams(2, 7, 15))
+    root = monotone_subroot(p)
+    c = standard_complex(p)
+    assert all(type(g) is int for g in p.leaves + p.angles)
+    assert all(type(x) is int for pair in root.params for x in pair)
+    assert all(type(g) is int for g in c.gradings + (c.tau,))
+    terms = correction_terms(c)
+    assert all(type(t) is int for t in terms)
+    cls = decompose(root)
+    oracle = class_complex(cls)
+    report = evaluate_text("Sigma(2,7,15) + Y(2) - Y(1) + I[2]", oracle=True)
+    values = [p, root, cls, c, terms, cterms.correction_terms(cls),
+              correction_terms(oracle), complex_to_json(c), complex_to_json(oracle),
+              report, report.to_json()]
+    assert _floats(values) == []
+
+
+def test_profiles_and_roots_from_ints_fractions_and_lists_are_equal():
+    fractions = (tuple(map(Fraction, FIG_LEAVES)), tuple(map(Fraction, FIG_ANGLES)))
+    profiles = [SymmetricRootProfile(FIG_LEAVES, FIG_ANGLES),
+                SymmetricRootProfile(*fractions),
+                SymmetricRootProfile(list(FIG_LEAVES), list(FIG_ANGLES))]
+    roots = [M(4, 0, 2, 2), M((Fraction(4), Fraction(0)), (Fraction(2), Fraction(2))),
+             MonotoneRoot([[4, 0], [2, 2]])]
+    for same in (profiles, roots, [monotone_subroot(p) for p in profiles]):
+        assert all(x == same[0] for x in same)
+        assert len({hash(x) for x in same}) == 1
+
+
+def test_chi_is_an_int():
+    g, _ = seifert_plumbing(BrieskornParams(2, 3, 5))
+    x = minimal_cycle(g)
+    assert type(chi(g, x)) is int and chi(g, x) == 1
+    assert type(chi(g, [0] * g.n)) is int
