@@ -40,18 +40,24 @@ Conventions
   refinement is the computable proxy for working over the untruncated ring).
 * Chains: a generator x_i contributes at most one basis element U^k x_i to
   a grading, so a chain at a grading is an int with bit i set for x_i (see
-  ``gf2``), just like a map column.  U^m is a mask, Q.(chains of C) in the
-  mapping cone is a shift by n, and the local-map and homotopy searches are
-  int-column systems.
+  ``gf2``), just like a map column.  U^m is a mask, and Q.(chains of C) in
+  the mapping cone is a shift by n.  The local-map and homotopy searches
+  are int-column systems in Kronecker layout (``_System``): the equation
+  for entry (i, j) of a map into n generators is bit j.n + i, since
+  vec(L.X + X.R) = (I (x) L + R^T (x) I) vec X, and each unknown's column
+  is a few shifts and one mask.  The row numbering does not change the
+  solution, which depends only on the order of the unknowns.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
 from . import gf2
+from .localclass import rational
 
 Map = tuple[int, ...]
 Grading = int | Fraction
@@ -184,7 +190,7 @@ def iota_complex(labels, gradings, diff, iota, tau=None, truncation=None) -> Iot
     ``validate`` to report; a negative exponent raises ValueError.
     """
     labels = tuple(labels)
-    gradings = tuple(Fraction(g) for g in gradings)
+    gradings = tuple(map(rational, gradings))
     if len(gradings) != len(labels):
         raise ValueError("labels/gradings length mismatch")
     maps, defects = [], []
@@ -193,7 +199,7 @@ def iota_complex(labels, gradings, diff, iota, tau=None, truncation=None) -> Iot
         maps.append(bits)
         if defect is not None:
             defects.append((check, defect))
-    tau = gradings[0] if tau is None else Fraction(tau)
+    tau = gradings[0] if tau is None else rational(tau)
     if truncation is None:
         truncation = default_truncation(gradings)
     return IotaComplex(labels, gradings, *maps, tau, truncation, tuple(defects))
@@ -225,6 +231,28 @@ def _offsets(gradings, base: Grading) -> list[int]:
     return off
 
 
+class _Basis(Mapping):
+    """``Expanded.basis``: a read-only mapping over the keys of ``present``
+    whose value at t, built on first read, is ``build(t)``."""
+
+    def __init__(self, present: dict[int, int], build):
+        self.present, self.build, self.built = present, build, {}
+
+    def __getitem__(self, t: int) -> tuple[int, ...]:
+        b = self.built.get(t)
+        if b is None:
+            if t not in self.present:
+                raise KeyError(t)
+            b = self.built[t] = self.build(t)
+        return b
+
+    def __iter__(self):
+        return iter(self.present)
+
+    def __len__(self) -> int:
+        return len(self.present)
+
+
 class Expanded:
     """The truncated complex as one GF(2) chain group per grading.
 
@@ -234,7 +262,9 @@ class Expanded:
     grading, so a chain there is an int with bit i for x_i:
 
     * ``present[t]`` is the chain group at t as such a mask, and ``basis[t]``
-      lists its generators in increasing order;
+      lists its generators in increasing order; ``basis`` is a read-only
+      mapping over the keys of ``present`` that builds each tuple on its
+      first read, since a scan or search reads only a few gradings;
     * ``dbits`` is the differential as given, a graded bit-column ``Map``:
       the boundary of U^k x_j at t is ``dbits[j]`` masked by
       ``present[t - 1]``, which drops the terms U^(k+e) x_i with k + e >= N;
@@ -258,14 +288,13 @@ class Expanded:
             groups.setdefault(t, []).append(i)
         masks = {t: sum(1 << i for i in gens) for t, gens in groups.items()}
         self.present: dict[int, int] = {}
-        self.basis: dict[int, tuple[int, ...]] = {}
         for t in range(self.top, self.bottom - 2 * N + 1, -1):
             # present[t] = masks[t] + masks[t+2] + ... + masks[t + 2N - 2]
             mask = self.present.get(t + 2, 0) ^ masks.get(t, 0) ^ masks.get(t + 2 * N, 0)
             if mask:
                 self.present[t] = mask
-                self.basis[t] = tuple(sorted(chain.from_iterable(
-                    groups.get(t + 2 * k, ()) for k in range(N))))
+        self.basis = _Basis(self.present, lambda t: tuple(sorted(chain.from_iterable(
+            groups.get(t + 2 * k, ()) for k in range(N)))))
         self._bmat: dict[int, gf2.Matrix] = {}
         self._cycles: dict[int, gf2.Matrix] = {}
 
@@ -283,7 +312,7 @@ class Expanded:
         return tuple(present.get(t + degree, 0) for t in offsets)
 
     def dim(self, t: int) -> int:
-        return len(self.basis.get(t, ()))
+        return self.present.get(t, 0).bit_count()
 
     def boundary_matrix(self, t: int) -> gf2.Matrix:
         """Matrix of the differential from offset t to t-1, one column per basis[t]."""
@@ -605,78 +634,68 @@ def correction_terms(c: IotaComplex,
 
 
 class _System:
-    """An affine GF(2) system assembled from symbolic variables.
+    """An affine GF(2) system in the entries of unknown maps X: a -> b.
 
-    Equations and unknowns are numbered in order of first use.  Column v is
-    an int with bit r set when unknown v occurs in equation r, and the
-    right-hand side is an int over the equations in the same way.
+    The unknowns are the entries that the masks given to the constructor
+    allow, map by map and, within a map, by row i, then column j.  The
+    solution sets free unknowns to 0, so this order fixes which solution is
+    returned.  The equations are in Kronecker layout: entry (i, j) of a
+    product block that starts at bit ``base`` is bit base + j.n + i, where n
+    is the number of generators of b.  That is vec(L.X + X.R) =
+    (I (x) L + R^T (x) I) vec X, so the column of X[i, j] is L[i] shifted to
+    column j of the block plus S[j] shifted to row i, where S[j] marks the
+    columns c of R that contain j.  Rows that no kept entry reaches stay
+    zero.  The row numbering does not change the solution: for a fixed
+    column order the pivot columns, and so the solution with free unknowns
+    zero, depend only on the linear dependences among the columns.
     """
 
-    def __init__(self):
-        self.vars: dict = {}
-        self.eqs: dict = {}
-        self.cols: list[int] = []
-        self.rhs = 0
+    def __init__(self, n: int, *masks: Map):
+        self.n = n
+        self.keys = [sorted((i, j) for j, col in enumerate(X) for i in _bits(col))
+                     for X in masks]
+        self.cols = [[0] * len(keys) for keys in self.keys]
+        self.widths = [len(X) for X in masks]
+        self.nrows = 0
 
-    def var(self, key) -> int:
-        v = self.vars.setdefault(key, len(self.vars))
-        if v == len(self.cols):
-            self.cols.append(0)
-        return v
+    def add_products(self, base: int, L: Map, x: int, R: Map, below: Map) -> None:
+        """Add the entries of L.X + X.R that ``below`` keeps to the block at ``base``.
 
-    def eq(self, key) -> int:
-        return self.eqs.setdefault(key, len(self.eqs))
-
-    def toggle(self, eq_key, var_key):
-        self.cols[self.var(var_key)] ^= 1 << self.eq(eq_key)
-
-    def set_rhs(self, eq_key):
-        """Set the right-hand side of an equation to 1 (it is 0 until set)."""
-        self.rhs |= 1 << self.eq(eq_key)
-
-    def declare(self, name, X: Map) -> None:
-        """Register the entries of the variable map X, row by row.
-
-        The solution sets free unknowns to 0, so which solution is returned
-        depends on the unknowns' order; declaring them up front fixes it.
+        X is the x-th unknown map, and bit i of column j of X is the
+        coefficient, 0 or 1, of x_i in X(x_j).  ``below`` masks the entries
+        of the product's degree that lie below U^N: it is ``Expanded.below``
+        of the target's model, read off ``Expanded.present``.  The block has
+        one column per column of ``below``.
         """
-        for i, j in sorted((i, j) for j, col in enumerate(X) for i in _bits(col)):
-            self.var((name, i, j))
+        n = self.n
+        S = [0] * self.widths[x]
+        for c, col in enumerate(R):
+            for j in _bits(col):
+                S[j] |= 1 << c * n
+        keep = _vec(below, n) << base
+        self.nrows = max(self.nrows, base + len(below) * n)
+        cols = self.cols[x]
+        for v, (i, j) in enumerate(self.keys[x]):
+            cols[v] ^= ((L[i] << base + j * n) ^ (S[j] << base + i)) & keep
 
-    def add_products(self, eq, L: Map, name, X: Map, R: Map, below: Map) -> None:
-        """Add the entries of L.X + X.R that ``below`` keeps to equations (eq, i, j).
-
-        Bit i of column j of X is the unknown (name, i, j): the coefficient
-        of x_i in X(x_j), which is 0 or 1.  ``below`` masks the entries of
-        the product's degree that lie below U^N: it is ``Expanded.below``
-        of the target's model, read off ``Expanded.present``.
-        """
-        cols, eqn = self.cols, self.eq
-        # column j of X as (i, index of the unknown (name, i, j))
-        xv = [[(i, self.var((name, i, j))) for i in _bits(col)] for j, col in enumerate(X)]
-        rows = [tuple(_bits(col)) for col in L]
-        for j, (col, keep) in enumerate(zip(xv, below)):
-            for l, v in col:
-                for i in rows[l]:
-                    if keep >> i & 1:
-                        cols[v] ^= 1 << eqn((eq, i, j))
-        for j, (col, keep) in enumerate(zip(R, below)):
-            for l in _bits(col):
-                for i, v in xv[l]:
-                    if keep >> i & 1:
-                        cols[v] ^= 1 << eqn((eq, i, j))
-
-    def solve(self) -> dict | None:
-        x = gf2.solve_affine(gf2.Matrix(len(self.eqs), self.cols), self.rhs)
+    def solve(self, rhs: int) -> list[Map] | None:
+        """The unknown maps of one solution, free unknowns 0, or None."""
+        x = gf2.solve_affine(gf2.Matrix(self.nrows, chain(*self.cols)), rhs)
         if x is None:
             return None
-        return {k: x >> v & 1 for k, v in self.vars.items()}
+        maps = []
+        for keys, width in zip(self.keys, self.widths):
+            X = [0] * width
+            for i, j in keys:
+                X[j] |= (x & 1) << i
+                x >>= 1
+            maps.append(tuple(X))
+        return maps
 
 
-def _chosen(sol: dict, name, X: Map) -> Map:
-    """The entries of the variable map X that the solution sets to 1."""
-    return tuple(sum(1 << i for i in _bits(col) if sol[(name, i, j)])
-                 for j, col in enumerate(X))
+def _vec(m: Map, n: int) -> int:
+    """vec m of a map into n generators: column j of m at bit j.n."""
+    return sum(col << j * n for j, col in enumerate(m))
 
 
 def solve_homotopy(a: IotaComplex, b: IotaComplex, rhs: Map) -> Map | None:
@@ -687,16 +706,11 @@ def solve_homotopy(a: IotaComplex, b: IotaComplex, rhs: Map) -> Map | None:
     """
     eb = Expanded(b.gradings, b.diff, max(a.truncation, b.truncation), a.tau)
     oa = _offsets(a.gradings, eb.base)
-    H = eb.below(oa, 1)
     below = eb.below(oa, 0)
-    sys = _System()
-    sys.declare("h", H)
-    sys.add_products("e", b.diff, "h", H, a.diff, below)
-    for j, (col, keep) in enumerate(zip(rhs, below)):
-        for i in _bits(col & keep):
-            sys.set_rhs(("e", i, j))
-    sol = sys.solve()
-    return None if sol is None else _chosen(sol, "h", H)
+    sys = _System(b.n, eb.below(oa, 1))
+    sys.add_products(0, b.diff, 0, a.diff, below)
+    sol = sys.solve(_vec(rhs, b.n) & _vec(below, b.n))
+    return None if sol is None else sol[0]
 
 
 @dataclass(frozen=True)
@@ -717,7 +731,9 @@ def find_local_map(a: IotaComplex, b: IotaComplex,
     F iota_a + iota_b F = dH + Hd and F carrying the deep tower generator of
     ``a`` to the deep tower generator of ``b`` (pinned as an affine
     constraint, which makes U-nondegeneracy linear).  Returns None when the
-    system is infeasible.
+    system is infeasible.  In the Kronecker layout of ``_System`` every
+    unknown's column is an int of up to 2.n_a.n_b + n_b bits (two blocks
+    of n_a.n_b equations and the pinning block), however few terms it has.
     """
     if ((a.tau - b.tau).denominator != 1) or int(a.tau - b.tau) % 2 != 0:
         raise ValueError(f"tower cosets differ: tau={a.tau} vs {b.tau}")
@@ -742,31 +758,24 @@ def find_local_map(a: IotaComplex, b: IotaComplex,
             f"local-map system too large: {nf} F-vars, "
             f"{nh} H-vars, {w_dim} slack vars (limit {max_unknowns})")
 
-    sys = _System()
-    sys.declare("f", F)
-    sys.declare("h", H)
+    nn = a.n * b.n
+    sys = _System(b.n, F, H, (eb.present.get(probe + 1, 0),))
     # (1) chain-map condition: d_b F + F d_a = 0
-    sys.add_products("c", b.diff, "f", F, a.diff, eb.below(ea.offsets, -1))
+    sys.add_products(0, b.diff, 0, a.diff, eb.below(ea.offsets, -1))
     # (2) iota-commutation up to homotopy: iota_b F + F iota_a + d_b H + H d_a = 0;
     # these products have degree 0, so F is their mask below U^N
-    sys.add_products("q", b.iota, "f", F, a.iota, F)
-    sys.add_products("q", b.diff, "h", H, a.diff, F)
-    # (3) tower pinning: F(z_a) + d_b(w) = z_b at the probe grading, one
-    # equation ("p", i) per generator y_i of b there
-    at_probe = eb.present.get(probe, 0)
-    for j in _bits(za):
-        for i in _bits(F[j] & at_probe):
-            sys.toggle(("p", i), ("f", i, j))
-    for j, col in zip(eb.basis.get(probe + 1, ()), eb.boundary_matrix(probe + 1).cols):
-        for i in _bits(col):
-            sys.toggle(("p", i), ("w", j))
-    for i in _bits(zb):
-        sys.set_rhs(("p", i))
-
-    sol = sys.solve()
+    sys.add_products(nn, b.iota, 0, a.iota, F)
+    sys.add_products(nn, b.diff, 1, a.diff, F)
+    # (3) tower pinning: F(z_a) + d_b(w) = z_b at the probe grading, where
+    # the chain w at probe + 1 is the third unknown map (one column): a
+    # one-column block holding F.(z_a) (L = 0) and d_b.w (R = 0)
+    pin = (eb.present.get(probe, 0),)
+    sys.add_products(2 * nn, (0,) * b.n, 0, (za,), pin)
+    sys.add_products(2 * nn, b.diff, 2, (0,), pin)
+    sol = sys.solve(zb << 2 * nn)
     if sol is None:
         return None
-    return LocalMapWitness(_chosen(sol, "f", F), _chosen(sol, "h", H), a, b)
+    return LocalMapWitness(sol[0], sol[1], a, b)
 
 
 def locally_equivalent(a: IotaComplex, b: IotaComplex) -> bool:

@@ -21,8 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .localclass import LocalClass, Y, d_invariant, mu_bar, neg
-from .roots import rational
+from .localclass import LocalClass, Y, d_invariant, mu_bar, neg, rational
 
 MAX_CLASS_WEIGHT = 12_000
 

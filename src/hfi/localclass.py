@@ -19,6 +19,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
+def rational(value) -> Fraction:
+    """``Fraction(value)`` for outside text; a zero denominator is a ValueError."""
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None
+
+
 @dataclass(frozen=True)
 class LocalClass:
     coeffs: tuple[tuple[int, int], ...]  # sorted (index, coefficient), coefficient != 0
@@ -76,7 +84,7 @@ class LocalClass:
         if isinstance(obj, str):
             obj = json.loads(obj)
         return LocalClass.make({int(i): int(c) for i, c in obj["coeffs"].items()},
-                               Fraction(obj["shift"]))
+                               rational(obj["shift"]))
 
 
 def zero() -> LocalClass:

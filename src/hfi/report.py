@@ -131,7 +131,10 @@ def class_complex(a: LocalClass,
         raise OracleSizeError(
             f"oracle complex needs {size} generators, over the limit of "
             f"{max_generators}")
-    acc = complexes.trivial_complex(-a.shift)  # one tower at grading -shift
+    # one tower at grading -shift, as an int when the shift is integral, so
+    # that the tensor gradings of such a class are ints
+    shift = int(a.shift) if a.shift.denominator == 1 else a.shift
+    acc = complexes.trivial_complex(-shift)
     for i, c in a.coeffs:
         factor = standard_complex(to_profile(MonotoneRoot(((2 * i, 0),))))
         if c < 0:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .complexes import Diagnostics, Grading, IotaComplex, graded_complex
+from .localclass import rational
 
 
 @dataclass(frozen=True)
@@ -147,14 +148,6 @@ def profile_to_text(p: RootProfile, coset: Grading | None = None) -> str:
     else:
         lines.append("angles:")
     return "\n".join(lines) + "\n"
-
-
-def rational(value) -> Fraction:
-    """``Fraction(value)`` for outside text; a zero denominator is a ValueError."""
-    try:
-        return Fraction(value)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {value!r}") from None
 
 
 def profile_from_text(text: str, symmetric: bool = True) -> RootProfile:

@@ -8,14 +8,19 @@ elimination, the O(n^2) Pareto scan over ``mirror_merge``, the pair-deleting
 restart loop that simplifies a weakly monotone root, the list-based extrema
 scan, the reduced row-echelon form of a numpy uint8 array, the
 composition of maps stored as columns of explicit (row, U-exponent) pairs,
-and the max-min and min-max correction-term bounds row by row over fresh
-prefix slices.
+the max-min and min-max correction-term bounds row by row over fresh
+prefix slices, the expanded model's basis gathered eagerly at every grading
+from the generators' grading groups, and the local-map and homotopy systems
+assembled term by term with equations numbered in order of first use.
 """
 
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
+from hfi import gf2
+from hfi.complexes import Expanded, _bits, _offsets, default_truncation
 from hfi.cterms import p_q_sequences
 from hfi.monotone import MonotoneRoot, WeaklyMonotoneRoot
 from hfi.plumbing import PlumbingGraph, canonical_K, intersection_form
@@ -233,3 +238,130 @@ def slice_d_upper_offset(st) -> int:
             entries = entries + [P[k]]
         rows.append(max(entries))
     return min(rows)
+
+
+def grouped_basis(offsets, N: int) -> dict[int, tuple[int, ...]]:
+    """Every nonempty chain group of the truncated model as its sorted
+    generators: x_i is in the group at t when its offset is t + 2k, 0 <= k < N."""
+    groups: dict[int, list[int]] = {}
+    for i, t in enumerate(offsets):
+        groups.setdefault(t, []).append(i)
+    basis = {}
+    for t in range(max(offsets), min(offsets) - 2 * N + 1, -1):
+        gens = tuple(sorted(chain.from_iterable(groups.get(t + 2 * k, ()) for k in range(N))))
+        if gens:
+            basis[t] = gens
+    return basis
+
+
+class DictSystem:
+    """An affine GF(2) system assembled from symbolic variables.
+
+    Equations and unknowns are numbered in order of first use.  Column v is
+    an int with bit r set when unknown v occurs in equation r, and the
+    right-hand side is an int over the equations in the same way.
+    """
+
+    def __init__(self):
+        self.vars: dict = {}
+        self.eqs: dict = {}
+        self.cols: list[int] = []
+        self.rhs = 0
+
+    def var(self, key) -> int:
+        v = self.vars.setdefault(key, len(self.vars))
+        if v == len(self.cols):
+            self.cols.append(0)
+        return v
+
+    def eq(self, key) -> int:
+        return self.eqs.setdefault(key, len(self.eqs))
+
+    def toggle(self, eq_key, var_key):
+        self.cols[self.var(var_key)] ^= 1 << self.eq(eq_key)
+
+    def set_rhs(self, eq_key):
+        """Set the right-hand side of an equation to 1 (it is 0 until set)."""
+        self.rhs |= 1 << self.eq(eq_key)
+
+    def declare(self, name, X) -> None:
+        """Register the entries of the variable map X, by row i, then column j."""
+        for i, j in sorted((i, j) for j, col in enumerate(X) for i in _bits(col)):
+            self.var((name, i, j))
+
+    def add_products(self, eq, L, name, X, R, below) -> None:
+        """Add the entries of L.X + X.R that ``below`` keeps to equations (eq, i, j).
+
+        Bit i of column j of X is the unknown (name, i, j).
+        """
+        cols, eqn = self.cols, self.eq
+        # column j of X as (i, index of the unknown (name, i, j))
+        xv = [[(i, self.var((name, i, j))) for i in _bits(col)] for j, col in enumerate(X)]
+        rows = [tuple(_bits(col)) for col in L]
+        for j, (col, keep) in enumerate(zip(xv, below)):
+            for l, v in col:
+                for i in rows[l]:
+                    if keep >> i & 1:
+                        cols[v] ^= 1 << eqn((eq, i, j))
+        for j, (col, keep) in enumerate(zip(R, below)):
+            for l in _bits(col):
+                for i, v in xv[l]:
+                    if keep >> i & 1:
+                        cols[v] ^= 1 << eqn((eq, i, j))
+
+    def solve(self) -> dict | None:
+        x = gf2.solve_affine(gf2.Matrix(len(self.eqs), self.cols), self.rhs)
+        if x is None:
+            return None
+        return {k: x >> v & 1 for k, v in self.vars.items()}
+
+
+def chosen(sol: dict, name, X) -> tuple[int, ...]:
+    """The entries of the variable map X that the solution sets to 1."""
+    return tuple(sum(1 << i for i in _bits(col) if sol[(name, i, j)])
+                 for j, col in enumerate(X))
+
+
+def dict_solve_homotopy(a, b, rhs):
+    """``complexes.solve_homotopy`` with the system assembled by ``DictSystem``."""
+    eb = Expanded(b.gradings, b.diff, max(a.truncation, b.truncation), a.tau)
+    oa = _offsets(a.gradings, eb.base)
+    H = eb.below(oa, 1)
+    below = eb.below(oa, 0)
+    sys = DictSystem()
+    sys.declare("h", H)
+    sys.add_products("e", b.diff, "h", H, a.diff, below)
+    for j, (col, keep) in enumerate(zip(rhs, below)):
+        for i in _bits(col & keep):
+            sys.set_rhs(("e", i, j))
+    sol = sys.solve()
+    return None if sol is None else chosen(sol, "h", H)
+
+
+def dict_find_local_map(a, b):
+    """(F, H) of ``complexes.find_local_map`` with the system assembled by
+    ``DictSystem``, or None when it is infeasible."""
+    N = default_truncation(a.gradings + b.gradings)
+    ea = Expanded(a.gradings, a.diff, N, a.tau)
+    eb = Expanded(b.gradings, b.diff, N, a.tau)
+    probe = min(ea.probe(0), eb.probe(0))
+    za, zb = ea.tower_rep(probe), eb.tower_rep(probe)
+    F = eb.below(ea.offsets, 0)
+    H = eb.below(ea.offsets, 1)
+    sys = DictSystem()
+    sys.declare("f", F)
+    sys.declare("h", H)
+    sys.add_products("c", b.diff, "f", F, a.diff, eb.below(ea.offsets, -1))
+    sys.add_products("q", b.iota, "f", F, a.iota, F)
+    sys.add_products("q", b.diff, "h", H, a.diff, F)
+    at_probe = eb.present.get(probe, 0)
+    for j in _bits(za):
+        for i in _bits(F[j] & at_probe):
+            sys.toggle(("p", i), ("f", i, j))
+    for j, col in zip(eb.basis.get(probe + 1, ()), eb.boundary_matrix(probe + 1).cols):
+        for i in _bits(col):
+            sys.toggle(("p", i), ("w", j))
+    for i in _bits(zb):
+        sys.set_rhs(("p", i))
+    sol = sys.solve()
+    return None if sol is None else (chosen(sol, "f", F), chosen(sol, "h", H))

@@ -325,6 +325,12 @@ def test_negative_exponent_is_refused():
                      ((1, 0), (0, 1)))
 
 
+def test_zero_denominator_grading_or_tau_is_a_value_error():
+    for gradings, tau in ((["1/0"], None), (["0"], "1/0")):
+        with pytest.raises(ValueError, match="'1/0'"):
+            iota_complex(("x",), gradings, [[0]], [[1]], tau=tau)
+
+
 def test_grading_off_the_tau_coset_is_refused(monkeypatch):
     # A scan or probe on such a complex looks for a grading in tau + 2Z at or
     # below the generators and never finds one, so the check must come first.

@@ -13,6 +13,12 @@
   their row-by-row prefix-slice definitions;
 - bitset GF(2) rank, kernel and affine solve against the dense reduced
   row-echelon form, vector for vector;
+- the expanded model's on-demand basis against the basis gathered eagerly
+  at every grading;
+- the local-map and homotopy systems in Kronecker layout against the same
+  systems assembled term by term with equations numbered in order of first
+  use: the same witnesses F and H and the same homotopies, not only the
+  same verdicts;
 - the Y-basis calculus against the iota-complex oracle: two small classes
   are equal exactly when their complexes are locally equivalent (the class
   is a complete invariant, Dai-Stoffregen), and the closed-form correction
@@ -21,29 +27,32 @@
 Seeds are fixed and example counts bounded, so the suite stays fast.
 """
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
 from itertools import accumulate, product
 
 import numpy as np
+import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from dense_reference import (compress_list, dense_is_negative_definite,
                              dense_k_squared, dense_kernel, dense_rank,
-                             dense_solve_affine, pareto_subroot_params,
-                             restart_simplify_weak, slice_d_lower_offset,
-                             slice_d_upper_offset)
+                             dense_solve_affine, dict_find_local_map,
+                             dict_solve_homotopy, grouped_basis,
+                             pareto_subroot_params, restart_simplify_weak,
+                             slice_d_lower_offset, slice_d_upper_offset)
 from hfi import complexes, cterms, gf2
 from hfi.brieskorn import (BrieskornParams, _compress_to_profile, _tau_deltas,
                            brieskorn_root, negative_continued_fraction,
                            seifert_invariants, seifert_plumbing,
                            tau_closed_form, tau_sequence)
 from hfi.localclass import I, Y
-from hfi.monotone import WeaklyMonotoneRoot, monotone_subroot, simplify_weak
+from hfi.monotone import M, WeaklyMonotoneRoot, monotone_subroot, simplify_weak, to_profile
 from hfi.plumbing import PlumbingGraph, is_negative_definite, k_squared
 from hfi.report import class_complex
-from hfi.roots import SymmetricRootProfile
+from hfi.roots import SymmetricRootProfile, standard_complex
 
 MAX_ALPHA = 5000
 TRIPLES = [(a1, a2, a3)
@@ -290,3 +299,106 @@ def test_class_equality_is_local_equivalence():
     built = {a: class_complex(a) for a in SMALL_CLASSES}
     for a, b in pairs:
         assert complexes.locally_equivalent(built[a], built[b]) == (a == b), (a, b)
+
+
+# Standard complexes of monotone roots with even parameters (3 to 7
+# generators), all with tau in 2Z, so any two of them and their tensor
+# products and duals can be compared by a local-map search.
+SMALL_ROOTS = [M(2, 0), M(4, 0), M(0, -2), M(2, -2), M(4, 0, 2, 2),
+               M(6, 0, 4, 2), M(4, -2, 2, 0)]
+
+
+def _small_complex(rng, factors: int, roots=SMALL_ROOTS):
+    c = None
+    for _ in range(factors):
+        f = standard_complex(to_profile(rng.choice(roots)))
+        f = complexes.dual(f) if rng.random() < 0.5 else f
+        c = f if c is None else complexes.tensor(c, f)
+    return c
+
+
+def _random_truncated_complexes():
+    rng = random.Random(20170628)
+    out = [complexes.trivial_complex(), class_complex(Y(1) - Y(2) + I(-2))]
+    out += [_small_complex(rng, rng.randint(1, 2)) for _ in range(10)]
+    return [(c, N) for c in out for N in sorted({1, 2, 3, c.truncation, c.truncation + 2})]
+
+
+def test_on_demand_basis_matches_the_eager_build():
+    for c, N in _random_truncated_complexes():
+        exp = complexes.Expanded(c.gradings, c.diff, N, c.tau)
+        window = range(exp.bottom - 2 * N - 2, exp.top + 3)
+        # dim reads present, so the dims build no basis tuple
+        assert [exp.dim(t) for t in window] and not exp.basis.built
+        assert dict(exp.basis) == grouped_basis(exp.offsets, N)
+        for t in window:
+            assert exp.dim(t) == len(exp.basis.get(t, ()))
+            if t not in exp.present:
+                with pytest.raises(KeyError):
+                    exp.basis[t]
+
+
+def _assert_same_systems(a, b, rng):
+    """find_local_map a -> b, and solve_homotopy a -> b on up to three
+    right-hand sides and three truncations, return the same maps under both
+    assemblies; True if a -> b is feasible."""
+    w = complexes.find_local_map(a, b)
+    want = dict_find_local_map(a, b)
+    assert (None if w is None else (w.F, w.H)) == want
+    eb = complexes.Expanded(b.gradings, b.diff, max(a.truncation, b.truncation), a.tau)
+    degree0 = eb.below(complexes._offsets(a.gradings, a.tau), 0)
+    rhss = [tuple(rng.getrandbits(b.n) & col for col in degree0)]
+    if w is not None:
+        mul, add = complexes.mat_mul, complexes.mat_add
+        rhss += [add(mul(w.F, a.iota), mul(b.iota, w.F)), w.F]
+    # at truncation 1 or 2 the terms at U^N and above leave the equations
+    shallow = [(dataclasses.replace(a, truncation=N), dataclasses.replace(b, truncation=N))
+               for N in (1, 2)]
+    for x, y in [(a, b)] + shallow:
+        for rhs in rhss:
+            assert complexes.solve_homotopy(x, y, rhs) == dict_solve_homotopy(x, y, rhs)
+    return w is not None
+
+
+def test_kronecker_assembly_matches_the_dict_reference():
+    # 16 locally equivalent pairs (b = a (x) s (x) s^dual) and 16 pairs drawn
+    # independently, searched in both directions
+    rng = random.Random(20170629)
+    independent = []
+    for k in range(32):
+        if k % 2 == 0:
+            a = _small_complex(rng, 1)
+            s = _small_complex(rng, 1, SMALL_ROOTS[:4])  # 3 generators
+            b = complexes.tensor(a, complexes.tensor(s, complexes.dual(s)))
+        else:
+            a, b = (_small_complex(rng, rng.randint(1, 2)) for _ in range(2))
+        ways = [_assert_same_systems(a, b, rng), _assert_same_systems(b, a, rng)]
+        if k % 2 == 0:
+            assert ways == [True, True], "an equivalent pair has local maps both ways"
+        else:
+            independent += ways
+    # the independent pairs exercise both feasible and infeasible systems
+    assert True in independent and False in independent
+
+
+def test_kronecker_assembly_matches_the_dict_reference_off_the_involution():
+    # the iota on std(2, 0) with iota^2(v2) = 0 (no homotopy to id), and
+    # iota' = iota + dK + Kd on a tensor product (a homotopy exists)
+    rng = random.Random(20170630)
+    mul, add = complexes.mat_mul, complexes.mat_add
+    c = standard_complex(to_profile(M(2, 0)))
+    bad = complexes.iota_complex(c.labels, c.gradings, [[0, 0, [1]], [0, 0, [1]], [0, 0, 0]],
+                                 [[1, 0, 0], [1, 0, 0], [0, 0, 1]], tau=c.tau)
+    t = complexes.tensor(c, standard_complex(to_profile(M(4, 0, 2, 2))))
+    exp = complexes.Expanded(t.gradings, t.diff, t.truncation, t.tau)
+    K = tuple(rng.getrandbits(t.n) & col for col in exp.below(exp.offsets, 1))
+    twisted = dataclasses.replace(t, iota=add(t.iota, add(mul(t.diff, K), mul(K, t.diff))))
+    found = []
+    for x in (bad, twisted):
+        square_plus_id = add(mul(x.iota, x.iota), tuple(1 << j for j in range(x.n)))
+        H = complexes.solve_homotopy(x, x, square_plus_id)
+        assert H == dict_solve_homotopy(x, x, square_plus_id)
+        found.append(H is not None)
+        _assert_same_systems(x, c, rng)
+        _assert_same_systems(c, x, rng)
+    assert found == [False, True]

@@ -17,8 +17,8 @@ off the source and target gradings.  The sides are tensor products of standard
 complexes of symmetric root profiles: the 165 <-> 21 generator pair of
 locally equivalent complexes (both directions feasible) and a 35 <-> 9 pair
 whose 35 -> 9 direction is infeasible.  The solution with free unknowns zero
-is unique once the unknowns are ordered, so any difference means the order
-of the unknowns or the equations drifted.
+is unique once the unknowns are ordered, whatever the numbering of the
+equations, so any difference means the order of the unknowns drifted.
 """
 
 import json

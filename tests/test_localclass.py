@@ -106,6 +106,11 @@ def test_json_round_trip():
     assert LocalClass.from_json(json.dumps(a.to_json())) == a
 
 
+def test_from_json_zero_denominator_shift_is_a_value_error():
+    with pytest.raises(ValueError, match="'1/0'"):
+        LocalClass.from_json({"coeffs": {"1": 1}, "shift": "1/0"})
+
+
 @given(classes, classes)
 def test_group_commutativity(a, b):
     assert a + b == b + a

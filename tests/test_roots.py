@@ -9,6 +9,7 @@ from hfi import cterms
 from hfi.brieskorn import BrieskornParams, brieskorn_root, seifert_plumbing
 from hfi.complexes import (complex_to_json, correction_terms, homology_ranks,
                            validate)
+from hfi.localclass import I
 from hfi.monotone import M, MonotoneRoot, decompose, monotone_subroot
 from hfi.plumbing import chi, minimal_cycle
 from hfi.report import class_complex, evaluate_text
@@ -150,6 +151,11 @@ def test_int_gradings_stay_ints_and_no_float_appears():
               correction_terms(oracle), complex_to_json(c), complex_to_json(oracle),
               report, report.to_json()]
     assert _floats(values) == []
+    # an integral shift starts the oracle complex from an int tower, so
+    # every tensor grading is an int; a half-integral one stays a Fraction
+    assert all(type(g) is int for g in oracle.gradings + (oracle.tau,))
+    half = class_complex(cls + I(Fraction(1, 2)))
+    assert all(type(g) is Fraction for g in half.gradings + (half.tau,))
 
 
 def test_profiles_and_roots_from_ints_fractions_and_lists_are_equal():
