@@ -16,9 +16,9 @@ classes, three ways that cross-check each other:
 
 from .brieskorn import (MAX_SIGMA_ALPHA, BrieskornParams, SigmaSizeError,
                         brieskorn_class, brieskorn_root)
-from .complexes import (ConeComplex, IotaComplex, SearchSizeError,
-                        TruncationUnstableError, WindowError, dual,
-                        find_local_map, homology_ranks, iota_complex,
+from .complexes import (MAX_LOCAL_MAP_UNKNOWNS, ConeComplex, IotaComplex,
+                        SearchSizeError, TruncationUnstableError, WindowError,
+                        dual, find_local_map, homology_ranks, iota_complex,
                         locally_equivalent, mapping_cone, tensor,
                         trivial_complex, validate)
 from .complexes import correction_terms as complex_correction_terms
@@ -37,8 +37,7 @@ from .plumbing import (PlumbingGraph, canonical_K, graph_from_text,
                        is_negative_definite, is_rational, k_squared,
                        minimal_cycle)
 from .report import Report, evaluate, evaluate_text
-from .roots import (RootProfile, SymmetricRootProfile, mirror_merge,
-                    profile_from_text, profile_to_text, standard_complex,
-                    validate_profile)
+from .roots import (RootProfile, SymmetricRootProfile, profile_from_text,
+                    profile_to_text, standard_complex, validate_profile)
 
 __version__ = "0.1.0"

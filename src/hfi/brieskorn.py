@@ -36,7 +36,7 @@ Stopping rule.  Put b0 = (1 + sum_i omega_i alpha/a_i)/alpha into it:
 So ``brieskorn_root`` streams alpha + 1 steps, tau(0..alpha+1), which end on
 a strict rise; every later step is >= 0 and only extends that last rising
 run, so the compression of this prefix is the profile of the whole
-sequence.  Fewer steps are refused: the proof does not cover them.
+sequence.
 
 Two tau engines are kept.  Production (``brieskorn_root``) uses the closed
 form, ``tau_closed_form``: alpha + 1 integer steps streamed straight into
@@ -52,8 +52,8 @@ Grading conventions.
 * h-normalized gradings (every profile, complex and class inside ``hfi``):
   the 3-sphere's tower is topped at grading 0, so S^3 has
   (d, d-bar, d-underbar) = (0, 0, 0).  HF-minus gradings are 2 lower; root
-  profile files use them, and the shift is applied once on read and once on
-  write (``hfi.cli``, ``hfi.report``).
+  profile files use them, and ``hfi.report`` applies the shift once on read
+  and once on write.
 * tau-value t sits at grading -2t + (K^2 + s)/4, with K the canonical class
   of the plumbing and s its number of vertices.  The offset (K^2 + s)/4 is
   an even integer for a homology sphere: the intersection form is
@@ -83,7 +83,7 @@ from itertools import accumulate, groupby, repeat, tee
 from operator import floordiv, sub
 
 from .localclass import LocalClass
-from .monotone import MonotoneRoot, decompose, monotone_subroot
+from .monotone import decompose, monotone_subroot
 from .plumbing import PlumbingGraph, k_squared, laufer_closure
 from .roots import SymmetricRootProfile
 
@@ -230,28 +230,21 @@ def _compress_to_profile(taus: Iterable[int]) -> tuple[list[int], list[int]]:
     return leaves, angles
 
 
-def brieskorn_root(b: BrieskornParams,
-                   max_steps: int | None = None) -> SymmetricRootProfile:
+def brieskorn_root(b: BrieskornParams) -> SymmetricRootProfile:
     """Graded-root profile of Sigma(a1,a2,a3), h-normalized gradings.
 
-    Streams tau(0..max_steps) from the closed form into the extrema
-    compression; max_steps defaults to alpha + 1, the stopping rule proved
-    in the module docstring (Delta >= 0 from n = alpha on, and
-    Delta(alpha) = 2).  A larger max_steps gives the same profile, and a
-    smaller one raises RuntimeError.  Gradings are ints, -2t + (K^2 + s)/4,
-    since K^2 + s is divisible by 8; anything else raises AssertionError.
+    Streams tau(0..alpha+1) from the closed form into the extrema
+    compression: alpha + 1 steps is the stopping rule proved in the module
+    docstring (Delta >= 0 from n = alpha on, and Delta(alpha) = 2).
+    Gradings are ints, -2t + (K^2 + s)/4, since K^2 + s is divisible by 8;
+    anything else raises AssertionError.
     """
     alpha = b.a1 * b.a2 * b.a3
     if alpha > MAX_SIGMA_ALPHA:
         raise SigmaSizeError(
             f"Sigma({b.a1},{b.a2},{b.a3}) has alpha = {alpha}, above the "
             f"limit MAX_SIGMA_ALPHA = {MAX_SIGMA_ALPHA}")
-    steps = alpha + 1 if max_steps is None else max_steps
-    if steps < alpha + 1:
-        raise RuntimeError(
-            f"max_steps = {steps} is below alpha + 1 = {alpha + 1}, the step "
-            "count the stopping rule needs; raise max_steps")
-    leaf_taus, angle_taus = _compress_to_profile(tau_closed_form(b, steps))
+    leaf_taus, angle_taus = _compress_to_profile(tau_closed_form(b, alpha + 1))
     g, _ = seifert_plumbing(b)
     q = k_squared(g) + g.n
     if q.denominator != 1 or q.numerator % 8:
@@ -260,10 +253,6 @@ def brieskorn_root(b: BrieskornParams,
     offset = q.numerator // 4
     return SymmetricRootProfile(tuple([-2 * t + offset for t in leaf_taus]),
                                 tuple([-2 * t + offset for t in angle_taus]))
-
-
-def brieskorn_monotone(b: BrieskornParams) -> MonotoneRoot:
-    return monotone_subroot(brieskorn_root(b))
 
 
 def brieskorn_class(b: BrieskornParams) -> tuple[SymmetricRootProfile, LocalClass]:

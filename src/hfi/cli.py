@@ -7,17 +7,18 @@ Subcommands:
   plumbing   combinatorial checks on a plumbing-graph file
   family     realize prescribed (d, d-bar, d-under, mu-bar) invariants
 
-Exit codes: 0 on success; 1 when an oracle complex is over its generator
-limit or its truncation N is over ``report.MAX_ORACLE_TRUNCATION`` (or, for
-``plumbing``, the graph is not negative definite); 2 on a
-parse error or invalid input -- any ValueError or OSError, such as a
-non-coprime Sigma triple, a Sigma triple whose alpha = a1 a2 a3 exceeds
-``brieskorn.MAX_SIGMA_ALPHA``, a class whose weight sum |c_i| exceeds
+Exit codes: 0 on success; otherwise the first match in the table in
+``main``, printed as ``error: <message>`` on stderr, never a traceback:
+3 OracleMismatchError (the oracle disagrees with the engine); 1
+OracleSizeError (an oracle complex over ``report.MAX_ORACLE_GENERATORS``
+generators or truncation ``report.MAX_ORACLE_TRUNCATION``), and for
+``plumbing`` a graph that is not negative definite; 2 any other ValueError
+or OSError, such as a parse error, a non-coprime Sigma triple, alpha =
+a1 a2 a3 over ``brieskorn.MAX_SIGMA_ALPHA``, a class weight sum |c_i| over
 ``cterms.MAX_CLASS_WEIGHT``, Y(0), a non-monotone M(...), a missing @file
-or impossible ``family`` invariants -- reported as ``error: <message>`` on
-stderr, never as a traceback; 3 on an oracle mismatch.
-Root-profile files are written and read in HF-minus gradings; the internal
-normalization (3-sphere tower topped at grading 0) is two higher.
+or impossible ``family`` invariants.
+Root-profile files are written and read in HF-minus gradings, two below
+the internal normalization; ``hfi.report`` applies the shift.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from .expr import parse
 from .localclass import d_invariant, mu_bar
 from .monotone import decompose, monotone_subroot
 from .report import (OracleMismatchError, OracleSizeError, class_complex,
-                     evaluate, profile_from_hf_minus_file)
-from .roots import SymmetricRootProfile, profile_to_text
+                     evaluate, profile_from_hf_minus_file,
+                     profile_to_hf_minus_text)
 
 
 def _error(message, code: int) -> int:
@@ -44,17 +45,10 @@ def _error(message, code: int) -> int:
 
 
 def _cmd_eval(args) -> int:
-    try:
-        report = evaluate(parse(args.expr), input_text=args.expr,
-                          oracle=args.oracle, truncation=args.truncation)
-        dumped = (complexes.complex_to_json(class_complex(report.total))
-                  if args.dump_complex else None)
-    except OracleMismatchError as e:
-        return _error(e, 3)
-    except OracleSizeError as e:
-        return _error(e, 1)
-    except (ValueError, OSError) as e:  # ParseError is a ValueError
-        return _error(e, 2)
+    report = evaluate(parse(args.expr), input_text=args.expr,
+                      oracle=args.oracle, truncation=args.truncation)
+    dumped = (complexes.complex_to_json(class_complex(report.total))
+              if args.dump_complex else None)
     if args.format == "json":
         out = report.to_json()
         if dumped is not None:
@@ -68,31 +62,20 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_root(args) -> int:
-    if args.kind != "sigma":
-        return _error(f"unknown root kind {args.kind!r}", 2)
-    try:
-        profile = brieskorn_root(BrieskornParams(args.a1, args.a2, args.a3))
-        hf_minus = SymmetricRootProfile(tuple(g - 2 for g in profile.leaves),
-                                        tuple(g - 2 for g in profile.angles))
-        text = profile_to_text(hf_minus)
-        if args.output:
-            Path(args.output).write_text(text)
-        else:
-            print(text, end="")
-    # a bad triple, alpha above MAX_SIGMA_ALPHA, or an unwritable output file
-    except (ValueError, OSError) as e:
-        return _error(e, 2)
+    text = profile_to_hf_minus_text(
+        brieskorn_root(BrieskornParams(args.a1, args.a2, args.a3)))
+    if args.output:
+        Path(args.output).write_text(text)
+    else:
+        print(text, end="")
     return 0
 
 
 def _cmd_decompose(args) -> int:
     path = args.file[1:] if args.file.startswith("@") else args.file
-    try:
-        root = monotone_subroot(profile_from_hf_minus_file(path))
-        cls = decompose(root)
-        d, d_bar, d_under = correction_terms(cls)
-    except (ValueError, OSError) as e:
-        return _error(e, 2)
+    root = monotone_subroot(profile_from_hf_minus_file(path))
+    cls = decompose(root)
+    d, d_bar, d_under = correction_terms(cls)
     print(f"monotone subroot: {root}")
     print(f"class:            {cls}")
     print(f"d, d_bar, d_under: {d}, {d_bar}, {d_under}")
@@ -101,10 +84,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_plumbing(args) -> int:
-    try:
-        g = plumbing.graph_from_text(Path(args.file).read_text())
-    except (ValueError, OSError) as e:
-        return _error(e, 2)
+    g = plumbing.graph_from_text(Path(args.file).read_text())
     if args.check == "negdef":
         print("negative definite:", plumbing.is_negative_definite(g))
         return 0
@@ -118,11 +98,8 @@ def _cmd_plumbing(args) -> int:
 
 
 def _cmd_family(args) -> int:
-    try:
-        cls = realization_family(args.M, args.N, args.d, args.mu, args.k)
-        d, d_bar, d_under = correction_terms(cls)
-    except ValueError as e:
-        return _error(e, 2)
+    cls = realization_family(args.M, args.N, args.d, args.mu, args.k)
+    d, d_bar, d_under = correction_terms(cls)
     print(f"class:   {cls}")
     print(f"d:       {d}")
     print(f"d_bar:   {d_bar}")
@@ -183,7 +160,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    # first match wins: OracleSizeError and ParseError are ValueErrors
+    exit_codes = {OracleMismatchError: 3, OracleSizeError: 1,
+                  ValueError: 2, OSError: 2}
+    try:
+        return args.func(args)
+    except tuple(exit_codes) as e:
+        return _error(e, next(code for error, code in exit_codes.items()
+                              if isinstance(e, error)))
 
 
 if __name__ == "__main__":

@@ -71,8 +71,11 @@ class WindowError(ValueError):
     """Raised when a requested grading window leaves the truncation-stable range."""
 
 
-class SearchSizeError(RuntimeError):
-    """Raised when a local-map feasibility problem exceeds the configured size."""
+class SearchSizeError(ValueError):
+    """A local-map system would have more than MAX_LOCAL_MAP_UNKNOWNS unknowns."""
+
+
+MAX_LOCAL_MAP_UNKNOWNS = 6000  # F, H and slack unknowns of one local-map system
 
 
 # ---------------------------------------------------------------------------
@@ -448,12 +451,6 @@ def _single_tower_check(exp: Expanded) -> tuple[bool, str]:
     return ok, (f"deep homology ranks: {d_even} in tau-parity, {d_odd} off-parity")
 
 
-def ensure_valid(c: IotaComplex) -> None:
-    diag = validate(c)
-    if not diag.ok:
-        raise ValueError("invalid complex:\n" + str(diag))
-
-
 # ---------------------------------------------------------------------------
 # constructions
 
@@ -536,7 +533,7 @@ def mapping_cone(a: IotaComplex) -> ConeComplex:
 # homology ranks
 
 
-def homology_ranks(c, window, truncation: int | None = None) -> dict[Grading, int]:
+def homology_ranks(c, window) -> dict[Grading, int]:
     """Exact GF(2) homology dimensions at the gradings in ``window``.
 
     ``c`` may be an IotaComplex or a ConeComplex.  Gradings outside the
@@ -545,7 +542,7 @@ def homology_ranks(c, window, truncation: int | None = None) -> dict[Grading, in
     if not isinstance(c, (IotaComplex, ConeComplex)):
         raise TypeError(f"not a complex: {c!r}")
     base = c if isinstance(c, IotaComplex) else c.base
-    exp = Expanded(c.gradings, c.diff, truncation or base.truncation, base.tau)
+    exp = Expanded(c.gradings, c.diff, base.truncation, base.tau)
     return {g: exp.homology_dim(exp.offset(g)) for g in window}
 
 
@@ -723,8 +720,7 @@ class LocalMapWitness:
     target: IotaComplex
 
 
-def find_local_map(a: IotaComplex, b: IotaComplex,
-                   max_unknowns: int = 6000) -> LocalMapWitness | None:
+def find_local_map(a: IotaComplex, b: IotaComplex) -> LocalMapWitness | None:
     """Search for a local map a -> b as an affine GF(2) feasibility problem.
 
     The witness is a grading-preserving chain map F with
@@ -734,6 +730,8 @@ def find_local_map(a: IotaComplex, b: IotaComplex,
     system is infeasible.  In the Kronecker layout of ``_System`` every
     unknown's column is an int of up to 2.n_a.n_b + n_b bits (two blocks
     of n_a.n_b equations and the pinning block), however few terms it has.
+    A system with more than MAX_LOCAL_MAP_UNKNOWNS unknowns raises
+    SearchSizeError, a ValueError, before it is assembled.
     """
     if ((a.tau - b.tau).denominator != 1) or int(a.tau - b.tau) % 2 != 0:
         raise ValueError(f"tower cosets differ: tau={a.tau} vs {b.tau}")
@@ -753,10 +751,10 @@ def find_local_map(a: IotaComplex, b: IotaComplex,
     H = eb.below(ea.offsets, 1)
     nf, nh = (sum(col.bit_count() for col in X) for X in (F, H))
     w_dim = eb.dim(probe + 1)
-    if (nf + nh + w_dim) > max_unknowns:
+    if (nf + nh + w_dim) > MAX_LOCAL_MAP_UNKNOWNS:
         raise SearchSizeError(
             f"local-map system too large: {nf} F-vars, "
-            f"{nh} H-vars, {w_dim} slack vars (limit {max_unknowns})")
+            f"{nh} H-vars, {w_dim} slack vars (limit {MAX_LOCAL_MAP_UNKNOWNS})")
 
     nn = a.n * b.n
     sys = _System(b.n, F, H, (eb.present.get(probe + 1, 0),))

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .localclass import LocalClass, Y, d_invariant, mu_bar, neg, rational
+from .localclass import LocalClass, Y, d_invariant, mu_bar, rational
 
 MAX_CLASS_WEIGHT = 12_000
 
@@ -121,7 +121,7 @@ def correction_terms(a: LocalClass) -> tuple[Fraction, Fraction, Fraction]:
     """(d, d-bar, d-under) of a class; d-bar comes from the dual class."""
     d = d_invariant(a)
     d_under = d + d_lower_offset(STProfile.of_class(a))
-    b = neg(a)
+    b = -a
     d_bar = -(d_invariant(b) + d_lower_offset(STProfile.of_class(b)))
     if not (d_under <= d <= d_bar):
         raise AssertionError(f"correction-term sanity violated for {a}")
@@ -209,7 +209,7 @@ def realization_family(M: int, N: int, d, mu_bar_target, k: int = 0) -> LocalCla
     if k < 0:
         raise ValueError("k must be non-negative")
     if N == 0:
-        return neg(realization_family(0, M, -d, -mu, k))
+        return -realization_family(0, M, -d, -mu, k)
     shift = 2 * mu
     d_prime = d + shift  # d-invariant the unshifted coefficients must carry
     if d_prime <= -2 * M:

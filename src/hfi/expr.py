@@ -97,10 +97,6 @@ class _Scanner:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
     def expect(self, literal: str):
         self.skip_ws()
         if not self.text.startswith(literal, self.pos):

@@ -100,10 +100,6 @@ def I(delta) -> LocalClass:
     return LocalClass.make({}, shift=delta)
 
 
-def neg(a: LocalClass) -> LocalClass:
-    return -a
-
-
 def d_invariant(a: LocalClass) -> Fraction:
     return 2 * sum(i * c for i, c in a.coeffs) - a.shift
 

@@ -14,6 +14,8 @@ is gathered from N grading groups).  At the cap, ``Y(506)`` took 0.66 s,
 ``Y(1)`` with truncation 512 took 0.41 s, and ``7*Y(1)`` (2187 generators)
 with truncation 512 took 0.86 s, with CPython 3.11 on one core of a shared
 x86-64 server.  Past either cap, OracleSizeError is raised before any scan.
+Both caps are read at call time.  Root-profile files use HF-minus gradings,
+2 below the internal ones; only this module applies that shift.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ from .expr import (Atom, ExpressionAST, FileAtom, IAtom, MAtom, SigmaAtom,
 from .localclass import (LocalClass, d_invariant, infinite_order_verdict,
                          mu_bar, realizability_check, rokhlin)
 from .monotone import MonotoneRoot, decompose, monotone_subroot, to_profile
-from .roots import SymmetricRootProfile, profile_from_text, standard_complex
+from .roots import (SymmetricRootProfile, profile_from_text, profile_to_text,
+                    standard_complex)
 
 MAX_ORACLE_GENERATORS = 4096
 MAX_ORACLE_TRUNCATION = 512
@@ -43,12 +46,19 @@ class OracleSizeError(ValueError):
     """The oracle tensor complex would exceed the generator or truncation limit."""
 
 
+def _shifted(p: SymmetricRootProfile, by: int) -> SymmetricRootProfile:
+    return SymmetricRootProfile(tuple(g + by for g in p.leaves),
+                                tuple(g + by for g in p.angles))
+
+
+def profile_to_hf_minus_text(p: SymmetricRootProfile) -> str:
+    """Root-profile file text of ``p``, in HF-minus gradings (2 lower)."""
+    return profile_to_text(_shifted(p, -2))
+
+
 def profile_from_hf_minus_file(path: str) -> SymmetricRootProfile:
-    """Read a root-profile file in HF-minus convention; gradings get the
-    one-time +2 normalization shift on ingestion."""
-    p = profile_from_text(Path(path).read_text())
-    return SymmetricRootProfile(tuple(g + 2 for g in p.leaves),
-                                tuple(g + 2 for g in p.angles))
+    """Read a root-profile file in HF-minus gradings, shifted up 2 on read."""
+    return _shifted(profile_from_text(Path(path).read_text()), 2)
 
 
 def atom_to_class(atom: Atom) -> LocalClass:
@@ -118,19 +128,18 @@ class Report:
         return "\n".join(lines)
 
 
-def class_complex(a: LocalClass,
-                  max_generators: int = MAX_ORACLE_GENERATORS) -> complexes.IotaComplex:
+def class_complex(a: LocalClass) -> complexes.IotaComplex:
     """An explicit iota-complex realizing the class ``a``.
 
     Each +1 in coefficient i contributes the standard complex of M(2i, 0);
     each -1 contributes its dual; the shift contributes a shifted trivial
-    tower.  Generator count is 3^(sum |c_i|), guarded by ``max_generators``.
+    tower.  Generator count is 3^(sum |c_i|), capped at MAX_ORACLE_GENERATORS.
     """
     size = 3 ** sum(abs(c) for _, c in a.coeffs)
-    if size > max_generators:
+    if size > MAX_ORACLE_GENERATORS:
         raise OracleSizeError(
             f"oracle complex needs {size} generators, over the limit of "
-            f"{max_generators}")
+            f"{MAX_ORACLE_GENERATORS}")
     # one tower at grading -shift, as an int when the shift is integral, so
     # that the tensor gradings of such a class are ints
     shift = int(a.shift) if a.shift.denominator == 1 else a.shift

@@ -66,57 +66,6 @@ def validate_profile(p: RootProfile) -> Diagnostics:
     return Diagnostics(tuple(checks))
 
 
-@dataclass(frozen=True)
-class TreeVertex:
-    grading: Grading
-    span: tuple[int, int]  # 1-indexed inclusive leaf interval
-
-
-def reconstruct_tree(p: RootProfile) -> list[TreeVertex]:
-    """Finite vertex set of the root above (and including) the merge of all leaves.
-
-    A vertex at grading g covering leaves i..j corresponds to a maximal leaf
-    interval whose intervening angles all have grading >= g.  Leaves appear as
-    singleton spans; the last vertex (full span at the minimum angle grading)
-    sits on top of the infinite stem.
-    """
-    verts = [TreeVertex(p.leaves[i], (i + 1, i + 1)) for i in range(p.n)]
-    for k, g in enumerate(p.angles):
-        i = k
-        while i > 0 and p.angles[i - 1] >= g:
-            i -= 1
-        j = k + 1
-        while j < len(p.angles) and p.angles[j] >= g:
-            j += 1
-        v = TreeVertex(g, (i + 1, j + 1))
-        if v not in verts:
-            verts.append(v)
-    return sorted(verts, key=lambda v: (-v.grading, v.span))
-
-
-def merge_grading(p: RootProfile, i: int, j: int) -> Grading:
-    """Grading where leaves i and j (1-indexed) merge: min intervening angle."""
-    if not (1 <= i <= j <= p.n):
-        raise IndexError("leaf indices out of range")
-    if i == j:
-        return p.leaves[i - 1]
-    return min(p.angles[i - 1:j - 1])
-
-
-def mirror_merge(p: SymmetricRootProfile, i: int) -> Grading:
-    """Grading of the first J-invariant vertex on the path from leaf i.
-
-    For a leaf in the left half this is min over the mirror-spanning angles
-    i..n-i; the central leaf of an odd profile is itself J-invariant.
-    """
-    n = p.n
-    if not (1 <= i <= (n + 1) // 2):
-        raise IndexError(f"leaf index {i} not in the left half (1..{(n + 1) // 2})")
-    if 2 * i == n + 1:
-        return p.leaves[i - 1]
-    return min(p.angles[i - 1:n - i])
-
-
 def standard_complex(p: SymmetricRootProfile) -> IotaComplex:
     """The standard iota-complex of a symmetric profile (involution J_0)."""
     diag = validate_profile(p)
@@ -137,20 +86,14 @@ def standard_complex(p: SymmetricRootProfile) -> IotaComplex:
 # profile text format
 
 
-def profile_to_text(p: RootProfile, coset: Grading | None = None) -> str:
-    lines = []
-    if coset is None:
-        coset = p.leaves[0] % 2
-    lines.append(f"coset: {coset}")
-    lines.append("leaves: " + " ".join(map(str, p.leaves)))
-    if p.angles:
-        lines.append("angles: " + " ".join(map(str, p.angles)))
-    else:
-        lines.append("angles:")
+def profile_to_text(p: RootProfile) -> str:
+    lines = [f"coset: {p.leaves[0] % 2}",
+             " ".join(["leaves:", *map(str, p.leaves)]),
+             " ".join(["angles:", *map(str, p.angles)])]
     return "\n".join(lines) + "\n"
 
 
-def profile_from_text(text: str, symmetric: bool = True) -> RootProfile:
+def profile_from_text(text: str) -> SymmetricRootProfile:
     coset = None
     leaves: list[Fraction] | None = None
     angles: list[Fraction] = []
@@ -171,8 +114,7 @@ def profile_from_text(text: str, symmetric: bool = True) -> RootProfile:
             raise ValueError(f"unrecognized profile line: {raw!r}")
     if not leaves:
         raise ValueError("profile file has no leaves line")
-    cls = SymmetricRootProfile if symmetric else RootProfile
-    p = cls(tuple(leaves), tuple(angles))
+    p = SymmetricRootProfile(tuple(leaves), tuple(angles))
     if coset is not None and (p.leaves[0] - coset) % 2 != 0:
         raise ValueError(f"declared coset {coset} inconsistent with leaf gradings")
     return p

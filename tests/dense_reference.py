@@ -6,8 +6,8 @@ compresses a tau stream run by run, and does GF(2) linear algebra on int
 bitsets.  These are the definitions those replace: dense Fraction
 elimination, the O(n^2) Pareto scan over ``mirror_merge``, the pair-deleting
 restart loop that simplifies a weakly monotone root, the list-based extrema
-scan, the reduced row-echelon form of a numpy uint8 array, the
-composition of maps stored as columns of explicit (row, U-exponent) pairs,
+scan, the reduced row-echelon form of a matrix stored as lists of 0/1
+rows, the composition of maps stored as columns of explicit (row, U-exponent) pairs,
 the max-min and min-max correction-term bounds row by row over fresh
 prefix slices, the expanded model's basis gathered eagerly at every grading
 from the generators' grading groups, and the local-map and homotopy systems
@@ -17,14 +17,12 @@ assembled term by term with equations numbered in order of first use.
 from fractions import Fraction
 from itertools import chain
 
-import numpy as np
-
 from hfi import gf2
 from hfi.complexes import Expanded, _bits, _offsets, default_truncation
 from hfi.cterms import p_q_sequences
 from hfi.monotone import MonotoneRoot, WeaklyMonotoneRoot
 from hfi.plumbing import PlumbingGraph, canonical_K, intersection_form
-from hfi.roots import SymmetricRootProfile, mirror_merge
+from hfi.roots import SymmetricRootProfile
 
 
 def leading_minor_dets(m: list[list[int]]) -> list[Fraction]:
@@ -79,6 +77,20 @@ def dense_k_squared(g: PlumbingGraph) -> Fraction:
     return sum(Fraction(K[i]) * x[i] for i in range(n))
 
 
+def mirror_merge(p: SymmetricRootProfile, i: int):
+    """Grading of the first J-invariant vertex on the path from leaf i.
+
+    For a leaf in the left half this is min over the mirror-spanning angles
+    i..n-i; the central leaf of an odd profile is itself J-invariant.
+    """
+    n = p.n
+    if not (1 <= i <= (n + 1) // 2):
+        raise IndexError(f"leaf index {i} not in the left half (1..{(n + 1) // 2})")
+    if 2 * i == n + 1:
+        return p.leaves[i - 1]
+    return min(p.angles[i - 1:n - i])
+
+
 def pareto_subroot_params(p: SymmetricRootProfile) -> tuple:
     """Monotone-subroot parameters by the O(n^2) Pareto-frontier definition."""
     n = p.n
@@ -128,61 +140,54 @@ def compress_list(taus: list[int]) -> tuple[list[int], list[int]]:
     return leaves, angles
 
 
-def dense_rref(A: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Reduced row-echelon form of A mod 2; returns (R, pivot_columns)."""
-    R = (A.copy() % 2).astype(np.uint8)
-    rows, cols = R.shape
+def dense_rref(A: list[list[int]], cols: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row-echelon form of the rows x cols matrix A mod 2, given as
+    lists of 0/1 rows; returns (R, pivot_columns)."""
+    R = [[v % 2 for v in row] for row in A]
     pivots: list[int] = []
     r = 0
     for c in range(cols):
-        if r >= rows:
+        if r >= len(R):
             break
-        hit = np.flatnonzero(R[r:, c])
-        if hit.size == 0:
+        p = next((i for i in range(r, len(R)) if R[i][c]), None)
+        if p is None:
             continue
-        p = r + hit[0]
-        if p != r:
-            R[[r, p]] = R[[p, r]]
-        others = np.flatnonzero(R[:, c])
-        others = others[others != r]
-        if others.size:
-            R[others] ^= R[r]
+        R[r], R[p] = R[p], R[r]
+        for i, row in enumerate(R):
+            if i != r and row[c]:
+                R[i] = [x ^ y for x, y in zip(row, R[r])]
         pivots.append(c)
         r += 1
     return R, pivots
 
 
-def dense_rank(A: np.ndarray) -> int:
-    if A.size == 0:
-        return 0
-    return len(dense_rref(A)[1])
+def dense_rank(A: list[list[int]], cols: int) -> int:
+    return len(dense_rref(A, cols)[1])
 
 
-def dense_kernel(A: np.ndarray) -> np.ndarray:
-    """Basis of ker(A) as columns, one per free column of the RREF."""
-    rows, cols = A.shape
-    R, pivots = dense_rref(A)
-    free = [c for c in range(cols) if c not in pivots]
-    K = np.zeros((cols, len(free)), dtype=np.uint8)
-    for idx, f in enumerate(free):
-        K[f, idx] = 1
+def dense_kernel(A: list[list[int]], cols: int) -> list[list[int]]:
+    """Basis of ker(A) as 0/1 vectors, one per free column of the RREF."""
+    R, pivots = dense_rref(A, cols)
+    K = []
+    for f in (c for c in range(cols) if c not in pivots):
+        x = [0] * cols
+        x[f] = 1
         # back-substitute pivot rows
         for r, p in enumerate(pivots):
-            if R[r, f]:
-                K[p, idx] = 1
+            if R[r][f]:
+                x[p] = 1
+        K.append(x)
     return K
 
 
-def dense_solve_affine(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+def dense_solve_affine(A: list[list[int]], b: list[int], cols: int) -> list[int] | None:
     """One solution x of A x = b mod 2 with free variables zero, or None."""
-    rows, cols = A.shape
-    aug = np.concatenate([A % 2, (b % 2).reshape(rows, 1)], axis=1).astype(np.uint8)
-    R, pivots = dense_rref(aug)
+    R, pivots = dense_rref([row + [v] for row, v in zip(A, b)], cols + 1)
     if cols in pivots:
         return None
-    x = np.zeros(cols, dtype=np.uint8)
+    x = [0] * cols
     for r, p in enumerate(pivots):
-        x[p] = R[r, cols]
+        x[p] = R[r][cols]
     return x
 
 

@@ -14,8 +14,8 @@ from fractions import Fraction
 import pytest
 
 from hfi import complexes
-from hfi.brieskorn import (BrieskornParams, brieskorn_class,
-                           brieskorn_monotone, seifert_plumbing)
+from hfi.brieskorn import (BrieskornParams, brieskorn_class, brieskorn_root,
+                           seifert_plumbing)
 from hfi.cli import main
 from hfi.complexes import (correction_terms as oracle_terms, dual,
                            find_local_map, locally_equivalent, tensor,
@@ -71,7 +71,7 @@ def test_criterion_02_sigma_13_21_34_end_to_end():
     def body():
         t0 = time.monotonic()
         _, cls = brieskorn_class(BrieskornParams(13, 21, 34))
-        root = brieskorn_monotone(BrieskornParams(13, 21, 34))
+        root = monotone_subroot(brieskorn_root(BrieskornParams(13, 21, 34)))
         elapsed = time.monotonic() - t0
         assert cls == Y(6) + Y(4) - Y(5) + I(-2)
         assert root == M(12, 0, 10, 2)

@@ -7,11 +7,11 @@ import pytest
 
 from hfi import gf2
 from hfi.brieskorn import (MAX_SIGMA_ALPHA, BrieskornParams, SigmaSizeError,
-                           brieskorn_class, brieskorn_monotone, brieskorn_root,
+                           brieskorn_class, brieskorn_root,
                            negative_continued_fraction, seifert_plumbing,
                            tau_sequence)
 from hfi.localclass import I, Y, d_invariant, mu_bar
-from hfi.monotone import M
+from hfi.monotone import M, monotone_subroot
 from hfi.plumbing import intersection_form, is_negative_definite
 
 
@@ -92,7 +92,7 @@ def test_class_2_3_7():
 
 def test_class_5_8_13():
     p, cls = brieskorn_class(BrieskornParams(5, 8, 13))
-    assert brieskorn_monotone(BrieskornParams(5, 8, 13)) == M(4, 0, 2, 2)
+    assert monotone_subroot(brieskorn_root(BrieskornParams(5, 8, 13))) == M(4, 0, 2, 2)
     assert cls == Y(2) - Y(1) + I(-2)
     assert d_invariant(cls) == 4
     assert mu_bar(cls) == -1
@@ -137,18 +137,6 @@ def test_mu_bar_matches_wu_class_oracle():
         b = BrieskornParams(*params)
         _, cls = brieskorn_class(b)
         assert mu_bar(cls) == _wu_class_mu_bar(b), params
-
-
-def test_insufficient_steps_raises():
-    with pytest.raises(RuntimeError):
-        brieskorn_root(BrieskornParams(5, 8, 13), max_steps=10)
-
-
-def test_stopping_rule_is_alpha_plus_one_steps():
-    b = BrieskornParams(5, 8, 13)
-    with pytest.raises(RuntimeError):
-        brieskorn_root(b, max_steps=520)
-    assert brieskorn_root(b, max_steps=521) == brieskorn_root(b)
 
 
 def test_alpha_above_budget_raises_before_any_tau_step(monkeypatch):

@@ -10,9 +10,9 @@ from hypothesis import given, seed, settings, strategies as st
 from dense_reference import expand_map, pair_mul
 import hfi
 from hfi import complexes
-from hfi.complexes import (correction_terms, dual, ensure_valid,
-                           homology_ranks, iota_complex, locally_equivalent,
-                           find_local_map, tensor, trivial_complex, validate)
+from hfi.complexes import (correction_terms, dual, homology_ranks,
+                           iota_complex, locally_equivalent, find_local_map,
+                           tensor, trivial_complex, validate)
 from hfi.localclass import I, LocalClass, Y
 from hfi.monotone import M, MonotoneRoot, to_profile
 from hfi.report import class_complex
@@ -59,7 +59,7 @@ def test_tensor_with_dual_is_locally_trivial():
 def test_tensor_of_standard_complexes():
     # M(2,0) (x) M(2,0): d-tower at 4, involutive lower tower trails by 2s_1
     t = tensor(std(2, 0), std(2, 0))
-    ensure_valid(t)
+    assert validate(t).ok
     d, d_bar, d_under = correction_terms(t)
     assert d == 4 and d_bar == 4 and d_under == 2
 
@@ -88,15 +88,17 @@ def test_local_map_exists_only_one_way():
     assert not locally_equivalent(a, b)
 
 
-def test_local_map_search_above_its_size_limit_raises():
+def test_local_map_search_above_its_size_limit_raises(monkeypatch):
     # this pair's system has 5 F-, 2 H- and 1 slack unknowns, 8 in all
     a, b = std(0, -4), std(0, -2)
+    assert find_local_map(a, b) is not None
+    monkeypatch.setattr(complexes, "MAX_LOCAL_MAP_UNKNOWNS", 7)
     with pytest.raises(hfi.SearchSizeError) as e:
-        find_local_map(a, b, max_unknowns=7)
-    assert isinstance(e.value, RuntimeError)
+        find_local_map(a, b)
+    assert isinstance(e.value, ValueError)
     msg = str(e.value)
     assert all(s in msg for s in ("limit 7", "5 F-vars", "2 H-vars", "1 slack vars"))
-    assert find_local_map(a, b, max_unknowns=8) is not None
+    monkeypatch.setattr(complexes, "MAX_LOCAL_MAP_UNKNOWNS", 8)
     assert find_local_map(a, b) is not None
 
 

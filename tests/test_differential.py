@@ -33,7 +33,6 @@ import random
 from fractions import Fraction
 from itertools import accumulate, product
 
-import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
@@ -45,9 +44,8 @@ from dense_reference import (compress_list, dense_is_negative_definite,
                              slice_d_lower_offset, slice_d_upper_offset)
 from hfi import complexes, cterms, gf2
 from hfi.brieskorn import (BrieskornParams, _compress_to_profile, _tau_deltas,
-                           brieskorn_root, negative_continued_fraction,
-                           seifert_invariants, seifert_plumbing,
-                           tau_closed_form, tau_sequence)
+                           negative_continued_fraction, seifert_invariants,
+                           seifert_plumbing, tau_closed_form, tau_sequence)
 from hfi.localclass import I, Y
 from hfi.monotone import M, WeaklyMonotoneRoot, monotone_subroot, simplify_weak, to_profile
 from hfi.plumbing import PlumbingGraph, is_negative_definite, k_squared
@@ -93,8 +91,10 @@ def test_stopping_rule_at_alpha_plus_one(triple):
         d + 1 for d in _tau_deltas(b, 0, alpha)]
     # tau is nondecreasing from n = alpha
     assert all(d >= 0 for d in _tau_deltas(b, alpha, 2 * alpha + 16))
-    # the old stopping point, through the same parameter, gives the same root
-    assert brieskorn_root(b) == brieskorn_root(b, max_steps=2 * alpha + 16)
+    # the alpha + 1 prefix compresses to the same extrema as the old
+    # stopping point, 2 alpha + 16 steps
+    assert (_compress_to_profile(tau_closed_form(b, alpha + 1))
+            == _compress_to_profile(tau_closed_form(b, 2 * alpha + 16)))
     # the grading offset (K^2 + s)/4 is an even integer
     g, _ = seifert_plumbing(b)
     assert (k_squared(g) + g.n) % 8 == 0
@@ -222,57 +222,59 @@ def test_reference_definitions_on_a_known_profile():
 
 @st.composite
 def gf2_systems(draw):
-    """(A, b): a dense 0/1 matrix of up to 60 x 60 with some zero rows and
-    columns, and a right-hand side that is consistent about half the time."""
+    """(A, b, cols): a dense 0/1 matrix of up to 60 x 60, as lists of rows,
+    with some zero rows and columns, and a right-hand side that is
+    consistent about half the time."""
     rows, cols = draw(st.integers(0, 60)), draw(st.integers(0, 60))
     density = draw(st.sampled_from([0.05, 0.2, 0.5]))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    A = (np.array([[rng.random() < density for _ in range(cols)] for _ in range(rows)],
-                  dtype=np.uint8).reshape(rows, cols))
-    A[rng.sample(range(rows), rows // 4), :] = 0
-    A[:, rng.sample(range(cols), cols // 4)] = 0
+    A = [[int(rng.random() < density) for _ in range(cols)] for _ in range(rows)]
+    for i in rng.sample(range(rows), rows // 4):
+        A[i] = [0] * cols
+    for j in rng.sample(range(cols), cols // 4):
+        for row in A:
+            row[j] = 0
     if draw(st.booleans()):
-        b = A.astype(np.int64) @ np.array([rng.randrange(2) for _ in range(cols)],
-                                          dtype=np.int64) % 2
+        x = [rng.randrange(2) for _ in range(cols)]
+        b = [sum(a * v for a, v in zip(row, x)) % 2 for row in A]
     else:
-        b = np.array([rng.randrange(2) for _ in range(rows)])
-    return A, b.astype(np.uint8)
+        b = [rng.randrange(2) for _ in range(rows)]
+    return A, b, cols
 
 
 def _bits(v) -> int:
     """A dense 0/1 vector as an int, bit i for entry i."""
-    return sum(1 << i for i in np.flatnonzero(v).tolist())
+    return sum(1 << i for i, x in enumerate(v) if x)
 
 
-def _bitset(A: np.ndarray) -> gf2.Matrix:
-    return gf2.Matrix(A.shape[0], [_bits(A[:, j]) for j in range(A.shape[1])])
+def _bitset(A: list[list[int]], cols: int) -> gf2.Matrix:
+    return gf2.Matrix(len(A), [_bits([row[j] for row in A]) for j in range(cols)])
 
 
 @seed(20170609)
 @settings(max_examples=60, deadline=None)
 @given(gf2_systems())
 def test_bitset_rank_matches_dense(system):
-    A, _ = system
-    assert gf2.rank(_bitset(A)) == dense_rank(A)
+    A, _, cols = system
+    assert gf2.rank(_bitset(A, cols)) == dense_rank(A, cols)
 
 
 @seed(20170610)
 @settings(max_examples=60, deadline=None)
 @given(gf2_systems())
 def test_bitset_kernel_matches_dense_basis(system):
-    A, _ = system
-    K = dense_kernel(A)
-    assert gf2.kernel(_bitset(A)) == gf2.Matrix(A.shape[1], [_bits(K[:, c])
-                                                            for c in range(K.shape[1])])
+    A, _, cols = system
+    K = dense_kernel(A, cols)
+    assert gf2.kernel(_bitset(A, cols)) == gf2.Matrix(cols, [_bits(k) for k in K])
 
 
 @seed(20170611)
 @settings(max_examples=60, deadline=None)
 @given(gf2_systems())
 def test_bitset_solve_affine_matches_dense(system):
-    A, b = system
-    x = dense_solve_affine(A, b)
-    assert gf2.solve_affine(_bitset(A), _bits(b)) == (None if x is None else _bits(x))
+    A, b, cols = system
+    x = dense_solve_affine(A, b, cols)
+    assert gf2.solve_affine(_bitset(A, cols), _bits(b)) == (None if x is None else _bits(x))
 
 
 # coefficients in {-2..2} on Y(1) and Y(2) and shifts 0, +-2, at most 81

