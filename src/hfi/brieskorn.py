@@ -164,9 +164,11 @@ def tau_sequence(g: PlumbingGraph, center: str, steps: int) -> list[int]:
     This is the cross-check engine: it works on any plumbing tree, and the
     tests compare it step for step with ``tau_closed_form``.
     """
-    c = g.ids().index(center)
+    if center not in g.index:
+        raise ValueError(f"center {center!r} is not a vertex of the graph")
+    c = g.index[center]
     weights = g.weights()
-    adj = g.adjacency()
+    adj = g.adj
     pairing = [0] * g.n  # <x, E_v>
     chi_val = 0
     taus = [0]

@@ -115,7 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     pe = sub.add_parser("eval", help="evaluate a class expression")
-    pe.add_argument("expr")
+    pe.add_argument("expr", nargs="?",
+                    help="class expression; it may start with '-'")
     pe.add_argument("--oracle", action="store_true",
                     help="cross-check invariants on an explicit complex")
     pe.add_argument("--truncation", type=int, default=None,
@@ -159,7 +160,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args, unknown = parser.parse_known_args(argv)
+    # argparse reads an argument that starts with '-', such as
+    # "-Sigma(2,3,5)", as an unknown option: for eval, it is the expression
+    if args.command == "eval" and args.expr is None:
+        if len(unknown) != 1 or unknown[0].startswith("--"):
+            parser.error("the following arguments are required: expr")
+        args.expr = unknown.pop()
+    if unknown:
+        parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     # first match wins: OracleSizeError and ParseError are ValueErrors
     exit_codes = {OracleMismatchError: 3, OracleSizeError: 1,
                   ValueError: 2, OSError: 2}

@@ -609,7 +609,7 @@ def correction_terms(c: IotaComplex,
     N+2 and must agree, otherwise TruncationUnstableError is raised.  A
     grading outside tau + Z raises ValueError.
     """
-    N = truncation or c.truncation
+    N = c.truncation if truncation is None else truncation
 
     def at(n):
         base = Expanded(c.gradings, c.diff, n, c.tau)

@@ -7,65 +7,74 @@ cycle Z_min satisfies chi(Z_min) = 1 exactly for rational graphs), and the
 almost-rational check lowers one vertex weight at a time within a bound.
 Negative definiteness and K^2 come from one exact elimination along the
 tree, which has no fill-in.
+
+A ``PlumbingGraph`` holds its index form, built once when the graph is
+checked: the vertex indices, the index adjacency and a BFS order from
+vertex 0 with parents.  Every routine here reads it; the elimination
+order is the stored BFS order reversed, leaves first.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 
 @dataclass(frozen=True)
 class PlumbingGraph:
+    """A weighted tree, checked on construction, and its index form.
+
+    Vertex i is ``vertices[i]``.  ``__post_init__`` builds the index form
+    once, and it is read-only afterwards: ``index`` maps a vertex id to its
+    index, ``adj[i]`` lists the neighbours of i, ``order`` is the BFS order
+    from vertex 0 and ``parent[i]`` the BFS parent of i (-1 at vertex 0).
+    These fields take no part in ==, hash or repr.
+    """
+
     vertices: tuple[tuple[str, int], ...]  # (id, weight)
     edges: tuple[tuple[str, str], ...]
+    index: dict[str, int] = field(init=False, repr=False, compare=False)
+    adj: list[list[int]] = field(init=False, repr=False, compare=False)
+    order: list[int] = field(init=False, repr=False, compare=False)
+    parent: list[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ids = [v for v, _ in self.vertices]
-        if len(set(ids)) != len(ids):
+        index = {v: i for i, (v, _) in enumerate(self.vertices)}
+        n = len(index)
+        if n != len(self.vertices):
             raise ValueError("duplicate vertex ids")
-        idx = {v: i for i, v in enumerate(ids)}
+        adj: list[list[int]] = [[] for _ in range(n)]
         for a, b in self.edges:
-            if a not in idx or b not in idx:
+            if a not in index or b not in index:
                 raise ValueError(f"edge ({a}, {b}) references unknown vertex")
             if a == b:
                 raise ValueError("self-loops are not allowed")
-        n = len(ids)
+            adj[index[a]].append(index[b])
+            adj[index[b]].append(index[a])
         if len(self.edges) != n - 1:
             raise ValueError("a plumbing tree on n vertices needs n-1 edges")
-        # connectivity
-        seen = {ids[0]} if ids else set()
-        frontier = list(seen)
-        adj: dict[str, list[str]] = {v: [] for v in ids}
-        for a, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        while frontier:
-            v = frontier.pop()
+        # with n - 1 edges, the graph is a tree iff the BFS reaches every vertex
+        parent = [-1] * n
+        order = [0]
+        seen = {0}
+        for v in order:  # the list grows while it is read
             for w in adj[v]:
                 if w not in seen:
                     seen.add(w)
-                    frontier.append(w)
-        if len(seen) != n:
+                    parent[w] = v
+                    order.append(w)
+        if len(order) != n:
             raise ValueError("plumbing graph is not connected")
+        for name, value in (("index", index), ("adj", adj), ("order", order),
+                            ("parent", parent)):
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
         return len(self.vertices)
 
-    def ids(self) -> list[str]:
-        return [v for v, _ in self.vertices]
-
     def weights(self) -> list[int]:
         return [w for _, w in self.vertices]
-
-    def adjacency(self) -> list[list[int]]:
-        idx = {v: i for i, (v, _) in enumerate(self.vertices)}
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for a, b in self.edges:
-            adj[idx[a]].append(idx[b])
-            adj[idx[b]].append(idx[a])
-        return adj
 
     def reweighted(self, vertex_id: str, new_weight: int) -> "PlumbingGraph":
         verts = tuple((v, new_weight if v == vertex_id else w)
@@ -74,14 +83,11 @@ class PlumbingGraph:
 
 
 def intersection_form(g: PlumbingGraph) -> list[list[int]]:
-    n = g.n
-    idx = {v: i for i, (v, _) in enumerate(g.vertices)}
-    m = [[0] * n for _ in range(n)]
-    for i, (_, w) in enumerate(g.vertices):
-        m[i][i] = w
-    for a, b in g.edges:
-        m[idx[a]][idx[b]] = 1
-        m[idx[b]][idx[a]] = 1
+    m = [[0] * g.n for _ in range(g.n)]
+    for v, (w, nbrs) in enumerate(zip(g.weights(), g.adj)):
+        m[v][v] = w
+        for u in nbrs:
+            m[v][u] = 1
     return m
 
 
@@ -102,25 +108,17 @@ def tree_elimination(g: PlumbingGraph,
     D = diag(d) and b = L^{-1} rhs.  The pass stops after the first zero
     pivot, since no later vertex can be divided by it.
     """
-    adj = g.adjacency()
-    parent = [-1] * g.n
-    order = [0]
-    for v in order:  # BFS; the list grows while it is read
-        for w in adj[v]:
-            if w != parent[v]:
-                parent[w] = v
-                order.append(w)
     diag = [Fraction(w) for w in g.weights()]
     b = [Fraction(r) for r in rhs]
     pivots: list[Fraction] = []
     out: list[Fraction] = []
-    for v in reversed(order):
+    for v in reversed(g.order):
         d = diag[v]
         pivots.append(d)
         out.append(b[v])
         if d == 0:
             break
-        p = parent[v]
+        p = g.parent[v]
         if p >= 0:  # the edge entry is 1: subtract row v / d from row p
             diag[p] -= 1 / d
             b[p] -= b[v] / d
@@ -139,9 +137,8 @@ def is_negative_definite(g: PlumbingGraph) -> bool:
 
 def chi(g: PlumbingGraph, x: list[int]) -> int:
     """chi(x) = -( <x, x> + <K, x> ) / 2, an integer since K is characteristic."""
-    idx = {v: i for i, (v, _) in enumerate(g.vertices)}
-    xx = (sum(w * xi * xi for w, xi in zip(g.weights(), x))
-          + 2 * sum(x[idx[a]] * x[idx[b]] for a, b in g.edges))
+    xx = sum(xv * (w * xv + sum(x[u] for u in nbrs))
+             for xv, w, nbrs in zip(x, g.weights(), g.adj))
     kx = sum(k * xi for k, xi in zip(canonical_K(g), x))
     return -(xx + kx) // 2
 
@@ -185,11 +182,10 @@ def minimal_cycle(g: PlumbingGraph) -> list[int]:
     if not is_negative_definite(g):
         raise ValueError("plumbing graph is not negative definite")
     weights = g.weights()
-    adj = g.adjacency()
     x = [1] * g.n
     # pairing[v] = <x, E_v>
-    pairing = [weights[v] + len(adj[v]) for v in range(g.n)]
-    laufer_closure(weights, adj, pairing, list(range(g.n)), counts=x)
+    pairing = [weights[v] + len(g.adj[v]) for v in range(g.n)]
+    laufer_closure(weights, g.adj, pairing, list(range(g.n)), counts=x)
     return x
 
 

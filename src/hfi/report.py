@@ -9,11 +9,14 @@ summand, dualized for negative coefficients) whose correction terms are
 computed independently and must agree with the closed-form engine.
 
 The oracle is capped at MAX_ORACLE_GENERATORS generators and at truncation
-N = MAX_ORACLE_TRUNCATION: an expanded model costs O(N^2) (each chain group
-is gathered from N grading groups).  At the cap, ``Y(506)`` took 0.66 s,
-``Y(1)`` with truncation 512 took 0.41 s, and ``7*Y(1)`` (2187 generators)
-with truncation 512 took 0.86 s, with CPython 3.11 on one core of a shared
-x86-64 server.  Past either cap, OracleSizeError is raised before any scan.
+N = MAX_ORACLE_TRUNCATION.  An expanded model takes one sliding pass of
+O(N + grading spread) chain-group masks, and gathers the generators of a
+chain group (from N grading groups) only when a scan first reads it, so
+the scans, not the model, set the cost.  At the cap, ``Y(506)`` took
+0.10 s, ``Y(1)`` with truncation 512 took 0.003 s, and ``7*Y(1)`` (2187
+generators) with truncation 512 took 0.07 s (``evaluate_text`` with the
+oracle, best of 5, CPython 3.11 on one core of a shared x86-64 server).
+Past either cap, OracleSizeError is raised before any scan.
 Both caps are read at call time.  Root-profile files use HF-minus gradings,
 2 below the internal ones; only this module applies that shift.
 """
@@ -157,7 +160,7 @@ def oracle_check(a: LocalClass, truncation: int | None = None) -> str:
     """Recompute (d, d-bar, d-under) on an explicit complex; raise on mismatch."""
     want = cterms.correction_terms(a)
     c = class_complex(a)
-    N = truncation or c.truncation
+    N = c.truncation if truncation is None else truncation
     if N > MAX_ORACLE_TRUNCATION:
         raise OracleSizeError(
             f"oracle truncation N = {N} is over the limit of "

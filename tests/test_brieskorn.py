@@ -58,6 +58,12 @@ def test_tau_sequence_starts_at_zero():
     assert len(taus) == 31
 
 
+def test_tau_sequence_unknown_center_raises_value_error():
+    g, _ = seifert_plumbing(BrieskornParams(2, 3, 7))
+    with pytest.raises(ValueError):
+        tau_sequence(g, "not-a-vertex", 5)
+
+
 def test_root_2_3_5():
     p = brieskorn_root(BrieskornParams(2, 3, 5))
     assert p.leaves == (2,)

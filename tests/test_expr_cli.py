@@ -131,6 +131,18 @@ def test_cli_eval_json(capsys):
     assert obj["d"] == "2"
 
 
+def test_cli_eval_expression_starting_with_minus(capsys):
+    # argparse reads "-Sigma(2,3,5)" as an option unless eval claims it
+    assert main(["eval", "-Sigma(2,3,5)"]) == 0
+    out = capsys.readouterr().out
+    assert f"total:      {I(2)}" in out
+    assert "d:          -2" in out
+    assert main(["eval", "-Sigma(2,3,5)", "--oracle", "--format", "json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["total"] == I(2).to_json()
+    assert obj["d"] == "-2" and obj["oracle"] == "agrees"
+
+
 def test_cli_eval_parse_error(capsys):
     assert main(["eval", "Y(2) +"]) == 2
     assert "parse error" in capsys.readouterr().err
@@ -277,6 +289,7 @@ def test_cli_eval_file_atom(tmp_path, capsys):
     ["eval", "I[1/0]"],  # zero denominators
     ["eval", "M(1/0,0)"],
     ["family", "--M", "1", "--N", "1", "--d", "1/0", "--mu", "0"],
+    ["eval", "Y(1)", "--oracle", "--truncation", "0"],
 ])
 def test_cli_invalid_input_exits_2_with_message(argv, capsys):
     assert main(argv) == 2

@@ -26,6 +26,13 @@ def test_tree_validation():
         PlumbingGraph((("a", -2),), (("a", "a"),))  # self loop
     with pytest.raises(ValueError):
         PlumbingGraph((("a", -2), ("b", -2)), ())  # disconnected / wrong count
+    # n - 1 edges that do not form a tree: only the connectivity check refuses
+    with pytest.raises(ValueError, match="not connected"):
+        PlumbingGraph((("a", -2), ("b", -2), ("c", -2), ("d", -2)),
+                      (("a", "b"), ("b", "c"), ("c", "a")))  # triangle + isolated
+    with pytest.raises(ValueError, match="not connected"):
+        PlumbingGraph((("a", -2), ("b", -2), ("c", -2)),
+                      (("a", "b"), ("b", "a")))  # doubled edge + isolated
 
 
 def test_intersection_form_and_K():
