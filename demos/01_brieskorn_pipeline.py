@@ -3,12 +3,16 @@
 Walks the full pipeline for Sigma(5,8,13): build the negative-definite
 plumbing tree, run the computation-sequence function tau, extract the
 graded-root profile, reduce it to its monotone subroot, and decompose the
-subroot in the Y-basis.
+subroot in the Y-basis.  The pipeline itself needs no plumbing: it streams
+the closed-form tau steps and reads K^2 + s from Dedekind sums, and the
+plumbing's Laufer sequence and tree elimination check both here.
 """
 
+from operator import sub
+
 from hfi.brieskorn import (BrieskornParams, _compress_to_profile,
-                           brieskorn_root, seifert_plumbing, tau_closed_form,
-                           tau_sequence)
+                           _k_squared_plus_s, brieskorn_root, seifert_plumbing,
+                           tau_closed_form, tau_sequence)
 from hfi.cterms import correction_terms
 from hfi.localclass import d_invariant, mu_bar
 from hfi.monotone import decompose, monotone_subroot
@@ -24,6 +28,10 @@ print(graph_to_text(graph))
 print("negative definite:", is_negative_definite(graph))
 q = k_squared(graph) + graph.n
 print("K^2 + s =", q)
+# The pipeline reads K^2 + s from Dedekind sums of the Seifert invariants,
+# without the plumbing; the tree elimination above is its cross-check.
+print("K^2 + s from Dedekind sums =", _k_squared_plus_s(params))
+assert _k_squared_plus_s(params) == q
 
 # Step 2: the tau sequence.  tau(v) is the Euler characteristic of the v-th
 # cycle in the generalized Laufer computation sequence; its local minima and
@@ -44,7 +52,8 @@ print("angles:", profile.angles)
 # n = alpha on, so alpha + 1 Laufer steps on the plumbing tree give the
 # same leaves and angles as the closed-form pipeline.
 steps = params.a1 * params.a2 * params.a3 + 1
-leaf_taus, angle_taus = _compress_to_profile(tau_sequence(graph, center, steps))
+laufer = tau_sequence(graph, center, steps)
+leaf_taus, angle_taus = _compress_to_profile(map(sub, laufer[1:], laufer))
 assert [-2 * t + q / 4 for t in leaf_taus] == list(profile.leaves)
 assert [-2 * t + q / 4 for t in angle_taus] == list(profile.angles)
 print(f"Laufer sequence over alpha + 1 = {steps} steps agrees")

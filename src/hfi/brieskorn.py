@@ -39,14 +39,41 @@ run, so the compression of this prefix is the profile of the whole
 sequence.
 
 Two tau engines are kept.  Production (``brieskorn_root``) uses the closed
-form, ``tau_closed_form``: alpha + 1 integer steps streamed straight into
-the extrema compression, so memory is O(leaves).  The cross-check is
-``tau_sequence``, the Laufer sequence on the plumbing tree itself; the
-tests compare the two step for step.  K^2 comes from one O(n) elimination
-along the tree (``plumbing.k_squared``).  alpha is capped at
-MAX_SIGMA_ALPHA: five spheres with alpha between 999,294 and 999,985 took
-0.5-1.2 s each with CPython 3.11 on one core of a shared x86-64 server.  A
-larger sphere raises SigmaSizeError, a ValueError, before any tau step.
+form through ``_tau_deltas``.  Multiplied by alpha it reads
+
+    alpha Delta(n) = alpha + n - S(n),
+    S(n) = sum_i (alpha/a_i) ((-n omega_i) mod a_i) = alpha sum_i eps_i(n),
+
+and the division by alpha is exact, because S(n) = n (mod alpha):
+omega_i alpha/a_i = -1 (mod a_i), so the term of fibre i is congruent to n
+mod a_i, and a_i divides alpha/a_j for j != i, so every other term is 0 mod
+a_i; hence S(n) = n mod each a_i, and mod alpha by the Chinese remainder
+theorem.  The term of fibre i, (-n omega_i alpha/a_i) mod alpha, has period
+a_i in n.  ``_tau_deltas`` tabulates each term over its own period from the
+phase of the first n, repeats the two smaller ones to a1 a2 entries and adds
+them into one table, and streams alpha + n - S(n) with ``cycle``, ``add``
+and ``sub`` against a ``range``, then ``floordiv`` by alpha: no per-step
+Python code runs.  The steps go straight into the extrema compression,
+which keeps only the leaves and angles, so memory is O(a1 a2 + a3 + leaves)
+ints.  The cross-check is ``tau_sequence``, the Laufer sequence on the
+plumbing tree itself; the tests compare the two step for step, and the
+ceiling formula above stays in the tests as the reference.
+
+The grading offset needs K^2 + s of the plumbing, which ``brieskorn_root``
+reads from the Seifert invariants without building the plumbing.  With
+Euler number e = -1/alpha and eps = (1 - sum_i 1/a_i)/e,
+
+    K^2 + s = eps^2 e + e + 5 - 12 sum_i s(omega_i, a_i)
+
+(Nemethi-Nicolaescu, "Seiberg-Witten invariants and surface singularities",
+Geom. Topol. 6 (2002)), where s(h, k) is the Dedekind sum, computed in
+O(log k) integer steps by reciprocity (Rademacher-Grosswald, "Dedekind
+Sums", 1972).  ``plumbing.k_squared``, one elimination along the tree, stays
+as the independent check that the tests and demo 01 run.  alpha is capped at
+MAX_SIGMA_ALPHA: Sigma(2,3,166663), Sigma(11,13,6991) and Sigma(97,101,102),
+near the cap with 27,720 to 38,065 leaves, took 0.18-0.25 s each with
+CPython 3.11 on one core of a shared x86-64 server.  A larger sphere raises
+SigmaSizeError, a ValueError, before any tau step.
 
 Grading conventions.
 * h-normalized gradings (every profile, complex and class inside ``hfi``):
@@ -79,12 +106,12 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import accumulate, groupby, repeat, tee
-from operator import floordiv, sub
+from itertools import accumulate, cycle, groupby, repeat
+from operator import add, floordiv, mod, sub
 
 from .localclass import LocalClass
 from .monotone import decompose, monotone_subroot
-from .plumbing import PlumbingGraph, k_squared, laufer_closure
+from .plumbing import PlumbingGraph, laufer_closure
 from .roots import SymmetricRootProfile
 
 # Largest alpha = a1 a2 a3 that brieskorn_root accepts (see the module docstring).
@@ -183,18 +210,26 @@ def tau_sequence(g: PlumbingGraph, center: str, steps: int) -> list[int]:
 
 
 def _tau_deltas(b: BrieskornParams, start: int, stop: int) -> Iterator[int]:
-    """Delta(n) = 1 + b0 n - sum_i ceil(n omega_i / a_i) for start <= n < stop.
+    """Delta(n) = (alpha + n - S(n)) // alpha for start <= n < stop.
 
-    Built from C-level iterators over ranges: ceil(n w / a) is
-    (n w + a - 1) // a, and no per-step Python code runs.
+    S(n) is the periodic sum of the module docstring; the term of fibre i is
+    (n k_i) mod alpha with k_i = -omega_i alpha/a_i, and both tables start
+    at n = start.
     """
-    b0, omegas = seifert_invariants(b)
-    deltas = range(1 + start * b0, 1 + stop * b0, b0)
-    for ai, wi in zip(b.tuple, omegas):
-        ceils = map(floordiv, range(start * wi + ai - 1, stop * wi + ai - 1, wi),
-                    repeat(ai))
-        deltas = map(sub, deltas, ceils)
-    return deltas
+    a1, a2, a3 = b.tuple
+    alpha = a1 * a2 * a3
+    _, omegas = seifert_invariants(b)
+    k1, k2, k3 = (-w * (alpha // ai) for ai, w in zip(b.tuple, omegas))
+
+    def period(k: int, ai: int) -> map:
+        """(n k) mod alpha for start <= n < start + ai: one fibre's period."""
+        return map(mod, range(start * k, (start + ai) * k, k), repeat(alpha))
+
+    s12 = list(map(add, list(period(k1, a1)) * a2, list(period(k2, a2)) * a1))
+    # cycle stores the first pass of the a3 table as it streams it
+    sums = map(add, cycle(s12), cycle(period(k3, a3)))
+    return map(floordiv, map(sub, range(alpha + start, alpha + stop), sums),
+               repeat(alpha))
 
 
 def tau_closed_form(b: BrieskornParams, steps: int) -> Iterator[int]:
@@ -202,23 +237,20 @@ def tau_closed_form(b: BrieskornParams, steps: int) -> Iterator[int]:
     return accumulate(_tau_deltas(b, 0, steps), initial=0)
 
 
-def _compress_to_profile(taus: Iterable[int]) -> tuple[list[int], list[int]]:
-    """Leaf/angle tau values: local minima and the maxima between them.
+def _compress_to_profile(deltas: Iterable[int]) -> tuple[list[int], list[int]]:
+    """Leaf/angle tau values of the sequence with tau(0) = 0 and steps
+    ``deltas``: its local minima and the maxima between them.
 
-    One pass over the nonzero differences, grouped into runs of one sign:
-    a leaf starts each rising run and ends a final falling run, and the top
-    of each rising run that a falling run follows is an angle.  ``taus`` may
-    be any iterable; only the extrema are stored.
+    One pass over the nonzero steps, grouped into runs of one sign: a leaf
+    starts each rising run and ends a final falling run, and the top of each
+    rising run that a falling run follows is an angle.  ``deltas`` may be
+    any iterable; only the extrema are stored.
     """
-    prev, nxt = tee(taus)
-    t = next(nxt, None)
-    if t is None:
-        return [], []
+    t = 0
     leaves: list[int] = []
     angles: list[int] = []
     rising = None
-    steps = filter(None, map(sub, nxt, prev))
-    for rising, run in groupby(steps, (0).__lt__):
+    for rising, run in groupby(filter(None, deltas), (0).__lt__):
         if rising:
             leaves.append(t)
             t += sum(run)
@@ -232,27 +264,66 @@ def _compress_to_profile(taus: Iterable[int]) -> tuple[list[int], list[int]]:
     return leaves, angles
 
 
+def _dedekind_sum_12k(h: int, k: int) -> int:
+    """12 k s(h, k) for coprime 0 <= h < k, an integer (6 k s(h, k) is one).
+
+    s(h, k) = sum_{r=1}^{k-1} ((r/k)) ((h r/k)).  Reciprocity,
+    s(h, k) + s(k, h) = (h/k + k/h + 1/(h k))/12 - 1/4, times 12 h k reads
+    h D(h, k) + k D(k mod h, h) = h^2 + k^2 + 1 - 3 h k for D(h, k) =
+    12 k s(h, k); it is solved back along Euclid's algorithm from
+    D(0, 1) = 0.
+    """
+    euclid = []
+    while h:
+        euclid.append((h, k))
+        h, k = k % h, h
+    d = 0
+    for h, k in reversed(euclid):
+        d = (h * h + k * k + 1 - 3 * h * k - k * d) // h
+    return d
+
+
+def _k_squared_plus_s(b: BrieskornParams) -> int:
+    """K^2 + s of the plumbing of Sigma(a1,a2,a3), from Dedekind sums.
+
+    In K^2 + s = eps^2 e + e + 5 - 12 sum_i s(omega_i, a_i) (module
+    docstring), e = -1/alpha and eps = -chi with chi = alpha - sum_i
+    alpha/a_i, so alpha (K^2 + s) = 5 alpha - chi^2 - 1
+    - sum_i (alpha/a_i) 12 a_i s(omega_i, a_i), all in ints.  A value that
+    alpha does not divide raises AssertionError.
+    """
+    a = b.tuple
+    alpha = a[0] * a[1] * a[2]
+    _, omegas = seifert_invariants(b)
+    chi = alpha - sum(alpha // ai for ai in a)
+    num = 5 * alpha - chi * chi - 1 - sum(
+        (alpha // ai) * _dedekind_sum_12k(w, ai) for ai, w in zip(a, omegas))
+    q, r = divmod(num, alpha)
+    if r:
+        raise AssertionError(f"K^2 + s = {num}/{alpha} is not an integer")
+    return q
+
+
 def brieskorn_root(b: BrieskornParams) -> SymmetricRootProfile:
     """Graded-root profile of Sigma(a1,a2,a3), h-normalized gradings.
 
-    Streams tau(0..alpha+1) from the closed form into the extrema
+    Streams Delta(0..alpha) from the closed form into the extrema
     compression: alpha + 1 steps is the stopping rule proved in the module
     docstring (Delta >= 0 from n = alpha on, and Delta(alpha) = 2).
-    Gradings are ints, -2t + (K^2 + s)/4, since K^2 + s is divisible by 8;
-    anything else raises AssertionError.
+    Gradings are ints, -2t + (K^2 + s)/4, with K^2 + s from Dedekind sums;
+    K^2 + s not divisible by 8 raises AssertionError.
     """
     alpha = b.a1 * b.a2 * b.a3
     if alpha > MAX_SIGMA_ALPHA:
         raise SigmaSizeError(
             f"Sigma({b.a1},{b.a2},{b.a3}) has alpha = {alpha}, above the "
             f"limit MAX_SIGMA_ALPHA = {MAX_SIGMA_ALPHA}")
-    leaf_taus, angle_taus = _compress_to_profile(tau_closed_form(b, alpha + 1))
-    g, _ = seifert_plumbing(b)
-    q = k_squared(g) + g.n
-    if q.denominator != 1 or q.numerator % 8:
+    leaf_taus, angle_taus = _compress_to_profile(_tau_deltas(b, 0, alpha + 1))
+    q = _k_squared_plus_s(b)
+    if q % 8:
         raise AssertionError(f"K^2 + s = {q} is not divisible by 8; "
                              "not a homology sphere")
-    offset = q.numerator // 4
+    offset = q // 4
     return SymmetricRootProfile(tuple([-2 * t + offset for t in leaf_taus]),
                                 tuple([-2 * t + offset for t in angle_taus]))
 

@@ -43,9 +43,6 @@ class LocalClass:
                 items.append((i, int(c)))
         return LocalClass(tuple(items), Fraction(shift))
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.coeffs)
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs and self.shift == 0

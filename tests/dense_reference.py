@@ -1,28 +1,39 @@
 """Slow, direct reference implementations that the fast paths are checked against.
 
-The production code eliminates the intersection form along the tree, takes
-the monotone subroot with one running minimum and one sorted sweep,
-compresses a tau stream run by run, and does GF(2) linear algebra on int
-bitsets.  These are the definitions those replace: dense Fraction
-elimination, the O(n^2) Pareto scan over ``mirror_merge``, the pair-deleting
-restart loop that simplifies a weakly monotone root, the list-based extrema
-scan, the reduced row-echelon form of a matrix stored as lists of 0/1
-rows, the composition of maps stored as columns of explicit (row, U-exponent) pairs,
-the max-min and min-max correction-term bounds row by row over fresh
-prefix slices, the expanded model's basis gathered eagerly at every grading
-from the generators' grading groups, and the local-map and homotopy systems
-assembled term by term with equations numbered in order of first use.
+The production code streams the tau steps of a Brieskorn sphere from
+period tables, eliminates the intersection form along the tree, takes the
+monotone subroot with one running minimum and one sorted sweep, compresses
+a tau stream run by run, and does GF(2) linear algebra on int bitsets.
+These are the definitions those replace: the ceiling formula for the tau
+steps, dense Fraction elimination, the O(n^2) Pareto scan over
+``mirror_merge``, the pair-deleting restart loop that simplifies a weakly
+monotone root, the list-based extrema scan, the reduced row-echelon form of
+a matrix stored as lists of 0/1 rows, the composition of maps stored as
+columns of explicit (row, U-exponent) pairs, the max-min and min-max
+correction-term bounds row by row over fresh prefix slices, the expanded
+model's basis gathered eagerly at every grading from the generators'
+grading groups, and the local-map and homotopy systems assembled term by
+term with equations numbered in order of first use.
 """
 
 from fractions import Fraction
 from itertools import chain
 
 from hfi import gf2
+from hfi.brieskorn import BrieskornParams, seifert_invariants
 from hfi.complexes import Expanded, _bits, _offsets, default_truncation
 from hfi.cterms import p_q_sequences
 from hfi.monotone import MonotoneRoot, WeaklyMonotoneRoot
 from hfi.plumbing import PlumbingGraph, canonical_K, intersection_form
 from hfi.roots import SymmetricRootProfile
+
+
+def ceiling_tau_deltas(b: BrieskornParams, start: int, stop: int) -> list[int]:
+    """Delta(n) = 1 + b0 n - sum_i ceil(n omega_i / a_i) for start <= n < stop
+    (Nemethi; Can-Karakurt)."""
+    b0, omegas = seifert_invariants(b)
+    return [1 + b0 * n - sum(-(-n * w // a) for a, w in zip(b.tuple, omegas))
+            for n in range(start, stop)]
 
 
 def leading_minor_dets(m: list[list[int]]) -> list[Fraction]:

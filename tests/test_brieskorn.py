@@ -1,5 +1,6 @@
 """Brieskorn spheres: plumbing data, graded roots, classes, mu-bar cross-check."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -135,6 +136,37 @@ def _wu_class_mu_bar(params: BrieskornParams) -> Fraction:
     total = -g.n - wmw
     assert total % 8 == 0
     return Fraction(total, 8)
+
+
+# SHA-256 of repr((leaves, angles)), recorded with the tau steps from the
+# ceiling formula and K^2 + s from the tree elimination: the largest alpha
+# and leaf counts under MAX_SIGMA_ALPHA
+EXTREMES = {
+    (2, 3, 166663): "734cce0ec706b26bfce4f9fadb27fd5a17e9c42d16f0f18496c8381e5fe536c4",
+    (11, 13, 6991): "9d7a3a50d54d600f652caff1f2fb7c3ae70182456666a91c90d650d66e5a02ee",
+    (97, 101, 102): "88aebac5f42273c535b7cc4207388db6a2a473511526eb16afd1c10daffd4a85",
+}
+
+
+def test_extreme_profiles_are_pinned_and_graded_in_ints():
+    for triple, digest in EXTREMES.items():
+        p = brieskorn_root(BrieskornParams(*triple))
+        assert all(type(g) is int for g in p.leaves + p.angles), triple
+        assert hashlib.sha256(repr((p.leaves, p.angles)).encode()).hexdigest() == digest
+    for triple in ((2, 3, 5), (2, 3, 7), (2, 7, 15), (5, 8, 13), (13, 21, 34)):
+        p = brieskorn_root(BrieskornParams(*triple))
+        assert all(type(g) is int for g in p.leaves + p.angles), triple
+
+
+def test_class_needs_neither_the_plumbing_nor_the_tree_elimination(monkeypatch):
+    def unused(*args):
+        raise AssertionError("the plumbing was built")
+
+    monkeypatch.setattr("hfi.brieskorn.seifert_plumbing", unused)
+    monkeypatch.setattr("hfi.plumbing.k_squared", unused)
+    monkeypatch.setattr("hfi.brieskorn.k_squared", unused, raising=False)
+    assert brieskorn_class(BrieskornParams(2, 3, 5))[1] == I(-2)
+    assert brieskorn_class(BrieskornParams(5, 8, 13))[1] == Y(2) - Y(1) + I(-2)
 
 
 def test_mu_bar_matches_wu_class_oracle():

@@ -1,6 +1,9 @@
 """Differential tests: each fast production path against its slow definition.
 
 - closed-form tau against the Laufer computation sequence, step for step;
+- the periodic integer tau steps against the ceiling formula, and against
+  the semigroup description Delta(n) = [n in G] - [N - n in G];
+- K^2 + s from Dedekind sums against the tree elimination on the plumbing;
 - the alpha + 1 stopping rule of ``brieskorn_root`` against the old
   2 alpha + 16 stopping point, with the two facts its proof rests on;
 - the tree elimination (K^2, negative definiteness) against dense Fraction
@@ -36,14 +39,16 @@ from itertools import accumulate, product
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from dense_reference import (compress_list, dense_is_negative_definite,
-                             dense_k_squared, dense_kernel, dense_rank,
-                             dense_solve_affine, dict_find_local_map,
-                             dict_solve_homotopy, grouped_basis,
-                             pareto_subroot_params, restart_simplify_weak,
-                             slice_d_lower_offset, slice_d_upper_offset)
+from dense_reference import (ceiling_tau_deltas, compress_list,
+                             dense_is_negative_definite, dense_k_squared,
+                             dense_kernel, dense_rank, dense_solve_affine,
+                             dict_find_local_map, dict_solve_homotopy,
+                             grouped_basis, pareto_subroot_params,
+                             restart_simplify_weak, slice_d_lower_offset,
+                             slice_d_upper_offset)
 from hfi import complexes, cterms, gf2
-from hfi.brieskorn import (BrieskornParams, _compress_to_profile, _tau_deltas,
+from hfi.brieskorn import (BrieskornParams, _compress_to_profile,
+                           _k_squared_plus_s, _tau_deltas,
                            negative_continued_fraction, seifert_invariants,
                            seifert_plumbing, tau_closed_form, tau_sequence)
 from hfi.localclass import I, Y
@@ -80,6 +85,53 @@ def test_closed_form_tau_matches_laufer_sequence(triple):
     assert list(tau_closed_form(b, steps)) == tau_sequence(g, center, steps)
 
 
+@seed(20170631)
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(TRIPLES), st.integers(1, 10**4))
+def test_periodic_deltas_match_the_ceiling_formula(triple, offset):
+    b = BrieskornParams(*triple)
+    alpha = math.prod(triple)
+    # alpha is a multiple of every period, so the offset start is the one
+    # that puts the tables out of phase with n = 0
+    for start, stop in ((0, 2 * alpha + 16), (alpha, 2 * alpha),
+                        (offset, offset + alpha)):
+        assert list(_tau_deltas(b, start, stop)) == ceiling_tau_deltas(b, start, stop)
+
+
+def _coprime_triples(b1, b2, b3):
+    return [(a1, a2, a3) for a1 in range(2, b1) for a2 in range(a1 + 1, b2)
+            for a3 in range(a2 + 1, b3)
+            if math.gcd(a1, a2) == math.gcd(a1, a3) == math.gcd(a2, a3) == 1]
+
+
+def test_deltas_count_semigroup_elements():
+    # Can-Karakurt: for 0 <= n < alpha, Delta(n) = [n in G] - [N - n in G],
+    # G the semigroup generated by a2 a3, a1 a3 and a1 a2, and
+    # N = alpha - a1 a2 - a1 a3 - a2 a3
+    triples = _coprime_triples(8, 16, 40)
+    assert len(triples) == 503
+    for a1, a2, a3 in triples:
+        alpha = a1 * a2 * a3
+        members = 1  # bit n set for n in G, n < alpha
+        for g in (a2 * a3, a1 * a3, a1 * a2):
+            shift = g
+            while shift < alpha:
+                members |= members << shift
+                shift *= 2
+        in_g = [members >> n & 1 for n in range(alpha)]
+        N = alpha - a1 * a2 - a1 * a3 - a2 * a3
+        want = [in_g[n] - (0 <= N - n and in_g[N - n]) for n in range(alpha)]
+        assert list(_tau_deltas(BrieskornParams(a1, a2, a3), 0, alpha)) == want, (a1, a2, a3)
+
+
+def test_dedekind_offset_matches_tree_elimination():
+    triples = _coprime_triples(12, 30, 60)
+    assert len(triples) == 2693
+    for triple in triples:
+        g, _ = seifert_plumbing(BrieskornParams(*triple))
+        assert _k_squared_plus_s(BrieskornParams(*triple)) == k_squared(g) + g.n, triple
+
+
 @seed(20170626)
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(TRIPLES))
@@ -93,8 +145,8 @@ def test_stopping_rule_at_alpha_plus_one(triple):
     assert all(d >= 0 for d in _tau_deltas(b, alpha, 2 * alpha + 16))
     # the alpha + 1 prefix compresses to the same extrema as the old
     # stopping point, 2 alpha + 16 steps
-    assert (_compress_to_profile(tau_closed_form(b, alpha + 1))
-            == _compress_to_profile(tau_closed_form(b, 2 * alpha + 16)))
+    assert (_compress_to_profile(_tau_deltas(b, 0, alpha + 1))
+            == _compress_to_profile(_tau_deltas(b, 0, 2 * alpha + 16)))
     # the grading offset (K^2 + s)/4 is an even integer
     g, _ = seifert_plumbing(b)
     assert (k_squared(g) + g.n) % 8 == 0
@@ -180,8 +232,9 @@ def test_simplify_weak_matches_the_restart_loop(w):
 @seed(20170608)
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.integers(-4, 4), max_size=40))
-def test_streamed_compression_matches_list_scan(taus):
-    assert _compress_to_profile(iter(taus)) == compress_list(taus)
+def test_streamed_compression_matches_list_scan(deltas):
+    taus = list(accumulate(deltas, initial=0))
+    assert _compress_to_profile(iter(deltas)) == compress_list(taus)
 
 
 @st.composite

@@ -103,19 +103,19 @@ def test_swap_bad_index_raises():
 def test_decompose_basic():
     c = decompose(M(4, 0, 2, 2))
     assert c.shift == -2
-    assert c.as_dict() == {2: 1, 1: -1}
+    assert dict(c.coeffs) == {2: 1, 1: -1}
     assert c == (Y(2) - Y(1)) + LocalClass.make(shift=-2)
 
 
 def test_decompose_type_one():
     c = decompose(M(2, 0))
-    assert c.as_dict() == {1: 1}
+    assert dict(c.coeffs) == {1: 1}
     assert c.shift == 0
 
 
 def test_decompose_trivial_summand_dropped():
     c = decompose(M(0, 0))
-    assert c.as_dict() == {}
+    assert dict(c.coeffs) == {}
     assert c.shift == 0
 
 
