@@ -35,9 +35,25 @@ Conventions
   then H = 0 is the homotopy and no system is solved; any other iota goes
   through ``solve_homotopy``.
 * Truncation: maps are exact; the positive integer ``truncation`` N only
-  governs how far computations expand the basis {U^k x : k < N}.  Every
-  reported quantity is recomputed at N+2 and must agree (stability under
-  refinement is the computable proxy for working over the untruncated ring).
+  governs how far computations expand the basis {U^k x : k < N}.  The
+  correction terms are computed once, at N, and are those of the
+  untruncated complex C (x) GF(2)[U]:
+
+  - At truncation N, the chain group at offset t is complete (equal to that
+    of the untruncated complex) for every t >= ``stable_low`` - 1 =
+    top - 2N + 1.  For t >= top - 2N + 2, each x_i reaches t at
+    k = (off_i - t)/2 <= N - 1.  At t = top - 2N + 1, only generators of
+    the parity of top - 1 reach t, and they have off_i <= top - 1, so again
+    k <= N - 1.
+  - The scans read chain groups only at offsets >= probe - 1, for the base
+    model and for the cone model, and ``Expanded.probe`` raises WindowError
+    unless probe >= ``stable_low``.
+  - So every boundary matrix, cycle space and U-map the scans read is that
+    of the untruncated complex.  Below ``bottom``, the homology is the tower
+    alone.
+  - The triple therefore does not depend on N: at N + 2 the scans would
+    read the same groups.  ``tests/test_differential.py`` checks this from
+    the smallest N the probe admits up to past the default.
 * Chains: a generator x_i contributes at most one basis element U^k x_i to
   a grading, so a chain at a grading is an int with bit i set for x_i (see
   ``gf2``), just like a map column.  U^m is a mask, and Q.(chains of C) in
@@ -61,10 +77,6 @@ from .localclass import rational
 
 Map = tuple[int, ...]
 Grading = int | Fraction
-
-
-class TruncationUnstableError(RuntimeError):
-    """Raised when a result differs between truncation N and N+2."""
 
 
 class WindowError(ValueError):
@@ -393,7 +405,8 @@ def validate(c: IotaComplex) -> Diagnostics:
     "iota^2 = id exactly" without a solve.  This is the usual case: iota on
     the standard complex of a symmetric graded root is the reflection of the
     root, an honest involution, and tensor products and duals keep
-    iota^2 = id.  Otherwise ``solve_homotopy`` looks for H.
+    iota^2 = id.  Otherwise ``solve_homotopy`` looks for H in the model
+    built here for the other checks.
     """
     checks = []
     bad = [g for g in c.gradings if (g - c.tau).denominator != 1]
@@ -429,7 +442,7 @@ def validate(c: IotaComplex) -> Diagnostics:
         # every equation dH + Hd = iota^2 + id below U^N is homogeneous
         checks.append(("iota^2 ~ id", True, "iota^2 = id exactly"))
     else:
-        H = solve_homotopy(c, c, square_plus_id)
+        H = solve_homotopy(c, c, square_plus_id, target=exp)
         checks.append(("iota^2 ~ id", H is not None,
                        "homotopy found" if H is not None else
                        "no homotopy H with dH + Hd = iota^2 + id"))
@@ -603,27 +616,21 @@ def _cone_scans(c: IotaComplex, base: Expanded) -> tuple[Grading, Grading]:
 
 def correction_terms(c: IotaComplex,
                      truncation: int | None = None) -> tuple[Grading, Grading, Grading]:
-    """(d, d-bar, d-under), exact, stable under truncation refinement.
+    """(d, d-bar, d-under), exact: those of the untruncated complex.
 
-    The trivial complex returns (0, 0, 0).  Results are computed at N and at
-    N+2 and must agree, otherwise TruncationUnstableError is raised.  A
-    grading outside tau + Z raises ValueError.
+    One base model and one cone model, at truncation N (``c.truncation`` by
+    default).  Every chain group the scans read is complete at N (see
+    "Truncation" in the module docstring), so no refinement is needed; an N
+    too small for the probe raises WindowError.  The trivial complex returns
+    (0, 0, 0).  A grading outside tau + Z raises ValueError.
     """
     N = c.truncation if truncation is None else truncation
-
-    def at(n):
-        base = Expanded(c.gradings, c.diff, n, c.tau)
-        return (_d_scan(base), *_cone_scans(c, base))
-
-    first, second = at(N), at(N + 2)
-    if first != second:
-        raise TruncationUnstableError(
-            f"correction terms differ between truncation {N} -> {first} "
-            f"and {N + 2} -> {second}; increase the truncation")
-    d, d_bar, d_under = first
+    base = Expanded(c.gradings, c.diff, N, c.tau)
+    terms = (_d_scan(base), *_cone_scans(c, base))
+    d, d_bar, d_under = terms
     if not (d_under <= d <= d_bar):
-        raise RuntimeError(f"correction-term sanity violated: {first}")
-    return first
+        raise RuntimeError(f"correction-term sanity violated: {terms}")
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -695,13 +702,18 @@ def _vec(m: Map, n: int) -> int:
     return sum(col << j * n for j, col in enumerate(m))
 
 
-def solve_homotopy(a: IotaComplex, b: IotaComplex, rhs: Map) -> Map | None:
+def solve_homotopy(a: IotaComplex, b: IotaComplex, rhs: Map, *,
+                   target: Expanded | None = None) -> Map | None:
     """Solve d_b H + H d_a = rhs for a degree +1 map H: a -> b, mod U^N.
 
     ``rhs`` is a degree-0 map a -> b.  A grading of b outside a.tau + Z
-    raises ValueError.
+    raises ValueError.  ``target`` is the model of b at truncation
+    max(a.truncation, b.truncation) with offsets from a.tau, for a caller
+    that holds it already (``validate``); by default it is built here.
     """
-    eb = Expanded(b.gradings, b.diff, max(a.truncation, b.truncation), a.tau)
+    eb = target
+    if eb is None:
+        eb = Expanded(b.gradings, b.diff, max(a.truncation, b.truncation), a.tau)
     oa = _offsets(a.gradings, eb.base)
     below = eb.below(oa, 0)
     sys = _System(b.n, eb.below(oa, 1))

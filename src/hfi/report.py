@@ -6,16 +6,19 @@ d, d-bar, d-under, mu-bar, and the Rokhlin invariant, plus the order and
 realizability verdicts.  With the oracle enabled, the total class is also
 realized as an explicit tensor iota-complex (one standard complex per basis
 summand, dualized for negative coefficients) whose correction terms are
-computed independently and must agree with the closed-form engine.
+computed independently and must agree with the closed-form engine's, which
+``evaluate`` computes once for the report and hands to ``oracle_check``.
 
 The oracle is capped at MAX_ORACLE_GENERATORS generators and at truncation
-N = MAX_ORACLE_TRUNCATION.  An expanded model takes one sliding pass of
-O(N + grading spread) chain-group masks, and gathers the generators of a
-chain group (from N grading groups) only when a scan first reads it, so
-the scans, not the model, set the cost.  At the cap, ``Y(506)`` took
-0.10 s, ``Y(1)`` with truncation 512 took 0.003 s, and ``7*Y(1)`` (2187
-generators) with truncation 512 took 0.07 s (``evaluate_text`` with the
-oracle, best of 5, CPython 3.11 on one core of a shared x86-64 server).
+N = MAX_ORACLE_TRUNCATION.  Its scans run once, at N, on one model of the
+complex and one of its mapping cone.  An expanded model takes one sliding
+pass of O(N + grading spread) chain-group masks, and gathers the
+generators of a chain group (from N grading groups) only when a scan first
+reads it, so the scans, not the model, set the cost.  At the cap,
+``Y(506)`` took 0.04 s, ``Y(1)`` with truncation 512 took 0.001 s, and
+``7*Y(1)`` (2187 generators) with truncation 512 took 0.04 s
+(``evaluate_text`` with the oracle, best of 5, CPython 3.11 on one core of
+a shared x86-64 server).
 Past either cap, OracleSizeError is raised before any scan.
 Both caps are read at call time.  Root-profile files use HF-minus gradings,
 2 below the internal ones; only this module applies that shift.
@@ -156,9 +159,13 @@ def class_complex(a: LocalClass) -> complexes.IotaComplex:
     return acc
 
 
-def oracle_check(a: LocalClass, truncation: int | None = None) -> str:
-    """Recompute (d, d-bar, d-under) on an explicit complex; raise on mismatch."""
-    want = cterms.correction_terms(a)
+def oracle_check(a: LocalClass, want: tuple[Fraction, Fraction, Fraction],
+                 truncation: int | None = None) -> str:
+    """Recompute (d, d-bar, d-under) on an explicit complex; raise on mismatch.
+
+    ``want`` is the closed-form engine's triple for ``a``, computed by the
+    caller, and the complex's triple must equal it.
+    """
     c = class_complex(a)
     N = c.truncation if truncation is None else truncation
     if N > MAX_ORACLE_TRUNCATION:
@@ -181,7 +188,8 @@ def evaluate(ast: ExpressionAST, input_text: str = "", oracle: bool = False,
         cls = atom_to_class(atom)
         term_rows.append((w, str(atom), cls))
         total = total + w * cls
-    d, d_bar, d_under = cterms.correction_terms(total)
+    terms = cterms.correction_terms(total)
+    d, d_bar, d_under = terms
     mu = mu_bar(total)
     try:
         rk = rokhlin(total)
@@ -198,7 +206,7 @@ def evaluate(ast: ExpressionAST, input_text: str = "", oracle: bool = False,
         rokhlin=rk,
         order_verdict=infinite_order_verdict(total),
         realizability=str(realizability_check(total)),
-        oracle=oracle_check(total, truncation) if oracle else None,
+        oracle=oracle_check(total, terms, truncation) if oracle else None,
     )
     return report
 

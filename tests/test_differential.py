@@ -18,6 +18,9 @@
   row-echelon form, vector for vector;
 - the expanded model's on-demand basis against the basis gathered eagerly
   at every grading;
+- the oracle's one pass at the smallest truncation its probe admits against
+  every larger truncation up to 7 past the default: the same triple, which
+  is the closed-form one on class complexes;
 - the local-map and homotopy systems in Kronecker layout against the same
   systems assembled term by term with equations numbered in order of first
   use: the same witnesses F and H and the same homotopies, not only the
@@ -372,11 +375,15 @@ def _small_complex(rng, factors: int, roots=SMALL_ROOTS):
     return c
 
 
-def _random_truncated_complexes():
-    rng = random.Random(20170628)
+def _random_complexes(seed: int, count: int):
+    rng = random.Random(seed)
     out = [complexes.trivial_complex(), class_complex(Y(1) - Y(2) + I(-2))]
-    out += [_small_complex(rng, rng.randint(1, 2)) for _ in range(10)]
-    return [(c, N) for c in out for N in sorted({1, 2, 3, c.truncation, c.truncation + 2})]
+    return out + [_small_complex(rng, rng.randint(1, 2)) for _ in range(count)]
+
+
+def _random_truncated_complexes():
+    return [(c, N) for c in _random_complexes(20170628, 10)
+            for N in sorted({1, 2, 3, c.truncation, c.truncation + 2})]
 
 
 def test_on_demand_basis_matches_the_eager_build():
@@ -391,6 +398,37 @@ def test_on_demand_basis_matches_the_eager_build():
             if t not in exp.present:
                 with pytest.raises(KeyError):
                     exp.basis[t]
+
+
+def _terms_from_the_smallest_truncation(c):
+    """The one triple of ``correction_terms(c, truncation=N)`` for every N
+    from the smallest that the probe admits to c.truncation + 7.
+
+    Every smaller N must raise WindowError, and none of the larger ones may.
+    """
+    N = 1
+    while True:
+        try:
+            first = complexes.correction_terms(c, truncation=N)
+            break
+        except complexes.WindowError:
+            N += 1
+    assert 1 < N <= c.truncation
+    with pytest.raises(complexes.WindowError):
+        complexes.correction_terms(c, truncation=N - 1)
+    for M in range(N + 1, c.truncation + 8):
+        assert complexes.correction_terms(c, truncation=M) == first, (c.labels, N, M)
+    return first
+
+
+def test_correction_terms_are_exact_from_the_edge_of_the_window():
+    # 2 + 60 random complexes of up to 49 generators, and the 75 classes
+    # of up to 81 generators
+    for c in _random_complexes(20170632, 60):
+        _terms_from_the_smallest_truncation(c)
+    for a in SMALL_CLASSES:
+        assert _terms_from_the_smallest_truncation(class_complex(a)) == \
+            cterms.correction_terms(a), a
 
 
 def _assert_same_systems(a, b, rng):

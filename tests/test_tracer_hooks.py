@@ -46,8 +46,9 @@ def test_tracer_installs_and_counts_a_traced_oracle_call():
                  "complexes.mat_mul", "complexes.mapping_cone",
                  "complexes.Expanded.__init__", "complexes.Expanded.cycles"):
         assert hook in names, hook
-    # correction_terms builds two models per truncation, validate one
-    assert tracer.counters["complexes.expanded_builds"] == 5
+    # correction_terms makes one pass, with a base model and a cone model;
+    # validate builds one
+    assert tracer.counters["complexes.expanded_builds"] == 3
     assert tracer.counters["complexes.expanded_dim"] > 0
 
 
@@ -80,6 +81,8 @@ def test_tracer_sees_the_homotopy_solve_only_when_iota_squared_is_not_id():
     # the iota on std(2, 0) with iota^2(v2) = 0 of test_complexes.py
     bad = iota_complex(c.labels, c.gradings, [[0, 0, [1]], [0, 0, [1]], [0, 0, 0]],
                        [[1, 0, 0], [1, 0, 0], [0, 0, 1]], tau=c.tau)
-    diag, names, _ = _traced(complexes.validate, bad)
+    diag, names, counters = _traced(complexes.validate, bad)
     assert [name for name, _ in diag.failed()] == ["iota^2 ~ id"]
     assert "complexes.solve_homotopy" in names
+    # the homotopy solve reuses the model validate built
+    assert counters["complexes.expanded_builds"] == 1
