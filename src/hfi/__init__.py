@@ -32,9 +32,8 @@ from .monotone import (M, MonotoneRoot, WeaklyMonotoneRoot, decompose,
                        delta_tilde, monotone_subroot, simplify_weak, swap,
                        to_profile)
 from .plumbing import (PlumbingGraph, canonical_K, graph_from_text,
-                       graph_to_text, intersection_form, is_almost_rational,
-                       is_negative_definite, is_rational, k_squared,
-                       minimal_cycle)
+                       graph_to_text, is_almost_rational, is_negative_definite,
+                       is_rational, k_squared, minimal_cycle)
 from .report import Report, evaluate, evaluate_text
 from .roots import (RootProfile, SymmetricRootProfile, profile_from_text,
                     profile_to_text, standard_complex, validate_profile)

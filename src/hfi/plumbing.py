@@ -1,12 +1,11 @@
-"""Plumbing trees: intersection forms, rationality, and almost-rationality.
+"""Plumbing trees: definiteness, K^2, rationality and almost-rationality.
 
 A plumbing graph is a finite weighted tree; its intersection form has the
-vertex weights on the diagonal and 1 for each edge.  Rationality is decided
-by Laufer's computation sequence for the minimal cycle (the fundamental
-cycle Z_min satisfies chi(Z_min) = 1 exactly for rational graphs), and the
-almost-rational check lowers one vertex weight at a time within a bound.
-Negative definiteness and K^2 come from one exact elimination along the
-tree, which has no fill-in.
+vertex weights on the diagonal and 1 for each edge.  Definiteness and K^2
+come from one integer elimination along the tree, with no fill-in and no
+gcd.  Rationality is Laufer's criterion, read from one Laufer closure
+started at the sum of all basis vectors; the almost-rational search reruns
+only that closure, with one vertex weight lowered at a time.
 
 A ``PlumbingGraph`` holds its index form, built once when the graph is
 checked: the vertex indices, the index adjacency and a BFS order from
@@ -76,63 +75,43 @@ class PlumbingGraph:
     def weights(self) -> list[int]:
         return [w for _, w in self.vertices]
 
-    def reweighted(self, vertex_id: str, new_weight: int) -> "PlumbingGraph":
-        verts = tuple((v, new_weight if v == vertex_id else w)
-                      for v, w in self.vertices)
-        return PlumbingGraph(verts, self.edges)
-
-
-def intersection_form(g: PlumbingGraph) -> list[list[int]]:
-    m = [[0] * g.n for _ in range(g.n)]
-    for v, (w, nbrs) in enumerate(zip(g.weights(), g.adj)):
-        m[v][v] = w
-        for u in nbrs:
-            m[v][u] = 1
-    return m
-
 
 def canonical_K(g: PlumbingGraph) -> list[int]:
     """Values K(v) = -m(v) - 2 of the canonical characteristic element."""
     return [-w - 2 for w in g.weights()]
 
 
-def tree_elimination(g: PlumbingGraph,
-                     rhs: list[int]) -> tuple[list[Fraction], list[Fraction]]:
-    """Symmetric Gaussian elimination of the intersection form, leaves first.
+def _tree_pass(g: PlumbingGraph, rhs: list[int]):
+    """Integer elimination of the intersection form, leaves first.
 
-    Vertices are eliminated children before parents (reverse BFS order from
-    the first vertex).  On a tree, eliminating v only changes its parent's
-    diagonal entry and right-hand side, so there is no fill-in and the pass
-    takes O(n) exact steps.  Returns the pivots d_v and the eliminated
-    right-hand side b_v in elimination order, so that M = L D L^T with
-    D = diag(d) and b = L^{-1} rhs.  The pass stops after the first zero
-    pivot, since no later vertex can be divided by it.
+    On a tree, eliminating v changes only its parent's row: no fill-in.
+    Vertex v carries pivot d_v = D[v]/P[v] and right-hand side b_v = B[v]/P[v],
+    with P[v] the product of D over v's children.  Eliminating v subtracts
+    P[v]/D[v] and B[v]/D[v] from its parent p's; over P[p] D[v] that is the
+    three updates below, and D[v] is the determinant of v's subtree (expand
+    along v).  Yields (D, P, B) per vertex in elimination order, so that
+    M = L diag(d) L^T and b = L^{-1} rhs, and stops after the first zero D.
     """
-    diag = [Fraction(w) for w in g.weights()]
-    b = [Fraction(r) for r in rhs]
-    pivots: list[Fraction] = []
-    out: list[Fraction] = []
+    D = g.weights()
+    P = [1] * g.n
+    B = list(rhs)
     for v in reversed(g.order):
-        d = diag[v]
-        pivots.append(d)
-        out.append(b[v])
+        d, pv, b = D[v], P[v], B[v]
+        yield d, pv, b
         if d == 0:
-            break
+            return
         p = g.parent[v]
-        if p >= 0:  # the edge entry is 1: subtract row v / d from row p
-            diag[p] -= 1 / d
-            b[p] -= b[v] / d
-    return pivots, out
+        if p >= 0:
+            pp = P[p]
+            D[p] = D[p] * d - pv * pp
+            B[p] = B[p] * d - b * pp
+            P[p] = pp * d
 
 
 def is_negative_definite(g: PlumbingGraph) -> bool:
-    """Exact test: every pivot of the tree elimination is negative.
-
-    M = L D L^T is congruent to D, so M is negative definite iff all pivots
-    are negative (a zero pivot ends the pass and the test fails).
-    """
-    pivots, _ = tree_elimination(g, [0] * g.n)
-    return all(d < 0 for d in pivots)
+    """Exact test: M = L diag(d) L^T is negative definite iff every pivot
+    D[v]/P[v] is negative; a zero D ends the tree pass and fails the test."""
+    return all(d * p < 0 for d, p, _ in _tree_pass(g, [0] * g.n))
 
 
 def chi(g: PlumbingGraph, x: list[int]) -> int:
@@ -172,26 +151,36 @@ def laufer_closure(weights: list[int], adj: list[list[int]], pairing: list[int],
     return dchi
 
 
-def minimal_cycle(g: PlumbingGraph) -> list[int]:
-    """Laufer's computation sequence for the fundamental (minimal) cycle.
+def _laufer_start(weights: list[int], adj: list[list[int]],
+                  counts: list[int] | None = None) -> int:
+    """Laufer's closure from x = sum of all E_v; returns chi(Z_min) - 1.
 
-    Start from the sum of all basis vectors; while some vertex pairs
-    positively with the cycle, add that vertex.  Requires negative
-    definiteness (guaranteed termination).
+    On a negative-definite form the closure ends at the minimal cycle Z_min
+    (``counts``, all ones, becomes Z_min).  chi(x) = 1 on every tree, as
+    <x, x> = sum w + 2(n - 1) from the diagonal and the n - 1 edges and
+    <K, x> = sum(-w - 2) = -sum w - 2n give chi(x) = -(-2)/2.  So
+    chi(Z_min) = 1 + the closure's chi change: rational iff it is 0.
     """
+    pairing = [w + len(nbrs) for w, nbrs in zip(weights, adj)]  # <x, E_v>
+    return laufer_closure(weights, adj, pairing, list(range(len(weights))), counts)
+
+
+def minimal_cycle(g: PlumbingGraph) -> list[int]:
+    """Laufer's computation sequence for the fundamental (minimal) cycle;
+    requires negative definiteness (guaranteed termination)."""
     if not is_negative_definite(g):
         raise ValueError("plumbing graph is not negative definite")
-    weights = g.weights()
     x = [1] * g.n
-    # pairing[v] = <x, E_v>
-    pairing = [weights[v] + len(g.adj[v]) for v in range(g.n)]
-    laufer_closure(weights, g.adj, pairing, list(range(g.n)), counts=x)
+    _laufer_start(g.weights(), g.adj, x)
     return x
 
 
 def is_rational(g: PlumbingGraph) -> bool:
-    """Artin's criterion via Laufer: rational iff chi(minimal cycle) = 1."""
-    return chi(g, minimal_cycle(g)) == 1
+    """Artin's criterion via Laufer: rational iff chi(Z_min) = 1, i.e. iff
+    the closure from the sum of all basis vectors leaves chi unchanged."""
+    if not is_negative_definite(g):
+        raise ValueError("plumbing graph is not negative definite")
+    return _laufer_start(g.weights(), g.adj) == 0
 
 
 @dataclass(frozen=True)
@@ -210,32 +199,37 @@ class ARVerdict:
 def is_almost_rational(g: PlumbingGraph, bound: int = 64) -> ARVerdict:
     """Search for a single-vertex weight decrease that makes the graph rational.
 
-    A rational graph is almost rational as-is.  The search is bounded; at the
-    bound the result is "inconclusive" rather than a guess.
+    A rational graph is almost rational as-is; otherwise the witness is the
+    first vertex that lowered by the least dec in 1..bound is rational.
+    Lowering subtracts dec e_v e_v^T, so the form stays negative definite:
+    definiteness is checked once and each candidate reruns only the Laufer
+    closure on one edited weight list.  At the bound the result is
+    "inconclusive" rather than a guess.
     """
+    if bound < 0:
+        raise ValueError(f"the almost-rationality bound must be >= 0, got {bound}")
     if not is_negative_definite(g):
         raise ValueError("plumbing graph is not negative definite")
-    if is_rational(g):
-        vid, w = g.vertices[0]
-        return ARVerdict("yes", (vid, w), bound)
-    for vid, w in g.vertices:
-        for dec in range(1, bound + 1):
-            if is_rational(g.reweighted(vid, w - dec)):
-                return ARVerdict("yes", (vid, w - dec), bound)
+    weights = g.weights()
+    if _laufer_start(weights, g.adj) == 0:
+        return ARVerdict("yes", g.vertices[0], bound)
+    for v, (vid, w) in enumerate(g.vertices):
+        for lowered in range(w - 1, w - bound - 1, -1):
+            weights[v] = lowered
+            if _laufer_start(weights, g.adj) == 0:
+                return ARVerdict("yes", (vid, lowered), bound)
+        weights[v] = w
     return ARVerdict("inconclusive", None, bound)
 
 
 def k_squared(g: PlumbingGraph) -> Fraction:
-    """<K, K> = K^T M^{-1} K, computed exactly by one tree elimination.
-
-    With M = L D L^T and b = L^{-1} K this is the sum of b_v^2 / d_v.
-    Raises ValueError when a pivot is zero (M singular, or a form whose
-    elimination in leaf order needs pivoting; definite forms never do).
-    """
-    pivots, b = tree_elimination(g, canonical_K(g))
-    if pivots[-1] == 0:
+    """<K, K> = K^T M^{-1} K, the sum of b_v^2/d_v = B[v]^2/(P[v] D[v]) over the
+    tree pass.  Raises ValueError on a zero pivot (M singular, or a form that
+    needs pivoting in leaf order; definite forms never do)."""
+    steps = list(_tree_pass(g, canonical_K(g)))
+    if steps[-1][0] == 0:
         raise ValueError("zero pivot in the tree elimination of the intersection form")
-    return sum((bv * bv / d for bv, d in zip(b, pivots)), Fraction(0))
+    return sum((Fraction(b * b, p * d) for d, p, b in steps), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +245,11 @@ def graph_from_text(text: str) -> PlumbingGraph:
             continue
         parts = line.split()
         if parts[0] == "vertex" and len(parts) == 3:
-            verts.append((parts[1], int(parts[2])))
+            try:
+                verts.append((parts[1], int(parts[2])))
+            except ValueError:
+                raise ValueError(f"line {lineno}: weight {parts[2]!r} is not an "
+                                 "integer") from None
         elif parts[0] == "edge" and len(parts) == 3:
             edges.append((parts[1], parts[2]))
         else:

@@ -1,19 +1,22 @@
 """Slow, direct reference implementations that the fast paths are checked against.
 
 The production code streams the tau steps of a Brieskorn sphere from
-period tables, eliminates the intersection form along the tree, takes the
-monotone subroot with one running minimum and one sorted sweep, compresses
-a tau stream run by run, and does GF(2) linear algebra on int bitsets.
-These are the definitions those replace: the ceiling formula for the tau
-steps, dense Fraction elimination, the O(n^2) Pareto scan over
-``mirror_merge``, the pair-deleting restart loop that simplifies a weakly
-monotone root, the list-based extrema scan, the reduced row-echelon form of
-a matrix stored as lists of 0/1 rows, the composition of maps stored as
-columns of explicit (row, U-exponent) pairs, the max-min and min-max
-correction-term bounds row by row over fresh prefix slices, the expanded
-model's basis gathered eagerly at every grading from the generators'
-grading groups, and the local-map and homotopy systems assembled term by
-term with equations numbered in order of first use.
+period tables, eliminates the intersection form along the tree in integers,
+probes almost-rationality by editing one weight list, takes the monotone
+subroot with one running minimum and one sorted sweep, compresses a tau
+stream run by run, and does GF(2) linear algebra on int bitsets.  These
+are the definitions those replace: the ceiling formula for the tau steps,
+the dense intersection form and its Fraction elimination, the
+almost-rationality search that rebuilds the graph for each candidate
+weight, the O(n^2) Pareto scan over ``mirror_merge``, the pair-deleting
+restart loop that simplifies a weakly monotone root, the list-based
+extrema scan, the reduced row-echelon form of a matrix stored as lists of
+0/1 rows, the composition of maps stored as columns of explicit
+(row, U-exponent) pairs, the max-min and min-max correction-term bounds
+row by row over fresh prefix slices, the expanded model's basis gathered
+eagerly at every grading from the generators' grading groups, and the
+local-map and homotopy systems assembled term by term with equations
+numbered in order of first use.
 """
 
 from fractions import Fraction
@@ -24,7 +27,8 @@ from hfi.brieskorn import BrieskornParams, seifert_invariants
 from hfi.complexes import Expanded, _bits, _offsets, default_truncation
 from hfi.cterms import p_q_sequences
 from hfi.monotone import MonotoneRoot, WeaklyMonotoneRoot
-from hfi.plumbing import PlumbingGraph, canonical_K, intersection_form
+from hfi.plumbing import (ARVerdict, PlumbingGraph, canonical_K, chi,
+                          is_negative_definite, minimal_cycle)
 from hfi.roots import SymmetricRootProfile
 
 
@@ -34,6 +38,34 @@ def ceiling_tau_deltas(b: BrieskornParams, start: int, stop: int) -> list[int]:
     b0, omegas = seifert_invariants(b)
     return [1 + b0 * n - sum(-(-n * w // a) for a, w in zip(b.tuple, omegas))
             for n in range(start, stop)]
+
+
+def intersection_form(g: PlumbingGraph) -> list[list[int]]:
+    """The dense form: vertex weights on the diagonal, 1 for each edge."""
+    m = [[0] * g.n for _ in range(g.n)]
+    for v, (w, nbrs) in enumerate(zip(g.weights(), g.adj)):
+        m[v][v] = w
+        for u in nbrs:
+            m[v][u] = 1
+    return m
+
+
+def rebuild_is_almost_rational(g: PlumbingGraph, bound: int) -> ARVerdict:
+    """The almost-rationality search with a new ``PlumbingGraph`` for each
+    candidate weight, each tested by chi(minimal cycle) = 1."""
+    def rational(h):
+        return chi(h, minimal_cycle(h)) == 1
+
+    if not is_negative_definite(g):
+        raise ValueError("plumbing graph is not negative definite")
+    if rational(g):
+        return ARVerdict("yes", g.vertices[0], bound)
+    for vid, w in g.vertices:
+        for dec in range(1, bound + 1):
+            verts = tuple((v, w - dec if v == vid else x) for v, x in g.vertices)
+            if rational(PlumbingGraph(verts, g.edges)):
+                return ARVerdict("yes", (vid, w - dec), bound)
+    return ARVerdict("inconclusive", None, bound)
 
 
 def leading_minor_dets(m: list[list[int]]) -> list[Fraction]:

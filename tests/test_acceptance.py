@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from dense_reference import intersection_form
 from hfi import complexes
 from hfi.brieskorn import (BrieskornParams, brieskorn_class, brieskorn_root,
                            seifert_plumbing)
@@ -25,7 +26,7 @@ from hfi.cterms import (STProfile, asymptotic_check, correction_terms,
 from hfi.localclass import I, LocalClass, Y, d_invariant, mu_bar
 from hfi.monotone import (M, WeaklyMonotoneRoot, decompose, monotone_subroot,
                           simplify_weak, swap, to_profile)
-from hfi.plumbing import intersection_form, is_negative_definite
+from hfi.plumbing import is_negative_definite
 from hfi.report import class_complex, evaluate_text
 from hfi.roots import SymmetricRootProfile, standard_complex
 

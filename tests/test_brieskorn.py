@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from dense_reference import intersection_form, leading_minor_dets
 from hfi import gf2
 from hfi.brieskorn import (MAX_SIGMA_ALPHA, BrieskornParams, SigmaSizeError,
                            brieskorn_class, brieskorn_root,
@@ -13,7 +14,7 @@ from hfi.brieskorn import (MAX_SIGMA_ALPHA, BrieskornParams, SigmaSizeError,
                            tau_sequence)
 from hfi.localclass import I, Y, d_invariant, mu_bar
 from hfi.monotone import M, monotone_subroot
-from hfi.plumbing import intersection_form, is_negative_definite
+from hfi.plumbing import is_negative_definite
 
 
 def test_params_validation():
@@ -42,8 +43,7 @@ def test_seifert_plumbing_is_negative_definite():
         assert is_negative_definite(g)
         assert center == "c"
         # unimodular: integer homology sphere
-        from dense_reference import leading_minor_dets as _leading_minor_dets
-        assert abs(_leading_minor_dets(intersection_form(g))[-1]) == 1
+        assert abs(leading_minor_dets(intersection_form(g))[-1]) == 1
 
 
 def test_poincare_sphere_plumbing_is_e8():

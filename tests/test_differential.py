@@ -6,8 +6,11 @@
 - K^2 + s from Dedekind sums against the tree elimination on the plumbing;
 - the alpha + 1 stopping rule of ``brieskorn_root`` against the old
   2 alpha + 16 stopping point, with the two facts its proof rests on;
-- the tree elimination (K^2, negative definiteness) against dense Fraction
+- the integer tree pass (K^2, negative definiteness) against dense Fraction
   elimination;
+- the almost-rationality search on one edited weight list against the
+  search that rebuilds the graph for each candidate weight, and the Laufer
+  start's rationality test against chi of the minimal cycle;
 - the running-minimum monotone subroot against the O(n^2) Pareto scan;
 - ``simplify_weak`` (the monotone subroot of the profile) against the
   pair-deleting restart loop, in the cosets 0, 1 and 1/2 of 2Z;
@@ -47,8 +50,8 @@ from dense_reference import (ceiling_tau_deltas, compress_list,
                              dense_kernel, dense_rank, dense_solve_affine,
                              dict_find_local_map, dict_solve_homotopy,
                              grouped_basis, pareto_subroot_params,
-                             restart_simplify_weak, slice_d_lower_offset,
-                             slice_d_upper_offset)
+                             rebuild_is_almost_rational, restart_simplify_weak,
+                             slice_d_lower_offset, slice_d_upper_offset)
 from hfi import complexes, cterms, gf2
 from hfi.brieskorn import (BrieskornParams, _compress_to_profile,
                            _k_squared_plus_s, _tau_deltas,
@@ -56,7 +59,9 @@ from hfi.brieskorn import (BrieskornParams, _compress_to_profile,
                            seifert_plumbing, tau_closed_form, tau_sequence)
 from hfi.localclass import I, Y
 from hfi.monotone import M, WeaklyMonotoneRoot, monotone_subroot, simplify_weak, to_profile
-from hfi.plumbing import PlumbingGraph, is_negative_definite, k_squared
+from hfi.plumbing import (PlumbingGraph, chi, graph_to_text, is_almost_rational,
+                          is_negative_definite, is_rational, k_squared,
+                          minimal_cycle)
 from hfi.report import class_complex
 from hfi.roots import SymmetricRootProfile, standard_complex
 
@@ -187,6 +192,30 @@ def test_tree_elimination_matches_dense_on_random_trees(g):
         assert not negdef
     else:
         assert k2 == dense_k_squared(g)
+
+
+def test_almost_rational_search_matches_the_rebuild_reference():
+    # bounds 0..3 make some non-rational trees inconclusive, and the shuffled
+    # vertex order puts many witnesses past vertex 0
+    rng = random.Random(16)
+    definite = past_vertex_0 = inconclusive = 0
+    for _ in range(4000):
+        n = rng.randint(1, 12)
+        parents = [rng.randint(0, i - 1) for i in range(1, n)]
+        weights = [rng.randint(-6, 1) for _ in range(n)]
+        order = rng.sample(range(n), n)
+        bound = rng.randint(0, 3)
+        g = PlumbingGraph(tuple((f"v{i}", weights[i]) for i in order),
+                          tuple((f"v{p}", f"v{i}") for i, p in enumerate(parents, 1)))
+        if not is_negative_definite(g):
+            continue
+        definite += 1
+        assert is_rational(g) == (chi(g, minimal_cycle(g)) == 1), graph_to_text(g)
+        got = is_almost_rational(g, bound)
+        assert got == rebuild_is_almost_rational(g, bound), graph_to_text(g)
+        past_vertex_0 += got.verdict == "yes" and got.witness[0] != g.vertices[0][0]
+        inconclusive += got.verdict == "inconclusive"
+    assert (definite, past_vertex_0, inconclusive) == (887, 19, 6)
 
 
 @st.composite

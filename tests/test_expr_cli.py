@@ -255,6 +255,11 @@ def test_cli_plumbing_checks(tmp_path, capsys):
     assert "True" in capsys.readouterr().out
     assert main(["plumbing", str(graph)]) == 0
     assert "almost rational" in capsys.readouterr().out
+    # a negative bound is invalid input, not an "inconclusive" search
+    assert main(["plumbing", str(graph), "--bound", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the almost-rationality bound must be >= 0, got -3\n"
 
 
 def test_cli_family(capsys):

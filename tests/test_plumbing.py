@@ -1,13 +1,13 @@
 """Plumbing trees: definiteness, rationality, almost-rationality, file format."""
 
-from fractions import Fraction
-
 import pytest
 
+from dense_reference import intersection_form, leading_minor_dets
+from hfi.brieskorn import BrieskornParams, seifert_plumbing
 from hfi.plumbing import (PlumbingGraph, canonical_K, chi, graph_from_text,
-                          graph_to_text, intersection_form,
-                          is_almost_rational, is_negative_definite,
-                          is_rational, k_squared, minimal_cycle)
+                          graph_to_text, is_almost_rational,
+                          is_negative_definite, is_rational, k_squared,
+                          minimal_cycle)
 
 
 def e8_graph():
@@ -63,8 +63,7 @@ def test_e8_frozen_values():
     m = intersection_form(g)
     assert is_negative_definite(g)
     # unimodular: determinant of the 8x8 form is 1
-    from dense_reference import leading_minor_dets as _leading_minor_dets
-    assert _leading_minor_dets(m)[-1] == 1
+    assert leading_minor_dets(m)[-1] == 1
     assert canonical_K(g) == [0] * 8
     assert k_squared(g) == 0
     # coefficients of the highest root of the E8 lattice
@@ -100,8 +99,21 @@ def test_text_comments_and_errors():
         graph_from_text("vertex a\n")
     with pytest.raises(ValueError):
         graph_from_text("polygon a b c\n")
+    with pytest.raises(ValueError, match=r"^line 2: weight 'x' is not an integer$"):
+        graph_from_text("vertex a -2\nvertex b x\n")
 
 
-def test_reweighted():
-    g = PlumbingGraph((("a", -2),), ())
-    assert g.reweighted("a", -5).weights() == [-5]
+def test_sigma_2_3_7_is_almost_rational_at_the_centre():
+    # the centre -1 with legs -2, -3, -7 is not rational; lowering the
+    # centre once makes it rational, so every bound from 1 finds it
+    g, center = seifert_plumbing(BrieskornParams(2, 3, 7))
+    assert not is_rational(g)
+    for bound in (1, 2, 64):
+        assert is_almost_rational(g, bound).witness == (center, -2) == ("c", -2)
+    assert str(is_almost_rational(g)) == "almost rational (vertex c at weight -2 is rational)"
+    assert str(is_almost_rational(g, 0)) == "inconclusive within 0 decrements per vertex"
+
+
+def test_negative_ar_bound_is_rejected():
+    with pytest.raises(ValueError, match="bound must be >= 0, got -3"):
+        is_almost_rational(e8_graph(), -3)
