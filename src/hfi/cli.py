@@ -4,7 +4,7 @@ Subcommands:
   eval       evaluate a class expression and print an invariant report
   root       compute the graded-root profile of a Brieskorn sphere
   decompose  reduce a root-profile file to its Y-basis class
-  plumbing   combinatorial checks on a plumbing-graph file
+  plumbing   exact definiteness, rationality or almost-rationality of a graph
   family     realize prescribed (d, d-bar, d-under, mu-bar) invariants
 
 Exit codes: 0 on success; otherwise the first match in the table in
@@ -46,7 +46,7 @@ def _error(message, code: int) -> int:
 
 def _cmd_eval(args) -> int:
     report = evaluate(parse(args.expr), input_text=args.expr,
-                      oracle=args.oracle, truncation=args.truncation)
+                      oracle=args.oracle)
     dumped = (complexes.complex_to_json(class_complex(report.total))
               if args.dump_complex else None)
     if args.format == "json":
@@ -93,7 +93,7 @@ def _cmd_plumbing(args) -> int:
     if args.check == "rational":
         print("rational:", plumbing.is_rational(g))
     else:
-        print("almost rational:", plumbing.is_almost_rational(g, args.bound))
+        print("almost rational:", plumbing.is_almost_rational(g))
     return 0
 
 
@@ -119,8 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="class expression; it may start with '-'")
     pe.add_argument("--oracle", action="store_true",
                     help="cross-check invariants on an explicit complex")
-    pe.add_argument("--truncation", type=int, default=None,
-                    help="U-power truncation for the oracle complex")
     pe.add_argument("--format", choices=("json", "text"), default="text")
     pe.add_argument("--dump-complex", action="store_true",
                     help="also emit the oracle complex as JSON")
@@ -143,8 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("file")
     pp.add_argument("--check", choices=("ar", "rational", "negdef"),
                     default="ar")
-    pp.add_argument("--bound", type=int, default=64,
-                    help="weight decrements per vertex in the AR search")
     pp.set_defaults(func=_cmd_plumbing)
 
     pf = sub.add_parser("family",

@@ -4,8 +4,8 @@ A plumbing graph is a finite weighted tree; its intersection form has the
 vertex weights on the diagonal and 1 for each edge.  Definiteness and K^2
 come from one integer elimination along the tree, with no fill-in and no
 gcd.  Rationality is Laufer's criterion, read from one Laufer closure
-started at the sum of all basis vectors; the almost-rational search reruns
-only that closure, with one vertex weight lowered at a time.
+started at the sum of all basis vectors; almost-rationality is decided
+exactly by one such closure per vertex that never adds that vertex.
 
 A ``PlumbingGraph`` holds its index form, built once when the graph is
 checked: the vertex indices, the index adjacency and a BFS order from
@@ -152,7 +152,7 @@ def laufer_closure(weights: list[int], adj: list[list[int]], pairing: list[int],
 
 
 def _laufer_start(weights: list[int], adj: list[list[int]],
-                  counts: list[int] | None = None) -> int:
+                  counts: list[int] | None = None, fixed: int = -1) -> int:
     """Laufer's closure from x = sum of all E_v; returns chi(Z_min) - 1.
 
     On a negative-definite form the closure ends at the minimal cycle Z_min
@@ -160,9 +160,11 @@ def _laufer_start(weights: list[int], adj: list[list[int]],
     <x, x> = sum w + 2(n - 1) from the diagonal and the n - 1 edges and
     <K, x> = sum(-w - 2) = -sum w - 2n give chi(x) = -(-2)/2.  So
     chi(Z_min) = 1 + the closure's chi change: rational iff it is 0.
+    With ``fixed``, the closure never adds that vertex (is_almost_rational).
     """
     pairing = [w + len(nbrs) for w, nbrs in zip(weights, adj)]  # <x, E_v>
-    return laufer_closure(weights, adj, pairing, list(range(len(weights))), counts)
+    return laufer_closure(weights, adj, pairing, list(range(len(weights))),
+                          counts, fixed)
 
 
 def minimal_cycle(g: PlumbingGraph) -> list[int]:
@@ -185,41 +187,49 @@ def is_rational(g: PlumbingGraph) -> bool:
 
 @dataclass(frozen=True)
 class ARVerdict:
-    verdict: str  # "yes" or "inconclusive"
+    verdict: str  # "yes" or "no"
     witness: tuple[str, int] | None  # (vertex id, lowered weight) when "yes"
-    bound: int
 
     def __str__(self) -> str:
-        if self.verdict == "yes":
-            v, w = self.witness
-            return f"almost rational (vertex {v} at weight {w} is rational)"
-        return f"inconclusive within {self.bound} decrements per vertex"
+        if self.witness is None:
+            return "no"
+        return "yes (vertex {} at weight {} is rational)".format(*self.witness)
 
 
-def is_almost_rational(g: PlumbingGraph, bound: int = 64) -> ARVerdict:
-    """Search for a single-vertex weight decrease that makes the graph rational.
+def is_almost_rational(g: PlumbingGraph) -> ARVerdict:
+    """Exact almost-rationality (Nemethi, G&T 9, 2005): is one vertex
+    rational at a lowered weight?  A rational graph is its own witness,
+    ``g.vertices[0]``; otherwise the witness is the first vertex v with a
+    rational lowered weight, at the largest one.  Lowering keeps the form
+    definite, and rational graphs rational (Laufer, 1972): the rational
+    weights at v form a down-set.
 
-    A rational graph is almost rational as-is; otherwise the witness is the
-    first vertex that lowered by the least dec in 1..bound is rational.
-    Lowering subtracts dec e_v e_v^T, so the form stays negative definite:
-    definiteness is checked once and each candidate reruns only the Laufer
-    closure on one edited weight list.  At the bound the result is
-    "inconclusive" rather than a guess.
+    Let z end the closure from the sum of all E_u that never adds E_v; its
+    steps never read w_v.  A run x <= z', where z' >= x pairs <= 0 with every
+    E_u off v, stays so: <z' - x, E_u> < 0 and z' - x >= 0 force
+    (z' - x)_u > 0 (Laufer).  So z <= Z_min at every weight at v.  Put
+    T = -sum z_u over the neighbours u of v.  At any w' <= T,
+    <z, E_v> = w' + sum z_u <= 0, so z = Z_min there and chi(Z_min) - 1 is
+    the closure's chi change c_v.  So v has a rational weight iff c_v = 0;
+    then T < w_v (the graph is not rational) and the largest one is in
+    T..w_v - 1: n closures, plus at most w_v - T - 1 on the witness vertex.
     """
-    if bound < 0:
-        raise ValueError(f"the almost-rationality bound must be >= 0, got {bound}")
     if not is_negative_definite(g):
         raise ValueError("plumbing graph is not negative definite")
     weights = g.weights()
     if _laufer_start(weights, g.adj) == 0:
-        return ARVerdict("yes", g.vertices[0], bound)
+        return ARVerdict("yes", g.vertices[0])
     for v, (vid, w) in enumerate(g.vertices):
-        for lowered in range(w - 1, w - bound - 1, -1):
+        z = [1] * g.n
+        if _laufer_start(weights, g.adj, z, fixed=v) != 0:
+            continue
+        threshold = -sum(z[u] for u in g.adj[v])
+        for lowered in range(w - 1, threshold, -1):
             weights[v] = lowered
             if _laufer_start(weights, g.adj) == 0:
-                return ARVerdict("yes", (vid, lowered), bound)
-        weights[v] = w
-    return ARVerdict("inconclusive", None, bound)
+                return ARVerdict("yes", (vid, lowered))
+        return ARVerdict("yes", (vid, threshold))
+    return ARVerdict("no", None)
 
 
 def k_squared(g: PlumbingGraph) -> Fraction:

@@ -9,16 +9,15 @@ summand, dualized for negative coefficients) whose correction terms are
 computed independently and must agree with the closed-form engine's, which
 ``evaluate`` computes once for the report and hands to ``oracle_check``.
 
-The oracle is capped at MAX_ORACLE_GENERATORS generators and at truncation
-N = MAX_ORACLE_TRUNCATION.  Its scans run once, at N, on one model of the
-complex and one of its mapping cone.  An expanded model takes one sliding
-pass of O(N + grading spread) chain-group masks, and gathers the
-generators of a chain group (from N grading groups) only when a scan first
-reads it, so the scans, not the model, set the cost.  At the cap,
-``Y(506)`` took 0.04 s, ``Y(1)`` with truncation 512 took 0.001 s, and
-``7*Y(1)`` (2187 generators) with truncation 512 took 0.04 s
-(``evaluate_text`` with the oracle, best of 5, CPython 3.11 on one core of
-a shared x86-64 server).
+The oracle is capped at MAX_ORACLE_GENERATORS generators and at
+N = MAX_ORACLE_TRUNCATION, the truncation the complex's gradings set.
+Its scans run once, at N, on one model of the complex and one of its
+mapping cone.  An expanded model takes one sliding pass of
+O(N + grading spread) chain-group masks, and gathers the generators of a
+chain group (from N grading groups) only when a scan first reads it, so
+the scans, not the model, set the cost.  At the cap, ``Y(506)`` took
+0.04 s (``evaluate_text`` with the oracle, best of 5, CPython 3.11 on one
+core of a shared x86-64 server).
 Past either cap, OracleSizeError is raised before any scan.
 Both caps are read at call time.  Root-profile files use HF-minus gradings,
 2 below the internal ones; only this module applies that shift.
@@ -159,20 +158,18 @@ def class_complex(a: LocalClass) -> complexes.IotaComplex:
     return acc
 
 
-def oracle_check(a: LocalClass, want: tuple[Fraction, Fraction, Fraction],
-                 truncation: int | None = None) -> str:
+def oracle_check(a: LocalClass, want: tuple[Fraction, Fraction, Fraction]) -> str:
     """Recompute (d, d-bar, d-under) on an explicit complex; raise on mismatch.
 
     ``want`` is the closed-form engine's triple for ``a``, computed by the
     caller, and the complex's triple must equal it.
     """
     c = class_complex(a)
-    N = c.truncation if truncation is None else truncation
-    if N > MAX_ORACLE_TRUNCATION:
+    if c.truncation > MAX_ORACLE_TRUNCATION:
         raise OracleSizeError(
-            f"oracle truncation N = {N} is over the limit of "
+            f"oracle truncation N = {c.truncation} is over the limit of "
             f"{MAX_ORACLE_TRUNCATION}")
-    got = complexes.correction_terms(c, truncation=truncation)
+    got = complexes.correction_terms(c)
     if got != want:
         raise OracleMismatchError(
             f"oracle disagrees for {a}: engine {tuple(map(str, want))}, "
@@ -180,8 +177,7 @@ def oracle_check(a: LocalClass, want: tuple[Fraction, Fraction, Fraction],
     return "agrees"
 
 
-def evaluate(ast: ExpressionAST, input_text: str = "", oracle: bool = False,
-             truncation: int | None = None) -> Report:
+def evaluate(ast: ExpressionAST, input_text: str = "", oracle: bool = False) -> Report:
     term_rows = []
     total = localclass.zero()
     for w, atom in ast.terms:
@@ -206,14 +202,12 @@ def evaluate(ast: ExpressionAST, input_text: str = "", oracle: bool = False,
         rokhlin=rk,
         order_verdict=infinite_order_verdict(total),
         realizability=str(realizability_check(total)),
-        oracle=oracle_check(total, terms, truncation) if oracle else None,
+        oracle=oracle_check(total, terms) if oracle else None,
     )
     return report
 
 
-def evaluate_text(text: str, oracle: bool = False,
-                  truncation: int | None = None) -> Report:
+def evaluate_text(text: str, oracle: bool = False) -> Report:
     from .expr import parse
 
-    return evaluate(parse(text), input_text=text, oracle=oracle,
-                    truncation=truncation)
+    return evaluate(parse(text), input_text=text, oracle=oracle)

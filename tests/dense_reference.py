@@ -2,13 +2,14 @@
 
 The production code streams the tau steps of a Brieskorn sphere from
 period tables, eliminates the intersection form along the tree in integers,
-probes almost-rationality by editing one weight list, takes the monotone
-subroot with one running minimum and one sorted sweep, compresses a tau
-stream run by run, and does GF(2) linear algebra on int bitsets.  These
+decides almost-rationality from one fixed-vertex closure per vertex, takes
+the monotone subroot with one running minimum and one sorted sweep,
+compresses a tau stream run by run, and does GF(2) linear algebra on int
+bitsets.  These
 are the definitions those replace: the ceiling formula for the tau steps,
 the dense intersection form and its Fraction elimination, the
-almost-rationality search that rebuilds the graph for each candidate
-weight, the O(n^2) Pareto scan over ``mirror_merge``, the pair-deleting
+almost-rationality test that rebuilds the graph for each weight it tries,
+the O(n^2) Pareto scan over ``mirror_merge``, the pair-deleting
 restart loop that simplifies a weakly monotone root, the list-based
 extrema scan, the reduced row-echelon form of a matrix stored as lists of
 0/1 rows, the composition of maps stored as columns of explicit
@@ -50,22 +51,37 @@ def intersection_form(g: PlumbingGraph) -> list[list[int]]:
     return m
 
 
-def rebuild_is_almost_rational(g: PlumbingGraph, bound: int) -> ARVerdict:
-    """The almost-rationality search with a new ``PlumbingGraph`` for each
-    candidate weight, each tested by chi(minimal cycle) = 1."""
+def rebuild_is_almost_rational(g: PlumbingGraph) -> ARVerdict:
+    """The almost-rationality test with a new ``PlumbingGraph`` for each
+    weight, each tested by chi(minimal cycle) = 1.
+
+    At weight -10**6 at v, a minimal cycle with coefficient 1 at v certifies
+    that this weight is at or below the threshold T of
+    ``is_almost_rational``; as rational weights form a down-set, v has a
+    rational lowered weight iff this graph is rational.  On the first such v
+    the decrements 1, 2, ... are scanned on rebuilt graphs.
+    """
+    def at(vid, weight):
+        return PlumbingGraph(tuple((v, weight if v == vid else x)
+                                   for v, x in g.vertices), g.edges)
+
     def rational(h):
         return chi(h, minimal_cycle(h)) == 1
 
     if not is_negative_definite(g):
         raise ValueError("plumbing graph is not negative definite")
     if rational(g):
-        return ARVerdict("yes", g.vertices[0], bound)
-    for vid, w in g.vertices:
-        for dec in range(1, bound + 1):
-            verts = tuple((v, w - dec if v == vid else x) for v, x in g.vertices)
-            if rational(PlumbingGraph(verts, g.edges)):
-                return ARVerdict("yes", (vid, w - dec), bound)
-    return ARVerdict("inconclusive", None, bound)
+        return ARVerdict("yes", g.vertices[0])
+    for v, (vid, w) in enumerate(g.vertices):
+        h = at(vid, -10**6)
+        z = minimal_cycle(h)
+        assert z[v] == 1, "the weight -10**6 is above the threshold"
+        if chi(h, z) == 1:
+            lowered = w - 1
+            while not rational(at(vid, lowered)):
+                lowered -= 1
+            return ARVerdict("yes", (vid, lowered))
+    return ARVerdict("no", None)
 
 
 def leading_minor_dets(m: list[list[int]]) -> list[Fraction]:

@@ -8,9 +8,9 @@
   2 alpha + 16 stopping point, with the two facts its proof rests on;
 - the integer tree pass (K^2, negative definiteness) against dense Fraction
   elimination;
-- the almost-rationality search on one edited weight list against the
-  search that rebuilds the graph for each candidate weight, and the Laufer
-  start's rationality test against chi of the minimal cycle;
+- the exact almost-rationality test, one fixed-vertex closure per vertex,
+  against the test that rebuilds the graph for each weight it tries, and
+  the Laufer start's rationality test against chi of the minimal cycle;
 - the running-minimum monotone subroot against the O(n^2) Pareto scan;
 - ``simplify_weak`` (the monotone subroot of the profile) against the
   pair-deleting restart loop, in the cosets 0, 1 and 1/2 of 2Z;
@@ -40,7 +40,7 @@ import dataclasses
 import math
 import random
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import accumulate, chain, combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -194,28 +194,48 @@ def test_tree_elimination_matches_dense_on_random_trees(g):
         assert k2 == dense_k_squared(g)
 
 
-def test_almost_rational_search_matches_the_rebuild_reference():
-    # bounds 0..3 make some non-rational trees inconclusive, and the shuffled
-    # vertex order puts many witnesses past vertex 0
+def two_node_trees():
+    """Nodes a and b of weight -1 or -2, each with three one-vertex legs of
+    weight -2, -3 or -4, joined directly or through a short chain; the
+    definite ones are not almost rational."""
+    legs = list(combinations_with_replacement((-2, -3, -4), 3))
+    chains = [(), (-2,), (-3,), (-2, -2), (-3, -3)]
+    for wa, la, wb, lb, link in product((-1, -2), legs, (-1, -2), legs, chains):
+        verts = [("a", wa), ("b", wb)]
+        verts += [(f"a{i}", w) for i, w in enumerate(la)]
+        verts += [(f"b{i}", w) for i, w in enumerate(lb)]
+        verts += [(f"m{i}", w) for i, w in enumerate(link)]
+        path = ["a"] + [f"m{i}" for i in range(len(link))] + ["b"]
+        edges = [(x, f"{x}{i}") for x in "ab" for i in range(3)]
+        edges += list(zip(path, path[1:]))
+        yield PlumbingGraph(tuple(verts), tuple(edges))
+
+
+def random_trees():
     rng = random.Random(16)
-    definite = past_vertex_0 = inconclusive = 0
     for _ in range(4000):
         n = rng.randint(1, 12)
         parents = [rng.randint(0, i - 1) for i in range(1, n)]
         weights = [rng.randint(-6, 1) for _ in range(n)]
         order = rng.sample(range(n), n)
-        bound = rng.randint(0, 3)
-        g = PlumbingGraph(tuple((f"v{i}", weights[i]) for i in order),
-                          tuple((f"v{p}", f"v{i}") for i, p in enumerate(parents, 1)))
+        yield PlumbingGraph(tuple((f"v{i}", weights[i]) for i in order),
+                            tuple((f"v{p}", f"v{i}") for i, p in enumerate(parents, 1)))
+
+
+def test_almost_rational_search_matches_the_rebuild_reference():
+    # the shuffled vertex order puts many witnesses past vertex 0, and the
+    # two-node family answers "no"
+    definite = past_vertex_0 = no = 0
+    for g in chain(random_trees(), two_node_trees()):
         if not is_negative_definite(g):
             continue
         definite += 1
         assert is_rational(g) == (chi(g, minimal_cycle(g)) == 1), graph_to_text(g)
-        got = is_almost_rational(g, bound)
-        assert got == rebuild_is_almost_rational(g, bound), graph_to_text(g)
+        got = is_almost_rational(g)
+        assert got == rebuild_is_almost_rational(g), graph_to_text(g)
         past_vertex_0 += got.verdict == "yes" and got.witness[0] != g.vertices[0][0]
-        inconclusive += got.verdict == "inconclusive"
-    assert (definite, past_vertex_0, inconclusive) == (887, 19, 6)
+        no += got.verdict == "no"
+    assert (definite, past_vertex_0, no) == (1121, 21, 262)
 
 
 @st.composite

@@ -15,6 +15,7 @@ from hfi.monotone import M, to_profile
 from hfi.report import (MAX_ORACLE_TRUNCATION, OracleMismatchError,
                         OracleSizeError, evaluate_text)
 from hfi.roots import profile_from_text, profile_to_text
+from test_plumbing import NOT_ALMOST_RATIONAL
 
 
 # ---------------------------------------------------------------- grammar
@@ -155,24 +156,22 @@ def test_cli_eval_oracle_size_guard(capsys):
 
 
 def test_cli_eval_oracle_truncation_guard(capsys, monkeypatch):
-    # N = 100006 (from the gradings) and N = 100000 (given) are over the
-    # limit: refused before any expanded model is built
+    # N = 100006 (from the gradings) is over the limit: refused before any
+    # expanded model is built
     def no_model(*args):
         raise AssertionError("an expanded model was built")
 
     monkeypatch.setattr(complexes.Expanded, "__init__", no_model)
-    for argv, N in ((["Y(100000)"], 100006),
-                    (["Y(1)", "--truncation", "100000"], 100000)):
-        assert main(["eval", *argv, "--oracle"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ")
-        assert f"N = {N}" in err and str(MAX_ORACLE_TRUNCATION) in err
+    assert main(["eval", "Y(100000)", "--oracle"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "N = 100006" in err and str(MAX_ORACLE_TRUNCATION) in err
 
 
 def test_cli_eval_oracle_mismatch_exits_3(capsys, monkeypatch):
     # the oracle's terms, as hfi.report reads them, disagree with the engine
-    def off_by_two(c, truncation=None):
-        d, d_bar, d_under = terms(c, truncation=truncation)
+    def off_by_two(c):
+        d, d_bar, d_under = terms(c)
         return d + 2, d_bar, d_under
 
     terms = complexes.correction_terms
@@ -254,12 +253,15 @@ def test_cli_plumbing_checks(tmp_path, capsys):
     assert main(["plumbing", str(graph), "--check", "rational"]) == 0
     assert "True" in capsys.readouterr().out
     assert main(["plumbing", str(graph)]) == 0
-    assert "almost rational" in capsys.readouterr().out
-    # a negative bound is invalid input, not an "inconclusive" search
-    assert main(["plumbing", str(graph), "--bound", "-3"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: the almost-rationality bound must be >= 0, got -3\n"
+    assert capsys.readouterr().out == \
+        "almost rational: yes (vertex 1 at weight -2 is rational)\n"
+
+
+def test_cli_plumbing_not_almost_rational(tmp_path, capsys):
+    graph = tmp_path / "two_node.txt"
+    graph.write_text(NOT_ALMOST_RATIONAL)
+    assert main(["plumbing", str(graph)]) == 0
+    assert capsys.readouterr().out == "almost rational: no\n"
 
 
 def test_cli_family(capsys):
@@ -294,7 +296,6 @@ def test_cli_eval_file_atom(tmp_path, capsys):
     ["eval", "I[1/0]"],  # zero denominators
     ["eval", "M(1/0,0)"],
     ["family", "--M", "1", "--N", "1", "--d", "1/0", "--mu", "0"],
-    ["eval", "Y(1)", "--oracle", "--truncation", "0"],
 ])
 def test_cli_invalid_input_exits_2_with_message(argv, capsys):
     assert main(argv) == 2

@@ -4,10 +4,34 @@ import pytest
 
 from dense_reference import intersection_form, leading_minor_dets
 from hfi.brieskorn import BrieskornParams, seifert_plumbing
-from hfi.plumbing import (PlumbingGraph, canonical_K, chi, graph_from_text,
-                          graph_to_text, is_almost_rational,
+from hfi.plumbing import (ARVerdict, PlumbingGraph, canonical_K, chi,
+                          graph_from_text, graph_to_text, is_almost_rational,
                           is_negative_definite, is_rational, k_squared,
                           minimal_cycle)
+
+# nodes a and b with legs of weight -2, -2, -2 and -2, -2, -3, joined
+# through the chain m0, m1 of weight -3: definite, not almost rational
+NOT_ALMOST_RATIONAL = """\
+vertex a -2
+vertex b -2
+vertex a0 -2
+vertex a1 -2
+vertex a2 -2
+vertex b0 -2
+vertex b1 -2
+vertex b2 -3
+vertex m0 -3
+vertex m1 -3
+edge a a0
+edge a a1
+edge a a2
+edge b b0
+edge b b1
+edge b b2
+edge a m0
+edge m0 m1
+edge m1 b
+"""
 
 
 def e8_graph():
@@ -105,15 +129,15 @@ def test_text_comments_and_errors():
 
 def test_sigma_2_3_7_is_almost_rational_at_the_centre():
     # the centre -1 with legs -2, -3, -7 is not rational; lowering the
-    # centre once makes it rational, so every bound from 1 finds it
+    # centre once makes it rational
     g, center = seifert_plumbing(BrieskornParams(2, 3, 7))
     assert not is_rational(g)
-    for bound in (1, 2, 64):
-        assert is_almost_rational(g, bound).witness == (center, -2) == ("c", -2)
-    assert str(is_almost_rational(g)) == "almost rational (vertex c at weight -2 is rational)"
-    assert str(is_almost_rational(g, 0)) == "inconclusive within 0 decrements per vertex"
+    assert is_almost_rational(g).witness == (center, -2) == ("c", -2)
+    assert str(is_almost_rational(g)) == "yes (vertex c at weight -2 is rational)"
 
 
-def test_negative_ar_bound_is_rejected():
-    with pytest.raises(ValueError, match="bound must be >= 0, got -3"):
-        is_almost_rational(e8_graph(), -3)
+def test_two_node_tree_is_not_almost_rational():
+    g = graph_from_text(NOT_ALMOST_RATIONAL)
+    assert is_negative_definite(g) and not is_rational(g)
+    assert is_almost_rational(g) == ARVerdict("no", None)
+    assert str(is_almost_rational(g)) == "no"
