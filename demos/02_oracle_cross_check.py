@@ -2,7 +2,7 @@
 
 The closed-form engine computes correction terms from partial-sum sequences
 of the Y-basis coefficients; the exact oracle builds an explicit GF(2)[U]
-iota-complex (a tensor product of standard complexes) and scans its towers.
+iota-complex (a tensor product of standard complexes) and reads off its towers.
 Neither knows about the other, which is what makes the agreement a check.
 """
 

@@ -5,7 +5,7 @@ mu-bar grading shift, and Y-basis decompositions of local-equivalence
 classes, three ways that cross-check each other:
 
 - ``complexes``: an exact GF(2)[U] iota-complex oracle (tensor products,
-  duals, mapping cones, correction-term scans, local-map search);
+  duals, mapping cones, exact correction terms, local-map search);
 - ``roots`` / ``monotone`` / ``localclass``: symmetric graded roots, their
   monotone subroots, and the free-abelian Y-basis calculus;
 - ``cterms``: closed-form correction-term formulas and realization families.

@@ -11,12 +11,11 @@ Exit codes: 0 on success; otherwise the first match in the table in
 ``main``, printed as ``error: <message>`` on stderr, never a traceback:
 3 OracleMismatchError (the oracle disagrees with the engine); 1
 OracleSizeError (an oracle complex over ``report.MAX_ORACLE_GENERATORS``
-generators or truncation ``report.MAX_ORACLE_TRUNCATION``), and for
-``plumbing`` a graph that is not negative definite; 2 any other ValueError
-or OSError, such as a parse error, a non-coprime Sigma triple, alpha =
-a1 a2 a3 over ``brieskorn.MAX_SIGMA_ALPHA``, a class weight sum |c_i| over
-``cterms.MAX_CLASS_WEIGHT``, Y(0), a non-monotone M(...), a missing @file
-or impossible ``family`` invariants.
+generators), and for ``plumbing`` a graph that is not negative definite;
+2 any other ValueError or OSError, such as a parse error, a non-coprime
+Sigma triple, alpha = a1 a2 a3 over ``brieskorn.MAX_SIGMA_ALPHA``, a class
+weight sum |c_i| over ``cterms.MAX_CLASS_WEIGHT``, Y(0), a non-monotone
+M(...), a missing @file or impossible ``family`` invariants.
 Root-profile files are written and read in HF-minus gradings, two below
 the internal normalization; ``hfi.report`` applies the shift.
 """

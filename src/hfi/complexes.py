@@ -34,10 +34,36 @@ Conventions
   the root, and their tensor products and duals) iota^2 = id exactly, and
   then H = 0 is the homotopy and no system is solved; any other iota goes
   through ``solve_homotopy``.
+* Correction terms without truncation: ``correction_terms(c)`` reads them
+  off L = C/(U - 1), the GF(2) complex on the generators whose differential
+  is ``diff`` with every U set to 1, by ``_tower_tops``:
+
+  - A chain at offset t of the untruncated complex has at most one term
+    U^k x_i per generator, so it is the chain of L on the generators x_i
+    with off_i >= t and off_i = t mod 2, and d commutes with setting U = 1.
+    It is a cycle iff its image in L is one.
+  - A cycle z at t is U-torsion iff U^m z = d w for some m and w, iff z is
+    a boundary in C (x) GF(2)[U, U^-1], whose chain group at t is all of
+    L in the parity of t; so iff its image is a boundary of L.
+  - With F_t the span of the generators at offsets >= t, H at t has a
+    U-nontorsion class iff dim(Z(L) n F_t) > dim(B(L) n F_t) in the parity
+    of t.  The top of the free part in parity p is the largest such t.
+  - d is the even top of C.  The mapping cone has the Q-copies at the
+    gradings of C and the others one higher.  On the one U-localized tower
+    of C (the tower axiom) iota is the identity, so 1 + iota is 0 there,
+    and deep in the even parity the homology of the cone is Q.(the tower).
+    So d-bar, the top of a cycle whose U^m-image is nonzero and in the
+    image of Q, is the even top of the cone.  Deep in the odd parity
+    H(C) = 0, so Q.(cycles of C) are boundaries: Q.dw = d_cone(Qw).  So
+    d-under, one below the top of a cycle whose U^m-image survives outside
+    boundaries + Q.(cycles), is the odd top minus 1.  These are the
+    definitions the truncated scans ``_d_scan`` and ``_cone_scans`` read at
+    their probe gradings.
 * Truncation: maps are exact; the positive integer ``truncation`` N only
-  governs how far computations expand the basis {U^k x : k < N}.  The
-  correction terms are computed once, at N, and are those of the
-  untruncated complex C (x) GF(2)[U]:
+  governs how far computations expand the basis {U^k x : k < N}.
+  ``correction_terms(c, truncation=N)`` scans the models at N, the slow
+  independent reference for the exact pass above; its triple is that of
+  the untruncated complex C (x) GF(2)[U]:
 
   - At truncation N, the chain group at offset t is complete (equal to that
     of the untruncated complex) for every t >= ``stable_low`` - 1 =
@@ -562,9 +588,68 @@ def homology_ranks(c, window) -> dict[Grading, int]:
 # ---------------------------------------------------------------------------
 # correction terms
 #
-# The scans work in offsets from tau in the Expanded models, so tau has
-# parity 0.  Each scan eliminates the boundaries at its probe grading once
-# and reduces U^m (cycles at r) against that basis for every r.
+# Both paths work in offsets from tau, so tau has parity 0.  The exact pass
+# eliminates L = C/(U - 1) once per complex; the truncated scans, the
+# reference, work in the Expanded models: each eliminates the boundaries at
+# its probe grading once and reduces U^m (cycles at r) against that basis
+# for every r.
+
+
+def _tower_tops(offsets: list[int], diff: Map) -> tuple[int | None, int | None]:
+    """(even top, odd top) of the free part of H(C (x) GF(2)[U]), or None.
+
+    ``offsets`` are the generators' gradings as offsets and ``diff`` the
+    differential; the proof is in "Correction terms without truncation" in
+    the module docstring.  One elimination of the columns of L = C/(U - 1),
+    level by level in descending grading, where a level is the mask of the
+    generators at one offset.  A vector's lead is its highest bit inside the
+    lowest level it touches, so a basis with one vector per lead spans
+    B n F_t with the vectors whose leads lie in F_t.  Reducing by the vector
+    of the same lead never lowers that level, so the level index only moves
+    up.  This is not ``gf2.Echelon``, whose lead is the highest bit overall:
+    that order would need the bits permuted into grading order, which costs
+    more than the elimination.  After each level the ranks of the columns
+    seen so far give dim(Z n F_t) per parity, and the number of leads per
+    level gives dim(B n F_t) once every column is in.
+    """
+    levels: dict[int, int] = {}
+    for i, t in enumerate(offsets):
+        levels[t] = levels.get(t, 0) | 1 << i
+    grades = sorted(levels)
+    masks = [levels[t] for t in grades]
+    pivots: dict[int, int] = {}  # bit_length of the lead -> vector
+    leads = [0] * len(grades)    # basis vectors of B led in each level
+    ranks = [0] * len(grades)    # rank of the columns of the level's parity at or above it
+    rank = [0, 0]
+    for k in range(len(grades) - 1, -1, -1):
+        p = grades[k] % 2
+        # a boundary of a column at t has terms at offsets >= t - 1 only
+        low = max(k - 1, 0)
+        for j in _bits(masks[k]):
+            v, i = diff[j], low
+            while v:
+                part = v & masks[i]
+                if not part:
+                    i += 1
+                    continue
+                h = part.bit_length()
+                q = pivots.get(h)
+                if q is None:
+                    pivots[h] = v
+                    leads[i] += 1
+                    rank[p] += 1
+                    break
+                v ^= q
+        ranks[k] = rank[p]
+    tops: list[int | None] = [None, None]
+    gens, bounds = [0, 0], [0, 0]
+    for k in range(len(grades) - 1, -1, -1):
+        p = grades[k] % 2
+        gens[p] += masks[k].bit_count()
+        bounds[p] += leads[k]
+        if tops[p] is None and gens[p] - ranks[k] > bounds[p]:
+            tops[p] = grades[k]
+    return tops[0], tops[1]
 
 
 def _d_scan(exp: Expanded) -> Grading:
@@ -618,15 +703,25 @@ def correction_terms(c: IotaComplex,
                      truncation: int | None = None) -> tuple[Grading, Grading, Grading]:
     """(d, d-bar, d-under), exact: those of the untruncated complex.
 
-    One base model and one cone model, at truncation N (``c.truncation`` by
-    default).  Every chain group the scans read is complete at N (see
-    "Truncation" in the module docstring), so no refinement is needed; an N
-    too small for the probe raises WindowError.  The trivial complex returns
-    (0, 0, 0).  A grading outside tau + Z raises ValueError.
+    By default, one exact pass (``_tower_tops``) over C and one over its
+    mapping cone, with no truncation and no expanded model.  With
+    ``truncation`` N, the reference path: one base model and one cone model
+    at N, scanned by ``_d_scan`` and ``_cone_scans``.  Every chain group the
+    scans read is complete at N (see "Truncation" in the module docstring),
+    so no refinement is needed; an N too small for the probe raises
+    WindowError.  The trivial complex returns (0, 0, 0).  A grading outside
+    tau + Z raises ValueError, and a complex with no tower RuntimeError.
     """
-    N = c.truncation if truncation is None else truncation
-    base = Expanded(c.gradings, c.diff, N, c.tau)
-    terms = (_d_scan(base), *_cone_scans(c, base))
+    if truncation is None:
+        off = _offsets(c.gradings, c.tau)
+        d, _ = _tower_tops(off, c.diff)
+        d_bar, odd = _tower_tops([t + 1 for t in off] + off, mapping_cone(c).diff)
+        if None in (d, d_bar, odd):
+            raise RuntimeError("no tower class found; complex violates the tower axiom")
+        terms = (c.tau + d, c.tau + d_bar, c.tau + odd - 1)
+    else:
+        base = Expanded(c.gradings, c.diff, truncation, c.tau)
+        terms = (_d_scan(base), *_cone_scans(c, base))
     d, d_bar, d_under = terms
     if not (d_under <= d <= d_bar):
         raise RuntimeError(f"correction-term sanity violated: {terms}")

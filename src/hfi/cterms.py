@@ -117,18 +117,23 @@ def lemma_identity(st: STProfile) -> bool:
     return d_lower_offset(st) == d_upper_offset_direct(st)
 
 
-def correction_terms(a: LocalClass) -> tuple[Fraction, Fraction, Fraction]:
-    """(d, d-bar, d-under) of a class; d-bar comes from the dual class."""
+def correction_terms(a: LocalClass) -> tuple[int | Fraction, ...]:
+    """(d, d-bar, d-under) of a class; d-bar comes from the dual class.
+
+    The terms are ints when the shift is integral, and Fractions otherwise.
+    """
     d = d_invariant(a)
     d_under = d + d_lower_offset(STProfile.of_class(a))
     b = -a
     d_bar = -(d_invariant(b) + d_lower_offset(STProfile.of_class(b)))
     if not (d_under <= d <= d_bar):
         raise AssertionError(f"correction-term sanity violated for {a}")
+    if a.shift.denominator == 1:
+        return int(d), int(d_bar), int(d_under)
     return d, d_bar, d_under
 
 
-def stabilized_terms(a: LocalClass, k: int) -> tuple[Fraction, Fraction, Fraction]:
+def stabilized_terms(a: LocalClass, k: int) -> tuple[int | Fraction, ...]:
     """Correction terms of the k-fold sum of a."""
     if k <= 0:
         raise ValueError("k must be positive")

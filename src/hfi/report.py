@@ -9,17 +9,17 @@ summand, dualized for negative coefficients) whose correction terms are
 computed independently and must agree with the closed-form engine's, which
 ``evaluate`` computes once for the report and hands to ``oracle_check``.
 
-The oracle is capped at MAX_ORACLE_GENERATORS generators and at
-N = MAX_ORACLE_TRUNCATION, the truncation the complex's gradings set.
-Its scans run once, at N, on one model of the complex and one of its
-mapping cone.  An expanded model takes one sliding pass of
-O(N + grading spread) chain-group masks, and gathers the generators of a
-chain group (from N grading groups) only when a scan first reads it, so
-the scans, not the model, set the cost.  At the cap, ``Y(506)`` took
-0.04 s (``evaluate_text`` with the oracle, best of 5, CPython 3.11 on one
-core of a shared x86-64 server).
-Past either cap, OracleSizeError is raised before any scan.
-Both caps are read at call time.  Root-profile files use HF-minus gradings,
+The oracle is capped at MAX_ORACLE_GENERATORS generators; past the cap,
+OracleSizeError is raised before the complex is built.  Its correction
+terms come from one exact elimination over GF(2) of the complex and one of
+its mapping cone (``complexes.correction_terms``), with no truncated model,
+so the cost follows the generator count and not the gradings' spread:
+``Y(100000)`` and ``Y(1000000000) - Y(1) + I[-2]`` each took under
+0.5 ms, ``5*Y(1) - Y(2) + I[-2]`` (729 generators) 5.5 ms and ``7*Y(1)``
+(2187 generators, the largest under the cap) 22 ms (``evaluate_text`` with
+the oracle, best of 25, CPython 3.11 on one core of a shared x86-64
+server, where single runs read up to 1.6 times as long).
+The cap is read at call time.  Root-profile files use HF-minus gradings,
 2 below the internal ones; only this module applies that shift.
 """
 
@@ -40,7 +40,6 @@ from .roots import (SymmetricRootProfile, profile_from_text, profile_to_text,
                     standard_complex)
 
 MAX_ORACLE_GENERATORS = 4096
-MAX_ORACLE_TRUNCATION = 512
 
 
 class OracleMismatchError(AssertionError):
@@ -48,7 +47,7 @@ class OracleMismatchError(AssertionError):
 
 
 class OracleSizeError(ValueError):
-    """The oracle tensor complex would exceed the generator or truncation limit."""
+    """The oracle tensor complex would exceed the generator limit."""
 
 
 def _shifted(p: SymmetricRootProfile, by: int) -> SymmetricRootProfile:
@@ -164,12 +163,7 @@ def oracle_check(a: LocalClass, want: tuple[Fraction, Fraction, Fraction]) -> st
     ``want`` is the closed-form engine's triple for ``a``, computed by the
     caller, and the complex's triple must equal it.
     """
-    c = class_complex(a)
-    if c.truncation > MAX_ORACLE_TRUNCATION:
-        raise OracleSizeError(
-            f"oracle truncation N = {c.truncation} is over the limit of "
-            f"{MAX_ORACLE_TRUNCATION}")
-    got = complexes.correction_terms(c)
+    got = complexes.correction_terms(class_complex(a))
     if got != want:
         raise OracleMismatchError(
             f"oracle disagrees for {a}: engine {tuple(map(str, want))}, "

@@ -61,6 +61,11 @@ def test_single_negative_summand():
 def test_shifted_classes():
     assert correction_terms(I(2)) == (-2, -2, -2)
     assert correction_terms(Y(2) - Y(1) + I(-2)) == (4, 4, 2)
+    # the terms are ints when the shift is integral, Fractions otherwise
+    assert {type(x) for x in correction_terms(Y(2) - Y(1) + I(-2))} == {int}
+    half = correction_terms(Y(1) + I(Fraction(1, 2)))
+    assert half == (Fraction(3, 2), Fraction(3, 2), Fraction(-1, 2))
+    assert {type(x) for x in half} == {Fraction}
 
 
 def test_mixed_class():

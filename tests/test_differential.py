@@ -24,6 +24,9 @@
 - the oracle's one pass at the smallest truncation its probe admits against
   every larger truncation up to 7 past the default: the same triple, which
   is the closed-form one on class complexes;
+- the oracle's exact pass, with no truncation, against those truncated
+  scans, also on relabelled complexes in the coset 1/2 of Z and on an
+  acyclic one;
 - the local-map and homotopy systems in Kronecker layout against the same
   systems assembled term by term with equations numbered in order of first
   use: the same witnesses F and H and the same homotopies, not only the
@@ -478,6 +481,41 @@ def test_correction_terms_are_exact_from_the_edge_of_the_window():
     for a in SMALL_CLASSES:
         assert _terms_from_the_smallest_truncation(class_complex(a)) == \
             cterms.correction_terms(a), a
+
+
+def _relabelled(c, rng):
+    """c with its generators in a random order and every grading, tau
+    included, raised by 1/2."""
+    order = list(range(c.n))
+    rng.shuffle(order)
+    where = {old: new for new, old in enumerate(order)}
+
+    def move(col):
+        return sum(1 << where[i] for i in complexes._bits(col))
+
+    half = Fraction(1, 2)
+    return complexes.graded_complex(
+        [c.labels[i] for i in order], [c.gradings[i] + half for i in order],
+        [move(c.diff[i]) for i in order], [move(c.iota[i]) for i in order],
+        c.tau + half)
+
+
+def test_exact_pass_matches_the_truncated_scans():
+    # 2 + 300 random complexes of up to 49 generators, each also relabelled
+    # and shifted into 1/2 + Z: the same triple, of the same types
+    rng = random.Random(20170633)
+    for c in _random_complexes(20170633, 300):
+        for x in (c, _relabelled(c, rng)):
+            got = complexes.correction_terms(x)
+            want = complexes.correction_terms(x, truncation=x.truncation)
+            assert got == want, (x.labels, got, want)
+            assert [type(g) for g in got] == [type(w) for w in want]
+    # d(x) = y: no tower, so both paths refuse
+    acyclic = complexes.iota_complex(("x", "y"), (1, 0), [[0, 0], [1, 0]],
+                                     [[1, 0], [0, 1]], tau=0)
+    for truncation in (None, acyclic.truncation):
+        with pytest.raises(RuntimeError, match="no tower class found"):
+            complexes.correction_terms(acyclic, truncation=truncation)
 
 
 def _assert_same_systems(a, b, rng):

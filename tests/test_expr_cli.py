@@ -12,8 +12,7 @@ from hfi.expr import (ExpressionAST, FileAtom, IAtom, MAtom, ParseError,
                       SigmaAtom, YAtom, parse)
 from hfi.localclass import I, Y
 from hfi.monotone import M, to_profile
-from hfi.report import (MAX_ORACLE_TRUNCATION, OracleMismatchError,
-                        OracleSizeError, evaluate_text)
+from hfi.report import OracleMismatchError, OracleSizeError, evaluate_text
 from hfi.roots import profile_from_text, profile_to_text
 from test_plumbing import NOT_ALMOST_RATIONAL
 
@@ -155,17 +154,16 @@ def test_cli_eval_oracle_size_guard(capsys):
     assert "generators" in capsys.readouterr().err
 
 
-def test_cli_eval_oracle_truncation_guard(capsys, monkeypatch):
-    # N = 100006 (from the gradings) is over the limit: refused before any
-    # expanded model is built
+def test_cli_eval_oracle_builds_no_truncated_model(capsys, monkeypatch):
+    # a default truncation of N = 100006 (from the gradings) does not matter:
+    # the oracle's exact pass builds no expanded model
     def no_model(*args):
         raise AssertionError("an expanded model was built")
 
     monkeypatch.setattr(complexes.Expanded, "__init__", no_model)
-    assert main(["eval", "Y(100000)", "--oracle"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ")
-    assert "N = 100006" in err and str(MAX_ORACLE_TRUNCATION) in err
+    assert main(["eval", "Y(100000)", "--oracle"]) == 0
+    captured = capsys.readouterr()
+    assert "oracle:     agrees" in captured.out and captured.err == ""
 
 
 def test_cli_eval_oracle_mismatch_exits_3(capsys, monkeypatch):

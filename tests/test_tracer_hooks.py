@@ -5,9 +5,12 @@
 methods of ``complexes.Expanded`` by name, and its counter for
 ``Expanded.__init__`` reads the model's ``basis``.  A rename in ``hfi``
 breaks the traced benchmark runs; these tests make it break tier-1 too.
-The local-equivalence metrics (``find_local_map`` spans and calls, the
-feasible fraction, ``solve_homotopy`` self time) rest on the hooks that
-``locally_equivalent`` and ``validate`` reach through module globals.
+The scans run only on the truncated reference path of
+``correction_terms(c, truncation=N)``; the default exact pass builds no
+``Expanded``.  The local-equivalence metrics (``find_local_map`` spans and
+calls, the feasible fraction, ``solve_homotopy`` self time) rest on the
+hooks that ``locally_equivalent`` and ``validate`` reach through module
+globals.
 """
 
 import importlib.util
@@ -34,20 +37,24 @@ def test_tracer_installs_and_counts_a_traced_oracle_call():
     originals = (complexes.correction_terms, complexes.Expanded.__dict__["__init__"])
     tracer.install()
     try:
-        terms = complexes.correction_terms(c)
+        exact = complexes.correction_terms(c)
+        exact_builds = tracer.counters["complexes.expanded_builds"]
+        terms = complexes.correction_terms(c, truncation=c.truncation)
         diag = complexes.validate(c)
     finally:
         tracer.uninstall()
     assert (complexes.correction_terms, complexes.Expanded.__dict__["__init__"]) == originals
-    assert terms == complexes.correction_terms(c) and diag.ok
+    assert exact == terms == complexes.correction_terms(c) and diag.ok
+    # the exact pass builds no expanded model
+    assert exact_builds == 0
     names = {span[2] for span in tracer.spans}
     for hook in ("complexes.correction_terms", "complexes._d_scan",
                  "complexes._cone_scans", "complexes._single_tower_check",
                  "complexes.mat_mul", "complexes.mapping_cone",
                  "complexes.Expanded.__init__", "complexes.Expanded.cycles"):
         assert hook in names, hook
-    # correction_terms makes one pass, with a base model and a cone model;
-    # validate builds one
+    # the truncated reference makes one pass, with a base model and a cone
+    # model; validate builds one
     assert tracer.counters["complexes.expanded_builds"] == 3
     assert tracer.counters["complexes.expanded_dim"] > 0
 
