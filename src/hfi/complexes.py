@@ -60,7 +60,10 @@ Conventions
     definitions the truncated scans ``_d_scan`` and ``_cone_scans`` read at
     their probe gradings.
 * Truncation: maps are exact; the positive integer ``truncation`` N only
-  governs how far computations expand the basis {U^k x : k < N}.
+  governs how far computations expand the basis {U^k x : k < N}.  The
+  correction terms and the local-map search (``find_local_map``,
+  ``locally_equivalent``) are exact and read no N; only ``validate``,
+  ``solve_homotopy``, ``homology_ranks`` and the reference scans use it.
   ``correction_terms(c, truncation=N)`` scans the models at N, the slow
   independent reference for the exact pass above; its triple is that of
   the untruncated complex C (x) GF(2)[U]:
@@ -84,10 +87,10 @@ Conventions
   a grading, so a chain at a grading is an int with bit i set for x_i (see
   ``gf2``), just like a map column.  U^m is a mask, and Q.(chains of C) in
   the mapping cone is a shift by n.  The local-map and homotopy searches
-  are int-column systems in Kronecker layout (``_System``): the equation
-  for entry (i, j) of a map into n generators is bit j.n + i, since
-  vec(L.X + X.R) = (I (x) L + R^T (x) I) vec X, and each unknown's column
-  is a few shifts and one mask.  The row numbering does not change the
+  are int-column systems in Kronecker layout (``_kron_columns``): the
+  equation for entry (i, j) of a map into n generators is bit j.n + i,
+  since vec(L.X + X.R) = (I (x) L + R^T (x) I) vec X, and each unknown's
+  column is two shifts and one XOR.  The row numbering does not change the
   solution, which depends only on the order of the unknowns.
 """
 
@@ -520,8 +523,9 @@ def tensor(a: IotaComplex, b: IotaComplex) -> IotaComplex:
                           a.defects + b.defects)
 
 
-def _transpose(m: Map) -> Map:
-    cols = [0] * len(m)
+def _transpose(m: Map, n: int) -> Map:
+    """The n rows of m, as columns."""
+    cols = [0] * n
     for j, col in enumerate(m):
         for i in _bits(col):
             cols[i] |= 1 << j
@@ -534,7 +538,8 @@ def dual(a: IotaComplex) -> IotaComplex:
     An entry keeps its exponent, and the operand's defects are carried forward.
     """
     return graded_complex([f"{l}^" for l in a.labels], [-g for g in a.gradings],
-                          _transpose(a.diff), _transpose(a.iota), -a.tau, a.defects)
+                          _transpose(a.diff, a.n), _transpose(a.iota, a.n), -a.tau,
+                          a.defects)
 
 
 @dataclass(frozen=True)
@@ -556,16 +561,19 @@ class ConeComplex:
         return len(self.labels)
 
 
+def _cone_diff(diff: Map, iota: Map) -> Map:
+    """The cone differential d + Q(1 + iota) on the generators of ``ConeComplex``."""
+    n = len(diff)
+    # d(x_j) = d x_j + Q(x_j + iota x_j);  d(Q x_j) = Q d x_j
+    return (tuple(col | ((iota_col ^ (1 << j)) << n)
+                  for j, (col, iota_col) in enumerate(zip(diff, iota)))
+            + tuple(col << n for col in diff))
+
+
 def mapping_cone(a: IotaComplex) -> ConeComplex:
-    n = a.n
     labels = tuple(a.labels) + tuple(f"Q{l}" for l in a.labels)
     gradings = tuple(g + 1 for g in a.gradings) + tuple(a.gradings)
-
-    # d(x_j) = d x_j + Q(x_j + iota x_j);  d(Q x_j) = Q d x_j
-    diff = (tuple(col | ((iota_col ^ (1 << j)) << n)
-                  for j, (col, iota_col) in enumerate(zip(a.diff, a.iota)))
-            + tuple(col << n for col in a.diff))
-    return ConeComplex(a, labels, gradings, diff)
+    return ConeComplex(a, labels, gradings, _cone_diff(a.diff, a.iota))
 
 
 # ---------------------------------------------------------------------------
@@ -715,7 +723,7 @@ def correction_terms(c: IotaComplex,
     if truncation is None:
         off = _offsets(c.gradings, c.tau)
         d, _ = _tower_tops(off, c.diff)
-        d_bar, odd = _tower_tops([t + 1 for t in off] + off, mapping_cone(c).diff)
+        d_bar, odd = _tower_tops([t + 1 for t in off] + off, _cone_diff(c.diff, c.iota))
         if None in (d, d_bar, odd):
             raise RuntimeError("no tower class found; complex violates the tower axiom")
         terms = (c.tau + d, c.tau + d_bar, c.tau + odd - 1)
@@ -730,66 +738,62 @@ def correction_terms(c: IotaComplex,
 
 # ---------------------------------------------------------------------------
 # homotopy / local-map linear systems
+#
+# An affine GF(2) system in the entries of unknown maps X: a -> b, in
+# Kronecker layout: entry (i, j) of a product block is bit j.n + i of the
+# block, n the number of generators of b.  That is vec(L.X + X.R) =
+# (I (x) L + R^T (x) I) vec X, so the column of the unknown X[i, j] is
+# (L[i] << j.n) ^ (S[j] << i), where S[j] marks the columns c of R that
+# contain x_j (``_spread``).  Several blocks at once are one such column:
+# Lcat[i] joins L[i] of each block shifted to the block's start, and so does
+# Scat[j].  The unknowns are numbered map by map and, within a map, by row i,
+# then column j; the solution sets free unknowns to 0, so this order fixes
+# which solution is returned.  The row numbering does not change the
+# solution: for a fixed column order the pivot columns, and so the solution
+# with free unknowns zero, depend only on the linear dependences among the
+# columns.
 
 
-class _System:
-    """An affine GF(2) system in the entries of unknown maps X: a -> b.
+def _spread(R: Map, width: int, n: int) -> list[int]:
+    """S[j], j < width: bit c.n for each column c of R that contains x_j."""
+    S = [0] * width
+    for c, col in enumerate(R):
+        for j in _bits(col):
+            S[j] |= 1 << c * n
+    return S
 
-    The unknowns are the entries that the masks given to the constructor
-    allow, map by map and, within a map, by row i, then column j.  The
-    solution sets free unknowns to 0, so this order fixes which solution is
-    returned.  The equations are in Kronecker layout: entry (i, j) of a
-    product block that starts at bit ``base`` is bit base + j.n + i, where n
-    is the number of generators of b.  That is vec(L.X + X.R) =
-    (I (x) L + R^T (x) I) vec X, so the column of X[i, j] is L[i] shifted to
-    column j of the block plus S[j] shifted to row i, where S[j] marks the
-    columns c of R that contain j.  Rows that no kept entry reaches stay
-    zero.  The row numbering does not change the solution: for a fixed
-    column order the pivot columns, and so the solution with free unknowns
-    zero, depend only on the linear dependences among the columns.
+
+def _kron_columns(rows: list[int], L, S, n: int) -> list[int]:
+    """The column (L[i] << j.n) ^ (S[j] << i) of each unknown X[i, j], where
+    the unknowns are the bits j of ``rows[i]``, row by row."""
+    return [(L[i] << j * n) ^ (S[j] << i)
+            for i, row in enumerate(rows) for j in _bits(row)]
+
+
+def _solve(nrows: int, cols: list[int], rhs: int,
+           unknowns: list[tuple[list[int], int]]) -> list[Map] | None:
+    """The unknown maps of one solution, free unknowns 0, or None.
+
+    ``unknowns`` lists, map by map, the rows of its unknowns (as given to
+    ``_kron_columns``) and its number of columns.
     """
-
-    def __init__(self, n: int, *masks: Map):
-        self.n = n
-        self.keys = [sorted((i, j) for j, col in enumerate(X) for i in _bits(col))
-                     for X in masks]
-        self.cols = [[0] * len(keys) for keys in self.keys]
-        self.widths = [len(X) for X in masks]
-        self.nrows = 0
-
-    def add_products(self, base: int, L: Map, x: int, R: Map, below: Map) -> None:
-        """Add the entries of L.X + X.R that ``below`` keeps to the block at ``base``.
-
-        X is the x-th unknown map, and bit i of column j of X is the
-        coefficient, 0 or 1, of x_i in X(x_j).  ``below`` masks the entries
-        of the product's degree that lie below U^N: it is ``Expanded.below``
-        of the target's model, read off ``Expanded.present``.  The block has
-        one column per column of ``below``.
-        """
-        n = self.n
-        S = [0] * self.widths[x]
-        for c, col in enumerate(R):
-            for j in _bits(col):
-                S[j] |= 1 << c * n
-        keep = _vec(below, n) << base
-        self.nrows = max(self.nrows, base + len(below) * n)
-        cols = self.cols[x]
-        for v, (i, j) in enumerate(self.keys[x]):
-            cols[v] ^= ((L[i] << base + j * n) ^ (S[j] << base + i)) & keep
-
-    def solve(self, rhs: int) -> list[Map] | None:
-        """The unknown maps of one solution, free unknowns 0, or None."""
-        x = gf2.solve_affine(gf2.Matrix(self.nrows, chain(*self.cols)), rhs)
-        if x is None:
-            return None
-        maps = []
-        for keys, width in zip(self.keys, self.widths):
-            X = [0] * width
-            for i, j in keys:
-                X[j] |= (x & 1) << i
-                x >>= 1
-            maps.append(tuple(X))
-        return maps
+    x = gf2.solve_affine(gf2.Matrix(nrows, cols), rhs)
+    if x is None:
+        return None
+    maps = []
+    for rows, width in unknowns:
+        X = [0] * width
+        for i, row in enumerate(rows):
+            # the unknowns of row i are the next row.bit_count() bits of x
+            k = row.bit_count()
+            part, x = x & ((1 << k) - 1), x >> k
+            for j in _bits(row):
+                if not part:
+                    break
+                X[j] |= (part & 1) << i
+                part >>= 1
+        maps.append(tuple(X))
+    return maps
 
 
 def _vec(m: Map, n: int) -> int:
@@ -804,16 +808,20 @@ def solve_homotopy(a: IotaComplex, b: IotaComplex, rhs: Map, *,
     ``rhs`` is a degree-0 map a -> b.  A grading of b outside a.tau + Z
     raises ValueError.  ``target`` is the model of b at truncation
     max(a.truncation, b.truncation) with offsets from a.tau, for a caller
-    that holds it already (``validate``); by default it is built here.
+    that holds it already (``validate``); by default it is built here.  The
+    unknowns and the equations are the entries below U^N of the target's
+    model (``Expanded.below``), since ``validate`` checks iota^2 ~ id at the
+    complex's own truncation.
     """
     eb = target
     if eb is None:
         eb = Expanded(b.gradings, b.diff, max(a.truncation, b.truncation), a.tau)
     oa = _offsets(a.gradings, eb.base)
-    below = eb.below(oa, 0)
-    sys = _System(b.n, eb.below(oa, 1))
-    sys.add_products(0, b.diff, 0, a.diff, below)
-    sol = sys.solve(_vec(rhs, b.n) & _vec(below, b.n))
+    keep = _vec(eb.below(oa, 0), b.n)
+    rows = _transpose(eb.below(oa, 1), b.n)
+    cols = _kron_columns(rows, b.diff, _spread(a.diff, a.n, b.n), b.n)
+    sol = _solve(a.n * b.n, [col & keep for col in cols], _vec(rhs, b.n) & keep,
+                 [(rows, a.n)])
     return None if sol is None else sol[0]
 
 
@@ -827,66 +835,142 @@ class LocalMapWitness:
     target: IotaComplex
 
 
-def find_local_map(a: IotaComplex, b: IotaComplex) -> LocalMapWitness | None:
+class _Side:
+    """What a local-map search reads off one complex, in either direction.
+
+    ``offsets`` count from the complex's own tau.  ``at_or_below(t)`` masks
+    the generators at offsets t, t - 2, t - 4, ...; ``classes[p]`` masks
+    those of parity p.  ``tower()`` is the deep tower representative, found
+    on first use, so a search refused by its budget runs no elimination.
+    """
+
+    def __init__(self, c: IotaComplex):
+        self.c = c
+        self.offsets = off = _offsets(c.gradings, c.tau)
+        self.top = max(off)
+        levels: dict[int, int] = {}
+        self.classes = classes = [0, 0]
+        for i, t in enumerate(off):
+            levels[t] = levels.get(t, 0) | 1 << i
+            classes[t % 2] |= 1 << i
+        self.down: dict[int, int] = {}
+        for t in range(min(off), self.top + 1):
+            self.down[t] = self.down.get(t - 2, 0) | levels.get(t, 0)
+        self.z: int | None = None
+
+    def at_or_below(self, t: int) -> int:
+        top = self.top
+        return self.down.get(min(t, top - (top - t) % 2), 0)
+
+    def tower(self) -> int:
+        """The first cycle of the even class, in kernel order (generators
+        ascending), that is not a boundary: one elimination over the
+        boundaries of the odd class and one over the even class."""
+        if self.z is None:
+            d = self.c.diff
+            even, odd = self.classes
+            boundaries = gf2.Echelon(d[j] for j in _bits(odd))
+            cycles = gf2.Echelon()
+            for j in _bits(even):
+                v, z = cycles.add(d[j], 1 << j)
+                if not v and z not in boundaries:
+                    self.z = z
+                    break
+            else:
+                raise RuntimeError("missing deep tower class")
+        return self.z
+
+
+def find_local_map(a: IotaComplex, b: IotaComplex, *,
+                   sides: tuple[_Side, _Side] | None = None) -> LocalMapWitness | None:
     """Search for a local map a -> b as an affine GF(2) feasibility problem.
 
     The witness is a grading-preserving chain map F with
     F iota_a + iota_b F = dH + Hd and F carrying the deep tower generator of
     ``a`` to the deep tower generator of ``b`` (pinned as an affine
     constraint, which makes U-nondegeneracy linear).  Returns None when the
-    system is infeasible.  In the Kronecker layout of ``_System`` every
-    unknown's column is an int of up to 2.n_a.n_b + n_b bits (two blocks
-    of n_a.n_b equations and the pinning block), however few terms it has.
-    A system with more than MAX_LOCAL_MAP_UNKNOWNS unknowns raises
-    SearchSizeError, a ValueError, before it is assembled.
+    system is infeasible.  ``sides`` is the pair of ``_Side`` data of a and
+    b, for a caller that searches both directions (``locally_equivalent``);
+    by default it is built here.
+
+    The search is exact: it builds no truncated model and reads no N.  With
+    offsets from a.tau, the unknown F[i, j] (H[i, j]) is there when x_i of b
+    is at an offset >= off_a(j) (off_a(j) + 1) of the same parity.  The
+    equations are d_b F + F d_a = 0 (block 0), iota_b F + F iota_a + d_b H
+    + H d_a = 0 (block n_a.n_b) and F(z_a) + d_b(w) = z_b (the pinning block
+    at 2.n_a.n_b), where the slack w is any chain of b's odd class and z_a,
+    z_b are the tower representatives (``_Side.tower``).  Each unknown's
+    column is one ``_kron_columns`` entry over the three blocks, with no
+    mask.  The system and so the witness are those of the search that built
+    both truncated models at N = ``default_truncation`` of both gradings and
+    masked every product by U^N:
+
+    - Every bit of a map of a complex is a term U^e with e >= 0.  With span
+      the spread of all the gradings, N = ceil(span/2) + 6, and an entry
+      (i, j) of a degree-k map a -> b, k in {-1, 0, 1}, has exponent
+      (off_b(i) - off_a(j) - k)/2 <= (span + 1)/2 < N.  So the masks kept
+      every unknown above and every term of every product: none reaches U^N.
+    - That search's deep probe grading t was at most 3 below both bottoms,
+      and its chain groups at t and t + 1 were complete, so each was a whole
+      parity class (even for t, as tau_a - tau_b is even).  Its slack ranged
+      over b's whole odd class, and its tower representatives came from the
+      same two eliminations in the same kernel order, so z_a and z_b are the
+      same.
+
+    ``tests/test_golden.py`` pins the witnesses, and the differential tests
+    compare them with ``dense_reference.dict_find_local_map``, which still
+    builds the truncated models.  A system with more than
+    MAX_LOCAL_MAP_UNKNOWNS unknowns raises SearchSizeError, a ValueError,
+    from the mask counts, before any elimination.  Every unknown's column is
+    an int of up to 2.n_a.n_b + n_b bits, however few terms it has, so the
+    columns and their echelon basis dominate the memory.  At the budget
+    (CPython 3.11, shared 2-core x86-64 machine, min CPU time of 9 calls in
+    each of three processes): the largest system the budget admits among
+    the benchmark's pair complexes, 165 -> 63 generators with 5,724 unknowns
+    (infeasible), took 27-42 ms and peaked at 18.2 MB under ``tracemalloc``
+    (the truncated search: 37-52 ms, 18.0 MB); the largest feasible one,
+    35 -> 165 with 4,705 unknowns, 16-25 ms (20-34 ms) and 8.5 MB (8.5 MB).
     """
     if ((a.tau - b.tau).denominator != 1) or int(a.tau - b.tau) % 2 != 0:
         raise ValueError(f"tower cosets differ: tau={a.tau} vs {b.tau}")
-    N = default_truncation(a.gradings + b.gradings)
-    # both models count offsets from a.tau, so they share gradings
-    ea = Expanded(a.gradings, a.diff, N, a.tau)
-    eb = Expanded(b.gradings, b.diff, N, a.tau)
-    probe = min(ea.probe(0), eb.probe(0))
-    if probe < max(ea.stable_low, eb.stable_low):
-        raise WindowError("no common deep probe grading; increase truncation")
-    za = ea.tower_rep(probe)
-    zb = eb.tower_rep(probe)
-    if za is None or zb is None:
-        raise RuntimeError("missing deep tower class")
-
-    F = eb.below(ea.offsets, 0)
-    H = eb.below(ea.offsets, 1)
-    nf, nh = (sum(col.bit_count() for col in X) for X in (F, H))
-    w_dim = eb.dim(probe + 1)
+    sa, sb = sides or (_Side(a), _Side(b))
+    shift = int(b.tau - a.tau)  # b's offsets from a.tau are its own plus shift
+    # the unknowns, by rows: F[i] and H[i] mask the x_j of a that F and H
+    # may send to x_i of b
+    F = [sa.at_or_below(t + shift) for t in sb.offsets]
+    H = [sa.at_or_below(t + shift - 1) for t in sb.offsets]
+    W = [sb.classes[1] >> i & 1 for i in range(b.n)]  # the slack w, one column
+    nf, nh = (sum(row.bit_count() for row in X) for X in (F, H))
+    w_dim = sb.classes[1].bit_count()
     if (nf + nh + w_dim) > MAX_LOCAL_MAP_UNKNOWNS:
         raise SearchSizeError(
             f"local-map system too large: {nf} F-vars, "
             f"{nh} H-vars, {w_dim} slack vars (limit {MAX_LOCAL_MAP_UNKNOWNS})")
+    za, zb = sa.tower(), sb.tower()
 
-    nn = a.n * b.n
-    sys = _System(b.n, F, H, (eb.present.get(probe + 1, 0),))
-    # (1) chain-map condition: d_b F + F d_a = 0
-    sys.add_products(0, b.diff, 0, a.diff, eb.below(ea.offsets, -1))
-    # (2) iota-commutation up to homotopy: iota_b F + F iota_a + d_b H + H d_a = 0;
-    # these products have degree 0, so F is their mask below U^N
-    sys.add_products(nn, b.iota, 0, a.iota, F)
-    sys.add_products(nn, b.diff, 1, a.diff, F)
-    # (3) tower pinning: F(z_a) + d_b(w) = z_b at the probe grading, where
-    # the chain w at probe + 1 is the third unknown map (one column): a
-    # one-column block holding F.(z_a) (L = 0) and d_b.w (R = 0)
-    pin = (eb.present.get(probe, 0),)
-    sys.add_products(2 * nn, (0,) * b.n, 0, (za,), pin)
-    sys.add_products(2 * nn, b.diff, 2, (0,), pin)
-    sol = sys.solve(zb << 2 * nn)
+    n, nn = b.n, a.n * b.n
+    Sd = _spread(a.diff, a.n, n)
+    Lf = [d | i << nn for d, i in zip(b.diff, b.iota)]
+    Sf = [sd | si << nn | (za >> j & 1) << 2 * nn
+          for j, (sd, si) in enumerate(zip(Sd, _spread(a.iota, a.n, n)))]
+    cols = (_kron_columns(F, Lf, Sf, n)
+            + _kron_columns(H, [d << nn for d in b.diff], [s << nn for s in Sd], n)
+            + _kron_columns(W, [d << 2 * nn for d in b.diff], (0,), n))
+    sol = _solve(2 * nn + n, cols, zb << 2 * nn, [(F, a.n), (H, a.n), (W, 1)])
     if sol is None:
         return None
     return LocalMapWitness(sol[0], sol[1], a, b)
 
 
 def locally_equivalent(a: IotaComplex, b: IotaComplex) -> bool:
-    """True iff local maps exist in both directions."""
-    return (find_local_map(a, b) is not None
-            and find_local_map(b, a) is not None)
+    """True iff local maps exist in both directions.
+
+    Each side's offsets, masks and tower representative are computed once
+    and read by both searches.
+    """
+    sides = (_Side(a), _Side(b))
+    return (find_local_map(a, b, sides=sides) is not None
+            and find_local_map(b, a, sides=sides[::-1]) is not None)
 
 
 # ---------------------------------------------------------------------------

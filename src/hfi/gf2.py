@@ -8,12 +8,13 @@ Hart, ACM TOMS 2010); here Python's ints do the packing and one XOR adds two
 vectors.
 
 One elimination serves every routine: ``Echelon`` keeps a basis with one
-vector per leading (highest) bit and reduces vectors against it.  ``rank``,
-``kernel`` and ``solve_affine`` feed it the columns in order.  For a fixed
-column order the pivot columns, and the expression of each column through the
-pivot columns before it, do not depend on how the elimination runs, so the
-kernel basis and the solution with free variables zero are the ones the
-reduced row-echelon form gives, vector for vector.
+vector per leading (highest) bit, in one dict from the lead to the pair
+(vector, tag), so each reduction step is one lookup and one XOR per part.
+``rank``, ``kernel`` and ``solve_affine`` feed it the columns in order.  For
+a fixed column order the pivot columns, and the expression of each column
+through the pivot columns before it, do not depend on how the elimination
+runs, so the kernel basis and the solution with free variables zero are the
+ones the reduced row-echelon form gives, vector for vector.
 """
 
 from __future__ import annotations
@@ -51,47 +52,45 @@ class Echelon:
 
     Each basis vector carries a tag.  ``add(v, tag)`` XORs basis vectors
     into v and their tags into tag, so a tag records which combination of
-    the added vectors a basis vector (or a reduced vector) is.
+    the added vectors a basis vector (or a reduced vector) is.  ``pivots``
+    maps the bit_length of each leading bit to its (vector, tag).
     """
 
-    __slots__ = ("vecs", "tags")
+    __slots__ = ("pivots",)
 
     def __init__(self, vectors: Iterable[int] = ()):
-        self.vecs: dict[int, int] = {}  # bit_length of the leading bit -> vector
-        self.tags: dict[int, int] = {}
+        self.pivots: dict[int, tuple[int, int]] = {}
         for v in vectors:
             self.add(v)
 
     def __len__(self) -> int:
-        return len(self.vecs)
+        return len(self.pivots)
 
     def __contains__(self, v: int) -> bool:
         return not self.reduce(v)[0]
 
     def copy(self) -> Echelon:
         e = Echelon()
-        e.vecs, e.tags = dict(self.vecs), dict(self.tags)
+        e.pivots = dict(self.pivots)
         return e
 
     def reduce(self, v: int, tag: int = 0) -> tuple[int, int]:
         """Reduce v until it is 0 or its leading bit has no basis vector."""
-        vecs, tags = self.vecs, self.tags
+        pivots = self.pivots
         while v:
-            h = v.bit_length()
-            p = vecs.get(h)
+            p = pivots.get(v.bit_length())
             if p is None:
                 break
-            v ^= p
-            tag ^= tags[h]
+            pv, pt = p
+            v ^= pv
+            tag ^= pt
         return v, tag
 
     def add(self, v: int, tag: int = 0) -> tuple[int, int]:
         """Reduce v; a nonzero remainder joins the basis.  Returns (remainder, tag)."""
         v, tag = self.reduce(v, tag)
         if v:
-            h = v.bit_length()
-            self.vecs[h] = v
-            self.tags[h] = tag
+            self.pivots[v.bit_length()] = (v, tag)
         return v, tag
 
     def rank_mod(self, vectors: Iterable[int]) -> int:

@@ -102,6 +102,60 @@ def test_local_map_search_above_its_size_limit_raises(monkeypatch):
     assert find_local_map(a, b) is not None
 
 
+def test_local_map_budget_is_checked_before_any_elimination(monkeypatch):
+    # the budget is read off the mask counts: no GF(2) elimination runs,
+    # neither for the tower representatives nor for the system
+    a, b = std(0, -4), std(0, -2)
+    monkeypatch.setattr(complexes, "MAX_LOCAL_MAP_UNKNOWNS", 7)
+
+    def no_elimination(*args, **kw):
+        raise AssertionError("a GF(2) elimination ran")
+
+    monkeypatch.setattr(complexes.gf2, "Echelon", no_elimination)
+    for search in (find_local_map, locally_equivalent):
+        with pytest.raises(hfi.SearchSizeError):
+            search(a, b)
+
+
+def test_locally_equivalent_shares_each_side_between_both_searches(monkeypatch):
+    # one _Side per complex, read by both directions, gives the verdict of
+    # two separate searches on pairs that are equivalent, one-way and
+    # unrelated, some of them shifted into 1/2 + Z
+    built = []
+
+    class Counted(complexes._Side):
+        def __init__(self, c):
+            built.append(c)
+            super().__init__(c)
+
+    rng = random.Random(20170635)
+    roots = [(2, 0), (4, 0), (0, -2), (0, -4), (4, 0, 2, 2), (6, 0, 4, 2)]
+    half = trivial_complex(Fraction(1, 2))
+    for _ in range(12):
+        a, b = (std(*rng.choice(roots)) for _ in range(2))
+        if rng.random() < 0.5:
+            b = tensor(a, tensor(b, dual(b)))
+        if rng.random() < 0.5:
+            a, b = tensor(a, half), tensor(b, half)
+        want = find_local_map(a, b) is not None and find_local_map(b, a) is not None
+        with monkeypatch.context() as m:
+            m.setattr(complexes, "_Side", Counted)
+            built.clear()
+            assert locally_equivalent(a, b) == want
+            assert built == [a, b]
+
+
+def test_tower_representative_is_not_a_boundary():
+    # the first cycle of the even class, x, is the boundary of y, so the
+    # tower representative is z, and the complex is locally trivial
+    c = iota_complex(("x", "y", "z"), (0, 1, 0), [[0, 1, 0], [0, 0, 0], [0, 0, 0]],
+                     [[1, 0, 0], [0, 1, 0], [0, 0, 1]], tau=0)
+    assert validate(c).ok
+    assert complexes._Side(c).tower() == 0b100
+    assert locally_equivalent(c, trivial_complex())
+    assert find_local_map(c, trivial_complex()).F == (0, 0, 1)
+
+
 def test_local_equivalence_is_reflexive():
     c = std(4, 0, 2, 2)
     assert locally_equivalent(c, c)
@@ -274,7 +328,9 @@ def _mask_from_gradings(a, b, degree, N):
 
 
 def test_below_masks_match_the_gradings():
-    # the masks of every graded-map system are read off Expanded.present
+    # the masks of the truncated homotopy systems are read off
+    # Expanded.present, and those of the exact local-map search (F and H,
+    # by rows, with no N) off each side's offsets
     singles = _involutive_complexes()
     rng = random.Random(20170624)
     pairs = [(c, c) for c in singles]
@@ -287,6 +343,12 @@ def test_below_masks_match_the_gradings():
             eb = complexes.Expanded(b.gradings, b.diff, N, a.tau)
             for degree in (-2, -1, 0, 1):
                 assert eb.below(oa, degree) == _mask_from_gradings(a, b, degree, N)
+        sa, sb = complexes._Side(a), complexes._Side(b)
+        shift = int(b.tau - a.tau)
+        for degree in (0, 1):
+            rows = [sa.at_or_below(t + shift - degree) for t in sb.offsets]
+            assert (complexes._transpose(rows, a.n)
+                    == _mask_from_gradings(a, b, degree, 10 ** 6))
 
 
 def test_homotopy_onto_another_coset_is_refused():

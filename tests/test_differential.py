@@ -30,7 +30,9 @@
 - the local-map and homotopy systems in Kronecker layout against the same
   systems assembled term by term with equations numbered in order of first
   use: the same witnesses F and H and the same homotopies, not only the
-  same verdicts;
+  same verdicts; the exact local-map search, which builds no truncated
+  model, matches that reference, which does, also on pairs shifted by
+  tau +- 2, in the coset 1/2 + Z and with a shrunk truncation field;
 - the Y-basis calculus against the iota-complex oracle: two small classes
   are equal exactly when their complexes are locally equivalent (the class
   is a complete invariant, Dai-Stoffregen), and the closed-form correction
@@ -582,3 +584,29 @@ def test_kronecker_assembly_matches_the_dict_reference_off_the_involution():
         _assert_same_systems(x, c, rng)
         _assert_same_systems(c, x, rng)
     assert found == [False, True]
+
+
+def test_exact_local_map_search_matches_the_truncated_reference_off_the_unit():
+    # the exact search against the reference, which builds both truncated
+    # models at the default N: on pairs shifted by tau +- 2, on pairs in the
+    # coset 1/2 + Z and on pairs whose truncation field is shrunk, which the
+    # search must ignore; both directions, the same witnesses F and H
+    rng = random.Random(20170634)
+    up, down, half = (complexes.trivial_complex(g) for g in (2, -2, Fraction(1, 2)))
+    tensor, shrink = complexes.tensor, dataclasses.replace
+    feasible = set()
+    for k in range(16):
+        if k % 2 == 0:
+            a = _small_complex(rng, 1)
+            s = _small_complex(rng, 1, SMALL_ROOTS[:4])
+            b = tensor(a, tensor(s, complexes.dual(s)))
+        else:
+            a, b = (_small_complex(rng, rng.randint(1, 2)) for _ in range(2))
+        for x, y in [(tensor(a, up), b), (a, tensor(b, down)),
+                     (tensor(up, a), tensor(b, up)), (tensor(a, half), tensor(b, half)),
+                     (shrink(a, truncation=1), shrink(b, truncation=2))]:
+            for p, q in ((x, y), (y, x)):
+                w = complexes.find_local_map(p, q)
+                assert (None if w is None else (w.F, w.H)) == dict_find_local_map(p, q)
+                feasible.add(w is not None)
+    assert feasible == {True, False}

@@ -87,7 +87,8 @@ def test_echelon_reproduces_column_span(rows):
     a = from_rows(rows)
     e = gf2.Echelon(a.cols)
     assert len(e) == gf2.rank(a)
-    assert gf2.rank(gf2.Matrix(a.nrows, a.cols + tuple(e.vecs.values()))) == gf2.rank(a)
+    basis = tuple(v for v, _ in e.pivots.values())
+    assert gf2.rank(gf2.Matrix(a.nrows, a.cols + basis)) == gf2.rank(a)
 
 
 def test_zero_width_matrix_keeps_its_rows():
