@@ -840,8 +840,8 @@ class _Side:
 
     ``offsets`` count from the complex's own tau.  ``at_or_below(t)`` masks
     the generators at offsets t, t - 2, t - 4, ...; ``classes[p]`` masks
-    those of parity p.  ``tower()`` is the deep tower representative, found
-    on first use, so a search refused by its budget runs no elimination.
+    those of parity p.  ``tower()`` finds the deep tower representative; the
+    search calls it after its budget check.
     """
 
     def __init__(self, c: IotaComplex):
@@ -856,7 +856,6 @@ class _Side:
         self.down: dict[int, int] = {}
         for t in range(min(off), self.top + 1):
             self.down[t] = self.down.get(t - 2, 0) | levels.get(t, 0)
-        self.z: int | None = None
 
     def at_or_below(self, t: int) -> int:
         top = self.top
@@ -866,32 +865,25 @@ class _Side:
         """The first cycle of the even class, in kernel order (generators
         ascending), that is not a boundary: one elimination over the
         boundaries of the odd class and one over the even class."""
-        if self.z is None:
-            d = self.c.diff
-            even, odd = self.classes
-            boundaries = gf2.Echelon(d[j] for j in _bits(odd))
-            cycles = gf2.Echelon()
-            for j in _bits(even):
-                v, z = cycles.add(d[j], 1 << j)
-                if not v and z not in boundaries:
-                    self.z = z
-                    break
-            else:
-                raise RuntimeError("missing deep tower class")
-        return self.z
+        d = self.c.diff
+        even, odd = self.classes
+        boundaries = gf2.Echelon(d[j] for j in _bits(odd))
+        cycles = gf2.Echelon()
+        for j in _bits(even):
+            v, z = cycles.add(d[j], 1 << j)
+            if not v and z not in boundaries:
+                return z
+        raise RuntimeError("missing deep tower class")
 
 
-def find_local_map(a: IotaComplex, b: IotaComplex, *,
-                   sides: tuple[_Side, _Side] | None = None) -> LocalMapWitness | None:
+def find_local_map(a: IotaComplex, b: IotaComplex) -> LocalMapWitness | None:
     """Search for a local map a -> b as an affine GF(2) feasibility problem.
 
     The witness is a grading-preserving chain map F with
     F iota_a + iota_b F = dH + Hd and F carrying the deep tower generator of
     ``a`` to the deep tower generator of ``b`` (pinned as an affine
     constraint, which makes U-nondegeneracy linear).  Returns None when the
-    system is infeasible.  ``sides`` is the pair of ``_Side`` data of a and
-    b, for a caller that searches both directions (``locally_equivalent``);
-    by default it is built here.
+    system is infeasible.
 
     The search is exact: it builds no truncated model and reads no N.  With
     offsets from a.tau, the unknown F[i, j] (H[i, j]) is there when x_i of b
@@ -933,7 +925,7 @@ def find_local_map(a: IotaComplex, b: IotaComplex, *,
     """
     if ((a.tau - b.tau).denominator != 1) or int(a.tau - b.tau) % 2 != 0:
         raise ValueError(f"tower cosets differ: tau={a.tau} vs {b.tau}")
-    sa, sb = sides or (_Side(a), _Side(b))
+    sa, sb = _Side(a), _Side(b)
     shift = int(b.tau - a.tau)  # b's offsets from a.tau are its own plus shift
     # the unknowns, by rows: F[i] and H[i] mask the x_j of a that F and H
     # may send to x_i of b
@@ -963,14 +955,9 @@ def find_local_map(a: IotaComplex, b: IotaComplex, *,
 
 
 def locally_equivalent(a: IotaComplex, b: IotaComplex) -> bool:
-    """True iff local maps exist in both directions.
-
-    Each side's offsets, masks and tower representative are computed once
-    and read by both searches.
-    """
-    sides = (_Side(a), _Side(b))
-    return (find_local_map(a, b, sides=sides) is not None
-            and find_local_map(b, a, sides=sides[::-1]) is not None)
+    """True iff local maps exist in both directions."""
+    return (find_local_map(a, b) is not None
+            and find_local_map(b, a) is not None)
 
 
 # ---------------------------------------------------------------------------

@@ -117,34 +117,6 @@ def test_local_map_budget_is_checked_before_any_elimination(monkeypatch):
             search(a, b)
 
 
-def test_locally_equivalent_shares_each_side_between_both_searches(monkeypatch):
-    # one _Side per complex, read by both directions, gives the verdict of
-    # two separate searches on pairs that are equivalent, one-way and
-    # unrelated, some of them shifted into 1/2 + Z
-    built = []
-
-    class Counted(complexes._Side):
-        def __init__(self, c):
-            built.append(c)
-            super().__init__(c)
-
-    rng = random.Random(20170635)
-    roots = [(2, 0), (4, 0), (0, -2), (0, -4), (4, 0, 2, 2), (6, 0, 4, 2)]
-    half = trivial_complex(Fraction(1, 2))
-    for _ in range(12):
-        a, b = (std(*rng.choice(roots)) for _ in range(2))
-        if rng.random() < 0.5:
-            b = tensor(a, tensor(b, dual(b)))
-        if rng.random() < 0.5:
-            a, b = tensor(a, half), tensor(b, half)
-        want = find_local_map(a, b) is not None and find_local_map(b, a) is not None
-        with monkeypatch.context() as m:
-            m.setattr(complexes, "_Side", Counted)
-            built.clear()
-            assert locally_equivalent(a, b) == want
-            assert built == [a, b]
-
-
 def test_tower_representative_is_not_a_boundary():
     # the first cycle of the even class, x, is the boundary of y, so the
     # tower representative is z, and the complex is locally trivial
