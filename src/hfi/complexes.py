@@ -1,4 +1,4 @@
-"""Finite free chain complexes over truncated GF(2)[U] with a homotopy involution.
+"""Finite free chain complexes over GF(2)[U] with a homotopy involution.
 
 The engine here is the brute-force oracle for everything else in the package:
 tensor products, duals, the involutive mapping cone, homology ranks, the three
@@ -21,14 +21,12 @@ Conventions
   source generator: bit i of column j means that x_i occurs in the image of
   x_j.  In a graded map of degree deg each entry is 0 or a single U^e, and
   the gradings fix e = (g_i - g_j - deg)/2, so the exponent is never stored;
-  serialization reads it off the gradings, and the truncation masks (the
-  entries with e < N) are the chain groups ``Expanded.present``.  Addition
-  XORs columns, and composition XORs the columns of the left map that the
-  bits of the right one select: the exponents add by themselves.  Raw input
-  is the one place with explicit (row, exponent) pairs.  ``iota_complex``
-  reads them once, keeps the terms of the right degree as bits and records
-  the first term of a wrong degree as a defect of the complex, which
-  ``validate`` reports.
+  serialization reads it off the gradings.  Addition XORs columns, and
+  composition XORs the columns of the left map that the bits of the right
+  one select: the exponents add by themselves.  Raw input is the one place
+  with explicit (row, exponent) pairs.  ``iota_complex`` reads them once,
+  keeps the terms of the right degree as bits and records the first term
+  of a wrong degree as a defect of the complex, which ``validate`` reports.
 * The involution: ``validate`` checks iota^2 ~ id.  On the complexes built
   here (standard complexes of symmetric graded roots, where iota reflects
   the root, and their tensor products and duals) iota^2 = id exactly, and
@@ -59,14 +57,14 @@ Conventions
     boundaries + Q.(cycles), is the odd top minus 1.  These are the
     definitions the truncated scans ``_d_scan`` and ``_cone_scans`` read at
     their probe gradings.
-* Truncation: maps are exact; the positive integer ``truncation`` N only
-  governs how far computations expand the basis {U^k x : k < N}.  The
-  correction terms and the local-map search (``find_local_map``,
-  ``locally_equivalent``) are exact and read no N; only ``validate``,
-  ``solve_homotopy``, ``homology_ranks`` and the reference scans use it.
-  ``correction_terms(c, truncation=N)`` scans the models at N, the slow
-  independent reference for the exact pass above; its triple is that of
-  the untruncated complex C (x) GF(2)[U]:
+* Truncation: a complex holds no N, and ``validate``, ``solve_homotopy``,
+  the correction terms and the local-map search (``find_local_map``,
+  ``locally_equivalent``) are exact and read none.  A positive integer N
+  only governs how far an ``Expanded`` model expands the basis
+  {U^k x : k < N}.  ``homology_ranks`` builds one at the N its window
+  needs, and ``correction_terms(c, truncation=N)`` scans the models at N,
+  the slow independent reference for the exact pass above; its triple is
+  that of the untruncated complex C (x) GF(2)[U]:
 
   - At truncation N, the chain group at offset t is complete (equal to that
     of the untruncated complex) for every t >= ``stable_low`` - 1 =
@@ -109,7 +107,7 @@ Grading = int | Fraction
 
 
 class WindowError(ValueError):
-    """Raised when a requested grading window leaves the truncation-stable range."""
+    """Raised when a truncated model is probed below its truncation-stable range."""
 
 
 class SearchSizeError(ValueError):
@@ -184,11 +182,6 @@ def mat_add(a: Map, b: Map) -> Map:
     return tuple(x ^ y for x, y in zip(a, b))
 
 
-def default_truncation(gradings) -> int:
-    span = max(gradings) - min(gradings)
-    return -(-span // 2) + 6
-
-
 DEGREE_CHECKS = (("differential degree -1", -1), ("iota degree 0", 0))
 
 
@@ -209,7 +202,6 @@ class IotaComplex:
     diff: Map
     iota: Map
     tau: Grading
-    truncation: int
     defects: tuple[tuple[str, str], ...] = ()
 
     @property
@@ -224,10 +216,10 @@ def graded_complex(labels, gradings, diff: Map, iota: Map, tau: Grading,
     The maps are taken as graded: every bit is a term of the right degree.
     """
     return IotaComplex(tuple(labels), tuple(gradings), tuple(diff), tuple(iota),
-                       tau, default_truncation(gradings), tuple(defects))
+                       tau, tuple(defects))
 
 
-def iota_complex(labels, gradings, diff, iota, tau=None, truncation=None) -> IotaComplex:
+def iota_complex(labels, gradings, diff, iota, tau=None) -> IotaComplex:
     """Build an IotaComplex from raw maps; ``diff`` and ``iota`` are read by ``_read_map``.
 
     A term of the wrong degree is dropped and recorded in ``defects`` for
@@ -244,9 +236,7 @@ def iota_complex(labels, gradings, diff, iota, tau=None, truncation=None) -> Iot
         if defect is not None:
             defects.append((check, defect))
     tau = gradings[0] if tau is None else rational(tau)
-    if truncation is None:
-        truncation = default_truncation(gradings)
-    return IotaComplex(labels, gradings, *maps, tau, truncation, tuple(defects))
+    return IotaComplex(labels, gradings, *maps, tau, tuple(defects))
 
 
 def trivial_complex(grading=0) -> IotaComplex:
@@ -313,8 +303,7 @@ class Expanded:
       the boundary of U^k x_j at t is ``dbits[j]`` masked by
       ``present[t - 1]``, which drops the terms U^(k+e) x_i with k + e >= N;
     * U^m from t to t - 2m is the mask ``present[t - 2m]``;
-    * ``offsets[i]`` is the offset of x_i, and ``below`` masks graded maps
-      into this complex by ``present``.
+    * ``offsets[i]`` is the offset of x_i.
     """
 
     def __init__(self, gradings, diff: Map, truncation: int, tau):
@@ -342,18 +331,8 @@ class Expanded:
         self._bmat: dict[int, gf2.Matrix] = {}
         self._cycles: dict[int, gf2.Matrix] = {}
 
-    def offset(self, g) -> int:
-        return _offsets([Fraction(g)], self.base)[0]
-
     def grading(self, t: int) -> Grading:
         return self.base + t
-
-    def below(self, offsets, degree: int) -> Map:
-        """The entries below U^N of a degree-``degree`` map into this complex
-        from generators at ``offsets``: bit i of column j is set when x_i is
-        at offsets[j] + degree + 2e for some 0 <= e < N."""
-        present = self.present
-        return tuple(present.get(t + degree, 0) for t in offsets)
 
     def dim(self, t: int) -> int:
         return self.present.get(t, 0).bit_count()
@@ -428,14 +407,24 @@ class Diagnostics:
 def validate(c: IotaComplex) -> Diagnostics:
     """Check every defining invariant; returns per-check diagnostics.
 
-    iota^2 ~ id asks for a degree +1 map H with dH + Hd = iota^2 + id below
-    U^N.  When iota^2 + id is itself 0 below U^N, every equation of that
-    system is homogeneous and H = 0 solves it, so the check passes as
-    "iota^2 = id exactly" without a solve.  This is the usual case: iota on
-    the standard complex of a symmetric graded root is the reflection of the
-    root, an honest involution, and tensor products and duals keep
-    iota^2 = id.  Otherwise ``solve_homotopy`` looks for H in the model
-    built here for the other checks.
+    iota^2 ~ id asks for a degree +1 map H with dH + Hd = iota^2 + id.  When
+    iota^2 + id is itself 0, H = 0 solves that system and the check passes
+    as "iota^2 = id exactly" without a solve.  This is the usual case: iota
+    on the standard complex of a symmetric graded root reflects the root,
+    and tensor products and duals keep iota^2 = id.  Otherwise
+    ``solve_homotopy`` looks for H.
+
+    The checks test whole columns and build no truncated model.  They agree
+    with the checks masked below U^N at the N = ceil(span/2) + 6 that every
+    complex used to hold, span the spread of the gradings:
+
+    - An entry (i, j) of a degree-k map is U^e with e = (g_i - g_j - k)/2
+      >= 0.  For d^2, iota d + d iota, iota^2 + id and an unknown H
+      (k = -2, -1, 0, 1), e <= span/2 + 1 < N, so the masks dropped nothing.
+    - The old tower check read the homology at the deepest offset t of each
+      parity at least 2 below the bottom, where t >= top - 2N + 2 made the
+      chain groups at t - 1, t and t + 1 whole parity classes with the
+      differential of L = C/(U - 1): what ``_single_tower_check`` reads.
     """
     checks = []
     bad = [g for g in c.gradings if (g - c.tau).denominator != 1]
@@ -449,46 +438,41 @@ def validate(c: IotaComplex) -> Diagnostics:
     if not structural_ok:
         return Diagnostics(tuple(checks))
 
-    exp = Expanded(c.gradings, c.diff, c.truncation, c.tau)
+    def first_nonzero(m: Map) -> int | None:
+        return next((j for j, col in enumerate(m) if col), None)
 
-    def first_nonzero(m: Map, degree: int) -> int | None:
-        """First column of the degree-``degree`` map m with a term below U^truncation."""
-        below = exp.below(exp.offsets, degree)
-        return next((j for j, (col, keep) in enumerate(zip(m, below)) if col & keep),
-                    None)
-
-    j = first_nonzero(mat_mul(c.diff, c.diff), -2)
+    j = first_nonzero(mat_mul(c.diff, c.diff))
     checks.append(("d^2 = 0", j is None,
                    "ok" if j is None else f"d(d({c.labels[j]})) != 0"))
 
-    j = first_nonzero(mat_add(mat_mul(c.iota, c.diff), mat_mul(c.diff, c.iota)), -1)
+    j = first_nonzero(mat_add(mat_mul(c.iota, c.diff), mat_mul(c.diff, c.iota)))
     checks.append(("iota chain map", j is None,
                    "ok" if j is None else "iota d != d iota"))
 
     identity = tuple(1 << j for j in range(c.n))
     square_plus_id = mat_add(mat_mul(c.iota, c.iota), identity)
-    if first_nonzero(square_plus_id, 0) is None:
-        # every equation dH + Hd = iota^2 + id below U^N is homogeneous
+    if not any(square_plus_id):
+        # every equation dH + Hd = iota^2 + id is homogeneous
         checks.append(("iota^2 ~ id", True, "iota^2 = id exactly"))
     else:
-        H = solve_homotopy(c, c, square_plus_id, target=exp)
+        H = solve_homotopy(c, c, square_plus_id)
         checks.append(("iota^2 ~ id", H is not None,
                        "homotopy found" if H is not None else
                        "no homotopy H with dH + Hd = iota^2 + id"))
 
-    tower_ok, detail = _single_tower_check(exp)
+    tower_ok, detail = _single_tower_check(c)
     checks.append(("single U-inverted tower", tower_ok, detail))
     return Diagnostics(tuple(checks))
 
 
-def _single_tower_check(exp: Expanded) -> tuple[bool, str]:
-    try:
-        p_even = exp.probe(0)
-        p_odd = exp.probe(1)
-    except WindowError as e:
-        return False, str(e)
-    d_even = exp.homology_dim(p_even)
-    d_odd = exp.homology_dim(p_odd)
+def _single_tower_check(c: IotaComplex) -> tuple[bool, str]:
+    """(ok, detail) from the deep homology of C: dim H of L = C/(U - 1) on a
+    parity class is |class| - rank(d on it) - rank(d on the other class)."""
+    classes = [0, 0]
+    for i, t in enumerate(_offsets(c.gradings, c.tau)):
+        classes[t % 2] |= 1 << i
+    ranks = [gf2.rank(gf2.Matrix(c.n, [c.diff[j] for j in _bits(m)])) for m in classes]
+    d_even, d_odd = (classes[p].bit_count() - ranks[p] - ranks[1 - p] for p in (0, 1))
     ok = d_even == 1 and d_odd == 0
     return ok, (f"deep homology ranks: {d_even} in tau-parity, {d_odd} off-parity")
 
@@ -581,16 +565,25 @@ def mapping_cone(a: IotaComplex) -> ConeComplex:
 
 
 def homology_ranks(c, window) -> dict[Grading, int]:
-    """Exact GF(2) homology dimensions at the gradings in ``window``.
+    """Exact GF(2) homology dimensions at the gradings in ``window``, keyed
+    by the gradings as read by ``localclass.rational`` (a zero denominator
+    or a grading off tau + Z is a ValueError).
 
-    ``c`` may be an IotaComplex or a ConeComplex.  Gradings outside the
-    truncation-stable range are refused with a WindowError.
+    ``c`` may be an IotaComplex or a ConeComplex.  The model is built at the
+    smallest N with t >= ``Expanded.stable_low``, t the lowest window offset,
+    so the chain groups at t - 1, t, t + 1 and at every window grading above
+    are those of the untruncated complex (see "Truncation" in the module
+    docstring): the ranks are exact and no grading is refused.
     """
     if not isinstance(c, (IotaComplex, ConeComplex)):
         raise TypeError(f"not a complex: {c!r}")
-    base = c if isinstance(c, IotaComplex) else c.base
-    exp = Expanded(c.gradings, c.diff, base.truncation, base.tau)
-    return {g: exp.homology_dim(exp.offset(g)) for g in window}
+    tau = (c if isinstance(c, IotaComplex) else c.base).tau
+    top = max(_offsets(c.gradings, tau))
+    gradings = [rational(g) for g in window]
+    offsets = _offsets(gradings, tau)
+    N = max(1, -(-(top - min(offsets, default=top) + 2) // 2))
+    exp = Expanded(c.gradings, c.diff, N, tau)
+    return {g: exp.homology_dim(t) for g, t in zip(gradings, offsets)}
 
 
 # ---------------------------------------------------------------------------
@@ -801,27 +794,22 @@ def _vec(m: Map, n: int) -> int:
     return sum(col << j * n for j, col in enumerate(m))
 
 
-def solve_homotopy(a: IotaComplex, b: IotaComplex, rhs: Map, *,
-                   target: Expanded | None = None) -> Map | None:
-    """Solve d_b H + H d_a = rhs for a degree +1 map H: a -> b, mod U^N.
+def solve_homotopy(a: IotaComplex, b: IotaComplex, rhs: Map) -> Map | None:
+    """Solve d_b H + H d_a = rhs for a degree +1 map H: a -> b, exactly.
 
     ``rhs`` is a degree-0 map a -> b.  A grading of b outside a.tau + Z
-    raises ValueError.  ``target`` is the model of b at truncation
-    max(a.truncation, b.truncation) with offsets from a.tau, for a caller
-    that holds it already (``validate``); by default it is built here.  The
-    unknowns and the equations are the entries below U^N of the target's
-    model (``Expanded.below``), since ``validate`` checks iota^2 ~ id at the
-    complex's own truncation.
+    raises ValueError.  The unknowns are the H block of ``find_local_map``
+    (x_i of b at an offset >= off_a(j) + 1 of the same parity) and every
+    entry of the product is an equation.  Masking both below U^N at
+    N = ceil(span/2) + 6 over the gradings of a and b dropped nothing, since
+    an entry of a degree-k map a -> b, k in {0, 1}, has exponent <= span/2;
+    that N is the one each complex used to hold, so ``validate`` solves the
+    system it solved before.
     """
-    eb = target
-    if eb is None:
-        eb = Expanded(b.gradings, b.diff, max(a.truncation, b.truncation), a.tau)
-    oa = _offsets(a.gradings, eb.base)
-    keep = _vec(eb.below(oa, 0), b.n)
-    rows = _transpose(eb.below(oa, 1), b.n)
+    sa = _Side(a)
+    rows = [sa.at_or_below(t - 1) for t in _offsets(b.gradings, a.tau)]
     cols = _kron_columns(rows, b.diff, _spread(a.diff, a.n, b.n), b.n)
-    sol = _solve(a.n * b.n, [col & keep for col in cols], _vec(rhs, b.n) & keep,
-                 [(rows, a.n)])
+    sol = _solve(a.n * b.n, cols, _vec(rhs, b.n), [(rows, a.n)])
     return None if sol is None else sol[0]
 
 
@@ -894,8 +882,7 @@ def find_local_map(a: IotaComplex, b: IotaComplex) -> LocalMapWitness | None:
     z_b are the tower representatives (``_Side.tower``).  Each unknown's
     column is one ``_kron_columns`` entry over the three blocks, with no
     mask.  The system and so the witness are those of the search that built
-    both truncated models at N = ``default_truncation`` of both gradings and
-    masked every product by U^N:
+    both truncated models at the N below and masked every product by U^N:
 
     - Every bit of a map of a complex is a term U^e with e >= 0.  With span
       the spread of all the gradings, N = ceil(span/2) + 6, and an entry
@@ -975,7 +962,6 @@ def complex_to_json(c: IotaComplex) -> dict:
         "labels": list(c.labels),
         "gradings": [str(g) for g in c.gradings],
         "tau": str(c.tau),
-        "truncation": c.truncation,
         "differential": mat(c.diff, -1),
         "iota": mat(c.iota, 0),
     }

@@ -17,7 +17,8 @@ extrema scan, the reduced row-echelon form of a matrix stored as lists of
 row by row over fresh prefix slices, the expanded model's basis gathered
 eagerly at every grading from the generators' grading groups, and the
 local-map and homotopy systems assembled term by term with equations
-numbered in order of first use.
+numbered in order of first use, in truncated models whose masks keep the
+entries below U^N at N = ``default_truncation`` of both gradings.
 """
 
 from fractions import Fraction
@@ -25,7 +26,7 @@ from itertools import chain
 
 from hfi import gf2
 from hfi.brieskorn import BrieskornParams, seifert_invariants
-from hfi.complexes import Expanded, _bits, _offsets, default_truncation
+from hfi.complexes import Expanded, _bits, _offsets
 from hfi.cterms import p_q_sequences
 from hfi.monotone import MonotoneRoot, WeaklyMonotoneRoot
 from hfi.plumbing import (ARVerdict, PlumbingGraph, canonical_K, chi,
@@ -304,6 +305,20 @@ def slice_d_upper_offset(st) -> int:
     return min(rows)
 
 
+def default_truncation(gradings) -> int:
+    """ceil(span/2) + 6: the N every complex held before complexes stopped
+    carrying one, which leaves every entry of a graded map below U^N."""
+    span = max(gradings) - min(gradings)
+    return -(-span // 2) + 6
+
+
+def below(exp: Expanded, offsets, degree: int) -> tuple[int, ...]:
+    """The entries below U^N of a degree-``degree`` map into the model
+    ``exp`` from generators at ``offsets``: bit i of column j is set when
+    x_i is at offsets[j] + degree + 2e for some 0 <= e < N."""
+    return tuple(exp.present.get(t + degree, 0) for t in offsets)
+
+
 def grouped_basis(offsets, N: int) -> dict[int, tuple[int, ...]]:
     """Every nonempty chain group of the truncated model as its sorted
     generators: x_i is in the group at t when its offset is t + 2k, 0 <= k < N."""
@@ -353,8 +368,8 @@ class DictSystem:
         for i, j in sorted((i, j) for j, col in enumerate(X) for i in _bits(col)):
             self.var((name, i, j))
 
-    def add_products(self, eq, L, name, X, R, below) -> None:
-        """Add the entries of L.X + X.R that ``below`` keeps to equations (eq, i, j).
+    def add_products(self, eq, L, name, X, R, masks) -> None:
+        """Add the entries of L.X + X.R that ``masks`` keeps to equations (eq, i, j).
 
         Bit i of column j of X is the unknown (name, i, j).
         """
@@ -362,12 +377,12 @@ class DictSystem:
         # column j of X as (i, index of the unknown (name, i, j))
         xv = [[(i, self.var((name, i, j))) for i in _bits(col)] for j, col in enumerate(X)]
         rows = [tuple(_bits(col)) for col in L]
-        for j, (col, keep) in enumerate(zip(xv, below)):
+        for j, (col, keep) in enumerate(zip(xv, masks)):
             for l, v in col:
                 for i in rows[l]:
                     if keep >> i & 1:
                         cols[v] ^= 1 << eqn((eq, i, j))
-        for j, (col, keep) in enumerate(zip(R, below)):
+        for j, (col, keep) in enumerate(zip(R, masks)):
             for l in _bits(col):
                 for i, v in xv[l]:
                     if keep >> i & 1:
@@ -387,15 +402,16 @@ def chosen(sol: dict, name, X) -> tuple[int, ...]:
 
 
 def dict_solve_homotopy(a, b, rhs):
-    """``complexes.solve_homotopy`` with the system assembled by ``DictSystem``."""
-    eb = Expanded(b.gradings, b.diff, max(a.truncation, b.truncation), a.tau)
+    """``complexes.solve_homotopy`` with the system assembled by ``DictSystem``
+    in the model of b at the default N of both gradings."""
+    eb = Expanded(b.gradings, b.diff, default_truncation(a.gradings + b.gradings), a.tau)
     oa = _offsets(a.gradings, eb.base)
-    H = eb.below(oa, 1)
-    below = eb.below(oa, 0)
+    H = below(eb, oa, 1)
+    keep0 = below(eb, oa, 0)
     sys = DictSystem()
     sys.declare("h", H)
-    sys.add_products("e", b.diff, "h", H, a.diff, below)
-    for j, (col, keep) in enumerate(zip(rhs, below)):
+    sys.add_products("e", b.diff, "h", H, a.diff, keep0)
+    for j, (col, keep) in enumerate(zip(rhs, keep0)):
         for i in _bits(col & keep):
             sys.set_rhs(("e", i, j))
     sol = sys.solve()
@@ -410,12 +426,12 @@ def dict_find_local_map(a, b):
     eb = Expanded(b.gradings, b.diff, N, a.tau)
     probe = min(ea.probe(0), eb.probe(0))
     za, zb = ea.tower_rep(probe), eb.tower_rep(probe)
-    F = eb.below(ea.offsets, 0)
-    H = eb.below(ea.offsets, 1)
+    F = below(eb, ea.offsets, 0)
+    H = below(eb, ea.offsets, 1)
     sys = DictSystem()
     sys.declare("f", F)
     sys.declare("h", H)
-    sys.add_products("c", b.diff, "f", F, a.diff, eb.below(ea.offsets, -1))
+    sys.add_products("c", b.diff, "f", F, a.diff, below(eb, ea.offsets, -1))
     sys.add_products("q", b.iota, "f", F, a.iota, F)
     sys.add_products("q", b.diff, "h", H, a.diff, F)
     at_probe = eb.present.get(probe, 0)

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from dense_reference import intersection_form
+from dense_reference import default_truncation, intersection_form
 from hfi import complexes
 from hfi.brieskorn import (BrieskornParams, brieskorn_class, brieskorn_root,
                            seifert_plumbing)
@@ -272,7 +272,7 @@ def test_criterion_12_group_and_duality_axioms():
             assert du <= d <= db
             dd, ddb, ddu = oracle_terms(dual(c))
             assert (dd, ddb, ddu) == (-d, -du, -db)
-            n = c.truncation
+            n = default_truncation(c.gradings)
             assert oracle_terms(c) == oracle_terms(c, truncation=n + 2)
         for i in range(0, 20, 2):
             a, b = singles[i], singles[i + 1]

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from dense_reference import expand_map, pair_mul
+from dense_reference import below, default_truncation, expand_map, pair_mul
 import hfi
 from hfi import complexes
 from hfi.complexes import (correction_terms, dual, homology_ranks,
@@ -135,7 +135,7 @@ def test_local_equivalence_is_reflexive():
 
 def test_correction_terms_stable_under_truncation_refinement():
     c = tensor(std(2, 0), dual(std(4, 2)))
-    n = c.truncation
+    n = default_truncation(c.gradings)
     assert correction_terms(c) == correction_terms(c, truncation=n + 3)
 
 
@@ -209,21 +209,25 @@ def test_tensor_and_dual_carry_a_degree_defect_forward():
     assert validate(tensor(std(2, 0), std(0, -2))).ok
 
 
-def test_validate_finds_a_homotopy_when_iota_squared_is_not_id():
-    # iota' = iota + dK + Kd for a degree +1 map K is a chain map with
-    # iota'^2 homotopic to id but not equal to it below U^N, so the
-    # iota^2 ~ id check has to solve for the homotopy
+def _twisted():
+    """iota' = iota + dK + Kd on a tensor product, for a seeded degree +1
+    map K: a chain map with iota'^2 homotopic to id but not equal to it."""
     c = tensor(std(2, 0), std(4, 0, 2, 2))
     assert c.n == 15
     mul, add = complexes.mat_mul, complexes.mat_add
     rng = random.Random(20170620)
-    exp = complexes.Expanded(c.gradings, c.diff, c.truncation, c.tau)
-    K = tuple(rng.getrandbits(c.n) & col for col in exp.below(exp.offsets, 1))
-    iota = add(c.iota, add(mul(c.diff, K), mul(K, c.diff)))
-    square_plus_id = add(mul(iota, iota), tuple(1 << j for j in range(c.n)))
-    below = exp.below(exp.offsets, 0)
-    assert any(col & keep for col, keep in zip(square_plus_id, below))
-    diag = validate(dataclasses.replace(c, iota=iota))
+    exp = complexes.Expanded(c.gradings, c.diff, default_truncation(c.gradings), c.tau)
+    K = tuple(rng.getrandbits(c.n) & col for col in below(exp, exp.offsets, 1))
+    return dataclasses.replace(c, iota=add(c.iota, add(mul(c.diff, K), mul(K, c.diff))))
+
+
+def test_validate_finds_a_homotopy_when_iota_squared_is_not_id():
+    # iota'^2 != id, so the iota^2 ~ id check has to solve for the homotopy
+    c = _twisted()
+    mul, add = complexes.mat_mul, complexes.mat_add
+    square_plus_id = add(mul(c.iota, c.iota), tuple(1 << j for j in range(c.n)))
+    assert any(square_plus_id)
+    diag = validate(c)
     assert diag.ok, str(diag)
     assert dict((name, detail) for name, _, detail in diag.checks)[
         "iota^2 ~ id"] == "homotopy found"
@@ -282,10 +286,36 @@ def test_homotopy_solver_agrees_with_the_exact_involution_shortcut():
         square_plus_id = add(mul(c.iota, c.iota), tuple(1 << j for j in range(c.n)))
         H = complexes.solve_homotopy(c, c, square_plus_id)
         assert H is not None and len(H) == c.n
-        exp = complexes.Expanded(c.gradings, c.diff, c.truncation, c.tau)
-        below = exp.below(exp.offsets, 0)
-        assert ([col & keep for col, keep in zip(add(mul(c.diff, H), mul(H, c.diff)), below)]
-                == [col & keep for col, keep in zip(square_plus_id, below)])
+        assert add(mul(c.diff, H), mul(H, c.diff)) == square_plus_id
+
+
+def _no_model(monkeypatch):
+    def refuse(*args, **kw):
+        raise AssertionError("an Expanded model was built")
+
+    monkeypatch.setattr(complexes.Expanded, "__init__", refuse)
+
+
+def test_validate_builds_no_truncated_model(monkeypatch):
+    valid = _involutive_complexes() + [_twisted()]
+    c = std(2, 0)
+    bad = iota_complex(c.labels, c.gradings, [[0, 0, [1]], [0, 0, [1]], [0, 0, 0]],
+                       [[1, 0, 0], [1, 0, 0], [0, 0, 1]], tau=c.tau)
+    _no_model(monkeypatch)
+    for c in valid:
+        diag = validate(c)
+        assert diag.ok, str(diag)
+    assert [name for name, _ in validate(bad).failed()] == ["iota^2 ~ id"]
+
+
+def test_homotopy_solve_builds_no_truncated_model(monkeypatch):
+    c = _twisted()
+    mul, add = complexes.mat_mul, complexes.mat_add
+    square_plus_id = add(mul(c.iota, c.iota), tuple(1 << j for j in range(c.n)))
+    _no_model(monkeypatch)
+    H = complexes.solve_homotopy(c, c, square_plus_id)
+    assert H is not None
+    assert add(mul(c.diff, H), mul(H, c.diff)) == square_plus_id
 
 
 def _mask_from_gradings(a, b, degree, N):
@@ -311,10 +341,10 @@ def test_below_masks_match_the_gradings():
         pairs += [(a, dual(a)), (dual(a), a), (a, tensor(a, b)), (tensor(a, b), b)]
     for a, b in pairs:
         oa = complexes._offsets(a.gradings, a.tau)
-        for N in sorted({1, 2, a.truncation}):
+        for N in sorted({1, 2, default_truncation(a.gradings)}):
             eb = complexes.Expanded(b.gradings, b.diff, N, a.tau)
             for degree in (-2, -1, 0, 1):
-                assert eb.below(oa, degree) == _mask_from_gradings(a, b, degree, N)
+                assert below(eb, oa, degree) == _mask_from_gradings(a, b, degree, N)
         sa, sb = complexes._Side(a), complexes._Side(b)
         shift = int(b.tau - a.tau)
         for degree in (0, 1):
@@ -330,28 +360,30 @@ def test_homotopy_onto_another_coset_is_refused():
         complexes.solve_homotopy(a, b, (0,))
 
 
-def _dropped_above_truncation():
-    """Complexes a, b with N = 1 and a degree-0 map rhs: a -> b, such that
-    the one homotopy H with dH + Hd = rhs also has a term at U^1.
+def _homotopy_with_a_u_term():
+    """Complexes a, b such that the one homotopy H: a -> b with
+    dH + Hd = w + U z has a term U z in its boundary.
 
     a is x (grading 0) with d = 0; b is y (1), w (0), z (2) with
-    d(y) = w + U z.  H(x) = y gives d(H(x)) = w + U z, and U z = 0 mod U^1.
+    d(y) = w + U z.  H(x) = y gives d(H(x)) = w + U z.
     """
-    a = iota_complex(("x",), (0,), [set()], [{(0, 0)}], truncation=1)
+    a = iota_complex(("x",), (0,), [set()], [{(0, 0)}])
     b = iota_complex(("y", "w", "z"), (1, 0, 2), [{(1, 0), (2, 1)}, set(), set()],
-                     [{(0, 0)}, {(1, 0)}, {(2, 0)}], truncation=1)
+                     [{(0, 0)}, {(1, 0)}, {(2, 0)}])
     return a, b
 
 
-def test_homotopy_equations_stop_below_u_to_the_n():
-    # the U z term of dH, in L.X, and its transpose, in X.R, lie at U^N:
-    # an equation for either would force H = 0 and make the system infeasible
-    a, b = _dropped_above_truncation()
-    assert complexes.solve_homotopy(a, b, (0b010,)) == (0b001,)
-    da, db = (dataclasses.replace(dual(c), truncation=1) for c in (a, b))
+def test_homotopy_equations_count_every_power_of_u():
+    # the U z term of dH, in L.X, and its transpose, in X.R, is an equation
+    # like every other: rhs w alone is infeasible, w + U z is solved by H
+    a, b = _homotopy_with_a_u_term()
+    assert complexes.solve_homotopy(a, b, (0b010,)) is None
+    assert complexes.solve_homotopy(a, b, (0b110,)) == (0b001,)
+    da, db = dual(a), dual(b)
     # dual(b): y^ (-1), w^ (0), z^ (-2) with d(w^) = y^, d(z^) = U y^, so
-    # H(y^) = x^ gives H(d(w^)) = x^ and H(d(z^)) = U x^ = 0 mod U^1
-    assert complexes.solve_homotopy(db, da, (0, 1, 0)) == (1, 0, 0)
+    # H(y^) = x^ gives H(d(w^)) = x^ and H(d(z^)) = U x^
+    assert complexes.solve_homotopy(db, da, (0, 1, 0)) is None
+    assert complexes.solve_homotopy(db, da, (0, 1, 1)) == (1, 0, 0)
 
 
 def test_negative_exponent_is_refused():
@@ -365,6 +397,8 @@ def test_zero_denominator_grading_or_tau_is_a_value_error():
     for gradings, tau in ((["1/0"], None), (["0"], "1/0")):
         with pytest.raises(ValueError, match="'1/0'"):
             iota_complex(("x",), gradings, [[0]], [[1]], tau=tau)
+    with pytest.raises(ValueError, match="'1/0'"):
+        homology_ranks(trivial_complex(), ["1/0"])
 
 
 def test_grading_off_the_tau_coset_is_refused(monkeypatch):

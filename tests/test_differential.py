@@ -27,12 +27,16 @@
 - the oracle's exact pass, with no truncation, against those truncated
   scans, also on relabelled complexes in the coset 1/2 of Z and on an
   acyclic one;
+- exact homology ranks, from the model at the N the window needs, against
+  the truncated models from the old default N to 4 past it, on complexes
+  and their mapping cones; and the exact tower check of ``validate``
+  against the probe reading of the truncated model;
 - the local-map and homotopy systems in Kronecker layout against the same
   systems assembled term by term with equations numbered in order of first
   use: the same witnesses F and H and the same homotopies, not only the
   same verdicts; the exact local-map search, which builds no truncated
   model, matches that reference, which does, also on pairs shifted by
-  tau +- 2, in the coset 1/2 + Z and with a shrunk truncation field;
+  tau +- 2 and in the coset 1/2 + Z;
 - the Y-basis calculus against the iota-complex oracle: two small classes
   are equal exactly when their complexes are locally equivalent (the class
   is a complete invariant, Dai-Stoffregen), and the closed-form correction
@@ -50,10 +54,11 @@ from itertools import accumulate, chain, combinations_with_replacement, product
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from dense_reference import (ceiling_tau_deltas, compress_list,
-                             dense_is_negative_definite, dense_k_squared,
-                             dense_kernel, dense_rank, dense_solve_affine,
-                             dict_find_local_map, dict_solve_homotopy,
+from dense_reference import (below, ceiling_tau_deltas, compress_list,
+                             default_truncation, dense_is_negative_definite,
+                             dense_k_squared, dense_kernel, dense_rank,
+                             dense_solve_affine, dict_find_local_map,
+                             dict_solve_homotopy,
                              grouped_basis, pareto_subroot_params,
                              rebuild_is_almost_rational, restart_simplify_weak,
                              slice_d_lower_offset, slice_d_upper_offset)
@@ -436,8 +441,11 @@ def _random_complexes(seed: int, count: int):
 
 
 def _random_truncated_complexes():
-    return [(c, N) for c in _random_complexes(20170628, 10)
-            for N in sorted({1, 2, 3, c.truncation, c.truncation + 2})]
+    out = []
+    for c in _random_complexes(20170628, 10):
+        D = default_truncation(c.gradings)
+        out += [(c, N) for N in sorted({1, 2, 3, D, D + 2})]
+    return out
 
 
 def test_on_demand_basis_matches_the_eager_build():
@@ -456,10 +464,11 @@ def test_on_demand_basis_matches_the_eager_build():
 
 def _terms_from_the_smallest_truncation(c):
     """The one triple of ``correction_terms(c, truncation=N)`` for every N
-    from the smallest that the probe admits to c.truncation + 7.
+    from the smallest that the probe admits to 7 past the default.
 
     Every smaller N must raise WindowError, and none of the larger ones may.
     """
+    D = default_truncation(c.gradings)
     N = 1
     while True:
         try:
@@ -467,10 +476,10 @@ def _terms_from_the_smallest_truncation(c):
             break
         except complexes.WindowError:
             N += 1
-    assert 1 < N <= c.truncation
+    assert 1 < N <= D
     with pytest.raises(complexes.WindowError):
         complexes.correction_terms(c, truncation=N - 1)
-    for M in range(N + 1, c.truncation + 8):
+    for M in range(N + 1, D + 8):
         assert complexes.correction_terms(c, truncation=M) == first, (c.labels, N, M)
     return first
 
@@ -509,36 +518,72 @@ def test_exact_pass_matches_the_truncated_scans():
     for c in _random_complexes(20170633, 300):
         for x in (c, _relabelled(c, rng)):
             got = complexes.correction_terms(x)
-            want = complexes.correction_terms(x, truncation=x.truncation)
+            want = complexes.correction_terms(x, truncation=default_truncation(x.gradings))
             assert got == want, (x.labels, got, want)
             assert [type(g) for g in got] == [type(w) for w in want]
     # d(x) = y: no tower, so both paths refuse
     acyclic = complexes.iota_complex(("x", "y"), (1, 0), [[0, 0], [1, 0]],
                                      [[1, 0], [0, 1]], tau=0)
-    for truncation in (None, acyclic.truncation):
+    for truncation in (None, default_truncation(acyclic.gradings)):
         with pytest.raises(RuntimeError, match="no tower class found"):
             complexes.correction_terms(acyclic, truncation=truncation)
 
 
+def test_exact_homology_ranks_match_the_truncated_models():
+    # 2 + 20 random complexes and their mapping cones, over the window from
+    # 4 below the bottom to 2 above the top: the ranks of the model at the
+    # N the window needs equal those of the models at the old default N of
+    # the complex and at up to 4 past it, at every grading they admit
+    for c in _random_complexes(20170635, 20):
+        D = default_truncation(c.gradings)
+        for x in (c, complexes.mapping_cone(c)):
+            off = complexes._offsets(x.gradings, c.tau)
+            window = [c.tau + t for t in range(min(off) - 4, max(off) + 3)]
+            got = complexes.homology_ranks(x, window)
+            assert list(got) == window
+            for N in range(D, D + 5):
+                exp = complexes.Expanded(x.gradings, x.diff, N, c.tau)
+                for g, t in zip(window, complexes._offsets(window, c.tau)):
+                    if t >= exp.stable_low:
+                        assert got[g] == exp.homology_dim(t), (c.labels, N, g)
+
+
+def test_exact_tower_check_matches_the_probe_reading():
+    # validate's tower check reads L = C/(U - 1); at the old default N the
+    # truncated model's probe gradings give the same two ranks, also on an
+    # acyclic complex, on two towers and on a tower of each parity
+    def raw(gradings, diff):
+        n = len(gradings)
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        return complexes.iota_complex("xyz"[:n], gradings, diff, identity, tau=0)
+
+    failing = [raw((1, 0), [[0, 0], [1, 0]]), raw((0, 0), [[0, 0], [0, 0]]),
+               raw((0, 1), [[0, 0], [0, 0]])]
+    assert not any(complexes._single_tower_check(c)[0] for c in failing)
+    for c in failing + _random_complexes(20170636, 40):
+        exp = complexes.Expanded(c.gradings, c.diff, default_truncation(c.gradings), c.tau)
+        d_even, d_odd = (exp.homology_dim(exp.probe(p)) for p in (0, 1))
+        want = (d_even == 1 and d_odd == 0,
+                f"deep homology ranks: {d_even} in tau-parity, {d_odd} off-parity")
+        assert complexes._single_tower_check(c) == want
+
+
 def _assert_same_systems(a, b, rng):
     """find_local_map a -> b, and solve_homotopy a -> b on up to three
-    right-hand sides and three truncations, return the same maps under both
-    assemblies; True if a -> b is feasible."""
+    right-hand sides, return the same maps under both assemblies; True if
+    a -> b is feasible."""
     w = complexes.find_local_map(a, b)
     want = dict_find_local_map(a, b)
     assert (None if w is None else (w.F, w.H)) == want
-    eb = complexes.Expanded(b.gradings, b.diff, max(a.truncation, b.truncation), a.tau)
-    degree0 = eb.below(complexes._offsets(a.gradings, a.tau), 0)
+    eb = complexes.Expanded(b.gradings, b.diff, default_truncation(a.gradings + b.gradings),
+                            a.tau)
+    degree0 = below(eb, complexes._offsets(a.gradings, a.tau), 0)
     rhss = [tuple(rng.getrandbits(b.n) & col for col in degree0)]
     if w is not None:
         mul, add = complexes.mat_mul, complexes.mat_add
         rhss += [add(mul(w.F, a.iota), mul(b.iota, w.F)), w.F]
-    # at truncation 1 or 2 the terms at U^N and above leave the equations
-    shallow = [(dataclasses.replace(a, truncation=N), dataclasses.replace(b, truncation=N))
-               for N in (1, 2)]
-    for x, y in [(a, b)] + shallow:
-        for rhs in rhss:
-            assert complexes.solve_homotopy(x, y, rhs) == dict_solve_homotopy(x, y, rhs)
+    for rhs in rhss:
+        assert complexes.solve_homotopy(a, b, rhs) == dict_solve_homotopy(a, b, rhs)
     return w is not None
 
 
@@ -572,8 +617,8 @@ def test_kronecker_assembly_matches_the_dict_reference_off_the_involution():
     bad = complexes.iota_complex(c.labels, c.gradings, [[0, 0, [1]], [0, 0, [1]], [0, 0, 0]],
                                  [[1, 0, 0], [1, 0, 0], [0, 0, 1]], tau=c.tau)
     t = complexes.tensor(c, standard_complex(to_profile(M(4, 0, 2, 2))))
-    exp = complexes.Expanded(t.gradings, t.diff, t.truncation, t.tau)
-    K = tuple(rng.getrandbits(t.n) & col for col in exp.below(exp.offsets, 1))
+    exp = complexes.Expanded(t.gradings, t.diff, default_truncation(t.gradings), t.tau)
+    K = tuple(rng.getrandbits(t.n) & col for col in below(exp, exp.offsets, 1))
     twisted = dataclasses.replace(t, iota=add(t.iota, add(mul(t.diff, K), mul(K, t.diff))))
     found = []
     for x in (bad, twisted):
@@ -588,12 +633,11 @@ def test_kronecker_assembly_matches_the_dict_reference_off_the_involution():
 
 def test_exact_local_map_search_matches_the_truncated_reference_off_the_unit():
     # the exact search against the reference, which builds both truncated
-    # models at the default N: on pairs shifted by tau +- 2, on pairs in the
-    # coset 1/2 + Z and on pairs whose truncation field is shrunk, which the
-    # search must ignore; both directions, the same witnesses F and H
+    # models at the default N: on pairs shifted by tau +- 2 and on pairs in
+    # the coset 1/2 + Z; both directions, the same witnesses F and H
     rng = random.Random(20170634)
     up, down, half = (complexes.trivial_complex(g) for g in (2, -2, Fraction(1, 2)))
-    tensor, shrink = complexes.tensor, dataclasses.replace
+    tensor = complexes.tensor
     feasible = set()
     for k in range(16):
         if k % 2 == 0:
@@ -603,8 +647,7 @@ def test_exact_local_map_search_matches_the_truncated_reference_off_the_unit():
         else:
             a, b = (_small_complex(rng, rng.randint(1, 2)) for _ in range(2))
         for x, y in [(tensor(a, up), b), (a, tensor(b, down)),
-                     (tensor(up, a), tensor(b, up)), (tensor(a, half), tensor(b, half)),
-                     (shrink(a, truncation=1), shrink(b, truncation=2))]:
+                     (tensor(up, a), tensor(b, up)), (tensor(a, half), tensor(b, half))]:
             for p, q in ((x, y), (y, x)):
                 w = complexes.find_local_map(p, q)
                 assert (None if w is None else (w.F, w.H)) == dict_find_local_map(p, q)

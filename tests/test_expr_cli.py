@@ -155,8 +155,8 @@ def test_cli_eval_oracle_size_guard(capsys):
 
 
 def test_cli_eval_oracle_builds_no_truncated_model(capsys, monkeypatch):
-    # a default truncation of N = 100006 (from the gradings) does not matter:
-    # the oracle's exact pass builds no expanded model
+    # the gradings span about 2 * 10^5, so a truncated model would need an
+    # N of about 10^5; the oracle's exact pass builds none
     def no_model(*args):
         raise AssertionError("an expanded model was built")
 

@@ -5,7 +5,10 @@ The files under ``tests/golden/`` were written by ``complexes.complex_to_json``
 --format json``, when maps were still stored as explicit (row, U-exponent)
 pairs.  Maps are now bit columns whose exponents are implied by the
 gradings, and ``complex_to_json`` recomputes each exponent as
-e = (gr(x_i) - gr(x_j) - degree) / 2, so the files must stay intact.  Raw
+e = (gr(x_i) - gr(x_j) - degree) / 2, so the files must stay intact.
+Complexes carry no truncation N any more, so the one line each complex
+file had for it, ``"truncation": 8``, is deleted; every other byte is as
+first written.  Raw
 (row, exponent) input is read, and its degrees checked, only once, by
 ``iota_complex``; the complexes here are built from bit columns directly.
 

@@ -6,8 +6,8 @@ methods of ``complexes.Expanded`` by name, and its counter for
 ``Expanded.__init__`` reads the model's ``basis``.  A rename in ``hfi``
 breaks the traced benchmark runs; these tests make it break tier-1 too.
 The scans run only on the truncated reference path of
-``correction_terms(c, truncation=N)``; the default exact pass builds no
-``Expanded``.  The local-equivalence metrics (``find_local_map`` spans and
+``correction_terms(c, truncation=N)``; the default exact pass and
+``validate`` build no ``Expanded``.  The local-equivalence metrics (``find_local_map`` spans and
 calls, the feasible fraction, ``solve_homotopy`` self time) rest on the
 hooks that ``locally_equivalent`` and ``validate`` reach through module
 globals.
@@ -16,6 +16,7 @@ globals.
 import importlib.util
 from pathlib import Path
 
+from dense_reference import default_truncation
 from hfi import complexes
 from hfi.complexes import dual, iota_complex, tensor
 from hfi.monotone import M, to_profile
@@ -39,7 +40,7 @@ def test_tracer_installs_and_counts_a_traced_oracle_call():
     try:
         exact = complexes.correction_terms(c)
         exact_builds = tracer.counters["complexes.expanded_builds"]
-        terms = complexes.correction_terms(c, truncation=c.truncation)
+        terms = complexes.correction_terms(c, truncation=default_truncation(c.gradings))
         diag = complexes.validate(c)
     finally:
         tracer.uninstall()
@@ -54,8 +55,8 @@ def test_tracer_installs_and_counts_a_traced_oracle_call():
                  "complexes.Expanded.__init__", "complexes.Expanded.cycles"):
         assert hook in names, hook
     # the truncated reference makes one pass, with a base model and a cone
-    # model; validate builds one
-    assert tracer.counters["complexes.expanded_builds"] == 3
+    # model; validate builds none
+    assert tracer.counters["complexes.expanded_builds"] == 2
     assert tracer.counters["complexes.expanded_dim"] > 0
 
 
@@ -91,5 +92,5 @@ def test_tracer_sees_the_homotopy_solve_only_when_iota_squared_is_not_id():
     diag, names, counters = _traced(complexes.validate, bad)
     assert [name for name, _ in diag.failed()] == ["iota^2 ~ id"]
     assert "complexes.solve_homotopy" in names
-    # the homotopy solve reuses the model validate built
-    assert counters["complexes.expanded_builds"] == 1
+    # neither validate nor the homotopy solve builds a model
+    assert counters["complexes.expanded_builds"] == 0
