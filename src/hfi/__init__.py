@@ -17,9 +17,9 @@ classes, three ways that cross-check each other:
 from .brieskorn import (MAX_SIGMA_ALPHA, BrieskornParams, SigmaSizeError,
                         brieskorn_class, brieskorn_root)
 from .complexes import (MAX_LOCAL_MAP_UNKNOWNS, ConeComplex, IotaComplex,
-                        SearchSizeError, WindowError, dual, find_local_map,
-                        homology_ranks, iota_complex, locally_equivalent,
-                        mapping_cone, tensor, trivial_complex, validate)
+                        SearchSizeError, dual, find_local_map, homology_ranks,
+                        iota_complex, locally_equivalent, mapping_cone, tensor,
+                        trivial_complex, validate)
 from .complexes import correction_terms as complex_correction_terms
 from .cterms import (MAX_CLASS_WEIGHT, ClassWeightError, STProfile,
                      asymptotic_check, correction_terms, lemma_identity,

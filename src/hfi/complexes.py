@@ -34,7 +34,8 @@ Conventions
   through ``solve_homotopy``.
 * Correction terms without truncation: ``correction_terms(c)`` reads them
   off L = C/(U - 1), the GF(2) complex on the generators whose differential
-  is ``diff`` with every U set to 1, by ``_tower_tops``:
+  is ``diff`` with every U set to 1, by ``_tower_tops``; ``homology_ranks``
+  and ``validate`` read the same elimination, ``_eliminate``:
 
   - A chain at offset t of the untruncated complex has at most one term
     U^k x_i per generator, so it is the chain of L on the generators x_i
@@ -58,12 +59,13 @@ Conventions
     definitions the truncated scans ``_d_scan`` and ``_cone_scans`` read at
     their probe gradings.
 * Truncation: a complex holds no N, and ``validate``, ``solve_homotopy``,
-  the correction terms and the local-map search (``find_local_map``,
-  ``locally_equivalent``) are exact and read none.  A positive integer N
-  only governs how far an ``Expanded`` model expands the basis
-  {U^k x : k < N}.  ``homology_ranks`` builds one at the N its window
-  needs, and ``correction_terms(c, truncation=N)`` scans the models at N,
-  the slow independent reference for the exact pass above; its triple is
+  ``homology_ranks``, the correction terms and the local-map search
+  (``find_local_map``, ``locally_equivalent``) are exact and read none.
+  A positive integer N only governs how far an ``Expanded`` model expands
+  the basis {U^k x : k < N}, and only the reference scans build one:
+  ``_d_scan`` and ``_cone_scans`` read the models of C and of its mapping
+  cone at N (``tests/dense_reference.truncated_correction_terms``), the
+  slow independent reference for the exact pass above.  Their triple is
   that of the untruncated complex C (x) GF(2)[U]:
 
   - At truncation N, the chain group at offset t is complete (equal to that
@@ -94,10 +96,10 @@ Conventions
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 
 from . import gf2
 from .localclass import rational
@@ -265,6 +267,15 @@ def _offsets(gradings, base: Grading) -> list[int]:
     return off
 
 
+def _levels(offsets: list[int]) -> tuple[list[int], list[int]]:
+    """The distinct offsets, ascending, and the mask of the generators at each."""
+    levels: dict[int, int] = {}
+    for i, t in enumerate(offsets):
+        levels[t] = levels.get(t, 0) | 1 << i
+    grades = sorted(levels)
+    return grades, [levels[t] for t in grades]
+
+
 class _Basis(Mapping):
     """``Expanded.basis``: a read-only mapping over the keys of ``present``
     whose value at t, built on first read, is ``build(t)``."""
@@ -316,18 +327,14 @@ class Expanded:
         # homology at offset t needs complete chain groups at t+1, t, t-1
         self.stable_low = self.top - 2 * N + 2
         self.dbits = diff
-        groups: dict[int, list[int]] = {}
-        for i, t in enumerate(off):
-            groups.setdefault(t, []).append(i)
-        masks = {t: sum(1 << i for i in gens) for t, gens in groups.items()}
+        masks = dict(zip(*_levels(off)))
         self.present: dict[int, int] = {}
         for t in range(self.top, self.bottom - 2 * N + 1, -1):
             # present[t] = masks[t] + masks[t+2] + ... + masks[t + 2N - 2]
             mask = self.present.get(t + 2, 0) ^ masks.get(t, 0) ^ masks.get(t + 2 * N, 0)
             if mask:
                 self.present[t] = mask
-        self.basis = _Basis(self.present, lambda t: tuple(sorted(chain.from_iterable(
-            groups.get(t + 2 * k, ()) for k in range(N)))))
+        self.basis = _Basis(self.present, lambda t: tuple(_bits(self.present[t])))
         self._bmat: dict[int, gf2.Matrix] = {}
         self._cycles: dict[int, gf2.Matrix] = {}
 
@@ -467,12 +474,10 @@ def validate(c: IotaComplex) -> Diagnostics:
 
 def _single_tower_check(c: IotaComplex) -> tuple[bool, str]:
     """(ok, detail) from the deep homology of C: dim H of L = C/(U - 1) on a
-    parity class is |class| - rank(d on it) - rank(d on the other class)."""
-    classes = [0, 0]
-    for i, t in enumerate(_offsets(c.gradings, c.tau)):
-        classes[t % 2] |= 1 << i
-    ranks = [gf2.rank(gf2.Matrix(c.n, [c.diff[j] for j in _bits(m)])) for m in classes]
-    d_even, d_odd = (classes[p].bit_count() - ranks[p] - ranks[1 - p] for p in (0, 1))
+    parity class is |class| - rank(d on it) - rank(d on the other class),
+    read off the lowest level of ``_eliminate``."""
+    _, sizes, ranks, _ = _eliminate(_offsets(c.gradings, c.tau), c.diff)
+    d_even, d_odd = (sizes[0][p] - ranks[0][0] - ranks[0][1] for p in (0, 1))
     ok = d_even == 1 and d_odd == 0
     return ok, (f"deep homology ranks: {d_even} in tau-parity, {d_odd} off-parity")
 
@@ -561,67 +566,31 @@ def mapping_cone(a: IotaComplex) -> ConeComplex:
 
 
 # ---------------------------------------------------------------------------
-# homology ranks
+# homology ranks: one elimination of L = C/(U - 1)
 
 
-def homology_ranks(c, window) -> dict[Grading, int]:
-    """Exact GF(2) homology dimensions at the gradings in ``window``, keyed
-    by the gradings as read by ``localclass.rational`` (a zero denominator
-    or a grading off tau + Z is a ValueError).
+def _eliminate(offsets: list[int], diff: Map):
+    """One elimination of the columns of L = C/(U - 1), level by level in
+    descending grading, a level being the generators at one offset.
 
-    ``c`` may be an IotaComplex or a ConeComplex.  The model is built at the
-    smallest N with t >= ``Expanded.stable_low``, t the lowest window offset,
-    so the chain groups at t - 1, t, t + 1 and at every window grading above
-    are those of the untruncated complex (see "Truncation" in the module
-    docstring): the ranks are exact and no grading is refused.
+    Returns (grades, sizes, ranks, leads): the distinct offsets, ascending;
+    per level k, the number ``sizes[k][p]`` and rank ``ranks[k][p]`` of the
+    columns of parity p at or above it and ``leads[k]``, the B(L) basis
+    vectors led in it; then ``sizes`` and ``ranks`` of (0, 0) above the top.
+
+    A vector's lead is its highest bit inside the lowest level it touches,
+    so a basis with one vector per lead spans B n F_t, F_t the span of the
+    generators at offsets >= t, with the vectors whose leads lie in F_t.
+    Reducing by the vector of the same lead never lowers that level, so the
+    level index only moves up.  ``gf2.Echelon`` leads with the highest bit
+    overall, which would need the bits permuted into grading order.  The
+    two parities' columns have images on disjoint bits and share the basis.
     """
-    if not isinstance(c, (IotaComplex, ConeComplex)):
-        raise TypeError(f"not a complex: {c!r}")
-    tau = (c if isinstance(c, IotaComplex) else c.base).tau
-    top = max(_offsets(c.gradings, tau))
-    gradings = [rational(g) for g in window]
-    offsets = _offsets(gradings, tau)
-    N = max(1, -(-(top - min(offsets, default=top) + 2) // 2))
-    exp = Expanded(c.gradings, c.diff, N, tau)
-    return {g: exp.homology_dim(t) for g, t in zip(gradings, offsets)}
-
-
-# ---------------------------------------------------------------------------
-# correction terms
-#
-# Both paths work in offsets from tau, so tau has parity 0.  The exact pass
-# eliminates L = C/(U - 1) once per complex; the truncated scans, the
-# reference, work in the Expanded models: each eliminates the boundaries at
-# its probe grading once and reduces U^m (cycles at r) against that basis
-# for every r.
-
-
-def _tower_tops(offsets: list[int], diff: Map) -> tuple[int | None, int | None]:
-    """(even top, odd top) of the free part of H(C (x) GF(2)[U]), or None.
-
-    ``offsets`` are the generators' gradings as offsets and ``diff`` the
-    differential; the proof is in "Correction terms without truncation" in
-    the module docstring.  One elimination of the columns of L = C/(U - 1),
-    level by level in descending grading, where a level is the mask of the
-    generators at one offset.  A vector's lead is its highest bit inside the
-    lowest level it touches, so a basis with one vector per lead spans
-    B n F_t with the vectors whose leads lie in F_t.  Reducing by the vector
-    of the same lead never lowers that level, so the level index only moves
-    up.  This is not ``gf2.Echelon``, whose lead is the highest bit overall:
-    that order would need the bits permuted into grading order, which costs
-    more than the elimination.  After each level the ranks of the columns
-    seen so far give dim(Z n F_t) per parity, and the number of leads per
-    level gives dim(B n F_t) once every column is in.
-    """
-    levels: dict[int, int] = {}
-    for i, t in enumerate(offsets):
-        levels[t] = levels.get(t, 0) | 1 << i
-    grades = sorted(levels)
-    masks = [levels[t] for t in grades]
+    grades, masks = _levels(offsets)
     pivots: dict[int, int] = {}  # bit_length of the lead -> vector
-    leads = [0] * len(grades)    # basis vectors of B led in each level
-    ranks = [0] * len(grades)    # rank of the columns of the level's parity at or above it
-    rank = [0, 0]
+    leads = [0] * len(grades)
+    size, rank = [0, 0], [0, 0]
+    sizes, ranks = [(0, 0)] * (len(grades) + 1), [(0, 0)] * (len(grades) + 1)
     for k in range(len(grades) - 1, -1, -1):
         p = grades[k] % 2
         # a boundary of a column at t has terms at offsets >= t - 1 only
@@ -641,14 +610,57 @@ def _tower_tops(offsets: list[int], diff: Map) -> tuple[int | None, int | None]:
                     rank[p] += 1
                     break
                 v ^= q
-        ranks[k] = rank[p]
+        size[p] += masks[k].bit_count()
+        sizes[k], ranks[k] = tuple(size), tuple(rank)
+    return grades, sizes, ranks, leads
+
+
+def homology_ranks(c, window) -> dict[Grading, int]:
+    """Exact GF(2) homology dimensions at the gradings in ``window``, keyed
+    by the gradings as read by ``localclass.rational`` (a zero denominator
+    or a grading off tau + Z is a ValueError).
+
+    ``c`` may be an IotaComplex or a ConeComplex, and no model is built.
+    The chain group C_t at offset t is that of L on the generators at
+    offsets >= t of t's parity ("Correction terms without truncation"), so
+    dim H_t = |C_t| - rank d(C_t) - rank d(C_{t+1}) is read off the first
+    level of ``_eliminate`` at or above t: none of t + 1's parity sits at t.
+    """
+    if not isinstance(c, (IotaComplex, ConeComplex)):
+        raise TypeError(f"not a complex: {c!r}")
+    tau = (c if isinstance(c, IotaComplex) else c.base).tau
+    grades, sizes, ranks, _ = _eliminate(_offsets(c.gradings, tau), c.diff)
+    gradings = [rational(g) for g in window]
+    out = {}
+    for g, t in zip(gradings, _offsets(gradings, tau)):
+        k, p = bisect_left(grades, t), t % 2
+        out[g] = sizes[k][p] - ranks[k][p] - ranks[k][1 - p]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# correction terms
+#
+# Both paths work in offsets from tau, so tau has parity 0.  The exact pass
+# eliminates L = C/(U - 1) once per complex; the truncated scans, the
+# reference, work in the Expanded models: each eliminates the boundaries at
+# its probe grading once and reduces U^m (cycles at r) against that basis
+# for every r.
+
+
+def _tower_tops(offsets: list[int], diff: Map) -> tuple[int | None, int | None]:
+    """(even top, odd top) of the free part of H(C (x) GF(2)[U]), or None:
+    the highest level of parity p of ``_eliminate`` where dim(Z n F_t) =
+    size - rank exceeds dim(B n F_t), the leads of parity p at or above it
+    (proof: "Correction terms without truncation", module docstring).
+    """
+    grades, sizes, ranks, leads = _eliminate(offsets, diff)
     tops: list[int | None] = [None, None]
-    gens, bounds = [0, 0], [0, 0]
+    bounds = [0, 0]
     for k in range(len(grades) - 1, -1, -1):
         p = grades[k] % 2
-        gens[p] += masks[k].bit_count()
         bounds[p] += leads[k]
-        if tops[p] is None and gens[p] - ranks[k] > bounds[p]:
+        if tops[p] is None and sizes[k][p] - ranks[k][p] > bounds[p]:
             tops[p] = grades[k]
     return tops[0], tops[1]
 
@@ -700,31 +712,21 @@ def _cone_scans(c: IotaComplex, base: Expanded) -> tuple[Grading, Grading]:
     return d_bar, d_under
 
 
-def correction_terms(c: IotaComplex,
-                     truncation: int | None = None) -> tuple[Grading, Grading, Grading]:
+def correction_terms(c: IotaComplex) -> tuple[Grading, Grading, Grading]:
     """(d, d-bar, d-under), exact: those of the untruncated complex.
 
-    By default, one exact pass (``_tower_tops``) over C and one over its
-    mapping cone, with no truncation and no expanded model.  With
-    ``truncation`` N, the reference path: one base model and one cone model
-    at N, scanned by ``_d_scan`` and ``_cone_scans``.  Every chain group the
-    scans read is complete at N (see "Truncation" in the module docstring),
-    so no refinement is needed; an N too small for the probe raises
-    WindowError.  The trivial complex returns (0, 0, 0).  A grading outside
-    tau + Z raises ValueError, and a complex with no tower RuntimeError.
+    One exact pass (``_tower_tops``) over C and one over its mapping cone,
+    with no truncation and no expanded model.  The trivial complex returns
+    (0, 0, 0).  A grading outside tau + Z raises ValueError, and a complex
+    with no tower RuntimeError.
     """
-    if truncation is None:
-        off = _offsets(c.gradings, c.tau)
-        d, _ = _tower_tops(off, c.diff)
-        d_bar, odd = _tower_tops([t + 1 for t in off] + off, _cone_diff(c.diff, c.iota))
-        if None in (d, d_bar, odd):
-            raise RuntimeError("no tower class found; complex violates the tower axiom")
-        terms = (c.tau + d, c.tau + d_bar, c.tau + odd - 1)
-    else:
-        base = Expanded(c.gradings, c.diff, truncation, c.tau)
-        terms = (_d_scan(base), *_cone_scans(c, base))
-    d, d_bar, d_under = terms
-    if not (d_under <= d <= d_bar):
+    off = _offsets(c.gradings, c.tau)
+    d, _ = _tower_tops(off, c.diff)
+    d_bar, odd = _tower_tops([t + 1 for t in off] + off, _cone_diff(c.diff, c.iota))
+    if None in (d, d_bar, odd):
+        raise RuntimeError("no tower class found; complex violates the tower axiom")
+    terms = (c.tau + d, c.tau + d_bar, c.tau + odd - 1)
+    if not (terms[2] <= terms[0] <= terms[1]):
         raise RuntimeError(f"correction-term sanity violated: {terms}")
     return terms
 
@@ -827,27 +829,25 @@ class _Side:
     """What a local-map search reads off one complex, in either direction.
 
     ``offsets`` count from the complex's own tau.  ``at_or_below(t)`` masks
-    the generators at offsets t, t - 2, t - 4, ...; ``classes[p]`` masks
+    the generators at offsets t, t - 2, t - 4, ..., bisecting the offsets
+    of t's parity, so no table spans the gradings; ``classes[p]`` masks
     those of parity p.  ``tower()`` finds the deep tower representative; the
     search calls it after its budget check.
     """
 
     def __init__(self, c: IotaComplex):
         self.c = c
-        self.offsets = off = _offsets(c.gradings, c.tau)
-        self.top = max(off)
-        levels: dict[int, int] = {}
-        self.classes = classes = [0, 0]
-        for i, t in enumerate(off):
-            levels[t] = levels.get(t, 0) | 1 << i
-            classes[t % 2] |= 1 << i
-        self.down: dict[int, int] = {}
-        for t in range(min(off), self.top + 1):
-            self.down[t] = self.down.get(t - 2, 0) | levels.get(t, 0)
+        self.offsets = _offsets(c.gradings, c.tau)
+        self.grades: tuple[list[int], list[int]] = ([], [])
+        self.prefix = ([0], [0])  # prefix[p][k] masks the lowest k levels of parity p
+        for t, mask in zip(*_levels(self.offsets)):
+            self.grades[t % 2].append(t)
+            self.prefix[t % 2].append(self.prefix[t % 2][-1] | mask)
+        self.classes = [prefix[-1] for prefix in self.prefix]
 
     def at_or_below(self, t: int) -> int:
-        top = self.top
-        return self.down.get(min(t, top - (top - t) % 2), 0)
+        p = t % 2
+        return self.prefix[p][bisect_right(self.grades[p], t)]
 
     def tower(self) -> int:
         """The first cycle of the even class, in kernel order (generators

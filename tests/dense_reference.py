@@ -15,7 +15,8 @@ extrema scan, the reduced row-echelon form of a matrix stored as lists of
 0/1 rows, the composition of maps stored as columns of explicit
 (row, U-exponent) pairs, the max-min and min-max correction-term bounds
 row by row over fresh prefix slices, the expanded model's basis gathered
-eagerly at every grading from the generators' grading groups, and the
+eagerly at every grading from the generators' grading groups, the
+correction terms scanned in truncated models, and the
 local-map and homotopy systems assembled term by term with equations
 numbered in order of first use, in truncated models whose masks keep the
 entries below U^N at N = ``default_truncation`` of both gradings.
@@ -24,7 +25,7 @@ entries below U^N at N = ``default_truncation`` of both gradings.
 from fractions import Fraction
 from itertools import chain
 
-from hfi import gf2
+from hfi import complexes, gf2
 from hfi.brieskorn import BrieskornParams, seifert_invariants
 from hfi.complexes import Expanded, _bits, _offsets
 from hfi.cterms import p_q_sequences
@@ -310,6 +311,23 @@ def default_truncation(gradings) -> int:
     carrying one, which leaves every entry of a graded map below U^N."""
     span = max(gradings) - min(gradings)
     return -(-span // 2) + 6
+
+
+def truncated_correction_terms(c, N: int):
+    """(d, d-bar, d-under) of ``complexes.correction_terms`` by the truncated
+    scans: ``_d_scan`` over the model of C at N and ``_cone_scans`` over
+    that of its mapping cone (see "Truncation" in the ``hfi.complexes``
+    docstring).  An N too small for the probe raises ``WindowError``; a
+    complex with no tower, or a triple that breaks d-under <= d <= d-bar,
+    raises RuntimeError.  The scans and the model are looked up on the
+    module, so that a tracer's patches of them see these calls.
+    """
+    base = complexes.Expanded(c.gradings, c.diff, N, c.tau)
+    terms = (complexes._d_scan(base), *complexes._cone_scans(c, base))
+    d, d_bar, d_under = terms
+    if not (d_under <= d <= d_bar):
+        raise RuntimeError(f"correction-term sanity violated: {terms}")
+    return terms
 
 
 def below(exp: Expanded, offsets, degree: int) -> tuple[int, ...]:

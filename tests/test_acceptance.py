@@ -13,7 +13,8 @@ from fractions import Fraction
 
 import pytest
 
-from dense_reference import default_truncation, intersection_form
+from dense_reference import (default_truncation, intersection_form,
+                             truncated_correction_terms)
 from hfi import complexes
 from hfi.brieskorn import (BrieskornParams, brieskorn_class, brieskorn_root,
                            seifert_plumbing)
@@ -273,7 +274,7 @@ def test_criterion_12_group_and_duality_axioms():
             dd, ddb, ddu = oracle_terms(dual(c))
             assert (dd, ddb, ddu) == (-d, -du, -db)
             n = default_truncation(c.gradings)
-            assert oracle_terms(c) == oracle_terms(c, truncation=n + 2)
+            assert oracle_terms(c) == truncated_correction_terms(c, n + 2)
         for i in range(0, 20, 2):
             a, b = singles[i], singles[i + 1]
             assert oracle_terms(tensor(a, b)) == oracle_terms(tensor(b, a))

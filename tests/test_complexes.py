@@ -2,12 +2,14 @@
 
 import dataclasses
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from dense_reference import below, default_truncation, expand_map, pair_mul
+from dense_reference import (below, default_truncation, expand_map, pair_mul,
+                             truncated_correction_terms)
 import hfi
 from hfi import complexes
 from hfi.complexes import (correction_terms, dual, homology_ranks,
@@ -136,7 +138,7 @@ def test_local_equivalence_is_reflexive():
 def test_correction_terms_stable_under_truncation_refinement():
     c = tensor(std(2, 0), dual(std(4, 2)))
     n = default_truncation(c.gradings)
-    assert correction_terms(c) == correction_terms(c, truncation=n + 3)
+    assert correction_terms(c) == truncated_correction_terms(c, n + 3)
 
 
 def test_mapping_cone_ranks_split_into_two_towers():
@@ -306,6 +308,23 @@ def test_validate_builds_no_truncated_model(monkeypatch):
         diag = validate(c)
         assert diag.ok, str(diag)
     assert [name for name, _ in validate(bad).failed()] == ["iota^2 ~ id"]
+
+
+def test_deep_ranks_and_wide_local_maps_cost_no_span(monkeypatch):
+    # Y(1) has 3 generators, and Y(100000) 3 generators spread over about
+    # 2 * 10^5 gradings: neither a truncated model nor a table the size of
+    # that spread or of the depth is built
+    _no_model(monkeypatch)
+    ranks = homology_ranks(class_complex(Y(1)), [-200000, -10**12])
+    assert ranks == {-200000: 1, -10**12: 1}
+    c = class_complex(Y(100000))
+    tracemalloc.start()
+    try:
+        assert locally_equivalent(c, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_homotopy_solve_builds_no_truncated_model(monkeypatch):

@@ -21,16 +21,17 @@
   row-echelon form, vector for vector;
 - the expanded model's on-demand basis against the basis gathered eagerly
   at every grading;
-- the oracle's one pass at the smallest truncation its probe admits against
-  every larger truncation up to 7 past the default: the same triple, which
-  is the closed-form one on class complexes;
+- the truncated reference scans at the smallest truncation their probe
+  admits against every larger truncation up to 7 past the default: the
+  same triple, which is the closed-form one on class complexes;
 - the oracle's exact pass, with no truncation, against those truncated
   scans, also on relabelled complexes in the coset 1/2 of Z and on an
   acyclic one;
-- exact homology ranks, from the model at the N the window needs, against
-  the truncated models from the old default N to 4 past it, on complexes
-  and their mapping cones; and the exact tower check of ``validate``
-  against the probe reading of the truncated model;
+- exact homology ranks, from the one elimination of L = C/(U - 1),
+  against the truncated models from the old default N to 4 past it, on
+  complexes, their relabelled copies in the coset 1/2 of Z and their
+  mapping cones; and the exact tower check of ``validate`` against the
+  probe reading of the truncated model;
 - the local-map and homotopy systems in Kronecker layout against the same
   systems assembled term by term with equations numbered in order of first
   use: the same witnesses F and H and the same homotopies, not only the
@@ -61,7 +62,8 @@ from dense_reference import (below, ceiling_tau_deltas, compress_list,
                              dict_solve_homotopy,
                              grouped_basis, pareto_subroot_params,
                              rebuild_is_almost_rational, restart_simplify_weak,
-                             slice_d_lower_offset, slice_d_upper_offset)
+                             slice_d_lower_offset, slice_d_upper_offset,
+                             truncated_correction_terms)
 from hfi import complexes, cterms, gf2
 from hfi.brieskorn import (BrieskornParams, _compress_to_profile,
                            _k_squared_plus_s, _tau_deltas,
@@ -463,7 +465,7 @@ def test_on_demand_basis_matches_the_eager_build():
 
 
 def _terms_from_the_smallest_truncation(c):
-    """The one triple of ``correction_terms(c, truncation=N)`` for every N
+    """The one triple of ``truncated_correction_terms(c, N)`` for every N
     from the smallest that the probe admits to 7 past the default.
 
     Every smaller N must raise WindowError, and none of the larger ones may.
@@ -472,15 +474,15 @@ def _terms_from_the_smallest_truncation(c):
     N = 1
     while True:
         try:
-            first = complexes.correction_terms(c, truncation=N)
+            first = truncated_correction_terms(c, N)
             break
         except complexes.WindowError:
             N += 1
     assert 1 < N <= D
     with pytest.raises(complexes.WindowError):
-        complexes.correction_terms(c, truncation=N - 1)
+        truncated_correction_terms(c, N - 1)
     for M in range(N + 1, D + 8):
-        assert complexes.correction_terms(c, truncation=M) == first, (c.labels, N, M)
+        assert truncated_correction_terms(c, M) == first, (c.labels, N, M)
     return first
 
 
@@ -518,34 +520,39 @@ def test_exact_pass_matches_the_truncated_scans():
     for c in _random_complexes(20170633, 300):
         for x in (c, _relabelled(c, rng)):
             got = complexes.correction_terms(x)
-            want = complexes.correction_terms(x, truncation=default_truncation(x.gradings))
+            want = truncated_correction_terms(x, default_truncation(x.gradings))
             assert got == want, (x.labels, got, want)
             assert [type(g) for g in got] == [type(w) for w in want]
     # d(x) = y: no tower, so both paths refuse
     acyclic = complexes.iota_complex(("x", "y"), (1, 0), [[0, 0], [1, 0]],
                                      [[1, 0], [0, 1]], tau=0)
-    for truncation in (None, default_truncation(acyclic.gradings)):
+    for terms in (complexes.correction_terms,
+                  lambda c: truncated_correction_terms(c, default_truncation(c.gradings))):
         with pytest.raises(RuntimeError, match="no tower class found"):
-            complexes.correction_terms(acyclic, truncation=truncation)
+            terms(acyclic)
 
 
 def test_exact_homology_ranks_match_the_truncated_models():
-    # 2 + 20 random complexes and their mapping cones, over the window from
-    # 4 below the bottom to 2 above the top: the ranks of the model at the
-    # N the window needs equal those of the models at the old default N of
-    # the complex and at up to 4 past it, at every grading they admit
+    # 2 + 20 random complexes, each also relabelled and shifted into
+    # 1/2 + Z (level masks whose bits are not contiguous, gradings off the
+    # integers), and their mapping cones, over the window from 4 below the
+    # bottom to 2 above the top: the exact ranks equal those of the models
+    # at the old default N of the complex and at up to 4 past it, at every
+    # grading they admit
+    rng = random.Random(20170635)
     for c in _random_complexes(20170635, 20):
         D = default_truncation(c.gradings)
-        for x in (c, complexes.mapping_cone(c)):
-            off = complexes._offsets(x.gradings, c.tau)
-            window = [c.tau + t for t in range(min(off) - 4, max(off) + 3)]
-            got = complexes.homology_ranks(x, window)
-            assert list(got) == window
-            for N in range(D, D + 5):
-                exp = complexes.Expanded(x.gradings, x.diff, N, c.tau)
-                for g, t in zip(window, complexes._offsets(window, c.tau)):
-                    if t >= exp.stable_low:
-                        assert got[g] == exp.homology_dim(t), (c.labels, N, g)
+        for y in (c, _relabelled(c, rng)):
+            for x in (y, complexes.mapping_cone(y)):
+                off = complexes._offsets(x.gradings, y.tau)
+                window = [y.tau + t for t in range(min(off) - 4, max(off) + 3)]
+                got = complexes.homology_ranks(x, window)
+                assert list(got) == window
+                for N in range(D, D + 5):
+                    exp = complexes.Expanded(x.gradings, x.diff, N, y.tau)
+                    for g, t in zip(window, complexes._offsets(window, y.tau)):
+                        if t >= exp.stable_low:
+                            assert got[g] == exp.homology_dim(t), (y.labels, N, g)
 
 
 def test_exact_tower_check_matches_the_probe_reading():

@@ -5,8 +5,8 @@
 methods of ``complexes.Expanded`` by name, and its counter for
 ``Expanded.__init__`` reads the model's ``basis``.  A rename in ``hfi``
 breaks the traced benchmark runs; these tests make it break tier-1 too.
-The scans run only on the truncated reference path of
-``correction_terms(c, truncation=N)``; the default exact pass and
+The scans run only on the truncated reference path,
+``dense_reference.truncated_correction_terms``; ``correction_terms`` and
 ``validate`` build no ``Expanded``.  The local-equivalence metrics (``find_local_map`` spans and
 calls, the feasible fraction, ``solve_homotopy`` self time) rest on the
 hooks that ``locally_equivalent`` and ``validate`` reach through module
@@ -16,7 +16,7 @@ globals.
 import importlib.util
 from pathlib import Path
 
-from dense_reference import default_truncation
+from dense_reference import default_truncation, truncated_correction_terms
 from hfi import complexes
 from hfi.complexes import dual, iota_complex, tensor
 from hfi.monotone import M, to_profile
@@ -40,7 +40,7 @@ def test_tracer_installs_and_counts_a_traced_oracle_call():
     try:
         exact = complexes.correction_terms(c)
         exact_builds = tracer.counters["complexes.expanded_builds"]
-        terms = complexes.correction_terms(c, truncation=default_truncation(c.gradings))
+        terms = truncated_correction_terms(c, default_truncation(c.gradings))
         diag = complexes.validate(c)
     finally:
         tracer.uninstall()
