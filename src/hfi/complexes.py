@@ -83,6 +83,25 @@ Conventions
   - The triple therefore does not depend on N: at N + 2 the scans would
     read the same groups.  ``tests/test_differential.py`` checks this from
     the smallest N the probe admits up to past the default.
+
+  ``validate``, ``solve_homotopy`` and ``find_local_map`` solve the same
+  systems as their references in ``tests/dense_reference.py``, which build
+  truncated models at N = ceil(span/2) + 6, span the spread of all the
+  gradings involved, and mask every map and product below U^N:
+
+  - An entry (i, j) of a degree-k map is U^e with
+    e = (off_i - off_j - k)/2 >= 0.  The systems read maps of degree
+    k >= -2 (d^2, iota, the local map F, the homotopy H), so
+    e <= span/2 + 1 < N: the masks drop no unknown and no term of any
+    product.
+  - The truncated tower check and local-map search read a deep probe
+    grading t at least 2 below every bottom and at most 3 below the lowest,
+    so t - 1 >= top - 2N + 1: the chain groups at t - 1, t and t + 1 are
+    complete, and each is a whole parity class with the differential of L,
+    which ``_single_tower_check`` and ``_Side.tower`` read.  The reference search's slack ranges over the
+    target's whole odd class, and its tower representatives come from the
+    same two eliminations in the same kernel order, so the pinned z_a and
+    z_b are the same.
 * Chains: a generator x_i contributes at most one basis element U^k x_i to
   a grading, so a chain at a grading is an int with bit i set for x_i (see
   ``gf2``), just like a map column.  U^m is a mask, and Q.(chains of C) in
@@ -97,7 +116,6 @@ Conventions
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -139,26 +157,32 @@ def _read_map(m, labels, gradings, degree: int) -> tuple[Map, str | None]:
     (its parity: 0 or 1) or an iterable of U-exponents.  The terms of the
     given degree become bits.  The others are dropped, and the first of them
     (by column, then row and exponent) is described in the returned message.
-    A negative exponent raises ValueError.
+    A map that is not n x n, a row outside 0..n-1 or a negative exponent
+    raises ValueError.
     """
     n = len(labels)
     if all(isinstance(col, (set, frozenset)) for col in m):
         cols = list(m)
     else:
+        if len(m) != n:
+            raise ValueError(f"map has {len(m)} rows, expected {n}")
         cols = [set() for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                v = m[i][j]
+        for i, row in enumerate(m):
+            if len(row) != n:
+                raise ValueError(f"map row {i} has {len(row)} entries, expected {n}")
+            for j, v in enumerate(row):
                 exps = ((0,) if v % 2 else ()) if isinstance(v, int) else v
                 cols[j].update((i, e) for e in exps)
     if len(cols) != n:
         raise ValueError(f"map has {len(cols)} columns, expected {n}")
-    if any(e < 0 for col in cols for _, e in col):
-        raise ValueError("map entry with a negative U-exponent")
     out, defect = [], None
     for j, col in enumerate(cols):
         bits = 0
         for i, e in sorted(col):
+            if not 0 <= i < n or e < 0:
+                raise ValueError(f"map entry (row {i}, exponent {e}) in column "
+                                 f"{labels[j]}: a row must be in 0..{n - 1} and "
+                                 f"an exponent >= 0")
             if gradings[i] - 2 * e == gradings[j] + degree:
                 bits |= 1 << i
             elif defect is None:
@@ -276,28 +300,6 @@ def _levels(offsets: list[int]) -> tuple[list[int], list[int]]:
     return grades, [levels[t] for t in grades]
 
 
-class _Basis(Mapping):
-    """``Expanded.basis``: a read-only mapping over the keys of ``present``
-    whose value at t, built on first read, is ``build(t)``."""
-
-    def __init__(self, present: dict[int, int], build):
-        self.present, self.build, self.built = present, build, {}
-
-    def __getitem__(self, t: int) -> tuple[int, ...]:
-        b = self.built.get(t)
-        if b is None:
-            if t not in self.present:
-                raise KeyError(t)
-            b = self.built[t] = self.build(t)
-        return b
-
-    def __iter__(self):
-        return iter(self.present)
-
-    def __len__(self) -> int:
-        return len(self.present)
-
-
 class Expanded:
     """The truncated complex as one GF(2) chain group per grading.
 
@@ -307,9 +309,7 @@ class Expanded:
     grading, so a chain there is an int with bit i for x_i:
 
     * ``present[t]`` is the chain group at t as such a mask, and ``basis[t]``
-      lists its generators in increasing order; ``basis`` is a read-only
-      mapping over the keys of ``present`` that builds each tuple on its
-      first read, since a scan or search reads only a few gradings;
+      lists its generators in increasing order;
     * ``dbits`` is the differential as given, a graded bit-column ``Map``:
       the boundary of U^k x_j at t is ``dbits[j]`` masked by
       ``present[t - 1]``, which drops the terms U^(k+e) x_i with k + e >= N;
@@ -334,9 +334,7 @@ class Expanded:
             mask = self.present.get(t + 2, 0) ^ masks.get(t, 0) ^ masks.get(t + 2 * N, 0)
             if mask:
                 self.present[t] = mask
-        self.basis = _Basis(self.present, lambda t: tuple(_bits(self.present[t])))
-        self._bmat: dict[int, gf2.Matrix] = {}
-        self._cycles: dict[int, gf2.Matrix] = {}
+        self.basis = {t: tuple(_bits(m)) for t, m in self.present.items()}
 
     def grading(self, t: int) -> Grading:
         return self.base + t
@@ -346,20 +344,12 @@ class Expanded:
 
     def boundary_matrix(self, t: int) -> gf2.Matrix:
         """Matrix of the differential from offset t to t-1, one column per basis[t]."""
-        B = self._bmat.get(t)
-        if B is None:
-            below = self.present.get(t - 1, 0)
-            dbits = self.dbits
-            B = self._bmat[t] = gf2.Matrix(
-                self.n, [dbits[j] & below for j in self.basis.get(t, ())])
-        return B
+        below = self.present.get(t - 1, 0)
+        return gf2.Matrix(self.n, [self.dbits[j] & below for j in self.basis.get(t, ())])
 
     def cycles(self, t: int) -> gf2.Matrix:
-        Z = self._cycles.get(t)
-        if Z is None:
-            units = gf2.Matrix(self.n, [1 << j for j in self.basis.get(t, ())])
-            Z = self._cycles[t] = gf2.kernel(self.boundary_matrix(t), units)
-        return Z
+        units = gf2.Matrix(self.n, [1 << j for j in self.basis.get(t, ())])
+        return gf2.kernel(self.boundary_matrix(t), units)
 
     def boundaries(self, t: int) -> gf2.Matrix:
         """Columns spanning the boundaries landing in offset t."""
@@ -421,17 +411,9 @@ def validate(c: IotaComplex) -> Diagnostics:
     and tensor products and duals keep iota^2 = id.  Otherwise
     ``solve_homotopy`` looks for H.
 
-    The checks test whole columns and build no truncated model.  They agree
-    with the checks masked below U^N at the N = ceil(span/2) + 6 that every
-    complex used to hold, span the spread of the gradings:
-
-    - An entry (i, j) of a degree-k map is U^e with e = (g_i - g_j - k)/2
-      >= 0.  For d^2, iota d + d iota, iota^2 + id and an unknown H
-      (k = -2, -1, 0, 1), e <= span/2 + 1 < N, so the masks dropped nothing.
-    - The old tower check read the homology at the deepest offset t of each
-      parity at least 2 below the bottom, where t >= top - 2N + 2 made the
-      chain groups at t - 1, t and t + 1 whole parity classes with the
-      differential of L = C/(U - 1): what ``_single_tower_check`` reads.
+    The checks test whole columns and build no truncated model; the
+    module docstring's "Truncation" bullet says why they agree with the
+    truncated checks.
     """
     checks = []
     bad = [g for g in c.gradings if (g - c.tau).denominator != 1]
@@ -802,11 +784,9 @@ def solve_homotopy(a: IotaComplex, b: IotaComplex, rhs: Map) -> Map | None:
     ``rhs`` is a degree-0 map a -> b.  A grading of b outside a.tau + Z
     raises ValueError.  The unknowns are the H block of ``find_local_map``
     (x_i of b at an offset >= off_a(j) + 1 of the same parity) and every
-    entry of the product is an equation.  Masking both below U^N at
-    N = ceil(span/2) + 6 over the gradings of a and b dropped nothing, since
-    an entry of a degree-k map a -> b, k in {0, 1}, has exponent <= span/2;
-    that N is the one each complex used to hold, so ``validate`` solves the
-    system it solved before.
+    entry of the product is an equation.  It builds no truncated model; the
+    module docstring's "Truncation" bullet says why it solves the truncated
+    system.
     """
     sa = _Side(a)
     rows = [sa.at_or_below(t - 1) for t in _offsets(b.gradings, a.tau)]
@@ -881,20 +861,9 @@ def find_local_map(a: IotaComplex, b: IotaComplex) -> LocalMapWitness | None:
     at 2.n_a.n_b), where the slack w is any chain of b's odd class and z_a,
     z_b are the tower representatives (``_Side.tower``).  Each unknown's
     column is one ``_kron_columns`` entry over the three blocks, with no
-    mask.  The system and so the witness are those of the search that built
-    both truncated models at the N below and masked every product by U^N:
-
-    - Every bit of a map of a complex is a term U^e with e >= 0.  With span
-      the spread of all the gradings, N = ceil(span/2) + 6, and an entry
-      (i, j) of a degree-k map a -> b, k in {-1, 0, 1}, has exponent
-      (off_b(i) - off_a(j) - k)/2 <= (span + 1)/2 < N.  So the masks kept
-      every unknown above and every term of every product: none reaches U^N.
-    - That search's deep probe grading t was at most 3 below both bottoms,
-      and its chain groups at t and t + 1 were complete, so each was a whole
-      parity class (even for t, as tau_a - tau_b is even).  Its slack ranged
-      over b's whole odd class, and its tower representatives came from the
-      same two eliminations in the same kernel order, so z_a and z_b are the
-      same.
+    mask.  The system and so the witness are those of the search that
+    builds both truncated models and masks every product by U^N (the
+    module docstring's "Truncation" bullet).
 
     ``tests/test_golden.py`` pins the witnesses, and the differential tests
     compare them with ``dense_reference.dict_find_local_map``, which still

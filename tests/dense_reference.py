@@ -15,11 +15,13 @@ extrema scan, the reduced row-echelon form of a matrix stored as lists of
 0/1 rows, the composition of maps stored as columns of explicit
 (row, U-exponent) pairs, the max-min and min-max correction-term bounds
 row by row over fresh prefix slices, the expanded model's basis gathered
-eagerly at every grading from the generators' grading groups, the
-correction terms scanned in truncated models, and the
-local-map and homotopy systems assembled term by term with equations
+from the generators' grading groups (the model reads it off its
+chain-group masks), the correction terms scanned in truncated models, and
+the local-map and homotopy systems assembled term by term with equations
 numbered in order of first use, in truncated models whose masks keep the
-entries below U^N at N = ``default_truncation`` of both gradings.
+entries below U^N at N = ``default_truncation`` of both gradings.  The
+"Truncation" bullet of the ``hfi.complexes`` docstring says why those
+truncated systems are the exact ones.
 """
 
 from fractions import Fraction

@@ -406,10 +406,36 @@ def test_homotopy_equations_count_every_power_of_u():
 
 
 def test_negative_exponent_is_refused():
-    with pytest.raises(ValueError):
-        iota_complex(("x", "y"), (1, 0),
-                     [[[], []], [[-1], []]],
-                     ((1, 0), (0, 1)))
+    # and every other malformed raw map: a ValueError that names the entry,
+    # never an IndexError or a shift error from reading past the map
+    identity = ((1, 0), (0, 1))
+    for diff, message in (
+            ([[[], []], [[-1], []]], r"\(row 1, exponent -1\) in column x"),
+            ([[[], []], [[]]], "row 1 has 1 entries, expected 2"),
+            ([[[], []]], "map has 1 rows, expected 2"),
+            ([{(2, 0)}, set()], r"\(row 2, exponent 0\) in column x"),
+            ([set(), {(-1, 0)}], r"\(row -1, exponent 0\) in column y"),
+            ([set()], "map has 1 columns, expected 2")):
+        with pytest.raises(ValueError, match=message):
+            iota_complex(("x", "y"), (1, 0), diff, identity)
+
+
+def test_local_map_search_refuses_other_tower_cosets():
+    # taus that differ by an odd integer or by a non-integer put the towers
+    # in different cosets of 2Z, where no grading-preserving map joins them
+    a = trivial_complex(0)
+    for tau in (1, Fraction(1, 2)):
+        b = trivial_complex(tau)
+        for search in (complexes.find_local_map, complexes.locally_equivalent):
+            for x, y in ((a, b), (b, a)):
+                with pytest.raises(ValueError, match="tower cosets differ"):
+                    search(x, y)
+    # an even difference is the same coset: the search runs, and a local map
+    # exists only towards the larger d, as x -> U x'
+    b = trivial_complex(2)
+    assert complexes.find_local_map(a, b).F == (1,)
+    assert complexes.find_local_map(b, a) is None
+    assert not complexes.locally_equivalent(a, b)
 
 
 def test_zero_denominator_grading_or_tau_is_a_value_error():

@@ -304,17 +304,55 @@ def test_cli_invalid_input_exits_2_with_message(argv, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("argv", [["decompose", "{profile}"], ["eval", "@{profile}"]],
-                         ids=["decompose", "eval-file-atom"])
-def test_cli_zero_denominator_in_a_profile_file_exits_2(argv, tmp_path, capsys):
+@pytest.mark.parametrize("argv, text, fragment", [
+    (["decompose", "{profile}"], "coset: 0\nleaves: 1/0\nangles:\n", "1/0"),
+    (["eval", "@{profile}"], "coset: 0\nleaves: 1/0\nangles:\n", "1/0"),
+    # the other malformed profiles
+    (["decompose", "{profile}"], "leaves: 0\nroots: 1\n", "'roots: 1'"),
+    (["decompose", "{profile}"], "coset: 0\nangles:\n", "no leaves line"),
+    (["decompose", "{profile}"], "coset: 1\nleaves: 0\nangles:\n",
+     "coset 1 inconsistent"),
+], ids=["decompose", "eval-file-atom", "decompose-unrecognised-line",
+        "decompose-no-leaves", "decompose-coset-mismatch"])
+def test_cli_zero_denominator_in_a_profile_file_exits_2(argv, text, fragment,
+                                                        tmp_path, capsys):
     profile = tmp_path / "root.txt"
-    profile.write_text("coset: 0\nleaves: 1/0\nangles:\n")
+    profile.write_text(text)
     assert main([a.format(profile=profile) for a in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     err = captured.err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "1/0" in err and "Traceback" not in err
+    assert fragment in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("check, code, out", [
+    ("ar", 1, ""),
+    ("rational", 1, ""),
+    ("negdef", 0, "negative definite: False\n"),
+])
+def test_cli_plumbing_on_a_graph_that_is_not_negative_definite(check, code, out,
+                                                               tmp_path, capsys):
+    graph = tmp_path / "indefinite.txt"
+    graph.write_text("vertex a -1\nvertex b -1\nedge a b\n")
+    assert main(["plumbing", str(graph), "--check", check]) == code
+    captured = capsys.readouterr()
+    assert captured.out == out
+    assert captured.err == ("" if code == 0 else
+                            "error: plumbing graph is not negative definite\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["eval"], "the following arguments are required: expr"),
+    (["eval", "Y(1)", "extra"], "unrecognized arguments: extra"),
+])
+def test_cli_eval_argument_errors_exit_2_with_usage(argv, message, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: hfi") and message in captured.err
 
 
 def test_zero_denominator_errors_name_the_token():

@@ -2,7 +2,8 @@
 
 import pytest
 
-from dense_reference import intersection_form, leading_minor_dets
+from dense_reference import (intersection_form, leading_minor_dets,
+                             rebuild_is_almost_rational)
 from hfi.brieskorn import BrieskornParams, seifert_plumbing
 from hfi.plumbing import (ARVerdict, PlumbingGraph, canonical_K, chi,
                           graph_from_text, graph_to_text, is_almost_rational,
@@ -141,3 +142,17 @@ def test_two_node_tree_is_not_almost_rational():
     assert is_negative_definite(g) and not is_rational(g)
     assert is_almost_rational(g) == ARVerdict("no", None)
     assert str(is_almost_rational(g)) == "no"
+
+
+def test_witness_at_the_threshold_weight():
+    # at v0 the threshold T = -(z_v1 + z_v2 + z_v3) is w - 1 = -3, so no
+    # lowered weight above T is tried and the witness is T itself
+    g = PlumbingGraph(
+        (("v0", -2), ("v1", -2), ("v2", -1), ("v3", -4), ("v4", -3),
+         ("v5", -2), ("v6", -6), ("v7", -5)),
+        (("v0", "v1"), ("v0", "v2"), ("v0", "v3"), ("v3", "v4"),
+         ("v1", "v5"), ("v5", "v6"), ("v3", "v7")))
+    assert not is_rational(g)
+    verdict = is_almost_rational(g)
+    assert verdict == rebuild_is_almost_rational(g) == ARVerdict("yes", ("v0", -3))
+    assert str(verdict) == "yes (vertex v0 at weight -3 is rational)"
