@@ -7,12 +7,12 @@ correction terms (d, d-bar, d-under), and a feasibility search for local maps.
 Conventions
 -----------
 * U has degree -2; the differential has degree -1; the involution degree 0.
-* Gradings are exact, int or ``Fraction``, and keep the type they arrive
-  in, so no float appears; all are congruent to ``tau`` mod 1, and the
-  U-inverted homology tower lives in ``tau + 2Z``.  That is the API; inside
-  the expanded model (``Expanded``) a grading is the int offset from tau,
-  and a grading outside ``tau + Z`` is refused with a ValueError that
-  names it.
+* Gradings are exact, int or ``Fraction``, so no float appears; all are
+  congruent to ``tau`` mod 1, and the U-inverted homology tower lives in
+  ``tau + 2Z``.  A complex stores them as int offsets from tau, read once
+  by ``graded_complex``, which refuses a grading outside ``tau + Z`` with a
+  ValueError that names it; ``tensor``, ``dual`` and ``mapping_cone``
+  derive theirs in int arithmetic.
 * Complexes are stored in the "h-normalized" convention in which the trivial
   one-generator complex plays the role of the 3-sphere and has
   (d, d-bar, d-under) = (0, 0, 0).
@@ -24,9 +24,8 @@ Conventions
   serialization reads it off the gradings.  Addition XORs columns, and
   composition XORs the columns of the left map that the bits of the right
   one select: the exponents add by themselves.  Raw input is the one place
-  with explicit (row, exponent) pairs.  ``iota_complex`` reads them once,
-  keeps the terms of the right degree as bits and records the first term
-  of a wrong degree as a defect of the complex, which ``validate`` reports.
+  with explicit (row, exponent) pairs.  ``iota_complex`` reads them once
+  into bits and refuses a term of the wrong degree with a ValueError.
 * The involution: ``validate`` checks iota^2 ~ id.  On the complexes built
   here (standard complexes of symmetric graded roots, where iota reflects
   the root, and their tensor products and duals) iota^2 = id exactly, and
@@ -149,16 +148,14 @@ def _bits(v: int):
         v ^= low
 
 
-def _read_map(m, labels, gradings, degree: int) -> tuple[Map, str | None]:
+def _read_map(m, labels, gradings, degree: int) -> Map:
     """Read a raw n x n map of the given degree into bit columns.
 
     Sparse input is a sequence of n sets of (row, exponent) pairs.  In dense
     input ``m[i][j]`` is the coefficient of x_i in the image of x_j: an int
-    (its parity: 0 or 1) or an iterable of U-exponents.  The terms of the
-    given degree become bits.  The others are dropped, and the first of them
-    (by column, then row and exponent) is described in the returned message.
-    A map that is not n x n, a row outside 0..n-1 or a negative exponent
-    raises ValueError.
+    (its parity: 0 or 1) or an iterable of U-exponents.  A map that is not
+    n x n, a row outside 0..n-1, a negative exponent or a term of another
+    degree (the first, by column, then row and exponent) raises ValueError.
     """
     n = len(labels)
     if all(isinstance(col, (set, frozenset)) for col in m):
@@ -175,7 +172,7 @@ def _read_map(m, labels, gradings, degree: int) -> tuple[Map, str | None]:
                 cols[j].update((i, e) for e in exps)
     if len(cols) != n:
         raise ValueError(f"map has {len(cols)} columns, expected {n}")
-    out, defect = [], None
+    out = []
     for j, col in enumerate(cols):
         bits = 0
         for i, e in sorted(col):
@@ -183,14 +180,13 @@ def _read_map(m, labels, gradings, degree: int) -> tuple[Map, str | None]:
                 raise ValueError(f"map entry (row {i}, exponent {e}) in column "
                                  f"{labels[j]}: a row must be in 0..{n - 1} and "
                                  f"an exponent >= 0")
-            if gradings[i] - 2 * e == gradings[j] + degree:
-                bits |= 1 << i
-            elif defect is None:
-                defect = (f"entry ({labels[i]}, {labels[j]}) exponent {e}: "
-                          f"grading {gradings[i]} - {2*e} != "
-                          f"{gradings[j]} + ({degree})")
+            if gradings[i] - 2 * e != gradings[j] + degree:
+                raise ValueError(f"map of degree {degree}: entry ({labels[i]}, "
+                                 f"{labels[j]}) exponent {e}: grading "
+                                 f"{gradings[i]} - {2*e} != {gradings[j]} + ({degree})")
+            bits |= 1 << i
         out.append(bits)
-    return tuple(out), defect
+    return tuple(out)
 
 
 def mat_mul(a: Map, b: Map) -> Map:
@@ -208,61 +204,58 @@ def mat_add(a: Map, b: Map) -> Map:
     return tuple(x ^ y for x, y in zip(a, b))
 
 
-DEGREE_CHECKS = (("differential degree -1", -1), ("iota degree 0", 0))
-
-
 @dataclass(frozen=True)
 class IotaComplex:
     """A free GF(2)[U]-complex with involution.
 
-    ``diff`` and ``iota`` are bit-column maps of degree -1 and 0: bit i of
-    ``diff[j]`` means that U^e x_i, with e = (g_i - g_j + 1)/2, is a term of
-    the boundary of x_j (and likewise for ``iota``, with e = (g_i - g_j)/2).
-    ``defects`` holds a (check, message) pair for each map whose raw input
-    had a term of the wrong degree, which ``iota_complex`` dropped;
-    ``validate`` reports it, and ``tensor`` and ``dual`` carry it forward.
+    ``offsets[i]`` is the int offset of the grading g_i of x_i from ``tau``,
+    and ``gradings`` the exact gradings tau + offsets[i].  ``diff`` and
+    ``iota`` are bit-column maps of degree -1 and 0: bit i of ``diff[j]``
+    means that U^e x_i, with e = (g_i - g_j + 1)/2, is a term of the
+    boundary of x_j (and likewise for ``iota``, with e = (g_i - g_j)/2).
     """
 
     labels: tuple[str, ...]
-    gradings: tuple[Grading, ...]
+    offsets: tuple[int, ...]
     diff: Map
     iota: Map
     tau: Grading
-    defects: tuple[tuple[str, str], ...] = ()
 
     @property
     def n(self) -> int:
         return len(self.labels)
 
+    @property
+    def gradings(self) -> tuple[Grading, ...]:
+        return tuple(self.tau + t for t in self.offsets)
 
-def graded_complex(labels, gradings, diff: Map, iota: Map, tau: Grading,
-                   defects=()) -> IotaComplex:
-    """An IotaComplex from exact gradings and bit-column maps.
 
-    The maps are taken as graded: every bit is a term of the right degree.
-    """
-    return IotaComplex(tuple(labels), tuple(gradings), tuple(diff), tuple(iota),
-                       tau, tuple(defects))
+def graded_complex(labels, gradings, diff: Map, iota: Map, tau: Grading) -> IotaComplex:
+    """An IotaComplex from exact gradings and graded bit-column maps (every
+    bit a term of the right degree), reading the gradings into offsets from
+    tau once.  An empty complex, lengths that differ or a grading outside
+    tau + Z raise ValueError."""
+    offsets = tuple(_offsets(gradings, tau))
+    if not labels or not len(labels) == len(offsets) == len(diff) == len(iota):
+        raise ValueError("a complex needs at least one generator, and for each a "
+                         "grading, a differential column and an involution column")
+    return IotaComplex(tuple(labels), offsets, tuple(diff), tuple(iota), tau)
 
 
 def iota_complex(labels, gradings, diff, iota, tau=None) -> IotaComplex:
     """Build an IotaComplex from raw maps; ``diff`` and ``iota`` are read by ``_read_map``.
 
-    A term of the wrong degree is dropped and recorded in ``defects`` for
-    ``validate`` to report; a negative exponent raises ValueError.
+    tau defaults to the first grading.  An empty complex, a grading outside
+    tau + Z, a term of the wrong degree or a negative exponent raises
+    ValueError.
     """
     labels = tuple(labels)
     gradings = tuple(map(rational, gradings))
-    if len(gradings) != len(labels):
-        raise ValueError("labels/gradings length mismatch")
-    maps, defects = [], []
-    for m, (check, degree) in zip((diff, iota), DEGREE_CHECKS):
-        bits, defect = _read_map(m, labels, gradings, degree)
-        maps.append(bits)
-        if defect is not None:
-            defects.append((check, defect))
+    if not labels or len(gradings) != len(labels):
+        raise ValueError("a complex needs at least one generator, and one grading for each")
     tau = gradings[0] if tau is None else rational(tau)
-    return IotaComplex(labels, gradings, *maps, tau, tuple(defects))
+    return graded_complex(labels, gradings, _read_map(diff, labels, gradings, -1),
+                          _read_map(iota, labels, gradings, 0), tau)
 
 
 def trivial_complex(grading=0) -> IotaComplex:
@@ -402,7 +395,9 @@ class Diagnostics:
 
 
 def validate(c: IotaComplex) -> Diagnostics:
-    """Check every defining invariant; returns per-check diagnostics.
+    """Four diagnostics of the algebra: d^2 = 0, iota a chain map, iota^2 ~ id
+    and a single U-inverted tower.  The constructors refuse bad gradings
+    and map degrees, so those need no check.
 
     iota^2 ~ id asks for a degree +1 map H with dH + Hd = iota^2 + id.  When
     iota^2 + id is itself 0, H = 0 solves that system and the check passes
@@ -416,16 +411,6 @@ def validate(c: IotaComplex) -> Diagnostics:
     truncated checks.
     """
     checks = []
-    bad = [g for g in c.gradings if (g - c.tau).denominator != 1]
-    checks.append(("coset", not bad,
-                   "all gradings differ from tau by integers" if not bad
-                   else f"gradings {bad} not in tau + Z"))
-    for check, _ in DEGREE_CHECKS:
-        err = next((msg for name, msg in c.defects if name == check), None)
-        checks.append((check, err is None, err or "ok"))
-    structural_ok = all(ok for _, ok, _ in checks)
-    if not structural_ok:
-        return Diagnostics(tuple(checks))
 
     def first_nonzero(m: Map) -> int | None:
         return next((j for j, col in enumerate(m) if col), None)
@@ -458,7 +443,7 @@ def _single_tower_check(c: IotaComplex) -> tuple[bool, str]:
     """(ok, detail) from the deep homology of C: dim H of L = C/(U - 1) on a
     parity class is |class| - rank(d on it) - rank(d on the other class),
     read off the lowest level of ``_eliminate``."""
-    _, sizes, ranks, _ = _eliminate(_offsets(c.gradings, c.tau), c.diff)
+    _, sizes, ranks, _ = _eliminate(c.offsets, c.diff)
     d_even, d_odd = (sizes[0][p] - ranks[0][0] - ranks[0][1] for p in (0, 1))
     ok = d_even == 1 and d_odd == 0
     return ok, (f"deep homology ranks: {d_even} in tau-parity, {d_odd} off-parity")
@@ -472,12 +457,11 @@ def tensor(a: IotaComplex, b: IotaComplex) -> IotaComplex:
     """Tensor product over GF(2)[U]; gradings add, iota = iota_a (x) iota_b.
 
     No grading shift is applied: classes are stored in the h-normalized
-    convention, where the trivial complex is the unit.  The operands'
-    defects are carried forward.
+    convention, where the trivial complex is the unit.
     """
     m = b.n  # generator x_i (x) y_k has index i * m + k
-    labels = [f"{la}*{lb}" for la in a.labels for lb in b.labels]
-    gradings = [ga + gb for ga in a.gradings for gb in b.gradings]
+    labels = tuple(f"{la}*{lb}" for la in a.labels for lb in b.labels)
+    offsets = tuple(oa + ob for oa in a.offsets for ob in b.offsets)
 
     def spread(col: int) -> int:
         """Bit i of a column of a, moved to bit i * m (the row x_i (x) y_0)."""
@@ -490,8 +474,7 @@ def tensor(a: IotaComplex, b: IotaComplex) -> IotaComplex:
             # the copies ib << (i * m) fill disjoint blocks of m bits, so the
             # integer product is their XOR
             iota.append(ia * ib)
-    return graded_complex(labels, gradings, diff, iota, a.tau + b.tau,
-                          a.defects + b.defects)
+    return IotaComplex(labels, offsets, tuple(diff), tuple(iota), a.tau + b.tau)
 
 
 def _transpose(m: Map, n: int) -> Map:
@@ -504,13 +487,10 @@ def _transpose(m: Map, n: int) -> Map:
 
 
 def dual(a: IotaComplex) -> IotaComplex:
-    """Dual complex: gradings negated, differential and iota transposed.
-
-    An entry keeps its exponent, and the operand's defects are carried forward.
-    """
-    return graded_complex([f"{l}^" for l in a.labels], [-g for g in a.gradings],
-                          _transpose(a.diff, a.n), _transpose(a.iota, a.n), -a.tau,
-                          a.defects)
+    """Dual complex: gradings negated, differential and iota transposed, an
+    entry keeping its exponent."""
+    return IotaComplex(tuple(f"{l}^" for l in a.labels), tuple(-t for t in a.offsets),
+                       _transpose(a.diff, a.n), _transpose(a.iota, a.n), -a.tau)
 
 
 @dataclass(frozen=True)
@@ -519,17 +499,22 @@ class ConeComplex:
 
     Generators 0..n-1 are the un-decorated copies (grading raised by one),
     generators n..2n-1 the Q-decorated copies (original chain grading).
-    The total differential is d + Q(1 + iota).
+    The total differential is d + Q(1 + iota).  ``offsets`` count from
+    ``base.tau``, as in ``IotaComplex``.
     """
 
     base: IotaComplex
     labels: tuple[str, ...]
-    gradings: tuple[Grading, ...]
+    offsets: tuple[int, ...]
     diff: Map
 
     @property
     def n(self) -> int:
         return len(self.labels)
+
+    @property
+    def gradings(self) -> tuple[Grading, ...]:
+        return tuple(self.base.tau + t for t in self.offsets)
 
 
 def _cone_diff(diff: Map, iota: Map) -> Map:
@@ -543,8 +528,8 @@ def _cone_diff(diff: Map, iota: Map) -> Map:
 
 def mapping_cone(a: IotaComplex) -> ConeComplex:
     labels = tuple(a.labels) + tuple(f"Q{l}" for l in a.labels)
-    gradings = tuple(g + 1 for g in a.gradings) + tuple(a.gradings)
-    return ConeComplex(a, labels, gradings, _cone_diff(a.diff, a.iota))
+    offsets = tuple(t + 1 for t in a.offsets) + a.offsets
+    return ConeComplex(a, labels, offsets, _cone_diff(a.diff, a.iota))
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +596,7 @@ def homology_ranks(c, window) -> dict[Grading, int]:
     if not isinstance(c, (IotaComplex, ConeComplex)):
         raise TypeError(f"not a complex: {c!r}")
     tau = (c if isinstance(c, IotaComplex) else c.base).tau
-    grades, sizes, ranks, _ = _eliminate(_offsets(c.gradings, tau), c.diff)
+    grades, sizes, ranks, _ = _eliminate(c.offsets, c.diff)
     gradings = [rational(g) for g in window]
     out = {}
     for g, t in zip(gradings, _offsets(gradings, tau)):
@@ -699,12 +684,11 @@ def correction_terms(c: IotaComplex) -> tuple[Grading, Grading, Grading]:
 
     One exact pass (``_tower_tops``) over C and one over its mapping cone,
     with no truncation and no expanded model.  The trivial complex returns
-    (0, 0, 0).  A grading outside tau + Z raises ValueError, and a complex
-    with no tower RuntimeError.
+    (0, 0, 0).  A complex with no tower raises RuntimeError.
     """
-    off = _offsets(c.gradings, c.tau)
-    d, _ = _tower_tops(off, c.diff)
-    d_bar, odd = _tower_tops([t + 1 for t in off] + off, _cone_diff(c.diff, c.iota))
+    d, _ = _tower_tops(c.offsets, c.diff)
+    d_bar, odd = _tower_tops(tuple(t + 1 for t in c.offsets) + c.offsets,
+                             _cone_diff(c.diff, c.iota))
     if None in (d, d_bar, odd):
         raise RuntimeError("no tower class found; complex violates the tower axiom")
     terms = (c.tau + d, c.tau + d_bar, c.tau + odd - 1)
@@ -817,7 +801,7 @@ class _Side:
 
     def __init__(self, c: IotaComplex):
         self.c = c
-        self.offsets = _offsets(c.gradings, c.tau)
+        self.offsets = c.offsets
         self.grades: tuple[list[int], list[int]] = ([], [])
         self.prefix = ([0], [0])  # prefix[p][k] masks the lowest k levels of parity p
         for t, mask in zip(*_levels(self.offsets)):

@@ -12,13 +12,13 @@ Grammar (whitespace-insensitive):
     rational := ['-'] digits ['/' digits]
 
 A leading '+' or '-' before the first term is accepted.  Parse errors carry
-the character position at which they occurred.
+the character position at which they occurred; so does each parsed atom.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 
@@ -75,9 +75,12 @@ Atom = SigmaAtom | YAtom | MAtom | IAtom | FileAtom
 
 @dataclass(frozen=True)
 class ExpressionAST:
-    """Signed integer-weighted terms: ((weight, atom), ...), weights nonzero."""
+    """Signed integer-weighted terms: ((weight, atom), ...), weights nonzero;
+    ``positions``, each atom's character position in the parsed text (empty
+    unless built by ``parse``), takes no part in equality."""
 
     terms: tuple[tuple[int, Atom], ...]
+    positions: tuple[int, ...] = field(default=(), compare=False)
 
     def __str__(self) -> str:
         parts = []
@@ -163,7 +166,7 @@ def _parse_atom(s: _Scanner) -> Atom:
                      s.pos)
 
 
-def _parse_term(s: _Scanner) -> tuple[int, Atom]:
+def _parse_term(s: _Scanner) -> tuple[int, int, Atom]:
     s.skip_ws()
     start = s.pos
     m = re.match(r"(\d+)\s*\*", s.text[s.pos:])
@@ -173,18 +176,21 @@ def _parse_term(s: _Scanner) -> tuple[int, Atom]:
         s.pos += m.end()
         if mult == 0:
             raise ParseError("term multiplicity must be nonzero", start)
-    return mult, _parse_atom(s)
+    s.skip_ws()
+    return mult, s.pos, _parse_atom(s)
 
 
 def parse(text: str) -> ExpressionAST:
     s = _Scanner(text)
     terms: list[tuple[int, Atom]] = []
+    positions: list[int] = []
     sign = -1 if s.match("-") else 1
     if sign == 1:
         s.match("+")
-    w, atom = _parse_term(s)
-    terms.append((sign * w, atom))
     while True:
+        w, pos, atom = _parse_term(s)
+        terms.append((sign * w, atom))
+        positions.append(pos)
         s.skip_ws()
         if s.pos >= len(s.text):
             break
@@ -194,6 +200,4 @@ def parse(text: str) -> ExpressionAST:
             sign = -1
         else:
             raise ParseError("expected '+', '-', or end of expression", s.pos)
-        w, atom = _parse_term(s)
-        terms.append((sign * w, atom))
-    return ExpressionAST(tuple(terms))
+    return ExpressionAST(tuple(terms), tuple(positions))

@@ -90,7 +90,6 @@ def to_profile(m: WeaklyMonotoneRoot) -> SymmetricRootProfile:
     """
     hs = [h for h, _ in m.params]
     rs = [r for _, r in m.params]
-    n = m.type
     if hs[-1] == rs[-1]:
         leaves = hs + hs[-2::-1]
         angles = rs[:-1] + rs[-2::-1]

@@ -174,8 +174,16 @@ def oracle_check(a: LocalClass, want: tuple[Fraction, Fraction, Fraction]) -> st
 def evaluate(ast: ExpressionAST, input_text: str = "", oracle: bool = False) -> Report:
     term_rows = []
     total = localclass.zero()
-    for w, atom in ast.terms:
-        cls = atom_to_class(atom)
+    for k, (w, atom) in enumerate(ast.terms):
+        try:
+            cls = atom_to_class(atom)
+        except (ValueError, OSError) as e:
+            where = f"{atom} at position {ast.positions[k]}" if ast.positions else str(atom)
+            try:
+                named = type(e)(f"{where}: {e}")
+            except TypeError:  # a class with other arguments, as UnicodeDecodeError
+                named = ValueError(f"{where}: {e}")
+            raise named from e
         term_rows.append((w, str(atom), cls))
         total = total + w * cls
     terms = cterms.correction_terms(total)

@@ -117,4 +117,7 @@ def profile_from_text(text: str) -> SymmetricRootProfile:
     p = SymmetricRootProfile(tuple(leaves), tuple(angles))
     if coset is not None and (p.leaves[0] - coset) % 2 != 0:
         raise ValueError(f"declared coset {coset} inconsistent with leaf gradings")
+    failed = validate_profile(p).failed()
+    if failed:
+        raise ValueError("invalid profile: " + "; ".join(map(": ".join, failed)))
     return p

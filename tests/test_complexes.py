@@ -64,14 +64,16 @@ def test_tensor_of_standard_complexes():
     assert validate(t).ok
     d, d_bar, d_under = correction_terms(t)
     assert d == 4 and d_bar == 4 and d_under == 2
+    assert validate(tensor(std(2, 0), std(0, -2))).ok
 
 
 def test_validate_rejects_broken_differential():
-    # d(x) = y with gr(x) = gr(y) violates the degree -1 requirement
-    c = iota_complex(("x", "y"), (0, 0),
+    # d(y) = x with gr(x) = gr(y) violates the degree -1 requirement, and
+    # the complex is refused where it is built
+    with pytest.raises(ValueError, match=r"entry \(x, y\) exponent 0"):
+        iota_complex(("x", "y"), (0, 0),
                      ((0, 1), (0, 0)),
                      ((1, 0), (0, 1)))
-    assert not validate(c).ok
 
 
 def test_validate_rejects_d_squared_nonzero():
@@ -191,24 +193,12 @@ def test_mixed_coset_tensor_keeps_tau_sum():
 
 
 def test_validate_rejects_inhomogeneous_entry():
-    # d(x) = (1 + U^2) y: the U^2 term has the wrong degree
-    c = iota_complex(("x", "y"), (1, 0),
+    # d(x) = (1 + U^2) y: the U^2 term has the wrong degree, so no complex
+    # with it exists for validate, tensor or dual to see
+    with pytest.raises(ValueError, match=r"entry \(y, x\) exponent 2"):
+        iota_complex(("x", "y"), (1, 0),
                      [[[], []], [[0, 2], []]],
                      ((1, 0), (0, 1)))
-    failed = dict(validate(c).failed())
-    assert "differential degree -1" in failed
-    assert "exponent 2" in failed["differential degree -1"]
-
-
-def test_tensor_and_dual_carry_a_degree_defect_forward():
-    # the wrong-degree term is dropped from the bits, but not forgotten
-    bad = iota_complex(("x", "y"), (1, 0),
-                       [[[], []], [[0, 2], []]],
-                       ((1, 0), (0, 1)))
-    for c in (tensor(bad, std(2, 0)), tensor(std(2, 0), bad), dual(bad)):
-        failed = dict(validate(c).failed())
-        assert "exponent 2" in failed["differential degree -1"]
-    assert validate(tensor(std(2, 0), std(0, -2))).ok
 
 
 def _twisted():
@@ -438,6 +428,19 @@ def test_local_map_search_refuses_other_tower_cosets():
     assert not complexes.locally_equivalent(a, b)
 
 
+def test_an_empty_or_ragged_complex_is_refused():
+    with pytest.raises(ValueError, match="at least one generator"):
+        iota_complex((), (), [], [])
+    with pytest.raises(ValueError, match="at least one generator"):
+        complexes.graded_complex((), (), (), (), 0)
+    # two generators with one grading, or with one involution column
+    with pytest.raises(ValueError, match="one grading for each"):
+        iota_complex(("x", "y"), (0,), [[0, 0], [0, 0]], [[1, 0], [0, 1]])
+    for gradings, iota in (((0,), (1, 2)), ((0, 0), (1,))):
+        with pytest.raises(ValueError, match="for each a grading"):
+            complexes.graded_complex(("x", "y"), gradings, (0, 0), iota, 0)
+
+
 def test_zero_denominator_grading_or_tau_is_a_value_error():
     for gradings, tau in ((["1/0"], None), (["0"], "1/0")):
         with pytest.raises(ValueError, match="'1/0'"):
@@ -455,14 +458,13 @@ def test_grading_off_the_tau_coset_is_refused(monkeypatch):
     monkeypatch.setattr(complexes, "_d_scan", no_scan)
     monkeypatch.setattr(complexes, "_cone_scans", no_scan)
     monkeypatch.setattr(complexes.Expanded, "probe", no_scan)
-    c = iota_complex(["a"], ["1/2"], [[0]], [[1]], tau=0)
-    with pytest.raises(ValueError, match="grading 1/2"):
-        correction_terms(c)
-    with pytest.raises(ValueError, match="grading 1/2"):
-        find_local_map(c, c)
-    mixed = iota_complex(["a", "b"], [0, "1/2"], [[0, 0], [0, 0]], [[1, 0], [0, 1]])
-    with pytest.raises(ValueError, match="grading 1/2"):
-        homology_ranks(mixed, [0, -1])
+    # Such a complex is refused where it is built.
+    with pytest.raises(ValueError, match="grading 1/2 is not in 0 \\+ Z"):
+        iota_complex(["a"], ["1/2"], [[0]], [[1]], tau=0)
+    with pytest.raises(ValueError, match="grading 1/2 is not in 0 \\+ Z"):
+        iota_complex(["a", "b"], [0, "1/2"], [[0, 0], [0, 0]], [[1, 0], [0, 1]])
+    with pytest.raises(ValueError, match="grading 1/2 is not in 0 \\+ Z"):
+        complexes.graded_complex(["a", "b"], [0, Fraction(1, 2)], [0, 0], [1, 2], 0)
 
 
 # ---------------------------------------------------------------------------

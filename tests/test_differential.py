@@ -24,6 +24,8 @@
 - the truncated reference scans at the smallest truncation their probe
   admits against every larger truncation up to 7 past the default: the
   same triple, which is the closed-form one on class complexes;
+- the offsets that tensor products, duals and mapping cones derive in int
+  arithmetic against those ``graded_complex`` reads off the exact gradings;
 - the oracle's exact pass, with no truncation, against those truncated
   scans, also on relabelled complexes in the coset 1/2 of Z and on an
   acyclic one;
@@ -508,6 +510,26 @@ def _relabelled(c, rng):
         [c.labels[i] for i in order], [c.gradings[i] + half for i in order],
         [move(c.diff[i]) for i in order], [move(c.iota[i]) for i in order],
         c.tau + half)
+
+
+def test_stored_offsets_are_those_of_the_gradings():
+    # tensor, dual and mapping_cone derive their offsets from tau in int
+    # arithmetic; they are the offsets graded_complex reads off the exact
+    # gradings, on seeded standard complexes, tensor products (also of
+    # copies in the coset 1/2 + Z), duals, class complexes, mapping cones
+    # and the relabelled copies
+    rng = random.Random(20170636)
+    built = _random_complexes(20170636, 20)
+    built += [complexes.dual(c) for c in built[:10]]
+    built += [class_complex(a) for a in rng.sample(SMALL_CLASSES, 8)]
+    built += [_relabelled(c, rng) for c in built]
+    built += [complexes.tensor(built[k], built[-k]) for k in range(1, 6)]
+    for c in built:
+        assert c.offsets == tuple(complexes._offsets(c.gradings, c.tau))
+        assert complexes.graded_complex(c.labels, c.gradings, c.diff, c.iota, c.tau) == c
+        cone = complexes.mapping_cone(c)
+        assert cone.offsets == tuple(complexes._offsets(cone.gradings, c.tau))
+        assert cone.gradings == tuple(g + 1 for g in c.gradings) + c.gradings
 
 
 def test_exact_pass_matches_the_truncated_scans():

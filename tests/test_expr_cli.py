@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from hfi import cli, complexes
+from hfi.brieskorn import SigmaSizeError
 from hfi.cli import main
 from hfi.cterms import MAX_CLASS_WEIGHT, realization_family
 from hfi.expr import (ExpressionAST, FileAtom, IAtom, MAtom, ParseError,
@@ -38,6 +39,9 @@ def test_parse_signs_and_multiplicity():
     ast = parse("- Y(1) + 3*Y(2) - 2 * Sigma(2,3,5)")
     assert ast.terms == ((-1, YAtom(1)), (3, YAtom(2)),
                          (-2, SigmaAtom(2, 3, 5)))
+    # each atom's position, which takes no part in equality
+    assert ast.positions == (2, 11, 22)
+    assert ast == ExpressionAST(ast.terms) == parse("-Y(1)+3*Y(2)-2*Sigma(2,3,5)")
 
 
 def test_parse_leading_plus():
@@ -294,6 +298,8 @@ def test_cli_eval_file_atom(tmp_path, capsys):
     ["eval", "I[1/0]"],  # zero denominators
     ["eval", "M(1/0,0)"],
     ["family", "--M", "1", "--N", "1", "--d", "1/0", "--mu", "0"],
+    ["eval", "Y(1) + Sigma(2,4,5)"],  # atom errors name the atom
+    ["eval", "Y(1) + @nope.txt"],
 ])
 def test_cli_invalid_input_exits_2_with_message(argv, capsys):
     assert main(argv) == 2
@@ -304,6 +310,23 @@ def test_cli_invalid_input_exits_2_with_message(argv, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("text, error, message", [
+    ("Y(1) + Sigma(2,4,5)", ValueError,
+     "Sigma(2,4,5) at position 7: fiber multiplicities must be pairwise coprime"),
+    ("Y(1) + @nope.txt", FileNotFoundError,
+     "@nope.txt at position 7: [Errno 2] No such file or directory: 'nope.txt'"),
+    ("Y(1) - 3 * Sigma(1009,1013,1019)", SigmaSizeError,
+     "Sigma(1009,1013,1019) at position 11: Sigma(1009,1013,1019) has alpha"),
+    ("Y(0)", ValueError, "Y(0) at position 0: basis index"),
+])
+def test_atom_errors_name_the_atom_and_keep_their_class(text, error, message,
+                                                        tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(error) as e:
+        evaluate_text(text)
+    assert type(e.value) is error and str(e.value).startswith(message)
+
+
 @pytest.mark.parametrize("argv, text, fragment", [
     (["decompose", "{profile}"], "coset: 0\nleaves: 1/0\nangles:\n", "1/0"),
     (["eval", "@{profile}"], "coset: 0\nleaves: 1/0\nangles:\n", "1/0"),
@@ -312,8 +335,18 @@ def test_cli_invalid_input_exits_2_with_message(argv, capsys):
     (["decompose", "{profile}"], "coset: 0\nangles:\n", "no leaves line"),
     (["decompose", "{profile}"], "coset: 1\nleaves: 0\nangles:\n",
      "coset 1 inconsistent"),
+    # profiles that fail validate_profile: an angle above a leaf, mixed
+    # cosets, and angles above both their leaves
+    (["eval", "@{profile}", "--oracle"], "leaves: 0 -4 0\nangles: -2 -2\n",
+     "angles below adjacent leaves: angle 1 at -2"),
+    (["decompose", "{profile}"], "leaves: 0 1 0\nangles: -2 -2\n",
+     "single coset of 2Z: grading 1 not in 0 + 2Z"),
+    (["decompose", "{profile}"], "leaves: 2 0 2\nangles: 4 4\n",
+     "angles below adjacent leaves: angle 1 at 4"),
 ], ids=["decompose", "eval-file-atom", "decompose-unrecognised-line",
-        "decompose-no-leaves", "decompose-coset-mismatch"])
+        "decompose-no-leaves", "decompose-coset-mismatch",
+        "eval-file-atom-angle-above-leaf", "decompose-mixed-cosets",
+        "decompose-angles-above-leaves"])
 def test_cli_zero_denominator_in_a_profile_file_exits_2(argv, text, fragment,
                                                         tmp_path, capsys):
     profile = tmp_path / "root.txt"
