@@ -35,7 +35,7 @@ from .plumbing import (PlumbingGraph, canonical_K, graph_from_text,
                        graph_to_text, is_almost_rational, is_negative_definite,
                        is_rational, k_squared, minimal_cycle)
 from .report import Report, evaluate, evaluate_text
-from .roots import (RootProfile, SymmetricRootProfile, profile_from_text,
-                    profile_to_text, standard_complex, validate_profile)
+from .roots import (SymmetricRootProfile, profile_from_text, profile_to_text,
+                    standard_complex)
 
 __version__ = "0.1.0"

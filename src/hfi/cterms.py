@@ -224,7 +224,7 @@ def realization_family(M: int, N: int, d, mu_bar_target, k: int = 0) -> LocalCla
         n_extra = int(d_prime + 2 * M - 2) // 2
         cls = (Y(M + 2 * N + 1 + k) - Y(M + N + 1 + k) - Y(M + N + 1)
                + (2 + n_extra) * Y(1))
-    cls = cls + LocalClass.make({}, shift=shift)
+    cls = LocalClass(cls.coeffs, shift)
     got = correction_terms(cls)
     want = (d, d + 2 * M, d - 2 * N)
     if got != want or mu_bar(cls) != mu:

@@ -3,7 +3,8 @@
 A class is a finite integer combination of the basis elements Y_i (i >= 1)
 together with a rational grading shift Delta; addition is coefficientwise,
 negation is dualization, and the derived invariants d, mu-bar, and the
-Rokhlin invariant are group homomorphisms.
+Rokhlin invariant are group homomorphisms.  ``LocalClass`` has one
+constructor, which puts any (index, coefficient) pairs in canonical form.
 
 Shift convention: [Delta] means tensoring with a single tower starting in
 grading -Delta, so the class with zero coefficients and shift Delta has
@@ -20,7 +21,11 @@ from fractions import Fraction
 
 
 def rational(value) -> Fraction:
-    """``Fraction(value)`` for outside text; a zero denominator is a ValueError."""
+    """``Fraction(value)`` for an exact value or outside text; a float (not
+    exact: ``Fraction(0.1)`` is not 1/10) or a zero denominator is a ValueError."""
+    if isinstance(value, float):
+        raise ValueError(f"inexact value {value!r}: give an int, a Fraction "
+                         "or a string such as '1/2'")
     try:
         return Fraction(value)
     except ZeroDivisionError:
@@ -29,29 +34,32 @@ def rational(value) -> Fraction:
 
 @dataclass(frozen=True)
 class LocalClass:
-    coeffs: tuple[tuple[int, int], ...]  # sorted (index, coefficient), coefficient != 0
-    shift: Fraction
+    """sum c_i Y_i shifted by [Delta].  The constructor adds the coefficients
+    of a repeated index, drops zeros, sorts by index and reads the shift
+    through ``rational``; an index that is not a positive int or a
+    coefficient that is not an int raises ValueError."""
 
-    @staticmethod
-    def make(coeffs: dict[int, int] | None = None, shift=0) -> "LocalClass":
-        coeffs = coeffs or {}
-        items = []
-        for i, c in sorted(coeffs.items()):
+    coeffs: tuple[tuple[int, int], ...] = ()
+    shift: Fraction = Fraction(0)
+
+    def __post_init__(self):
+        acc: dict[int, int] = {}
+        for i, c in self.coeffs:
             if not isinstance(i, int) or i <= 0:
                 raise ValueError(f"basis index must be a positive integer, got {i}")
-            if c:
-                items.append((i, int(c)))
-        return LocalClass(tuple(items), Fraction(shift))
+            if not isinstance(c, int):
+                raise ValueError(f"coefficient of Y[{i}] must be an integer, got {c!r}")
+            acc[i] = acc.get(i, 0) + c
+        object.__setattr__(self, "coeffs",
+                           tuple(sorted((i, c) for i, c in acc.items() if c)))
+        object.__setattr__(self, "shift", rational(self.shift))
 
     @property
     def is_zero(self) -> bool:
         return not self.coeffs and self.shift == 0
 
     def __add__(self, other: "LocalClass") -> "LocalClass":
-        acc = dict(self.coeffs)
-        for i, c in other.coeffs:
-            acc[i] = acc.get(i, 0) + c
-        return LocalClass.make(acc, self.shift + other.shift)
+        return LocalClass(self.coeffs + other.coeffs, self.shift + other.shift)
 
     def __neg__(self) -> "LocalClass":
         return LocalClass(tuple((i, -c) for i, c in self.coeffs), -self.shift)
@@ -62,7 +70,7 @@ class LocalClass:
     def __rmul__(self, k: int) -> "LocalClass":
         if not isinstance(k, int):
             return NotImplemented
-        return LocalClass.make({i: k * c for i, c in self.coeffs}, k * self.shift)
+        return LocalClass(tuple((i, k * c) for i, c in self.coeffs), k * self.shift)
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -80,21 +88,21 @@ class LocalClass:
     def from_json(obj) -> "LocalClass":
         if isinstance(obj, str):
             obj = json.loads(obj)
-        return LocalClass.make({int(i): int(c) for i, c in obj["coeffs"].items()},
-                               rational(obj["shift"]))
+        return LocalClass(tuple((int(i), c) for i, c in obj["coeffs"].items()),
+                          obj["shift"])
 
 
 def zero() -> LocalClass:
-    return LocalClass.make()
+    return LocalClass()
 
 
 def Y(i: int) -> LocalClass:
-    return LocalClass.make({i: 1})
+    return LocalClass(((i, 1),))
 
 
 def I(delta) -> LocalClass:
     """Shifted trivial class: a single tower starting in grading -delta."""
-    return LocalClass.make({}, shift=delta)
+    return LocalClass((), delta)
 
 
 def d_invariant(a: LocalClass) -> Fraction:

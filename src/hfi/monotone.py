@@ -170,18 +170,8 @@ def decompose(m: MonotoneRoot) -> LocalClass:
     dropped.  The grading shift is -r_n (so mu-bar = -r_n/2 and the
     d-invariant of the class is h_1).
     """
-    coeffs: dict[int, int] = {}
-
-    def bump(idx: Grading, amount: int):
-        if idx % 2 != 0:
-            raise ValueError("parameter difference not an even integer")
-        i = idx // 2
-        if i:
-            coeffs[i] = coeffs.get(i, 0) + amount
-
-    n = m.type
-    for i in range(n):
-        bump(m.params[i][0] - m.params[i][1], +1)
-        if i + 1 < n:
-            bump(m.params[i + 1][0] - m.params[i][1], -1)
-    return LocalClass.make(coeffs, shift=-m.params[-1][1])
+    hs = [h for h, _ in m.params]
+    rs = [r for _, r in m.params]
+    terms = ([((h - r) // 2, 1) for h, r in zip(hs, rs)]
+             + [((h - r) // 2, -1) for h, r in zip(hs[1:], rs)])
+    return LocalClass([t for t in terms if t[0]], -rs[-1])

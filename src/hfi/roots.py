@@ -3,7 +3,9 @@
 A profile records the gradings gr(v_1)..gr(v_n) of the leaves and
 gr(alpha_1)..gr(alpha_{n-1}) of the angles between consecutive leaves, in
 left-to-right order.  The infinite stem below the final merge carries no
-generators beyond U-powers, so only the finite top part is stored.
+generators beyond U-powers, so only the finite top part is stored.  The
+constructor of ``SymmetricRootProfile`` refuses a profile that is not a
+symmetric graded root.
 
 The standard complex of a symmetric profile has one generator per leaf (at
 the leaf grading) and one per angle (at gr(alpha)+1), with
@@ -16,61 +18,59 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import le, mod, sub
 
-from .complexes import Diagnostics, Grading, IotaComplex, graded_complex
+from .complexes import Grading, IotaComplex, graded_complex
 from .localclass import rational
 
 
 @dataclass(frozen=True)
-class RootProfile:
+class SymmetricRootProfile:
+    """Leaf and angle gradings of a symmetric graded root.  The constructor
+    stores both as tuples and raises ValueError unless one angle sits between
+    each two consecutive leaves, both are reflection-symmetric, no angle lies
+    above an adjacent leaf and all gradings lie in gr(v_1) + 2Z (so each merge
+    exponent is a non-negative integer); by symmetry the last two checks read
+    the left half and the centre only."""
+
     leaves: tuple[Grading, ...]
     angles: tuple[Grading, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "leaves", tuple(self.leaves))
-        object.__setattr__(self, "angles", tuple(self.angles))
-        if len(self.leaves) < 1:
+        leaves, angles = tuple(self.leaves), tuple(self.angles)
+        object.__setattr__(self, "leaves", leaves)
+        object.__setattr__(self, "angles", angles)
+        n = len(leaves)
+        if n < 1:
             raise ValueError("a profile needs at least one leaf")
-        if len(self.angles) != len(self.leaves) - 1:
+        if len(angles) != n - 1:
             raise ValueError("need exactly one angle between consecutive leaves")
+        if leaves != leaves[::-1]:
+            raise ValueError("leaf gradings are not reflection-symmetric")
+        if angles != angles[::-1]:
+            raise ValueError("angle gradings are not reflection-symmetric")
+        # angle i lies between leaves i and i + 1; for the central angle of
+        # an even profile the leaf on the right mirrors the one on the left
+        left, inner = leaves[:(n + 1) // 2], angles[:n // 2]
+        if not (all(map(le, inner, left)) and all(map(le, inner, left[1:]))):
+            i = next(i for i, a in enumerate(inner)
+                     if a > min(leaves[i], leaves[i + 1]))
+            raise ValueError(f"invalid profile: angles below adjacent leaves: angle "
+                             f"{i + 1} at {inner[i]} exceeds an adjacent leaf")
+        base, half = leaves[0], left + inner
+        if any(map(mod, map(sub, half, repeat(base)), repeat(2))):
+            g = next(g for g in half if (g - base) % 2)
+            raise ValueError(f"invalid profile: single coset of 2Z: "
+                             f"grading {g} not in {base} + 2Z")
 
     @property
     def n(self) -> int:
         return len(self.leaves)
 
 
-@dataclass(frozen=True)
-class SymmetricRootProfile(RootProfile):
-    def __post_init__(self):
-        super().__post_init__()
-        if self.leaves != tuple(reversed(self.leaves)):
-            raise ValueError("leaf gradings are not reflection-symmetric")
-        if self.angles != tuple(reversed(self.angles)):
-            raise ValueError("angle gradings are not reflection-symmetric")
-
-
-def validate_profile(p: RootProfile) -> Diagnostics:
-    """Check that no angle lies above an adjacent leaf and that all gradings
-    lie in one coset of 2Z; together these make every merge exponent
-    (gr(v) - gr(alpha))/2 a non-negative integer."""
-    checks = []
-    bad = [(i, a) for i, a in enumerate(p.angles)
-           if a > min(p.leaves[i], p.leaves[i + 1])]
-    checks.append(("angles below adjacent leaves", not bad,
-                   "ok" if not bad else f"angle {bad[0][0] + 1} at {bad[0][1]} "
-                   f"exceeds an adjacent leaf"))
-    base = p.leaves[0]
-    off = [g for g in p.leaves + p.angles if (g - base) % 2]
-    checks.append(("single coset of 2Z", not off,
-                   "ok" if not off else f"grading {off[0]} not in {base} + 2Z"))
-    return Diagnostics(tuple(checks))
-
-
 def standard_complex(p: SymmetricRootProfile) -> IotaComplex:
     """The standard iota-complex of a symmetric profile (involution J_0)."""
-    diag = validate_profile(p)
-    if not diag.ok:
-        raise ValueError("invalid profile:\n" + str(diag))
     n = p.n
     labels = [f"v{i + 1}" for i in range(n)] + [f"a{i + 1}" for i in range(n - 1)]
     gradings = list(p.leaves) + [a + 1 for a in p.angles]
@@ -86,7 +86,7 @@ def standard_complex(p: SymmetricRootProfile) -> IotaComplex:
 # profile text format
 
 
-def profile_to_text(p: RootProfile) -> str:
+def profile_to_text(p: SymmetricRootProfile) -> str:
     lines = [f"coset: {p.leaves[0] % 2}",
              " ".join(["leaves:", *map(str, p.leaves)]),
              " ".join(["angles:", *map(str, p.angles)])]
@@ -117,7 +117,4 @@ def profile_from_text(text: str) -> SymmetricRootProfile:
     p = SymmetricRootProfile(tuple(leaves), tuple(angles))
     if coset is not None and (p.leaves[0] - coset) % 2 != 0:
         raise ValueError(f"declared coset {coset} inconsistent with leaf gradings")
-    failed = validate_profile(p).failed()
-    if failed:
-        raise ValueError("invalid profile: " + "; ".join(map(": ".join, failed)))
     return p

@@ -9,7 +9,9 @@ bitsets.  These
 are the definitions those replace: the ceiling formula for the tau steps,
 the dense intersection form and its Fraction elimination, the
 almost-rationality test that rebuilds the graph for each weight it tries,
-the O(n^2) Pareto scan over ``mirror_merge``, the pair-deleting
+the graded-root conditions on a profile checked over all of it (the
+profile constructor checks the left half only), the O(n^2) Pareto scan
+over ``mirror_merge``, the pair-deleting
 restart loop that simplifies a weakly monotone root, the list-based
 extrema scan, the reduced row-echelon form of a matrix stored as lists of
 0/1 rows, the composition of maps stored as columns of explicit
@@ -138,6 +140,18 @@ def dense_k_squared(g: PlumbingGraph) -> Fraction:
                 a[r] = [v - f * p for v, p in zip(a[r], a[col])]
     x = [a[i][n] for i in range(n)]
     return sum(Fraction(K[i]) * x[i] for i in range(n))
+
+
+def is_graded_root_profile(leaves, angles) -> bool:
+    """Whether leaf and angle gradings form a symmetric graded root: one
+    angle between consecutive leaves, both sequences symmetric, no angle
+    above an adjacent leaf, and every grading in leaves[0] + 2Z, each
+    checked over the whole profile."""
+    leaves, angles = list(leaves), list(angles)
+    return (len(leaves) >= 1 and len(angles) == len(leaves) - 1
+            and leaves == leaves[::-1] and angles == angles[::-1]
+            and all(a <= min(leaves[i], leaves[i + 1]) for i, a in enumerate(angles))
+            and all((g - leaves[0]) % 2 == 0 for g in leaves + angles))
 
 
 def mirror_merge(p: SymmetricRootProfile, i: int):

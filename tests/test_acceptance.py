@@ -125,7 +125,7 @@ def test_criterion_05_formula_vs_oracle_sweep():
             for k, sk in itertools.product(indices, signs):
                 combos.add((tuple(sorted([(i, si), (j, sj), (k, sk)])), ))
         for (terms,) in sorted(combos):
-            cls = LocalClass.make({})
+            cls = LocalClass()
             for i, s in terms:
                 cls = cls + (s * Y(i))
             assert correction_terms(cls) == oracle_terms(class_complex(cls)), \

@@ -256,7 +256,7 @@ def _involutive_complexes():
             drawn.append(standard_complex(to_profile(root)))
     for _ in range(2):
         coeffs = {i: rng.choice((-1, 1)) for i in rng.sample((1, 2, 3), 2)}
-        drawn.append(class_complex(LocalClass.make(coeffs, rng.choice((0, 2, -2)))))
+        drawn.append(class_complex(LocalClass(coeffs.items(), rng.choice((0, 2, -2)))))
     return fixed + drawn
 
 
@@ -447,6 +447,18 @@ def test_zero_denominator_grading_or_tau_is_a_value_error():
             iota_complex(("x",), gradings, [[0]], [[1]], tau=tau)
     with pytest.raises(ValueError, match="'1/0'"):
         homology_ranks(trivial_complex(), ["1/0"])
+
+
+def test_a_grading_or_tau_that_is_not_exact_is_refused():
+    # a float grading would give float correction terms, and a string has
+    # no exact value to read
+    for g in (0.5, "1/2"):
+        with pytest.raises(ValueError, match=f"grading {g!r} is not an int or a Fraction"):
+            trivial_complex(g)
+    with pytest.raises(ValueError, match="grading 0.0 is not an int"):
+        complexes.graded_complex(("x",), (0,), (0,), (1,), 0.0)
+    half = Fraction(1, 2)
+    assert correction_terms(trivial_complex(half)) == (half, half, half)
 
 
 def test_grading_off_the_tau_coset_is_refused(monkeypatch):

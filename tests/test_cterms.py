@@ -163,7 +163,7 @@ def test_maxmin_equals_minmax(p):
 def test_formula_agrees_with_tensor_oracle(coeffs):
     from hfi.localclass import LocalClass
     from hfi.monotone import decompose, monotone_subroot
-    a = LocalClass.make(coeffs)
+    a = LocalClass(coeffs.items())
     size = sum(3 * abs(c) * i for i, c in a.coeffs)
     if size > 10:
         return

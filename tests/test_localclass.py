@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hfi.localclass import (I, LocalClass, SphericalParams, Y, d_invariant,
-                            infinite_order_verdict, mu_bar,
+                            infinite_order_verdict, mu_bar, rational,
                             realizability_check, rokhlin, spherical_params,
                             zero)
 
 classes = st.builds(
-    LocalClass.make,
-    st.dictionaries(st.integers(1, 6), st.integers(-3, 3), max_size=4),
+    LocalClass,
+    st.dictionaries(st.integers(1, 6), st.integers(-3, 3), max_size=4).map(dict.items),
     shift=st.integers(-6, 6).map(lambda k: 2 * k))
 
 
@@ -23,14 +23,52 @@ def test_zero_identity():
 
 
 def test_make_drops_zero_coefficients():
-    assert LocalClass.make({1: 0, 2: 1}) == Y(2)
+    assert LocalClass({1: 0, 2: 1}.items()) == Y(2)
 
 
 def test_make_rejects_bad_index():
     with pytest.raises(ValueError):
-        LocalClass.make({0: 1})
+        LocalClass({0: 1}.items())
     with pytest.raises(ValueError):
-        LocalClass.make({-2: 1})
+        LocalClass({-2: 1}.items())
+
+
+def test_a_zero_coefficient_gives_the_zero_class():
+    a = LocalClass(((1, 0),), Fraction(0))
+    assert a.is_zero and a == zero()
+    assert "locally trivial" in infinite_order_verdict(a)
+
+
+def test_unsorted_pairs_give_the_sorted_class():
+    a = LocalClass(((2, 1), (1, -1)), Fraction(0))
+    assert a == Y(2) - Y(1) and a.coeffs == ((1, -1), (2, 1))
+    assert realizability_check(a).orientation == "+"
+
+
+def test_a_repeated_index_adds_up():
+    assert LocalClass(((3, 1), (1, 2), (3, -1), (1, 1))) == 3 * Y(1)
+    assert LocalClass(((2, 1), (2, -1))).is_zero
+
+
+def test_an_int_shift_gives_a_fraction_mu_bar():
+    m = mu_bar(LocalClass(((1, 1),), 1))
+    assert type(m) is Fraction and m == Fraction(1, 2)
+    assert type(LocalClass().shift) is Fraction
+
+
+def test_inexact_shifts_indices_and_coefficients_are_refused():
+    # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10
+    with pytest.raises(ValueError, match="inexact value 0.1"):
+        I(0.1)
+    with pytest.raises(ValueError, match="inexact value 0.5"):
+        rational(0.5)
+    assert rational("0.5") == Fraction(1, 2)
+    with pytest.raises(ValueError, match="basis index"):
+        LocalClass(((1.0, 1),))
+    with pytest.raises(ValueError, match="coefficient of Y\\[1\\]"):
+        LocalClass(((1, Fraction(1, 2)),))
+    with pytest.raises(ValueError, match="coefficient of Y\\[1\\]"):
+        LocalClass.from_json({"coeffs": {"1": 1.5}, "shift": "0"})
 
 
 def test_shift_anchor_values():
@@ -48,7 +86,7 @@ def test_rokhlin_parity():
     assert rokhlin(I(2)) == 1
     assert rokhlin(I(4)) == 0
     with pytest.raises(ValueError):
-        rokhlin(LocalClass.make(shift=Fraction(1, 2)))
+        rokhlin(LocalClass(shift=Fraction(1, 2)))
 
 
 def test_scalar_multiplication():

@@ -104,7 +104,7 @@ def test_decompose_basic():
     c = decompose(M(4, 0, 2, 2))
     assert c.shift == -2
     assert dict(c.coeffs) == {2: 1, 1: -1}
-    assert c == (Y(2) - Y(1)) + LocalClass.make(shift=-2)
+    assert c == (Y(2) - Y(1)) + LocalClass(shift=-2)
 
 
 def test_decompose_type_one():

@@ -4,8 +4,9 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
-from dense_reference import mirror_merge
+from dense_reference import is_graded_root_profile, mirror_merge
 from hfi import cterms
 from hfi.brieskorn import BrieskornParams, brieskorn_root, seifert_plumbing
 from hfi.complexes import (complex_to_json, correction_terms, homology_ranks,
@@ -14,8 +15,8 @@ from hfi.localclass import I
 from hfi.monotone import M, MonotoneRoot, decompose, monotone_subroot
 from hfi.plumbing import chi, minimal_cycle
 from hfi.report import class_complex, evaluate_text
-from hfi.roots import (RootProfile, SymmetricRootProfile, profile_from_text,
-                       profile_to_text, standard_complex, validate_profile)
+from hfi.roots import (SymmetricRootProfile, profile_from_text,
+                       profile_to_text, standard_complex)
 
 # HF-minus gradings of the reference root, +2 internal normalization applied
 FIG_LEAVES = (-6, -2, 0, 0, -2, -6)
@@ -27,17 +28,25 @@ def fig_profile():
 
 
 def test_valid_profile_passes():
-    assert validate_profile(fig_profile()).ok
+    assert fig_profile().n == 6
 
 
 def test_angle_above_leaf_fails():
-    p = RootProfile((0, 0), (2,))
-    assert not validate_profile(p).ok
+    with pytest.raises(ValueError, match="angle 1 at 2 exceeds an adjacent leaf"):
+        SymmetricRootProfile((0, 0), (2,))
+    # both angles sit above the central leaf, so no graded root has them
+    with pytest.raises(ValueError, match="angle 1 at -2 exceeds an adjacent leaf"):
+        SymmetricRootProfile((0, -4, 0), (-2, -2))
 
 
 def test_mixed_coset_fails():
-    p = RootProfile((0, 1), (-2,))
-    assert not validate_profile(p).ok
+    # leaves (0, 1) are also not symmetric, which is checked first
+    with pytest.raises(ValueError):
+        SymmetricRootProfile((0, 1), (-2,))
+    with pytest.raises(ValueError, match="grading 1 not in 0 \\+ 2Z"):
+        SymmetricRootProfile((0, 1, 0), (-2, -2))
+    with pytest.raises(ValueError, match="grading -1 not in 0 \\+ 2Z"):
+        SymmetricRootProfile((0, 0), (-1,))
 
 
 def test_asymmetric_profile_rejected():
@@ -47,8 +56,42 @@ def test_asymmetric_profile_rejected():
 
 def test_single_leaf_profile_is_a_shifted_tower():
     p = SymmetricRootProfile((-2,), ())
-    assert validate_profile(p).ok
     assert correction_terms(standard_complex(p)) == (-2, -2, -2)
+
+
+@st.composite
+def perturbed_profiles(draw):
+    """Small symmetric profiles on an int or half-integral base grading.
+
+    Leaves differ from the base by any integer, so some leave its coset of
+    2Z; each angle lies between 4 below and 1 above its lower neighbour, so
+    some are odd and some rise above an adjacent leaf.
+    """
+    n = draw(st.integers(1, 7))
+    base = draw(st.sampled_from((0, 1, Fraction(1, 2))))
+    half = [base + draw(st.integers(-3, 3)) for _ in range((n + 1) // 2)]
+    leaves = half + half[:n // 2][::-1]
+    inner = [min(leaves[i], leaves[i + 1]) + draw(st.integers(-4, 1))
+             for i in range(n // 2)]
+    return leaves, inner + inner[:(n - 1) // 2][::-1]
+
+
+@seed(20170704)
+@settings(max_examples=300, deadline=None)
+@given(perturbed_profiles())
+def test_profile_constructor_raises_exactly_on_invalid_profiles(profile):
+    leaves, angles = profile
+    if is_graded_root_profile(leaves, angles):
+        p = SymmetricRootProfile(leaves, angles)
+        assert (p.leaves, p.angles) == (tuple(leaves), tuple(angles))
+    else:
+        with pytest.raises(ValueError, match="^invalid profile: "):
+            SymmetricRootProfile(leaves, angles)
+
+
+def test_inexact_profile_gradings_are_refused():
+    with pytest.raises(ValueError, match="0.5 is not an int or a Fraction"):
+        standard_complex(SymmetricRootProfile((0.5,), ()))
 
 
 def test_reference_profile_standard_complex():
