@@ -500,41 +500,42 @@ def dual(a: IotaComplex) -> IotaComplex:
 
 @dataclass(frozen=True)
 class ConeComplex:
-    """Mapping cone of (1 + iota): C -> Q.C.
+    """Mapping cone of (1 + iota): C -> Q.C, built by ``mapping_cone``.
 
     Generators 0..n-1 are the un-decorated copies (grading raised by one),
     generators n..2n-1 the Q-decorated copies (original chain grading).
     The total differential is d + Q(1 + iota).  ``offsets`` count from
-    ``base.tau``, as in ``IotaComplex``.
+    ``tau``, that of ``base``; ``labels`` and ``gradings`` are derived.
     """
 
     base: IotaComplex
-    labels: tuple[str, ...]
     offsets: tuple[int, ...]
     diff: Map
 
     @property
+    def tau(self) -> Grading:
+        return self.base.tau
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return self.base.labels + tuple(f"Q{l}" for l in self.base.labels)
+
+    @property
     def n(self) -> int:
-        return len(self.labels)
+        return len(self.offsets)
 
     @property
     def gradings(self) -> tuple[Grading, ...]:
-        return tuple(self.base.tau + t for t in self.offsets)
-
-
-def _cone_diff(diff: Map, iota: Map) -> Map:
-    """The cone differential d + Q(1 + iota) on the generators of ``ConeComplex``."""
-    n = len(diff)
-    # d(x_j) = d x_j + Q(x_j + iota x_j);  d(Q x_j) = Q d x_j
-    return (tuple(col | ((iota_col ^ (1 << j)) << n)
-                  for j, (col, iota_col) in enumerate(zip(diff, iota)))
-            + tuple(col << n for col in diff))
+        return tuple(self.tau + t for t in self.offsets)
 
 
 def mapping_cone(a: IotaComplex) -> ConeComplex:
-    labels = tuple(a.labels) + tuple(f"Q{l}" for l in a.labels)
     offsets = tuple(t + 1 for t in a.offsets) + a.offsets
-    return ConeComplex(a, labels, offsets, _cone_diff(a.diff, a.iota))
+    # d(x_j) = d x_j + Q(x_j + iota x_j);  d(Q x_j) = Q d x_j
+    diff = (tuple(col | ((iota_col ^ (1 << j)) << a.n)
+                  for j, (col, iota_col) in enumerate(zip(a.diff, a.iota)))
+            + tuple(col << a.n for col in a.diff))
+    return ConeComplex(a, offsets, diff)
 
 
 # ---------------------------------------------------------------------------
@@ -602,11 +603,10 @@ def homology_ranks(c, window) -> dict[Grading, int]:
     """
     if not isinstance(c, (IotaComplex, ConeComplex)):
         raise TypeError(f"not a complex: {c!r}")
-    tau = (c if isinstance(c, IotaComplex) else c.base).tau
     grades, sizes, ranks, _ = _eliminate(c.offsets, c.diff)
     gradings = [rational(g) for g in window]
     out = {}
-    for g, t in zip(gradings, _offsets(gradings, tau)):
+    for g, t in zip(gradings, _offsets(gradings, c.tau)):
         k, p = bisect_left(grades, t), t % 2
         out[g] = sizes[k][p] - ranks[k][p] - ranks[k][1 - p]
     return out
@@ -693,9 +693,9 @@ def correction_terms(c: IotaComplex) -> tuple[Grading, Grading, Grading]:
     with no truncation and no expanded model.  The trivial complex returns
     (0, 0, 0).  A complex with no tower raises RuntimeError.
     """
+    cone = mapping_cone(c)
     d, _ = _tower_tops(c.offsets, c.diff)
-    d_bar, odd = _tower_tops(tuple(t + 1 for t in c.offsets) + c.offsets,
-                             _cone_diff(c.diff, c.iota))
+    d_bar, odd = _tower_tops(cone.offsets, cone.diff)
     if None in (d, d_bar, odd):
         raise RuntimeError("no tower class found; complex violates the tower axiom")
     terms = (c.tau + d, c.tau + d_bar, c.tau + odd - 1)

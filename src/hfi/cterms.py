@@ -12,8 +12,11 @@ Both bounds expand the class into its s and t lists, one entry per unit of
 maximum.  The weight sum |c_i| is capped at MAX_CLASS_WEIGHT, which bounds
 that expansion: ``hfi eval "6000*Y(1) - 6000*Y(2)"``, a balanced class at
 the cap, took 0.02 s with CPython 3.11 on one core of a shared x86-64
-server.  A heavier class raises ClassWeightError, a ValueError, before
-anything is expanded.
+server, and ``Y(1) + Y(2) + ... + Y(12000)``, 12,000 atoms at the cap,
+0.27 s; ``report.evaluate`` builds the total in one ``LocalClass`` call,
+where a running sum, re-sorting the growing class per atom, took 31 s
+(``evaluate_text``, single runs).  A heavier class raises ClassWeightError,
+a ValueError, before anything is expanded.
 """
 
 from __future__ import annotations
@@ -161,8 +164,6 @@ def asymptotic_check(a: LocalClass, persist: int = 20) -> AsymptoticReport:
     d = d_invariant(a)
     s1 = st.s[0] if st.s else None
     t1 = st.t[0] if st.t else None
-    if s1 is not None and t1 is not None and s1 == t1:
-        raise ValueError("class is not reduced: s_1 = t_1")
     if t1 is None and s1 is None:
         raise ValueError("zero class has no stabilization regime")
     if t1 is None or (s1 is not None and s1 > t1):

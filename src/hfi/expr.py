@@ -22,6 +22,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 
+# matched at a position of the whole text (``pattern.match(text, pos)``), so
+# no call copies the rest of the text and parsing stays linear
+_UINT = re.compile(r"\d+")
+_RATIONAL = re.compile(r"-?\d+(/\d+)?")
+_PATH = re.compile(r"\S+")
+_MULT = re.compile(r"(\d+)\s*\*")
+
+
 class ParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"parse error at position {position}: {message}")
@@ -115,22 +123,22 @@ class _Scanner:
 
     def uint(self) -> int:
         self.skip_ws()
-        m = re.match(r"\d+", self.text[self.pos:])
+        m = _UINT.match(self.text, self.pos)
         if not m:
             raise ParseError("expected an unsigned integer", self.pos)
-        self.pos += m.end()
+        self.pos = m.end()
         return int(m.group())
 
     def rational(self) -> Fraction:
         self.skip_ws()
-        m = re.match(r"-?\d+(/\d+)?", self.text[self.pos:])
+        m = _RATIONAL.match(self.text, self.pos)
         if not m:
             raise ParseError("expected a rational (p or p/q)", self.pos)
         try:
             value = Fraction(m.group())
         except ZeroDivisionError:
             raise ParseError(f"zero denominator in {m.group()}", self.pos) from None
-        self.pos += m.end()
+        self.pos = m.end()
         return value
 
 
@@ -157,10 +165,10 @@ def _parse_atom(s: _Scanner) -> Atom:
         delta = s.rational(); s.expect("]")
         return IAtom(delta)
     if s.match("@"):
-        m = re.match(r"\S+", s.text[s.pos:])
+        m = _PATH.match(s.text, s.pos)
         if not m:
             raise ParseError("expected a file path after '@'", s.pos)
-        s.pos += m.end()
+        s.pos = m.end()
         return FileAtom(m.group())
     raise ParseError("expected Sigma(...), Y(...), M(...), I[...], or @file",
                      s.pos)
@@ -169,11 +177,11 @@ def _parse_atom(s: _Scanner) -> Atom:
 def _parse_term(s: _Scanner) -> tuple[int, int, Atom]:
     s.skip_ws()
     start = s.pos
-    m = re.match(r"(\d+)\s*\*", s.text[s.pos:])
+    m = _MULT.match(s.text, s.pos)
     mult = 1
     if m:
         mult = int(m.group(1))
-        s.pos += m.end()
+        s.pos = m.end()
         if mult == 0:
             raise ParseError("term multiplicity must be nonzero", start)
     s.skip_ws()

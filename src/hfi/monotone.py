@@ -5,6 +5,9 @@ gradings h_i, strictly increasing angle gradings r_i, and h_n >= r_n; the
 weakly monotone variant allows equalities.  Each such root determines a
 symmetric profile, and every symmetric profile reduces to a monotone subroot
 that is locally equivalent to it.
+
+Both kinds have one checked constructor, whose orders ``MonotoneRoot`` makes
+strict; it also refuses a parameter that is not an int or ``Fraction``.
 """
 
 from __future__ import annotations
@@ -18,31 +21,33 @@ from .roots import SymmetricRootProfile
 Params = tuple[tuple[Grading, Grading], ...]
 
 
-def _normalize_params(params) -> Params:
-    out = tuple((h, r) for h, r in params)
-    if not out:
-        raise ValueError("a root needs at least one (h, r) pair")
-    base = out[0][0]
-    for h, r in out:
-        if (h - base) % 2 != 0 or (r - base) % 2 != 0:
-            raise ValueError("all parameters must lie in one coset of 2Z")
-    return out
-
-
 @dataclass(frozen=True)
 class WeaklyMonotoneRoot:
     params: Params
+    _strict = False  # a class attribute, not a field
 
     def __post_init__(self):
-        object.__setattr__(self, "params", _normalize_params(self.params))
-        hs = [h for h, _ in self.params]
-        rs = [r for _, r in self.params]
-        if any(hs[i] < hs[i + 1] for i in range(len(hs) - 1)):
+        params = tuple((h, r) for h, r in self.params)
+        if not params:
+            raise ValueError("a root needs at least one (h, r) pair")
+        for g in (x for pair in params for x in pair):
+            if not isinstance(g, Grading):
+                raise ValueError(f"parameter {g!r} is not an int or a Fraction: "
+                                 "parameters are exact")
+            if (g - params[0][0]) % 2 != 0:
+                raise ValueError("all parameters must lie in one coset of 2Z")
+        object.__setattr__(self, "params", params)
+        hs, rs = zip(*params)
+        if any(a < b for a, b in zip(hs, hs[1:])):
             raise ValueError("h parameters must be weakly decreasing")
-        if any(rs[i] > rs[i + 1] for i in range(len(rs) - 1)):
+        if any(a > b for a, b in zip(rs, rs[1:])):
             raise ValueError("r parameters must be weakly increasing")
         if hs[-1] < rs[-1]:
             raise ValueError("need h_n >= r_n")
+        if self._strict and len(set(hs)) < len(hs):
+            raise ValueError("h parameters must be strictly decreasing")
+        if self._strict and len(set(rs)) < len(rs):
+            raise ValueError("r parameters must be strictly increasing")
 
     @property
     def type(self) -> int:
@@ -55,14 +60,7 @@ class WeaklyMonotoneRoot:
 
 @dataclass(frozen=True)
 class MonotoneRoot(WeaklyMonotoneRoot):
-    def __post_init__(self):
-        super().__post_init__()
-        hs = [h for h, _ in self.params]
-        rs = [r for _, r in self.params]
-        if any(hs[i] <= hs[i + 1] for i in range(len(hs) - 1)):
-            raise ValueError("h parameters must be strictly decreasing")
-        if any(rs[i] >= rs[i + 1] for i in range(len(rs) - 1)):
-            raise ValueError("r parameters must be strictly increasing")
+    _strict = True
 
 
 def M(*pairs) -> MonotoneRoot:

@@ -173,7 +173,6 @@ def oracle_check(a: LocalClass, want: tuple[Fraction, Fraction, Fraction]) -> st
 
 def evaluate(ast: ExpressionAST, input_text: str = "", oracle: bool = False) -> Report:
     term_rows = []
-    total = localclass.zero()
     for k, (w, atom) in enumerate(ast.terms):
         try:
             cls = atom_to_class(atom)
@@ -185,7 +184,8 @@ def evaluate(ast: ExpressionAST, input_text: str = "", oracle: bool = False) -> 
                 named = ValueError(f"{where}: {e}")
             raise named from e
         term_rows.append((w, str(atom), cls))
-        total = total + w * cls
+    total = LocalClass([(i, w * c) for w, _, cls in term_rows for i, c in cls.coeffs],
+                       sum(w * cls.shift for w, _, cls in term_rows))
     terms = cterms.correction_terms(total)
     d, d_bar, d_under = terms
     mu = mu_bar(total)

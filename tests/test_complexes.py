@@ -151,6 +151,15 @@ def test_mapping_cone_ranks_split_into_two_towers():
     assert sorted(ranks.values()) == [1, 1]
 
 
+def test_mapping_cone_derives_labels_gradings_and_tau_from_its_base():
+    half = standard_complex(to_profile(MonotoneRoot(((Fraction(1, 2), Fraction(1, 2)),))))
+    for c in _involutive_complexes() + [tensor(half, dual(std(4, 0, 2, 2)))]:
+        cone = complexes.mapping_cone(c)
+        assert cone.base is c and cone.tau == c.tau and cone.n == 2 * c.n
+        assert cone.labels == c.labels + tuple(f"Q{l}" for l in c.labels)
+        assert cone.gradings == tuple(g + 1 for g in c.gradings) + c.gradings
+
+
 small_roots = st.lists(
     st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=2)
 

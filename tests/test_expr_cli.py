@@ -8,7 +8,7 @@ import pytest
 from hfi import cli, complexes
 from hfi.brieskorn import SigmaSizeError
 from hfi.cli import main
-from hfi.cterms import MAX_CLASS_WEIGHT, realization_family
+from hfi.cterms import MAX_CLASS_WEIGHT, ClassWeightError, realization_family
 from hfi.expr import (ExpressionAST, FileAtom, IAtom, MAtom, ParseError,
                       SigmaAtom, YAtom, parse)
 from hfi.localclass import I, Y
@@ -66,6 +66,14 @@ def test_parse_errors_carry_position():
         parse("Q(3)")
 
 
+def test_a_long_expression_parses_with_every_position():
+    text = " + ".join(f"{k % 3 + 1}*Y({k})" for k in range(1, 20001))
+    ast = parse(text)
+    assert len(ast.terms) == 20000
+    assert ast.terms[-1] == (3, YAtom(20000))
+    assert ast.positions[-1] == text.rindex("Y(20000)")
+
+
 def test_ast_round_trips_through_str():
     for text in ("Y(2) - Y(1)", "2*Y(3) + I[-2]", "Sigma(2,3,7) - M(4,0; 2,2)"):
         ast = parse(text)
@@ -101,6 +109,17 @@ def test_evaluate_term_reordering_invariance():
     b = evaluate_text("Sigma(2,3,7) - Y(1) + Y(2)")
     assert a.total == b.total
     assert (a.d, a.d_bar, a.d_under) == (b.d, b.d_bar, b.d_under)
+
+
+def test_a_sum_of_atoms_at_the_weight_cap_evaluates():
+    # the total must be built once: a running sum, re-sorting the class per
+    # atom, takes about 30 s here and stands out under --durations
+    text = " + ".join(f"Y({i})" for i in range(1, MAX_CLASS_WEIGHT + 1))
+    r = evaluate_text(text)
+    assert r.d == 144_012_000 and len(r.terms) == MAX_CLASS_WEIGHT
+    assert r.total.coeffs[-1] == (MAX_CLASS_WEIGHT, 1)
+    with pytest.raises(ClassWeightError):
+        evaluate_text(f"{text} + Y({MAX_CLASS_WEIGHT + 1})")
 
 
 def test_report_json_shape():
@@ -335,8 +354,8 @@ def test_atom_errors_name_the_atom_and_keep_their_class(text, error, message,
     (["decompose", "{profile}"], "coset: 0\nangles:\n", "no leaves line"),
     (["decompose", "{profile}"], "coset: 1\nleaves: 0\nangles:\n",
      "coset 1 inconsistent"),
-    # profiles that fail validate_profile: an angle above a leaf, mixed
-    # cosets, and angles above both their leaves
+    # profiles that the SymmetricRootProfile constructor refuses: an angle
+    # above a leaf, mixed cosets, and angles above both their leaves
     (["eval", "@{profile}", "--oracle"], "leaves: 0 -4 0\nangles: -2 -2\n",
      "angles below adjacent leaves: angle 1 at -2"),
     (["decompose", "{profile}"], "leaves: 0 1 0\nangles: -2 -2\n",

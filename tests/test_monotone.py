@@ -29,6 +29,17 @@ def test_constructor_rejects_nonmonotone():
         MonotoneRoot(())
 
 
+def test_inexact_parameters_are_refused_by_both_root_types():
+    for build in (MonotoneRoot, WeaklyMonotoneRoot):
+        with pytest.raises(ValueError, match="parameter 2.0 is not an int or a Fraction"):
+            build(((2.0, 0.0),))
+        with pytest.raises(ValueError, match="parameter 0.0 is not an int"):
+            build(((4, 2), (2, 0.0)))
+    with pytest.raises(ValueError, match="parameter 2.0"):
+        M(2.0, 0)
+    assert M(Fraction(5, 2), Fraction(1, 2)).params == ((Fraction(5, 2), Fraction(1, 2)),)
+
+
 def test_weak_constructor_allows_equalities():
     w = WeaklyMonotoneRoot(((2, 0), (2, 2)))
     assert w.type == 2
