@@ -48,6 +48,18 @@ profile = brieskorn_root(params)
 print("\nleaves:", profile.leaves)
 print("angles:", profile.angles)
 
+# The pipeline streams only the first half of the steps: with
+# N0 = alpha - a1 a2 - a1 a3 - a2 a3, tau(m) = tau(N0 + 1 - m) on 0..N0 + 1
+# and tau never falls after N0, so the extrema of tau(0..ceil(N0/2)) and
+# their mirror image are all of them.  The Laufer engine on the plumbing
+# tree, which knows nothing of the closed form, shows the same symmetry.
+a1, a2, a3 = params.tuple
+n0 = a1 * a2 * a3 - a1 * a2 - a1 * a3 - a2 * a3
+laufer_n0 = tau_sequence(graph, center, n0 + 1)
+assert laufer_n0 == laufer_n0[::-1]
+print(f"Laufer tau(m) = tau(N0 + 1 - m) for N0 = {n0}; the pipeline streams "
+      f"ceil(N0/2) = {(n0 + 1) // 2} of the alpha + 1 = {a1 * a2 * a3 + 1} steps")
+
 # Cross-engine check at the stopping point: tau is nondecreasing from
 # n = alpha on, so alpha + 1 Laufer steps on the plumbing tree give the
 # same leaves and angles as the closed-form pipeline.

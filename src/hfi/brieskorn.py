@@ -19,30 +19,13 @@ Floer absolute gradings from Seifert invariants", Algebr. Geom. Topol. 14
 
     Delta(n) = tau(n+1) - tau(n) = 1 + b0 n - sum_i ceil(n omega_i / a_i).
 
-Stopping rule.  Put b0 = (1 + sum_i omega_i alpha/a_i)/alpha into it:
-
-    Delta(n) = 1 + n/alpha - sum_i eps_i(n),
-    eps_i(n) = ceil(n omega_i/a_i) - n omega_i/a_i, in [0, 1).
-
-(1) With three fibres the eps_i sum to less than 3, so Delta(n) > n/alpha - 2.
-    Delta is an integer, so Delta >= -1 for every n >= 0 and Delta >= 0 for
-    n >= alpha: tau is nondecreasing from n = alpha, and every leaf and
-    angle lies in tau(0..alpha).
-(2) a_i divides alpha, so each ceiling grows by exactly alpha omega_i/a_i
-    when n grows by alpha, and b0 alpha - sum_i omega_i alpha/a_i = 1 (the
-    identity ``seifert_invariants`` checks at runtime).  So
-    Delta(n + alpha) = Delta(n) + 1: tau is quasi-periodic, tends to
-    infinity, and Delta(alpha) = Delta(0) + 1 = 2.
-So ``brieskorn_root`` streams alpha + 1 steps, tau(0..alpha+1), which end on
-a strict rise; every later step is >= 0 and only extends that last rising
-run, so the compression of this prefix is the profile of the whole
-sequence.
-
 Two tau engines are kept.  Production (``brieskorn_root``) uses the closed
-form through ``_tau_deltas``.  Multiplied by alpha it reads
+form through ``_tau_deltas``.  Put b0 = (1 + sum_i omega_i alpha/a_i)/alpha
+into it and write ceil(n omega_i/a_i) = (n omega_i + r_i(n))/a_i; multiplied
+by alpha it reads
 
     alpha Delta(n) = alpha + n - S(n),
-    S(n) = sum_i (alpha/a_i) ((-n omega_i) mod a_i) = alpha sum_i eps_i(n),
+    S(n) = sum_i (alpha/a_i) r_i(n),   r_i(n) = (-n omega_i) mod a_i,
 
 and the division by alpha is exact, because S(n) = n (mod alpha):
 omega_i alpha/a_i = -1 (mod a_i), so the term of fibre i is congruent to n
@@ -59,6 +42,32 @@ ints.  The cross-check is ``tau_sequence``, the Laufer sequence on the
 plumbing tree itself; the tests compare the two step for step, and the
 ceiling formula above stays in the tests as the reference.
 
+Stopping rule.  Put N0 = alpha - a1 a2 - a1 a3 - a2 a3.
+(1) The tail.  0 <= r_i(n) <= a_i - 1, so S(n) <= sum_i (alpha - alpha/a_i)
+    = 2 alpha + N0.  Delta(n) is an integer (S(n) = n mod alpha), so a fall
+    is Delta(n) <= -1, that is S(n) >= 2 alpha + n, and that forces
+    n <= N0: tau is nondecreasing from N0 + 1 on.  (S has period alpha, so
+    Delta(n + alpha) = Delta(n) + 1 and tau tends to infinity.)
+(2) The antisymmetry.  Mod a_i, alpha and alpha/a_j for j != i vanish, so
+    N0 = -alpha/a_i, and omega_i alpha/a_i = -1; hence
+    -(N0 - n) omega_i = n omega_i - 1 and r_i(N0 - n) = a_i - 1 - r_i(n).
+    So S(N0 - n) = 2 alpha + N0 - S(n) and Delta(N0 - n) = -Delta(n) for
+    0 <= n <= N0: the steps pair off, tau(N0 + 1) = 0 = tau(0), and
+    tau(m) = tau(N0 + 1 - m).  Also Delta(0) = 1, as S(0) = 0.
+So with M = ceil(N0/2), the nonzero steps of Delta(0..N0) are those of
+Delta(0..M-1) followed by their negatives in reverse order (for even N0 the
+middle step Delta(N0/2) is 0), and only rises follow.  The two runs that
+meet at tau(M) have opposite signs, so the profile is the half's extrema,
+then tau(M), which is the central angle when the half ends on a rise and
+the central leaf otherwise, then the half's extrema mirrored.
+``brieskorn_root`` streams the M half steps and then one -1 step into the
+compression: the -1 turns a final rise into an angle at tau(M) and extends
+a final fall, so either way the last leaf is tau(M) - 1, and tau(M) is an
+angle exactly when the last angle equals it.  Sigma(2,3,5) has N0 = -1, no
+step and the single leaf tau(0) = 0.  M = (alpha - a1 a2 - a1 a3 - a2 a3)/2
+rounded up is below alpha/2, where the bound Delta >= 0 from n = alpha on
+alone would need alpha + 1 steps.
+
 The grading offset needs K^2 + s of the plumbing, which ``brieskorn_root``
 reads from the Seifert invariants without building the plumbing.  With
 Euler number e = -1/alpha and eps = (1 - sum_i 1/a_i)/e,
@@ -71,9 +80,9 @@ O(log k) integer steps by reciprocity (Rademacher-Grosswald, "Dedekind
 Sums", 1972).  ``plumbing.k_squared``, one elimination along the tree, stays
 as the independent check that the tests and demo 01 run.  alpha is capped at
 MAX_SIGMA_ALPHA: Sigma(2,3,166663), Sigma(11,13,6991) and Sigma(97,101,102),
-near the cap with 27,720 to 38,065 leaves, took 0.18-0.25 s each with
-CPython 3.11 on one core of a shared x86-64 server.  A larger sphere raises
-SigmaSizeError, a ValueError, before any tau step.
+near the cap with 27,720 to 38,065 leaves, took 0.05-0.11 s each (best of
+5) with CPython 3.11 on one core of a shared x86-64 server.  A larger
+sphere raises SigmaSizeError, a ValueError, before any tau step.
 
 Grading conventions.
 * h-normalized gradings (every profile, complex and class inside ``hfi``):
@@ -106,7 +115,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import accumulate, cycle, groupby, repeat
+from itertools import accumulate, chain, cycle, groupby, repeat
 from operator import add, floordiv, mod, sub
 
 from .localclass import LocalClass
@@ -307,18 +316,29 @@ def _k_squared_plus_s(b: BrieskornParams) -> int:
 def brieskorn_root(b: BrieskornParams) -> SymmetricRootProfile:
     """Graded-root profile of Sigma(a1,a2,a3), h-normalized gradings.
 
-    Streams Delta(0..alpha) from the closed form into the extrema
-    compression: alpha + 1 steps is the stopping rule proved in the module
-    docstring (Delta >= 0 from n = alpha on, and Delta(alpha) = 2).
-    Gradings are ints, -2t + (K^2 + s)/4, with K^2 + s from Dedekind sums;
-    K^2 + s not divisible by 8 raises AssertionError.
+    Streams the half Delta(0..M-1), M = ceil(N0/2) with
+    N0 = alpha - a1 a2 - a1 a3 - a2 a3, and one closing -1 step from the
+    closed form into the extrema compression, and mirrors the extrema about
+    tau(M): tau(m) = tau(N0 + 1 - m) and Delta >= 0 after N0 make up the
+    stopping rule proved in the module docstring.  Gradings are ints,
+    -2t + (K^2 + s)/4, with K^2 + s from Dedekind sums; K^2 + s not
+    divisible by 8 raises AssertionError.
     """
     alpha = b.a1 * b.a2 * b.a3
     if alpha > MAX_SIGMA_ALPHA:
         raise SigmaSizeError(
             f"Sigma({b.a1},{b.a2},{b.a3}) has alpha = {alpha}, above the "
             f"limit MAX_SIGMA_ALPHA = {MAX_SIGMA_ALPHA}")
-    leaf_taus, angle_taus = _compress_to_profile(_tau_deltas(b, 0, alpha + 1))
+    n0 = alpha - b.a1 * b.a2 - b.a1 * b.a3 - b.a2 * b.a3
+    leaves, angles = _compress_to_profile(
+        chain(_tau_deltas(b, 0, (n0 + 1) // 2), (-1,)))
+    middle = leaves.pop() + 1
+    if angles and angles[-1] == middle:  # the half ends on a rise
+        leaf_taus = leaves + leaves[::-1]
+        angle_taus = angles + angles[-2::-1]
+    else:
+        leaf_taus = leaves + [middle] + leaves[::-1]
+        angle_taus = angles + angles[::-1]
     q = _k_squared_plus_s(b)
     if q % 8:
         raise AssertionError(f"K^2 + s = {q} is not divisible by 8; "

@@ -27,7 +27,8 @@ class PlumbingGraph:
     once, and it is read-only afterwards: ``index`` maps a vertex id to its
     index, ``adj[i]`` lists the neighbours of i, ``order`` is the BFS order
     from vertex 0 and ``parent[i]`` the BFS parent of i (-1 at vertex 0).
-    These fields take no part in ==, hash or repr.
+    These fields take no part in ==, hash or repr.  A weight that is not an
+    int raises ValueError, which names the vertex.
     """
 
     vertices: tuple[tuple[str, int], ...]  # (id, weight)
@@ -42,6 +43,10 @@ class PlumbingGraph:
         n = len(index)
         if n != len(self.vertices):
             raise ValueError("duplicate vertex ids")
+        for v, w in self.vertices:
+            if not isinstance(w, int):
+                raise ValueError(f"vertex {v!r} has weight {w!r}, which is not "
+                                 "an int: weights are exact integers")
         adj: list[list[int]] = [[] for _ in range(n)]
         for a, b in self.edges:
             if a not in index or b not in index:

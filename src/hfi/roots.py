@@ -29,10 +29,12 @@ from .localclass import rational
 class SymmetricRootProfile:
     """Leaf and angle gradings of a symmetric graded root.  The constructor
     stores both as tuples and raises ValueError unless one angle sits between
-    each two consecutive leaves, both are reflection-symmetric, no angle lies
-    above an adjacent leaf and all gradings lie in gr(v_1) + 2Z (so each merge
-    exponent is a non-negative integer); by symmetry the last two checks read
-    the left half and the centre only."""
+    each two consecutive leaves, every grading is an int or a ``Fraction``,
+    both are reflection-symmetric, no angle lies above an adjacent leaf and
+    all gradings lie in gr(v_1) + 2Z (so each merge exponent is a
+    non-negative integer); by symmetry the last two checks read the left
+    half and the centre only.  The exactness check reads every grading,
+    because the symmetry check compares with ==, and 2.0 == 2."""
 
     leaves: tuple[Grading, ...]
     angles: tuple[Grading, ...]
@@ -46,6 +48,10 @@ class SymmetricRootProfile:
             raise ValueError("a profile needs at least one leaf")
         if len(angles) != n - 1:
             raise ValueError("need exactly one angle between consecutive leaves")
+        if not all(map(isinstance, leaves + angles, repeat(Grading))):
+            g = next(g for g in leaves + angles if not isinstance(g, Grading))
+            raise ValueError(f"grading {g!r} is not an int or a Fraction: "
+                             "gradings are exact")
         if leaves != leaves[::-1]:
             raise ValueError("leaf gradings are not reflection-symmetric")
         if angles != angles[::-1]:

@@ -4,8 +4,11 @@
 - the periodic integer tau steps against the ceiling formula, and against
   the semigroup description Delta(n) = [n in G] - [N - n in G];
 - K^2 + s from Dedekind sums against the tree elimination on the plumbing;
-- the alpha + 1 stopping rule of ``brieskorn_root`` against the old
-  2 alpha + 16 stopping point, with the two facts its proof rests on;
+- the alpha + 1 stopping rule against the old 2 alpha + 16 stopping
+  point, with the two facts its proof rests on;
+- the half stream of ``brieskorn_root``, Delta(0..ceil(N0/2)) mirrored,
+  against the extrema of the full alpha + 1 stream, with the antisymmetry
+  and the tail its proof rests on, for N0 of both parities;
 - the integer tree pass (K^2, negative definiteness) against dense Fraction
   elimination;
 - the exact almost-rationality test, one fixed-vertex closure per vertex,
@@ -68,7 +71,7 @@ from dense_reference import (below, ceiling_tau_deltas, compress_list,
                              truncated_correction_terms)
 from hfi import complexes, cterms, gf2
 from hfi.brieskorn import (BrieskornParams, _compress_to_profile,
-                           _k_squared_plus_s, _tau_deltas,
+                           _k_squared_plus_s, _tau_deltas, brieskorn_root,
                            negative_continued_fraction, seifert_invariants,
                            seifert_plumbing, tau_closed_form, tau_sequence)
 from hfi.localclass import I, Y
@@ -172,6 +175,66 @@ def test_stopping_rule_at_alpha_plus_one(triple):
     # the grading offset (K^2 + s)/4 is an even integer
     g, _ = seifert_plumbing(b)
     assert (k_squared(g) + g.n) % 8 == 0
+
+
+def _n0(triple) -> int:
+    a1, a2, a3 = triple
+    return a1 * a2 * a3 - a1 * a2 - a1 * a3 - a2 * a3
+
+
+# N0 is even exactly when a1, a2 and a3 are all odd; Sigma(2,3,5), with
+# N0 = -1, is the only triple with N0 < 1
+EVEN_N0 = [t for t in TRIPLES if _n0(t) % 2 == 0]
+ODD_N0 = [t for t in TRIPLES if _n0(t) % 2 == 1 and _n0(t) > 0]
+
+
+@seed(20170635)
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(EVEN_N0), st.sampled_from(ODD_N0))
+def test_deltas_are_antisymmetric_on_0_to_n0_and_rise_after(even, odd):
+    for triple in (even, odd):
+        b, n0 = BrieskornParams(*triple), _n0(triple)
+        half = list(_tau_deltas(b, 0, n0 + 1))
+        assert half == [-d for d in reversed(half)], triple
+        assert all(d >= 0 for d in _tau_deltas(b, n0 + 1, 2 * math.prod(triple) + 17))
+        assert half[0] == 1
+
+
+@seed(20170636)
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(TRIPLES))
+def test_half_stream_root_matches_the_full_stream(triple):
+    b = BrieskornParams(*triple)
+    leaf_taus, angle_taus = _compress_to_profile(_tau_deltas(b, 0, math.prod(triple) + 1))
+    offset = _k_squared_plus_s(b) // 4
+    p = brieskorn_root(b)
+    assert p.leaves == tuple(-2 * t + offset for t in leaf_taus)
+    assert p.angles == tuple(-2 * t + offset for t in angle_taus)
+
+
+def test_half_stream_step_count_and_the_smallest_spheres(monkeypatch):
+    streamed = []
+
+    def recording(b, start, stop):
+        streamed.append((start, stop))
+        return _tau_deltas(b, start, stop)
+
+    monkeypatch.setattr("hfi.brieskorn._tau_deltas", recording)
+    # Sigma(2,3,5): N0 = -1, no step, the single leaf at (K^2 + s)/4 = 2
+    assert _n0((2, 3, 5)) == -1
+    p = brieskorn_root(BrieskornParams(2, 3, 5))
+    assert (p.leaves, p.angles, streamed) == ((2,), (), [(0, 0)])
+    # Sigma(2,3,7): N0 = 1, the one step Delta(0) = 1 rises to the central
+    # angle, which the mirror closes with the second leaf
+    streamed.clear()
+    assert _n0((2, 3, 7)) == 1
+    p = brieskorn_root(BrieskornParams(2, 3, 7))
+    assert (p.leaves, p.angles, streamed) == ((0, 0), (-2,), [(0, 1)])
+    # the largest anchor of the acceptance family streams under half of alpha
+    streamed.clear()
+    brieskorn_root(BrieskornParams(17, 33, 35))
+    assert streamed == [(0, (_n0((17, 33, 35)) + 1) // 2)]
+    assert 2 * streamed[0][1] < 17 * 33 * 35
 
 
 @seed(20170605)

@@ -22,6 +22,10 @@ locally equivalent complexes (both directions feasible) and a 35 <-> 9 pair
 whose 35 -> 9 direction is infeasible.  The solution with free unknowns zero
 is unique once the unknowns are ordered, whatever the numbering of the
 equations, so any difference means the order of the unknowns drifted.
+
+``perfbench/reference.json`` records the Y-basis class of every sphere of
+the benchmark's ``sigma_sweep`` pool; the test reads the file and evaluates
+each of them again.
 """
 
 import json
@@ -35,6 +39,7 @@ from hfi.report import class_complex, evaluate_text
 from hfi.roots import SymmetricRootProfile, standard_complex
 
 GOLDEN = Path(__file__).with_name("golden")
+BENCH_REFERENCE = Path(__file__).parents[1] / "perfbench" / "reference.json"
 EXPR = "Y(1) - Y(2) + I[-2]"
 
 
@@ -75,3 +80,11 @@ def test_local_map_witnesses():
         w = complexes.find_local_map(a, b)
         got = None if w is None else {"F": cols(w.F, a, b, 0), "H": cols(w.H, a, b, 1)}
         assert got == entry["witness"], entry["pair"]
+
+
+def test_every_recorded_sigma_sweep_class_is_reproduced():
+    pool = json.loads(BENCH_REFERENCE.read_text())["sigma_sweep"]
+    assert len(pool) == 94
+    for entry in pool:
+        text = "Sigma({},{},{})".format(*entry["triple"])
+        assert evaluate_text(text).total.to_json() == entry["class"], text

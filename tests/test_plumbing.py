@@ -1,5 +1,8 @@
 """Plumbing trees: definiteness, rationality, almost-rationality, file format."""
 
+import re
+from fractions import Fraction
+
 import pytest
 
 from dense_reference import (intersection_form, leading_minor_dets,
@@ -58,6 +61,14 @@ def test_tree_validation():
     with pytest.raises(ValueError, match="not connected"):
         PlumbingGraph((("a", -2), ("b", -2), ("c", -2)),
                       (("a", "b"), ("b", "a")))  # doubled edge + isolated
+
+
+def test_non_integer_weights_are_refused():
+    for w in (-2.0, -2.5, Fraction(-2), "-2", None):
+        with pytest.raises(ValueError, match=re.escape(
+                f"vertex 'b' has weight {w!r}, which is not an int")):
+            PlumbingGraph((("a", -2), ("b", w)), (("a", "b"),))
+    assert PlumbingGraph((("a", -2), ("b", -3)), (("a", "b"),)).weights() == [-2, -3]
 
 
 def test_intersection_form_and_K():

@@ -94,6 +94,20 @@ def test_inexact_profile_gradings_are_refused():
         standard_complex(SymmetricRootProfile((0.5,), ()))
 
 
+def test_profile_constructor_refuses_float_gradings():
+    # a float anywhere, also in the right half where it equals its int mirror
+    for leaves, angles, bad in (((0.5,), (), 0.5),
+                                ((-2.0, 0, -2), (-2, -2), -2.0),
+                                ((-2, 0, -2.0), (-2, -2), -2.0),
+                                ((0, 0), (-2.0,), -2.0),
+                                ((-2, 0, -2), (-2, -2.0), -2.0)):
+        with pytest.raises(ValueError, match=f"grading {bad} is not an int or "
+                                             "a Fraction"):
+            SymmetricRootProfile(leaves, angles)
+    p = SymmetricRootProfile((-2, Fraction(0), -2), (Fraction(-2), -2))
+    assert p.leaves == (-2, 0, -2) and p.angles == (-2, -2)
+
+
 def test_reference_profile_standard_complex():
     c = standard_complex(fig_profile())
     assert c.n == 11
