@@ -117,9 +117,10 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import gf2
-from .localclass import rational
+from .localclass import EXACT, rational
 
 Map = tuple[int, ...]
 Grading = int | Fraction
@@ -234,10 +235,10 @@ def graded_complex(labels, gradings, diff: Map, iota: Map, tau: Grading) -> Iota
     """An IotaComplex from exact gradings and graded bit-column maps (every
     bit a term of the right degree), reading the gradings into offsets from
     tau once.  An empty complex, lengths that differ, a tau or grading that
-    is not an int or ``Fraction``, or a grading outside tau + Z raise
-    ValueError."""
+    is not an int or ``Fraction`` (a bool is neither), or a grading outside
+    tau + Z raise ValueError."""
     for g in (tau, *gradings):
-        if not isinstance(g, (int, Fraction)):
+        if type(g) not in EXACT:
             raise ValueError(f"grading {g!r} is not an int or a Fraction: "
                              "gradings are exact")
     offsets = tuple(_offsets(gradings, tau))
@@ -738,14 +739,14 @@ def _kron_columns(rows: list[int], L, S, n: int) -> list[int]:
             for i, row in enumerate(rows) for j in _bits(row)]
 
 
-def _solve(nrows: int, cols: list[int], rhs: int,
+def _solve(A: gf2.Matrix, rhs: int,
            unknowns: list[tuple[list[int], int]]) -> list[Map] | None:
     """The unknown maps of one solution, free unknowns 0, or None.
 
     ``unknowns`` lists, map by map, the rows of its unknowns (as given to
     ``_kron_columns``) and its number of columns.
     """
-    x = gf2.solve_affine(gf2.Matrix(nrows, cols), rhs)
+    x = gf2.solve_affine(A, rhs)
     if x is None:
         return None
     maps = []
@@ -782,18 +783,37 @@ def solve_homotopy(a: IotaComplex, b: IotaComplex, rhs: Map) -> Map | None:
     sa = _Side(a)
     rows = [sa.at_or_below(t - 1) for t in _offsets(b.gradings, a.tau)]
     cols = _kron_columns(rows, b.diff, _spread(a.diff, a.n, b.n), b.n)
-    sol = _solve(a.n * b.n, cols, _vec(rhs, b.n), [(rows, a.n)])
+    sol = _solve(gf2.Matrix(a.n * b.n, cols), _vec(rhs, b.n), [(rows, a.n)])
     return None if sol is None else sol[0]
 
 
-@dataclass(frozen=True)
 class LocalMapWitness:
-    """A grading-preserving chain map F with homotopy H for iota-commutation."""
+    """A local map source -> target: a grading-preserving chain map F with
+    F iota + iota F = dH + Hd, F pinned on the deep tower generators.
 
-    F: Map
-    H: Map
-    source: IotaComplex
-    target: IotaComplex
+    ``find_local_map`` returns one once its system is known to be feasible,
+    without solving it.  F and H are solved from that system (free unknowns
+    0, by ``gf2.solve_affine``) the first time either is read; the witness
+    then keeps the two maps and drops the system.
+    """
+
+    def __init__(self, source: IotaComplex, target: IotaComplex, system):
+        self.source, self.target = source, target
+        self._system = system  # the arguments of ``_solve``
+
+    @cached_property
+    def _maps(self) -> tuple[Map, Map]:
+        F, H, _ = _solve(*self._system)
+        self._system = None
+        return F, H
+
+    @property
+    def F(self) -> Map:
+        return self._maps[0]
+
+    @property
+    def H(self) -> Map:
+        return self._maps[1]
 
 
 class _Side:
@@ -842,7 +862,10 @@ def find_local_map(a: IotaComplex, b: IotaComplex) -> LocalMapWitness | None:
     F iota_a + iota_b F = dH + Hd and F carrying the deep tower generator of
     ``a`` to the deep tower generator of ``b`` (pinned as an affine
     constraint, which makes U-nondegeneracy linear).  Returns None when the
-    system is infeasible.
+    system is infeasible.  Feasibility is decided by one tag-free
+    elimination (``gf2.solvable``: is the pin vector in the span of the
+    columns?); a feasible system comes back inside a ``LocalMapWitness``,
+    which solves F and H from it only when one of them is read.
 
     The search is exact: it builds no truncated model and reads no N.  With
     offsets from a.tau, the unknown F[i, j] (H[i, j]) is there when x_i of b
@@ -866,9 +889,11 @@ def find_local_map(a: IotaComplex, b: IotaComplex) -> LocalMapWitness | None:
     (CPython 3.11, shared 2-core x86-64 machine, min CPU time of 9 calls in
     each of three processes): the largest system the budget admits among
     the benchmark's pair complexes, 165 -> 63 generators with 5,724 unknowns
-    (infeasible), took 27-42 ms and peaked at 18.2 MB under ``tracemalloc``
-    (the truncated search: 37-52 ms, 18.0 MB); the largest feasible one,
-    35 -> 165 with 4,705 unknowns, 16-25 ms (20-34 ms) and 8.5 MB (8.5 MB).
+    (infeasible, so existence alone), took 20-36 ms and peaked at 17.2 MB
+    under ``tracemalloc`` (the truncated search: 28-35 ms, 7.4 MB); the
+    largest feasible one, 35 -> 165 with 4,705 unknowns, took 9-14 ms and
+    7.8 MB for existence alone, and 18-26 ms and 8.2 MB with the witness
+    read (the truncated search: 25-27 ms, 5.1 MB).
     """
     if ((a.tau - b.tau).denominator != 1) or int(a.tau - b.tau) % 2 != 0:
         raise ValueError(f"tower cosets differ: tau={a.tau} vs {b.tau}")
@@ -895,14 +920,19 @@ def find_local_map(a: IotaComplex, b: IotaComplex) -> LocalMapWitness | None:
     cols = (_kron_columns(F, Lf, Sf, n)
             + _kron_columns(H, [d << nn for d in b.diff], [s << nn for s in Sd], n)
             + _kron_columns(W, [d << 2 * nn for d in b.diff], (0,), n))
-    sol = _solve(2 * nn + n, cols, zb << 2 * nn, [(F, a.n), (H, a.n), (W, 1)])
-    if sol is None:
+    A, rhs = gf2.Matrix(2 * nn + n, cols), zb << 2 * nn
+    if not gf2.solvable(A, rhs):
         return None
-    return LocalMapWitness(sol[0], sol[1], a, b)
+    return LocalMapWitness(a, b, (A, rhs, [(F, a.n), (H, a.n), (W, 1)]))
 
 
 def locally_equivalent(a: IotaComplex, b: IotaComplex) -> bool:
-    """True iff local maps exist in both directions."""
+    """True iff local maps exist in both directions.
+
+    It asks ``find_local_map`` only whether each system is feasible and
+    reads no witness, so it solves none: each direction is one tag-free
+    elimination (``gf2.solvable``) and no ``gf2.solve_affine`` runs.
+    """
     return (find_local_map(a, b) is not None
             and find_local_map(b, a) is not None)
 

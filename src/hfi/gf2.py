@@ -7,14 +7,20 @@ Packing a vector into machine words is the idea of M4RI (Albrecht, Bard and
 Hart, ACM TOMS 2010); here Python's ints do the packing and one XOR adds two
 vectors.
 
-One elimination serves every routine: ``Echelon`` keeps a basis with one
-vector per leading (highest) bit, in one dict from the lead to the pair
-(vector, tag), so each reduction step is one lookup and one XOR per part.
-``rank``, ``kernel`` and ``solve_affine`` feed it the columns in order.  For
-a fixed column order the pivot columns, and the expression of each column
-through the pivot columns before it, do not depend on how the elimination
-runs, so the kernel basis and the solution with free variables zero are the
-ones the reduced row-echelon form gives, vector for vector.
+One elimination serves every routine that needs to know how a vector is
+made: ``Echelon`` keeps a basis with one vector per leading (highest) bit,
+in one dict from the lead to the pair (vector, tag), so each reduction step
+is one lookup and one XOR per part.  ``rank``, ``kernel`` and
+``solve_affine`` feed it the columns in order.  For a fixed column order the
+pivot columns, and the expression of each column through the pivot columns
+before it, do not depend on how the elimination runs, so the kernel basis
+and the solution with free variables zero are the ones the reduced
+row-echelon form gives, vector for vector.
+
+``solvable`` asks only whether a system has a solution.  It is the one
+elimination without tags: the same basis of one vector per leading bit, but
+no tag as wide as the unknown count rides along, so each step is one lookup
+and one XOR.
 """
 
 from __future__ import annotations
@@ -132,3 +138,30 @@ def solve_affine(A: Matrix, b: int) -> int | None:
         e.add(col, 1 << j)
     rest, x = e.reduce(b)
     return None if rest else x
+
+
+def solvable(A: Matrix, b: int) -> bool:
+    """True iff A x = b has a solution, that is, iff b is in the column span
+    of A.  ``solve_affine(A, b) is not None`` gives the same answer.
+
+    b is kept reduced by the basis built so far, so the search stops at the
+    first column that makes it 0.
+    """
+    pivots: dict[int, int] = {}
+    rest = b  # 0, or its leading bit has no basis vector
+    for v in A.cols:
+        while v:
+            p = pivots.get(v.bit_length())
+            if p is None:
+                break
+            v ^= p
+        if v:
+            pivots[v.bit_length()] = v
+            while rest:
+                p = pivots.get(rest.bit_length())
+                if p is None:
+                    break
+                rest ^= p
+            if not rest:
+                return True
+    return not rest

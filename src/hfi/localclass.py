@@ -20,10 +20,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
+# The exact number types.  Checks match ``type(value)`` against them, so a
+# subclass is refused: ``isinstance(True, int)`` holds, yet True is no
+# grading, weight, index or coefficient.
+EXACT = frozenset({int, Fraction})
+
+
 def rational(value) -> Fraction:
     """``Fraction(value)`` for an exact value or outside text; a float (not
-    exact: ``Fraction(0.1)`` is not 1/10) or a zero denominator is a ValueError."""
-    if isinstance(value, float):
+    exact: ``Fraction(0.1)`` is not 1/10), a bool or a zero denominator is a
+    ValueError."""
+    if isinstance(value, (float, bool)):
         raise ValueError(f"inexact value {value!r}: give an int, a Fraction "
                          "or a string such as '1/2'")
     try:
@@ -37,7 +44,7 @@ class LocalClass:
     """sum c_i Y_i shifted by [Delta].  The constructor adds the coefficients
     of a repeated index, drops zeros, sorts by index and reads the shift
     through ``rational``; an index that is not a positive int or a
-    coefficient that is not an int raises ValueError."""
+    coefficient that is not an int (a bool is neither) raises ValueError."""
 
     coeffs: tuple[tuple[int, int], ...] = ()
     shift: Fraction = Fraction(0)
@@ -45,9 +52,9 @@ class LocalClass:
     def __post_init__(self):
         acc: dict[int, int] = {}
         for i, c in self.coeffs:
-            if not isinstance(i, int) or i <= 0:
+            if type(i) is not int or i <= 0:
                 raise ValueError(f"basis index must be a positive integer, got {i}")
-            if not isinstance(c, int):
+            if type(c) is not int:
                 raise ValueError(f"coefficient of Y[{i}] must be an integer, got {c!r}")
             acc[i] = acc.get(i, 0) + c
         object.__setattr__(self, "coeffs",

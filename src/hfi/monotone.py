@@ -7,7 +7,8 @@ symmetric profile, and every symmetric profile reduces to a monotone subroot
 that is locally equivalent to it.
 
 Both kinds have one checked constructor, whose orders ``MonotoneRoot`` makes
-strict; it also refuses a parameter that is not an int or ``Fraction``.
+strict; it also refuses a parameter that is not an int or ``Fraction``
+(a bool is neither).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import Grading
-from .localclass import LocalClass
+from .localclass import EXACT, LocalClass
 from .roots import SymmetricRootProfile
 
 Params = tuple[tuple[Grading, Grading], ...]
@@ -31,7 +32,7 @@ class WeaklyMonotoneRoot:
         if not params:
             raise ValueError("a root needs at least one (h, r) pair")
         for g in (x for pair in params for x in pair):
-            if not isinstance(g, Grading):
+            if type(g) not in EXACT:
                 raise ValueError(f"parameter {g!r} is not an int or a Fraction: "
                                  "parameters are exact")
             if (g - params[0][0]) % 2 != 0:

@@ -28,7 +28,7 @@ class PlumbingGraph:
     index, ``adj[i]`` lists the neighbours of i, ``order`` is the BFS order
     from vertex 0 and ``parent[i]`` the BFS parent of i (-1 at vertex 0).
     These fields take no part in ==, hash or repr.  A weight that is not an
-    int raises ValueError, which names the vertex.
+    int (a bool is not) raises ValueError, which names the vertex.
     """
 
     vertices: tuple[tuple[str, int], ...]  # (id, weight)
@@ -44,7 +44,7 @@ class PlumbingGraph:
         if n != len(self.vertices):
             raise ValueError("duplicate vertex ids")
         for v, w in self.vertices:
-            if not isinstance(w, int):
+            if type(w) is not int:
                 raise ValueError(f"vertex {v!r} has weight {w!r}, which is not "
                                  "an int: weights are exact integers")
         adj: list[list[int]] = [[] for _ in range(n)]

@@ -116,6 +116,7 @@ def test_local_map_budget_is_checked_before_any_elimination(monkeypatch):
         raise AssertionError("a GF(2) elimination ran")
 
     monkeypatch.setattr(complexes.gf2, "Echelon", no_elimination)
+    monkeypatch.setattr(complexes.gf2, "solvable", no_elimination)
     for search in (find_local_map, locally_equivalent):
         with pytest.raises(hfi.SearchSizeError):
             search(a, b)
@@ -470,6 +471,15 @@ def test_a_grading_or_tau_that_is_not_exact_is_refused():
     assert correction_terms(trivial_complex(half)) == (half, half, half)
 
 
+def test_a_bool_grading_or_tau_is_refused():
+    with pytest.raises(ValueError, match="grading True is not an int or a Fraction"):
+        complexes.graded_complex(("x",), (True,), (0,), (1,), 0)
+    with pytest.raises(ValueError, match="grading False is not an int or a Fraction"):
+        complexes.graded_complex(("x",), (0,), (0,), (1,), False)
+    with pytest.raises(ValueError, match="inexact value True"):
+        iota_complex(("x",), (True,), [[0]], [[1]])
+
+
 def test_grading_off_the_tau_coset_is_refused(monkeypatch):
     # A scan or probe on such a complex looks for a grading in tau + 2Z at or
     # below the generators and never finds one, so the check must come first.
@@ -612,3 +622,23 @@ def test_local_map_witness_is_an_iota_chain_map():
         for j, col in enumerate(expand_map(m, a.gradings, b.gradings, degree)):
             for i, e in col:
                 assert e >= 0 and b.gradings[i] - 2 * e == a.gradings[j] + degree
+
+
+def test_existence_solves_no_witness_and_a_witness_solves_once(monkeypatch):
+    # locally_equivalent only decides feasibility; F and H are solved from
+    # the witness's system on the first read, once for both
+    a = std(4, 0, 2, 2)
+    b = tensor(a, tensor(std(2, 0), dual(std(2, 0))))
+    solve, calls = complexes.gf2.solve_affine, []
+
+    def counted(A, rhs):
+        calls.append(rhs)
+        return solve(A, rhs)
+
+    monkeypatch.setattr(complexes.gf2, "solve_affine", counted)
+    assert locally_equivalent(a, b) and locally_equivalent(b, a)
+    w = find_local_map(a, b)
+    assert calls == []
+    F, H = w.F, w.H
+    assert len(calls) == 1 and w._system is None  # the system is dropped
+    assert w.F is F and w.H is H and len(calls) == 1

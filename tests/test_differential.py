@@ -459,6 +459,19 @@ def test_bitset_solve_affine_matches_dense(system):
     assert gf2.solve_affine(_bitset(A, cols), _bits(b)) == (None if x is None else _bits(x))
 
 
+@seed(20170612)
+@settings(max_examples=60, deadline=None)
+@given(gf2_systems())
+def test_bitset_solvable_matches_dense(system):
+    A, b, cols = system
+    M = _bitset(A, cols)
+    assert gf2.solvable(M, _bits(b)) == (dense_solve_affine(A, b, cols) is not None)
+    # 0 is in every span, also of no columns or of zero columns only
+    assert gf2.solvable(M, 0)
+    assert gf2.solvable(gf2.Matrix(M.nrows, [0] * cols), _bits(b)) == (not any(b))
+
+
+
 # coefficients in {-2..2} on Y(1) and Y(2) and shifts 0, +-2, at most 81
 # generators (3 per unit of |c_i|)
 SMALL_CLASSES = [c1 * Y(1) + c2 * Y(2) + I(shift)

@@ -98,6 +98,7 @@ def test_zero_width_matrix_keeps_its_rows():
     assert gf2.kernel(a) == gf2.Matrix(0, [])
     assert gf2.solve_affine(a, 0) == 0
     assert gf2.solve_affine(a, 0b100) is None
+    assert gf2.solvable(a, 0) and not gf2.solvable(a, 0b100)
 
 
 def test_kernel_in_given_coordinates():

@@ -71,6 +71,15 @@ def test_inexact_shifts_indices_and_coefficients_are_refused():
         LocalClass.from_json({"coeffs": {"1": 1.5}, "shift": "0"})
 
 
+def test_bool_indices_coefficients_and_shifts_are_refused():
+    with pytest.raises(ValueError, match="basis index must be a positive integer, got True"):
+        LocalClass([(True, 1)], 0)
+    with pytest.raises(ValueError, match="coefficient of Y\\[1\\] must be an integer, got True"):
+        LocalClass([(1, True)], 0)
+    with pytest.raises(ValueError, match="inexact value True"):
+        LocalClass([(1, 1)], True)
+
+
 def test_shift_anchor_values():
     # the convention lock: I_2 has d = -2, (Y2 - Y1)[-2] has d = 4
     assert d_invariant(I(2)) == -2

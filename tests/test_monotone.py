@@ -40,6 +40,14 @@ def test_inexact_parameters_are_refused_by_both_root_types():
     assert M(Fraction(5, 2), Fraction(1, 2)).params == ((Fraction(5, 2), Fraction(1, 2)),)
 
 
+def test_bool_parameters_are_refused_by_both_root_types():
+    for build in (MonotoneRoot, WeaklyMonotoneRoot):
+        with pytest.raises(ValueError, match="parameter True is not an int"):
+            build(((True, True),))
+        with pytest.raises(ValueError, match="parameter False is not an int"):
+            build(((2, False),))
+
+
 def test_weak_constructor_allows_equalities():
     w = WeaklyMonotoneRoot(((2, 0), (2, 2)))
     assert w.type == 2

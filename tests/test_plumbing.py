@@ -71,6 +71,12 @@ def test_non_integer_weights_are_refused():
     assert PlumbingGraph((("a", -2), ("b", -3)), (("a", "b"),)).weights() == [-2, -3]
 
 
+def test_bool_weights_are_refused():
+    for w in (True, False):
+        with pytest.raises(ValueError, match=f"vertex 'a' has weight {w!r}, which is not an int"):
+            PlumbingGraph((("a", w),), ())
+
+
 def test_intersection_form_and_K():
     g = PlumbingGraph((("a", -2), ("b", -3)), (("a", "b"),))
     assert intersection_form(g) == [[-2, 1], [1, -3]]

@@ -108,6 +108,13 @@ def test_profile_constructor_refuses_float_gradings():
     assert p.leaves == (-2, 0, -2) and p.angles == (-2, -2)
 
 
+def test_profile_constructor_refuses_bool_gradings():
+    # isinstance(True, int) holds, so an int check alone lets True through
+    for leaves, angles in (((True,), ()), ((-2, 0, -2), (True, True))):
+        with pytest.raises(ValueError, match="grading True is not an int"):
+            SymmetricRootProfile(leaves, angles)
+
+
 def test_reference_profile_standard_complex():
     c = standard_complex(fig_profile())
     assert c.n == 11

@@ -10,7 +10,10 @@ The scans run only on the truncated reference path,
 ``validate`` build no ``Expanded``.  The local-equivalence metrics (``find_local_map`` spans and
 calls, the feasible fraction, ``solve_homotopy`` self time) rest on the
 hooks that ``locally_equivalent`` and ``validate`` reach through module
-globals.
+globals.  ``locally_equivalent`` decides each direction with
+``gf2.solvable`` and reads no witness, so ``gf2.solve_affine_self_s`` and
+``gf2.solve_cells`` read 0 on the ``local_equivalence`` workload; its
+elimination is the ``gf2.solvable`` span.
 """
 
 import importlib.util
