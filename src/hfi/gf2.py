@@ -145,7 +145,11 @@ def solvable(A: Matrix, b: int) -> bool:
     of A.  ``solve_affine(A, b) is not None`` gives the same answer.
 
     b is kept reduced by the basis built so far, so the search stops at the
-    first column that makes it 0.
+    first column that makes it 0.  ``b in Echelon(A.cols)`` decides the
+    same, but stores a (vector, tag) pair per lead and XORs a 0 tag at every
+    step: on the local-map systems of ``hfi.complexes`` that costs about
+    1.5x (infeasible) to 1.9x (feasible) the time of this loop, and adding
+    the early stop to it does not close the gap.
     """
     pivots: dict[int, int] = {}
     rest = b  # 0, or its leading bit has no basis vector

@@ -638,7 +638,8 @@ def test_existence_solves_no_witness_and_a_witness_solves_once(monkeypatch):
     monkeypatch.setattr(complexes.gf2, "solve_affine", counted)
     assert locally_equivalent(a, b) and locally_equivalent(b, a)
     w = find_local_map(a, b)
-    assert calls == []
+    assert calls == [] and repr(w) == "LocalMapWitness(5 -> 45 generators, unsolved)"
     F, H = w.F, w.H
     assert len(calls) == 1 and w._system is None  # the system is dropped
+    assert repr(w) == "LocalMapWitness(5 -> 45 generators, solved)"
     assert w.F is F and w.H is H and len(calls) == 1

@@ -471,7 +471,6 @@ def test_bitset_solvable_matches_dense(system):
     assert gf2.solvable(gf2.Matrix(M.nrows, [0] * cols), _bits(b)) == (not any(b))
 
 
-
 # coefficients in {-2..2} on Y(1) and Y(2) and shifts 0, +-2, at most 81
 # generators (3 per unit of |c_i|)
 SMALL_CLASSES = [c1 * Y(1) + c2 * Y(2) + I(shift)
