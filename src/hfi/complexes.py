@@ -299,6 +299,18 @@ def _levels(offsets: list[int]) -> tuple[list[int], list[int]]:
     return grades, [levels[t] for t in grades]
 
 
+def _cone_levels(grades: list[int], masks: list[int],
+                 n: int) -> tuple[list[int], list[int]]:
+    """``_levels`` of the offsets of ``mapping_cone(c)``, from the levels of
+    the n generators of c: cone level t holds the undecorated copies of c's
+    level t - 1 and the Q-copies (bits shifted by n) of its level t."""
+    levels = {t + 1: mask for t, mask in zip(grades, masks)}
+    for t, mask in zip(grades, masks):
+        levels[t] = levels.get(t, 0) | mask << n
+    cone = sorted(levels)
+    return cone, [levels[t] for t in cone]
+
+
 class Expanded:
     """The truncated complex as one GF(2) chain group per grading.
 
@@ -449,7 +461,7 @@ def _single_tower_check(c: IotaComplex) -> tuple[bool, str]:
     """(ok, detail) from the deep homology of C: dim H of L = C/(U - 1) on a
     parity class is |class| - rank(d on it) - rank(d on the other class),
     read off the lowest level of ``_eliminate``."""
-    _, sizes, ranks, _ = _eliminate(c.offsets, c.diff)
+    sizes, ranks, _ = _eliminate(*_levels(c.offsets), c.diff)
     d_even, d_odd = (sizes[0][p] - ranks[0][0] - ranks[0][1] for p in (0, 1))
     ok = d_even == 1 and d_odd == 0
     return ok, (f"deep homology ranks: {d_even} in tau-parity, {d_odd} off-parity")
@@ -464,6 +476,12 @@ def tensor(a: IotaComplex, b: IotaComplex) -> IotaComplex:
 
     No grading shift is applied: classes are stored in the h-normalized
     convention, where the trivial complex is the unit.
+
+    The cost is one ``spread`` per column of ``a``, bit by bit, and one
+    shift and XOR per generator of the product, so the smaller operand goes
+    on the left.  The product is associative in every field (labels,
+    offsets, index i * m + k, bit columns and tau), so a product of several
+    factors may be grouped to keep the left operands small.
     """
     m = b.n  # generator x_i (x) y_k has index i * m + k
     labels = tuple(f"{la}*{lb}" for la in a.labels for lb in b.labels)
@@ -543,14 +561,16 @@ def mapping_cone(a: IotaComplex) -> ConeComplex:
 # homology ranks: one elimination of L = C/(U - 1)
 
 
-def _eliminate(offsets: list[int], diff: Map):
+def _eliminate(grades: list[int], masks: list[int], diff: Map):
     """One elimination of the columns of L = C/(U - 1), level by level in
-    descending grading, a level being the generators at one offset.
+    descending grading, a level being the generators at one offset: the
+    distinct offsets ``grades``, ascending, and the mask of the generators
+    at each, as ``_levels`` or ``_cone_levels`` gives them.
 
-    Returns (grades, sizes, ranks, leads): the distinct offsets, ascending;
-    per level k, the number ``sizes[k][p]`` and rank ``ranks[k][p]`` of the
-    columns of parity p at or above it and ``leads[k]``, the B(L) basis
-    vectors led in it; then ``sizes`` and ``ranks`` of (0, 0) above the top.
+    Returns (sizes, ranks, leads): per level k, the number ``sizes[k][p]``
+    and rank ``ranks[k][p]`` of the columns of parity p at or above it and
+    ``leads[k]``, the B(L) basis vectors led in it; then ``sizes`` and
+    ``ranks`` of (0, 0) above the top.
 
     A vector's lead is its highest bit inside the lowest level it touches,
     so a basis with one vector per lead spans B n F_t, F_t the span of the
@@ -562,7 +582,6 @@ def _eliminate(offsets: list[int], diff: Map):
     on four class complexes ran 2.3 times slower through it.  The
     two parities' columns have images on disjoint bits and share the basis.
     """
-    grades, masks = _levels(offsets)
     pivots: dict[int, int] = {}  # bit_length of the lead -> vector
     leads = [0] * len(grades)
     size, rank = [0, 0], [0, 0]
@@ -588,7 +607,7 @@ def _eliminate(offsets: list[int], diff: Map):
                 v ^= q
         size[p] += masks[k].bit_count()
         sizes[k], ranks[k] = tuple(size), tuple(rank)
-    return grades, sizes, ranks, leads
+    return sizes, ranks, leads
 
 
 def homology_ranks(c, window) -> dict[Grading, int]:
@@ -604,7 +623,8 @@ def homology_ranks(c, window) -> dict[Grading, int]:
     """
     if not isinstance(c, (IotaComplex, ConeComplex)):
         raise TypeError(f"not a complex: {c!r}")
-    grades, sizes, ranks, _ = _eliminate(c.offsets, c.diff)
+    grades, masks = _levels(c.offsets)
+    sizes, ranks, _ = _eliminate(grades, masks, c.diff)
     gradings = [rational(g) for g in window]
     out = {}
     for g, t in zip(gradings, _offsets(gradings, c.tau)):
@@ -623,13 +643,14 @@ def homology_ranks(c, window) -> dict[Grading, int]:
 # for every r.
 
 
-def _tower_tops(offsets: list[int], diff: Map) -> tuple[int | None, int | None]:
+def _tower_tops(grades: list[int], masks: list[int],
+                diff: Map) -> tuple[int | None, int | None]:
     """(even top, odd top) of the free part of H(C (x) GF(2)[U]), or None:
     the highest level of parity p of ``_eliminate`` where dim(Z n F_t) =
     size - rank exceeds dim(B n F_t), the leads of parity p at or above it
     (proof: "Correction terms without truncation", module docstring).
     """
-    grades, sizes, ranks, leads = _eliminate(offsets, diff)
+    sizes, ranks, leads = _eliminate(grades, masks, diff)
     tops: list[int | None] = [None, None]
     bounds = [0, 0]
     for k in range(len(grades) - 1, -1, -1):
@@ -691,12 +712,14 @@ def correction_terms(c: IotaComplex) -> tuple[Grading, Grading, Grading]:
     """(d, d-bar, d-under), exact: those of the untruncated complex.
 
     One exact pass (``_tower_tops``) over C and one over its mapping cone,
-    with no truncation and no expanded model.  The trivial complex returns
+    with no truncation and no expanded model; the cone's levels come from
+    C's (``_cone_levels``), not from a second pass over its 2n offsets.  The trivial complex returns
     (0, 0, 0).  A complex with no tower raises RuntimeError.
     """
     cone = mapping_cone(c)
-    d, _ = _tower_tops(c.offsets, c.diff)
-    d_bar, odd = _tower_tops(cone.offsets, cone.diff)
+    levels = _levels(c.offsets)
+    d, _ = _tower_tops(*levels, c.diff)
+    d_bar, odd = _tower_tops(*_cone_levels(*levels, c.n), cone.diff)
     if None in (d, d_bar, odd):
         raise RuntimeError("no tower class found; complex violates the tower axiom")
     terms = (c.tau + d, c.tau + d_bar, c.tau + odd - 1)

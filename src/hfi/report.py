@@ -15,10 +15,12 @@ terms come from one exact elimination over GF(2) of the complex and one of
 its mapping cone (``complexes.correction_terms``), with no truncated model,
 so the cost follows the generator count and not the gradings' spread:
 ``Y(100000)`` and ``Y(1000000000) - Y(1) + I[-2]`` each took under
-0.5 ms, ``5*Y(1) - Y(2) + I[-2]`` (729 generators) 5.5 ms and ``7*Y(1)``
-(2187 generators, the largest under the cap) 22 ms (``evaluate_text`` with
-the oracle, best of 25, CPython 3.11 on one core of a shared x86-64
-server, where single runs read up to 1.6 times as long).
+0.5 ms, ``5*Y(1) - Y(2) + I[-2]`` (729 generators) 4.1 ms and ``7*Y(1)``
+(2187 generators, the largest under the cap) 16.5 ms (``evaluate_text``
+with the oracle, best of 25 in CPU time, CPython 3.11 on one core of a
+shared x86-64 server, where single runs read up to 1.6 times as long;
+building the class complex with the growing product on the left of each
+tensor step took 5.4 and 20.4 ms).
 The cap is read at call time.  Root-profile files use HF-minus gradings,
 2 below the internal ones; only this module applies that shift.
 """
@@ -137,23 +139,41 @@ def class_complex(a: LocalClass) -> complexes.IotaComplex:
 
     Each +1 in coefficient i contributes the standard complex of M(2i, 0);
     each -1 contributes its dual; the shift contributes a shifted trivial
-    tower.  Generator count is 3^(sum |c_i|), capped at MAX_ORACLE_GENERATORS.
+    tower.  Generator count is 3^w, w = sum |c_i| the class's weight, capped
+    at MAX_ORACLE_GENERATORS by comparing w with the largest weight under
+    the cap, so no power of 3 is computed.
+
+    The product t (x) f_1 (x) ... (x) f_k of the tower and the factors is
+    built as (t (x) f_1) (x) (f_2 (x) (... (x) f_k)), folding from the
+    right: ``tensor`` spreads each column of its left operand, so with a
+    three-generator factor on the left every step spreads 3 columns, not
+    one per generator of the growing product.  ``tensor`` is associative
+    in every field, so the complex equals the left fold's.
     """
-    size = 3 ** sum(abs(c) for _, c in a.coeffs)
-    if size > MAX_ORACLE_GENERATORS:
+    weight = sum(abs(c) for _, c in a.coeffs)
+    cap, size = -1, 1  # the largest weight with 3^cap <= MAX_ORACLE_GENERATORS
+    while size <= MAX_ORACLE_GENERATORS:
+        cap, size = cap + 1, 3 * size
+    if weight > cap:
         raise OracleSizeError(
-            f"oracle complex needs {size} generators, over the limit of "
-            f"{MAX_ORACLE_GENERATORS}")
+            f"oracle complex of weight {weight} needs 3^{weight} generators, "
+            f"over the limit of {MAX_ORACLE_GENERATORS} (weight {cap} at most)")
     # one tower at grading -shift, as an int when the shift is integral, so
     # that the tensor gradings of such a class are ints
     shift = int(a.shift) if a.shift.denominator == 1 else a.shift
-    acc = complexes.trivial_complex(-shift)
+    tower = complexes.trivial_complex(-shift)
+    factors = []
     for i, c in a.coeffs:
         factor = standard_complex(to_profile(MonotoneRoot(((2 * i, 0),))))
         if c < 0:
             factor = complexes.dual(factor)
-        for _ in range(abs(c)):
-            acc = complexes.tensor(acc, factor)
+        factors += [factor] * abs(c)
+    if not factors:
+        return tower
+    factors[0] = complexes.tensor(tower, factors[0])
+    acc = factors[-1]
+    for factor in reversed(factors[:-1]):
+        acc = complexes.tensor(factor, acc)
     return acc
 
 

@@ -21,7 +21,9 @@ from the generators' grading groups (the model reads it off its
 chain-group masks), the correction terms scanned in truncated models, and
 the local-map and homotopy systems assembled term by term with equations
 numbered in order of first use, in truncated models whose masks keep the
-entries below U^N at N = ``default_truncation`` of both gradings.  The
+entries below U^N at N = ``default_truncation`` of both gradings, and the
+class complex folded with the growing product on the left of each tensor
+step (``report.class_complex`` folds from the right).  The
 "Truncation" bullet of the ``hfi.complexes`` docstring says why those
 truncated systems are the exact ones.
 """
@@ -33,10 +35,11 @@ from hfi import complexes, gf2
 from hfi.brieskorn import BrieskornParams, seifert_invariants
 from hfi.complexes import Expanded, _bits, _offsets
 from hfi.cterms import p_q_sequences
-from hfi.monotone import MonotoneRoot, WeaklyMonotoneRoot
+from hfi.localclass import LocalClass
+from hfi.monotone import MonotoneRoot, WeaklyMonotoneRoot, to_profile
 from hfi.plumbing import (ARVerdict, PlumbingGraph, canonical_K, chi,
                           is_negative_definite, minimal_cycle)
-from hfi.roots import SymmetricRootProfile
+from hfi.roots import SymmetricRootProfile, standard_complex
 
 
 def ceiling_tau_deltas(b: BrieskornParams, start: int, stop: int) -> list[int]:
@@ -344,6 +347,21 @@ def truncated_correction_terms(c, N: int):
     if not (d_under <= d <= d_bar):
         raise RuntimeError(f"correction-term sanity violated: {terms}")
     return terms
+
+
+def left_fold_class_complex(a: LocalClass) -> complexes.IotaComplex:
+    """``report.class_complex`` without its size guard, built as
+    ((t (x) f_1) (x) f_2) (x) ... (x) f_k, so each ``tensor`` spreads every
+    column of the growing product."""
+    shift = int(a.shift) if a.shift.denominator == 1 else a.shift
+    acc = complexes.trivial_complex(-shift)
+    for i, c in a.coeffs:
+        factor = standard_complex(to_profile(MonotoneRoot(((2 * i, 0),))))
+        if c < 0:
+            factor = complexes.dual(factor)
+        for _ in range(abs(c)):
+            acc = complexes.tensor(acc, factor)
+    return acc
 
 
 def below(exp: Expanded, offsets, degree: int) -> tuple[int, ...]:

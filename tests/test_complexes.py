@@ -195,6 +195,37 @@ def test_group_axioms_on_random_standard_complexes(seed_a, seed_b):
     assert correction_terms(tensor(a, trivial_complex())) == correction_terms(a)
 
 
+def _tensor_factors():
+    """Trivial towers, seeded standard complexes and their duals, at int and
+    ``Fraction`` tau."""
+    half = standard_complex(to_profile(MonotoneRoot(((Fraction(1, 2), Fraction(1, 2)),))))
+    out = [trivial_complex(), trivial_complex(-2), trivial_complex(Fraction(3, 2)),
+           half, dual(half)]
+    rng = random.Random(20170640)
+    while len(out) < 15:
+        root = _root_from_seed([(rng.randint(-3, 3), rng.randint(-3, 3))
+                                for _ in range(rng.randint(1, 3))])
+        if root is not None:
+            c = standard_complex(to_profile(root))
+            out += [c, dual(c)]
+    return out
+
+
+def test_tensor_is_associative_in_every_field():
+    # report.class_complex folds its factors from the right and relies on
+    # (a (x) b) (x) c and a (x) (b (x) c) being the same complex
+    factors = _tensor_factors()
+    rng = random.Random(20170641)
+    triples = [(rng.choice(factors), rng.choice(factors), rng.choice(factors))
+               for _ in range(80)]
+    assert {type(a.tau) for a, _, _ in triples} == {int, Fraction}
+    for a, b, c in triples:
+        left, right = tensor(tensor(a, b), c), tensor(a, tensor(b, c))
+        for field in dataclasses.fields(left):
+            assert getattr(left, field.name) == getattr(right, field.name), field.name
+        assert type(left.tau) is type(right.tau)
+
+
 def test_mixed_coset_tensor_keeps_tau_sum():
     a = std(2, 0)
     b = standard_complex(to_profile(MonotoneRoot(((Fraction(1, 2), Fraction(1, 2)),))))

@@ -46,16 +46,23 @@
 - the Y-basis calculus against the iota-complex oracle: two small classes
   are equal exactly when their complexes are locally equivalent (the class
   is a complete invariant, Dai-Stoffregen), and the closed-form correction
-  terms equal the oracle's.
+  terms equal the oracle's, also on two classes at the oracle's cap of
+  2187 generators;
+- the class complex, folded from the right, against the left fold, field
+  for field, on seeded classes and on every ``oracle_cross_check`` class of
+  ``perfbench/reference.json``; and the mapping cone's levels, derived from
+  the complex's, against those read off the cone's offsets.
 
 Seeds are fixed and example counts bounded, so the suite stays fast.
 """
 
 import dataclasses
+import json
 import math
 import random
 from fractions import Fraction
 from itertools import accumulate, chain, combinations_with_replacement, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -64,7 +71,7 @@ from dense_reference import (below, ceiling_tau_deltas, compress_list,
                              default_truncation, dense_is_negative_definite,
                              dense_k_squared, dense_kernel, dense_rank,
                              dense_solve_affine, dict_find_local_map,
-                             dict_solve_homotopy,
+                             dict_solve_homotopy, left_fold_class_complex,
                              grouped_basis, pareto_subroot_params,
                              rebuild_is_almost_rational, restart_simplify_weak,
                              slice_d_lower_offset, slice_d_upper_offset,
@@ -74,12 +81,12 @@ from hfi.brieskorn import (BrieskornParams, _compress_to_profile,
                            _k_squared_plus_s, _tau_deltas, brieskorn_root,
                            negative_continued_fraction, seifert_invariants,
                            seifert_plumbing, tau_closed_form, tau_sequence)
-from hfi.localclass import I, Y
+from hfi.localclass import I, LocalClass, Y
 from hfi.monotone import M, WeaklyMonotoneRoot, monotone_subroot, simplify_weak, to_profile
 from hfi.plumbing import (PlumbingGraph, chi, graph_to_text, is_almost_rational,
                           is_negative_definite, is_rational, k_squared,
                           minimal_cycle)
-from hfi.report import class_complex
+from hfi.report import class_complex, evaluate_text
 from hfi.roots import SymmetricRootProfile, standard_complex
 
 MAX_ALPHA = 5000
@@ -481,6 +488,46 @@ SMALL_CLASSES = [c1 * Y(1) + c2 * Y(2) + I(shift)
 def test_class_correction_terms_match_the_oracle():
     for a in SMALL_CLASSES:
         assert cterms.correction_terms(a) == complexes.correction_terms(class_complex(a)), a
+
+
+@pytest.mark.parametrize("text", ["7*Y(1)", "3*Y(1) - 4*Y(2) + I[2]"])
+def test_the_oracle_agrees_at_its_generator_cap(text):
+    # weight 7: 3^7 = 2187 generators, the most under MAX_ORACLE_GENERATORS
+    r = evaluate_text(text, oracle=True)
+    assert r.oracle == "agrees"
+    assert class_complex(r.total).n == 2187
+
+
+BENCH_REFERENCE = Path(__file__).parents[1] / "perfbench" / "reference.json"
+
+
+def _seeded_classes():
+    """Two classes for each weight 0..7 and shift 0, +-2, 1/2: each unit of
+    weight goes to one of Y(1)..Y(4), with a sign drawn per index."""
+    rng = random.Random(20170642)
+    out = []
+    for weight, shift, _ in product(range(8), (0, 2, -2, Fraction(1, 2)), range(2)):
+        signs = {i: rng.choice((-1, 1)) for i in range(1, 5)}
+        units = [rng.randint(1, 4) for _ in range(weight)]
+        out.append(LocalClass([(i, signs[i]) for i in units], shift))
+    return out
+
+
+def test_right_fold_class_complex_matches_the_left_fold():
+    recorded = [LocalClass.from_json(entry["want"]["total"])
+                for entry in json.loads(BENCH_REFERENCE.read_text())["oracle_cross_check"]]
+    assert len(recorded) == 77
+    seeded = _seeded_classes()
+    assert {c > 0 for a in seeded for _, c in a.coeffs} == {True, False}
+    assert {sum(map(abs, dict(a.coeffs).values())) for a in seeded} == set(range(8))
+    for a in seeded + recorded:
+        c, want = class_complex(a), left_fold_class_complex(a)
+        for field in dataclasses.fields(c):
+            assert getattr(c, field.name) == getattr(want, field.name), (a, field.name)
+        assert type(c.tau) is type(want.tau), a
+        levels = complexes._levels(c.offsets)
+        assert complexes._cone_levels(*levels, c.n) == \
+            complexes._levels(complexes.mapping_cone(c).offsets), a
 
 
 def test_class_equality_is_local_equivalence():

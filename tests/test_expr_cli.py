@@ -1,19 +1,21 @@
 """Expression grammar, report evaluation, and the hfi command line."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
 
-from hfi import cli, complexes
+from hfi import cli, complexes, report
 from hfi.brieskorn import SigmaSizeError
 from hfi.cli import main
 from hfi.cterms import MAX_CLASS_WEIGHT, ClassWeightError, realization_family
 from hfi.expr import (ExpressionAST, FileAtom, IAtom, MAtom, ParseError,
                       SigmaAtom, YAtom, parse)
-from hfi.localclass import I, Y
+from hfi.localclass import I, LocalClass, Y
 from hfi.monotone import M, to_profile
-from hfi.report import OracleMismatchError, OracleSizeError, evaluate_text
+from hfi.report import (OracleMismatchError, OracleSizeError, class_complex,
+                        evaluate_text)
 from hfi.roots import profile_from_text, profile_to_text
 from test_plumbing import NOT_ALMOST_RATIONAL
 
@@ -175,6 +177,30 @@ def test_cli_eval_oracle_size_guard(capsys):
     # 3^12 generators is over the limit: refused, not attempted
     assert main(["eval", "12*Y(1)", "--oracle"]) == 1
     assert "generators" in capsys.readouterr().err
+    # at the engine's weight cap the count 3^12000 has 5,726 digits: the
+    # message names the weight, not the count
+    assert main(["eval", "12000*Y(1)", "--oracle"]) == 1
+    err = capsys.readouterr().err
+    assert "weight 12000" in err and "3^12000 generators" in err
+    assert len(err) < 200, err
+
+
+def test_oracle_size_guard_computes_no_power_of_three():
+    # 3^(10^7) would take seconds to compute; the guard compares weights
+    t0 = time.perf_counter()
+    with pytest.raises(OracleSizeError, match=r"weight 10000000 .* 3\^10000000 "):
+        class_complex(LocalClass([(1, 10**7)], 0))
+    assert time.perf_counter() - t0 < 1
+
+
+def test_oracle_size_cap_is_read_at_call_time(monkeypatch):
+    monkeypatch.setattr(report, "MAX_ORACLE_GENERATORS", 27)
+    assert class_complex(3 * Y(1)).n == 27
+    with pytest.raises(OracleSizeError, match=r"limit of 27 \(weight 3 at most\)"):
+        class_complex(4 * Y(1))
+    monkeypatch.setattr(report, "MAX_ORACLE_GENERATORS", 26)
+    with pytest.raises(OracleSizeError, match=r"3\^3 generators"):
+        class_complex(3 * Y(1))
 
 
 def test_cli_eval_oracle_builds_no_truncated_model(capsys, monkeypatch):
