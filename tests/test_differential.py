@@ -71,8 +71,8 @@ from dense_reference import (below, ceiling_tau_deltas, compress_list,
                              default_truncation, dense_is_negative_definite,
                              dense_k_squared, dense_kernel, dense_rank,
                              dense_solve_affine, dict_find_local_map,
-                             dict_solve_homotopy, left_fold_class_complex,
-                             grouped_basis, pareto_subroot_params,
+                             dict_solve_homotopy, grouped_basis,
+                             left_fold_class_complex, pareto_subroot_params,
                              rebuild_is_almost_rational, restart_simplify_weak,
                              slice_d_lower_offset, slice_d_upper_offset,
                              truncated_correction_terms)
@@ -519,7 +519,7 @@ def test_right_fold_class_complex_matches_the_left_fold():
     assert len(recorded) == 77
     seeded = _seeded_classes()
     assert {c > 0 for a in seeded for _, c in a.coeffs} == {True, False}
-    assert {sum(map(abs, dict(a.coeffs).values())) for a in seeded} == set(range(8))
+    assert {sum(abs(c) for _, c in a.coeffs) for a in seeded} == set(range(8))
     for a in seeded + recorded:
         c, want = class_complex(a), left_fold_class_complex(a)
         for field in dataclasses.fields(c):
