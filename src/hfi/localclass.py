@@ -171,7 +171,7 @@ def realizability_check(a: LocalClass) -> RealizabilityVerdict:
     plus = _alternation_reasons(a.coeffs)
     if not plus:
         return RealizabilityVerdict(True, "+", ())
-    minus = _alternation_reasons((-a).coeffs)
+    minus = _alternation_reasons(tuple((i, -c) for i, c in a.coeffs))
     if not minus:
         return RealizabilityVerdict(True, "-", ())
     return RealizabilityVerdict(False, None, tuple(plus))
@@ -200,7 +200,6 @@ def spherical_params(a: LocalClass) -> SphericalParams:
     if any(c < 0 for _, c in a.coeffs):
         raise ValueError("spherical parameters require a non-negative class")
     deltas = []
-    for i, c in a.coeffs:
+    for i, c in reversed(a.coeffs):
         deltas.extend([2 * i] * c)
-    deltas.sort(reverse=True)
     return SphericalParams(d_invariant(a), tuple(deltas))

@@ -110,21 +110,21 @@ def monotone_subroot(p: SymmetricRootProfile) -> MonotoneRoot:
 
     The mirror-merge grading of leaf i is the minimum of the angles i..n-i,
     so one running minimum outward from the centre gives all of them (the
-    central leaf of an odd profile is its own mirror image).  After one sort
-    by (-h, -c), a pair is on the frontier iff its c exceeds every c before it.
+    central leaf of an odd profile is its own mirror image), and c never
+    rises going out.  So a pair joins iff its h is above the last kept h, and
+    replaces that pair if their c's tie (kept c's strictly fall, so no other
+    can); the kept pairs, read back inwards, are the frontier: no sort.
     """
     n = p.n
-    pairs = [(p.leaves[n // 2], p.leaves[n // 2])] if n % 2 else []
+    frontier = [(p.leaves[n // 2], p.leaves[n // 2])] if n % 2 else []
     c = None
     for i in reversed(range(n // 2)):
         c = p.angles[i] if c is None else min(c, p.angles[i])
-        pairs.append((p.leaves[i], c))
-    pairs.sort(key=lambda hc: (-hc[0], -hc[1]))
-    frontier = []
-    for h, c in pairs:
-        if not frontier or c > frontier[-1][1]:
-            frontier.append((h, c))
-    return MonotoneRoot(tuple(frontier))
+        if not frontier or p.leaves[i] > frontier[-1][0]:
+            if frontier and c == frontier[-1][1]:
+                frontier.pop()
+            frontier.append((p.leaves[i], c))
+    return MonotoneRoot(tuple(reversed(frontier)))
 
 
 def simplify_weak(w: WeaklyMonotoneRoot) -> MonotoneRoot:

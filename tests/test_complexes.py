@@ -51,6 +51,8 @@ def test_homology_ranks_of_branched_tower():
     assert ranks[Fraction(-1)] == 0
     assert ranks[Fraction(-2)] == 1
     assert ranks[Fraction(-4)] == 1
+    with pytest.raises(TypeError, match="not a complex"):
+        homology_ranks("x", [0])
 
 
 def test_tensor_with_dual_is_locally_trivial():

@@ -143,6 +143,10 @@ def test_realization_family_rejects_degenerate():
         realization_family(0, 0, 0, 0)
     with pytest.raises(ValueError):
         realization_family(1, 1, 1, 0)  # odd d
+    with pytest.raises(ValueError, match="M and N must be non-negative"):
+        realization_family(-1, 1, 0, 0)
+    with pytest.raises(ValueError, match="k must be non-negative"):
+        realization_family(1, 1, 0, 0, -1)
 
 
 st_profiles = st.tuples(

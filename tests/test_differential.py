@@ -65,7 +65,7 @@ from itertools import accumulate, chain, combinations_with_replacement, product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from dense_reference import (below, ceiling_tau_deltas, compress_list,
                              default_truncation, dense_is_negative_definite,
@@ -340,6 +340,10 @@ def symmetric_profiles(draw):
 @seed(20170607)
 @settings(max_examples=100, deadline=None)
 @given(symmetric_profiles())
+# a c tie, where the outer pair replaces the last kept one: M(2, -2); and an
+# h tie, where the outer pair is skipped: M(0, -2)
+@example(SymmetricRootProfile((2, 0, 0, 2), (-2, -2, -2)))
+@example(SymmetricRootProfile((0, 0, 0, 0), (-4, -2, -4)))
 def test_linear_subroot_matches_pareto_definition(p):
     assert monotone_subroot(p).params == pareto_subroot_params(p)
 

@@ -66,6 +66,15 @@ def test_parse_errors_carry_position():
         parse("0*Y(1)")
     with pytest.raises(ParseError):
         parse("Q(3)")
+    for text, position, message in (
+            ("Sigma(2 3 5)", 8, "expected ','"),
+            ("Sigma(a,3,5)", 6, "expected an unsigned integer"),
+            ("M(x,0)", 2, "expected a rational (p or p/q)"),
+            ("Y(1) + @", 8, "expected a file path after '@'")):
+        with pytest.raises(ParseError) as e:
+            parse(text)
+        assert e.value.position == position
+        assert str(e.value) == f"parse error at position {position}: {message}"
 
 
 def test_a_long_expression_parses_with_every_position():
@@ -363,13 +372,23 @@ def test_cli_invalid_input_exits_2_with_message(argv, capsys):
     ("Y(1) - 3 * Sigma(1009,1013,1019)", SigmaSizeError,
      "Sigma(1009,1013,1019) at position 11: Sigma(1009,1013,1019) has alpha"),
     ("Y(0)", ValueError, "Y(0) at position 0: basis index"),
+    # a UnicodeDecodeError cannot be rebuilt from one message, so a ValueError
+    # names the atom instead
+    ("@bad.txt", ValueError,
+     "@bad.txt at position 0: 'utf-8' codec can't decode"),
 ])
 def test_atom_errors_name_the_atom_and_keep_their_class(text, error, message,
-                                                        tmp_path, monkeypatch):
+                                                        tmp_path, monkeypatch,
+                                                        capsys):
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.txt").write_bytes(b"\xff")
     with pytest.raises(error) as e:
         evaluate_text(text)
     assert type(e.value) is error and str(e.value).startswith(message)
+    cause = UnicodeDecodeError if text == "@bad.txt" else error
+    assert type(e.value.__cause__) is cause
+    assert main(["eval", text]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 @pytest.mark.parametrize("argv, text, fragment", [

@@ -62,6 +62,14 @@ def test_cli_dump_complex_json(capsys):
     assert capsys.readouterr().out == (GOLDEN / "eval_dump_complex.json").read_text()
 
 
+def test_cli_dump_complex_text(capsys):
+    # the text report, then the complex as in the JSON dump
+    assert main(["eval", EXPR, "--dump-complex"]) == 0
+    dumped = json.loads((GOLDEN / "eval_dump_complex.json").read_text())["complex"]
+    assert capsys.readouterr().out == (evaluate_text(EXPR).to_text() + "\n"
+                                       + json.dumps(dumped, indent=2) + "\n")
+
+
 def _side(profiles):
     c = None
     for leaves, angles in profiles:

@@ -23,6 +23,10 @@ def test_constructor_rejects_nonmonotone():
         M(2, 4)  # h_n < r_n
     with pytest.raises(ValueError):
         M(2, 0, 2, 2)  # equal h: only weakly monotone
+    with pytest.raises(ValueError, match="r parameters must be strictly increasing"):
+        M(4, 0, 2, 0)
+    with pytest.raises(ValueError, match="need an even number of scalars"):
+        M(1, 2, 3)
     with pytest.raises(ValueError):
         M(3, 0)  # mixed coset
     with pytest.raises(ValueError):

@@ -98,6 +98,8 @@ def test_not_negative_definite():
         minimal_cycle(g)
     with pytest.raises(ValueError):
         is_almost_rational(g)
+    with pytest.raises(ValueError, match="not negative definite"):
+        is_rational(PlumbingGraph((("a", 1),), ()))
 
 
 def test_e8_frozen_values():

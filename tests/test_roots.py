@@ -52,6 +52,13 @@ def test_mixed_coset_fails():
 def test_asymmetric_profile_rejected():
     with pytest.raises(ValueError):
         SymmetricRootProfile((0, -2), (-4,))
+    with pytest.raises(ValueError, match="angle gradings are not reflection-symmetric"):
+        SymmetricRootProfile((0, 0, 0), (-2, -4))
+    # and the two shape checks, which come first
+    with pytest.raises(ValueError, match="a profile needs at least one leaf"):
+        SymmetricRootProfile((), ())
+    with pytest.raises(ValueError, match="need exactly one angle"):
+        SymmetricRootProfile((0, 0), ())
 
 
 def test_single_leaf_profile_is_a_shifted_tower():
