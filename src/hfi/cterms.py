@@ -35,6 +35,10 @@ class ClassWeightError(ValueError):
     """The weight sum |c_i| of a class exceeds MAX_CLASS_WEIGHT."""
 
 
+def _weight(a: LocalClass) -> int:
+    return sum(abs(c) for _, c in a.coeffs)
+
+
 @dataclass(frozen=True)
 class STProfile:
     s: tuple[int, ...]  # weakly decreasing positive-part indices, with multiplicity
@@ -57,7 +61,7 @@ class STProfile:
 
     @staticmethod
     def of_class(a: LocalClass) -> "STProfile":
-        weight = sum(abs(c) for _, c in a.coeffs)
+        weight = _weight(a)
         if weight > MAX_CLASS_WEIGHT:
             raise ClassWeightError(
                 f"class has weight sum |c_i| = {weight}, above the limit "
@@ -139,9 +143,15 @@ def correction_terms(a: LocalClass) -> tuple[int | Fraction, ...]:
 
 
 def stabilized_terms(a: LocalClass, k: int) -> tuple[int | Fraction, ...]:
-    """Correction terms of the k-fold sum of a."""
+    """Correction terms of the k-fold sum of a.  A k-fold sum heavier than
+    MAX_CLASS_WEIGHT raises ClassWeightError naming k and the weight of a."""
     if k <= 0:
         raise ValueError("k must be positive")
+    weight = _weight(a)
+    if k > 1 and k * weight > MAX_CLASS_WEIGHT:
+        raise ClassWeightError(
+            f"the k-fold sum at k = {k} has weight {k} * {weight} = {k * weight}, "
+            f"above the limit MAX_CLASS_WEIGHT = {MAX_CLASS_WEIGHT}")
     return correction_terms(k * a)
 
 
@@ -160,7 +170,9 @@ def asymptotic_check(a: LocalClass, persist: int = 20) -> AsymptoticReport:
     For s_1 > t_1 the stabilized forms are d-bar = k d and
     d-under = k d - 2 s_1; for t_1 > s_1 they are d-bar = k d + 2 t_1 and
     d-under = k d.  The least k where the forms hold is located and the forms
-    are verified up to threshold + ``persist``.
+    are verified up to threshold + ``persist``.  The first k-fold sum it
+    needs that is heavier than MAX_CLASS_WEIGHT raises ClassWeightError
+    naming k (``stabilized_terms``).
     """
     st = STProfile.of_class(a)
     d = d_invariant(a)
@@ -178,7 +190,7 @@ def asymptotic_check(a: LocalClass, persist: int = 20) -> AsymptoticReport:
                       for o in offsets)
 
     def holds(k: int) -> bool:
-        _, db, du = correction_terms(k * a)
+        _, db, du = stabilized_terms(a, k)
         return (db - k * d, du - k * d) == offsets
 
     threshold = None

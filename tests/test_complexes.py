@@ -343,6 +343,19 @@ def test_validate_builds_no_truncated_model(monkeypatch):
     assert [name for name, _ in validate(bad).failed()] == ["iota^2 ~ id"]
 
 
+def test_correction_terms_builds_no_mapping_cone(monkeypatch):
+    # the exact pass eliminates the cone's columns without a ConeComplex;
+    # the reference scans build one, so they run before the patch
+    built = _involutive_complexes() + [_twisted()]
+    want = [truncated_correction_terms(c, default_truncation(c.gradings)) for c in built]
+
+    def refuse(*args):
+        raise AssertionError("mapping_cone ran")
+
+    monkeypatch.setattr(complexes, "mapping_cone", refuse)
+    assert [correction_terms(c) for c in built] == want
+
+
 def test_deep_ranks_and_wide_local_maps_cost_no_span(monkeypatch):
     # Y(1) has 3 generators, and Y(100000) 3 generators spread over about
     # 2 * 10^5 gradings: neither a truncated model nor a table the size of

@@ -94,6 +94,22 @@ def test_stabilized_terms_scale():
         stabilized_terms(a, 0)
 
 
+def test_k_fold_sums_over_the_cap_name_k():
+    # a class of weight 600 is under the cap, but its check reads the 21-fold
+    # sum, of weight 21 * 600 = 12,600; at weight 500 the 21-fold sum is 10,500
+    msg = r"k-fold sum at k = 21 has weight 21 \* 600 = 12600, above .* = 12000"
+    with pytest.raises(ClassWeightError, match=msg):
+        asymptotic_check(600 * Y(2))
+    with pytest.raises(ClassWeightError, match=msg):
+        stabilized_terms(600 * Y(2), 21)
+    assert stabilized_terms(600 * Y(2), 20) == correction_terms(12000 * Y(2))
+    rep = asymptotic_check(500 * Y(2))
+    assert (rep.threshold, rep.verified_up_to) == (1, 21)
+    # a class over the cap by itself is named as such, also at k = 1
+    with pytest.raises(ClassWeightError, match=r"class has weight sum \|c_i\| = 12001"):
+        stabilized_terms(MAX_CLASS_WEIGHT * Y(1) + Y(2), 1)
+
+
 def test_asymptotic_s_dominant():
     rep = asymptotic_check(Y(3) - Y(1), persist=10)
     assert rep.regime == "s-dominant"

@@ -37,6 +37,10 @@
   complexes, their relabelled copies in the coset 1/2 of Z and their
   mapping cones; and the exact tower check of ``validate`` against the
   probe reading of the truncated model;
+- the cone elimination of ``correction_terms``, its Q-copies started from
+  the vectors C's columns reduced to, against the elimination of the
+  cone's own columns: the same sizes, ranks and leads per level, and the
+  truncated scans' triple;
 - the local-map and homotopy systems in Kronecker layout against the same
   systems assembled term by term with equations numbered in order of first
   use: the same witnesses F and H and the same homotopies, not only the
@@ -675,6 +679,48 @@ def test_exact_pass_matches_the_truncated_scans():
                   lambda c: truncated_correction_terms(c, default_truncation(c.gradings))):
         with pytest.raises(RuntimeError, match="no tower class found"):
             terms(acyclic)
+
+
+def test_seeded_cone_elimination_matches_the_cone(monkeypatch):
+    # correction_terms eliminates the cone with its Q-copies seeded by the
+    # vectors C's own columns reduced to; the (sizes, ranks, leads) of that
+    # elimination are those of the cone's own columns, and the triple is
+    # the truncated scans'.  Seeded standard complexes and their duals and
+    # tensor products, with tau in Z and in 1/2 + Z, and every
+    # oracle_cross_check class
+    rng = random.Random(20170645)
+    built = _random_complexes(20170645, 30)
+    built += [complexes.dual(c) for c in built]
+    built += [complexes.tensor(rng.choice(built), _relabelled(rng.choice(built), rng))
+              for _ in range(20)]
+    built += [class_complex(LocalClass.from_json(entry["want"]["total"]))
+              for entry in json.loads(BENCH_REFERENCE.read_text())["oracle_cross_check"]]
+    assert {c.tau.denominator for c in built} == {1, 2}
+    eliminate, calls = complexes._eliminate, []
+
+    def recording(grades, masks, diff, reduced=None):
+        out = eliminate(grades, masks, diff, reduced)
+        calls.append((grades, masks, out))
+        return out
+
+    monkeypatch.setattr(complexes, "_eliminate", recording)
+    zero_after_xors = 0
+    for c in built:
+        calls.clear()
+        try:
+            got = complexes.correction_terms(c)
+        except RuntimeError as e:
+            got = e  # the eliminations it recorded are checked first
+        levels = complexes._levels(c.offsets)
+        (_, _, base), (grades, masks, seeded) = calls
+        assert (grades, masks) == complexes._cone_levels(*levels, c.n)
+        assert seeded == eliminate(grades, masks, complexes.mapping_cone(c).diff), c.labels
+        assert got == truncated_correction_terms(c, default_truncation(c.gradings)), c.labels
+        reduced = [0] * c.n
+        assert eliminate(*levels, c.diff, reduced) == base
+        zero_after_xors += sum(1 for col, v in zip(c.diff, reduced) if col and not v)
+    # the seeds include zero vectors from columns that were not zero
+    assert zero_after_xors > 0
 
 
 def test_exact_homology_ranks_match_the_truncated_models():
