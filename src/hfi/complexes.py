@@ -94,7 +94,9 @@ Conventions
     the smallest N the probe admits up to past the default.
 
   ``validate``, ``solve_homotopy`` and ``find_local_map`` solve the same
-  systems as their references in ``tests/dense_reference.py``, which build
+  systems as their references in ``tests/dense_reference.py`` (the local-map
+  search decides feasibility on a gauge-fixed subsystem with the same
+  verdict, and its witness solves the full system), which build
   truncated models at N = ceil(span/2) + 6, span the spread of all the
   gradings involved, and mask every map and product below U^N:
 
@@ -434,25 +436,35 @@ def validate(c: IotaComplex) -> Diagnostics:
     and tensor products and duals keep iota^2 = id.  Otherwise
     ``solve_homotopy`` looks for H.
 
+    Two products give all four compositions.  Column k of the stack
+    S = d | iota << n holds d x_k in its low n bits and iota x_k in its
+    high n bits, so S.d holds d^2 over iota d, and S.iota holds d iota over
+    iota^2.  Each ``mat_mul`` reads the columns of S once per bit of d or
+    iota, instead of four products and a ``mat_add``.
+
     The checks test whole columns and build no truncated model; the
     module docstring's "Truncation" bullet says why they agree with the
     truncated checks.
     """
     checks = []
 
-    def first_nonzero(m: Map) -> int | None:
+    def first_nonzero(m) -> int | None:
         return next((j for j, col in enumerate(m) if col), None)
 
-    j = first_nonzero(mat_mul(c.diff, c.diff))
+    n = c.n
+    low = (1 << n) - 1
+    stack = tuple(d | i << n for d, i in zip(c.diff, c.iota))
+    after_d, after_iota = mat_mul(stack, c.diff), mat_mul(stack, c.iota)
+
+    j = first_nonzero(x & low for x in after_d)
     checks.append(("d^2 = 0", j is None,
                    "ok" if j is None else f"d(d({c.labels[j]})) != 0"))
 
-    j = first_nonzero(mat_add(mat_mul(c.iota, c.diff), mat_mul(c.diff, c.iota)))
+    j = first_nonzero((x >> n) ^ (y & low) for x, y in zip(after_d, after_iota))
     checks.append(("iota chain map", j is None,
                    "ok" if j is None else "iota d != d iota"))
 
-    identity = tuple(1 << j for j in range(c.n))
-    square_plus_id = mat_add(mat_mul(c.iota, c.iota), identity)
+    square_plus_id = tuple((y >> n) ^ (1 << j) for j, y in enumerate(after_iota))
     if not any(square_plus_id):
         # every equation dH + Hd = iota^2 + id is homogeneous
         checks.append(("iota^2 ~ id", True, "iota^2 = id exactly"))
@@ -769,14 +781,17 @@ def correction_terms(c: IotaComplex) -> tuple[Grading, Grading, Grading]:
 # block, n the number of generators of b.  That is vec(L.X + X.R) =
 # (I (x) L + R^T (x) I) vec X, so the column of the unknown X[i, j] is
 # (L[i] << j.n) ^ (S[j] << i), where S[j] marks the columns c of R that
-# contain x_j (``_spread``).  Several blocks at once are one such column:
-# Lcat[i] joins L[i] of each block shifted to the block's start, and so does
-# Scat[j].  The unknowns are numbered map by map and, within a map, by row i,
-# then column j; the solution sets free unknowns to 0, so this order fixes
-# which solution is returned.  The row numbering does not change the
-# solution: for a fixed column order the pivot columns, and so the solution
-# with free unknowns zero, depend only on the linear dependences among the
-# columns.
+# contain x_j (``_spread``).  Two products whose entries never share a bit
+# are one such column: ``find_local_map``'s F column joins d_b and iota_b in
+# L and d_a and iota_a in S, since an entry (i, j) of a degree -1 map has
+# x_i and x_j of opposite parities and one of a degree 0 map of equal
+# parities.  A block that starts at bit s, like the local map's pin, is
+# L[i] or S[j] shifted by s.  The unknowns are numbered map by map and,
+# within a map, by row i, then column j; the solution sets free unknowns to
+# 0, so this order fixes which solution is returned.  The row numbering
+# does not change the solution: for a fixed column order the pivot columns,
+# and so the solution with free unknowns zero, depend only on the linear
+# dependences among the columns.
 
 
 def _spread(R: Map, width: int, n: int) -> list[int]:
@@ -793,6 +808,39 @@ def _kron_columns(rows: list[int], L, S, n: int) -> list[int]:
     the unknowns are the bits j of ``rows[i]``, row by row."""
     return [(L[i] << j * n) ^ (S[j] << i)
             for i, row in enumerate(rows) for j in _bits(row)]
+
+
+def _gauge_entries(rows: list[int], diff: Map) -> list[int]:
+    """P[k]: the entries (k, j) of the gauge vectors d X + X d of the
+    unknowns X[i, j] in ``rows`` that are their lowest entries, row-major.
+
+    Row i of X counts only when the lowest bit k of ``diff[i]`` is below i:
+    d X[i, j] has its entries in column j at the rows of ``diff[i]``, and
+    X[i, j] d all in row i, so (k, j) comes first.  No two selected unknowns
+    share a lowest entry (one is taken for each entry of P), so on the
+    entries of P the selected gauge vectors are unit-triangular.
+    """
+    P = [0] * len(rows)
+    for i, (row, col) in enumerate(zip(rows, diff)):
+        low = col & -col
+        if low and not low >> i:
+            P[low.bit_length() - 1] |= row
+    return P
+
+
+def _local_map_columns(a: IotaComplex, b: IotaComplex, za: int,
+                       F: list[int], H: list[int], W: list[int]):
+    """The columns of the F, H and slack unknowns that the rows F, H and W
+    mask, as three lists, in the one-block layout of ``find_local_map``:
+    the d- and iota-equations share bits 0..n_a.n_b - 1, and the pin is
+    row n_a.n_b + i."""
+    n, nn = b.n, a.n * b.n
+    Sd = _spread(a.diff, a.n, n)
+    Sf = [sd | si | (za >> j & 1) << nn
+          for j, (sd, si) in enumerate(zip(Sd, _spread(a.iota, a.n, n)))]
+    return (_kron_columns(F, [d | i for d, i in zip(b.diff, b.iota)], Sf, n),
+            _kron_columns(H, b.diff, Sd, n),
+            _kron_columns(W, [d << nn for d in b.diff], (0,), n))
 
 
 def _solve(A: gf2.Matrix, rhs: int,
@@ -848,19 +896,21 @@ class LocalMapWitness:
     F iota + iota F = dH + Hd, F pinned on the deep tower generators.
 
     ``find_local_map`` returns one once its system is known to be feasible,
-    without solving it.  F and H are solved from that system (free unknowns
-    0, by ``gf2.solve_affine``) the first time either is read; the witness
-    then keeps the two maps and drops the system.  Until then it holds the
-    whole system, every column at full width: on the largest feasible
-    system of the benchmark's pairs (35 -> 165 generators, 4,705 unknowns)
-    an unread witness holds 6.2 MB under ``tracemalloc`` and a read one
-    about 2 KB.  A caller that keeps many witnesses should read F or H, or
-    drop them.
+    without solving it.  F and H are solved (free unknowns 0, by
+    ``gf2.solve_affine``) the first time either is read, from the full
+    system: every F, H and slack unknown, with no gauge fixing, in the order
+    F, H, slack.  So the witness is the one the system without gauge fixing
+    gives.  Until then it holds only the unknowns' row masks and the two
+    tower representatives, three ints per generator of the target, and
+    builds the columns when it solves; then it keeps the two maps.  On the
+    largest feasible system of the benchmark's pairs (35 -> 165 generators,
+    4,705 unknowns) an unread witness holds 4.9 KB under ``tracemalloc``
+    (6.5 MB when it held the columns) and a read one 2.6 KB.
     """
 
     def __init__(self, source: IotaComplex, target: IotaComplex, system):
         self.source, self.target = source, target
-        self._system = system  # the arguments of ``_solve``
+        self._system = system  # (F, H, W, za, zb): row masks and tower representatives
 
     def __repr__(self) -> str:
         return (f"LocalMapWitness({self.source.n} -> {self.target.n} "
@@ -868,7 +918,12 @@ class LocalMapWitness:
 
     @cached_property
     def _maps(self) -> tuple[Map, Map]:
-        F, H, _ = _solve(*self._system)
+        a, b = self.source, self.target
+        F, H, W, za, zb = self._system
+        cf, ch, cw = _local_map_columns(a, b, za, F, H, W)
+        nn = a.n * b.n
+        F, H, _ = _solve(gf2.Matrix(nn + b.n, cf + ch + cw), zb << nn,
+                         [(F, a.n), (H, a.n), (W, 1)])
         self._system = None
         return F, H
 
@@ -929,36 +984,77 @@ def find_local_map(a: IotaComplex, b: IotaComplex) -> LocalMapWitness | None:
     constraint, which makes U-nondegeneracy linear).  Returns None when the
     system is infeasible.  Feasibility is decided by one tag-free
     elimination (``gf2.solvable``: is the pin vector in the span of the
-    columns?); a feasible system comes back inside a ``LocalMapWitness``,
-    which solves F and H from it only when one of them is read.
+    columns?) of the gauge-fixed system below; a feasible system comes back
+    inside a ``LocalMapWitness``, which solves F and H from the full system
+    only when one of them is read.
 
     The search is exact: it builds no truncated model and reads no N.  With
     offsets from a.tau, the unknown F[i, j] (H[i, j]) is there when x_i of b
     is at an offset >= off_a(j) (off_a(j) + 1) of the same parity.  The
-    equations are d_b F + F d_a = 0 (block 0), iota_b F + F iota_a + d_b H
-    + H d_a = 0 (block n_a.n_b) and F(z_a) + d_b(w) = z_b (the pinning block
-    at 2.n_a.n_b), where the slack w is any chain of b's odd class and z_a,
-    z_b are the tower representatives (``_Side.tower``).  Each unknown's
-    column is one ``_kron_columns`` entry over the three blocks, with no
-    mask.  The system and so the witness are those of the search that
-    builds both truncated models and masks every product by U^N (the
-    module docstring's "Truncation" bullet).
+    equations are d_b F + F d_a = 0, iota_b F + F iota_a + d_b H + H d_a = 0
+    and F(z_a) + d_b(w) = z_b, where the slack w is any chain of b's odd
+    class and z_a, z_b are the tower representatives (``_Side.tower``).  The
+    system and so the witness are those of the search that builds both
+    truncated models and masks every product by U^N (the module
+    docstring's "Truncation" bullet).
+
+    One block.  Entry (i, j) of the d-equations and of the iota-equations
+    is the same bit j.n_b + i.  A d-equation entry is one of a degree -1
+    map, so x_i and x_j have opposite parities; an iota-equation entry is
+    one of a degree 0 map, with equal parities.  So no bit is used twice,
+    and the pin's rows start at n_a.n_b: every column is n_a.n_b + n_b bits
+    wide, half the width of one block per equation.  This renumbers the
+    equations one to one, so the dependences among the columns, and with
+    them feasibility and the solution, do not change.  Each unknown's
+    column is one ``_kron_columns`` entry, with no mask.
+
+    Gauge fixing.  Precondition: d^2 = 0 and d iota = iota d on a and on b,
+    the first two checks of ``validate`` (the search does not repeat them).
+    Then a solution (F, H, w) stays one under two moves:
+
+    - F -> F + dH' + H'd, H -> H + iota H' + H' iota, w -> w + H' z_a, for
+      any degree +1 map H'.  d^2 = 0 keeps dF + Fd = 0.  d iota = iota d
+      turns (dH' + H'd) iota + iota (dH' + H'd) into d(iota H' + H' iota)
+      + (iota H' + H' iota) d.  And d z_a = 0 in L = C/(U - 1), so
+      (dH' + H'd) z_a = d(H' z_a), and H' z_a lies in b's odd class.
+    - H -> H + dK + Kd, for any degree +2 map K; d^2 = 0 gives
+      d(dK + Kd) + (dK + Kd)d = 0, and F and w stay.
+
+    Let X be the unit map at (i, j) and k the lowest bit of d_b[i].  When
+    k < i, the lowest entry of dX + Xd in row-major order is (k, j), since
+    the entries of Xd all lie in row i.  ``_gauge_entries`` collects these
+    lowest entries: P_F over the rows of H' (the H unknowns), P_H over the
+    rows of K (x_i at an offset >= off_a(j) + 2).  Taking one unknown per
+    entry of P, the selected gauge vectors are unit-triangular on P, so the
+    first move can make F zero on P_F, and then the second, which leaves F
+    alone, can make H zero on P_H.  Each entry of P_F is an F unknown, since
+    x_k is at an offset >= off_b(i) - 1, and likewise each entry of P_H is
+    an H unknown.  So the system without the unknowns of P_F and P_H is
+    feasible iff the full one is.  The feasibility pass builds it, in the
+    column order F, slack, H, for O(n_b) mask operations and no
+    elimination.  On the benchmark's pairs it drops 30% of the F and 34% of
+    the H unknowns: 1,211 -> 848 F and 1,110 -> 744 H on the 165 -> 21
+    system.
 
     ``tests/test_golden.py`` pins the witnesses, and the differential tests
     compare them with ``dense_reference.dict_find_local_map``, which still
-    builds the truncated models.  A system with more than
-    MAX_LOCAL_MAP_UNKNOWNS unknowns raises SearchSizeError, a ValueError,
-    from the mask counts, before any elimination.  Every unknown's column is
-    an int of up to 2.n_a.n_b + n_b bits, however few terms it has, so the
-    columns and their echelon basis dominate the memory.  At the budget
-    (CPython 3.11, shared 2-core x86-64 machine, min CPU time of 9 calls in
-    each of three processes): the largest system the budget admits among
-    the benchmark's pair complexes, 165 -> 63 generators with 5,724 unknowns
-    (infeasible, so existence alone), took 20-36 ms and peaked at 17.2 MB
-    under ``tracemalloc`` (the truncated search: 28-35 ms, 7.4 MB); the
-    largest feasible one, 35 -> 165 with 4,705 unknowns, took 9-14 ms and
-    7.8 MB for existence alone, and 18-26 ms and 8.2 MB with the witness
-    read (the truncated search: 25-27 ms, 5.1 MB).
+    builds the truncated models, and the gauge-fixed verdicts with those of
+    the full system.  A system with more than MAX_LOCAL_MAP_UNKNOWNS
+    unknowns, counting every F, H and slack unknown, raises
+    SearchSizeError, a ValueError, from the mask counts, before any
+    elimination.  Every unknown's column is an int of up to n_a.n_b + n_b
+    bits, however few terms it has, so the columns and their echelon basis
+    dominate the memory.  At the budget (CPython 3.11, shared 2-core x86-64
+    machine, min CPU time of 9 calls in each of three processes): the
+    largest system the budget admits among the benchmark's pair complexes,
+    165 -> 63 generators with 5,724 unknowns (infeasible, so existence
+    alone), takes 6.6-6.7 ms and peaks at 5.5 MB under ``tracemalloc``
+    (before gauge fixing and the one block: 23-25 ms and 17.2 MB; the
+    truncated search: 28-35 ms, 7.4 MB); the largest feasible one, 35 -> 165
+    with 4,705 unknowns, takes 3.9-4.0 ms and 2.7 MB for existence alone
+    (before: 9.0-9.3 ms, 7.8 MB), and 14-15 ms and 4.5 MB with the witness
+    read (before: 17-28 ms, 8.2 MB; the truncated search: 25-27 ms,
+    5.1 MB).
     """
     if ((a.tau - b.tau).denominator != 1) or int(a.tau - b.tau) % 2 != 0:
         raise ValueError(f"tower cosets differ: tau={a.tau} vs {b.tau}")
@@ -977,18 +1073,16 @@ def find_local_map(a: IotaComplex, b: IotaComplex) -> LocalMapWitness | None:
             f"{nh} H-vars, {w_dim} slack vars (limit {MAX_LOCAL_MAP_UNKNOWNS})")
     za, zb = sa.tower(), sb.tower()
 
-    n, nn = b.n, a.n * b.n
-    Sd = _spread(a.diff, a.n, n)
-    Lf = [d | i << nn for d, i in zip(b.diff, b.iota)]
-    Sf = [sd | si << nn | (za >> j & 1) << 2 * nn
-          for j, (sd, si) in enumerate(zip(Sd, _spread(a.iota, a.n, n)))]
-    cols = (_kron_columns(F, Lf, Sf, n)
-            + _kron_columns(H, [d << nn for d in b.diff], [s << nn for s in Sd], n)
-            + _kron_columns(W, [d << 2 * nn for d in b.diff], (0,), n))
-    A, rhs = gf2.Matrix(2 * nn + n, cols), zb << 2 * nn
-    if not gf2.solvable(A, rhs):
+    # gauge fixing: the F entries that a change of H' reaches first, and
+    # the H entries that a change of K (degree +2) reaches first
+    pf = _gauge_entries(H, b.diff)
+    ph = _gauge_entries([sa.at_or_below(t + shift - 2) for t in sb.offsets], b.diff)
+    cf, ch, cw = _local_map_columns(a, b, za, [r & ~p for r, p in zip(F, pf)],
+                                    [r & ~p for r, p in zip(H, ph)], W)
+    nn = a.n * b.n
+    if not gf2.solvable(gf2.Matrix(nn + b.n, cf + cw + ch), zb << nn):
         return None
-    return LocalMapWitness(a, b, (A, rhs, [(F, a.n), (H, a.n), (W, 1)]))
+    return LocalMapWitness(a, b, (F, H, W, za, zb))
 
 
 def locally_equivalent(a: IotaComplex, b: IotaComplex) -> bool:

@@ -47,6 +47,9 @@
   same verdicts; the exact local-map search, which builds no truncated
   model, matches that reference, which does, also on pairs shifted by
   tau +- 2 and in the coset 1/2 + Z;
+- the gauge-fixed local-map columns against the full columns and the dict
+  reference: the same verdict both ways, every dropped unknown reachable
+  by a gauge change, and the budget counted on every unknown;
 - the Y-basis calculus against the iota-complex oracle: two small classes
   are equal exactly when their complexes are locally equivalent (the class
   is a complete invariant, Dai-Stoffregen), and the closed-form correction
@@ -806,10 +809,10 @@ def test_kronecker_assembly_matches_the_dict_reference():
     assert True in independent and False in independent
 
 
-def test_kronecker_assembly_matches_the_dict_reference_off_the_involution():
-    # the iota on std(2, 0) with iota^2(v2) = 0 (no homotopy to id), and
-    # iota' = iota + dK + Kd on a tensor product (a homotopy exists)
-    rng = random.Random(20170630)
+def _twisted_iota_complexes(rng):
+    """std(2, 0); the iota on it with iota^2(v2) = 0 (no homotopy to id);
+    and iota' = iota + dK + Kd on a tensor product (a homotopy exists).
+    Both keep d iota = iota d."""
     mul, add = complexes.mat_mul, complexes.mat_add
     c = standard_complex(to_profile(M(2, 0)))
     bad = complexes.iota_complex(c.labels, c.gradings, [[0, 0, [1]], [0, 0, [1]], [0, 0, 0]],
@@ -818,6 +821,13 @@ def test_kronecker_assembly_matches_the_dict_reference_off_the_involution():
     exp = complexes.Expanded(t.gradings, t.diff, default_truncation(t.gradings), t.tau)
     K = tuple(rng.getrandbits(t.n) & col for col in below(exp, exp.offsets, 1))
     twisted = dataclasses.replace(t, iota=add(t.iota, add(mul(t.diff, K), mul(K, t.diff))))
+    return c, bad, twisted
+
+
+def test_kronecker_assembly_matches_the_dict_reference_off_the_involution():
+    rng = random.Random(20170630)
+    mul, add = complexes.mat_mul, complexes.mat_add
+    c, bad, twisted = _twisted_iota_complexes(rng)
     found = []
     for x in (bad, twisted):
         square_plus_id = add(mul(x.iota, x.iota), tuple(1 << j for j in range(x.n)))
@@ -851,3 +861,96 @@ def test_exact_local_map_search_matches_the_truncated_reference_off_the_unit():
                 assert (None if w is None else (w.F, w.H)) == dict_find_local_map(p, q)
                 feasible.add(w is not None)
     assert feasible == {True, False}
+
+
+def _gauge_vector(a, b, i: int, j: int) -> int:
+    """vec(d_b X + X d_a), X the unit map a -> b at (i, j), from two products."""
+    mul, add = complexes.mat_mul, complexes.mat_add
+    X = tuple(1 << i if c == j else 0 for c in range(a.n))
+    return complexes._vec(add(mul(b.diff, X), mul(X, a.diff)), b.n)
+
+
+def _assert_gauge_fixing_keeps_the_verdict(a, b, monkeypatch) -> tuple[bool, int, int]:
+    """find_local_map a -> b, whose gauge-fixed columns are recorded, against
+    the full columns and the dict reference; returns (feasible, F unknowns
+    dropped, H unknowns dropped)."""
+    sa, sb = complexes._Side(a), complexes._Side(b)
+    shift = int(b.tau - a.tau)
+    # the rows of F, H and the degree +2 gauge K, and of the slack
+    F, H, K = ([sa.at_or_below(t + shift - k) for t in sb.offsets] for k in range(3))
+    W = [sb.classes[1] >> i & 1 for i in range(b.n)]
+    # the entries _gauge_entries selects are unknowns of their block
+    for P, unknowns in ((complexes._gauge_entries(H, b.diff), F),
+                        (complexes._gauge_entries(K, b.diff), H)):
+        assert all(p & ~row == 0 for p, row in zip(P, unknowns))
+
+    masks, columns = [], complexes._local_map_columns
+
+    def recorded(*args):
+        masks.append(args[3:])
+        return columns(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(complexes, "_local_map_columns", recorded)
+        w = complexes.find_local_map(a, b)
+    fixed_f, fixed_h, fixed_w = masks[0]
+    assert fixed_w == W
+    dropped = []
+    for full, fixed, gauges in ((F, fixed_f, H), (H, fixed_h, K)):
+        # the feasibility pass adds no unknown, and a gauge change (the
+        # gauge vectors dX + Xd of the unknowns of H, then of K) can set
+        # every unknown it drops to zero
+        assert all(f & ~row == 0 for f, row in zip(fixed, full))
+        gone = complexes._vec(complexes._transpose(
+            [row & ~f for row, f in zip(full, fixed)], a.n), b.n)
+        e = gf2.Echelon(_gauge_vector(a, b, i, j) & gone
+                        for i, row in enumerate(gauges) for j in complexes._bits(row))
+        assert len(e) == gone.bit_count()
+        dropped.append(gone.bit_count())
+    nn = a.n * b.n
+    cf, ch, cw = columns(a, b, sa.tower(), F, H, W)
+    full = gf2.solvable(gf2.Matrix(nn + b.n, cf + ch + cw), sb.tower() << nn)
+    want = dict_find_local_map(a, b)
+    assert (w is not None) == full == (want is not None)
+    assert (None if w is None else (w.F, w.H)) == want
+    # the budget counts every F, H and slack unknown, before any elimination
+    nf, nh, nw = (sum(row.bit_count() for row in X) for X in (F, H, W))
+
+    def no_elimination(*args, **kw):
+        raise AssertionError("a GF(2) elimination ran")
+
+    with monkeypatch.context() as m:
+        m.setattr(complexes, "MAX_LOCAL_MAP_UNKNOWNS", nf + nh + nw - 1)
+        m.setattr(complexes.gf2, "Echelon", no_elimination)
+        m.setattr(complexes.gf2, "solvable", no_elimination)
+        with pytest.raises(complexes.SearchSizeError,
+                           match=f"{nf} F-vars, {nh} H-vars, {nw} slack vars"):
+            complexes.find_local_map(a, b)
+    return (full, *dropped)
+
+
+def test_gauge_fixed_local_map_search_matches_the_full_system(monkeypatch):
+    # seeded pairs of small complexes, drawn independently or as
+    # (a, a (x) s (x) s^dual), and the twisted-iota complexes against
+    # std(2, 0): in both directions, the verdict of the gauge-fixed columns
+    # is that of the full columns and of the dict reference
+    rng = random.Random(20170640)
+    tensor = complexes.tensor
+    pairs = []
+    for k in range(12):
+        if k % 2 == 0:
+            a = _small_complex(rng, 1)
+            s = _small_complex(rng, 1, SMALL_ROOTS[:4])
+            pairs.append((a, tensor(a, tensor(s, complexes.dual(s)))))
+        else:
+            pairs.append(tuple(_small_complex(rng, rng.randint(1, 2)) for _ in range(2)))
+    c, bad, twisted = _twisted_iota_complexes(rng)
+    pairs += [(bad, c), (twisted, c), (twisted, bad)]
+    verdicts, dropped_f, dropped_h = set(), 0, 0
+    for a, b in pairs:
+        for x, y in ((a, b), (b, a)):
+            feasible, nf, nh = _assert_gauge_fixing_keeps_the_verdict(x, y, monkeypatch)
+            verdicts.add(feasible)
+            dropped_f += nf
+            dropped_h += nh
+    assert verdicts == {True, False} and dropped_f > 0 and dropped_h > 0
