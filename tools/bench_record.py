@@ -8,8 +8,9 @@ speed claim quotes), one fresh ``perfbench/run.py --trace 0`` process at a
 time.  The last line of each run is its JSON result; the record keeps, per
 workload and end-to-end metric, every run's value, the median, the range
 (min, max) and the spread (max - min) / median.  It also records the
-commit and whether ``src/`` or ``perfbench/`` differ from it, the Python
-version, the CPU count, k, the seed and the budget per run.
+commit and whether ``src/`` or ``perfbench/`` differ from it (both None
+outside a git checkout), the Python version, the CPU count, k, the seed
+and the budget per run.
 
 Only the standard library is used, and nothing under ``perfbench/`` is
 edited.  A run that fails an op or exits non-zero makes the script exit 1
@@ -62,7 +63,7 @@ def summarize(runs: list[dict]) -> dict:
     """Per metric: unit, every run's value, median, range and spread."""
     metrics = {}
     for name in runs[0]["metrics"]:
-        values = [r["metrics"][name]["value"] for r in runs if name in r["metrics"]]
+        values = [r["metrics"][name]["value"] for r in runs]
         median = statistics.median(values)
         metrics[name] = {
             "unit": runs[0]["metrics"][name]["unit"],
@@ -75,9 +76,10 @@ def summarize(runs: list[dict]) -> dict:
 
 
 def record(workloads, repeats: int, seed: int, seconds: float) -> dict:
+    status = git("status", "--porcelain", "--", "src", "perfbench")
     out = {
         "commit": git("rev-parse", "HEAD"),
-        "tree_differs": git("status", "--porcelain", "--", "src", "perfbench") not in ("", None),
+        "tree_differs": None if status is None else bool(status),
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "machine": platform.machine(),
