@@ -436,35 +436,25 @@ def validate(c: IotaComplex) -> Diagnostics:
     and tensor products and duals keep iota^2 = id.  Otherwise
     ``solve_homotopy`` looks for H.
 
-    Two products give all four compositions.  Column k of the stack
-    S = d | iota << n holds d x_k in its low n bits and iota x_k in its
-    high n bits, so S.d holds d^2 over iota d, and S.iota holds d iota over
-    iota^2.  Each ``mat_mul`` reads the columns of S once per bit of d or
-    iota, instead of four products and a ``mat_add``.
-
     The checks test whole columns and build no truncated model; the
     module docstring's "Truncation" bullet says why they agree with the
     truncated checks.
     """
     checks = []
 
-    def first_nonzero(m) -> int | None:
+    def first_nonzero(m: Map) -> int | None:
         return next((j for j, col in enumerate(m) if col), None)
 
-    n = c.n
-    low = (1 << n) - 1
-    stack = tuple(d | i << n for d, i in zip(c.diff, c.iota))
-    after_d, after_iota = mat_mul(stack, c.diff), mat_mul(stack, c.iota)
-
-    j = first_nonzero(x & low for x in after_d)
+    j = first_nonzero(mat_mul(c.diff, c.diff))
     checks.append(("d^2 = 0", j is None,
                    "ok" if j is None else f"d(d({c.labels[j]})) != 0"))
 
-    j = first_nonzero((x >> n) ^ (y & low) for x, y in zip(after_d, after_iota))
+    j = first_nonzero(mat_add(mat_mul(c.iota, c.diff), mat_mul(c.diff, c.iota)))
     checks.append(("iota chain map", j is None,
                    "ok" if j is None else "iota d != d iota"))
 
-    square_plus_id = tuple((y >> n) ^ (1 << j) for j, y in enumerate(after_iota))
+    identity = tuple(1 << j for j in range(c.n))
+    square_plus_id = mat_add(mat_mul(c.iota, c.iota), identity)
     if not any(square_plus_id):
         # every equation dH + Hd = iota^2 + id is homogeneous
         checks.append(("iota^2 ~ id", True, "iota^2 = id exactly"))
@@ -1091,6 +1081,11 @@ def locally_equivalent(a: IotaComplex, b: IotaComplex) -> bool:
     It asks ``find_local_map`` only whether each system is feasible and
     reads no witness, so it solves none: each direction is one tag-free
     elimination (``gf2.solvable``) and no ``gf2.solve_affine`` runs.
+
+    Precondition, that of ``find_local_map``'s gauge fixing: d^2 = 0 and
+    d iota = iota d on a and on b, the first two checks of ``validate``,
+    which neither function repeats.  On a complex that breaks them the
+    answer can be False where local maps exist.
     """
     return (find_local_map(a, b) is not None
             and find_local_map(b, a) is not None)

@@ -49,7 +49,9 @@
   tau +- 2 and in the coset 1/2 + Z;
 - the gauge-fixed local-map columns against the full columns and the dict
   reference: the same verdict both ways, every dropped unknown reachable
-  by a gauge change, and the budget counted on every unknown;
+  by a gauge change, and the budget counted on every unknown; and, on a
+  complex whose iota is not a chain map, the verdict the gauge fixing
+  loses;
 - the Y-basis calculus against the iota-complex oracle: two small classes
   are equal exactly when their complexes are locally equivalent (the class
   is a complete invariant, Dai-Stoffregen), and the closed-form correction
@@ -954,3 +956,18 @@ def test_gauge_fixed_local_map_search_matches_the_full_system(monkeypatch):
             dropped_f += nf
             dropped_h += nh
     assert verdicts == {True, False} and dropped_f > 0 and dropped_h > 0
+
+
+def test_gauge_fixed_local_map_search_assumes_iota_is_a_chain_map():
+    # the gauge fixing keeps the verdict only when d^2 = 0 and d iota = iota d
+    # hold on both sides, validate's first two checks, which the search does
+    # not repeat.  On std(2, 0) with iota(v2) = v1 + v2, an involution that
+    # is not a chain map, the full system has a local map from the trivial
+    # complex and the gauge-fixed search finds none.
+    c = standard_complex(to_profile(M(2, 0)))
+    x = complexes.iota_complex(c.labels, c.gradings, [[0, 0, [1]], [0, 0, [1]], [0, 0, 0]],
+                               [[1, 1, 0], [0, 1, 0], [0, 0, 1]], tau=c.tau)
+    assert [ok for _, ok, _ in complexes.validate(x).checks] == [True, False, True, True]
+    trivial = complexes.trivial_complex()
+    assert dict_find_local_map(trivial, x) is not None
+    assert complexes.find_local_map(trivial, x) is None

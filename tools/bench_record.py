@@ -8,9 +8,9 @@ speed claim quotes), one fresh ``perfbench/run.py --trace 0`` process at a
 time.  The last line of each run is its JSON result; the record keeps, per
 workload and end-to-end metric, every run's value, the median, the range
 (min, max) and the spread (max - min) / median.  It also records the
-commit and whether ``src/`` or ``perfbench/`` differ from it (both None
-outside a git checkout), the Python version, the CPU count, k, the seed
-and the budget per run.
+commit and whether ``src/`` or ``perfbench/`` differ from it, the Python
+version, the CPU count, k, the seed and the budget per run.  The seed is
+fixed at ``SEED``, so two records are always comparable.
 
 Only the standard library is used, and nothing under ``perfbench/`` is
 edited.  A run that fails an op or exits non-zero makes the script exit 1
@@ -32,22 +32,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 RUNNER = ROOT / "perfbench" / "run.py"
 WORKLOADS = ("sigma_sweep", "oracle_cross_check", "local_equivalence")
+SEED = 11
 
 
-def git(*args: str) -> str | None:
-    """Output of a git command in the checkout, or None outside a git checkout."""
-    try:
-        out = subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
-                             text=True, check=True)
-    except (OSError, subprocess.CalledProcessError):
-        return None
-    return out.stdout.strip()
+def git(*args: str) -> str:
+    """Output of a git command in the checkout."""
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
+                          text=True, check=True).stdout.strip()
 
 
-def run_once(workload: str, seed: int, seconds: float) -> dict:
+def run_once(workload: str, seconds: float) -> dict:
     """One benchmark run: its result line, and the exit code."""
     proc = subprocess.run([sys.executable, str(RUNNER), "--workload", workload,
-                           "--seed", str(seed), "--seconds", str(seconds),
+                           "--seed", str(SEED), "--seconds", str(seconds),
                            "--trace", "0"],
                           cwd=ROOT, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
@@ -75,30 +72,20 @@ def summarize(runs: list[dict]) -> dict:
     return metrics
 
 
-def record(workloads, repeats: int, seed: int, seconds: float) -> dict:
-    status = git("status", "--porcelain", "--", "src", "perfbench")
+def record(workloads, repeats: int, seconds: float) -> dict:
     out = {
         "commit": git("rev-parse", "HEAD"),
-        "tree_differs": None if status is None else bool(status),
+        "tree_differs": bool(git("status", "--porcelain", "--", "src", "perfbench")),
         "python": platform.python_version(),
-        "implementation": platform.python_implementation(),
-        "machine": platform.machine(),
         "cpu_count": os.cpu_count(),
         "k": repeats,
-        "seed": seed,
+        "seed": SEED,
         "seconds": seconds,
-        "command": ["python3", "perfbench/run.py", "--workload", "<name>",
-                    "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         "workloads": {},
     }
     ok = True
     for workload in workloads:
-        runs = []
-        for i in range(repeats):
-            runs.append(run_once(workload, seed, seconds))
-            print(f"{workload} run {i + 1}/{repeats}: "
-                  f"{json.dumps({k: v['value'] for k, v in runs[-1]['metrics'].items()})}",
-                  file=sys.stderr)
+        runs = [run_once(workload, seconds) for _ in range(repeats)]
         good = all(r["correct"] and r["exit_code"] == 0 for r in runs)
         ok &= good
         out["workloads"][workload] = {
@@ -117,12 +104,11 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", action="append", choices=WORKLOADS,
                     help="a workload to run (repeatable); default: all three")
     ap.add_argument("--repeats", type=int, default=3, help="runs per workload, k")
-    ap.add_argument("--seed", type=int, default=11)
     ap.add_argument("--seconds", type=float, default=20, help="budget per run")
     args = ap.parse_args(argv)
     if args.repeats < 1:
         ap.error("--repeats must be at least 1")
-    rec = record(args.workload or WORKLOADS, args.repeats, args.seed, args.seconds)
+    rec = record(args.workload or WORKLOADS, args.repeats, args.seconds)
     args.out.write_text(json.dumps(rec, indent=2) + "\n")
     return 0 if rec["ok"] else 1
 
