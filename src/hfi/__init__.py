@@ -12,15 +12,14 @@ classes, three ways that cross-check each other:
 
 ``plumbing`` and ``brieskorn`` ingest plumbing trees and Brieskorn spheres;
 ``expr`` / ``report`` / ``cli`` form the expression frontend (``hfi`` tool).
+
+``complexes`` and ``gf2`` load on first use: evaluating Brieskorn spheres,
+roots and classes never imports them.  The names this package takes from
+``complexes`` are served on first access (PEP 562).
 """
 
 from .brieskorn import (MAX_SIGMA_ALPHA, BrieskornParams, SigmaSizeError,
                         brieskorn_class, brieskorn_root)
-from .complexes import (MAX_LOCAL_MAP_UNKNOWNS, ConeComplex, IotaComplex,
-                        SearchSizeError, dual, find_local_map, homology_ranks,
-                        iota_complex, locally_equivalent, mapping_cone, tensor,
-                        trivial_complex, validate)
-from .complexes import correction_terms as complex_correction_terms
 from .cterms import (MAX_CLASS_WEIGHT, ClassWeightError, STProfile,
                      asymptotic_check, correction_terms, lemma_identity,
                      realization_family, stabilized_terms)
@@ -39,3 +38,28 @@ from .roots import (SymmetricRootProfile, profile_from_text, profile_to_text,
                     standard_complex)
 
 __version__ = "0.1.0"
+
+# this package's name -> the name in ``complexes``
+_FROM_COMPLEXES = {name: name for name in (
+    "MAX_LOCAL_MAP_UNKNOWNS", "ConeComplex", "IotaComplex", "SearchSizeError",
+    "dual", "find_local_map", "homology_ranks", "iota_complex",
+    "locally_equivalent", "mapping_cone", "tensor", "trivial_complex",
+    "validate")}
+_FROM_COMPLEXES["complex_correction_terms"] = "correction_terms"
+
+__all__ = sorted({name for name in globals() if not name.startswith("_")
+                  and name not in ("brieskorn", "cterms", "expr", "localclass",
+                                   "monotone", "plumbing", "report", "roots")}
+                 | set(_FROM_COMPLEXES))
+
+
+def __getattr__(name: str):
+    if name in _FROM_COMPLEXES:
+        from . import complexes
+
+        return getattr(complexes, _FROM_COMPLEXES[name])
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_FROM_COMPLEXES))

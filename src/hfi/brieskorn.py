@@ -17,43 +17,38 @@ For Seifert spheres the differences of tau have a closed form (Nemethi,
 Floer absolute gradings from Seifert invariants", Algebr. Geom. Topol. 14
 (2014)):
 
-    Delta(n) = tau(n+1) - tau(n) = 1 + b0 n - sum_i ceil(n omega_i / a_i).
+    Delta(n) = tau(n+1) - tau(n) = 1 + b0 n - sum_i ceil(n omega_i / a_i),
 
-Two tau engines are kept.  Production (``brieskorn_root``) uses the closed
-form through ``_tau_deltas``.  Put b0 = (1 + sum_i omega_i alpha/a_i)/alpha
-into it and write ceil(n omega_i/a_i) = (n omega_i + r_i(n))/a_i; multiplied
-by alpha it reads
+and Can-Karakurt read it off the semigroup G generated by a2 a3, a1 a3 and
+a1 a2: with N0 = alpha - a1 a2 - a1 a3 - a2 a3,
 
-    alpha Delta(n) = alpha + n - S(n),
-    S(n) = sum_i (alpha/a_i) r_i(n),   r_i(n) = (-n omega_i) mod a_i,
+    Delta(n) = [n in G] - [N0 - n in G]    for 0 <= n < alpha,
 
-and the division by alpha is exact, because S(n) = n (mod alpha):
-omega_i alpha/a_i = -1 (mod a_i), so the term of fibre i is congruent to n
-mod a_i, and a_i divides alpha/a_j for j != i, so every other term is 0 mod
-a_i; hence S(n) = n mod each a_i, and mod alpha by the Chinese remainder
-theorem.  The term of fibre i, (-n omega_i alpha/a_i) mod alpha, has period
-a_i in n.  ``_tau_deltas`` tabulates each term over its own period from the
-phase of the first n, repeats the two smaller ones to a1 a2 entries and adds
-them into one table, and streams alpha + n - S(n) with ``cycle``, ``add``
-and ``sub`` against a ``range``, then ``floordiv`` by alpha: no per-step
-Python code runs.  The steps go straight into the extrema compression,
-which keeps only the leaves and angles, so memory is O(a1 a2 + a3 + leaves)
-ints.  The cross-check is ``tau_sequence``, the Laufer sequence on the
-plumbing tree itself; the tests compare the two step for step, and the
-ceiling formula above stays in the tests as the reference.
+while Delta(n + alpha) = Delta(n) + 1 for n >= 0, as b0 alpha -
+sum_i omega_i alpha/a_i = 1.
 
-Stopping rule.  Put N0 = alpha - a1 a2 - a1 a3 - a2 a3.
-(1) The tail.  0 <= r_i(n) <= a_i - 1, so S(n) <= sum_i (alpha - alpha/a_i)
-    = 2 alpha + N0.  Delta(n) is an integer (S(n) = n mod alpha), so a fall
-    is Delta(n) <= -1, that is S(n) >= 2 alpha + n, and that forces
-    n <= N0: tau is nondecreasing from N0 + 1 on.  (S has period alpha, so
-    Delta(n + alpha) = Delta(n) + 1 and tau tends to infinity.)
-(2) The antisymmetry.  Mod a_i, alpha and alpha/a_j for j != i vanish, so
-    N0 = -alpha/a_i, and omega_i alpha/a_i = -1; hence
-    -(N0 - n) omega_i = n omega_i - 1 and r_i(N0 - n) = a_i - 1 - r_i(n).
-    So S(N0 - n) = 2 alpha + N0 - S(n) and Delta(N0 - n) = -Delta(n) for
-    0 <= n <= N0: the steps pair off, tau(N0 + 1) = 0 = tau(0), and
-    tau(m) = tau(N0 + 1 - m).  Also Delta(0) = 1, as S(0) = 0.
+Two tau engines are kept.  Production (``brieskorn_root``) streams the
+semigroup form through ``_semigroup_deltas``.  One int holds the membership
+bits of G in [0, N0]: starting from bit 0, each generator g shifts it in by
+doubling, m |= m << s for s = g, 2g, 4g, ... <= N0, which adds every
+multiple of g up to N0.  ``format`` writes it as one string of N0 + 1
+binary digits, so digit j is [N0 - j in G]: read forwards the string gives
+[N0 - n in G], read backwards [n in G], and the steps are ``map(sub, ...)``
+over the two slices, with no per-step Python code.  The steps go straight
+into the extrema compression, which keeps only the leaves and angles, so
+memory is O(N0) bytes plus the leaves.  The cross-check is
+``tau_sequence``, the Laufer sequence on the plumbing tree itself; the tests
+compare the engines step for step, and keep the ceiling formula and its
+period tables as references.
+
+Stopping rule.
+(1) The tail.  For N0 < n < alpha, N0 - n < 0 is not in G, so
+    Delta(n) = [n in G] >= 0, and for n >= alpha,
+    Delta(n) = Delta(n mod alpha) + n // alpha >= -1 + 1: tau is
+    nondecreasing from N0 + 1 on (and tends to infinity).
+(2) The antisymmetry.  Delta(N0 - n) = [N0 - n in G] - [n in G] = -Delta(n)
+    for 0 <= n <= N0: the steps pair off, tau(N0 + 1) = 0 = tau(0), and
+    tau(m) = tau(N0 + 1 - m).  Also Delta(0) = 1, the ceiling form at 0.
 So with M = ceil(N0/2), the nonzero steps of Delta(0..N0) are those of
 Delta(0..M-1) followed by their negatives in reverse order (for even N0 the
 middle step Delta(N0/2) is 0), and only rises follow.  The two runs that
@@ -80,9 +75,12 @@ O(log k) integer steps by reciprocity (Rademacher-Grosswald, "Dedekind
 Sums", 1972).  ``plumbing.k_squared``, one elimination along the tree, stays
 as the independent check that the tests and demo 01 run.  alpha is capped at
 MAX_SIGMA_ALPHA: Sigma(2,3,166663), Sigma(11,13,6991) and Sigma(97,101,102),
-near the cap with 27,720 to 38,065 leaves, took 0.05-0.11 s each (best of
-5) with CPython 3.11 on one core of a shared x86-64 server.  A larger
-sphere raises SigmaSizeError, a ValueError, before any tau step.
+near the cap with 27,720 to 38,065 leaves, took 21, 53 and 65 ms (best of
+5; the period-table stream of the ceiling form took 48, 105 and 130 ms in
+the same session), with CPython 3.11 on one core of a shared x86-64
+server; tracemalloc's peak was at most 5.8 MB, no higher than with the
+period tables.  A larger sphere raises SigmaSizeError, a ValueError,
+before any tau step.
 
 Grading conventions.
 * h-normalized gradings (every profile, complex and class inside ``hfi``):
@@ -115,8 +113,8 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import accumulate, chain, cycle, groupby, repeat
-from operator import add, floordiv, mod, sub
+from itertools import chain, groupby
+from operator import sub
 
 from .localclass import LocalClass
 from .monotone import decompose, monotone_subroot
@@ -198,7 +196,7 @@ def tau_sequence(g: PlumbingGraph, center: str, steps: int) -> list[int]:
     non-central vertices.  Each single addition of E_v changes chi by
     1 - <x, E_v>, so chi is maintained incrementally with exact integers.
     This is the cross-check engine: it works on any plumbing tree, and the
-    tests compare it step for step with ``tau_closed_form``.
+    tests compare it step for step with the closed form.
     """
     if center not in g.index:
         raise ValueError(f"center {center!r} is not a vertex of the graph")
@@ -218,32 +216,26 @@ def tau_sequence(g: PlumbingGraph, center: str, steps: int) -> list[int]:
     return taus
 
 
-def _tau_deltas(b: BrieskornParams, start: int, stop: int) -> Iterator[int]:
-    """Delta(n) = (alpha + n - S(n)) // alpha for start <= n < stop.
+def _semigroup_deltas(b: BrieskornParams, stop: int) -> Iterator[int]:
+    """Delta(n) = [n in G] - [N0 - n in G] for 0 <= n < stop <= N0 + 1.
 
-    S(n) is the periodic sum of the module docstring; the term of fibre i is
-    (n k_i) mod alpha with k_i = -omega_i alpha/a_i, and both tables start
-    at n = start.
+    G is the semigroup generated by a2 a3, a1 a3 and a1 a2; the bits of G
+    in [0, N0] are built by doubling shifts and read as one string, as in
+    the module docstring.
     """
     a1, a2, a3 = b.tuple
-    alpha = a1 * a2 * a3
-    _, omegas = seifert_invariants(b)
-    k1, k2, k3 = (-w * (alpha // ai) for ai, w in zip(b.tuple, omegas))
-
-    def period(k: int, ai: int) -> map:
-        """(n k) mod alpha for start <= n < start + ai: one fibre's period."""
-        return map(mod, range(start * k, (start + ai) * k, k), repeat(alpha))
-
-    s12 = list(map(add, list(period(k1, a1)) * a2, list(period(k2, a2)) * a1))
-    # cycle stores the first pass of the a3 table as it streams it
-    sums = map(add, cycle(s12), cycle(period(k3, a3)))
-    return map(floordiv, map(sub, range(alpha + start, alpha + stop), sums),
-               repeat(alpha))
-
-
-def tau_closed_form(b: BrieskornParams, steps: int) -> Iterator[int]:
-    """tau(0..steps) of Sigma(a1,a2,a3) from the closed form, as a stream."""
-    return accumulate(_tau_deltas(b, 0, steps), initial=0)
+    n0 = a1 * a2 * a3 - a1 * a2 - a1 * a3 - a2 * a3
+    below = (1 << (n0 + 1)) - 1  # keeps the bits of [0, N0]
+    members = 1
+    for g in (a2 * a3, a1 * a3, a1 * a2):
+        shift = g
+        while shift <= n0:
+            members |= members << shift
+            shift += shift
+        members &= below
+    # digit j is [N0 - j in G]
+    digits = format(members, f"0{n0 + 1}b").encode()
+    return map(sub, digits[::-1][:stop], digits[:stop])
 
 
 def _compress_to_profile(deltas: Iterable[int]) -> tuple[list[int], list[int]]:
@@ -318,7 +310,7 @@ def brieskorn_root(b: BrieskornParams) -> SymmetricRootProfile:
 
     Streams the half Delta(0..M-1), M = ceil(N0/2) with
     N0 = alpha - a1 a2 - a1 a3 - a2 a3, and one closing -1 step from the
-    closed form into the extrema compression, and mirrors the extrema about
+    semigroup form into the extrema compression, and mirrors the extrema about
     tau(M): tau(m) = tau(N0 + 1 - m) and Delta >= 0 after N0 make up the
     stopping rule proved in the module docstring.  Gradings are ints,
     -2t + (K^2 + s)/4, with K^2 + s from Dedekind sums; K^2 + s not
@@ -331,7 +323,7 @@ def brieskorn_root(b: BrieskornParams) -> SymmetricRootProfile:
             f"limit MAX_SIGMA_ALPHA = {MAX_SIGMA_ALPHA}")
     n0 = alpha - b.a1 * b.a2 - b.a1 * b.a3 - b.a2 * b.a3
     leaves, angles = _compress_to_profile(
-        chain(_tau_deltas(b, 0, (n0 + 1) // 2), (-1,)))
+        chain(_semigroup_deltas(b, (n0 + 1) // 2), (-1,)))
     middle = leaves.pop() + 1
     if angles and angles[-1] == middle:  # the half ends on a rise
         leaf_taus = leaves + leaves[::-1]

@@ -27,7 +27,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import complexes, plumbing
+from . import plumbing
 from .brieskorn import BrieskornParams, brieskorn_root
 from .cterms import correction_terms, realization_family
 from .expr import parse
@@ -46,8 +46,11 @@ def _error(message, code: int) -> int:
 def _cmd_eval(args) -> int:
     report = evaluate(parse(args.expr), input_text=args.expr,
                       oracle=args.oracle)
-    dumped = (complexes.complex_to_json(class_complex(report.total))
-              if args.dump_complex else None)
+    dumped = None
+    if args.dump_complex:
+        from .complexes import complex_to_json
+
+        dumped = complex_to_json(class_complex(report.total))
     if args.format == "json":
         out = report.to_json()
         if dumped is not None:

@@ -128,14 +128,12 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from . import gf2
-from .localclass import EXACT, rational
+from .localclass import EXACT, Grading, rational
 
 Map = tuple[int, ...]
-Grading = int | Fraction
 
 
 class WindowError(ValueError):

@@ -24,6 +24,7 @@ from fractions import Fraction
 # subclass is refused: ``isinstance(True, int)`` holds, yet True is no
 # grading, weight, index or coefficient.
 EXACT = frozenset({int, Fraction})
+Grading = int | Fraction
 
 
 def rational(value) -> Fraction:

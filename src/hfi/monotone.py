@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import Grading
-from .localclass import EXACT, LocalClass
+from .localclass import EXACT, Grading, LocalClass
 from .roots import SymmetricRootProfile
 
 Params = tuple[tuple[Grading, Grading], ...]

@@ -30,8 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import complexes, cterms, localclass
+from . import cterms, localclass
 from .brieskorn import BrieskornParams, brieskorn_class
 from .expr import (Atom, ExpressionAST, FileAtom, IAtom, MAtom, SigmaAtom,
                    YAtom)
@@ -40,6 +41,9 @@ from .localclass import (LocalClass, d_invariant, infinite_order_verdict,
 from .monotone import MonotoneRoot, decompose, monotone_subroot, to_profile
 from .roots import (SymmetricRootProfile, profile_from_text, profile_to_text,
                     standard_complex)
+
+if TYPE_CHECKING:
+    from .complexes import IotaComplex
 
 MAX_ORACLE_GENERATORS = 4096
 
@@ -134,7 +138,7 @@ class Report:
         return "\n".join(lines)
 
 
-def class_complex(a: LocalClass) -> complexes.IotaComplex:
+def class_complex(a: LocalClass) -> IotaComplex:
     """An explicit iota-complex realizing the class ``a``.
 
     Each +1 in coefficient i contributes the standard complex of M(2i, 0);
@@ -150,6 +154,8 @@ def class_complex(a: LocalClass) -> complexes.IotaComplex:
     one per generator of the growing product.  ``tensor`` is associative
     in every field, so the complex equals the left fold's.
     """
+    from . import complexes
+
     weight = sum(abs(c) for _, c in a.coeffs)
     cap, size = -1, 1  # the largest weight with 3^cap <= MAX_ORACLE_GENERATORS
     while size <= MAX_ORACLE_GENERATORS:
@@ -183,6 +189,8 @@ def oracle_check(a: LocalClass, want: tuple[Fraction, Fraction, Fraction]) -> st
     ``want`` is the closed-form engine's triple for ``a``, computed by the
     caller, and the complex's triple must equal it.
     """
+    from . import complexes
+
     got = complexes.correction_terms(class_complex(a))
     if got != want:
         raise OracleMismatchError(

@@ -20,9 +20,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import le, mod, sub
+from typing import TYPE_CHECKING
 
-from .complexes import Grading, IotaComplex, graded_complex
-from .localclass import EXACT, rational
+from .localclass import EXACT, Grading, rational
+
+if TYPE_CHECKING:
+    from .complexes import IotaComplex
 
 
 @dataclass(frozen=True)
@@ -78,6 +81,8 @@ class SymmetricRootProfile:
 
 def standard_complex(p: SymmetricRootProfile) -> IotaComplex:
     """The standard iota-complex of a symmetric profile (involution J_0)."""
+    from .complexes import graded_complex
+
     n = p.n
     labels = [f"v{i + 1}" for i in range(n)] + [f"a{i + 1}" for i in range(n - 1)]
     gradings = list(p.leaves) + [a + 1 for a in p.angles]

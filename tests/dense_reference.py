@@ -1,13 +1,13 @@
 """Slow, direct reference implementations that the fast paths are checked against.
 
-The production code streams the tau steps of a Brieskorn sphere from
-period tables, eliminates the intersection form along the tree in integers,
+The production code streams the tau steps of a Brieskorn sphere from the
+membership bits of a semigroup, eliminates the intersection form along the tree in integers,
 decides almost-rationality from one fixed-vertex closure per vertex, takes
 the monotone subroot with one running minimum and one sorted sweep,
 compresses a tau stream run by run, and does GF(2) linear algebra on int
 bitsets.  These
-are the definitions those replace: the ceiling formula for the tau steps,
-the dense intersection form and its Fraction elimination, the
+are the definitions those replace: the ceiling formula for the tau steps
+and the period tables that stream it, the dense intersection form and its Fraction elimination, the
 almost-rationality test that rebuilds the graph for each weight it tries,
 the graded-root conditions on a profile checked over all of it (the
 profile constructor checks the left half only), the O(n^2) Pareto scan
@@ -28,8 +28,10 @@ step (``report.class_complex`` folds from the right).  The
 truncated systems are the exact ones.
 """
 
+from collections.abc import Iterator
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, chain, cycle, repeat
+from operator import add, floordiv, mod, sub
 
 from hfi import complexes, gf2
 from hfi.brieskorn import BrieskornParams, seifert_invariants
@@ -48,6 +50,42 @@ def ceiling_tau_deltas(b: BrieskornParams, start: int, stop: int) -> list[int]:
     b0, omegas = seifert_invariants(b)
     return [1 + b0 * n - sum(-(-n * w // a) for a, w in zip(b.tuple, omegas))
             for n in range(start, stop)]
+
+
+def periodic_tau_deltas(b: BrieskornParams, start: int, stop: int) -> Iterator[int]:
+    """The ceiling formula as alpha Delta(n) = alpha + n - S(n), streamed
+    from period tables for start <= n < stop.
+
+    With ceil(n omega_i/a_i) = (n omega_i + r_i(n))/a_i, r_i(n) =
+    (-n omega_i) mod a_i, and b0 alpha = 1 + sum_i omega_i alpha/a_i, the
+    formula times alpha reads alpha + n - S(n) with S(n) =
+    sum_i (alpha/a_i) r_i(n).  The term of fibre i is (n k_i) mod alpha with
+    k_i = -omega_i alpha/a_i and has period a_i in n; each is tabulated over
+    its own period from the phase of n = start, the two smaller tables are
+    repeated to a1 a2 entries and added, and the sum is cycled against the
+    largest.  The division by alpha is exact: S(n) = n mod each a_i, as
+    omega_i alpha/a_i = -1 (mod a_i) and a_i divides alpha/a_j for j != i,
+    hence mod alpha by the Chinese remainder theorem.
+    """
+    a1, a2, a3 = b.tuple
+    alpha = a1 * a2 * a3
+    _, omegas = seifert_invariants(b)
+    k1, k2, k3 = (-w * (alpha // ai) for ai, w in zip(b.tuple, omegas))
+
+    def period(k: int, ai: int) -> map:
+        """(n k) mod alpha for start <= n < start + ai: one fibre's period."""
+        return map(mod, range(start * k, (start + ai) * k, k), repeat(alpha))
+
+    s12 = list(map(add, list(period(k1, a1)) * a2, list(period(k2, a2)) * a1))
+    # cycle stores the first pass of the a3 table as it streams it
+    sums = map(add, cycle(s12), cycle(period(k3, a3)))
+    return map(floordiv, map(sub, range(alpha + start, alpha + stop), sums),
+               repeat(alpha))
+
+
+def tau_closed_form(b: BrieskornParams, steps: int) -> Iterator[int]:
+    """tau(0..steps) of Sigma(a1,a2,a3) from the period-table steps."""
+    return accumulate(periodic_tau_deltas(b, 0, steps), initial=0)
 
 
 def intersection_form(g: PlumbingGraph) -> list[list[int]]:

@@ -181,7 +181,7 @@ def test_alpha_above_budget_raises_before_any_tau_step(monkeypatch):
     def no_tau(*args):
         raise AssertionError("a tau step ran")
 
-    monkeypatch.setattr("hfi.brieskorn._tau_deltas", no_tau)
+    monkeypatch.setattr("hfi.brieskorn._semigroup_deltas", no_tau)
     a3 = MAX_SIGMA_ALPHA // 6 + 1
     while math.gcd(a3, 6) != 1:
         a3 += 1

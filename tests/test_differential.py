@@ -82,14 +82,15 @@ from dense_reference import (below, ceiling_tau_deltas, compress_list,
                              dense_solve_affine, dict_find_local_map,
                              dict_solve_homotopy, grouped_basis,
                              left_fold_class_complex, pareto_subroot_params,
-                             rebuild_is_almost_rational, restart_simplify_weak,
-                             slice_d_lower_offset, slice_d_upper_offset,
+                             periodic_tau_deltas, rebuild_is_almost_rational,
+                             restart_simplify_weak, slice_d_lower_offset,
+                             slice_d_upper_offset, tau_closed_form,
                              truncated_correction_terms)
 from hfi import complexes, cterms, gf2
 from hfi.brieskorn import (BrieskornParams, _compress_to_profile,
-                           _k_squared_plus_s, _tau_deltas, brieskorn_root,
+                           _k_squared_plus_s, _semigroup_deltas, brieskorn_root,
                            negative_continued_fraction, seifert_invariants,
-                           seifert_plumbing, tau_closed_form, tau_sequence)
+                           seifert_plumbing, tau_sequence)
 from hfi.localclass import I, LocalClass, Y
 from hfi.monotone import M, WeaklyMonotoneRoot, monotone_subroot, simplify_weak, to_profile
 from hfi.plumbing import (PlumbingGraph, chi, graph_to_text, is_almost_rational,
@@ -123,7 +124,11 @@ def test_closed_form_tau_matches_laufer_sequence(triple):
     b = BrieskornParams(*triple)
     g, center = seifert_plumbing(b)
     steps = 2 * math.prod(triple) + 16
-    assert list(tau_closed_form(b, steps)) == tau_sequence(g, center, steps)
+    laufer = tau_sequence(g, center, steps)
+    assert list(tau_closed_form(b, steps)) == laufer
+    # the production stream covers Delta(0..N0)
+    n0 = _n0(triple)
+    assert list(accumulate(_semigroup_deltas(b, n0 + 1), initial=0)) == laufer[:n0 + 2]
 
 
 @seed(20170631)
@@ -136,7 +141,7 @@ def test_periodic_deltas_match_the_ceiling_formula(triple, offset):
     # that puts the tables out of phase with n = 0
     for start, stop in ((0, 2 * alpha + 16), (alpha, 2 * alpha),
                         (offset, offset + alpha)):
-        assert list(_tau_deltas(b, start, stop)) == ceiling_tau_deltas(b, start, stop)
+        assert list(periodic_tau_deltas(b, start, stop)) == ceiling_tau_deltas(b, start, stop)
 
 
 def _coprime_triples(b1, b2, b3):
@@ -162,7 +167,9 @@ def test_deltas_count_semigroup_elements():
         in_g = [members >> n & 1 for n in range(alpha)]
         N = alpha - a1 * a2 - a1 * a3 - a2 * a3
         want = [in_g[n] - (0 <= N - n and in_g[N - n]) for n in range(alpha)]
-        assert list(_tau_deltas(BrieskornParams(a1, a2, a3), 0, alpha)) == want, (a1, a2, a3)
+        b = BrieskornParams(a1, a2, a3)
+        assert list(periodic_tau_deltas(b, 0, alpha)) == want, (a1, a2, a3)
+        assert list(_semigroup_deltas(b, N + 1)) == want[:N + 1], (a1, a2, a3)
 
 
 def test_dedekind_offset_matches_tree_elimination():
@@ -180,14 +187,14 @@ def test_stopping_rule_at_alpha_plus_one(triple):
     b = BrieskornParams(*triple)
     alpha = math.prod(triple)
     # quasi-periodicity: Delta(n + alpha) = Delta(n) + 1
-    assert list(_tau_deltas(b, alpha, 2 * alpha)) == [
-        d + 1 for d in _tau_deltas(b, 0, alpha)]
+    assert list(periodic_tau_deltas(b, alpha, 2 * alpha)) == [
+        d + 1 for d in periodic_tau_deltas(b, 0, alpha)]
     # tau is nondecreasing from n = alpha
-    assert all(d >= 0 for d in _tau_deltas(b, alpha, 2 * alpha + 16))
+    assert all(d >= 0 for d in periodic_tau_deltas(b, alpha, 2 * alpha + 16))
     # the alpha + 1 prefix compresses to the same extrema as the old
     # stopping point, 2 alpha + 16 steps
-    assert (_compress_to_profile(_tau_deltas(b, 0, alpha + 1))
-            == _compress_to_profile(_tau_deltas(b, 0, 2 * alpha + 16)))
+    assert (_compress_to_profile(periodic_tau_deltas(b, 0, alpha + 1))
+            == _compress_to_profile(periodic_tau_deltas(b, 0, 2 * alpha + 16)))
     # the grading offset (K^2 + s)/4 is an even integer
     g, _ = seifert_plumbing(b)
     assert (k_squared(g) + g.n) % 8 == 0
@@ -210,9 +217,10 @@ ODD_N0 = [t for t in TRIPLES if _n0(t) % 2 == 1 and _n0(t) > 0]
 def test_deltas_are_antisymmetric_on_0_to_n0_and_rise_after(even, odd):
     for triple in (even, odd):
         b, n0 = BrieskornParams(*triple), _n0(triple)
-        half = list(_tau_deltas(b, 0, n0 + 1))
+        half = list(periodic_tau_deltas(b, 0, n0 + 1))
         assert half == [-d for d in reversed(half)], triple
-        assert all(d >= 0 for d in _tau_deltas(b, n0 + 1, 2 * math.prod(triple) + 17))
+        assert list(_semigroup_deltas(b, n0 + 1)) == half, triple
+        assert all(d >= 0 for d in periodic_tau_deltas(b, n0 + 1, 2 * math.prod(triple) + 17))
         assert half[0] == 1
 
 
@@ -221,7 +229,7 @@ def test_deltas_are_antisymmetric_on_0_to_n0_and_rise_after(even, odd):
 @given(st.sampled_from(TRIPLES))
 def test_half_stream_root_matches_the_full_stream(triple):
     b = BrieskornParams(*triple)
-    leaf_taus, angle_taus = _compress_to_profile(_tau_deltas(b, 0, math.prod(triple) + 1))
+    leaf_taus, angle_taus = _compress_to_profile(periodic_tau_deltas(b, 0, math.prod(triple) + 1))
     offset = _k_squared_plus_s(b) // 4
     p = brieskorn_root(b)
     assert p.leaves == tuple(-2 * t + offset for t in leaf_taus)
@@ -231,11 +239,12 @@ def test_half_stream_root_matches_the_full_stream(triple):
 def test_half_stream_step_count_and_the_smallest_spheres(monkeypatch):
     streamed = []
 
-    def recording(b, start, stop):
-        streamed.append((start, stop))
-        return _tau_deltas(b, start, stop)
+    def recording(b, stop):
+        steps = list(_semigroup_deltas(b, stop))
+        streamed.append((stop, len(steps)))
+        return iter(steps)
 
-    monkeypatch.setattr("hfi.brieskorn._tau_deltas", recording)
+    monkeypatch.setattr("hfi.brieskorn._semigroup_deltas", recording)
     # Sigma(2,3,5): N0 = -1, no step, the single leaf at (K^2 + s)/4 = 2
     assert _n0((2, 3, 5)) == -1
     p = brieskorn_root(BrieskornParams(2, 3, 5))
@@ -245,11 +254,12 @@ def test_half_stream_step_count_and_the_smallest_spheres(monkeypatch):
     streamed.clear()
     assert _n0((2, 3, 7)) == 1
     p = brieskorn_root(BrieskornParams(2, 3, 7))
-    assert (p.leaves, p.angles, streamed) == ((0, 0), (-2,), [(0, 1)])
+    assert (p.leaves, p.angles, streamed) == ((0, 0), (-2,), [(1, 1)])
     # the largest anchor of the acceptance family streams under half of alpha
     streamed.clear()
     brieskorn_root(BrieskornParams(17, 33, 35))
-    assert streamed == [(0, (_n0((17, 33, 35)) + 1) // 2)]
+    half = (_n0((17, 33, 35)) + 1) // 2
+    assert streamed == [(half, half)]
     assert 2 * streamed[0][1] < 17 * 33 * 35
 
 

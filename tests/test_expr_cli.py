@@ -1,12 +1,17 @@
 """Expression grammar, report evaluation, and the hfi command line."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from hfi import cli, complexes, report
+import hfi
+from hfi import cli, complexes, localclass, report
 from hfi.brieskorn import SigmaSizeError
 from hfi.cli import main
 from hfi.cterms import MAX_CLASS_WEIGHT, ClassWeightError, realization_family
@@ -225,13 +230,13 @@ def test_cli_eval_oracle_builds_no_truncated_model(capsys, monkeypatch):
 
 
 def test_cli_eval_oracle_mismatch_exits_3(capsys, monkeypatch):
-    # the oracle's terms, as hfi.report reads them, disagree with the engine
+    # the oracle's terms disagree with the engine
     def off_by_two(c):
         d, d_bar, d_under = terms(c)
         return d + 2, d_bar, d_under
 
     terms = complexes.correction_terms
-    monkeypatch.setattr("hfi.report.complexes.correction_terms", off_by_two)
+    monkeypatch.setattr("hfi.complexes.correction_terms", off_by_two)
     assert main(["eval", "Y(2) - Y(1)", "--oracle"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -461,3 +466,45 @@ def test_zero_denominator_errors_name_the_token():
         profile_from_text("leaves: 0 -1/0 0\nangles: -2 -2\n")
     with pytest.raises(ValueError, match="'5/0'"):
         realization_family(1, 1, "5/0", 0)
+
+
+# ---------------------------------------------------------------- import footprint
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+# the names ``hfi`` serves from ``hfi.complexes``, and their names there
+COMPLEXES_EXPORTS = {name: name for name in (
+    "MAX_LOCAL_MAP_UNKNOWNS", "ConeComplex", "IotaComplex", "SearchSizeError",
+    "dual", "find_local_map", "homology_ranks", "iota_complex",
+    "locally_equivalent", "mapping_cone", "tensor", "trivial_complex",
+    "validate")} | {"complex_correction_terms": "correction_terms"}
+
+
+def test_sigma_evaluation_never_imports_the_oracle():
+    script = """
+import sys
+
+import hfi
+from hfi.cli import main
+
+hfi.evaluate_text("Sigma(2,3,7)")
+hfi.evaluate_text("Sigma(5,8,13) - Sigma(2,7,15)")
+assert main(["eval", "Sigma(2,3,7)"]) == 0
+print(sorted({"hfi.complexes", "hfi.gf2"} & set(sys.modules)))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_package_serves_the_complexes_names():
+    for name, there in COMPLEXES_EXPORTS.items():
+        assert getattr(hfi, name) is getattr(complexes, there), name
+        assert name in dir(hfi) and name in hfi.__all__, name
+    namespace = {}
+    exec("from hfi import *", namespace)
+    assert all(namespace[name] is getattr(hfi, name) for name in hfi.__all__)
+    assert complexes.Grading is localclass.Grading
+    with pytest.raises(AttributeError, match="no_such_name"):
+        hfi.no_such_name
