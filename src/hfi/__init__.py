@@ -18,6 +18,8 @@ roots and classes never imports them.  The names this package takes from
 ``complexes`` are served on first access (PEP 562).
 """
 
+from types import ModuleType as _ModuleType
+
 from .brieskorn import (MAX_SIGMA_ALPHA, BrieskornParams, SigmaSizeError,
                         brieskorn_class, brieskorn_root)
 from .cterms import (MAX_CLASS_WEIGHT, ClassWeightError, STProfile,
@@ -44,13 +46,12 @@ _FROM_COMPLEXES = {name: name for name in (
     "MAX_LOCAL_MAP_UNKNOWNS", "ConeComplex", "IotaComplex", "SearchSizeError",
     "dual", "find_local_map", "homology_ranks", "iota_complex",
     "locally_equivalent", "mapping_cone", "tensor", "trivial_complex",
-    "validate")}
-_FROM_COMPLEXES["complex_correction_terms"] = "correction_terms"
+    "validate")} | {"complex_correction_terms": "correction_terms"}
 
-__all__ = sorted({name for name in globals() if not name.startswith("_")
-                  and name not in ("brieskorn", "cterms", "expr", "localclass",
-                                   "monotone", "plumbing", "report", "roots")}
-                 | set(_FROM_COMPLEXES))
+# the names imported above, not the submodules that importing them binds
+__all__ = sorted([name for name, value in globals().items()
+                  if not name.startswith("_") and not isinstance(value, _ModuleType)]
+                 + list(_FROM_COMPLEXES))
 
 
 def __getattr__(name: str):
