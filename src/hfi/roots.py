@@ -81,7 +81,7 @@ class SymmetricRootProfile:
 
 def standard_complex(p: SymmetricRootProfile) -> IotaComplex:
     """The standard iota-complex of a symmetric profile (involution J_0)."""
-    from .complexes import graded_complex
+    from . import complexes
 
     n = p.n
     labels = [f"v{i + 1}" for i in range(n)] + [f"a{i + 1}" for i in range(n - 1)]
@@ -91,7 +91,7 @@ def standard_complex(p: SymmetricRootProfile) -> IotaComplex:
     # J_0 reflects the leaves and the angles
     iota = ([1 << (n - 1 - i) for i in range(n)]
             + [1 << (2 * n - 2 - i) for i in range(n - 1)])
-    return graded_complex(labels, gradings, diff, iota, p.leaves[0])
+    return complexes.graded_complex(labels, gradings, diff, iota, p.leaves[0])
 
 
 # ---------------------------------------------------------------------------
