@@ -5,7 +5,8 @@ mu-bar grading shift, and Y-basis decompositions of local-equivalence
 classes, three ways that cross-check each other:
 
 - ``complexes``: an exact GF(2)[U] iota-complex oracle (tensor products,
-  duals, mapping cones, exact correction terms, local-map search);
+  duals, exact correction terms read off the mapping cone of Q(1 + iota),
+  local-map search);
 - ``roots`` / ``monotone`` / ``localclass``: symmetric graded roots, their
   monotone subroots, and the free-abelian Y-basis calculus;
 - ``cterms``: closed-form correction-term formulas and realization families.
@@ -43,9 +44,9 @@ __version__ = "0.1.0"
 
 # this package's name -> the name in ``complexes``
 _FROM_COMPLEXES = {name: name for name in (
-    "MAX_LOCAL_MAP_UNKNOWNS", "ConeComplex", "IotaComplex", "SearchSizeError",
+    "MAX_LOCAL_MAP_UNKNOWNS", "IotaComplex", "SearchSizeError",
     "dual", "find_local_map", "homology_ranks", "iota_complex",
-    "locally_equivalent", "mapping_cone", "tensor", "trivial_complex",
+    "locally_equivalent", "tensor", "trivial_complex",
     "validate")} | {"complex_correction_terms": "correction_terms"}
 
 # the names imported above, not the submodules that importing them binds

@@ -118,7 +118,7 @@ from operator import sub
 
 from .localclass import LocalClass
 from .monotone import decompose, monotone_subroot
-from .plumbing import PlumbingGraph, laufer_closure
+from .plumbing import PlumbingGraph, is_negative_definite, laufer_closure
 from .roots import SymmetricRootProfile
 
 # Largest alpha = a1 a2 a3 that brieskorn_root accepts (see the module docstring).
@@ -195,11 +195,16 @@ def tau_sequence(g: PlumbingGraph, center: str, steps: int) -> list[int]:
     x(0) = 0 and x(v+1) is the Laufer closure of x(v) + E_center over the
     non-central vertices.  Each single addition of E_v changes chi by
     1 - <x, E_v>, so chi is maintained incrementally with exact integers.
-    This is the cross-check engine: it works on any plumbing tree, and the
-    tests compare it step for step with the closed form.
+    This is the cross-check engine: it works on any negative-definite
+    plumbing tree, and the tests compare it step for step with the closed
+    form.  A center that is not a vertex, or a tree that is not negative
+    definite (where the closure need not end), raises ValueError before
+    any step.
     """
     if center not in g.index:
         raise ValueError(f"center {center!r} is not a vertex of the graph")
+    if not is_negative_definite(g):
+        raise ValueError("plumbing graph is not negative definite")
     c = g.index[center]
     weights = g.weights()
     adj = g.adj

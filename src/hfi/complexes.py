@@ -11,7 +11,7 @@ Conventions
   congruent to ``tau`` mod 1, and the U-inverted homology tower lives in
   ``tau + 2Z``.  A complex stores them as int offsets from tau, read once
   by ``graded_complex``, which refuses a grading outside ``tau + Z`` with a
-  ValueError that names it; ``tensor``, ``dual`` and ``mapping_cone``
+  ValueError that names it; ``tensor``, ``dual`` and ``_cone_levels``
   derive theirs in int arithmetic.
 * Complexes are stored in the "h-normalized" convention in which the trivial
   one-generator complex plays the role of the 3-sphere and has
@@ -311,9 +311,9 @@ def _levels(offsets: list[int]) -> tuple[list[int], list[int]]:
 
 def _cone_levels(grades: list[int], masks: list[int],
                  n: int) -> tuple[list[int], list[int]]:
-    """``_levels`` of the offsets of ``mapping_cone(c)``, from the levels of
-    the n generators of c: cone level t holds the undecorated copies of c's
-    level t - 1 and the Q-copies (bits shifted by n) of its level t."""
+    """``_levels`` of the offsets of the mapping cone of c, from the levels
+    of the n generators of c: cone level t holds the undecorated copies of
+    c's level t - 1 and the Q-copies (bits shifted by n) of its level t."""
     levels = {t + 1: mask for t, mask in zip(grades, masks)}
     for t, mask in zip(grades, masks):
         levels[t] = levels.get(t, 0) | mask << n
@@ -511,65 +511,24 @@ def tensor(a: IotaComplex, b: IotaComplex) -> IotaComplex:
     return IotaComplex(labels, offsets, tuple(diff), tuple(iota), a.tau + b.tau)
 
 
-def _transpose(m: Map, n: int) -> Map:
-    """The n rows of m, as columns."""
-    cols = [0] * n
-    for j, col in enumerate(m):
-        for i in _bits(col):
-            cols[i] |= 1 << j
-    return tuple(cols)
-
-
 def dual(a: IotaComplex) -> IotaComplex:
-    """Dual complex: gradings negated, differential and iota transposed, an
-    entry keeping its exponent."""
+    """Dual complex: gradings negated, differential and iota transposed
+    (``_spread`` with n = 1), an entry keeping its exponent."""
     return IotaComplex(tuple(f"{l}^" for l in a.labels), tuple(-t for t in a.offsets),
-                       _transpose(a.diff, a.n), _transpose(a.iota, a.n), -a.tau)
-
-
-@dataclass(frozen=True)
-class ConeComplex:
-    """Mapping cone of (1 + iota): C -> Q.C, built by ``mapping_cone``.
-
-    Generators 0..n-1 are the un-decorated copies (grading raised by one),
-    generators n..2n-1 the Q-decorated copies (original chain grading).
-    The total differential is d + Q(1 + iota).  ``offsets`` count from
-    ``tau``, that of ``base``; ``labels`` and ``gradings`` are derived.
-    """
-
-    base: IotaComplex
-    offsets: tuple[int, ...]
-    diff: Map
-
-    @property
-    def tau(self) -> Grading:
-        return self.base.tau
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return self.base.labels + tuple(f"Q{l}" for l in self.base.labels)
-
-    @property
-    def n(self) -> int:
-        return len(self.offsets)
-
-    @property
-    def gradings(self) -> tuple[Grading, ...]:
-        return tuple(self.tau + t for t in self.offsets)
+                       tuple(_spread(a.diff, a.n, 1)), tuple(_spread(a.iota, a.n, 1)),
+                       -a.tau)
 
 
 def _cone_columns(a: IotaComplex, q_cols) -> Map:
-    """The columns of the cone of a: d(x_j) = d x_j + Q(x_j + iota x_j),
-    then ``q_cols[j]`` shifted by n for Q x_j (Q d x_j when q_cols is a.diff)."""
+    """The columns of the mapping cone of (1 + iota): C -> Q.C, whose
+    differential is d + Q(1 + iota).  Generators 0..n-1 are the undecorated
+    copies (grading raised by one), n..2n-1 the Q-copies (grading kept):
+    d(x_j) = d x_j + Q(x_j + iota x_j), then ``q_cols[j]`` shifted by n for
+    Q x_j (Q d x_j when q_cols is a.diff)."""
     n = a.n  # a property: read once, not per column
     return (tuple(col | ((iota_col ^ (1 << j)) << n)
                   for j, (col, iota_col) in enumerate(zip(a.diff, a.iota)))
             + tuple(col << n for col in q_cols))
-
-
-def mapping_cone(a: IotaComplex) -> ConeComplex:
-    offsets = tuple(t + 1 for t in a.offsets) + a.offsets
-    return ConeComplex(a, offsets, _cone_columns(a, a.diff))
 
 
 # ---------------------------------------------------------------------------
@@ -632,18 +591,18 @@ def _eliminate(grades: list[int], masks: list[int], diff: Map,
     return sizes, ranks, leads
 
 
-def homology_ranks(c, window) -> dict[Grading, int]:
+def homology_ranks(c: IotaComplex, window) -> dict[Grading, int]:
     """Exact GF(2) homology dimensions at the gradings in ``window``, keyed
     by the gradings as read by ``localclass.rational`` (a zero denominator
     or a grading off tau + Z is a ValueError).
 
-    ``c`` may be an IotaComplex or a ConeComplex, and no model is built.
+    ``c`` is an IotaComplex, whose ``iota`` is not read; no model is built.
     The chain group C_t at offset t is that of L on the generators at
     offsets >= t of t's parity ("Correction terms without truncation"), so
     dim H_t = |C_t| - rank d(C_t) - rank d(C_{t+1}) is read off the first
     level of ``_eliminate`` at or above t: none of t + 1's parity sits at t.
     """
-    if not isinstance(c, (IotaComplex, ConeComplex)):
+    if not isinstance(c, IotaComplex):
         raise TypeError(f"not a complex: {c!r}")
     grades, masks = _levels(c.offsets)
     sizes, ranks, _ = _eliminate(grades, masks, c.diff)
@@ -703,8 +662,8 @@ def _cone_scans(c: IotaComplex, base: Expanded) -> tuple[Grading, Grading]:
     ``base`` is the model of C at the truncation wanted; its cycles give
     Q.(cycles of C), which sit in the cone as the same bits shifted by n.
     """
-    cone = mapping_cone(c)
-    exp = Expanded(cone.gradings, cone.diff, base.N, c.tau)
+    g = c.gradings
+    exp = Expanded(tuple(t + 1 for t in g) + g, _cone_columns(c, c.diff), base.N, c.tau)
 
     def scan(parity: int, member_of_q_image: bool) -> int:
         probe = exp.probe(parity)
@@ -736,19 +695,19 @@ def correction_terms(c: IotaComplex) -> tuple[Grading, Grading, Grading]:
 
     One exact pass (``_tower_tops``) over C and one over its mapping cone,
     with no truncation and no expanded model; the cone's levels come from
-    C's (``_cone_levels``), not from a second pass over its 2n offsets, and
-    no ``ConeComplex`` is built.  The cone's columns are those of
-    ``mapping_cone`` except that the Q-copy of x_j starts from the vector
-    x_j's column reduced to in the first pass, shifted by n, which changes
-    no lead, size or rank ("Correction terms without truncation", module
-    docstring).  On the 77 ``oracle_cross_check`` classes of
-    ``perfbench/reference.json`` (n = 4,293 generators in all), the nonzero
-    columns the two passes reduce fell from 12,033 to 10,264 (2.8n to
-    2.4n) and the XOR steps from 28,298 to 18,988, those of the cone from
-    21,639 to 12,329; the benchmark's ``oracle_cross_check`` ops_per_s rose from
-    2,059 to 2,243 (20 s runs at seed 29, medians of 10 alternating pairs,
-    CPython 3.11 on a shared 2-core x86-64 machine).  The trivial complex
-    returns (0, 0, 0).  A complex with no tower raises RuntimeError.
+    C's (``_cone_levels``), not from a second pass over its 2n offsets.
+    The cone's columns are ``_cone_columns(c, c.diff)`` except that the
+    Q-copy of x_j starts from the vector x_j's column reduced to in the
+    first pass, shifted by n, which changes no lead, size or rank
+    ("Correction terms without truncation", module docstring).  On the 77
+    ``oracle_cross_check`` classes of ``perfbench/reference.json``
+    (n = 4,293 generators in all), the nonzero columns the two passes
+    reduce fell from 12,033 to 10,264 (2.8n to 2.4n) and the XOR steps from
+    28,298 to 18,988, those of the cone from 21,639 to 12,329; the
+    benchmark's ``oracle_cross_check`` ops_per_s rose from 2,059 to 2,243
+    (20 s runs at seed 29, medians of 10 alternating pairs, CPython 3.11 on
+    a shared 2-core x86-64 machine).  The trivial complex returns
+    (0, 0, 0).  A complex with no tower raises RuntimeError.
     """
     levels, reduced = _levels(c.offsets), [0] * c.n
     d, _ = _tower_tops(*levels, c.diff, reduced)
@@ -865,13 +824,17 @@ def _vec(m: Map, n: int) -> int:
 def solve_homotopy(a: IotaComplex, b: IotaComplex, rhs: Map) -> Map | None:
     """Solve d_b H + H d_a = rhs for a degree +1 map H: a -> b, exactly.
 
-    ``rhs`` is a degree-0 map a -> b.  A grading of b outside a.tau + Z
-    raises ValueError.  The unknowns are the H block of ``find_local_map``
-    (x_i of b at an offset >= off_a(j) + 1 of the same parity) and every
-    entry of the product is an equation.  It builds no truncated model; the
-    module docstring's "Truncation" bullet says why it solves the truncated
-    system.
+    ``rhs`` is a degree-0 map a -> b: an rhs without one column per
+    generator of a, a column with a bit at a row >= b.n, or a grading of b
+    outside a.tau + Z raises ValueError.  The unknowns are the H block of
+    ``find_local_map`` (x_i of b at an offset >= off_a(j) + 1 of the same
+    parity) and every entry of the product is an equation.  It builds no
+    truncated model; the module docstring's "Truncation" bullet says why it
+    solves the truncated system.
     """
+    if len(rhs) != a.n or any(col >> b.n for col in rhs):
+        raise ValueError(f"rhs is not a map from the {a.n} generators of a "
+                         f"to the {b.n} of b")
     sa = _Side(a)
     rows = [sa.at_or_below(t - 1) for t in _offsets(b.gradings, a.tau)]
     cols = _kron_columns(rows, b.diff, _spread(a.diff, a.n, b.n), b.n)

@@ -137,6 +137,11 @@ def laufer_closure(weights: list[int], adj: list[list[int]], pairing: list[int],
     vertex ``fixed`` is never added.  When ``counts`` is given, it is x and
     gets the added multiplicities.  Each addition of E_v changes chi by
     1 - <x, E_v>; the total change is returned, in exact integers.
+
+    Precondition: the form is negative definite on the vertices other than
+    ``fixed``, as it is when the whole tree is; the callers check the tree
+    first.  Otherwise the closure need not end: a vertex of weight 0 that
+    pairs positively keeps pairing positively.
     """
     dchi = 0
     while stack:

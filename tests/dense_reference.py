@@ -387,6 +387,16 @@ def truncated_correction_terms(c, N: int):
     return terms
 
 
+def cone_complex(c: complexes.IotaComplex) -> complexes.IotaComplex:
+    """The mapping cone of (1 + iota) on c, with the gradings and columns
+    ``_cone_scans`` models it with, as an IotaComplex whose iota is the
+    identity (not the cone's; ``homology_ranks`` reads no iota)."""
+    g = c.gradings
+    return complexes.graded_complex(
+        c.labels + tuple(f"Q{l}" for l in c.labels), tuple(t + 1 for t in g) + g,
+        complexes._cone_columns(c, c.diff), tuple(1 << j for j in range(2 * c.n)), c.tau)
+
+
 def left_fold_class_complex(a: LocalClass) -> complexes.IotaComplex:
     """``report.class_complex`` without its size guard, built as
     ((t (x) f_1) (x) f_2) (x) ... (x) f_k, so each ``tensor`` spreads every

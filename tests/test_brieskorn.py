@@ -14,7 +14,7 @@ from hfi.brieskorn import (MAX_SIGMA_ALPHA, BrieskornParams, SigmaSizeError,
                            tau_sequence)
 from hfi.localclass import I, Y, d_invariant, mu_bar
 from hfi.monotone import M, monotone_subroot
-from hfi.plumbing import is_negative_definite
+from hfi.plumbing import graph_from_text, is_negative_definite
 
 
 def test_params_validation():
@@ -63,6 +63,19 @@ def test_tau_sequence_unknown_center_raises_value_error():
     g, _ = seifert_plumbing(BrieskornParams(2, 3, 7))
     with pytest.raises(ValueError):
         tau_sequence(g, "not-a-vertex", 5)
+
+
+def test_tau_sequence_refuses_an_indefinite_tree(monkeypatch):
+    # on c(-1) - a(0) the closure over a would never end, so the tree is
+    # refused before any step; a closure that runs fails the test at once
+    def refuse(*args, **kw):
+        raise AssertionError("laufer_closure ran")
+
+    monkeypatch.setattr("hfi.brieskorn.laufer_closure", refuse)
+    g = graph_from_text("vertex c -1\nvertex a 0\nedge c a\n")
+    for steps in (0, 3):
+        with pytest.raises(ValueError, match="not negative definite"):
+            tau_sequence(g, "c", steps)
 
 
 def test_root_2_3_5():

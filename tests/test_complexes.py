@@ -8,8 +8,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from dense_reference import (below, default_truncation, expand_map, pair_mul,
-                             truncated_correction_terms)
+from dense_reference import (below, cone_complex, default_truncation, expand_map,
+                             pair_mul, truncated_correction_terms)
 import hfi
 from hfi import complexes
 from hfi.complexes import (correction_terms, dual, homology_ranks,
@@ -148,19 +148,10 @@ def test_correction_terms_stable_under_truncation_refinement():
 
 def test_mapping_cone_ranks_split_into_two_towers():
     # deep gradings of the cone carry exactly the two U-nontorsion towers
-    cone = complexes.mapping_cone(std(2, 0))
+    cone = cone_complex(std(2, 0))
     lo = min(cone.gradings)
     ranks = homology_ranks(cone, [lo, lo + 1])
     assert sorted(ranks.values()) == [1, 1]
-
-
-def test_mapping_cone_derives_labels_gradings_and_tau_from_its_base():
-    half = standard_complex(to_profile(MonotoneRoot(((Fraction(1, 2), Fraction(1, 2)),))))
-    for c in _involutive_complexes() + [tensor(half, dual(std(4, 0, 2, 2)))]:
-        cone = complexes.mapping_cone(c)
-        assert cone.base is c and cone.tau == c.tau and cone.n == 2 * c.n
-        assert cone.labels == c.labels + tuple(f"Q{l}" for l in c.labels)
-        assert cone.gradings == tuple(g + 1 for g in c.gradings) + c.gradings
 
 
 small_roots = st.lists(
@@ -344,15 +335,17 @@ def test_validate_builds_no_truncated_model(monkeypatch):
 
 
 def test_correction_terms_builds_no_mapping_cone(monkeypatch):
-    # the exact pass eliminates the cone's columns without a ConeComplex;
-    # the reference scans build one, so they run before the patch
+    # the exact pass eliminates the cone's columns without a model of the
+    # cone; the reference scans build one (and one of C), so they run
+    # before the patch
     built = _involutive_complexes() + [_twisted()]
     want = [truncated_correction_terms(c, default_truncation(c.gradings)) for c in built]
 
     def refuse(*args):
-        raise AssertionError("mapping_cone ran")
+        raise AssertionError("_cone_scans ran")
 
-    monkeypatch.setattr(complexes, "mapping_cone", refuse)
+    monkeypatch.setattr(complexes, "_cone_scans", refuse)
+    _no_model(monkeypatch)
     assert [correction_terms(c) for c in built] == want
 
 
@@ -414,7 +407,7 @@ def test_below_masks_match_the_gradings():
         shift = int(b.tau - a.tau)
         for degree in (0, 1):
             rows = [sa.at_or_below(t + shift - degree) for t in sb.offsets]
-            assert (complexes._transpose(rows, a.n)
+            assert (tuple(complexes._spread(rows, a.n, 1))
                     == _mask_from_gradings(a, b, degree, 10 ** 6))
 
 
@@ -423,6 +416,15 @@ def test_homotopy_onto_another_coset_is_refused():
     b = iota_complex(["y"], ["1/2"], [[0]], [[1]], tau="1/2")
     with pytest.raises(ValueError, match="grading 1/2"):
         complexes.solve_homotopy(a, b, (0,))
+
+
+def test_homotopy_rhs_of_the_wrong_shape_is_refused():
+    # rhs is a map a -> b: one column per generator of a, rows below b.n
+    c = std(2, 0)
+    assert c.n == 3 and complexes.solve_homotopy(c, c, (0, 0, 0)) == (0, 0, 0)
+    for rhs in ((0,), (0,) * 4, (0, 0b1000, 0)):
+        with pytest.raises(ValueError, match="not a map from the 3 generators of a"):
+            complexes.solve_homotopy(c, c, rhs)
 
 
 def _homotopy_with_a_u_term():

@@ -77,8 +77,9 @@ import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
 from dense_reference import (below, ceiling_tau_deltas, compress_list,
-                             default_truncation, dense_is_negative_definite,
-                             dense_k_squared, dense_kernel, dense_rank,
+                             cone_complex, default_truncation,
+                             dense_is_negative_definite, dense_k_squared,
+                             dense_kernel, dense_rank,
                              dense_solve_affine, dict_find_local_map,
                              dict_solve_homotopy, grouped_basis,
                              left_fold_class_complex, pareto_subroot_params,
@@ -550,7 +551,7 @@ def test_right_fold_class_complex_matches_the_left_fold():
         assert type(c.tau) is type(want.tau), a
         levels = complexes._levels(c.offsets)
         assert complexes._cone_levels(*levels, c.n) == \
-            complexes._levels(complexes.mapping_cone(c).offsets), a
+            complexes._levels(cone_complex(c).offsets), a
 
 
 def test_class_equality_is_local_equivalence():
@@ -658,11 +659,12 @@ def _relabelled(c, rng):
 
 
 def test_stored_offsets_are_those_of_the_gradings():
-    # tensor, dual and mapping_cone derive their offsets from tau in int
+    # tensor, dual and _cone_levels derive their offsets from tau in int
     # arithmetic; they are the offsets graded_complex reads off the exact
-    # gradings, on seeded standard complexes, tensor products (also of
-    # copies in the coset 1/2 + Z), duals, class complexes, mapping cones
-    # and the relabelled copies
+    # gradings (for the mapping cone, those of cone_complex), on seeded
+    # standard complexes, tensor products (also of copies in the coset
+    # 1/2 + Z), duals, class complexes, their mapping cones and the
+    # relabelled copies
     rng = random.Random(20170636)
     built = _random_complexes(20170636, 20)
     built += [complexes.dual(c) for c in built[:10]]
@@ -672,9 +674,8 @@ def test_stored_offsets_are_those_of_the_gradings():
     for c in built:
         assert c.offsets == tuple(complexes._offsets(c.gradings, c.tau))
         assert complexes.graded_complex(c.labels, c.gradings, c.diff, c.iota, c.tau) == c
-        cone = complexes.mapping_cone(c)
-        assert cone.offsets == tuple(complexes._offsets(cone.gradings, c.tau))
-        assert cone.gradings == tuple(g + 1 for g in c.gradings) + c.gradings
+        assert complexes._cone_levels(*complexes._levels(c.offsets), c.n) == \
+            complexes._levels(cone_complex(c).offsets)
 
 
 def test_exact_pass_matches_the_truncated_scans():
@@ -729,7 +730,7 @@ def test_seeded_cone_elimination_matches_the_cone(monkeypatch):
         levels = complexes._levels(c.offsets)
         (_, _, base), (grades, masks, seeded) = calls
         assert (grades, masks) == complexes._cone_levels(*levels, c.n)
-        assert seeded == eliminate(grades, masks, complexes.mapping_cone(c).diff), c.labels
+        assert seeded == eliminate(grades, masks, complexes._cone_columns(c, c.diff)), c.labels
         assert got == truncated_correction_terms(c, default_truncation(c.gradings)), c.labels
         reduced = [0] * c.n
         assert eliminate(*levels, c.diff, reduced) == base
@@ -749,7 +750,7 @@ def test_exact_homology_ranks_match_the_truncated_models():
     for c in _random_complexes(20170635, 20):
         D = default_truncation(c.gradings)
         for y in (c, _relabelled(c, rng)):
-            for x in (y, complexes.mapping_cone(y)):
+            for x in (y, cone_complex(y)):
                 off = complexes._offsets(x.gradings, y.tau)
                 window = [y.tau + t for t in range(min(off) - 4, max(off) + 3)]
                 got = complexes.homology_ranks(x, window)
@@ -913,8 +914,8 @@ def _assert_gauge_fixing_keeps_the_verdict(a, b, monkeypatch) -> tuple[bool, int
         # gauge vectors dX + Xd of the unknowns of H, then of K) can set
         # every unknown it drops to zero
         assert all(f & ~row == 0 for f, row in zip(fixed, full))
-        gone = complexes._vec(complexes._transpose(
-            [row & ~f for row, f in zip(full, fixed)], a.n), b.n)
+        gone = complexes._vec(complexes._spread(
+            [row & ~f for row, f in zip(full, fixed)], a.n, 1), b.n)
         e = gf2.Echelon(_gauge_vector(a, b, i, j) & gone
                         for i, row in enumerate(gauges) for j in complexes._bits(row))
         assert len(e) == gone.bit_count()

@@ -473,10 +473,29 @@ def test_zero_denominator_errors_name_the_token():
 SRC = Path(__file__).resolve().parents[1] / "src"
 # the names ``hfi`` serves from ``hfi.complexes``, and their names there
 COMPLEXES_EXPORTS = {name: name for name in (
-    "MAX_LOCAL_MAP_UNKNOWNS", "ConeComplex", "IotaComplex", "SearchSizeError",
+    "MAX_LOCAL_MAP_UNKNOWNS", "IotaComplex", "SearchSizeError",
     "dual", "find_local_map", "homology_ranks", "iota_complex",
-    "locally_equivalent", "mapping_cone", "tensor", "trivial_complex",
+    "locally_equivalent", "tensor", "trivial_complex",
     "validate")} | {"complex_correction_terms": "correction_terms"}
+
+
+def test_import_hfi_loads_only_the_standard_library():
+    # every module importing hfi loads, other than hfi itself, is in the
+    # standard library (sys.stdlib_module_names, Python 3.10+)
+    script = """
+import sys
+
+before = set(sys.modules)
+import hfi
+
+loaded = {m.partition(".")[0] for m in set(sys.modules) - before}
+print(sorted(loaded - set(sys.stdlib_module_names) - {"hfi"}))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_sigma_evaluation_never_imports_the_oracle():

@@ -54,8 +54,8 @@ def test_tracer_installs_and_counts_a_traced_oracle_call():
     names = {span[2] for span in tracer.spans}
     for hook in ("complexes.correction_terms", "complexes._d_scan",
                  "complexes._cone_scans", "complexes._single_tower_check",
-                 "complexes.mat_mul", "complexes.mapping_cone",
-                 "complexes.Expanded.__init__", "complexes.Expanded.cycles"):
+                 "complexes.mat_mul", "complexes.Expanded.__init__",
+                 "complexes.Expanded.cycles"):
         assert hook in names, hook
     # the truncated reference makes one pass, with a base model and a cone
     # model; validate builds none
