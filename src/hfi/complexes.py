@@ -122,6 +122,16 @@ Conventions
   since vec(L.X + X.R) = (I (x) L + R^T (x) I) vec X, and each unknown's
   column is two shifts and one XOR.  The row numbering does not change the
   solution, which depends only on the order of the unknowns.
+* Bit scans: the kernels that the local-map search and ``validate`` spend
+  their time in (``mat_mul``, ``_spread``, ``_kron_columns``, the level
+  scan of ``_eliminate``, ``_Side.tower`` and ``tensor``'s column spread)
+  walk the set bits of an int inline, ``low = v & -v`` ... ``v ^= low``,
+  because the generator ``_bits`` resumes one frame per set bit; ``_bits``
+  serves the cold callers.  On a seed-11 ``local_equivalence`` round of the
+  benchmark (41 ops, best of 12, CPython 3.11, shared 2-core x86-64
+  machine) the local-map columns took 5.4-5.9 ms instead of 6.7-7.2 ms,
+  and the whole round, with ``validate``'s two products, 18.4-18.8 ms
+  instead of 21.5-21.8 ms.
 """
 
 from __future__ import annotations
@@ -152,7 +162,8 @@ MAX_LOCAL_MAP_UNKNOWNS = 6000  # F, H and slack unknowns of one local-map system
 
 
 def _bits(v: int):
-    """Indices of the set bits of v, lowest first."""
+    """Indices of the set bits of v, lowest first (the hot loops scan
+    inline: "Bit scans", module docstring)."""
     while v:
         low = v & -v
         yield low.bit_length() - 1
@@ -205,8 +216,10 @@ def mat_mul(a: Map, b: Map) -> Map:
     out = []
     for col in b:
         acc = 0
-        for k in _bits(col):
-            acc ^= a[k]
+        while col:
+            low = col & -col
+            acc ^= a[low.bit_length() - 1]
+            col ^= low
         out.append(acc)
     return tuple(out)
 
@@ -239,6 +252,13 @@ class IotaComplex:
     @property
     def gradings(self) -> tuple[Grading, ...]:
         return tuple(self.tau + t for t in self.offsets)
+
+
+def _require_complex(*cs) -> None:
+    """Raise TypeError unless every argument is an IotaComplex."""
+    for c in cs:
+        if not isinstance(c, IotaComplex):
+            raise TypeError(f"not a complex: {c!r}")
 
 
 def graded_complex(labels, gradings, diff: Map, iota: Map, tau: Grading) -> IotaComplex:
@@ -434,25 +454,38 @@ def validate(c: IotaComplex) -> Diagnostics:
     and tensor products and duals keep iota^2 = id.  Otherwise
     ``solve_homotopy`` looks for H.
 
+    The four products dd, iota d, d iota and iota iota come from two
+    ``mat_mul`` calls, which read the bits of d and of iota once each: the
+    stacked map with column j = d x_j + (iota x_j shifted up by n rows),
+    times d and times iota, holds dd and d iota on rows 0..n-1 and iota d
+    and iota iota above.  On the 122 complexes of the benchmark's
+    ``local_equivalence`` pairs the three algebra checks take 4.3 ms, and
+    5.3 ms with four products and ``mat_add`` (best of 7, CPython 3.11,
+    shared 2-core x86-64 machine).
+
     The checks test whole columns and build no truncated model; the
     module docstring's "Truncation" bullet says why they agree with the
     truncated checks.
     """
+    _require_complex(c)
     checks = []
 
-    def first_nonzero(m: Map) -> int | None:
+    def first_nonzero(m) -> int | None:
         return next((j for j, col in enumerate(m) if col), None)
 
-    j = first_nonzero(mat_mul(c.diff, c.diff))
+    n, low = c.n, (1 << c.n) - 1
+    stack = tuple(dc | ic << n for dc, ic in zip(c.diff, c.iota))
+    sd, si = mat_mul(stack, c.diff), mat_mul(stack, c.iota)
+
+    j = first_nonzero(col & low for col in sd)
     checks.append(("d^2 = 0", j is None,
                    "ok" if j is None else f"d(d({c.labels[j]})) != 0"))
 
-    j = first_nonzero(mat_add(mat_mul(c.iota, c.diff), mat_mul(c.diff, c.iota)))
-    checks.append(("iota chain map", j is None,
-                   "ok" if j is None else "iota d != d iota"))
+    commutes = not any((x >> n) ^ (y & low) for x, y in zip(sd, si))
+    checks.append(("iota chain map", commutes,
+                   "ok" if commutes else "iota d != d iota"))
 
-    identity = tuple(1 << j for j in range(c.n))
-    square_plus_id = mat_add(mat_mul(c.iota, c.iota), identity)
+    square_plus_id = tuple((col >> n) ^ (1 << j) for j, col in enumerate(si))
     if not any(square_plus_id):
         # every equation dH + Hd = iota^2 + id is homogeneous
         checks.append(("iota^2 ~ id", True, "iota^2 = id exactly"))
@@ -493,13 +526,19 @@ def tensor(a: IotaComplex, b: IotaComplex) -> IotaComplex:
     offsets, index i * m + k, bit columns and tau), so a product of several
     factors may be grouped to keep the left operands small.
     """
+    _require_complex(a, b)
     m = b.n  # generator x_i (x) y_k has index i * m + k
     labels = tuple(f"{la}*{lb}" for la in a.labels for lb in b.labels)
     offsets = tuple(oa + ob for oa in a.offsets for ob in b.offsets)
 
     def spread(col: int) -> int:
         """Bit i of a column of a, moved to bit i * m (the row x_i (x) y_0)."""
-        return sum(1 << (i * m) for i in _bits(col))
+        out = 0
+        while col:
+            low = col & -col
+            out |= 1 << (low.bit_length() - 1) * m
+            col ^= low
+        return out
 
     diff, iota = [], []
     for j, (da, ia) in enumerate(zip(map(spread, a.diff), map(spread, a.iota))):
@@ -514,6 +553,7 @@ def tensor(a: IotaComplex, b: IotaComplex) -> IotaComplex:
 def dual(a: IotaComplex) -> IotaComplex:
     """Dual complex: gradings negated, differential and iota transposed
     (``_spread`` with n = 1), an entry keeping its exponent."""
+    _require_complex(a)
     return IotaComplex(tuple(f"{l}^" for l in a.labels), tuple(-t for t in a.offsets),
                        tuple(_spread(a.diff, a.n, 1)), tuple(_spread(a.iota, a.n, 1)),
                        -a.tau)
@@ -569,7 +609,11 @@ def _eliminate(grades: list[int], masks: list[int], diff: Map,
         p = grades[k] % 2
         # a boundary of a column at t has terms at offsets >= t - 1 only
         low = max(k - 1, 0)
-        for j in _bits(masks[k]):
+        level = masks[k]
+        while level:
+            bit = level & -level
+            level ^= bit
+            j = bit.bit_length() - 1
             v, i = diff[j], low
             while v:
                 part = v & masks[i]
@@ -602,8 +646,7 @@ def homology_ranks(c: IotaComplex, window) -> dict[Grading, int]:
     dim H_t = |C_t| - rank d(C_t) - rank d(C_{t+1}) is read off the first
     level of ``_eliminate`` at or above t: none of t + 1's parity sits at t.
     """
-    if not isinstance(c, IotaComplex):
-        raise TypeError(f"not a complex: {c!r}")
+    _require_complex(c)
     grades, masks = _levels(c.offsets)
     sizes, ranks, _ = _eliminate(grades, masks, c.diff)
     gradings = [rational(g) for g in window]
@@ -709,6 +752,7 @@ def correction_terms(c: IotaComplex) -> tuple[Grading, Grading, Grading]:
     a shared 2-core x86-64 machine).  The trivial complex returns
     (0, 0, 0).  A complex with no tower raises RuntimeError.
     """
+    _require_complex(c)
     levels, reduced = _levels(c.offsets), [0] * c.n
     d, _ = _tower_tops(*levels, c.diff, reduced)
     d_bar, odd = _tower_tops(*_cone_levels(*levels, c.n), _cone_columns(c, reduced))
@@ -745,16 +789,25 @@ def _spread(R: Map, width: int, n: int) -> list[int]:
     """S[j], j < width: bit c.n for each column c of R that contains x_j."""
     S = [0] * width
     for c, col in enumerate(R):
-        for j in _bits(col):
-            S[j] |= 1 << c * n
+        bit = 1 << c * n
+        while col:
+            low = col & -col
+            S[low.bit_length() - 1] |= bit
+            col ^= low
     return S
 
 
 def _kron_columns(rows: list[int], L, S, n: int) -> list[int]:
     """The column (L[i] << j.n) ^ (S[j] << i) of each unknown X[i, j], where
     the unknowns are the bits j of ``rows[i]``, row by row."""
-    return [(L[i] << j * n) ^ (S[j] << i)
-            for i, row in enumerate(rows) for j in _bits(row)]
+    out = []
+    for i, (row, Li) in enumerate(zip(rows, L)):
+        while row:
+            low = row & -row
+            j = low.bit_length() - 1
+            out.append((Li << j * n) ^ (S[j] << i))
+            row ^= low
+    return out
 
 
 def _gauge_entries(rows: list[int], diff: Map) -> list[int]:
@@ -917,12 +970,18 @@ class _Side:
         boundaries of the odd class and one over the even class."""
         d = self.c.diff
         even, odd = self.classes
-        boundaries = gf2.Echelon(d[j] for j in _bits(odd))
+        boundaries = gf2.Echelon()
+        while odd:
+            low = odd & -odd
+            boundaries.add(d[low.bit_length() - 1])
+            odd ^= low
         cycles = gf2.Echelon()
-        for j in _bits(even):
-            v, z = cycles.add(d[j], 1 << j)
+        while even:
+            low = even & -even
+            v, z = cycles.add(d[low.bit_length() - 1], low)
             if not v and z not in boundaries:
                 return z
+            even ^= low
         raise RuntimeError("missing deep tower class")
 
 
@@ -999,14 +1058,15 @@ def find_local_map(a: IotaComplex, b: IotaComplex) -> LocalMapWitness | None:
     machine, min CPU time of 9 calls in each of three processes): the
     largest system the budget admits among the benchmark's pair complexes,
     165 -> 63 generators with 5,724 unknowns (infeasible, so existence
-    alone), takes 6.6-6.7 ms and peaks at 5.5 MB under ``tracemalloc``
+    alone), takes 6.0-6.4 ms and peaks at 5.5 MB under ``tracemalloc``
     (before gauge fixing and the one block: 23-25 ms and 17.2 MB; the
     truncated search: 28-35 ms, 7.4 MB); the largest feasible one, 35 -> 165
-    with 4,705 unknowns, takes 3.9-4.0 ms and 2.7 MB for existence alone
-    (before: 9.0-9.3 ms, 7.8 MB), and 14-15 ms and 4.5 MB with the witness
+    with 4,705 unknowns, takes 3.6-3.9 ms and 2.7 MB for existence alone
+    (before: 9.0-9.3 ms, 7.8 MB), and 12-15 ms and 4.5 MB with the witness
     read (before: 17-28 ms, 8.2 MB; the truncated search: 25-27 ms,
     5.1 MB).
     """
+    _require_complex(a, b)
     if ((a.tau - b.tau).denominator != 1) or int(a.tau - b.tau) % 2 != 0:
         raise ValueError(f"tower cosets differ: tau={a.tau} vs {b.tau}")
     sa, sb = _Side(a), _Side(b)

@@ -15,7 +15,9 @@ over ``mirror_merge``, the pair-deleting
 restart loop that simplifies a weakly monotone root, the list-based
 extrema scan, the reduced row-echelon form of a matrix stored as lists of
 0/1 rows, the composition of maps stored as columns of explicit
-(row, U-exponent) pairs, the max-min and min-max correction-term bounds
+(row, U-exponent) pairs, the bit-column kernels (composition, spread,
+Kronecker columns, tensor product, tower representative) with the set
+bits walked by a generator where production scans them inline, the max-min and min-max correction-term bounds
 row by row over fresh prefix slices, the expanded model's basis gathered
 from the generators' grading groups (the model reads it off its
 chain-group masks), the correction terms scanned in truncated models, and
@@ -30,8 +32,9 @@ truncated systems are the exact ones.
 
 from collections.abc import Iterator
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate, chain, cycle, repeat
-from operator import add, floordiv, mod, sub
+from operator import add, floordiv, mod, sub, xor
 
 from hfi import complexes, gf2
 from hfi.brieskorn import BrieskornParams, seifert_invariants
@@ -334,6 +337,56 @@ def pair_mul(a, b) -> tuple[frozenset, ...]:
             acc ^= {(i, e + f) for i, f in a[k]}
         out.append(frozenset(acc))
     return tuple(out)
+
+
+def bits_mat_mul(a, b) -> tuple[int, ...]:
+    """``complexes.mat_mul`` with the set bits of each column of b walked by
+    ``_bits`` (the production loop scans them inline)."""
+    return tuple(reduce(xor, (a[k] for k in _bits(col)), 0) for col in b)
+
+
+def bits_spread(R, width: int, n: int) -> list[int]:
+    """``complexes._spread``, walking the set bits by ``_bits``."""
+    S = [0] * width
+    for c, col in enumerate(R):
+        for j in _bits(col):
+            S[j] |= 1 << c * n
+    return S
+
+
+def bits_kron_columns(rows, L, S, n: int) -> list[int]:
+    """``complexes._kron_columns``, walking the set bits by ``_bits``."""
+    return [(L[i] << j * n) ^ (S[j] << i)
+            for i, row in enumerate(rows) for j in _bits(row)]
+
+
+def bits_tensor_maps(a, b) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(diff, iota) of ``complexes.tensor(a, b)`` term by term: x_i (x) y_k
+    is bit i.m + k, m = b.n, d(x (x) y) = dx (x) y + x (x) dy and
+    iota(x (x) y) = iota x (x) iota y."""
+    m = b.n
+    diff, iota = [], []
+    for j, (da, ia) in enumerate(zip(a.diff, a.iota)):
+        for k, (db, ib) in enumerate(zip(b.diff, b.iota)):
+            diff.append(sum(1 << (i * m + k) for i in _bits(da))
+                        ^ sum(1 << (j * m + l) for l in _bits(db)))
+            iota.append(sum(1 << (i * m + l) for i in _bits(ia) for l in _bits(ib)))
+    return tuple(diff), tuple(iota)
+
+
+def bits_tower(c) -> int:
+    """``complexes._Side(c).tower()`` from the parity classes of the
+    offsets, walking their bits by ``_bits``: the first cycle of the even
+    class of L = C/(U - 1), in kernel order, that is not a boundary."""
+    even = sum(1 << i for i, t in enumerate(c.offsets) if t % 2 == 0)
+    odd = sum(1 << i for i, t in enumerate(c.offsets) if t % 2)
+    boundaries = gf2.Echelon(c.diff[j] for j in _bits(odd))
+    cycles = gf2.Echelon()
+    for j in _bits(even):
+        v, z = cycles.add(c.diff[j], 1 << j)
+        if not v and z not in boundaries:
+            return z
+    raise RuntimeError("missing deep tower class")
 
 
 def slice_d_lower_offset(st) -> int:

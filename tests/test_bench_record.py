@@ -1,8 +1,8 @@
 """The benchmark record writer, ``tools/bench_record.py``, on a one-second budget.
 
 It runs ``perfbench/run.py`` as a subprocess and writes the record a speed
-claim quotes; this checks that one short run gives a record with every key
-and a summary for each end-to-end metric.
+claim quotes; this checks that one short run gives a record with every key,
+a summary for each end-to-end metric and the fixed-input layer timings.
 """
 
 import json
@@ -22,14 +22,23 @@ def test_bench_record_writes_every_key(tmp_path):
     assert proc.returncode == 0, proc.stderr
     rec = json.loads(out.read_text())
     assert set(rec) == {"commit", "tree_differs", "python", "cpu_count", "k", "seed",
-                        "seconds", "workloads", "ok"}
+                        "seconds", "workloads", "layers", "ok"}
     assert rec["ok"] and rec["k"] == 1 and rec["seconds"] == 1 and rec["cpu_count"] >= 1
     assert rec["python"] == platform.python_version()
     assert list(rec["workloads"]) == ["local_equivalence"]
     w = rec["workloads"]["local_equivalence"]
     assert w["ok"] and w["failed"] == [0] and w["attempted"][0] > 0
     assert set(w["metrics"]) == {"setup_s", "ops_per_s", "op_p50_ms", "peak_rss_mb"}
-    for m in w["metrics"].values():
+    layers = rec["layers"]
+    assert set(layers) == {"local_map", "validate"}
+    local_map, validate = layers["local_map"], layers["validate"]
+    assert local_map["generators"] == [165, 63] and local_map["unknowns"] == 5724
+    assert local_map["feasible"] is False
+    assert set(local_map["metrics"]) == {"local_map_columns_ms", "gf2_solvable_ms",
+                                         "find_local_map_ms"}
+    assert validate["generators"] == 165 and set(validate["metrics"]) == {"validate_ms"}
+    for m in [*w["metrics"].values(), *local_map["metrics"].values(),
+              *validate["metrics"].values()]:
         assert set(m) == {"unit", "values", "median", "range", "spread"}
         assert len(m["values"]) == 1 and m["range"] == [m["median"]] * 2
         assert m["median"] > 0 and m["spread"] == 0

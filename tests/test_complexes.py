@@ -55,6 +55,18 @@ def test_homology_ranks_of_branched_tower():
         homology_ranks("x", [0])
 
 
+@pytest.mark.parametrize("name, args", [
+    ("validate", ("x",)), ("complex_correction_terms", ("x",)),
+    ("find_local_map", ("c", "x")), ("find_local_map", ("x", "c")),
+    ("locally_equivalent", ("c", "x")), ("locally_equivalent", ("x", "c")),
+    ("tensor", ("c", "x")), ("tensor", ("x", "c")), ("dual", ("x",)),
+    ("homology_ranks", ("x", [0]))])
+def test_a_non_complex_is_refused_with_a_type_error(name, args):
+    c = trivial_complex()
+    with pytest.raises(TypeError, match=r"^not a complex: 'x'$"):
+        getattr(hfi, name)(*(c if a == "c" else a for a in args))
+
+
 def test_tensor_with_dual_is_locally_trivial():
     c = std(0, -2)
     assert correction_terms(tensor(c, dual(c))) == (0, 0, 0)
@@ -332,6 +344,57 @@ def test_validate_builds_no_truncated_model(monkeypatch):
         diag = validate(c)
         assert diag.ok, str(diag)
     assert [name for name, _ in validate(bad).failed()] == ["iota^2 ~ id"]
+
+
+def _one_complex_per_validate_outcome():
+    """(complex, expected checks) for each way a check can come out."""
+    identity3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    c = std(2, 0)
+    return [
+        # x -> y -> z: d(d(x)) = z
+        (iota_complex(("x", "y", "z"), (2, 1, 0),
+                      ((0, 0, 0), (1, 0, 0), (0, 1, 0)), identity3),
+         (("d^2 = 0", False, "d(d(x)) != 0"),
+          ("iota chain map", True, "ok"),
+          ("iota^2 ~ id", True, "iota^2 = id exactly"),
+          ("single U-inverted tower", False,
+           "deep homology ranks: 0 in tau-parity, -1 off-parity"))),
+        # d(y) = z, iota swaps x and z: d iota(y) = z but iota d(y) = x
+        (iota_complex(("x", "y", "z"), (0, 1, 0),
+                      ((0, 0, 0), (0, 0, 0), (0, 1, 0)),
+                      ((0, 0, 1), (0, 1, 0), (1, 0, 0)), tau=0),
+         (("d^2 = 0", True, "ok"),
+          ("iota chain map", False, "iota d != d iota"),
+          ("iota^2 ~ id", True, "iota^2 = id exactly"),
+          ("single U-inverted tower", True,
+           "deep homology ranks: 1 in tau-parity, 0 off-parity"))),
+        (_twisted(),
+         (("d^2 = 0", True, "ok"),
+          ("iota chain map", True, "ok"),
+          ("iota^2 ~ id", True, "homotopy found"),
+          ("single U-inverted tower", True,
+           "deep homology ranks: 1 in tau-parity, 0 off-parity"))),
+        # the iota of test_validate_rejects_iota_squared_not_homotopic_to_id
+        (iota_complex(c.labels, c.gradings, [[0, 0, [1]], [0, 0, [1]], [0, 0, 0]],
+                      [[1, 0, 0], [1, 0, 0], [0, 0, 1]], tau=c.tau),
+         (("d^2 = 0", True, "ok"),
+          ("iota chain map", True, "ok"),
+          ("iota^2 ~ id", False, "no homotopy H with dH + Hd = iota^2 + id"),
+          ("single U-inverted tower", True,
+           "deep homology ranks: 1 in tau-parity, 0 off-parity"))),
+        # two generators at grading 0 and no differential: two towers
+        (iota_complex(("x", "y"), (0, 0), ((0, 0), (0, 0)), ((1, 0), (0, 1))),
+         (("d^2 = 0", True, "ok"),
+          ("iota chain map", True, "ok"),
+          ("iota^2 ~ id", True, "iota^2 = id exactly"),
+          ("single U-inverted tower", False,
+           "deep homology ranks: 2 in tau-parity, 0 off-parity"))),
+    ]
+
+
+def test_validate_pins_every_check_of_each_outcome():
+    for c, checks in _one_complex_per_validate_outcome():
+        assert validate(c).checks == checks
 
 
 def test_correction_terms_builds_no_mapping_cone(monkeypatch):

@@ -12,6 +12,15 @@ commit and whether ``src/`` or ``perfbench/`` differ from it, the Python
 version, the CPU count, k, the seed and the budget per run.  The seed is
 fixed at ``SEED``, so two records are always comparable.
 
+Under ``layers`` it times layers of ``hfi.complexes`` on fixed inputs, k
+times each, a time being the fastest of ``LAYER_CALLS`` calls in this
+process: ``_local_map_columns`` and ``gf2.solvable`` inside
+``find_local_map`` on the largest local-map system that the unknown budget
+admits among the ``local_equivalence`` pair complexes (165 -> 63
+generators, 5,724 unknowns, infeasible), and ``validate`` on the
+165-generator complex.  The inputs are built by ``perfbench/workloads.py``,
+imported from the checkout.
+
 Only the standard library is used, and nothing under ``perfbench/`` is
 edited.  A run that fails an op or exits non-zero makes the script exit 1
 after writing the record, so a record with ``"ok": false`` is never quoted
@@ -24,15 +33,18 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 RUNNER = ROOT / "perfbench" / "run.py"
 WORKLOADS = ("sigma_sweep", "oracle_cross_check", "local_equivalence")
 SEED = 11
+LAYER_CALLS = 9
 
 
 def git(*args: str) -> str:
@@ -72,6 +84,73 @@ def summarize(runs: list[dict]) -> dict:
     return metrics
 
 
+def timed(values: list[float], fn):
+    """fn, appending the milliseconds of each call to values."""
+    def wrapper(*args):
+        t0 = time.perf_counter()
+        try:
+            return fn(*args)
+        finally:
+            values.append((time.perf_counter() - t0) * 1e3)
+    return wrapper
+
+
+def layer_timings(repeats: int) -> dict:
+    """The fixed-input layer timings (module docstring), summarized like
+    the end-to-end metrics."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    import workloads
+    from hfi import complexes
+
+    def unknowns(a, b) -> int:
+        """The unknown count of find_local_map(a, b), read off the
+        SearchSizeError it raises, before any elimination, at a budget of 0."""
+        limit, complexes.MAX_LOCAL_MAP_UNKNOWNS = complexes.MAX_LOCAL_MAP_UNKNOWNS, 0
+        try:
+            complexes.find_local_map(a, b)
+        except complexes.SearchSizeError as e:
+            return sum(map(int, re.findall(r"(\d+) (?:F-|H-|slack )vars", str(e))))
+        finally:
+            complexes.MAX_LOCAL_MAP_UNKNOWNS = limit
+        return 0
+
+    pool = workloads.load_reference()["local_equivalence"]
+    sides = [c for e in pool for c in workloads.pair_complexes(e)]
+    big = max(sides, key=lambda c: c.n)
+    systems = [(unknowns(a, b), a, b) for c in sides if c is not big
+               for a, b in ((big, c), (c, big))]
+    count, a, b = max((s for s in systems if s[0] <= complexes.MAX_LOCAL_MAP_UNKNOWNS),
+                      key=lambda s: s[0])
+
+    times = {name: [] for name in ("local_map_columns_ms", "gf2_solvable_ms",
+                                   "find_local_map_ms", "validate_ms")}
+    columns, solvable = complexes._local_map_columns, complexes.gf2.solvable
+    runs = []
+    for _ in range(repeats):
+        for values in times.values():
+            values.clear()
+        complexes._local_map_columns = timed(times["local_map_columns_ms"], columns)
+        complexes.gf2.solvable = timed(times["gf2_solvable_ms"], solvable)
+        try:
+            for _ in range(LAYER_CALLS):
+                feasible = timed(times["find_local_map_ms"], complexes.find_local_map)(
+                    a, b) is not None
+        finally:
+            complexes._local_map_columns, complexes.gf2.solvable = columns, solvable
+        for _ in range(LAYER_CALLS):
+            timed(times["validate_ms"], complexes.validate)(big)
+        runs.append({"metrics": {name: {"unit": "ms", "value": min(values)}
+                                 for name, values in times.items()}})
+    metrics = summarize(runs)
+    return {
+        "local_map": {"generators": [a.n, b.n], "unknowns": count, "feasible": feasible,
+                      "metrics": {name: metrics[name] for name in
+                                  ("local_map_columns_ms", "gf2_solvable_ms",
+                                   "find_local_map_ms")}},
+        "validate": {"generators": big.n, "metrics": {"validate_ms": metrics["validate_ms"]}},
+    }
+
+
 def record(workloads, repeats: int, seconds: float) -> dict:
     out = {
         "commit": git("rev-parse", "HEAD"),
@@ -94,6 +173,7 @@ def record(workloads, repeats: int, seconds: float) -> dict:
             "failed": [r["failed"] for r in runs],
             "metrics": summarize(runs) if all(r["metrics"] for r in runs) else {},
         }
+    out["layers"] = layer_timings(repeats)
     out["ok"] = ok
     return out
 
