@@ -469,15 +469,11 @@ def validate(c: IotaComplex) -> Diagnostics:
     """
     _require_complex(c)
     checks = []
-
-    def first_nonzero(m) -> int | None:
-        return next((j for j, col in enumerate(m) if col), None)
-
     n, low = c.n, (1 << c.n) - 1
     stack = tuple(dc | ic << n for dc, ic in zip(c.diff, c.iota))
     sd, si = mat_mul(stack, c.diff), mat_mul(stack, c.iota)
 
-    j = first_nonzero(col & low for col in sd)
+    j = next((j for j, col in enumerate(sd) if col & low), None)
     checks.append(("d^2 = 0", j is None,
                    "ok" if j is None else f"d(d({c.labels[j]})) != 0"))
 
