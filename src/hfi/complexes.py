@@ -34,7 +34,8 @@ Conventions
 * Correction terms without truncation: ``correction_terms(c)`` reads them
   off L = C/(U - 1), the GF(2) complex on the generators whose differential
   is ``diff`` with every U set to 1, by ``_tower_tops``; ``homology_ranks``
-  and ``validate`` read the same elimination, ``_eliminate``:
+  reads the same elimination, ``_eliminate``, and ``validate``'s tower
+  check (``_single_tower_check``) only the rank of d on L:
 
   - A chain at offset t of the untruncated complex has at most one term
     U^k x_i per generator, so it is the chain of L on the generators x_i
@@ -108,11 +109,12 @@ Conventions
   - The truncated tower check and local-map search read a deep probe
     grading t at least 2 below every bottom and at most 3 below the lowest,
     so t - 1 >= top - 2N + 1: the chain groups at t - 1, t and t + 1 are
-    complete, and each is a whole parity class with the differential of L,
-    which ``_single_tower_check`` and ``_Side.tower`` read.  The reference search's slack ranges over the
-    target's whole odd class, and its tower representatives come from the
-    same two eliminations in the same kernel order, so the pinned z_a and
-    z_b are the same.
+    complete, and each is a whole parity class with the differential of L:
+    ``_single_tower_check`` reads the rank of that differential and
+    ``_Side.tower`` eliminates it.  The reference search's slack ranges
+    over the target's whole odd class, and its tower representatives come
+    from the same two eliminations in the same kernel order, so the pinned
+    z_a and z_b are the same.
 * Chains: a generator x_i contributes at most one basis element U^k x_i to
   a grading, so a chain at a grading is an int with bit i set for x_i (see
   ``gf2``), just like a map column.  U^m is a mask, and Q.(chains of C) in
@@ -222,10 +224,6 @@ def mat_mul(a: Map, b: Map) -> Map:
             col ^= low
         out.append(acc)
     return tuple(out)
-
-
-def mat_add(a: Map, b: Map) -> Map:
-    return tuple(x ^ y for x, y in zip(a, b))
 
 
 @dataclass(frozen=True)
@@ -460,7 +458,7 @@ def validate(c: IotaComplex) -> Diagnostics:
     times d and times iota, holds dd and d iota on rows 0..n-1 and iota d
     and iota iota above.  On the 122 complexes of the benchmark's
     ``local_equivalence`` pairs the three algebra checks take 4.3 ms, and
-    5.3 ms with four products and ``mat_add`` (best of 7, CPython 3.11,
+    5.3 ms with four products and three map sums (best of 7, CPython 3.11,
     shared 2-core x86-64 machine).
 
     The checks test whole columns and build no truncated model; the
@@ -498,10 +496,17 @@ def validate(c: IotaComplex) -> Diagnostics:
 
 def _single_tower_check(c: IotaComplex) -> tuple[bool, str]:
     """(ok, detail) from the deep homology of C: dim H of L = C/(U - 1) on a
-    parity class is |class| - rank(d on it) - rank(d on the other class),
-    read off the lowest level of ``_eliminate``."""
-    sizes, ranks, _ = _eliminate(*_levels(c.offsets), c.diff)
-    d_even, d_odd = (sizes[0][p] - ranks[0][0] - ranks[0][1] for p in (0, 1))
+    parity class is |class| - rank(d on it) - rank(d on the other class).
+
+    d has degree -1, so it maps each parity class into the other: the
+    images of the two classes lie on disjoint bits, and the rank of d is
+    the sum of the two ranks.  So both dimensions are |class| - rank(d),
+    and one tag-free ``gf2.rank`` of all the columns gives them, the sum
+    that the lowest level of ``_eliminate`` reads.
+    """
+    rank = gf2.rank(gf2.Matrix(c.n, c.diff))
+    odd = sum(t & 1 for t in c.offsets)
+    d_even, d_odd = c.n - odd - rank, odd - rank
     ok = d_even == 1 and d_odd == 0
     return ok, (f"deep homology ranks: {d_even} in tau-parity, {d_odd} off-parity")
 
@@ -589,9 +594,10 @@ def _eliminate(grades: list[int], masks: list[int], diff: Map,
     Reducing by the vector of the same lead never lowers that level, so the
     level index only moves up.  ``gf2.Echelon`` leads with the highest bit
     overall, which would need the bits permuted into grading order; with
-    the rows so renumbered, ``correction_terms`` plus ``_single_tower_check``
-    on four class complexes ran 2.3 times slower through it.  The
-    two parities' columns have images on disjoint bits and share the basis.
+    the rows so renumbered, ``correction_terms`` plus ``validate``'s tower
+    check, when that still read this elimination, ran 2.3 times slower
+    through it on four class complexes.  The two parities' columns have
+    images on disjoint bits and share the basis.
 
     If ``reduced`` is a list, ``reduced[j]`` becomes the vector column j
     reduced to: the basis vector it inserted, or 0.  ``correction_terms``
@@ -1067,10 +1073,12 @@ def find_local_map(a: IotaComplex, b: IotaComplex) -> LocalMapWitness | None:
         raise ValueError(f"tower cosets differ: tau={a.tau} vs {b.tau}")
     sa, sb = _Side(a), _Side(b)
     shift = int(b.tau - a.tau)  # b's offsets from a.tau are its own plus shift
-    # the unknowns, by rows: F[i] and H[i] mask the x_j of a that F and H
-    # may send to x_i of b
-    F = [sa.at_or_below(t + shift) for t in sb.offsets]
-    H = [sa.at_or_below(t + shift - 1) for t in sb.offsets]
+    # the unknowns, by rows: F[i], H[i] and K[i] mask the x_j of a that F,
+    # H and the degree +2 K may send to x_i of b, built once per offset of b
+    levels = (*sb.grades[0], *sb.grades[1])
+    F, H, K = ([masks[t] for t in sb.offsets]
+               for masks in ({t: sa.at_or_below(t + shift - k) for t in levels}
+                             for k in (0, 1, 2)))
     W = [sb.classes[1] >> i & 1 for i in range(b.n)]  # the slack w, one column
     nf, nh = (sum(row.bit_count() for row in X) for X in (F, H))
     w_dim = sb.classes[1].bit_count()
@@ -1083,7 +1091,7 @@ def find_local_map(a: IotaComplex, b: IotaComplex) -> LocalMapWitness | None:
     # gauge fixing: the F entries that a change of H' reaches first, and
     # the H entries that a change of K (degree +2) reaches first
     pf = _gauge_entries(H, b.diff)
-    ph = _gauge_entries([sa.at_or_below(t + shift - 2) for t in sb.offsets], b.diff)
+    ph = _gauge_entries(K, b.diff)
     cf, ch, cw = _local_map_columns(a, b, za, [r & ~p for r, p in zip(F, pf)],
                                     [r & ~p for r, p in zip(H, ph)], W)
     nn = a.n * b.n

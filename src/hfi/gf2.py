@@ -10,17 +10,18 @@ vectors.
 One elimination serves every routine that needs to know how a vector is
 made: ``Echelon`` keeps a basis with one vector per leading (highest) bit,
 in one dict from the lead to the pair (vector, tag), so each reduction step
-is one lookup and one XOR per part.  ``rank``, ``kernel`` and
-``solve_affine`` feed it the columns in order.  For a fixed column order the
+is one lookup and one XOR per part.  ``kernel`` and ``solve_affine`` feed
+it the columns in order.  For a fixed column order the
 pivot columns, and the expression of each column through the pivot columns
 before it, do not depend on how the elimination runs, so the kernel basis
 and the solution with free variables zero are the ones the reduced
 row-echelon form gives, vector for vector.
 
-``solvable`` asks only whether a system has a solution.  It is the one
-elimination without tags: the same basis of one vector per leading bit, but
-no tag as wide as the unknown count rides along, so each step is one lookup
-and one XOR.
+``rank`` and ``solvable`` need no tags: ``rank`` counts the basis vectors
+and ``solvable`` asks only whether a system has a solution.  They run the
+one elimination without tags, the same basis of one vector per leading bit
+with no tag as wide as the unknown count riding along, so each step is one
+lookup and one XOR.
 """
 
 from __future__ import annotations
@@ -93,10 +94,20 @@ class Echelon:
         return v, tag
 
     def add(self, v: int, tag: int = 0) -> tuple[int, int]:
-        """Reduce v; a nonzero remainder joins the basis.  Returns (remainder, tag)."""
-        v, tag = self.reduce(v, tag)
-        if v:
-            self.pivots[v.bit_length()] = (v, tag)
+        """Reduce v; a nonzero remainder joins the basis.  Returns (remainder, tag).
+
+        The loop is ``reduce``'s, inline: one method call per column.
+        """
+        pivots = self.pivots
+        while v:
+            h = v.bit_length()
+            p = pivots.get(h)
+            if p is None:
+                pivots[h] = (v, tag)
+                break
+            pv, pt = p
+            v ^= pv
+            tag ^= pt
         return v, tag
 
     def rank_mod(self, vectors: Iterable[int]) -> int:
@@ -108,7 +119,18 @@ class Echelon:
 
 
 def rank(A: Matrix) -> int:
-    return len(Echelon(A.cols))
+    """The rank of A: the number of leads of the tag-free basis of its
+    columns, ``len(Echelon(A.cols))``."""
+    pivots: dict[int, int] = {}
+    for v in A.cols:
+        while v:
+            h = v.bit_length()
+            p = pivots.get(h)
+            if p is None:
+                pivots[h] = v
+                break
+            v ^= p
+    return len(pivots)
 
 
 def kernel(A: Matrix, units: Matrix | None = None) -> Matrix:

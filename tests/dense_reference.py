@@ -25,7 +25,8 @@ the local-map and homotopy systems assembled term by term with equations
 numbered in order of first use, in truncated models whose masks keep the
 entries below U^N at N = ``default_truncation`` of both gradings, and the
 class complex folded with the growing product on the left of each tensor
-step (``report.class_complex`` folds from the right).  The
+step (``report.class_complex`` folds from the right).  ``mat_add``, the
+sum of two bit-column maps, lives here too: only the tests add maps.  The
 "Truncation" bullet of the ``hfi.complexes`` docstring says why those
 truncated systems are the exact ones.
 """
@@ -337,6 +338,11 @@ def pair_mul(a, b) -> tuple[frozenset, ...]:
             acc ^= {(i, e + f) for i, f in a[k]}
         out.append(frozenset(acc))
     return tuple(out)
+
+
+def mat_add(a, b) -> tuple[int, ...]:
+    """The sum of two bit-column maps: their columns XORed."""
+    return tuple(x ^ y for x, y in zip(a, b))
 
 
 def bits_mat_mul(a, b) -> tuple[int, ...]:

@@ -30,15 +30,17 @@ def test_bench_record_writes_every_key(tmp_path):
     assert w["ok"] and w["failed"] == [0] and w["attempted"][0] > 0
     assert set(w["metrics"]) == {"setup_s", "ops_per_s", "op_p50_ms", "peak_rss_mb"}
     layers = rec["layers"]
-    assert set(layers) == {"local_map", "validate"}
-    local_map, validate = layers["local_map"], layers["validate"]
+    assert set(layers) == {"local_map", "validate", "towers"}
+    local_map, validate, towers = layers["local_map"], layers["validate"], layers["towers"]
     assert local_map["generators"] == [165, 63] and local_map["unknowns"] == 5724
     assert local_map["feasible"] is False
     assert set(local_map["metrics"]) == {"local_map_columns_ms", "gf2_solvable_ms",
                                          "find_local_map_ms"}
     assert validate["generators"] == 165 and set(validate["metrics"]) == {"validate_ms"}
+    assert towers["generators"] == 165
+    assert set(towers["metrics"]) == {"single_tower_check_ms", "side_tower_ms"}
     for m in [*w["metrics"].values(), *local_map["metrics"].values(),
-              *validate["metrics"].values()]:
+              *validate["metrics"].values(), *towers["metrics"].values()]:
         assert set(m) == {"unit", "values", "median", "range", "spread"}
         assert len(m["values"]) == 1 and m["range"] == [m["median"]] * 2
         assert m["median"] > 0 and m["spread"] == 0

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from dense_reference import (below, cone_complex, default_truncation, expand_map,
-                             pair_mul, truncated_correction_terms)
+                             mat_add, pair_mul, truncated_correction_terms)
 import hfi
 from hfi import complexes
 from hfi.complexes import (correction_terms, dual, homology_ranks,
@@ -252,7 +252,7 @@ def _twisted():
     map K: a chain map with iota'^2 homotopic to id but not equal to it."""
     c = tensor(std(2, 0), std(4, 0, 2, 2))
     assert c.n == 15
-    mul, add = complexes.mat_mul, complexes.mat_add
+    mul, add = complexes.mat_mul, mat_add
     rng = random.Random(20170620)
     exp = complexes.Expanded(c.gradings, c.diff, default_truncation(c.gradings), c.tau)
     K = tuple(rng.getrandbits(c.n) & col for col in below(exp, exp.offsets, 1))
@@ -262,7 +262,7 @@ def _twisted():
 def test_validate_finds_a_homotopy_when_iota_squared_is_not_id():
     # iota'^2 != id, so the iota^2 ~ id check has to solve for the homotopy
     c = _twisted()
-    mul, add = complexes.mat_mul, complexes.mat_add
+    mul, add = complexes.mat_mul, mat_add
     square_plus_id = add(mul(c.iota, c.iota), tuple(1 << j for j in range(c.n)))
     assert any(square_plus_id)
     diag = validate(c)
@@ -319,7 +319,7 @@ def test_validate_skips_the_homotopy_solve_when_iota_squared_is_id(monkeypatch):
 
 
 def test_homotopy_solver_agrees_with_the_exact_involution_shortcut():
-    mul, add = complexes.mat_mul, complexes.mat_add
+    mul, add = complexes.mat_mul, mat_add
     for c in _involutive_complexes():
         square_plus_id = add(mul(c.iota, c.iota), tuple(1 << j for j in range(c.n)))
         H = complexes.solve_homotopy(c, c, square_plus_id)
@@ -431,7 +431,7 @@ def test_deep_ranks_and_wide_local_maps_cost_no_span(monkeypatch):
 
 def test_homotopy_solve_builds_no_truncated_model(monkeypatch):
     c = _twisted()
-    mul, add = complexes.mat_mul, complexes.mat_add
+    mul, add = complexes.mat_mul, mat_add
     square_plus_id = add(mul(c.iota, c.iota), tuple(1 << j for j in range(c.n)))
     _no_model(monkeypatch)
     H = complexes.solve_homotopy(c, c, square_plus_id)
@@ -645,14 +645,14 @@ def _pairs(m, degree):
 @settings(max_examples=50, deadline=None)
 @given(_maps(-1), _maps(-1))
 def test_map_addition_commutes(x, y):
-    assert complexes.mat_add(x, y) == complexes.mat_add(y, x)
+    assert mat_add(x, y) == mat_add(y, x)
 
 
 @seed(20170613)
 @settings(max_examples=50, deadline=None)
 @given(_maps(0))
 def test_map_addition_cancels(x):
-    add = complexes.mat_add
+    add = mat_add
     assert add(x, x) == ZERO
     assert add(x, ZERO) == x
 
@@ -682,7 +682,7 @@ def test_map_composition_is_associative(x, y, z):
 @settings(max_examples=50, deadline=None)
 @given(_maps(-1), _maps(0), _maps(0))
 def test_map_composition_distributes(x, y, z):
-    mul, add = complexes.mat_mul, complexes.mat_add
+    mul, add = complexes.mat_mul, mat_add
     assert mul(x, add(y, z)) == add(mul(x, y), mul(x, z))
     assert mul(add(y, z), x) == add(mul(y, x), mul(z, x))
 
@@ -712,7 +712,7 @@ def test_truncation_commutes_with_composition(x, y, n):
         """Drop the entries U^e x_i with e >= n."""
         return tuple(c & keep for c, keep in zip(m, _entries(degree, below=n)))
 
-    mul, add = complexes.mat_mul, complexes.mat_add
+    mul, add = complexes.mat_mul, mat_add
     assert trunc(mul(trunc(x, 0), trunc(y, -1)), -1) == trunc(mul(x, y), -1)
     assert trunc(add(x, x), 0) == add(trunc(x, 0), trunc(x, 0))
     assert trunc(add(y, mul(x, y)), -1) == add(trunc(y, -1), trunc(mul(x, y), -1))
@@ -722,7 +722,7 @@ def test_local_map_witness_is_an_iota_chain_map():
     a, b = tensor(std(2, 0), std(0, -2)), std(2, 0)
     w = find_local_map(a, b)
     assert w is not None
-    mul, add = complexes.mat_mul, complexes.mat_add
+    mul, add = complexes.mat_mul, mat_add
     zero = (0,) * a.n
     assert add(mul(b.diff, w.F), mul(w.F, a.diff)) == zero
     assert (add(mul(b.iota, w.F), mul(w.F, a.iota))

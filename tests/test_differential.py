@@ -60,7 +60,11 @@
 - the class complex, folded from the right, against the left fold, field
   for field, on seeded classes and on every ``oracle_cross_check`` class of
   ``perfbench/reference.json``; and the mapping cone's levels, derived from
-  the complex's, against those read off the cone's offsets.
+  the complex's, against those read off the cone's offsets;
+- the tag-free ``gf2.rank`` against the length of the tagged
+  ``gf2.Echelon`` basis, and ``validate``'s tower check, one rank of d,
+  against the lowest level of ``_eliminate`` on every complex of the
+  ``local_equivalence`` pairs.
 
 Seeds are fixed and example counts bounded, so the suite stays fast.
 """
@@ -82,7 +86,8 @@ from dense_reference import (below, ceiling_tau_deltas, compress_list,
                              dense_kernel, dense_rank,
                              dense_solve_affine, dict_find_local_map,
                              dict_solve_homotopy, grouped_basis,
-                             left_fold_class_complex, pareto_subroot_params,
+                             left_fold_class_complex, mat_add,
+                             pareto_subroot_params,
                              periodic_tau_deltas, rebuild_is_almost_rational,
                              restart_simplify_weak, slice_d_lower_offset,
                              slice_d_upper_offset, tau_closed_form,
@@ -472,6 +477,23 @@ def test_bitset_rank_matches_dense(system):
     assert gf2.rank(_bitset(A, cols)) == dense_rank(A, cols)
 
 
+def test_tag_free_rank_matches_the_echelon_basis():
+    # seeded matrices up to 12 x 12 and a few 200 rows wide, with zero and
+    # repeated columns; the empty matrix and matrices with no rows or no
+    # columns among them
+    rng = random.Random(20170650)
+    shapes = [(0, 0), (0, 3), (3, 0)] + [(rng.randint(0, 12), rng.randint(0, 12))
+                                         for _ in range(300)] + [(200, 40)] * 5
+    zero_columns = 0
+    for nrows, ncols in shapes:
+        cols = [rng.getrandbits(nrows) if rng.random() < 0.7 else 0 for _ in range(ncols)]
+        cols += [rng.choice(cols) for _ in range(rng.randint(0, 2))] if cols else []
+        zero_columns += cols.count(0)
+        A = gf2.Matrix(nrows, cols)
+        assert gf2.rank(A) == len(gf2.Echelon(A.cols)), A
+    assert zero_columns > 0
+
+
 @seed(20170610)
 @settings(max_examples=60, deadline=None)
 @given(gf2_systems())
@@ -782,6 +804,35 @@ def test_exact_tower_check_matches_the_probe_reading():
         assert complexes._single_tower_check(c) == want
 
 
+def _local_equivalence_complexes():
+    """Both sides of every ``local_equivalence`` pair of
+    ``perfbench/reference.json``: the tensor product of the standard
+    complexes of each side's profiles."""
+    out = []
+    for entry in json.loads(BENCH_REFERENCE.read_text())["local_equivalence"]:
+        for side in (entry["a"], entry["b"]):
+            c = None
+            for leaves, angles in side:
+                f = standard_complex(SymmetricRootProfile(tuple(leaves), tuple(angles)))
+                c = f if c is None else complexes.tensor(c, f)
+            out.append(c)
+    return out
+
+
+def test_tower_check_rank_matches_the_lowest_level_of_the_elimination():
+    # d has degree -1, so the tower check's one rank of d is the sum of the
+    # ranks of d on the two parity classes that the lowest level of
+    # _eliminate gives, with the sizes of the classes
+    built = _local_equivalence_complexes()
+    assert len(built) == 122 and max(c.n for c in built) == 165
+    for c in built + _random_complexes(20170651, 40):
+        sizes, ranks, _ = complexes._eliminate(*complexes._levels(c.offsets), c.diff)
+        d_even, d_odd = (sizes[0][p] - ranks[0][0] - ranks[0][1] for p in (0, 1))
+        want = (d_even == 1 and d_odd == 0,
+                f"deep homology ranks: {d_even} in tau-parity, {d_odd} off-parity")
+        assert complexes._single_tower_check(c) == want, c.labels
+
+
 def _assert_same_systems(a, b, rng):
     """find_local_map a -> b, and solve_homotopy a -> b on up to three
     right-hand sides, return the same maps under both assemblies; True if
@@ -794,7 +845,7 @@ def _assert_same_systems(a, b, rng):
     degree0 = below(eb, complexes._offsets(a.gradings, a.tau), 0)
     rhss = [tuple(rng.getrandbits(b.n) & col for col in degree0)]
     if w is not None:
-        mul, add = complexes.mat_mul, complexes.mat_add
+        mul, add = complexes.mat_mul, mat_add
         rhss += [add(mul(w.F, a.iota), mul(b.iota, w.F)), w.F]
     for rhs in rhss:
         assert complexes.solve_homotopy(a, b, rhs) == dict_solve_homotopy(a, b, rhs)
@@ -826,7 +877,7 @@ def _twisted_iota_complexes(rng):
     """std(2, 0); the iota on it with iota^2(v2) = 0 (no homotopy to id);
     and iota' = iota + dK + Kd on a tensor product (a homotopy exists).
     Both keep d iota = iota d."""
-    mul, add = complexes.mat_mul, complexes.mat_add
+    mul, add = complexes.mat_mul, mat_add
     c = standard_complex(to_profile(M(2, 0)))
     bad = complexes.iota_complex(c.labels, c.gradings, [[0, 0, [1]], [0, 0, [1]], [0, 0, 0]],
                                  [[1, 0, 0], [1, 0, 0], [0, 0, 1]], tau=c.tau)
@@ -839,7 +890,7 @@ def _twisted_iota_complexes(rng):
 
 def test_kronecker_assembly_matches_the_dict_reference_off_the_involution():
     rng = random.Random(20170630)
-    mul, add = complexes.mat_mul, complexes.mat_add
+    mul, add = complexes.mat_mul, mat_add
     c, bad, twisted = _twisted_iota_complexes(rng)
     found = []
     for x in (bad, twisted):
@@ -878,7 +929,7 @@ def test_exact_local_map_search_matches_the_truncated_reference_off_the_unit():
 
 def _gauge_vector(a, b, i: int, j: int) -> int:
     """vec(d_b X + X d_a), X the unit map a -> b at (i, j), from two products."""
-    mul, add = complexes.mat_mul, complexes.mat_add
+    mul, add = complexes.mat_mul, mat_add
     X = tuple(1 << i if c == j else 0 for c in range(a.n))
     return complexes._vec(add(mul(b.diff, X), mul(X, a.diff)), b.n)
 

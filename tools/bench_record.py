@@ -17,8 +17,10 @@ times each, a time being the fastest of ``LAYER_CALLS`` calls in this
 process: ``_local_map_columns`` and ``gf2.solvable`` inside
 ``find_local_map`` on the largest local-map system that the unknown budget
 admits among the ``local_equivalence`` pair complexes (165 -> 63
-generators, 5,724 unknowns, infeasible), and ``validate`` on the
-165-generator complex.  The inputs are built by ``perfbench/workloads.py``,
+generators, 5,724 unknowns, infeasible); ``validate`` on the
+165-generator complex; and, on the same complex, the two tower readings:
+``validate``'s ``_single_tower_check`` and the local-map search's
+``_Side(c).tower()``.  The inputs are built by ``perfbench/workloads.py``,
 imported from the checkout.
 
 Only the standard library is used, and nothing under ``perfbench/`` is
@@ -123,7 +125,8 @@ def layer_timings(repeats: int) -> dict:
                       key=lambda s: s[0])
 
     times = {name: [] for name in ("local_map_columns_ms", "gf2_solvable_ms",
-                                   "find_local_map_ms", "validate_ms")}
+                                   "find_local_map_ms", "validate_ms",
+                                   "single_tower_check_ms", "side_tower_ms")}
     columns, solvable = complexes._local_map_columns, complexes.gf2.solvable
     runs = []
     for _ in range(repeats):
@@ -139,6 +142,10 @@ def layer_timings(repeats: int) -> dict:
             complexes._local_map_columns, complexes.gf2.solvable = columns, solvable
         for _ in range(LAYER_CALLS):
             timed(times["validate_ms"], complexes.validate)(big)
+        for _ in range(LAYER_CALLS):
+            timed(times["single_tower_check_ms"], complexes._single_tower_check)(big)
+        for _ in range(LAYER_CALLS):
+            timed(times["side_tower_ms"], lambda c: complexes._Side(c).tower())(big)
         runs.append({"metrics": {name: {"unit": "ms", "value": min(values)}
                                  for name, values in times.items()}})
     metrics = summarize(runs)
@@ -148,6 +155,9 @@ def layer_timings(repeats: int) -> dict:
                                   ("local_map_columns_ms", "gf2_solvable_ms",
                                    "find_local_map_ms")}},
         "validate": {"generators": big.n, "metrics": {"validate_ms": metrics["validate_ms"]}},
+        "towers": {"generators": big.n,
+                   "metrics": {name: metrics[name] for name in
+                               ("single_tower_check_ms", "side_tower_ms")}},
     }
 
 
