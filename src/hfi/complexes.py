@@ -235,6 +235,14 @@ class IotaComplex:
     ``iota`` are bit-column maps of degree -1 and 0: bit i of ``diff[j]``
     means that U^e x_i, with e = (g_i - g_j + 1)/2, is a term of the
     boundary of x_j (and likewise for ``iota``, with e = (g_i - g_j)/2).
+
+    The constructor refuses with ValueError a complex with no generators,
+    fields of different lengths, a tau that is not an int or ``Fraction``
+    (a bool is neither), and a negative column or one with a bit at a row
+    >= n; it reads only lengths, types and the extreme columns, so no bit
+    is visited.  That every term has its map's degree is the caller's
+    precondition: ``iota_complex`` checks it where terms arrive as
+    exponents, and ``tensor`` and ``dual`` keep it.
     """
 
     labels: tuple[str, ...]
@@ -242,6 +250,19 @@ class IotaComplex:
     diff: Map
     iota: Map
     tau: Grading
+
+    def __post_init__(self):
+        n = len(self.labels)
+        if not n or not n == len(self.offsets) == len(self.diff) == len(self.iota):
+            raise ValueError("a complex needs at least one generator, and for each a "
+                             "grading, a differential column and an involution column")
+        if type(self.tau) not in EXACT:
+            raise ValueError(f"tau {self.tau!r} is not an int or a Fraction: "
+                             "gradings are exact")
+        for name, m in (("differential", self.diff), ("involution", self.iota)):
+            if min(m) < 0 or max(m) >> n:
+                raise ValueError(f"a {name} column has a bit outside the rows "
+                                 f"0..{n - 1} of the generators")
 
     @property
     def n(self) -> int:
@@ -262,18 +283,16 @@ def _require_complex(*cs) -> None:
 def graded_complex(labels, gradings, diff: Map, iota: Map, tau: Grading) -> IotaComplex:
     """An IotaComplex from exact gradings and graded bit-column maps (every
     bit a term of the right degree), reading the gradings into offsets from
-    tau once.  An empty complex, lengths that differ, a tau or grading that
-    is not an int or ``Fraction`` (a bool is neither), or a grading outside
-    tau + Z raise ValueError."""
+    tau once.  A tau or grading that is not an int or ``Fraction`` (a bool
+    is neither) or a grading outside tau + Z raises ValueError, and so does
+    whatever ``IotaComplex`` refuses: an empty complex, lengths that differ
+    or a column with a bit outside the generators."""
     for g in (tau, *gradings):
         if type(g) not in EXACT:
             raise ValueError(f"grading {g!r} is not an int or a Fraction: "
                              "gradings are exact")
-    offsets = tuple(_offsets(gradings, tau))
-    if not labels or not len(labels) == len(offsets) == len(diff) == len(iota):
-        raise ValueError("a complex needs at least one generator, and for each a "
-                         "grading, a differential column and an involution column")
-    return IotaComplex(tuple(labels), offsets, tuple(diff), tuple(iota), tau)
+    return IotaComplex(tuple(labels), tuple(_offsets(gradings, tau)), tuple(diff),
+                       tuple(iota), tau)
 
 
 def iota_complex(labels, gradings, diff, iota, tau=None) -> IotaComplex:
@@ -492,6 +511,18 @@ def validate(c: IotaComplex) -> Diagnostics:
     tower_ok, detail = _single_tower_check(c)
     checks.append(("single U-inverted tower", tower_ok, detail))
     return Diagnostics(tuple(checks))
+
+
+def _refusal(c: IotaComplex, bug: str) -> Exception:
+    """The error for a tower computation that failed on c: a ValueError
+    naming the first failed ``validate`` check and its detail, or, if c
+    passes every check, RuntimeError(bug), since then the failure is a bug.
+    Only the failure path runs ``validate``."""
+    failed = validate(c).failed()
+    if not failed:
+        return RuntimeError(bug)
+    name, detail = failed[0]
+    return ValueError(f"not an iota-complex: check {name!r} fails ({detail})")
 
 
 def _single_tower_check(c: IotaComplex) -> tuple[bool, str]:
@@ -752,17 +783,19 @@ def correction_terms(c: IotaComplex) -> tuple[Grading, Grading, Grading]:
     benchmark's ``oracle_cross_check`` ops_per_s rose from 2,059 to 2,243
     (20 s runs at seed 29, medians of 10 alternating pairs, CPython 3.11 on
     a shared 2-core x86-64 machine).  The trivial complex returns
-    (0, 0, 0).  A complex with no tower raises RuntimeError.
+    (0, 0, 0).  When C or its cone has no tower, or the triple breaks
+    d-under <= d <= d-bar, a complex that fails a ``validate`` check raises
+    ValueError naming the first such check (``_refusal``).
     """
     _require_complex(c)
     levels, reduced = _levels(c.offsets), [0] * c.n
     d, _ = _tower_tops(*levels, c.diff, reduced)
     d_bar, odd = _tower_tops(*_cone_levels(*levels, c.n), _cone_columns(c, reduced))
     if None in (d, d_bar, odd):
-        raise RuntimeError("no tower class found; complex violates the tower axiom")
+        raise _refusal(c, "no tower class found; complex violates the tower axiom")
     terms = (c.tau + d, c.tau + d_bar, c.tau + odd - 1)
     if not (terms[2] <= terms[0] <= terms[1]):
-        raise RuntimeError(f"correction-term sanity violated: {terms}")
+        raise _refusal(c, f"correction-term sanity violated: {terms}")
     return terms
 
 
@@ -969,7 +1002,8 @@ class _Side:
     def tower(self) -> int:
         """The first cycle of the even class, in kernel order (generators
         ascending), that is not a boundary: one elimination over the
-        boundaries of the odd class and one over the even class."""
+        boundaries of the odd class and one over the even class.  With no
+        such cycle, ``_refusal`` names the failed ``validate`` check."""
         d = self.c.diff
         even, odd = self.classes
         boundaries = gf2.Echelon()
@@ -984,7 +1018,7 @@ class _Side:
             if not v and z not in boundaries:
                 return z
             even ^= low
-        raise RuntimeError("missing deep tower class")
+        raise _refusal(self.c, "missing deep tower class")
 
 
 def find_local_map(a: IotaComplex, b: IotaComplex) -> LocalMapWitness | None:

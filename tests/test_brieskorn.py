@@ -12,9 +12,11 @@ from hfi.brieskorn import (MAX_SIGMA_ALPHA, BrieskornParams, SigmaSizeError,
                            brieskorn_class, brieskorn_root,
                            negative_continued_fraction, seifert_plumbing,
                            tau_sequence)
+from hfi.cterms import correction_terms
 from hfi.localclass import I, Y, d_invariant, mu_bar
 from hfi.monotone import M, monotone_subroot
 from hfi.plumbing import graph_from_text, is_negative_definite
+from hfi.report import evaluate_text
 
 
 def test_params_validation():
@@ -159,6 +161,50 @@ EXTREMES = {
     (11, 13, 6991): "9d7a3a50d54d600f652caff1f2fb7c3ae70182456666a91c90d650d66e5a02ee",
     (97, 101, 102): "88aebac5f42273c535b7cc4207388db6a2a473511526eb16afd1c10daffd4a85",
 }
+
+
+def contractible_bounding_triples(alpha_max: int) -> list[tuple[int, int, int]]:
+    """The pairwise-coprime Brieskorn spheres with alpha <= alpha_max that
+    bound contractible 4-manifolds by Casson-Harer ("Some homology lens
+    spaces which bound rational homology balls", Pacific J. Math. 96, 1981):
+    Sigma(p, ps - 1, ps + 1) for p even and s odd, Sigma(p, ps + 1, ps + 2)
+    and Sigma(p, ps - 1, ps - 2) for p odd; and Sigma(2,3,13), a Mazur
+    manifold boundary (Akbulut-Kirby, "Mazur manifolds", Michigan Math. J.
+    26, 1979)."""
+    out = {(2, 3, 13)}
+    for p in range(2, math.isqrt(alpha_max) + 1):
+        s = 1
+        while p * (p * s - 2) * (p * s - 1) <= alpha_max:
+            if p % 2 == 0:
+                triples = [(p, p * s - 1, p * s + 1)] if s % 2 else []
+            else:
+                triples = [(p, p * s + 1, p * s + 2), (p, p * s - 1, p * s - 2)]
+            for t in map(sorted, triples):
+                if (2 <= t[0] < t[1] < t[2] and math.prod(t) <= alpha_max
+                        and math.gcd(t[0], t[1]) == math.gcd(t[0], t[2])
+                        == math.gcd(t[1], t[2]) == 1):
+                    out.add(tuple(t))
+            s += 1
+    return sorted(out)
+
+
+def test_spheres_that_bound_contractible_manifolds_have_the_zero_class():
+    # Such a sphere is homology cobordant to S^3, and the local class is a
+    # homology-cobordism invariant (Hendricks-Manolescu, arXiv:1507.00383),
+    # so it is 0 with shift 0 and d = d-bar = d-under = mu-bar = 0: a check
+    # against 4-manifold topology, not against another engine here.  The
+    # converse does not hold, so it is no test.
+    triples = contractible_bounding_triples(10**5)
+    assert len(triples) == 342 and (2, 5, 7) in triples and (3, 4, 5) in triples
+    for t in triples:
+        _, cls = brieskorn_class(BrieskornParams(*t))
+        assert cls == I(0), t
+        assert correction_terms(cls) == (0, 0, 0) and mu_bar(cls) == 0, t
+    # and on the class complexes, through the oracle
+    for text in ("Sigma(2,3,13)", "Sigma(3,4,5)", "-Sigma(2,5,7)",
+                 "Sigma(2,5,7) - Sigma(3,4,5) + Sigma(5,8,9)"):
+        report = evaluate_text(text, oracle=True)
+        assert report.total == I(0) and report.oracle == "agrees", text
 
 
 def test_extreme_profiles_are_pinned_and_graded_in_ints():

@@ -562,6 +562,72 @@ def test_an_empty_or_ragged_complex_is_refused():
             complexes.graded_complex(("x", "y"), gradings, (0, 0), iota, 0)
 
 
+def test_the_raw_constructor_refuses_what_the_kernels_cannot_read():
+    # a term at row 1 of one generator used to construct, and then crashed
+    # validate, the correction terms, homology_ranks and dual with IndexError
+    for args, message in (
+            ((("x",), (0,), (2,), (1,), 0), "differential column has a bit outside"),
+            ((("x",), (0,), (0,), (-1,), 0), "involution column has a bit outside"),
+            (((), (), (), (), 0), "at least one generator"),
+            ((("x", "y"), (0, 0), (0,), (1, 2), 0), "at least one generator"),
+            ((("x",), (0,), (0,), (1,), 0.0), "tau 0.0 is not an int or a Fraction"),
+            ((("x",), (0,), (0,), (1,), True), "tau True is not an int or a Fraction")):
+        with pytest.raises(ValueError, match=message):
+            hfi.IotaComplex(*args)
+    # the constructor is the one that tensor and dual build through
+    c = hfi.IotaComplex(("x",), (0,), (0,), (1,), Fraction(1, 2))
+    assert dual(c).tau == Fraction(-1, 2) and tensor(c, c).tau == 1
+
+
+def test_a_complex_with_no_tower_is_refused_with_the_failed_check():
+    # d x = y, so d^2 = 0 and iota = id, but there is no tower
+    c = hfi.IotaComplex(("x", "y"), (1, 0), (2, 0), (1, 2), 0)
+    assert [name for name, _ in validate(c).failed()] == ["single U-inverted tower"]
+    for call in (hfi.complex_correction_terms,
+                 lambda c: find_local_map(c, trivial_complex()),
+                 lambda c: find_local_map(trivial_complex(), c),
+                 lambda c: locally_equivalent(c, trivial_complex())):
+        with pytest.raises(ValueError, match="single U-inverted tower"):
+            call(c)
+
+
+@st.composite
+def raw_complexes(draw):
+    """An IotaComplex of 1..6 generators with int offsets in -3..3 and
+    random terms of the right degrees: bit i of diff[j] only where
+    off_i - off_j + 1 is even and >= 0, of iota[j] where off_i - off_j is.
+    Most fail some validate check."""
+    n = draw(st.integers(1, 6))
+    off = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+
+    def column(j, degree):
+        rows = [i for i in range(n)
+                if (off[i] - off[j] - degree) % 2 == 0 and off[i] - off[j] >= degree]
+        return sum(1 << i for i in draw(st.lists(st.sampled_from(rows), unique=True))
+                   ) if rows else 0
+
+    diff = tuple(column(j, -1) for j in range(n))
+    iota = tuple(column(j, 0) for j in range(n))
+    tau = draw(st.sampled_from((0, -2, Fraction(1, 2))))
+    return hfi.IotaComplex(tuple(f"x{i}" for i in range(n)), tuple(off), diff, iota, tau)
+
+
+@seed(20170636)
+@settings(max_examples=40, deadline=None)
+@given(raw_complexes(), raw_complexes())
+def test_public_entry_points_answer_or_refuse_any_raw_complex(a, b):
+    # each returns, or raises ValueError or TypeError: never IndexError,
+    # RuntimeError or another untyped crash
+    for call in (lambda: validate(a), lambda: correction_terms(a),
+                 lambda: homology_ranks(a, [a.tau, a.tau - 1, a.tau + 2]),
+                 lambda: tensor(a, b), lambda: dual(a),
+                 lambda: find_local_map(a, b), lambda: locally_equivalent(a, b)):
+        try:
+            call()
+        except (ValueError, TypeError):
+            pass
+
+
 def test_zero_denominator_grading_or_tau_is_a_value_error():
     for gradings, tau in ((["1/0"], None), (["0"], "1/0")):
         with pytest.raises(ValueError, match="'1/0'"):

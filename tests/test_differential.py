@@ -710,13 +710,14 @@ def test_exact_pass_matches_the_truncated_scans():
             want = truncated_correction_terms(x, default_truncation(x.gradings))
             assert got == want, (x.labels, got, want)
             assert [type(g) for g in got] == [type(w) for w in want]
-    # d(x) = y: no tower, so both paths refuse
+    # d(x) = y: no tower, so both paths refuse, the exact pass with a
+    # ValueError that names the failed validate check
     acyclic = complexes.iota_complex(("x", "y"), (1, 0), [[0, 0], [1, 0]],
                                      [[1, 0], [0, 1]], tau=0)
-    for terms in (complexes.correction_terms,
-                  lambda c: truncated_correction_terms(c, default_truncation(c.gradings))):
-        with pytest.raises(RuntimeError, match="no tower class found"):
-            terms(acyclic)
+    with pytest.raises(ValueError, match="single U-inverted tower"):
+        complexes.correction_terms(acyclic)
+    with pytest.raises(RuntimeError, match="no tower class found"):
+        truncated_correction_terms(acyclic, default_truncation(acyclic.gradings))
 
 
 def test_seeded_cone_elimination_matches_the_cone(monkeypatch):

@@ -1,7 +1,10 @@
 """Expression grammar, report evaluation, and the hfi command line."""
 
+import itertools
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -442,6 +445,66 @@ def test_cli_plumbing_on_a_graph_that_is_not_negative_definite(check, code, out,
     assert captured.out == out
     assert captured.err == ("" if code == 0 else
                             "error: plumbing graph is not negative definite\n")
+
+
+FUZZ_MALFORMED = ("Sigma(2,3", "Y()", "Q(1)", "", "@missing.txt", "3*", "Y(1) +",
+                  "I[", "M(", "*Y(1)", "Sigma(2,3,5,7)", "Y(-1)", "2**Y(1)", "Y(1.5)",
+                  "I[1/0]", "99999999999*Y(1)", "Sigma(1009,1013,1019)", "Y(1))")
+
+
+FUZZ_SPHERES = [t for t in itertools.combinations(range(2, 30), 3)
+                if math.gcd(t[0], t[1]) == math.gcd(t[0], t[2]) == math.gcd(t[1], t[2]) == 1]
+
+
+def _fuzz_triple(rng) -> list[int]:
+    """A Brieskorn sphere with a_i < 30 two times in three, else three of -1..29."""
+    if rng.randrange(3):
+        return rng.choice(FUZZ_SPHERES)
+    return [rng.randrange(-1, 30) for _ in range(3)]
+
+
+def _fuzz_atom(rng) -> str:
+    kind = rng.randrange(6)
+    if kind in (0, 1):
+        return "Sigma({},{},{})".format(*_fuzz_triple(rng))
+    if kind == 2:
+        return f"Y({rng.randrange(5)})"
+    if kind == 3:
+        return f"M({','.join(str(rng.randrange(-1, 5)) for _ in range(rng.randrange(5)))})"
+    if kind == 4:
+        return f"I[{rng.choice(('-2', '0', '2', '-4', '1/2', '1/0', 'x'))}]"
+    return rng.choice(FUZZ_MALFORMED)
+
+
+def _fuzz_argv(rng) -> list[str]:
+    kind = rng.randrange(6)
+    if kind == 4:
+        return ["family", "--M", str(rng.randrange(-1, 4)), "--N", str(rng.randrange(-1, 4)),
+                "--d", rng.choice(("-2", "0", "2", "4", "1", "1/2", "1/0", "x")),
+                "--mu", rng.choice(("0", "1", "-1", "2", "1/2", "y")),
+                "--k", str(rng.randrange(-1, 4))]
+    if kind == 5:
+        return ["root", "sigma", *map(str, _fuzz_triple(rng))]
+    terms = [rng.choice(("", "-", "2*", "-3*", "8*", "+")) + _fuzz_atom(rng)
+             for _ in range(rng.randrange(1, 4))]
+    expr = terms[0] + "".join(f" {rng.choice('+-')} {t}" for t in terms[1:])
+    return ["eval", expr] + (["--oracle"] if rng.randrange(3) == 0 else [])
+
+
+def test_cli_fuzz_exits_0_1_or_2_and_prints_an_error_exactly_on_failure(
+        tmp_path, monkeypatch, capsys):
+    # seeded random eval expressions (valid and malformed atoms, a third of
+    # them with --oracle, Sigma triples with a_i < 30) and family and root
+    # arguments: no exception escapes main, no oracle mismatch (exit 3), and
+    # stderr holds "error: ..." exactly when the exit code is nonzero
+    monkeypatch.chdir(tmp_path)
+    rng = random.Random(20170636)
+    for _ in range(200):
+        argv = _fuzz_argv(rng)
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), argv
+        assert (err.startswith("error: ") if code else err == ""), (argv, err)
 
 
 @pytest.mark.parametrize("argv, message", [
