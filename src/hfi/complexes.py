@@ -153,10 +153,11 @@ class WindowError(ValueError):
 
 
 class SearchSizeError(ValueError):
-    """A local-map system would have more than MAX_LOCAL_MAP_UNKNOWNS unknowns."""
+    """A local-map or homotopy system would have more than
+    MAX_LOCAL_MAP_UNKNOWNS unknowns."""
 
 
-MAX_LOCAL_MAP_UNKNOWNS = 6000  # F, H and slack unknowns of one local-map system
+MAX_LOCAL_MAP_UNKNOWNS = 6000  # F, H and slack unknowns of one system
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +379,6 @@ class Expanded:
     def __init__(self, gradings, diff: Map, truncation: int, tau):
         self.base = tau
         self.offsets = off = _offsets(gradings, self.base)
-        self.n = len(off)
         self.N = N = truncation
         self.top = max(off)
         self.bottom = min(off)
@@ -400,23 +400,22 @@ class Expanded:
     def dim(self, t: int) -> int:
         return self.present.get(t, 0).bit_count()
 
-    def boundary_matrix(self, t: int) -> gf2.Matrix:
-        """Matrix of the differential from offset t to t-1, one column per basis[t]."""
+    def boundary_matrix(self, t: int) -> list[int]:
+        """The differential from offset t to t-1, one column per basis[t]."""
         below = self.present.get(t - 1, 0)
-        return gf2.Matrix(self.n, [self.dbits[j] & below for j in self.basis.get(t, ())])
+        return [self.dbits[j] & below for j in self.basis.get(t, ())]
 
-    def cycles(self, t: int) -> gf2.Matrix:
-        units = gf2.Matrix(self.n, [1 << j for j in self.basis.get(t, ())])
-        return gf2.kernel(self.boundary_matrix(t), units)
+    def cycles(self, t: int) -> list[int]:
+        return gf2.kernel(self.boundary_matrix(t), [1 << j for j in self.basis.get(t, ())])
 
-    def boundaries(self, t: int) -> gf2.Matrix:
+    def boundaries(self, t: int) -> list[int]:
         """Columns spanning the boundaries landing in offset t."""
         return self.boundary_matrix(t + 1)
 
-    def umap(self, vectors: gf2.Matrix, t: int, m: int) -> gf2.Matrix:
+    def umap(self, vectors: list[int], t: int, m: int) -> list[int]:
         """Apply U^m to chains at offset t, landing at t - 2m."""
         low = self.present.get(t - 2 * m, 0)
-        return gf2.Matrix(self.n, [v & low for v in vectors.cols])
+        return [v & low for v in vectors]
 
     def homology_dim(self, t: int) -> int:
         if t < self.stable_low:
@@ -435,8 +434,8 @@ class Expanded:
 
     def tower_rep(self, t: int) -> int | None:
         """A cycle at offset t that is nonzero in homology, or None."""
-        B = gf2.Echelon(self.boundaries(t).cols)
-        return next((z for z in self.cycles(t).cols if z not in B), None)
+        B = gf2.Echelon(self.boundaries(t))
+        return next((z for z in self.cycles(t) if z not in B), None)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +468,8 @@ def validate(c: IotaComplex) -> Diagnostics:
     as "iota^2 = id exactly" without a solve.  This is the usual case: iota
     on the standard complex of a symmetric graded root reflects the root,
     and tensor products and duals keep iota^2 = id.  Otherwise
-    ``solve_homotopy`` looks for H.
+    ``solve_homotopy`` looks for H, and its SearchSizeError on a system
+    over the budget comes through.
 
     The four products dd, iota d, d iota and iota iota come from two
     ``mat_mul`` calls, which read the bits of d and of iota once each: the
@@ -535,7 +535,7 @@ def _single_tower_check(c: IotaComplex) -> tuple[bool, str]:
     and one tag-free ``gf2.rank`` of all the columns gives them, the sum
     that the lowest level of ``_eliminate`` reads.
     """
-    rank = gf2.rank(gf2.Matrix(c.n, c.diff))
+    rank = gf2.rank(c.diff)
     odd = sum(t & 1 for t in c.offsets)
     d_even, d_odd = c.n - odd - rank, odd - rank
     ok = d_even == 1 and d_odd == 0
@@ -722,11 +722,11 @@ def _tower_tops(grades: list[int], masks: list[int], diff: Map,
 def _d_scan(exp: Expanded) -> Grading:
     """Top of the U-inverted tower of H(C), from the model ``exp`` of C."""
     probe = exp.probe(0)
-    B0 = gf2.Echelon(exp.boundaries(probe).cols)
+    B0 = gf2.Echelon(exp.boundaries(probe))
     r = exp.top - exp.top % 2
     while r >= probe:
         V = exp.umap(exp.cycles(r), r, (r - probe) // 2)
-        if any(v not in B0 for v in V.cols):
+        if any(v not in B0 for v in V):
             return exp.grading(r)
         r -= 2
     raise RuntimeError("no tower class found; complex violates the tower axiom")
@@ -743,13 +743,13 @@ def _cone_scans(c: IotaComplex, base: Expanded) -> tuple[Grading, Grading]:
 
     def scan(parity: int, member_of_q_image: bool) -> int:
         probe = exp.probe(parity)
-        B0 = gf2.Echelon(exp.boundaries(probe).cols)
+        B0 = gf2.Echelon(exp.boundaries(probe))
         BQ = B0.copy()
-        for z in base.cycles(probe).cols:
+        for z in base.cycles(probe):
             BQ.add(z << c.n)
         r = exp.top - (exp.top - parity) % 2
         while r >= probe:
-            V = exp.umap(exp.cycles(r), r, (r - probe) // 2).cols
+            V = exp.umap(exp.cycles(r), r, (r - probe) // 2)
             if member_of_q_image:
                 # some U^m z nonzero in homology but in the image of Q:
                 # dim(V & BQ) - dim(V & B0) = rank(V mod B0) - rank(V mod BQ)
@@ -878,15 +878,21 @@ def _local_map_columns(a: IotaComplex, b: IotaComplex, za: int,
             _kron_columns(W, [d << nn for d in b.diff], (0,), n))
 
 
-def _solve(A: gf2.Matrix, rhs: int,
+def _solve(cols: list[int], rhs: int,
            unknowns: list[tuple[list[int], int]]) -> list[Map] | None:
-    """The unknown maps of one solution, free unknowns 0, or None.
+    """The unknown maps of one solution of cols.x = rhs, free unknowns 0,
+    or None if there is none.
 
-    ``unknowns`` lists, map by map, the rows of its unknowns (as given to
-    ``_kron_columns``) and its number of columns.
+    One tagged ``gf2.Echelon`` pass: column j joins with the tag 1 << j,
+    and rhs, reduced to 0, leaves x in its tag.  ``unknowns`` lists, map by
+    map, the rows of its unknowns (as given to ``_kron_columns``) and its
+    number of columns; x holds them in that order.
     """
-    x = gf2.solve_affine(A, rhs)
-    if x is None:
+    e = gf2.Echelon()
+    for j, col in enumerate(cols):
+        e.add(col, 1 << j)
+    rest, x = e.reduce(rhs)
+    if rest:
         return None
     maps = []
     for rows, width in unknowns:
@@ -918,15 +924,23 @@ def solve_homotopy(a: IotaComplex, b: IotaComplex, rhs: Map) -> Map | None:
     ``find_local_map`` (x_i of b at an offset >= off_a(j) + 1 of the same
     parity) and every entry of the product is an equation.  It builds no
     truncated model; the module docstring's "Truncation" bullet says why it
-    solves the truncated system.
+    solves the truncated system.  A system of more than
+    MAX_LOCAL_MAP_UNKNOWNS H unknowns raises SearchSizeError, counted from
+    the row masks before any column is built; ``validate`` and ``_refusal``
+    let it through.  A non-complex raises TypeError.
     """
+    _require_complex(a, b)
     if len(rhs) != a.n or any(col >> b.n for col in rhs):
         raise ValueError(f"rhs is not a map from the {a.n} generators of a "
                          f"to the {b.n} of b")
     sa = _Side(a)
     rows = [sa.at_or_below(t - 1) for t in _offsets(b.gradings, a.tau)]
+    nh = sum(row.bit_count() for row in rows)
+    if nh > MAX_LOCAL_MAP_UNKNOWNS:
+        raise SearchSizeError(f"homotopy system too large: {nh} H-vars "
+                              f"(limit {MAX_LOCAL_MAP_UNKNOWNS})")
     cols = _kron_columns(rows, b.diff, _spread(a.diff, a.n, b.n), b.n)
-    sol = _solve(gf2.Matrix(a.n * b.n, cols), _vec(rhs, b.n), [(rows, a.n)])
+    sol = _solve(cols, _vec(rhs, b.n), [(rows, a.n)])
     return None if sol is None else sol[0]
 
 
@@ -936,7 +950,7 @@ class LocalMapWitness:
 
     ``find_local_map`` returns one once its system is known to be feasible,
     without solving it.  F and H are solved (free unknowns 0, by
-    ``gf2.solve_affine``) the first time either is read, from the full
+    ``_solve``) the first time either is read, from the full
     system: every F, H and slack unknown, with no gauge fixing, in the order
     F, H, slack.  So the witness is the one the system without gauge fixing
     gives.  Until then it holds only the unknowns' row masks and the two
@@ -961,8 +975,7 @@ class LocalMapWitness:
         F, H, W, za, zb = self._system
         cf, ch, cw = _local_map_columns(a, b, za, F, H, W)
         nn = a.n * b.n
-        F, H, _ = _solve(gf2.Matrix(nn + b.n, cf + ch + cw), zb << nn,
-                         [(F, a.n), (H, a.n), (W, 1)])
+        F, H, _ = _solve(cf + ch + cw, zb << nn, [(F, a.n), (H, a.n), (W, 1)])
         self._system = None
         return F, H
 
@@ -1129,7 +1142,7 @@ def find_local_map(a: IotaComplex, b: IotaComplex) -> LocalMapWitness | None:
     cf, ch, cw = _local_map_columns(a, b, za, [r & ~p for r, p in zip(F, pf)],
                                     [r & ~p for r, p in zip(H, ph)], W)
     nn = a.n * b.n
-    if not gf2.solvable(gf2.Matrix(nn + b.n, cf + cw + ch), zb << nn):
+    if not gf2.solvable(cf + cw + ch, zb << nn):
         return None
     return LocalMapWitness(a, b, (F, H, W, za, zb))
 
@@ -1139,7 +1152,7 @@ def locally_equivalent(a: IotaComplex, b: IotaComplex) -> bool:
 
     It asks ``find_local_map`` only whether each system is feasible and
     reads no witness, so it solves none: each direction is one tag-free
-    elimination (``gf2.solvable``) and no ``gf2.solve_affine`` runs.
+    elimination (``gf2.solvable``) and no ``_solve`` runs.
 
     Precondition, that of ``find_local_map``'s gauge fixing: d^2 = 0 and
     d iota = iota d on a and on b, the first two checks of ``validate``,

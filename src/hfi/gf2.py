@@ -1,21 +1,22 @@
 """Linear algebra over GF(2) on Python-int bitsets.
 
-A vector is an int: bit i is coordinate i.  A ``Matrix`` holds its row count
-and its columns as such ints, so its column span is the subspace it
-represents, and a matrix with no columns still knows how many rows it has.
-Packing a vector into machine words is the idea of M4RI (Albrecht, Bard and
-Hart, ACM TOMS 2010); here Python's ints do the packing and one XOR adds two
-vectors.
+A vector is an int: bit i is coordinate i.  A matrix is the sequence of its
+columns as such ints, bit i of column j being entry (i, j), the bit-column
+``Map`` of ``hfi.complexes``, so its column span is the subspace it
+represents.  Packing a vector into machine words is the idea of M4RI
+(Albrecht, Bard and Hart, ACM TOMS 2010); here Python's ints do the packing
+and one XOR adds two vectors.
 
 One elimination serves every routine that needs to know how a vector is
 made: ``Echelon`` keeps a basis with one vector per leading (highest) bit,
 in one dict from the lead to the pair (vector, tag), so each reduction step
-is one lookup and one XOR per part.  ``kernel`` and ``solve_affine`` feed
-it the columns in order.  For a fixed column order the
-pivot columns, and the expression of each column through the pivot columns
-before it, do not depend on how the elimination runs, so the kernel basis
-and the solution with free variables zero are the ones the reduced
-row-echelon form gives, vector for vector.
+is one lookup and one XOR per part.  ``kernel`` feeds it the columns in
+order, and so does ``hfi.complexes._solve``, with the unit vector 1 << j as
+the tag of column j.  For a fixed column order the pivot columns, and the
+expression of each column through the pivot columns before it, do not
+depend on how the elimination runs, so the kernel basis and the solution
+with free variables zero are the ones the reduced row-echelon form gives,
+vector for vector.
 
 ``rank`` and ``solvable`` need no tags: ``rank`` counts the basis vectors
 and ``solvable`` asks only whether a system has a solution.  They run the
@@ -27,31 +28,6 @@ lookup and one XOR.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-
-
-class Matrix:
-    """An nrows x len(cols) matrix over GF(2); bit i of ``cols[j]`` is entry (i, j)."""
-
-    __slots__ = ("nrows", "cols")
-
-    def __init__(self, nrows: int, cols: Sequence[int]):
-        self.nrows = nrows
-        self.cols = tuple(cols)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.cols)
-
-    @property
-    def size(self) -> int:
-        return self.nrows * len(self.cols)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Matrix) and self.nrows == other.nrows
-                and self.cols == other.cols)
-
-    def __repr__(self) -> str:
-        return f"Matrix({self.nrows}, {list(self.cols)!r})"
 
 
 class Echelon:
@@ -118,11 +94,11 @@ class Echelon:
         return len(e) - len(self)
 
 
-def rank(A: Matrix) -> int:
-    """The rank of A: the number of leads of the tag-free basis of its
-    columns, ``len(Echelon(A.cols))``."""
+def rank(cols: Sequence[int]) -> int:
+    """The rank of the map: the number of leads of the tag-free basis of
+    its columns, ``len(Echelon(cols))``."""
     pivots: dict[int, int] = {}
-    for v in A.cols:
+    for v in cols:
         while v:
             h = v.bit_length()
             p = pivots.get(h)
@@ -133,41 +109,28 @@ def rank(A: Matrix) -> int:
     return len(pivots)
 
 
-def kernel(A: Matrix, units: Matrix | None = None) -> Matrix:
-    """Basis of ker(A), one vector per free column, as the columns of a matrix.
+def kernel(cols: Sequence[int], units: Sequence[int]) -> list[int]:
+    """Basis of the kernel of the map, one vector per free column.
 
-    Column j of A stands for the unit vector ``units.cols[j]`` (by default
-    1 << j), so the kernel comes back in the coordinates of ``units``.
+    Column j stands for the vector ``units[j]``, so the kernel comes back
+    in the coordinates of ``units``: with ``units[j] = 1 << j`` it is a
+    set of columns whose sum is 0.
     """
-    if units is None:
-        units = Matrix(A.ncols, [1 << j for j in range(A.ncols)])
     e = Echelon()
     out = []
-    for col, unit in zip(A.cols, units.cols):
+    for col, unit in zip(cols, units):
         v, tag = e.add(col, unit)
         if not v:
             out.append(tag)
-    return Matrix(units.nrows, out)
+    return out
 
 
-def solve_affine(A: Matrix, b: int) -> int | None:
-    """One solution x of A x = b, or None if the system is inconsistent.
-
-    Free variables are set to zero.
-    """
-    e = Echelon()
-    for j, col in enumerate(A.cols):
-        e.add(col, 1 << j)
-    rest, x = e.reduce(b)
-    return None if rest else x
-
-
-def solvable(A: Matrix, b: int) -> bool:
-    """True iff A x = b has a solution, that is, iff b is in the column span
-    of A.  ``solve_affine(A, b) is not None`` gives the same answer.
+def solvable(cols: Sequence[int], b: int) -> bool:
+    """True iff b is in the column span of the map, that is, iff A x = b
+    has a solution.
 
     b is kept reduced by the basis built so far, so the search stops at the
-    first column that makes it 0.  ``b in Echelon(A.cols)`` decides the
+    first column that makes it 0.  ``b in Echelon(cols)`` decides the
     same, but stores a (vector, tag) pair per lead and XORs a 0 tag at every
     step: on the local-map systems of ``hfi.complexes`` that costs about
     1.5x (infeasible) to 1.9x (feasible) the time of this loop, and adding
@@ -175,7 +138,7 @@ def solvable(A: Matrix, b: int) -> bool:
     """
     pivots: dict[int, int] = {}
     rest = b  # 0, or its leading bit has no basis vector
-    for v in A.cols:
+    for v in cols:
         while v:
             p = pivots.get(v.bit_length())
             if p is None:

@@ -548,8 +548,12 @@ class DictSystem:
                         cols[v] ^= 1 << eqn((eq, i, j))
 
     def solve(self) -> dict | None:
-        x = gf2.solve_affine(gf2.Matrix(len(self.eqs), self.cols), self.rhs)
-        if x is None:
+        # one tagged pass, column v tagged 1 << v: x has free unknowns 0
+        e = gf2.Echelon()
+        for v, col in enumerate(self.cols):
+            e.add(col, 1 << v)
+        rest, x = e.reduce(self.rhs)
+        if rest:
             return None
         return {k: x >> v & 1 for k, v in self.vars.items()}
 
@@ -597,7 +601,7 @@ def dict_find_local_map(a, b):
     for j in _bits(za):
         for i in _bits(F[j] & at_probe):
             sys.toggle(("p", i), ("f", i, j))
-    for j, col in zip(eb.basis.get(probe + 1, ()), eb.boundary_matrix(probe + 1).cols):
+    for j, col in zip(eb.basis.get(probe + 1, ()), eb.boundary_matrix(probe + 1)):
         for i in _bits(col):
             sys.toggle(("p", i), ("w", j))
     for i in _bits(zb):

@@ -6,8 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from dense_reference import intersection_form, leading_minor_dets
-from hfi import gf2
+from dense_reference import dense_solve_affine, intersection_form, leading_minor_dets
 from hfi.brieskorn import (MAX_SIGMA_ALPHA, BrieskornParams, SigmaSizeError,
                            brieskorn_class, brieskorn_root,
                            negative_continued_fraction, seifert_plumbing,
@@ -142,11 +141,9 @@ def _wu_class_mu_bar(params: BrieskornParams) -> Fraction:
     g, _ = seifert_plumbing(params)
     m = intersection_form(g)
     n = g.n
-    a = gf2.Matrix(n, [sum((m[i][j] & 1) << i for i in range(n)) for j in range(n)])
-    b = sum((m[i][i] & 1) << i for i in range(n))
-    x = gf2.solve_affine(a, b)
-    assert x is not None
-    w = [x >> i & 1 for i in range(n)]
+    w = dense_solve_affine([[v & 1 for v in row] for row in m],
+                           [m[i][i] & 1 for i in range(n)], n)
+    assert w is not None
     wmw = sum(w[i] * m[i][j] * w[j] for i in range(n) for j in range(n))
     total = -g.n - wmw
     assert total % 8 == 0

@@ -481,6 +481,48 @@ def test_homotopy_onto_another_coset_is_refused():
         complexes.solve_homotopy(a, b, (0,))
 
 
+def test_homotopy_of_a_non_complex_is_refused_with_a_type_error():
+    c = trivial_complex()
+    for a, b in (("x", c), (c, "x")):
+        with pytest.raises(TypeError, match=r"^not a complex: 'x'$"):
+            complexes.solve_homotopy(a, b, ())
+
+
+def _homotopy_over_budget():
+    """x_k at offset 0 and y_k at offset 1, k < 80, with d(y_k) = x_k,
+    iota(x_0) = x_1, iota(y_0) = y_1 and iota the identity elsewhere: a
+    chain map with iota^2 != id and no tower, whose homotopy system has an
+    unknown H[y_i, x_j] for each of 80 x 80 pairs."""
+    n = 80
+    diff = (0,) * n + tuple(1 << k for k in range(n))
+    iota = (1 << 1, *(1 << j for j in range(1, n)), 1 << n + 1,
+            *(1 << j for j in range(n + 1, 2 * n)))
+    return hfi.IotaComplex(tuple(f"x{k}" for k in range(n)) + tuple(f"y{k}" for k in range(n)),
+                           (0,) * n + (1,) * n, diff, iota, 0)
+
+
+def test_homotopy_above_the_budget_is_refused_before_any_column(monkeypatch):
+    c = _homotopy_over_budget()
+    mul, add = complexes.mat_mul, mat_add
+    square_plus_id = add(mul(c.iota, c.iota), tuple(1 << j for j in range(c.n)))
+    assert any(square_plus_id)
+
+    def no_system(*args, **kw):
+        raise AssertionError("a homotopy column was built or solved")
+
+    monkeypatch.setattr(complexes, "_kron_columns", no_system)
+    monkeypatch.setattr(complexes, "_solve", no_system)
+    for call in (lambda: complexes.solve_homotopy(c, c, square_plus_id),
+                 lambda: validate(c), lambda: correction_terms(c)):
+        with pytest.raises(hfi.SearchSizeError,
+                           match=r"^homotopy system too large: 6400 H-vars \(limit 6000\)$"):
+            call()
+    # the budget is read at call time
+    monkeypatch.undo()
+    monkeypatch.setattr(complexes, "MAX_LOCAL_MAP_UNKNOWNS", 6400)
+    assert complexes.solve_homotopy(c, c, square_plus_id) is not None
+
+
 def test_homotopy_rhs_of_the_wrong_shape_is_refused():
     # rhs is a map a -> b: one column per generator of a, rows below b.n
     c = std(2, 0)
@@ -614,14 +656,17 @@ def raw_complexes(draw):
 
 @seed(20170636)
 @settings(max_examples=40, deadline=None)
-@given(raw_complexes(), raw_complexes())
-def test_public_entry_points_answer_or_refuse_any_raw_complex(a, b):
+@given(raw_complexes(), raw_complexes(), st.data())
+def test_public_entry_points_answer_or_refuse_any_raw_complex(a, b, data):
     # each returns, or raises ValueError or TypeError: never IndexError,
     # RuntimeError or another untyped crash
+    rhs = tuple(data.draw(st.lists(st.integers(0, 2 ** b.n - 1),
+                                   min_size=a.n, max_size=a.n)))
     for call in (lambda: validate(a), lambda: correction_terms(a),
                  lambda: homology_ranks(a, [a.tau, a.tau - 1, a.tau + 2]),
                  lambda: tensor(a, b), lambda: dual(a),
-                 lambda: find_local_map(a, b), lambda: locally_equivalent(a, b)):
+                 lambda: find_local_map(a, b), lambda: locally_equivalent(a, b),
+                 lambda: complexes.solve_homotopy(a, b, rhs)):
         try:
             call()
         except (ValueError, TypeError):
@@ -806,13 +851,13 @@ def test_existence_solves_no_witness_and_a_witness_solves_once(monkeypatch):
     # the witness's system on the first read, once for both
     a = std(4, 0, 2, 2)
     b = tensor(a, tensor(std(2, 0), dual(std(2, 0))))
-    solve, calls = complexes.gf2.solve_affine, []
+    solve, calls = complexes._solve, []
 
-    def counted(A, rhs):
+    def counted(cols, rhs, unknowns):
         calls.append(rhs)
-        return solve(A, rhs)
+        return solve(cols, rhs, unknowns)
 
-    monkeypatch.setattr(complexes.gf2, "solve_affine", counted)
+    monkeypatch.setattr(complexes, "_solve", counted)
     assert locally_equivalent(a, b) and locally_equivalent(b, a)
     w = find_local_map(a, b)
     assert calls == [] and repr(w) == "LocalMapWitness(5 -> 45 generators, unsolved)"

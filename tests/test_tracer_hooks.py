@@ -11,9 +11,12 @@ The scans run only on the truncated reference path,
 calls, the feasible fraction, ``solve_homotopy`` self time) rest on the
 hooks that ``locally_equivalent`` and ``validate`` reach through module
 globals.  ``locally_equivalent`` decides each direction with
-``gf2.solvable`` and reads no witness, so ``gf2.solve_affine_self_s`` and
-``gf2.solve_cells`` read 0 on the ``local_equivalence`` workload; its
-elimination is the ``gf2.solvable`` span.
+``gf2.solvable`` and reads no witness; its elimination is the
+``gf2.solvable`` span.  A witness is solved by ``complexes._solve``, one
+tagged ``gf2.Echelon`` pass that the tracer does not wrap, so the
+``gf2.solve_affine_self_s`` and ``gf2.solve_cells`` metrics, kept for a
+function ``gf2`` no longer has, read 0 on every workload; a witness read
+under the installed tracer still gives the untraced maps.
 """
 
 import importlib.util
@@ -83,6 +86,19 @@ def test_tracer_sees_both_local_map_searches():
     assert "complexes.find_local_map" in names
     assert counters["complexes.find_local_map_calls"] == 2
     assert counters["complexes.localmap_feasible"] == 2
+
+
+def test_a_witness_read_under_the_tracer_is_the_untraced_one():
+    a = standard_complex(to_profile(M(4, 0, 2, 2)))
+    b = tensor(a, tensor(standard_complex(to_profile(M(2, 0))),
+                         dual(standard_complex(to_profile(M(2, 0))))))
+    want = complexes.find_local_map(a, b)
+    F, names, counters = _traced(lambda: complexes.find_local_map(a, b).F)
+    assert F == want.F
+    assert "complexes.find_local_map" in names
+    assert counters["complexes.localmap_feasible"] == 1
+    # no gf2 function solves a witness, so no solve counter moves
+    assert counters["gf2.solve_cells"] == 0
 
 
 def test_tracer_sees_the_homotopy_solve_only_when_iota_squared_is_not_id():
