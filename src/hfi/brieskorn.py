@@ -86,7 +86,7 @@ Grading conventions.
 * h-normalized gradings (every profile, complex and class inside ``hfi``):
   the 3-sphere's tower is topped at grading 0, so S^3 has
   (d, d-bar, d-underbar) = (0, 0, 0).  HF-minus gradings are 2 lower; root
-  profile files use them, and ``hfi.report`` applies the shift once on read
+  profile files use them, and ``hfi.roots`` applies the shift once on read
   and once on write.
 * tau-value t sits at grading -2t + (K^2 + s)/4, with K the canonical class
   of the plumbing and s its number of vertices.  The offset (K^2 + s)/4 is

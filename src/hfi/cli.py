@@ -17,7 +17,7 @@ Sigma triple, alpha = a1 a2 a3 over ``brieskorn.MAX_SIGMA_ALPHA``, a class
 weight sum |c_i| over ``cterms.MAX_CLASS_WEIGHT``, Y(0), a non-monotone
 M(...), a missing @file or impossible ``family`` invariants.
 Root-profile files are written and read in HF-minus gradings, two below
-the internal normalization; ``hfi.report`` applies the shift.
+the internal normalization; ``hfi.roots`` applies the shift.
 """
 
 from __future__ import annotations
@@ -31,11 +31,10 @@ from . import plumbing
 from .brieskorn import BrieskornParams, brieskorn_root
 from .cterms import correction_terms, realization_family
 from .expr import parse
-from .localclass import d_invariant, mu_bar
+from .localclass import mu_bar
 from .monotone import decompose, monotone_subroot
-from .report import (OracleMismatchError, OracleSizeError, class_complex,
-                     evaluate, profile_from_hf_minus_file,
-                     profile_to_hf_minus_text)
+from .report import OracleMismatchError, OracleSizeError, class_complex, evaluate
+from .roots import profile_from_text, profile_to_text
 
 
 def _error(message, code: int) -> int:
@@ -64,8 +63,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_root(args) -> int:
-    text = profile_to_hf_minus_text(
-        brieskorn_root(BrieskornParams(args.a1, args.a2, args.a3)))
+    text = profile_to_text(brieskorn_root(BrieskornParams(args.a1, args.a2, args.a3)))
     if args.output:
         Path(args.output).write_text(text)
     else:
@@ -75,7 +73,7 @@ def _cmd_root(args) -> int:
 
 def _cmd_decompose(args) -> int:
     path = args.file[1:] if args.file.startswith("@") else args.file
-    root = monotone_subroot(profile_from_hf_minus_file(path))
+    root = monotone_subroot(profile_from_text(Path(path).read_text()))
     cls = decompose(root)
     d, d_bar, d_under = correction_terms(cls)
     print(f"monotone subroot: {root}")

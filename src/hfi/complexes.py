@@ -24,8 +24,9 @@ Conventions
   serialization reads it off the gradings.  Addition XORs columns, and
   composition XORs the columns of the left map that the bits of the right
   one select: the exponents add by themselves.  Raw input is the one place
-  with explicit (row, exponent) pairs.  ``iota_complex`` reads them once
-  into bits and refuses a term of the wrong degree with a ValueError.
+  with explicit exponents, in the dense row-major layout that
+  ``complex_to_json`` writes.  ``iota_complex`` reads them once into bits
+  and refuses a term of the wrong degree with a ValueError.
 * The involution: ``validate`` checks iota^2 ~ id.  On the complexes built
   here (standard complexes of symmetric graded roots, where iota reflects
   the root, and their tensor products and duals) iota^2 = id exactly, and
@@ -176,35 +177,29 @@ def _bits(v: int):
 def _read_map(m, labels, gradings, degree: int) -> Map:
     """Read a raw n x n map of the given degree into bit columns.
 
-    Sparse input is a sequence of n sets of (row, exponent) pairs.  In dense
-    input ``m[i][j]`` is the coefficient of x_i in the image of x_j: an int
-    (its parity: 0 or 1) or an iterable of U-exponents.  A map that is not
-    n x n, a row outside 0..n-1, a negative exponent or a term of another
-    degree (the first, by column, then row and exponent) raises ValueError.
+    ``m[i][j]`` is the coefficient of x_i in the image of x_j: an int (its
+    parity: 0 or 1) or an iterable of U-exponents, the layout that
+    ``complex_to_json`` writes.  A map that is not n x n, a negative
+    exponent or a term of another degree (the first, by column, then row
+    and exponent) raises ValueError.
     """
     n = len(labels)
-    if all(isinstance(col, (set, frozenset)) for col in m):
-        cols = list(m)
-    else:
-        if len(m) != n:
-            raise ValueError(f"map has {len(m)} rows, expected {n}")
-        cols = [set() for _ in range(n)]
-        for i, row in enumerate(m):
-            if len(row) != n:
-                raise ValueError(f"map row {i} has {len(row)} entries, expected {n}")
-            for j, v in enumerate(row):
-                exps = ((0,) if v % 2 else ()) if isinstance(v, int) else v
-                cols[j].update((i, e) for e in exps)
-    if len(cols) != n:
-        raise ValueError(f"map has {len(cols)} columns, expected {n}")
+    if len(m) != n:
+        raise ValueError(f"map has {len(m)} rows, expected {n}")
+    cols = [set() for _ in range(n)]
+    for i, row in enumerate(m):
+        if len(row) != n:
+            raise ValueError(f"map row {i} has {len(row)} entries, expected {n}")
+        for j, v in enumerate(row):
+            exps = ((0,) if v % 2 else ()) if isinstance(v, int) else v
+            cols[j].update((i, e) for e in exps)
     out = []
     for j, col in enumerate(cols):
         bits = 0
         for i, e in sorted(col):
-            if not 0 <= i < n or e < 0:
+            if e < 0:
                 raise ValueError(f"map entry (row {i}, exponent {e}) in column "
-                                 f"{labels[j]}: a row must be in 0..{n - 1} and "
-                                 f"an exponent >= 0")
+                                 f"{labels[j]}: an exponent must be >= 0")
             if gradings[i] - 2 * e != gradings[j] + degree:
                 raise ValueError(f"map of degree {degree}: entry ({labels[i]}, "
                                  f"{labels[j]}) exponent {e}: grading "

@@ -21,8 +21,8 @@ with the oracle, best of 25 in CPU time, CPython 3.11 on one core of a
 shared x86-64 server, where single runs read up to 1.6 times as long;
 building the class complex with the growing product on the left of each
 tensor step took 5.4 and 20.4 ms).
-The cap is read at call time.  Root-profile files use HF-minus gradings,
-2 below the internal ones; only this module applies that shift.
+The cap is read at call time.  An ``@file`` atom is a root-profile file
+in HF-minus gradings; ``hfi.roots`` applies the shift to internal ones.
 """
 
 from __future__ import annotations
@@ -36,11 +36,10 @@ from . import cterms, localclass
 from .brieskorn import BrieskornParams, brieskorn_class
 from .expr import (Atom, ExpressionAST, FileAtom, IAtom, MAtom, SigmaAtom,
                    YAtom)
-from .localclass import (LocalClass, d_invariant, infinite_order_verdict,
-                         mu_bar, realizability_check, rokhlin)
+from .localclass import (LocalClass, infinite_order_verdict, mu_bar,
+                         realizability_check, rokhlin)
 from .monotone import MonotoneRoot, decompose, monotone_subroot, to_profile
-from .roots import (SymmetricRootProfile, profile_from_text, profile_to_text,
-                    standard_complex)
+from .roots import profile_from_text, standard_complex
 
 if TYPE_CHECKING:
     from .complexes import IotaComplex
@@ -56,21 +55,6 @@ class OracleSizeError(ValueError):
     """The oracle tensor complex would exceed the generator limit."""
 
 
-def _shifted(p: SymmetricRootProfile, by: int) -> SymmetricRootProfile:
-    return SymmetricRootProfile(tuple(g + by for g in p.leaves),
-                                tuple(g + by for g in p.angles))
-
-
-def profile_to_hf_minus_text(p: SymmetricRootProfile) -> str:
-    """Root-profile file text of ``p``, in HF-minus gradings (2 lower)."""
-    return profile_to_text(_shifted(p, -2))
-
-
-def profile_from_hf_minus_file(path: str) -> SymmetricRootProfile:
-    """Read a root-profile file in HF-minus gradings, shifted up 2 on read."""
-    return _shifted(profile_from_text(Path(path).read_text()), 2)
-
-
 def atom_to_class(atom: Atom) -> LocalClass:
     if isinstance(atom, SigmaAtom):
         _, cls = brieskorn_class(BrieskornParams(atom.a1, atom.a2, atom.a3))
@@ -82,7 +66,8 @@ def atom_to_class(atom: Atom) -> LocalClass:
     if isinstance(atom, IAtom):
         return localclass.I(atom.delta)
     if isinstance(atom, FileAtom):
-        return decompose(monotone_subroot(profile_from_hf_minus_file(atom.path)))
+        profile = profile_from_text(Path(atom.path).read_text())
+        return decompose(monotone_subroot(profile))
     raise TypeError(f"unknown atom {atom!r}")
 
 

@@ -12,6 +12,11 @@ the leaf grading) and one per angle (at gr(alpha)+1), with
 d(alpha_i) = U^{(gr(v_i)-gr(alpha_i))/2} v_i + U^{(gr(v_{i+1})-gr(alpha_i))/2} v_{i+1}
 and the reflection involution J_0.  Gradings keep the exact type they are
 given in, int or ``Fraction`` (the convention of ``hfi.complexes``).
+
+Root-profile files hold HF-minus gradings, 2 below the h-normalized ones
+that ``hfi`` computes with and reports: ``profile_to_text`` writes each
+grading minus 2 and ``profile_from_text`` adds 2 back.  This module is the
+only one that applies that shift.
 """
 
 from __future__ import annotations
@@ -99,13 +104,19 @@ def standard_complex(p: SymmetricRootProfile) -> IotaComplex:
 
 
 def profile_to_text(p: SymmetricRootProfile) -> str:
+    """Root-profile file text of ``p``, in HF-minus gradings (each 2 lower)."""
     lines = [f"coset: {p.leaves[0] % 2}",
-             " ".join(["leaves:", *map(str, p.leaves)]),
-             " ".join(["angles:", *map(str, p.angles)])]
+             " ".join(["leaves:", *(str(g - 2) for g in p.leaves)]),
+             " ".join(["angles:", *(str(g - 2) for g in p.angles)])]
     return "\n".join(lines) + "\n"
 
 
 def profile_from_text(text: str) -> SymmetricRootProfile:
+    """Read root-profile file text, in HF-minus gradings, shifted up 2.
+
+    The profile is checked in the file's own gradings, so every refusal
+    names what the file says.
+    """
     coset = None
     leaves: list[Fraction] | None = None
     angles: list[Fraction] = []
@@ -129,4 +140,5 @@ def profile_from_text(text: str) -> SymmetricRootProfile:
     p = SymmetricRootProfile(tuple(leaves), tuple(angles))
     if coset is not None and (p.leaves[0] - coset) % 2 != 0:
         raise ValueError(f"declared coset {coset} inconsistent with leaf gradings")
-    return p
+    return SymmetricRootProfile(tuple(g + 2 for g in p.leaves),
+                                tuple(g + 2 for g in p.angles))

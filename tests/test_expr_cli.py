@@ -1,5 +1,6 @@
 """Expression grammar, report evaluation, and the hfi command line."""
 
+import ast
 import itertools
 import json
 import math
@@ -15,7 +16,7 @@ import pytest
 
 import hfi
 from hfi import cli, complexes, localclass, report
-from hfi.brieskorn import SigmaSizeError
+from hfi.brieskorn import BrieskornParams, SigmaSizeError, brieskorn_root
 from hfi.cli import main
 from hfi.cterms import MAX_CLASS_WEIGHT, ClassWeightError, realization_family
 from hfi.expr import (ExpressionAST, FileAtom, IAtom, MAtom, ParseError,
@@ -289,6 +290,27 @@ def test_cli_root_output_and_decompose(tmp_path, capsys):
     assert "+1*Y[2]" in out and "-1*Y[1]" in out
 
 
+@pytest.mark.parametrize("a", [(2, 3, 7), (2, 7, 15), (5, 8, 13)])
+def test_library_and_cli_profile_files_agree(a, tmp_path, monkeypatch, capsys):
+    # hfi.profile_to_text writes the bytes of ``hfi root -o`` (HF-minus
+    # gradings), ``hfi eval @file`` reads them as the sphere, and
+    # hfi.profile_from_text reads the CLI's file back to the sphere's root
+    monkeypatch.chdir(tmp_path)
+    root = brieskorn_root(BrieskornParams(*a))
+    assert main(["root", "sigma", *map(str, a), "-o", "cli.txt"]) == 0
+    written = Path("cli.txt").read_text()
+    assert hfi.profile_to_text(root) == written
+    assert hfi.profile_from_text(written) == root
+    Path("lib.txt").write_text(hfi.profile_to_text(root))
+    capsys.readouterr()
+    reports = []
+    for expr in ("@lib.txt", "Sigma({},{},{})".format(*a)):
+        assert main(["eval", expr, "--format", "json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        reports.append((out["total"], out["d"], out["mu_bar"]))
+    assert reports[0] == reports[1]
+
+
 def test_cli_decompose_class_over_weight_budget(tmp_path, capsys):
     # M(4K, 0; 4K - 2, 2; ...) decomposes to K terms +Y and K - 1 terms -Y
     K = MAX_CLASS_WEIGHT // 2 + 1
@@ -540,6 +562,23 @@ COMPLEXES_EXPORTS = {name: name for name in (
     "dual", "find_local_map", "homology_ranks", "iota_complex",
     "locally_equivalent", "tensor", "trivial_complex",
     "validate")} | {"complex_correction_terms": "correction_terms"}
+
+
+def test_every_name_a_module_imports_is_read_in_it():
+    # no linter runs in CI; ``__init__`` imports names to serve them
+    unread = []
+    for path in sorted((SRC / "hfi").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {(alias.asname or alias.name).partition(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unread += [f"{path.name}: {name}" for name in sorted(imported - read)]
+    assert unread == []
 
 
 def test_import_hfi_loads_only_the_standard_library():

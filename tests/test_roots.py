@@ -157,8 +157,9 @@ def test_profile_text_fractions_and_comments():
     leaves: 1/2 -3/2 1/2
     angles: -3/2 -3/2
     """
+    # the file holds HF-minus gradings, read 2 higher
     p = profile_from_text(text)
-    assert p.leaves == (Fraction(1, 2), Fraction(-3, 2), Fraction(1, 2))
+    assert p.leaves == (Fraction(5, 2), Fraction(1, 2), Fraction(5, 2))
 
 
 def test_standard_complex_homology_matches_tree_rank_function():
