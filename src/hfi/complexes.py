@@ -179,20 +179,22 @@ def _read_map(m, labels, gradings, degree: int) -> Map:
 
     ``m[i][j]`` is the coefficient of x_i in the image of x_j: an int (its
     parity: 0 or 1) or an iterable of U-exponents, the layout that
-    ``complex_to_json`` writes.  A map that is not n x n, a negative
-    exponent or a term of another degree (the first, by column, then row
-    and exponent) raises ValueError.
+    ``complex_to_json`` writes.  Each listed exponent is one term, and
+    repeated terms cancel in pairs, as over GF(2).  A map that is not
+    n x n, a negative exponent or a term of another degree (the first, by
+    column, then row and exponent) raises ValueError, whether or not the
+    term cancels.
     """
     n = len(labels)
     if len(m) != n:
         raise ValueError(f"map has {len(m)} rows, expected {n}")
-    cols = [set() for _ in range(n)]
+    cols = [[] for _ in range(n)]
     for i, row in enumerate(m):
         if len(row) != n:
             raise ValueError(f"map row {i} has {len(row)} entries, expected {n}")
         for j, v in enumerate(row):
             exps = ((0,) if v % 2 else ()) if isinstance(v, int) else v
-            cols[j].update((i, e) for e in exps)
+            cols[j].extend((i, e) for e in exps)
     out = []
     for j, col in enumerate(cols):
         bits = 0
@@ -204,7 +206,7 @@ def _read_map(m, labels, gradings, degree: int) -> Map:
                 raise ValueError(f"map of degree {degree}: entry ({labels[i]}, "
                                  f"{labels[j]}) exponent {e}: grading "
                                  f"{gradings[i]} - {2*e} != {gradings[j]} + ({degree})")
-            bits |= 1 << i
+            bits ^= 1 << i
         out.append(bits)
     return tuple(out)
 

@@ -115,11 +115,10 @@ def profile_from_text(text: str) -> SymmetricRootProfile:
     """Read root-profile file text, in HF-minus gradings, shifted up 2.
 
     The profile is checked in the file's own gradings, so every refusal
-    names what the file says.
+    names what the file says.  Each key is read once: a repeated line, or a
+    coset line without exactly one grading, is refused.
     """
-    coset = None
-    leaves: list[Fraction] | None = None
-    angles: list[Fraction] = []
+    fields: dict[str, list[Fraction]] = {}
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -127,18 +126,18 @@ def profile_from_text(text: str) -> SymmetricRootProfile:
         key, _, rest = line.partition(":")
         vals = [rational(tok) for tok in rest.split()]
         key = key.strip().lower()
-        if key == "coset":
-            coset = vals[0] if vals else None
-        elif key == "leaves":
-            leaves = vals
-        elif key == "angles":
-            angles = vals
-        else:
+        if key not in ("coset", "leaves", "angles"):
             raise ValueError(f"unrecognized profile line: {raw!r}")
-    if not leaves:
+        if key in fields:
+            raise ValueError(f"repeated {key} line: {raw!r}")
+        if key == "coset" and len(vals) != 1:
+            raise ValueError(f"a coset line holds exactly one grading: {raw!r}")
+        fields[key] = vals
+    if not fields.get("leaves"):
         raise ValueError("profile file has no leaves line")
-    p = SymmetricRootProfile(tuple(leaves), tuple(angles))
-    if coset is not None and (p.leaves[0] - coset) % 2 != 0:
-        raise ValueError(f"declared coset {coset} inconsistent with leaf gradings")
+    p = SymmetricRootProfile(tuple(fields["leaves"]), tuple(fields.get("angles", ())))
+    coset = fields.get("coset")
+    if coset and (p.leaves[0] - coset[0]) % 2 != 0:
+        raise ValueError(f"declared coset {coset[0]} inconsistent with leaf gradings")
     return SymmetricRootProfile(tuple(g + 2 for g in p.leaves),
                                 tuple(g + 2 for g in p.angles))

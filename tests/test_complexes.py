@@ -581,6 +581,22 @@ def test_negative_exponent_is_refused():
             iota_complex(("x", "y"), (1, 0), diff, identity)
 
 
+def test_repeated_terms_cancel_in_pairs_in_both_entry_forms():
+    # an int entry counts by parity and an exponent list term by term, so
+    # the same GF(2) map reads the same way in either form
+    for twice, once in (([[2]], [[1]]), ([[[0, 0]]], [[[0]]]), ([[[0, 0]]], [[1]])):
+        assert iota_complex(("x",), (0,), [[0]], twice).iota == (0,)
+        assert iota_complex(("x",), (0,), [[0]], once).iota == (1,)
+    assert iota_complex(("x",), (0,), [[0]], [[[0, 0, 0]]]).iota == (1,)
+    # a term is checked before it cancels: the first failure still names it
+    identity = ((1, 0), (0, 1))
+    for diff, message in (
+            ([[[], []], [[-1, -1], []]], r"\(row 1, exponent -1\) in column x"),
+            ([[[], [0, 0]], [[], []]], r"entry \(x, y\) exponent 0: grading 1 - 0")):
+        with pytest.raises(ValueError, match=message):
+            iota_complex(("x", "y"), (1, 0), diff, identity)
+
+
 def test_local_map_search_refuses_other_tower_cosets():
     # taus that differ by an odd integer or by a non-integer put the towers
     # in different cosets of 2Z, where no grading-preserving map joins them

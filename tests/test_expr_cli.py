@@ -429,6 +429,12 @@ def test_atom_errors_name_the_atom_and_keep_their_class(text, error, message,
     (["decompose", "{profile}"], "coset: 0\nangles:\n", "no leaves line"),
     (["decompose", "{profile}"], "coset: 1\nleaves: 0\nangles:\n",
      "coset 1 inconsistent"),
+    # a key read twice, or a coset line without exactly one grading
+    (["eval", "@{profile}"], "leaves: 0\nleaves: 2 0 2\nangles: 0 0\ncoset: 0 1\n",
+     "repeated leaves line: 'leaves: 2 0 2'"),
+    (["decompose", "{profile}"], "leaves: 0\nangles:\ncoset: 0 1\n",
+     "one grading: 'coset: 0 1'"),
+    (["decompose", "{profile}"], "coset:\nleaves: 0\nangles:\n", "one grading: 'coset:'"),
     # profiles that the SymmetricRootProfile constructor refuses: an angle
     # above a leaf, mixed cosets, and angles above both their leaves
     (["eval", "@{profile}", "--oracle"], "leaves: 0 -4 0\nangles: -2 -2\n",
@@ -439,6 +445,8 @@ def test_atom_errors_name_the_atom_and_keep_their_class(text, error, message,
      "angles below adjacent leaves: angle 1 at 4"),
 ], ids=["decompose", "eval-file-atom", "decompose-unrecognised-line",
         "decompose-no-leaves", "decompose-coset-mismatch",
+        "eval-file-atom-second-leaves-line", "decompose-two-gradings-on-coset",
+        "decompose-empty-coset",
         "eval-file-atom-angle-above-leaf", "decompose-mixed-cosets",
         "decompose-angles-above-leaves"])
 def test_cli_zero_denominator_in_a_profile_file_exits_2(argv, text, fragment,

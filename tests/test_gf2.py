@@ -112,3 +112,18 @@ def test_a_map_with_no_columns():
 def test_kernel_in_given_coordinates():
     # columns stand for x_3 and x_5: their sum is the kernel
     assert gf2.kernel([0b11, 0b11], [1 << 3, 1 << 5]) == [(1 << 3) | (1 << 5)]
+
+
+def test_solvable_stops_at_the_first_column_that_reduces_b_to_0():
+    # b = 0b110 has lead 3: the first column does not touch it, the second
+    # takes its lead and the reduction ends on the first, so the third
+    # column must not be read
+    def columns(*cols):
+        yield from cols
+        raise AssertionError("a column after the one that reduced b to 0 was read")
+
+    assert gf2.solvable(columns(0b010, 0b100), 0b110)
+    assert gf2.solvable(columns(0b110), 0b110)
+    # while b is not yet 0 every column is read, and the answer is kept
+    assert not gf2.solvable(iter([0b010, 0b100, 0b110]), 0b001)
+    assert gf2.rank(iter([0b010, 0b100, 0b110])) == 2

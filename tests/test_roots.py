@@ -162,6 +162,25 @@ def test_profile_text_fractions_and_comments():
     assert p.leaves == (Fraction(5, 2), Fraction(1, 2), Fraction(5, 2))
 
 
+def test_profile_text_reads_each_key_once():
+    # a second leaves line, a coset line with two gradings and an empty
+    # coset line are refused by name, not read as the last or first value
+    for text, message in (
+            ("leaves: 0\nleaves: 2 0 2\nangles: 0 0\n",
+             "repeated leaves line: 'leaves: 2 0 2'"),
+            ("leaves: 0\nangles:\ncoset: 0 1\n",
+             "a coset line holds exactly one grading: 'coset: 0 1'"),
+            ("coset:\nleaves: 0\n",
+             "a coset line holds exactly one grading: 'coset:'"),
+            ("leaves: 0\nangles:\nAngles:\n", "repeated angles line: 'Angles:'")):
+        with pytest.raises(ValueError) as e:
+            profile_from_text(text)
+        assert str(e.value) == message
+    # an empty angles line is still no angles
+    assert profile_from_text("coset: 0\nleaves: 0\nangles:\n") == \
+        SymmetricRootProfile((2,), ())
+
+
 def test_standard_complex_homology_matches_tree_rank_function():
     # at grading g the tree has one branch per leaf above g, minus one per
     # merge above g (each angle joins exactly two adjacent branches)
