@@ -96,22 +96,24 @@ def _span(cols: Iterable[int], b: int) -> tuple[int, int]:
     columns unread.
     """
     pivots: dict[int, int] = {}
+    lead = b.bit_length()
     for v in cols:
         while v:
             h = v.bit_length()
             p = pivots.get(h)
             if p is None:
                 pivots[h] = v
+                if h == lead:
+                    while b:
+                        p = pivots.get(b.bit_length())
+                        if p is None:
+                            break
+                        b ^= p
+                    if not b:
+                        return len(pivots), 0
+                    lead = b.bit_length()
                 break
             v ^= p
-        if v and h == b.bit_length():
-            while b:
-                p = pivots.get(b.bit_length())
-                if p is None:
-                    break
-                b ^= p
-            if not b:
-                break
     return len(pivots), b
 
 
