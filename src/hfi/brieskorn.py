@@ -137,6 +137,9 @@ class BrieskornParams:
 
     def __post_init__(self):
         a = (self.a1, self.a2, self.a3)
+        for name, ai in zip(("a1", "a2", "a3"), a):
+            if type(ai) is not int:
+                raise ValueError(f"{name} = {ai!r} is not an int")
         if not (2 <= a[0] < a[1] < a[2]):
             raise ValueError("need 2 <= a1 < a2 < a3")
         if (math.gcd(a[0], a[1]) != 1 or math.gcd(a[0], a[2]) != 1

@@ -140,6 +140,7 @@ Conventions
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -181,7 +182,8 @@ def _read_map(m, labels, gradings, degree: int) -> Map:
     parity: 0 or 1) or an iterable of U-exponents, the layout that
     ``complex_to_json`` writes.  Each listed exponent is one term, and
     repeated terms cancel in pairs, as over GF(2).  A map that is not
-    n x n, a negative exponent or a term of another degree (the first, by
+    n x n, an entry that is neither (a bool, a float or a string is not),
+    a negative exponent or a term of another degree (the first, by
     column, then row and exponent) raises ValueError, whether or not the
     term cancels.
     """
@@ -193,7 +195,12 @@ def _read_map(m, labels, gradings, degree: int) -> Map:
         if len(row) != n:
             raise ValueError(f"map row {i} has {len(row)} entries, expected {n}")
         for j, v in enumerate(row):
-            exps = ((0,) if v % 2 else ()) if isinstance(v, int) else v
+            # a scalar that is not an int, or a string, stands as its own bad term
+            exps = ((0,) if v % 2 else ()) if type(v) is int else tuple(v) if (
+                isinstance(v, Iterable) and not isinstance(v, (str, bytes))) else (v,)
+            if any(type(e) is not int for e in exps):
+                raise ValueError(f"map row {i}, column {labels[j]}: entry {v!r} is "
+                                 "not an int or an iterable of int exponents")
             cols[j].extend((i, e) for e in exps)
     out = []
     for j, col in enumerate(cols):
@@ -716,17 +723,26 @@ def _tower_tops(grades: list[int], masks: list[int], diff: Map,
     return tops[0], tops[1]
 
 
-def _d_scan(exp: Expanded) -> Grading:
-    """Top of the U-inverted tower of H(C), from the model ``exp`` of C."""
-    probe = exp.probe(0)
-    B0 = gf2.Echelon(exp.boundaries(probe))
-    r = exp.top - exp.top % 2
-    while r >= probe:
+def _scan(exp: Expanded, probe: int, spans: list[list[int]], survives) -> int:
+    """The first offset r, from the top of the probe's parity down to the
+    probe, where ``survives`` holds of the gains over ``spans`` of V =
+    U^m(cycles at r) pushed down to the probe, m = (r - probe)/2.  The gain
+    of V over a span S is rank(S + V) - rank(S), the dimension V adds to S;
+    the rank of each S is taken once."""
+    ranks = [gf2.rank(S) for S in spans]
+    for r in range(exp.top - (exp.top - probe) % 2, probe - 1, -2):
         V = exp.umap(exp.cycles(r), r, (r - probe) // 2)
-        if any(v not in B0 for v in V):
-            return exp.grading(r)
-        r -= 2
+        if survives(*(gf2.rank(S + V) - s for S, s in zip(spans, ranks))):
+            return r
     raise RuntimeError("no tower class found; complex violates the tower axiom")
+
+
+def _d_scan(exp: Expanded) -> Grading:
+    """Top of the U-inverted tower of H(C), from the model ``exp`` of C: the
+    first even r whose V (``_scan``) gains over B, the boundaries at the
+    probe."""
+    probe = exp.probe(0)
+    return exp.grading(_scan(exp, probe, [exp.boundaries(probe)], lambda b: b > 0))
 
 
 def _cone_scans(c: IotaComplex, base: Expanded) -> tuple[Grading, Grading]:
@@ -734,32 +750,24 @@ def _cone_scans(c: IotaComplex, base: Expanded) -> tuple[Grading, Grading]:
 
     ``base`` is the model of C at the truncation wanted; its cycles give
     Q.(cycles of C), which sit in the cone as the same bits shifted by n.
+    With B the cone's boundaries at the probe, BQ = B + Q.(cycles) and the
+    gains of ``_scan``: d-under is one below the first odd r whose V gains
+    over BQ (some U^m z survives outside it), and d-bar the first even r
+    whose V gains more over B than over BQ (some U^m z is nonzero in
+    homology but in the image of Q).
     """
     g = c.gradings
     exp = Expanded(tuple(t + 1 for t in g) + g, _cone_columns(c, c.diff), base.N, c.tau)
 
-    def scan(parity: int, member_of_q_image: bool) -> int:
+    def spans(parity: int):
         probe = exp.probe(parity)
-        B0 = gf2.Echelon(exp.boundaries(probe))
-        BQ = B0.copy()
-        for z in base.cycles(probe):
-            BQ.add(z << c.n)
-        r = exp.top - (exp.top - parity) % 2
-        while r >= probe:
-            V = exp.umap(exp.cycles(r), r, (r - probe) // 2)
-            if member_of_q_image:
-                # some U^m z nonzero in homology but in the image of Q:
-                # dim(V & BQ) - dim(V & B0) = rank(V mod B0) - rank(V mod BQ)
-                if B0.rank_mod(V) > BQ.rank_mod(V):
-                    return r
-            elif any(v not in BQ for v in V):
-                # some U^m z surviving outside B + Q.cycles
-                return r
-            r -= 2
-        raise RuntimeError("cone scan found no qualifying tower class")
+        B = exp.boundaries(probe)
+        return probe, B, B + [z << c.n for z in base.cycles(probe)]
 
-    d_under = exp.grading(scan(1, member_of_q_image=False)) - 1
-    d_bar = exp.grading(scan(0, member_of_q_image=True))
+    probe, _, BQ = spans(1)
+    d_under = exp.grading(_scan(exp, probe, [BQ], lambda bq: bq > 0)) - 1
+    probe, B, BQ = spans(0)
+    d_bar = exp.grading(_scan(exp, probe, [B, BQ], lambda b, bq: b > bq))
     return d_bar, d_under
 
 

@@ -46,8 +46,9 @@ class STProfile:
 
     def __post_init__(self):
         for name, seq in (("s", self.s), ("t", self.t)):
-            if any(x <= 0 for x in seq):
-                raise ValueError(f"{name} indices must be positive")
+            for x in seq:
+                if type(x) is not int or x <= 0:
+                    raise ValueError(f"{name} indices must be positive ints, got {x!r}")
             if any(seq[i] < seq[i + 1] for i in range(len(seq) - 1)):
                 raise ValueError(f"{name} must be weakly decreasing")
 
@@ -129,7 +130,8 @@ def lemma_identity(st: STProfile) -> bool:
 def correction_terms(a: LocalClass) -> tuple[int | Fraction, ...]:
     """(d, d-bar, d-under) of a class, from one expansion: -a expands to the
     same lists with s and t swapped and d(-a) = -d, so d-bar = d - S(t, s).
-    The terms are ints when the shift is integral, and Fractions otherwise.
+    The terms have the type of the shift: ints when it is integral, and
+    Fractions otherwise.
     """
     d = d_invariant(a)
     st = STProfile.of_class(a)
@@ -137,8 +139,6 @@ def correction_terms(a: LocalClass) -> tuple[int | Fraction, ...]:
     d_bar = d - d_lower_offset(STProfile(st.t, st.s))
     if not (d_under <= d <= d_bar):
         raise AssertionError(f"correction-term sanity violated for {a}")
-    if a.shift.denominator == 1:
-        return int(d), int(d_bar), int(d_under)
     return d, d_bar, d_under
 
 

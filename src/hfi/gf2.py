@@ -13,8 +13,9 @@ lookup and one XOR.  It comes in two passes, each written once:
 
 - The tagged pass, ``Echelon``, for the routines that need to know how a
   vector is made: each lead maps to the pair (vector, tag), ``reduce`` XORs
-  the tags alongside the vectors, and ``add`` is ``reduce`` followed by
-  inserting a nonzero remainder.  ``kernel`` feeds it the columns in order,
+  the tags alongside the vectors, ``add`` is ``reduce`` followed by
+  inserting a nonzero remainder, ``in`` asks whether ``reduce`` leaves 0
+  and ``len`` counts the leads.  ``kernel`` feeds it the columns in order,
   and so does ``hfi.complexes._solve``, with the unit vector 1 << j as the
   tag of column j.  For a fixed column order the pivot columns, and the
   expression of each column through the pivot columns before it, do not
@@ -26,8 +27,6 @@ lookup and one XOR.  It comes in two passes, each written once:
   riding along.  That makes ``solvable`` 1.5x to 1.9x faster than
   ``b in Echelon(cols)`` on the local-map systems of ``hfi.complexes``.
 """
-
-from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
@@ -54,11 +53,6 @@ class Echelon:
     def __contains__(self, v: int) -> bool:
         return not self.reduce(v)[0]
 
-    def copy(self) -> Echelon:
-        e = Echelon()
-        e.pivots = dict(self.pivots)
-        return e
-
     def reduce(self, v: int, tag: int = 0) -> tuple[int, int]:
         """Reduce v until it is 0 or its leading bit has no basis vector."""
         pivots = self.pivots
@@ -77,13 +71,6 @@ class Echelon:
         if v:
             self.pivots[v.bit_length()] = (v, tag)
         return v, tag
-
-    def rank_mod(self, vectors: Iterable[int]) -> int:
-        """dim(span(self, vectors)) - dim(self); self is left unchanged."""
-        e = self.copy()
-        for v in vectors:
-            e.add(v)
-        return len(e) - len(self)
 
 
 def _span(cols: Iterable[int], b: int) -> tuple[int, int]:

@@ -43,12 +43,15 @@ def rational(value) -> Fraction:
 @dataclass(frozen=True)
 class LocalClass:
     """sum c_i Y_i shifted by [Delta].  The constructor adds the coefficients
-    of a repeated index, drops zeros, sorts by index and reads the shift
-    through ``rational``; an index that is not a positive int or a
-    coefficient that is not an int (a bool is neither) raises ValueError."""
+    of a repeated index, drops zeros, sorts by index and keeps an int shift;
+    any other shift is read through ``rational`` and stored as an int when
+    it is integral, so the shift, d and the correction terms of a class
+    with an integral shift are ints.  An index that is not a positive int
+    or a coefficient that is not an int (a bool is neither) raises
+    ValueError."""
 
     coeffs: tuple[tuple[int, int], ...] = ()
-    shift: Fraction = Fraction(0)
+    shift: Grading = 0
 
     def __post_init__(self):
         acc: dict[int, int] = {}
@@ -60,7 +63,8 @@ class LocalClass:
             acc[i] = acc.get(i, 0) + c
         object.__setattr__(self, "coeffs",
                            tuple(sorted((i, c) for i, c in acc.items() if c)))
-        object.__setattr__(self, "shift", rational(self.shift))
+        shift = self.shift if type(self.shift) is int else rational(self.shift)
+        object.__setattr__(self, "shift", shift.numerator if shift.denominator == 1 else shift)
 
     @property
     def is_zero(self) -> bool:
@@ -113,12 +117,12 @@ def I(delta) -> LocalClass:
     return LocalClass((), delta)
 
 
-def d_invariant(a: LocalClass) -> Fraction:
+def d_invariant(a: LocalClass) -> Grading:
     return 2 * sum(i * c for i, c in a.coeffs) - a.shift
 
 
 def mu_bar(a: LocalClass) -> Fraction:
-    return a.shift / 2
+    return Fraction(a.shift, 2)
 
 
 def rokhlin(a: LocalClass) -> int:
@@ -182,14 +186,15 @@ def realizability_check(a: LocalClass) -> RealizabilityVerdict:
 class SphericalParams:
     """Parameters (d; Delta_1 >= ... >= Delta_n) of a spherical complex."""
 
-    d: Fraction
+    d: Grading
     deltas: tuple[int, ...]
 
     def __post_init__(self):
-        if any(self.deltas[i] < self.deltas[i + 1] for i in range(len(self.deltas) - 1)):
-            raise ValueError("deltas must be weakly decreasing")
-        if any(dd < 0 or dd % 2 for dd in self.deltas):
-            raise ValueError("deltas must be non-negative even integers")
+        for k, dd in enumerate(self.deltas):
+            if type(dd) is not int or dd < 0 or dd % 2:
+                raise ValueError(f"deltas must be non-negative even integers, got {dd!r}")
+            if k and self.deltas[k - 1] < dd:
+                raise ValueError("deltas must be weakly decreasing")
 
     @property
     def n(self) -> int:

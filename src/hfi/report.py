@@ -149,10 +149,7 @@ def class_complex(a: LocalClass) -> IotaComplex:
         raise OracleSizeError(
             f"oracle complex of weight {weight} needs 3^{weight} generators, "
             f"over the limit of {MAX_ORACLE_GENERATORS} (weight {cap} at most)")
-    # one tower at grading -shift, as an int when the shift is integral, so
-    # that the tensor gradings of such a class are ints
-    shift = int(a.shift) if a.shift.denominator == 1 else a.shift
-    tower = complexes.trivial_complex(-shift)
+    tower = complexes.trivial_complex(-a.shift)
     factors = []
     for i, c in a.coeffs:
         factor = standard_complex(to_profile(MonotoneRoot(((2 * i, 0),))))

@@ -460,8 +460,7 @@ def left_fold_class_complex(a: LocalClass) -> complexes.IotaComplex:
     """``report.class_complex`` without its size guard, built as
     ((t (x) f_1) (x) f_2) (x) ... (x) f_k, so each ``tensor`` spreads every
     column of the growing product."""
-    shift = int(a.shift) if a.shift.denominator == 1 else a.shift
-    acc = complexes.trivial_complex(-shift)
+    acc = complexes.trivial_complex(-a.shift)
     for i, c in a.coeffs:
         factor = standard_complex(to_profile(MonotoneRoot(((2 * i, 0),))))
         if c < 0:

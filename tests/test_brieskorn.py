@@ -25,6 +25,12 @@ def test_params_validation():
         BrieskornParams(2, 4, 5)  # not coprime
     with pytest.raises(ValueError):
         BrieskornParams(1, 2, 3)  # a1 < 2
+    # inexact or non-int fields are refused by name, not by a TypeError
+    # from gcd or a comparison
+    for args, name in (((2, 3, 5.0), "a3"), ((Fraction(2), 3, 5), "a1"),
+                       (("2", 3, 5), "a1"), ((2, True, 5), "a2")):
+        with pytest.raises(ValueError, match=f"{name} = .* is not an int"):
+            BrieskornParams(*args)
 
 
 def test_negative_continued_fraction():

@@ -579,6 +579,16 @@ def test_negative_exponent_is_refused():
             ([[[], [-1]], [[], []]], r"\(row 0, exponent -1\) in column y")):
         with pytest.raises(ValueError, match=message):
             iota_complex(("x", "y"), (1, 0), diff, identity)
+    # an entry is an int or an iterable of int exponents; a bool, a float,
+    # a string or None is neither, and used to raise TypeError or construct
+    for entry in ("1", None, 1.0, True, [0.0], [True], (0, "0"), b"", ""):
+        with pytest.raises(ValueError, match=r"map row 0, column x: entry .* is not an int"):
+            iota_complex(("x",), (0,), [[0]], [[entry]])
+    with pytest.raises(ValueError, match=r"map row 1, column x: entry 1.0"):
+        iota_complex(("x", "y"), (1, 0), [[[], []], [1.0, []]], identity)
+    # the empty entry and exponents from any iterable still read
+    assert iota_complex(("x",), (0,), [[0]], [[range(1)]]).iota == (1,)
+    assert iota_complex(("x",), (0,), [[[]]], [[(0,)]]).diff == (0,)
 
 
 def test_repeated_terms_cancel_in_pairs_in_both_entry_forms():

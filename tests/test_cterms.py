@@ -40,6 +40,12 @@ def test_profile_validation():
         STProfile((1, 2), ())
     with pytest.raises(ValueError):
         STProfile((0,), ())
+    # a float or a bool index is refused, so no bound runs in floats
+    for s, t, message in (((1.5,), (), "s .* got 1.5"), ((True,), (), "s .* got True"),
+                          ((2,), (1, Fraction(1)), "t .* got Fraction"),
+                          ((2.0,), (1,), "s .* got 2.0")):
+        with pytest.raises(ValueError, match=message):
+            STProfile(s, t)
 
 
 def test_p_q_sequences_small():

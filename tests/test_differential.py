@@ -706,14 +706,21 @@ def test_stored_offsets_are_those_of_the_gradings():
 
 def test_exact_pass_matches_the_truncated_scans():
     # 2 + 300 random complexes of up to 49 generators, each also relabelled
-    # and shifted into 1/2 + Z: the same triple, of the same types
-    rng = random.Random(20170633)
+    # and shifted into 1/2 + Z, and twisted to iota + dK + Kd, an iota that
+    # is no product or dual of reflections: the same triple, of the same
+    # types, and the twisted copy keeps the terms of the complex
+    rng, twists = random.Random(20170633), random.Random(20170646)
+    moved = 0
     for c in _random_complexes(20170633, 300):
-        for x in (c, _relabelled(c, rng)):
+        twisted = _twisted(c, twists)
+        moved += twisted.iota != c.iota
+        for x in (c, _relabelled(c, rng), twisted):
             got = complexes.correction_terms(x)
             want = truncated_correction_terms(x, default_truncation(x.gradings))
             assert got == want, (x.labels, got, want)
             assert [type(g) for g in got] == [type(w) for w in want]
+        assert complexes.correction_terms(twisted) == complexes.correction_terms(c)
+    assert moved > 100, moved
     # d(x) = y: no tower, so both paths refuse, the exact pass with a
     # ValueError that names the failed validate check
     acyclic = complexes.iota_complex(("x", "y"), (1, 0), [[0, 0], [1, 0]],
@@ -878,19 +885,25 @@ def test_kronecker_assembly_matches_the_dict_reference():
     assert True in independent and False in independent
 
 
+def _twisted(c, rng):
+    """c with iota' = iota + dK + Kd for a seeded K of degree +1, which
+    keeps d iota' = iota' d; (c, iota') is locally equivalent to (c, iota)
+    through F = id, H = K."""
+    mul, add = complexes.mat_mul, mat_add
+    exp = complexes.Expanded(c.gradings, c.diff, default_truncation(c.gradings), c.tau)
+    K = tuple(rng.getrandbits(c.n) & col for col in below(exp, exp.offsets, 1))
+    return dataclasses.replace(c, iota=add(c.iota, add(mul(c.diff, K), mul(K, c.diff))))
+
+
 def _twisted_iota_complexes(rng):
     """std(2, 0); the iota on it with iota^2(v2) = 0 (no homotopy to id);
     and iota' = iota + dK + Kd on a tensor product (a homotopy exists).
     Both keep d iota = iota d."""
-    mul, add = complexes.mat_mul, mat_add
     c = standard_complex(to_profile(M(2, 0)))
     bad = complexes.iota_complex(c.labels, c.gradings, [[0, 0, [1]], [0, 0, [1]], [0, 0, 0]],
                                  [[1, 0, 0], [1, 0, 0], [0, 0, 1]], tau=c.tau)
     t = complexes.tensor(c, standard_complex(to_profile(M(4, 0, 2, 2))))
-    exp = complexes.Expanded(t.gradings, t.diff, default_truncation(t.gradings), t.tau)
-    K = tuple(rng.getrandbits(t.n) & col for col in below(exp, exp.offsets, 1))
-    twisted = dataclasses.replace(t, iota=add(t.iota, add(mul(t.diff, K), mul(K, t.diff))))
-    return c, bad, twisted
+    return c, bad, _twisted(t, rng)
 
 
 def test_kronecker_assembly_matches_the_dict_reference_off_the_involution():

@@ -53,7 +53,20 @@ def test_a_repeated_index_adds_up():
 def test_an_int_shift_gives_a_fraction_mu_bar():
     m = mu_bar(LocalClass(((1, 1),), 1))
     assert type(m) is Fraction and m == Fraction(1, 2)
-    assert type(LocalClass().shift) is Fraction
+    # an integral shift is stored as an int, whatever type it came in;
+    # str, JSON, == and hash agree with those of the Fraction
+    for shift in (0, 2, Fraction(2), Fraction(4, 2), "2", -2):
+        a = LocalClass(((1, 1),), shift)
+        assert type(a.shift) is int and type(d_invariant(a)) is int
+    assert type(LocalClass().shift) is int
+    two = I(2)
+    assert (str(two), two.to_json()) == ("(0)[Δ=2]", {"coeffs": {}, "shift": "2"})
+    assert two == LocalClass((), Fraction(2)) and hash(two.shift) == hash(Fraction(2))
+    # a shift of 1/2 stays a Fraction, and so does mu-bar
+    half = LocalClass(((1, 1),), Fraction(1, 2))
+    assert type(half.shift) is Fraction and half.shift == Fraction(1, 2)
+    assert mu_bar(half) == Fraction(1, 4) and type(mu_bar(half)) is Fraction
+    assert LocalClass((), "1/2") == half - Y(1)
 
 
 def test_inexact_shifts_indices_and_coefficients_are_refused():
@@ -141,6 +154,9 @@ def test_spherical_params_validation():
         SphericalParams(0, (2, 4))  # not weakly decreasing
     with pytest.raises(ValueError):
         SphericalParams(0, (3,))  # odd delta
+    for deltas in ((2.0,), (4, True), (4, "2")):
+        with pytest.raises(ValueError, match=f"deltas .* got {deltas[-1]!r}"):
+            SphericalParams(Fraction(0), deltas)
 
 
 def test_str_rendering():
