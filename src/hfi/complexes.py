@@ -112,7 +112,7 @@ Conventions
     so t - 1 >= top - 2N + 1: the chain groups at t - 1, t and t + 1 are
     complete, and each is a whole parity class with the differential of L:
     ``_single_tower_check`` reads the rank of that differential and
-    ``_Side.tower`` eliminates it.  The reference search's slack ranges
+    ``IotaComplex._tower`` eliminates it.  The reference search's slack ranges
     over the target's whole odd class, and its tower representatives come
     from the same two eliminations in the same kernel order, so the pinned
     z_a and z_b are the same.
@@ -127,14 +127,14 @@ Conventions
   solution, which depends only on the order of the unknowns.
 * Bit scans: the kernels that the local-map search and ``validate`` spend
   their time in (``mat_mul``, ``_spread``, ``_kron_columns``, the level
-  scan of ``_eliminate``, ``_Side.tower`` and ``tensor``'s column spread)
-  walk the set bits of an int inline, ``low = v & -v`` ... ``v ^= low``,
-  because the generator ``_bits`` resumes one frame per set bit; ``_bits``
-  serves the cold callers.  On a seed-11 ``local_equivalence`` round of the
-  benchmark (41 ops, best of 12, CPython 3.11, shared 2-core x86-64
-  machine) the local-map columns took 5.4-5.9 ms instead of 6.7-7.2 ms,
-  and the whole round, with ``validate``'s two products, 18.4-18.8 ms
-  instead of 21.5-21.8 ms.
+  scan of ``_eliminate``, ``IotaComplex._tower`` and ``tensor``'s column
+  spread) walk the set bits of an int inline, ``low = v & -v`` ...
+  ``v ^= low``, because the generator ``_bits`` resumes one frame per set
+  bit; ``_bits`` serves the cold callers.  On a seed-11
+  ``local_equivalence`` round of the benchmark (41 ops, best of 12,
+  CPython 3.11, shared 2-core x86-64 machine) the local-map columns took
+  5.4-5.9 ms instead of 6.7-7.2 ms, and the whole round, with
+  ``validate``'s two products, 18.4-18.8 ms instead of 21.5-21.8 ms.
 """
 
 from __future__ import annotations
@@ -145,7 +145,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import gf2
-from .localclass import EXACT, Grading, rational
+from .localclass import EXACT, Grading, _exact, rational
 
 Map = tuple[int, ...]
 
@@ -248,6 +248,13 @@ class IotaComplex:
     is visited.  That every term has its map's degree is the caller's
     precondition: ``iota_complex`` checks it where terms arrive as
     exponents, and ``tensor`` and ``dual`` keep it.
+
+    What the local-map search and ``validate`` read off a complex is derived
+    on first read and then kept, so a complex that takes part in several
+    searches pays for it once, and one that is only an intermediate
+    product pays nothing: the per-parity index behind ``_at_or_below`` and
+    ``_classes``, and the deep tower representative ``_tower``.  They take
+    no part in ==, hash or repr.
     """
 
     labels: tuple[str, ...]
@@ -277,6 +284,50 @@ class IotaComplex:
     def gradings(self) -> tuple[Grading, ...]:
         return tuple(self.tau + t for t in self.offsets)
 
+    @cached_property
+    def _index(self) -> tuple[tuple[list[int], list[int]], tuple[list[int], list[int]]]:
+        """(grades, prefix): per parity p, the offsets of parity p ascending,
+        and prefix[p][k], the mask of the generators at the lowest k of them."""
+        grades, prefix = ([], []), ([0], [0])
+        for t, mask in zip(*_levels(self.offsets)):
+            grades[t % 2].append(t)
+            prefix[t % 2].append(prefix[t % 2][-1] | mask)
+        return grades, prefix
+
+    def _at_or_below(self, t: int) -> int:
+        """The generators at offsets t, t - 2, t - 4, ..., by one bisect of
+        the offsets of t's parity, so no table spans the gradings."""
+        grades, prefix = self._index
+        return prefix[t % 2][bisect_right(grades[t % 2], t)]
+
+    @cached_property
+    def _classes(self) -> tuple[int, int]:
+        """The masks of the generators at even and at odd offsets."""
+        return tuple(prefix[-1] for prefix in self._index[1])
+
+    @cached_property
+    def _tower(self) -> int:
+        """The deep tower representative: the first cycle of the even class
+        of L = C/(U - 1), in kernel order (generators ascending), that is not
+        a boundary; one elimination over the boundaries of the odd class and
+        one over the even class.  With no such cycle, ``_refusal`` names the
+        failed ``validate`` check (the error is raised again on each read)."""
+        d = self.diff
+        even, odd = self._classes
+        boundaries = gf2.Echelon()
+        while odd:
+            low = odd & -odd
+            boundaries.add(d[low.bit_length() - 1])
+            odd ^= low
+        cycles = gf2.Echelon()
+        while even:
+            low = even & -even
+            v, z = cycles.add(d[low.bit_length() - 1], low)
+            if not v and z not in boundaries:
+                return z
+            even ^= low
+        raise _refusal(self, "missing deep tower class")
+
 
 def _require_complex(*cs) -> None:
     """Raise TypeError unless every argument is an IotaComplex."""
@@ -303,15 +354,16 @@ def graded_complex(labels, gradings, diff: Map, iota: Map, tau: Grading) -> Iota
 def iota_complex(labels, gradings, diff, iota, tau=None) -> IotaComplex:
     """Build an IotaComplex from raw maps; ``diff`` and ``iota`` are read by ``_read_map``.
 
-    tau defaults to the first grading.  An empty complex, a grading outside
-    tau + Z, a term of the wrong degree or a negative exponent raises
-    ValueError.
+    tau defaults to the first grading.  The gradings and tau are read by
+    ``localclass.rational`` and kept as ints when they are integral.  An
+    empty complex, a grading outside tau + Z, a term of the wrong degree or
+    a negative exponent raises ValueError.
     """
     labels = tuple(labels)
-    gradings = tuple(map(rational, gradings))
+    gradings = tuple(map(_exact, gradings))
     if not labels or len(gradings) != len(labels):
         raise ValueError("a complex needs at least one generator, and one grading for each")
-    tau = gradings[0] if tau is None else rational(tau)
+    tau = gradings[0] if tau is None else _exact(tau)
     return graded_complex(labels, gradings, _read_map(diff, labels, gradings, -1),
                           _read_map(iota, labels, gradings, 0), tau)
 
@@ -537,10 +589,12 @@ def _single_tower_check(c: IotaComplex) -> tuple[bool, str]:
     images of the two classes lie on disjoint bits, and the rank of d is
     the sum of the two ranks.  So both dimensions are |class| - rank(d),
     and one tag-free ``gf2.rank`` of all the columns gives them, the sum
-    that the lowest level of ``_eliminate`` reads.
+    that the lowest level of ``_eliminate`` reads.  The classes are the
+    complex's own (``IotaComplex._classes``), as the local-map search
+    reads them.
     """
     rank = gf2.rank(c.diff)
-    odd = sum(t & 1 for t in c.offsets)
+    odd = c._classes[1].bit_count()
     d_even, d_odd = c.n - odd - rank, odd - rank
     ok = d_even == 1 and d_odd == 0
     return ok, (f"deep homology ranks: {d_even} in tau-parity, {d_odd} off-parity")
@@ -850,6 +904,15 @@ def _kron_columns(rows: list[int], L, S, n: int) -> list[int]:
     return out
 
 
+def _rows(a: IotaComplex, b: IotaComplex, shift: int, k: int) -> list[int]:
+    """Per generator x_i of b, the mask of the x_j of a that a degree-k map
+    a -> b may send to x_i: those at offsets off_b(i) + shift - k, - 2, ...
+    from a.tau, where shift = b.tau - a.tau, by one bisect per distinct
+    offset of b."""
+    masks = {t: a._at_or_below(t + shift - k) for grades in b._index[0] for t in grades}
+    return [masks[t] for t in b.offsets]
+
+
 def _gauge_entries(rows: list[int], diff: Map) -> list[int]:
     """P[k]: the entries (k, j) of the gauge vectors d X + X d of the
     unknowns X[i, j] in ``rows`` that are their lowest entries, row-major.
@@ -938,8 +1001,10 @@ def solve_homotopy(a: IotaComplex, b: IotaComplex, rhs: Map) -> Map | None:
     if len(rhs) != a.n or any(col >> b.n for col in rhs):
         raise ValueError(f"rhs is not a map from the {a.n} generators of a "
                          f"to the {b.n} of b")
-    sa = _Side(a)
-    rows = [sa.at_or_below(t - 1) for t in _offsets(b.gradings, a.tau)]
+    # b's offsets from a.tau are its own plus shift; a first grading of b
+    # outside a.tau + Z is refused by name
+    shift = _offsets(b.gradings[:1], a.tau)[0] - b.offsets[0]
+    rows = _rows(a, b, shift, 1)
     nh = sum(row.bit_count() for row in rows)
     if nh > MAX_LOCAL_MAP_UNKNOWNS:
         raise SearchSizeError(f"homotopy system too large: {nh} H-vars "
@@ -958,30 +1023,32 @@ class LocalMapWitness:
     ``_solve``) the first time either is read, from the full
     system: every F, H and slack unknown, with no gauge fixing, in the order
     F, H, slack.  So the witness is the one the system without gauge fixing
-    gives.  Until then it holds only the unknowns' row masks and the two
-    tower representatives, three ints per generator of the target, and
-    builds the columns when it solves; then it keeps the two maps.  On the
-    largest feasible system of the benchmark's pairs (35 -> 165 generators,
-    4,705 unknowns) an unread witness holds 4.9 KB under ``tracemalloc``
-    (6.5 MB when it held the columns) and a read one 2.6 KB.
+    gives.  Until then it holds only the two complexes.  When it solves, it
+    builds the unknowns' rows, the slack and the columns from them and
+    reads their kept tower representatives; then it keeps the two maps.
+    On the largest feasible system of the benchmark's pairs (35 -> 165
+    generators, 4,705 unknowns) an unread witness holds 88 bytes under
+    ``tracemalloc`` (4.7 KB when it held the row masks and the tower
+    representatives, 6.5 MB when it held the columns) and a read one
+    2.3 KB; the 165-generator complex keeps its index and tower
+    representative in 2.6 KB.
     """
 
-    def __init__(self, source: IotaComplex, target: IotaComplex, system):
+    def __init__(self, source: IotaComplex, target: IotaComplex):
         self.source, self.target = source, target
-        self._system = system  # (F, H, W, za, zb): row masks and tower representatives
 
     def __repr__(self) -> str:
-        return (f"LocalMapWitness({self.source.n} -> {self.target.n} "
-                f"generators, {'unsolved' if self._system else 'solved'})")
+        return (f"LocalMapWitness({self.source.n} -> {self.target.n} generators, "
+                f"{'solved' if '_maps' in self.__dict__ else 'unsolved'})")
 
     @cached_property
     def _maps(self) -> tuple[Map, Map]:
         a, b = self.source, self.target
-        F, H, W, za, zb = self._system
-        cf, ch, cw = _local_map_columns(a, b, za, F, H, W)
-        nn = a.n * b.n
-        F, H, _ = _solve(cf + ch + cw, zb << nn, [(F, a.n), (H, a.n), (W, 1)])
-        self._system = None
+        F, H = (_rows(a, b, int(b.tau - a.tau), k) for k in (0, 1))
+        W = [b._classes[1] >> i & 1 for i in range(b.n)]
+        cf, ch, cw = _local_map_columns(a, b, a._tower, F, H, W)
+        F, H, _ = _solve(cf + ch + cw, b._tower << a.n * b.n,
+                         [(F, a.n), (H, a.n), (W, 1)])
         return F, H
 
     @property
@@ -991,52 +1058,6 @@ class LocalMapWitness:
     @property
     def H(self) -> Map:
         return self._maps[1]
-
-
-class _Side:
-    """What a local-map search reads off one complex, in either direction.
-
-    ``offsets`` count from the complex's own tau.  ``at_or_below(t)`` masks
-    the generators at offsets t, t - 2, t - 4, ..., bisecting the offsets
-    of t's parity, so no table spans the gradings; ``classes[p]`` masks
-    those of parity p.  ``tower()`` finds the deep tower representative; the
-    search calls it after its budget check.
-    """
-
-    def __init__(self, c: IotaComplex):
-        self.c = c
-        self.offsets = c.offsets
-        self.grades: tuple[list[int], list[int]] = ([], [])
-        self.prefix = ([0], [0])  # prefix[p][k] masks the lowest k levels of parity p
-        for t, mask in zip(*_levels(self.offsets)):
-            self.grades[t % 2].append(t)
-            self.prefix[t % 2].append(self.prefix[t % 2][-1] | mask)
-        self.classes = [prefix[-1] for prefix in self.prefix]
-
-    def at_or_below(self, t: int) -> int:
-        p = t % 2
-        return self.prefix[p][bisect_right(self.grades[p], t)]
-
-    def tower(self) -> int:
-        """The first cycle of the even class, in kernel order (generators
-        ascending), that is not a boundary: one elimination over the
-        boundaries of the odd class and one over the even class.  With no
-        such cycle, ``_refusal`` names the failed ``validate`` check."""
-        d = self.c.diff
-        even, odd = self.classes
-        boundaries = gf2.Echelon()
-        while odd:
-            low = odd & -odd
-            boundaries.add(d[low.bit_length() - 1])
-            odd ^= low
-        cycles = gf2.Echelon()
-        while even:
-            low = even & -even
-            v, z = cycles.add(d[low.bit_length() - 1], low)
-            if not v and z not in boundaries:
-                return z
-            even ^= low
-        raise _refusal(self.c, "missing deep tower class")
 
 
 def find_local_map(a: IotaComplex, b: IotaComplex) -> LocalMapWitness | None:
@@ -1057,10 +1078,11 @@ def find_local_map(a: IotaComplex, b: IotaComplex) -> LocalMapWitness | None:
     is at an offset >= off_a(j) (off_a(j) + 1) of the same parity.  The
     equations are d_b F + F d_a = 0, iota_b F + F iota_a + d_b H + H d_a = 0
     and F(z_a) + d_b(w) = z_b, where the slack w is any chain of b's odd
-    class and z_a, z_b are the tower representatives (``_Side.tower``).  The
-    system and so the witness are those of the search that builds both
-    truncated models and masks every product by U^N (the module
-    docstring's "Truncation" bullet).
+    class and z_a, z_b are the tower representatives, which each complex
+    computes once and keeps (``IotaComplex._tower``).  The system and so
+    the witness are those of the search that builds both truncated models
+    and masks every product by U^N (the module docstring's "Truncation"
+    bullet).
 
     One block.  Entry (i, j) of the d-equations and of the iota-equations
     is the same bit j.n_b + i.  A d-equation entry is one of a degree -1
@@ -1123,22 +1145,18 @@ def find_local_map(a: IotaComplex, b: IotaComplex) -> LocalMapWitness | None:
     _require_complex(a, b)
     if ((a.tau - b.tau).denominator != 1) or int(a.tau - b.tau) % 2 != 0:
         raise ValueError(f"tower cosets differ: tau={a.tau} vs {b.tau}")
-    sa, sb = _Side(a), _Side(b)
     shift = int(b.tau - a.tau)  # b's offsets from a.tau are its own plus shift
     # the unknowns, by rows: F[i], H[i] and K[i] mask the x_j of a that F,
-    # H and the degree +2 K may send to x_i of b, built once per offset of b
-    levels = (*sb.grades[0], *sb.grades[1])
-    F, H, K = ([masks[t] for t in sb.offsets]
-               for masks in ({t: sa.at_or_below(t + shift - k) for t in levels}
-                             for k in (0, 1, 2)))
-    W = [sb.classes[1] >> i & 1 for i in range(b.n)]  # the slack w, one column
+    # H and the degree +2 K may send to x_i of b
+    F, H, K = (_rows(a, b, shift, k) for k in (0, 1, 2))
+    W = [b._classes[1] >> i & 1 for i in range(b.n)]  # the slack w, one column
     nf, nh = (sum(row.bit_count() for row in X) for X in (F, H))
-    w_dim = sb.classes[1].bit_count()
+    w_dim = b._classes[1].bit_count()
     if (nf + nh + w_dim) > MAX_LOCAL_MAP_UNKNOWNS:
         raise SearchSizeError(
             f"local-map system too large: {nf} F-vars, "
             f"{nh} H-vars, {w_dim} slack vars (limit {MAX_LOCAL_MAP_UNKNOWNS})")
-    za, zb = sa.tower(), sb.tower()
+    za, zb = a._tower, b._tower
 
     # gauge fixing: the F entries that a change of H' reaches first, and
     # the H entries that a change of K (degree +2) reaches first
@@ -1146,10 +1164,9 @@ def find_local_map(a: IotaComplex, b: IotaComplex) -> LocalMapWitness | None:
     ph = _gauge_entries(K, b.diff)
     cf, ch, cw = _local_map_columns(a, b, za, [r & ~p for r, p in zip(F, pf)],
                                     [r & ~p for r, p in zip(H, ph)], W)
-    nn = a.n * b.n
-    if not gf2.solvable(cf + cw + ch, zb << nn):
+    if not gf2.solvable(cf + cw + ch, zb << a.n * b.n):
         return None
-    return LocalMapWitness(a, b, (F, H, W, za, zb))
+    return LocalMapWitness(a, b)
 
 
 def locally_equivalent(a: IotaComplex, b: IotaComplex) -> bool:

@@ -40,6 +40,12 @@ def rational(value) -> Fraction:
         raise ValueError(f"zero denominator in {value!r}") from None
 
 
+def _exact(value) -> Grading:
+    """``rational(value)``, as an int when it is integral, so that integral
+    gradings and shifts stay in int arithmetic."""
+    return q.numerator if (q := rational(value)).denominator == 1 else q
+
+
 @dataclass(frozen=True)
 class LocalClass:
     """sum c_i Y_i shifted by [Delta].  The constructor adds the coefficients
@@ -63,8 +69,8 @@ class LocalClass:
             acc[i] = acc.get(i, 0) + c
         object.__setattr__(self, "coeffs",
                            tuple(sorted((i, c) for i, c in acc.items() if c)))
-        shift = self.shift if type(self.shift) is int else rational(self.shift)
-        object.__setattr__(self, "shift", shift.numerator if shift.denominator == 1 else shift)
+        if type(self.shift) is not int:
+            object.__setattr__(self, "shift", _exact(self.shift))
 
     @property
     def is_zero(self) -> bool:

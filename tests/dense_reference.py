@@ -381,7 +381,7 @@ def bits_tensor_maps(a, b) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def bits_tower(c) -> int:
-    """``complexes._Side(c).tower()`` from the parity classes of the
+    """``IotaComplex._tower`` of c from the parity classes of the
     offsets, walking their bits by ``_bits``: the first cycle of the even
     class of L = C/(U - 1), in kernel order, that is not a boundary."""
     even = sum(1 << i for i, t in enumerate(c.offsets) if t % 2 == 0)

@@ -2,10 +2,12 @@
 
 It runs ``perfbench/run.py`` as a subprocess and writes the record a speed
 claim quotes; this checks that one short run gives a record with every key,
-a summary for each end-to-end metric and the fixed-input layer timings.
+a summary for each end-to-end metric and the fixed-input layer timings, also
+outside a git checkout.
 """
 
 import json
+import os
 import platform
 import subprocess
 import sys
@@ -44,3 +46,17 @@ def test_bench_record_writes_every_key(tmp_path):
         assert set(m) == {"unit", "values", "median", "range", "spread"}
         assert len(m["values"]) == 1 and m["range"] == [m["median"]] * 2
         assert m["median"] > 0 and m["spread"] == 0
+
+
+def test_bench_record_outside_a_git_checkout(tmp_path):
+    # as in a ``git archive`` copy: git finds no repository, and the record
+    # says so with nulls instead of failing
+    out, empty = tmp_path / "BENCH.json", tmp_path / "no-git"
+    empty.mkdir()
+    proc = subprocess.run([sys.executable, str(TOOL), "--out", str(out),
+                           "--workload", "local_equivalence", "--repeats", "1",
+                           "--seconds", "0.2"], capture_output=True, text=True,
+                          timeout=300, env={**os.environ, "GIT_DIR": str(empty)})
+    assert proc.returncode == 0, proc.stderr
+    rec = json.loads(out.read_text())
+    assert rec["commit"] is None and rec["tree_differs"] is None and rec["ok"]

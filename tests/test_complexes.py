@@ -142,7 +142,7 @@ def test_tower_representative_is_not_a_boundary():
     c = iota_complex(("x", "y", "z"), (0, 1, 0), [[0, 1, 0], [0, 0, 0], [0, 0, 0]],
                      [[1, 0, 0], [0, 1, 0], [0, 0, 1]], tau=0)
     assert validate(c).ok
-    assert complexes._Side(c).tower() == 0b100
+    assert c._tower == 0b100
     assert locally_equivalent(c, trivial_complex())
     assert find_local_map(c, trivial_complex()).F == (0, 0, 1)
 
@@ -466,10 +466,9 @@ def test_below_masks_match_the_gradings():
             eb = complexes.Expanded(b.gradings, b.diff, N, a.tau)
             for degree in (-2, -1, 0, 1):
                 assert below(eb, oa, degree) == _mask_from_gradings(a, b, degree, N)
-        sa, sb = complexes._Side(a), complexes._Side(b)
         shift = int(b.tau - a.tau)
         for degree in (0, 1):
-            rows = [sa.at_or_below(t + shift - degree) for t in sb.offsets]
+            rows = [a._at_or_below(t + shift - degree) for t in b.offsets]
             assert (tuple(complexes._spread(rows, a.n, 1))
                     == _mask_from_gradings(a, b, degree, 10 ** 6))
 
@@ -736,6 +735,21 @@ def test_a_bool_grading_or_tau_is_refused():
         iota_complex(("x",), (True,), [[0]], [[1]])
 
 
+def test_iota_complex_keeps_integral_gradings_as_ints():
+    # gradings keep their exact type: read from raw input, an integral
+    # grading or tau is an int, as in trivial_complex, and so are the
+    # correction terms; a non-integral one stays a Fraction
+    c = iota_complex(("x",), (0,), [[0]], [[1]])
+    assert c == trivial_complex() and type(c.tau) is int
+    assert [type(t) for t in correction_terms(c)] == [int] * 3
+    for g, tau in ((Fraction(4, 2), None), ("2", "0"), (2, Fraction(0))):
+        c = iota_complex(("x",), (g,), [[0]], [[1]], tau=tau)
+        assert [type(x) for x in (c.tau, *c.gradings)] == [int, int]
+    c = iota_complex(("x", "y"), ("1/2", "3/2"), [[0, 0], [0, 0]], [[1, 0], [0, 1]])
+    assert c.tau == Fraction(1, 2) and type(c.tau) is Fraction
+    assert [type(g) for g in c.gradings] == [Fraction] * 2
+
+
 def test_grading_off_the_tau_coset_is_refused(monkeypatch):
     # A scan or probe on such a complex looks for a grading in tau + 2Z at or
     # below the generators and never finds one, so the check must come first.
@@ -896,6 +910,27 @@ def test_existence_solves_no_witness_and_a_witness_solves_once(monkeypatch):
     w = find_local_map(a, b)
     assert calls == [] and repr(w) == "LocalMapWitness(5 -> 45 generators, unsolved)"
     F, H = w.F, w.H
-    assert len(calls) == 1 and w._system is None  # the system is dropped
+    assert len(calls) == 1
     assert repr(w) == "LocalMapWitness(5 -> 45 generators, solved)"
     assert w.F is F and w.H is H and len(calls) == 1
+
+
+def test_local_equivalence_eliminates_each_tower_once(monkeypatch):
+    # each complex keeps its tower representative: one locally_equivalent
+    # builds two Echelons per complex, over its odd class's boundaries and
+    # its even class's cycles, not two per complex and direction, and a
+    # second call builds none
+    a = std(4, 0, 2, 2)
+    b = tensor(a, tensor(std(2, 0), dual(std(2, 0))))
+    built = []
+
+    class Counted(complexes.gf2.Echelon):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(self)
+            super().__init__(*args)
+
+    monkeypatch.setattr(complexes.gf2, "Echelon", Counted)
+    assert locally_equivalent(a, b) and len(built) == 4
+    assert locally_equivalent(a, b) and len(built) == 4

@@ -956,11 +956,10 @@ def _assert_gauge_fixing_keeps_the_verdict(a, b, monkeypatch) -> tuple[bool, int
     """find_local_map a -> b, whose gauge-fixed columns are recorded, against
     the full columns and the dict reference; returns (feasible, F unknowns
     dropped, H unknowns dropped)."""
-    sa, sb = complexes._Side(a), complexes._Side(b)
     shift = int(b.tau - a.tau)
     # the rows of F, H and the degree +2 gauge K, and of the slack
-    F, H, K = ([sa.at_or_below(t + shift - k) for t in sb.offsets] for k in range(3))
-    W = [sb.classes[1] >> i & 1 for i in range(b.n)]
+    F, H, K = ([a._at_or_below(t + shift - k) for t in b.offsets] for k in range(3))
+    W = [b._classes[1] >> i & 1 for i in range(b.n)]
     # the entries _gauge_entries selects are unknowns of their block
     for P, unknowns in ((complexes._gauge_entries(H, b.diff), F),
                         (complexes._gauge_entries(K, b.diff), H)):
@@ -990,8 +989,8 @@ def _assert_gauge_fixing_keeps_the_verdict(a, b, monkeypatch) -> tuple[bool, int
         assert len(e) == gone.bit_count()
         dropped.append(gone.bit_count())
     nn = a.n * b.n
-    cf, ch, cw = columns(a, b, sa.tower(), F, H, W)
-    full = gf2.solvable(cf + ch + cw, sb.tower() << nn)
+    cf, ch, cw = columns(a, b, a._tower, F, H, W)
+    full = gf2.solvable(cf + ch + cw, b._tower << nn)
     want = dict_find_local_map(a, b)
     assert (w is not None) == full == (want is not None)
     assert (None if w is None else (w.F, w.H)) == want

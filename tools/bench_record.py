@@ -8,7 +8,8 @@ speed claim quotes), one fresh ``perfbench/run.py --trace 0`` process at a
 time.  The last line of each run is its JSON result; the record keeps, per
 workload and end-to-end metric, every run's value, the median, the range
 (min, max) and the spread (max - min) / median.  It also records the
-commit and whether ``src/`` or ``perfbench/`` differ from it, the Python
+commit and whether ``src/`` or ``perfbench/`` differ from it (both null
+outside a git checkout, such as a ``git archive`` copy), the Python
 version, the CPU count, k, the seed and the budget per run.  The seed is
 fixed at ``SEED``, so two records are always comparable.
 
@@ -19,9 +20,12 @@ process: ``_local_map_columns`` and ``gf2.solvable`` inside
 admits among the ``local_equivalence`` pair complexes (165 -> 63
 generators, 5,724 unknowns, infeasible); ``validate`` on the
 165-generator complex; and, on the same complex, the two tower readings:
-``validate``'s ``_single_tower_check`` and the local-map search's
-``_Side(c).tower()``.  The inputs are built by ``perfbench/workloads.py``,
-imported from the checkout.
+``validate``'s ``_single_tower_check`` and the local-map search's tower
+representative, ``IotaComplex._tower`` (``side_tower_ms``), timed
+uncached through the cached property's ``func``.  A complex keeps its
+tower after the first read, so ``find_local_map_ms``, the fastest of its
+calls, holds no tower elimination.  The inputs are built by
+``perfbench/workloads.py``, imported from the checkout.
 
 Only the standard library is used, and nothing under ``perfbench/`` is
 edited.  A run that fails an op or exits non-zero makes the script exit 1
@@ -49,10 +53,11 @@ SEED = 11
 LAYER_CALLS = 9
 
 
-def git(*args: str) -> str:
-    """Output of a git command in the checkout."""
-    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
-                          text=True, check=True).stdout.strip()
+def git(*args: str) -> str | None:
+    """Output of a git command in the checkout, or None where it fails, as
+    outside a git checkout."""
+    proc = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else None
 
 
 def run_once(workload: str, seconds: float) -> dict:
@@ -145,7 +150,7 @@ def layer_timings(repeats: int) -> dict:
         for _ in range(LAYER_CALLS):
             timed(times["single_tower_check_ms"], complexes._single_tower_check)(big)
         for _ in range(LAYER_CALLS):
-            timed(times["side_tower_ms"], lambda c: complexes._Side(c).tower())(big)
+            timed(times["side_tower_ms"], complexes.IotaComplex._tower.func)(big)
         runs.append({"metrics": {name: {"unit": "ms", "value": min(values)}
                                  for name, values in times.items()}})
     metrics = summarize(runs)
@@ -162,9 +167,11 @@ def layer_timings(repeats: int) -> dict:
 
 
 def record(workloads, repeats: int, seconds: float) -> dict:
+    commit = git("rev-parse", "HEAD")
+    status = commit and git("status", "--porcelain", "--", "src", "perfbench")
     out = {
-        "commit": git("rev-parse", "HEAD"),
-        "tree_differs": bool(git("status", "--porcelain", "--", "src", "perfbench")),
+        "commit": commit,
+        "tree_differs": None if status is None else bool(status),
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
         "k": repeats,
