@@ -252,9 +252,9 @@ class IotaComplex:
     What the local-map search and ``validate`` read off a complex is derived
     on first read and then kept, so a complex that takes part in several
     searches pays for it once, and one that is only an intermediate
-    product pays nothing: the per-parity index behind ``_at_or_below`` and
-    ``_classes``, and the deep tower representative ``_tower``.  They take
-    no part in ==, hash or repr.
+    product pays nothing: the per-parity index behind ``_at_or_below``, the
+    parity classes ``_classes`` and the deep tower representative
+    ``_tower``.  They take no part in ==, hash or repr.
     """
 
     labels: tuple[str, ...]
@@ -302,8 +302,13 @@ class IotaComplex:
 
     @cached_property
     def _classes(self) -> tuple[int, int]:
-        """The masks of the generators at even and at odd offsets."""
-        return tuple(prefix[-1] for prefix in self._index[1])
+        """The masks of the generators at even and at odd offsets, from one
+        pass over the offsets, so ``validate``'s tower check, which reads
+        only these, builds no ``_index``."""
+        classes = [0, 0]
+        for i, t in enumerate(self.offsets):
+            classes[t % 2] |= 1 << i
+        return tuple(classes)
 
     @cached_property
     def _tower(self) -> int:

@@ -32,8 +32,9 @@ def test_bench_record_writes_every_key(tmp_path):
     assert w["ok"] and w["failed"] == [0] and w["attempted"][0] > 0
     assert set(w["metrics"]) == {"setup_s", "ops_per_s", "op_p50_ms", "peak_rss_mb"}
     layers = rec["layers"]
-    assert set(layers) == {"local_map", "validate", "towers"}
+    assert set(layers) == {"local_map", "validate", "towers", "class_complex"}
     local_map, validate, towers = layers["local_map"], layers["validate"], layers["towers"]
+    class_complex = layers["class_complex"]
     assert local_map["generators"] == [165, 63] and local_map["unknowns"] == 5724
     assert local_map["feasible"] is False
     assert set(local_map["metrics"]) == {"local_map_columns_ms", "gf2_solvable_ms",
@@ -41,8 +42,12 @@ def test_bench_record_writes_every_key(tmp_path):
     assert validate["generators"] == 165 and set(validate["metrics"]) == {"validate_ms"}
     assert towers["generators"] == 165
     assert set(towers["metrics"]) == {"single_tower_check_ms", "side_tower_ms"}
+    assert class_complex["class"] == "5*Y(1) - Y(2) + I[-2]"
+    assert class_complex["generators"] == 729
+    assert set(class_complex["metrics"]) == {"class_complex_cold_ms", "class_complex_warm_ms"}
     for m in [*w["metrics"].values(), *local_map["metrics"].values(),
-              *validate["metrics"].values(), *towers["metrics"].values()]:
+              *validate["metrics"].values(), *towers["metrics"].values(),
+              *class_complex["metrics"].values()]:
         assert set(m) == {"unit", "values", "median", "range", "spread"}
         assert len(m["values"]) == 1 and m["range"] == [m["median"]] * 2
         assert m["median"] > 0 and m["spread"] == 0

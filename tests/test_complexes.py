@@ -397,6 +397,17 @@ def test_validate_pins_every_check_of_each_outcome():
         assert validate(c).checks == checks
 
 
+def test_validate_of_a_new_complex_builds_no_parity_index():
+    # the tower check reads only the parity classes; the index behind
+    # _at_or_below belongs to the local-map search and the homotopy solve
+    for c, checks in _one_complex_per_validate_outcome():
+        if checks[2][2] == "iota^2 = id exactly":
+            assert validate(c).checks == checks
+            assert "_index" not in vars(c)
+    for c in _involutive_complexes():
+        assert validate(c).ok and "_index" not in vars(c)
+
+
 def test_correction_terms_builds_no_mapping_cone(monkeypatch):
     # the exact pass eliminates the cone's columns without a model of the
     # cone; the reference scans build one (and one of C), so they run

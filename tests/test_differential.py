@@ -92,7 +92,7 @@ from dense_reference import (below, ceiling_tau_deltas, compress_list,
                              restart_simplify_weak, slice_d_lower_offset,
                              slice_d_upper_offset, tau_closed_form,
                              truncated_correction_terms)
-from hfi import complexes, cterms, gf2
+from hfi import complexes, cterms, gf2, report
 from hfi.brieskorn import (BrieskornParams, _compress_to_profile,
                            _k_squared_plus_s, _semigroup_deltas, brieskorn_root,
                            negative_continued_fraction, seifert_invariants,
@@ -578,6 +578,38 @@ def test_right_fold_class_complex_matches_the_left_fold():
         levels = complexes._levels(c.offsets)
         assert complexes._cone_levels(*levels, c.n) == \
             complexes._levels(cone_complex(c).offsets), a
+
+
+def test_kept_factors_give_the_left_fold_after_eviction():
+    # class i takes index i and one of the four before it, one or two units
+    # each with a drawn sign: indices come back with both signs, so kept
+    # factors are read back, and the 300 classes use more (i, sign) pairs
+    # than the cache keeps, so some are evicted; the first 20 classes run
+    # again at the end, when their factors have been evicted and are rebuilt
+    report._factor.cache_clear()
+    rng = random.Random(20170643)
+    classes = []
+    for i in range(1, 301):
+        coeffs = {j: rng.choice((-1, 1)) * rng.randint(1, 2)
+                  for j in {i, rng.randint(max(1, i - 4), i)}}
+        classes.append(LocalClass(coeffs.items(), rng.choice((0, 2, -2, Fraction(1, 2)))))
+    used = {(i, c < 0) for a in classes for i, c in a.coeffs}
+    assert len(used) > report._KEPT_FACTORS and any((i, not d) in used for i, d in used)
+    for a in classes + classes[:20]:
+        c, want = class_complex(a), left_fold_class_complex(a)
+        for field in dataclasses.fields(c):
+            assert getattr(c, field.name) == getattr(want, field.name), (a, field.name)
+        assert type(c.tau) is type(want.tau), a
+    info = report._factor.cache_info()
+    assert info.hits > 0 and info.misses > info.maxsize == info.currsize
+
+
+def test_a_class_complex_is_never_a_kept_factor():
+    first, second = class_complex(Y(1)), class_complex(Y(1))
+    assert first == second and first is not second
+    assert all(c is not report._factor(1, dual)
+               for c in (first, second) for dual in (False, True))
+    assert class_complex(I(2)) == complexes.trivial_complex(-2)
 
 
 def test_class_equality_is_local_equivalence():

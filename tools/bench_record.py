@@ -25,7 +25,10 @@ representative, ``IotaComplex._tower`` (``side_tower_ms``), timed
 uncached through the cached property's ``func``.  A complex keeps its
 tower after the first read, so ``find_local_map_ms``, the fastest of its
 calls, holds no tower elimination.  The inputs are built by
-``perfbench/workloads.py``, imported from the checkout.
+``perfbench/workloads.py``, imported from the checkout.  Last,
+``report.class_complex`` on the 729-generator class ``CLASS``: cold, with
+the kept factors cleared (``report._factor.cache_clear()``) before each
+call, and warm, with them kept.
 
 Only the standard library is used, and nothing under ``perfbench/`` is
 edited.  A run that fails an op or exits non-zero makes the script exit 1
@@ -51,6 +54,7 @@ RUNNER = ROOT / "perfbench" / "run.py"
 WORKLOADS = ("sigma_sweep", "oracle_cross_check", "local_equivalence")
 SEED = 11
 LAYER_CALLS = 9
+CLASS = "5*Y(1) - Y(2) + I[-2]"
 
 
 def git(*args: str) -> str | None:
@@ -107,7 +111,7 @@ def layer_timings(repeats: int) -> dict:
     the end-to-end metrics."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import workloads
-    from hfi import complexes
+    from hfi import complexes, report
 
     def unknowns(a, b) -> int:
         """The unknown count of find_local_map(a, b), read off the
@@ -129,9 +133,11 @@ def layer_timings(repeats: int) -> dict:
     count, a, b = max((s for s in systems if s[0] <= complexes.MAX_LOCAL_MAP_UNKNOWNS),
                       key=lambda s: s[0])
 
+    cls = report.evaluate_text(CLASS).total
     times = {name: [] for name in ("local_map_columns_ms", "gf2_solvable_ms",
                                    "find_local_map_ms", "validate_ms",
-                                   "single_tower_check_ms", "side_tower_ms")}
+                                   "single_tower_check_ms", "side_tower_ms",
+                                   "class_complex_cold_ms", "class_complex_warm_ms")}
     columns, solvable = complexes._local_map_columns, complexes.gf2.solvable
     runs = []
     for _ in range(repeats):
@@ -151,6 +157,11 @@ def layer_timings(repeats: int) -> dict:
             timed(times["single_tower_check_ms"], complexes._single_tower_check)(big)
         for _ in range(LAYER_CALLS):
             timed(times["side_tower_ms"], complexes.IotaComplex._tower.func)(big)
+        for _ in range(LAYER_CALLS):
+            report._factor.cache_clear()
+            generators = timed(times["class_complex_cold_ms"], report.class_complex)(cls).n
+        for _ in range(LAYER_CALLS):
+            timed(times["class_complex_warm_ms"], report.class_complex)(cls)
         runs.append({"metrics": {name: {"unit": "ms", "value": min(values)}
                                  for name, values in times.items()}})
     metrics = summarize(runs)
@@ -163,6 +174,9 @@ def layer_timings(repeats: int) -> dict:
         "towers": {"generators": big.n,
                    "metrics": {name: metrics[name] for name in
                                ("single_tower_check_ms", "side_tower_ms")}},
+        "class_complex": {"class": CLASS, "generators": generators,
+                          "metrics": {name: metrics[name] for name in
+                                      ("class_complex_cold_ms", "class_complex_warm_ms")}},
     }
 
 
