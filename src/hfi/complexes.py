@@ -253,8 +253,9 @@ class IotaComplex:
     on first read and then kept, so a complex that takes part in several
     searches pays for it once, and one that is only an intermediate
     product pays nothing: the per-parity index behind ``_at_or_below``, the
-    parity classes ``_classes`` and the deep tower representative
-    ``_tower``.  They take no part in ==, hash or repr.
+    parity classes ``_classes``, the deep tower representative ``_tower``
+    and the four checks of ``validate``, ``_diagnostics``.  They take no
+    part in ==, hash or repr.
     """
 
     labels: tuple[str, ...]
@@ -332,6 +333,55 @@ class IotaComplex:
                 return z
             even ^= low
         raise _refusal(self, "missing deep tower class")
+
+    @cached_property
+    def _diagnostics(self) -> Diagnostics:
+        """The four checks that ``validate`` returns, run on first read and
+        kept; a SearchSizeError from the iota^2 homotopy is raised, not
+        kept, so it is raised again on each read.
+
+        iota^2 ~ id asks for a degree +1 map H with dH + Hd = iota^2 + id.
+        When iota^2 + id is itself 0, H = 0 solves that system and the check
+        passes as "iota^2 = id exactly" without a solve.  This is the usual
+        case: iota on the standard complex of a symmetric graded root
+        reflects the root, and tensor products and duals keep iota^2 = id.
+        Otherwise ``solve_homotopy`` looks for H.
+
+        The four products dd, iota d, d iota and iota iota come from two
+        ``mat_mul`` calls, which read the bits of d and of iota once each:
+        the stacked map with column j = d x_j + (iota x_j shifted up by n
+        rows), times d and times iota, holds dd and d iota on rows 0..n-1
+        and iota d and iota iota above.  On the 122 complexes of the
+        benchmark's ``local_equivalence`` pairs the three algebra checks
+        take 4.3 ms, and 5.3 ms with four products and three map sums (best
+        of 7, CPython 3.11, shared 2-core x86-64 machine).
+        """
+        checks = []
+        n, low = self.n, (1 << self.n) - 1
+        stack = tuple(dc | ic << n for dc, ic in zip(self.diff, self.iota))
+        sd, si = mat_mul(stack, self.diff), mat_mul(stack, self.iota)
+
+        j = next((j for j, col in enumerate(sd) if col & low), None)
+        checks.append(("d^2 = 0", j is None,
+                       "ok" if j is None else f"d(d({self.labels[j]})) != 0"))
+
+        commutes = not any((x >> n) ^ (y & low) for x, y in zip(sd, si))
+        checks.append(("iota chain map", commutes,
+                       "ok" if commutes else "iota d != d iota"))
+
+        square_plus_id = tuple((col >> n) ^ (1 << j) for j, col in enumerate(si))
+        if not any(square_plus_id):
+            # every equation dH + Hd = iota^2 + id is homogeneous
+            checks.append(("iota^2 ~ id", True, "iota^2 = id exactly"))
+        else:
+            H = solve_homotopy(self, self, square_plus_id)
+            checks.append(("iota^2 ~ id", H is not None,
+                           "homotopy found" if H is not None else
+                           "no homotopy H with dH + Hd = iota^2 + id"))
+
+        tower_ok, detail = _single_tower_check(self)
+        checks.append(("single U-inverted tower", tower_ok, detail))
+        return Diagnostics(tuple(checks))
 
 
 def _require_complex(*cs) -> None:
@@ -520,66 +570,29 @@ class Diagnostics:
 
 
 def validate(c: IotaComplex) -> Diagnostics:
-    """Four diagnostics of the algebra: d^2 = 0, iota a chain map, iota^2 ~ id
-    and a single U-inverted tower.  The constructors refuse bad gradings
-    and map degrees, so those need no check.
+    """Four diagnostics of the algebra, in this order: d^2 = 0, iota a chain
+    map, iota^2 ~ id and a single U-inverted tower.  The constructors
+    refuse bad gradings and map degrees, so those need no check.
 
-    iota^2 ~ id asks for a degree +1 map H with dH + Hd = iota^2 + id.  When
-    iota^2 + id is itself 0, H = 0 solves that system and the check passes
-    as "iota^2 = id exactly" without a solve.  This is the usual case: iota
-    on the standard complex of a symmetric graded root reflects the root,
-    and tensor products and duals keep iota^2 = id.  Otherwise
-    ``solve_homotopy`` looks for H, and its SearchSizeError on a system
-    over the budget comes through.
-
-    The four products dd, iota d, d iota and iota iota come from two
-    ``mat_mul`` calls, which read the bits of d and of iota once each: the
-    stacked map with column j = d x_j + (iota x_j shifted up by n rows),
-    times d and times iota, holds dd and d iota on rows 0..n-1 and iota d
-    and iota iota above.  On the 122 complexes of the benchmark's
-    ``local_equivalence`` pairs the three algebra checks take 4.3 ms, and
-    5.3 ms with four products and three map sums (best of 7, CPython 3.11,
-    shared 2-core x86-64 machine).
+    Returns the complex's kept, frozen ``Diagnostics``
+    (``IotaComplex._diagnostics``): the checks run once per complex, on the
+    first ``validate`` or local-map search that reads them.  A
+    SearchSizeError of the iota^2 homotopy solve comes through.
 
     The checks test whole columns and build no truncated model; the
     module docstring's "Truncation" bullet says why they agree with the
     truncated checks.
     """
     _require_complex(c)
-    checks = []
-    n, low = c.n, (1 << c.n) - 1
-    stack = tuple(dc | ic << n for dc, ic in zip(c.diff, c.iota))
-    sd, si = mat_mul(stack, c.diff), mat_mul(stack, c.iota)
-
-    j = next((j for j, col in enumerate(sd) if col & low), None)
-    checks.append(("d^2 = 0", j is None,
-                   "ok" if j is None else f"d(d({c.labels[j]})) != 0"))
-
-    commutes = not any((x >> n) ^ (y & low) for x, y in zip(sd, si))
-    checks.append(("iota chain map", commutes,
-                   "ok" if commutes else "iota d != d iota"))
-
-    square_plus_id = tuple((col >> n) ^ (1 << j) for j, col in enumerate(si))
-    if not any(square_plus_id):
-        # every equation dH + Hd = iota^2 + id is homogeneous
-        checks.append(("iota^2 ~ id", True, "iota^2 = id exactly"))
-    else:
-        H = solve_homotopy(c, c, square_plus_id)
-        checks.append(("iota^2 ~ id", H is not None,
-                       "homotopy found" if H is not None else
-                       "no homotopy H with dH + Hd = iota^2 + id"))
-
-    tower_ok, detail = _single_tower_check(c)
-    checks.append(("single U-inverted tower", tower_ok, detail))
-    return Diagnostics(tuple(checks))
+    return c._diagnostics
 
 
 def _refusal(c: IotaComplex, bug: str) -> Exception:
-    """The error for a tower computation that failed on c: a ValueError
-    naming the first failed ``validate`` check and its detail, or, if c
-    passes every check, RuntimeError(bug), since then the failure is a bug.
-    Only the failure path runs ``validate``."""
-    failed = validate(c).failed()
+    """The error for a computation that failed, or may not run, on c: a
+    ValueError naming the first failed ``validate`` check and its detail,
+    or, if c passes every check, RuntimeError(bug), since then the failure
+    is a bug.  It reads the complex's kept checks."""
+    failed = c._diagnostics.failed()
     if not failed:
         return RuntimeError(bug)
     name, detail = failed[0]
@@ -736,13 +749,18 @@ def homology_ranks(c: IotaComplex, window) -> dict[Grading, int]:
     by the gradings as read by ``localclass.rational`` (a zero denominator
     or a grading off tau + Z is a ValueError).
 
-    ``c`` is an IotaComplex, whose ``iota`` is not read; no model is built.
-    The chain group C_t at offset t is that of L on the generators at
-    offsets >= t of t's parity ("Correction terms without truncation"), so
-    dim H_t = |C_t| - rank d(C_t) - rank d(C_{t+1}) is read off the first
-    level of ``_eliminate`` at or above t: none of t + 1's parity sits at t.
+    ``c`` is an IotaComplex, whose ``iota`` and tower are not read; no
+    model is built.  The chain group C_t at offset t is that of L on the
+    generators at offsets >= t of t's parity ("Correction terms without
+    truncation"), so dim H_t = |C_t| - rank d(C_t) - rank d(C_{t+1}) is read
+    off the first level of ``_eliminate`` at or above t: none of t + 1's
+    parity sits at t.  That needs d^2 = 0, checked first by one
+    ``mat_mul``: a complex with d^2 != 0 has no homology, and is refused
+    with the ValueError of ``_refusal``, which names "d^2 = 0".
     """
     _require_complex(c)
+    if any(mat_mul(c.diff, c.diff)):
+        raise _refusal(c, "d^2 != 0, but validate's d^2 check passes")
     grades, masks = _levels(c.offsets)
     sizes, ranks, _ = _eliminate(grades, masks, c.diff)
     gradings = [rational(g) for g in window]
@@ -909,11 +927,12 @@ def _kron_columns(rows: list[int], L, S, n: int) -> list[int]:
     return out
 
 
-def _rows(a: IotaComplex, b: IotaComplex, shift: int, k: int) -> list[int]:
+def _rows(a: IotaComplex, b: IotaComplex, k: int) -> list[int]:
     """Per generator x_i of b, the mask of the x_j of a that a degree-k map
     a -> b may send to x_i: those at offsets off_b(i) + shift - k, - 2, ...
-    from a.tau, where shift = b.tau - a.tau, by one bisect per distinct
-    offset of b."""
+    from a.tau, where shift = b.tau - a.tau, an integer (each caller checks
+    it), by one bisect per distinct offset of b."""
+    shift = int(b.tau - a.tau)  # b's offsets from a.tau are its own plus shift
     masks = {t: a._at_or_below(t + shift - k) for grades in b._index[0] for t in grades}
     return [masks[t] for t in b.offsets]
 
@@ -937,18 +956,20 @@ def _gauge_entries(rows: list[int], diff: Map) -> list[int]:
 
 
 def _local_map_columns(a: IotaComplex, b: IotaComplex, za: int,
-                       F: list[int], H: list[int], W: list[int]):
-    """The columns of the F, H and slack unknowns that the rows F, H and W
-    mask, as three lists, in the one-block layout of ``find_local_map``:
-    the d- and iota-equations share bits 0..n_a.n_b - 1, and the pin is
-    row n_a.n_b + i."""
+                       F: list[int], H: list[int]):
+    """The columns of the F and H unknowns that the rows F and H mask, and
+    of the slack unknowns, as three lists, in the one-block layout of
+    ``find_local_map``: the d- and iota-equations share bits
+    0..n_a.n_b - 1, and the pin is row n_a.n_b + i.  The slack w is a chain
+    of b's odd class, one unknown per odd generator x_i, ascending, whose
+    column is d_b x_i in the pin's rows."""
     n, nn = b.n, a.n * b.n
     Sd = _spread(a.diff, a.n, n)
     Sf = [sd | si | (za >> j & 1) << nn
           for j, (sd, si) in enumerate(zip(Sd, _spread(a.iota, a.n, n)))]
     return (_kron_columns(F, [d | i for d, i in zip(b.diff, b.iota)], Sf, n),
             _kron_columns(H, b.diff, Sd, n),
-            _kron_columns(W, [d << nn for d in b.diff], (0,), n))
+            [d << nn for d, t in zip(b.diff, b.offsets) if t % 2])
 
 
 def _solve(cols: list[int], rhs: int,
@@ -983,11 +1004,6 @@ def _solve(cols: list[int], rhs: int,
     return maps
 
 
-def _vec(m: Map, n: int) -> int:
-    """vec m of a map into n generators: column j of m at bit j.n."""
-    return sum(col << j * n for j, col in enumerate(m))
-
-
 def solve_homotopy(a: IotaComplex, b: IotaComplex, rhs: Map) -> Map | None:
     """Solve d_b H + H d_a = rhs for a degree +1 map H: a -> b, exactly.
 
@@ -1006,16 +1022,16 @@ def solve_homotopy(a: IotaComplex, b: IotaComplex, rhs: Map) -> Map | None:
     if len(rhs) != a.n or any(col >> b.n for col in rhs):
         raise ValueError(f"rhs is not a map from the {a.n} generators of a "
                          f"to the {b.n} of b")
-    # b's offsets from a.tau are its own plus shift; a first grading of b
-    # outside a.tau + Z is refused by name
-    shift = _offsets(b.gradings[:1], a.tau)[0] - b.offsets[0]
-    rows = _rows(a, b, shift, 1)
+    # a first grading of b outside a.tau + Z is refused by name
+    _offsets((b.tau + b.offsets[0],), a.tau)
+    rows = _rows(a, b, 1)
     nh = sum(row.bit_count() for row in rows)
     if nh > MAX_LOCAL_MAP_UNKNOWNS:
         raise SearchSizeError(f"homotopy system too large: {nh} H-vars "
                               f"(limit {MAX_LOCAL_MAP_UNKNOWNS})")
     cols = _kron_columns(rows, b.diff, _spread(a.diff, a.n, b.n), b.n)
-    sol = _solve(cols, _vec(rhs, b.n), [(rows, a.n)])
+    # vec rhs: column j at bit j.n_b
+    sol = _solve(cols, sum(col << j * b.n for j, col in enumerate(rhs)), [(rows, a.n)])
     return None if sol is None else sol[0]
 
 
@@ -1029,14 +1045,16 @@ class LocalMapWitness:
     system: every F, H and slack unknown, with no gauge fixing, in the order
     F, H, slack.  So the witness is the one the system without gauge fixing
     gives.  Until then it holds only the two complexes.  When it solves, it
-    builds the unknowns' rows, the slack and the columns from them and
-    reads their kept tower representatives; then it keeps the two maps.
+    builds the unknowns' rows and the columns from them, reads their kept
+    tower representatives and reads back only the F and H blocks of the
+    solution (the slack's unknowns come last); then it keeps the two maps.
     On the largest feasible system of the benchmark's pairs (35 -> 165
     generators, 4,705 unknowns) an unread witness holds 88 bytes under
     ``tracemalloc`` (4.7 KB when it held the row masks and the tower
     representatives, 6.5 MB when it held the columns) and a read one
-    2.3 KB; the 165-generator complex keeps its index and tower
-    representative in 2.6 KB.
+    2.3 KB; the 165-generator complex keeps its index, parity classes,
+    tower representative and ``validate`` checks in 3.3 KB (2.6 KB without
+    the checks).
     """
 
     def __init__(self, source: IotaComplex, target: IotaComplex):
@@ -1049,12 +1067,9 @@ class LocalMapWitness:
     @cached_property
     def _maps(self) -> tuple[Map, Map]:
         a, b = self.source, self.target
-        F, H = (_rows(a, b, int(b.tau - a.tau), k) for k in (0, 1))
-        W = [b._classes[1] >> i & 1 for i in range(b.n)]
-        cf, ch, cw = _local_map_columns(a, b, a._tower, F, H, W)
-        F, H, _ = _solve(cf + ch + cw, b._tower << a.n * b.n,
-                         [(F, a.n), (H, a.n), (W, 1)])
-        return F, H
+        F, H = (_rows(a, b, k) for k in (0, 1))
+        cf, ch, cw = _local_map_columns(a, b, a._tower, F, H)
+        return tuple(_solve(cf + ch + cw, b._tower << a.n * b.n, [(F, a.n), (H, a.n)]))
 
     @property
     def F(self) -> Map:
@@ -1078,6 +1093,12 @@ def find_local_map(a: IotaComplex, b: IotaComplex) -> LocalMapWitness | None:
     inside a ``LocalMapWitness``, which solves F and H from the full system
     only when one of them is read.
 
+    Local maps join iota-complexes only, so both complexes must pass
+    ``validate``.  After the budget check, and before either tower is read,
+    the search reads each complex's kept checks (``IotaComplex._diagnostics``,
+    run once per complex) and refuses a complex that fails one with the
+    ValueError of ``_refusal``, which names its first failed check.
+
     The search is exact: it builds no truncated model and reads no N.  With
     offsets from a.tau, the unknown F[i, j] (H[i, j]) is there when x_i of b
     is at an offset >= off_a(j) (off_a(j) + 1) of the same parity.  The
@@ -1099,8 +1120,8 @@ def find_local_map(a: IotaComplex, b: IotaComplex) -> LocalMapWitness | None:
     them feasibility and the solution, do not change.  Each unknown's
     column is one ``_kron_columns`` entry, with no mask.
 
-    Gauge fixing.  Precondition: d^2 = 0 and d iota = iota d on a and on b,
-    the first two checks of ``validate`` (the search does not repeat them).
+    Gauge fixing.  The refusal above guarantees d^2 = 0 and
+    d iota = iota d on a and on b, the first two checks of ``validate``.
     Then a solution (F, H, w) stays one under two moves:
 
     - F -> F + dH' + H'd, H -> H + iota H' + H' iota, w -> w + H' z_a, for
@@ -1133,43 +1154,43 @@ def find_local_map(a: IotaComplex, b: IotaComplex) -> LocalMapWitness | None:
     the full system.  A system with more than MAX_LOCAL_MAP_UNKNOWNS
     unknowns, counting every F, H and slack unknown, raises
     SearchSizeError, a ValueError, from the mask counts, before any
-    elimination.  Every unknown's column is an int of up to n_a.n_b + n_b
-    bits, however few terms it has, so the columns and their echelon basis
-    dominate the memory.  At the budget (CPython 3.11, shared 2-core x86-64
-    machine, min CPU time of 9 calls in each of three processes): the
-    largest system the budget admits among the benchmark's pair complexes,
-    165 -> 63 generators with 5,724 unknowns (infeasible, so existence
-    alone), takes 6.0-6.4 ms and peaks at 5.5 MB under ``tracemalloc``
-    (before gauge fixing and the one block: 23-25 ms and 17.2 MB; the
-    truncated search: 28-35 ms, 7.4 MB); the largest feasible one, 35 -> 165
-    with 4,705 unknowns, takes 3.6-3.9 ms and 2.7 MB for existence alone
-    (before: 9.0-9.3 ms, 7.8 MB), and 12-15 ms and 4.5 MB with the witness
-    read (before: 17-28 ms, 8.2 MB; the truncated search: 25-27 ms,
-    5.1 MB).
+    elimination and before the refusal.  Every unknown's column is an int
+    of up to n_a.n_b + n_b bits, however few terms it has, so the columns
+    and their echelon basis dominate the memory.  At the budget (CPython
+    3.11, shared 2-core x86-64 machine, min CPU time of 9 calls in each of
+    three processes): the largest system the budget admits among the
+    benchmark's pair complexes, 165 -> 63 generators with 5,724 unknowns
+    (infeasible, so existence alone), takes 6.0-6.4 ms and peaks at 5.5 MB
+    under ``tracemalloc`` (before gauge fixing and the one block: 23-25 ms
+    and 17.2 MB; the truncated search: 28-35 ms, 7.4 MB); the largest
+    feasible one, 35 -> 165 with 4,705 unknowns, takes 3.6-3.9 ms and
+    2.7 MB for existence alone (before: 9.0-9.3 ms, 7.8 MB), and 12-15 ms
+    and 4.5 MB with the witness read (before: 17-28 ms, 8.2 MB; the
+    truncated search: 25-27 ms, 5.1 MB).
     """
     _require_complex(a, b)
     if ((a.tau - b.tau).denominator != 1) or int(a.tau - b.tau) % 2 != 0:
         raise ValueError(f"tower cosets differ: tau={a.tau} vs {b.tau}")
-    shift = int(b.tau - a.tau)  # b's offsets from a.tau are its own plus shift
     # the unknowns, by rows: F[i], H[i] and K[i] mask the x_j of a that F,
     # H and the degree +2 K may send to x_i of b
-    F, H, K = (_rows(a, b, shift, k) for k in (0, 1, 2))
-    W = [b._classes[1] >> i & 1 for i in range(b.n)]  # the slack w, one column
+    F, H, K = (_rows(a, b, k) for k in (0, 1, 2))
     nf, nh = (sum(row.bit_count() for row in X) for X in (F, H))
-    w_dim = b._classes[1].bit_count()
+    w_dim = b._classes[1].bit_count()  # the slack w, a chain of b's odd class
     if (nf + nh + w_dim) > MAX_LOCAL_MAP_UNKNOWNS:
         raise SearchSizeError(
             f"local-map system too large: {nf} F-vars, "
             f"{nh} H-vars, {w_dim} slack vars (limit {MAX_LOCAL_MAP_UNKNOWNS})")
-    za, zb = a._tower, b._tower
+    for c in (a, b):  # local maps join iota-complexes only
+        if not c._diagnostics.ok:
+            raise _refusal(c, "validate is not ok but names no failed check")
 
     # gauge fixing: the F entries that a change of H' reaches first, and
     # the H entries that a change of K (degree +2) reaches first
     pf = _gauge_entries(H, b.diff)
     ph = _gauge_entries(K, b.diff)
-    cf, ch, cw = _local_map_columns(a, b, za, [r & ~p for r, p in zip(F, pf)],
-                                    [r & ~p for r, p in zip(H, ph)], W)
-    if not gf2.solvable(cf + cw + ch, zb << a.n * b.n):
+    cf, ch, cw = _local_map_columns(a, b, a._tower, [r & ~p for r, p in zip(F, pf)],
+                                    [r & ~p for r, p in zip(H, ph)])
+    if not gf2.solvable(cf + cw + ch, b._tower << a.n * b.n):
         return None
     return LocalMapWitness(a, b)
 
@@ -1181,10 +1202,10 @@ def locally_equivalent(a: IotaComplex, b: IotaComplex) -> bool:
     reads no witness, so it solves none: each direction is one tag-free
     elimination (``gf2.solvable``) and no ``_solve`` runs.
 
-    Precondition, that of ``find_local_map``'s gauge fixing: d^2 = 0 and
-    d iota = iota d on a and on b, the first two checks of ``validate``,
-    which neither function repeats.  On a complex that breaks them the
-    answer can be False where local maps exist.
+    It inherits ``find_local_map``'s refusal: a complex that fails a
+    ``validate`` check raises the ValueError that names its first failed
+    check.  Each complex keeps its checks, so a later ``validate`` of a or
+    b reads them and runs none.
     """
     return (find_local_map(a, b) is not None
             and find_local_map(b, a) is not None)

@@ -143,10 +143,12 @@ def correction_terms(a: LocalClass) -> tuple[int | Fraction, ...]:
 
 
 def stabilized_terms(a: LocalClass, k: int) -> tuple[int | Fraction, ...]:
-    """Correction terms of the k-fold sum of a.  A k-fold sum heavier than
-    MAX_CLASS_WEIGHT raises ClassWeightError naming k and the weight of a."""
-    if k <= 0:
-        raise ValueError("k must be positive")
+    """Correction terms of the k-fold sum of a.  A k that is not a positive
+    int (a bool is not an int) raises ValueError naming it.  A k-fold sum
+    heavier than MAX_CLASS_WEIGHT raises ClassWeightError naming k and the
+    weight of a."""
+    if type(k) is not int or k <= 0:
+        raise ValueError(f"k must be a positive int, got {k!r}")
     weight = _weight(a)
     if k > 1 and k * weight > MAX_CLASS_WEIGHT:
         raise ClassWeightError(
@@ -170,10 +172,13 @@ def asymptotic_check(a: LocalClass, persist: int = 20) -> AsymptoticReport:
     For s_1 > t_1 the stabilized forms are d-bar = k d and
     d-under = k d - 2 s_1; for t_1 > s_1 they are d-bar = k d + 2 t_1 and
     d-under = k d.  The least k where the forms hold is located and the forms
-    are verified up to threshold + ``persist``.  The first k-fold sum it
-    needs that is heavier than MAX_CLASS_WEIGHT raises ClassWeightError
-    naming k (``stabilized_terms``).
+    are verified up to threshold + ``persist``; a ``persist`` that is not a
+    non-negative int (a bool is not an int) raises ValueError naming it.
+    The first k-fold sum it needs that is heavier than MAX_CLASS_WEIGHT
+    raises ClassWeightError naming k (``stabilized_terms``).
     """
+    if type(persist) is not int or persist < 0:
+        raise ValueError(f"persist must be a non-negative int, got {persist!r}")
     st = STProfile.of_class(a)
     d = d_invariant(a)
     s1 = st.s[0] if st.s else None
@@ -214,9 +219,12 @@ def realization_family(M: int, N: int, d, mu_bar_target, k: int = 0) -> LocalCla
     Built as Y_a - Y_b - Y_c - n Y_1 (a = M+2N+k, b = M+N+k, c = M+N) when the
     shift-adjusted d is at most -2M, and as the companion ansatz with +2 Y_1
     otherwise; the N = 0 case is realized by negating an (0, M) family.
+    M, N and k must be non-negative ints (a bool is not an int); a ValueError
+    names the first that is not.
     """
-    if M < 0 or N < 0:
-        raise ValueError("M and N must be non-negative")
+    for name, v in (("M", M), ("N", N)):
+        if type(v) is not int or v < 0:
+            raise ValueError(f"M and N must be non-negative ints, got {name} = {v!r}")
     if M == 0 and N == 0:
         raise ValueError("d-bar = d = d-under admits only the trivial class; "
                          "need M, N not both zero")
@@ -224,8 +232,8 @@ def realization_family(M: int, N: int, d, mu_bar_target, k: int = 0) -> LocalCla
     mu = rational(mu_bar_target)
     if (d / 2).denominator != 1 or mu.denominator != 1:
         raise ValueError("need an even integer d and an integer mu-bar")
-    if k < 0:
-        raise ValueError("k must be non-negative")
+    if type(k) is not int or k < 0:
+        raise ValueError(f"k must be non-negative and an int, got {k!r}")
     if N == 0:
         return -realization_family(0, M, -d, -mu, k)
     shift = 2 * mu

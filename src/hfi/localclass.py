@@ -86,7 +86,7 @@ class LocalClass:
         return self + (-other)
 
     def __rmul__(self, k: int) -> "LocalClass":
-        if not isinstance(k, int):
+        if type(k) is not int:  # a bool is not an int
             return NotImplemented
         return LocalClass(tuple((i, k * c) for i, c in self.coeffs), k * self.shift)
 

@@ -120,7 +120,12 @@ def is_negative_definite(g: PlumbingGraph) -> bool:
 
 
 def chi(g: PlumbingGraph, x: list[int]) -> int:
-    """chi(x) = -( <x, x> + <K, x> ) / 2, an integer since K is characteristic."""
+    """chi(x) = -( <x, x> + <K, x> ) / 2, an integer since K is characteristic.
+
+    x holds one multiplicity per vertex; a cycle of another length raises
+    ValueError."""
+    if len(x) != g.n:
+        raise ValueError(f"a cycle on {g.n} vertices has {g.n} multiplicities, got {len(x)}")
     xx = sum(xv * (w * xv + sum(x[u] for u in nbrs))
              for xv, w, nbrs in zip(x, g.weights(), g.adj))
     kx = sum(k * xi for k, xi in zip(canonical_K(g), x))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -715,6 +716,78 @@ def test_public_entry_points_answer_or_refuse_any_raw_complex(a, b, data):
             call()
         except (ValueError, TypeError):
             pass
+
+
+def _first_failed_check(c) -> str:
+    """The pattern that a refusal of c names: its first failed validate check."""
+    name, _ = validate(c).failed()[0]
+    return re.escape(f"check {name!r} fails")
+
+
+@seed(20170644)
+@settings(max_examples=300, deadline=None)
+@given(raw_complexes())
+def test_local_map_search_answers_only_for_iota_complexes(c):
+    # find_local_map and locally_equivalent answer for a complex that
+    # passes validate and refuse any other by its first failed check, in
+    # both directions; homology_ranks never reads a negative rank
+    t = trivial_complex(c.tau)  # the same tower coset
+    if validate(c).ok:
+        assert type(locally_equivalent(c, t)) is bool
+    else:
+        for search in (lambda: find_local_map(c, t), lambda: find_local_map(t, c),
+                       lambda: locally_equivalent(c, t)):
+            with pytest.raises(ValueError, match=_first_failed_check(c)):
+                search()
+    window = [c.tau + k for k in range(min(c.offsets) - 2, max(c.offsets) + 2)]
+    if validate(c).checks[0][1]:
+        assert min(homology_ranks(c, window).values()) >= 0
+    else:
+        with pytest.raises(ValueError, match=r"check 'd\^2 = 0' fails"):
+            homology_ranks(c, window)
+
+
+def test_a_complex_with_two_towers_is_refused_by_the_search():
+    # x and y at grading 0 with d = 0: two U-towers, which the search used
+    # to pin on the first and call locally equivalent to the trivial complex
+    c = hfi.IotaComplex(("x", "y"), (0, 0), (0, 0), (1, 2), 0)
+    assert [name for name, _ in validate(c).failed()] == ["single U-inverted tower"]
+    t = trivial_complex()
+    for search in (lambda: find_local_map(c, t), lambda: find_local_map(t, c),
+                   lambda: locally_equivalent(c, t), lambda: locally_equivalent(t, c)):
+        with pytest.raises(ValueError, match="check 'single U-inverted tower' fails"):
+            search()
+    # homology_ranks reads neither iota nor the tower: rank 2 at grading 0
+    assert homology_ranks(c, [0, -1, -2]) == {0: 2, -1: 0, -2: 2}
+
+
+def test_homology_ranks_refuses_a_complex_with_d_squared_nonzero():
+    # t, x, y, z at gradings 0, 0, -1, -2 with d x = y and d y = z: d^2 x = z,
+    # and the rank formula read -1 at grading -1
+    c = iota_complex(("t", "x", "y", "z"), (0, 0, -1, -2),
+                     [[0, 0, 0, 0], [0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]],
+                     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    assert validate(c).failed()[0] == ("d^2 = 0", "d(d(x)) != 0")
+    with pytest.raises(ValueError, match=r"not an iota-complex: check 'd\^2 = 0' fails"):
+        homology_ranks(c, [0, -1, -2])
+
+
+def test_a_search_validates_each_complex_once_for_every_later_validate(monkeypatch):
+    # the search reads each complex's kept checks, so after it neither
+    # validate nor a second search checks a tower again
+    a = std(4, 0, 2, 2)
+    b = tensor(a, tensor(std(2, 0), dual(std(2, 0))))
+    check, checked = complexes._single_tower_check, []
+
+    def counted(c):
+        checked.append(c)
+        return check(c)
+
+    monkeypatch.setattr(complexes, "_single_tower_check", counted)
+    assert locally_equivalent(a, b)
+    assert len(checked) == 2 and checked[0] is a and checked[1] is b
+    assert validate(a).ok and validate(b).ok and validate(a) is validate(a)
+    assert locally_equivalent(b, a) and len(checked) == 2
 
 
 def test_zero_denominator_grading_or_tau_is_a_value_error():

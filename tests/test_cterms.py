@@ -171,6 +171,32 @@ def test_realization_family_rejects_degenerate():
         realization_family(1, 1, 0, 0, -1)
 
 
+def test_stabilized_terms_refuses_a_k_that_is_not_a_positive_int():
+    # a bool is not an int: True read as k = 1, and 1.5 failed in an operator
+    for k in (True, 1.5, 0):
+        with pytest.raises(ValueError, match=f"k must be a positive int, got {k!r}"):
+            stabilized_terms(Y(2) - Y(1), k)
+
+
+def test_asymptotic_check_refuses_a_persist_that_is_not_a_non_negative_int():
+    # persist = -5 reported verified_up_to = -3, below the threshold 2
+    for persist in (-5, True, 2.0):
+        with pytest.raises(ValueError,
+                           match=f"persist must be a non-negative int, got {persist!r}"):
+            asymptotic_check(Y(2) - Y(1), persist=persist)
+    assert asymptotic_check(Y(2), persist=0).verified_up_to == 1
+
+
+def test_realization_family_names_an_argument_that_is_not_an_int():
+    # M = 1.5 failed as "basis index must be a positive integer, got 4.5",
+    # and k = True read as k = 1
+    for args, message in (((1.5, 1, 0, 0), "got M = 1.5"), ((1, True, 0, 0), "got N = True"),
+                          ((1, 1, 0, 0, True), "k must be non-negative and an int, got True"),
+                          ((1, 1, 0, 0, 1.0), "an int, got 1.0")):
+        with pytest.raises(ValueError, match=message):
+            realization_family(*args)
+
+
 st_profiles = st.tuples(
     st.lists(st.integers(1, 8), max_size=5),
     st.lists(st.integers(1, 8), max_size=5),

@@ -73,6 +73,7 @@ import dataclasses
 import json
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import accumulate, chain, combinations_with_replacement, product
 from pathlib import Path
@@ -877,23 +878,29 @@ def test_tower_check_rank_matches_the_lowest_level_of_the_elimination():
         assert complexes._single_tower_check(c) == want, c.labels
 
 
-def _assert_same_systems(a, b, rng):
+def _assert_same_systems(a, b, rng, refused=None):
     """find_local_map a -> b, and solve_homotopy a -> b on up to three
-    right-hand sides, return the same maps under both assemblies; True if
-    a -> b is feasible."""
-    w = complexes.find_local_map(a, b)
+    right-hand sides (two of them from the dict reference's F, which equals
+    the search's), return the same maps under both assemblies; True if
+    a -> b is feasible.  With ``refused``, the name of a validate check that
+    a or b fails, the search instead raises the ValueError that names it."""
     want = dict_find_local_map(a, b)
-    assert (None if w is None else (w.F, w.H)) == want
+    if refused is None:
+        w = complexes.find_local_map(a, b)
+        assert (None if w is None else (w.F, w.H)) == want
+    else:
+        with pytest.raises(ValueError, match=re.escape(f"check {refused!r} fails")):
+            complexes.find_local_map(a, b)
     eb = complexes.Expanded(b.gradings, b.diff, default_truncation(a.gradings + b.gradings),
                             a.tau)
     degree0 = below(eb, complexes._offsets(a.gradings, a.tau), 0)
     rhss = [tuple(rng.getrandbits(b.n) & col for col in degree0)]
-    if w is not None:
-        mul, add = complexes.mat_mul, mat_add
-        rhss += [add(mul(w.F, a.iota), mul(b.iota, w.F)), w.F]
+    if want is not None:
+        mul, add, F = complexes.mat_mul, mat_add, want[0]
+        rhss += [add(mul(F, a.iota), mul(b.iota, F)), F]
     for rhs in rhss:
         assert complexes.solve_homotopy(a, b, rhs) == dict_solve_homotopy(a, b, rhs)
-    return w is not None
+    return want is not None
 
 
 def test_kronecker_assembly_matches_the_dict_reference():
@@ -948,8 +955,10 @@ def test_kronecker_assembly_matches_the_dict_reference_off_the_involution():
         H = complexes.solve_homotopy(x, x, square_plus_id)
         assert H == dict_solve_homotopy(x, x, square_plus_id)
         found.append(H is not None)
-        _assert_same_systems(x, c, rng)
-        _assert_same_systems(c, x, rng)
+        # bad has no homotopy from iota^2 to id, so the search refuses it
+        refused = None if H is not None else "iota^2 ~ id"
+        _assert_same_systems(x, c, rng, refused)
+        _assert_same_systems(c, x, rng, refused)
     assert found == [False, True]
 
 
@@ -981,7 +990,7 @@ def _gauge_vector(a, b, i: int, j: int) -> int:
     """vec(d_b X + X d_a), X the unit map a -> b at (i, j), from two products."""
     mul, add = complexes.mat_mul, mat_add
     X = tuple(1 << i if c == j else 0 for c in range(a.n))
-    return complexes._vec(add(mul(b.diff, X), mul(X, a.diff)), b.n)
+    return sum(col << c * b.n for c, col in enumerate(add(mul(b.diff, X), mul(X, a.diff))))
 
 
 def _assert_gauge_fixing_keeps_the_verdict(a, b, monkeypatch) -> tuple[bool, int, int]:
@@ -989,9 +998,8 @@ def _assert_gauge_fixing_keeps_the_verdict(a, b, monkeypatch) -> tuple[bool, int
     the full columns and the dict reference; returns (feasible, F unknowns
     dropped, H unknowns dropped)."""
     shift = int(b.tau - a.tau)
-    # the rows of F, H and the degree +2 gauge K, and of the slack
+    # the rows of F, H and the degree +2 gauge K
     F, H, K = ([a._at_or_below(t + shift - k) for t in b.offsets] for k in range(3))
-    W = [b._classes[1] >> i & 1 for i in range(b.n)]
     # the entries _gauge_entries selects are unknowns of their block
     for P, unknowns in ((complexes._gauge_entries(H, b.diff), F),
                         (complexes._gauge_entries(K, b.diff), H)):
@@ -1006,28 +1014,28 @@ def _assert_gauge_fixing_keeps_the_verdict(a, b, monkeypatch) -> tuple[bool, int
     with monkeypatch.context() as m:
         m.setattr(complexes, "_local_map_columns", recorded)
         w = complexes.find_local_map(a, b)
-    fixed_f, fixed_h, fixed_w = masks[0]
-    assert fixed_w == W
+    fixed_f, fixed_h = masks[0]
     dropped = []
     for full, fixed, gauges in ((F, fixed_f, H), (H, fixed_h, K)):
         # the feasibility pass adds no unknown, and a gauge change (the
         # gauge vectors dX + Xd of the unknowns of H, then of K) can set
         # every unknown it drops to zero
         assert all(f & ~row == 0 for f, row in zip(fixed, full))
-        gone = complexes._vec(complexes._spread(
-            [row & ~f for row, f in zip(full, fixed)], a.n, 1), b.n)
+        gone = sum(col << j * b.n for j, col in enumerate(complexes._spread(
+            [row & ~f for row, f in zip(full, fixed)], a.n, 1)))
         e = gf2.Echelon(_gauge_vector(a, b, i, j) & gone
                         for i, row in enumerate(gauges) for j in complexes._bits(row))
         assert len(e) == gone.bit_count()
         dropped.append(gone.bit_count())
     nn = a.n * b.n
-    cf, ch, cw = columns(a, b, a._tower, F, H, W)
+    cf, ch, cw = columns(a, b, a._tower, F, H)
     full = gf2.solvable(cf + ch + cw, b._tower << nn)
     want = dict_find_local_map(a, b)
     assert (w is not None) == full == (want is not None)
     assert (None if w is None else (w.F, w.H)) == want
     # the budget counts every F, H and slack unknown, before any elimination
-    nf, nh, nw = (sum(row.bit_count() for row in X) for X in (F, H, W))
+    nf, nh = (sum(row.bit_count() for row in X) for X in (F, H))
+    nw = b._classes[1].bit_count()
 
     def no_elimination(*args, **kw):
         raise AssertionError("a GF(2) elimination ran")
@@ -1046,7 +1054,8 @@ def test_gauge_fixed_local_map_search_matches_the_full_system(monkeypatch):
     # seeded pairs of small complexes, drawn independently or as
     # (a, a (x) s (x) s^dual), and the twisted-iota complexes against
     # std(2, 0): in both directions, the verdict of the gauge-fixed columns
-    # is that of the full columns and of the dict reference
+    # is that of the full columns and of the dict reference.  The complex
+    # with no homotopy from iota^2 to id is refused instead
     rng = random.Random(20170640)
     tensor = complexes.tensor
     pairs = []
@@ -1058,7 +1067,7 @@ def test_gauge_fixed_local_map_search_matches_the_full_system(monkeypatch):
         else:
             pairs.append(tuple(_small_complex(rng, rng.randint(1, 2)) for _ in range(2)))
     c, bad, twisted = _twisted_iota_complexes(rng)
-    pairs += [(bad, c), (twisted, c), (twisted, bad)]
+    pairs.append((twisted, c))
     verdicts, dropped_f, dropped_h = set(), 0, 0
     for a, b in pairs:
         for x, y in ((a, b), (b, a)):
@@ -1067,18 +1076,22 @@ def test_gauge_fixed_local_map_search_matches_the_full_system(monkeypatch):
             dropped_f += nf
             dropped_h += nh
     assert verdicts == {True, False} and dropped_f > 0 and dropped_h > 0
+    for x, y in ((bad, c), (c, bad), (twisted, bad), (bad, twisted)):
+        with pytest.raises(ValueError, match=r"check 'iota\^2 ~ id' fails"):
+            complexes.find_local_map(x, y)
 
 
-def test_gauge_fixed_local_map_search_assumes_iota_is_a_chain_map():
+def test_local_map_search_refuses_an_iota_that_is_not_a_chain_map():
     # the gauge fixing keeps the verdict only when d^2 = 0 and d iota = iota d
-    # hold on both sides, validate's first two checks, which the search does
-    # not repeat.  On std(2, 0) with iota(v2) = v1 + v2, an involution that
-    # is not a chain map, the full system has a local map from the trivial
-    # complex and the gauge-fixed search finds none.
+    # hold on both sides, validate's first two checks.  On std(2, 0) with
+    # iota(v2) = v1 + v2, an involution that is not a chain map, the full
+    # system has a local map from the trivial complex that the gauge-fixed
+    # system misses, so the search refuses the complex by that check.
     c = standard_complex(to_profile(M(2, 0)))
     x = complexes.iota_complex(c.labels, c.gradings, [[0, 0, [1]], [0, 0, [1]], [0, 0, 0]],
                                [[1, 1, 0], [0, 1, 0], [0, 0, 1]], tau=c.tau)
     assert [ok for _, ok, _ in complexes.validate(x).checks] == [True, False, True, True]
     trivial = complexes.trivial_complex()
     assert dict_find_local_map(trivial, x) is not None
-    assert complexes.find_local_map(trivial, x) is None
+    with pytest.raises(ValueError, match="check 'iota chain map' fails"):
+        complexes.find_local_map(trivial, x)

@@ -93,6 +93,14 @@ def test_bool_indices_coefficients_and_shifts_are_refused():
         LocalClass([(1, 1)], True)
 
 
+def test_a_bool_is_not_a_multiplier():
+    # True * Y(1) used to read as 1 * Y(1); an int still multiplies
+    for k in (True, False, 1.0):
+        with pytest.raises(TypeError):
+            k * Y(1)
+    assert 2 * Y(1) == Y(1) + Y(1) and 0 * Y(1) == LocalClass()
+
+
 def test_shift_anchor_values():
     # the convention lock: I_2 has d = -2, (Y2 - Y1)[-2] has d = 4
     assert d_invariant(I(2)) == -2

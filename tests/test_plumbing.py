@@ -175,3 +175,13 @@ def test_witness_at_the_threshold_weight():
     verdict = is_almost_rational(g)
     assert verdict == rebuild_is_almost_rational(g) == ARVerdict("yes", ("v0", -3))
     assert str(verdict) == "yes (vertex v0 at weight -3 is rational)"
+
+
+def test_chi_refuses_a_cycle_of_the_wrong_length():
+    # one multiplicity per vertex: a short cycle used to raise IndexError,
+    # and a long one was cut short, so chi(E8, [0]*8 + [5]) read 0
+    g = e8_graph()
+    assert g.n == 8 and chi(g, [0] * 8) == 0
+    for x in ([0] * 7, [0] * 8 + [5], []):
+        with pytest.raises(ValueError, match=f"8 multiplicities, got {len(x)}"):
+            chi(g, x)

@@ -18,13 +18,15 @@ times each, a time being the fastest of ``LAYER_CALLS`` calls in this
 process: ``_local_map_columns`` and ``gf2.solvable`` inside
 ``find_local_map`` on the largest local-map system that the unknown budget
 admits among the ``local_equivalence`` pair complexes (165 -> 63
-generators, 5,724 unknowns, infeasible); ``validate`` on the
-165-generator complex; and, on the same complex, the two tower readings:
-``validate``'s ``_single_tower_check`` and the local-map search's tower
-representative, ``IotaComplex._tower`` (``side_tower_ms``), timed
-uncached through the cached property's ``func``.  A complex keeps its
-tower after the first read, so ``find_local_map_ms``, the fastest of its
-calls, holds no tower elimination.  The inputs are built by
+generators, 5,724 unknowns, infeasible); ``validate``'s four checks on
+the 165-generator complex, ``IotaComplex._diagnostics`` (``validate_ms``);
+and, on the same complex, the two tower readings: ``validate``'s
+``_single_tower_check`` and the local-map search's tower representative,
+``IotaComplex._tower`` (``side_tower_ms``).  A complex keeps its checks and
+its tower after the first read, so ``validate_ms`` and ``side_tower_ms``
+are timed uncached through the cached properties' ``func``, and
+``find_local_map_ms``, the fastest of its calls, holds no ``validate`` and
+no tower elimination.  The inputs are built by
 ``perfbench/workloads.py``, imported from the checkout.  Last,
 ``report.class_complex`` on the 729-generator class ``CLASS``: cold, with
 the kept factors cleared (``report._factor.cache_clear()``) before each
@@ -152,7 +154,7 @@ def layer_timings(repeats: int) -> dict:
         finally:
             complexes._local_map_columns, complexes.gf2.solvable = columns, solvable
         for _ in range(LAYER_CALLS):
-            timed(times["validate_ms"], complexes.validate)(big)
+            timed(times["validate_ms"], complexes.IotaComplex._diagnostics.func)(big)
         for _ in range(LAYER_CALLS):
             timed(times["single_tower_check_ms"], complexes._single_tower_check)(big)
         for _ in range(LAYER_CALLS):
