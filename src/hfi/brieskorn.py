@@ -200,10 +200,13 @@ def tau_sequence(g: PlumbingGraph, center: str, steps: int) -> list[int]:
     1 - <x, E_v>, so chi is maintained incrementally with exact integers.
     This is the cross-check engine: it works on any negative-definite
     plumbing tree, and the tests compare it step for step with the closed
-    form.  A center that is not a vertex, or a tree that is not negative
-    definite (where the closure need not end), raises ValueError before
-    any step.
+    form.  A center that is not a vertex, a ``steps`` that is not a
+    non-negative int (a bool is not an int), or a tree that is not negative
+    definite (where the closure need not end) raises ValueError before any
+    step.
     """
+    if type(steps) is not int or steps < 0:
+        raise ValueError(f"steps {steps!r} is not a non-negative int")
     if center not in g.index:
         raise ValueError(f"center {center!r} is not a vertex of the graph")
     if not is_negative_definite(g):

@@ -31,7 +31,26 @@ Conventions
   here (standard complexes of symmetric graded roots, where iota reflects
   the root, and their tensor products and duals) iota^2 = id exactly, and
   then H = 0 is the homotopy and no system is solved; any other iota goes
-  through ``solve_homotopy``.
+  through ``solve_homotopy``.  Those complexes pass every check by
+  construction, so ``trivial_complex`` and ``roots.standard_complex`` keep
+  ``_BUILT``, the trivial complex's own checks, as their ``_diagnostics``,
+  and ``tensor`` and ``dual`` pass it on when every operand keeps it; the
+  checks compute that same verdict on each of them:
+
+  - J_0 reflects the path of a root, so on a standard complex d^2 = 0, iota
+    commutes with d and iota^2 = id exactly, and ``tensor`` (d (x) 1 +
+    1 (x) d, iota (x) iota) and the transposition of ``dual`` keep all
+    three.
+  - The tower check reads L = C/(U - 1).  Of a standard complex, L is the
+    chain complex of a path (leaves at even offsets, angles at odd ones),
+    so H(L) is F at an even offset.  (C (x) D)/(U - 1) = L_C (x) L_D, so by
+    Kunneth H is F (x) F at even + even; the dual negates offsets, keeps
+    their parities and dualizes H.
+
+  A raw complex (``IotaComplex``, ``iota_complex``, ``tensor`` with a raw
+  operand) keeps no verdict and runs the checks on first read.  The
+  correction terms and the local-map search read the verdict through one
+  gate, ``_require_iota``, before they eliminate anything.
 * Correction terms without truncation: ``correction_terms(c)`` reads them
   off L = C/(U - 1), the GF(2) complex on the generators whose differential
   is ``diff`` with every U set to 1, by ``_tower_tops``; ``homology_ranks``
@@ -252,10 +271,12 @@ class IotaComplex:
     What the local-map search and ``validate`` read off a complex is derived
     on first read and then kept, so a complex that takes part in several
     searches pays for it once, and one that is only an intermediate
-    product pays nothing: the per-parity index behind ``_at_or_below``, the
-    parity classes ``_classes``, the deep tower representative ``_tower``
-    and the four checks of ``validate``, ``_diagnostics``.  They take no
-    part in ==, hash or repr.
+    product pays nothing: the per-parity index ``_index`` behind
+    ``_at_or_below``, whose last prefix masks are the two parity classes,
+    the deep tower representative ``_tower`` and the four checks of
+    ``validate``, ``_diagnostics``.  A complex that ``hfi`` builds keeps
+    its checks from construction (``_BUILT``, the module docstring's "The
+    involution" bullet).  They take no part in ==, hash or repr.
     """
 
     labels: tuple[str, ...]
@@ -288,7 +309,8 @@ class IotaComplex:
     @cached_property
     def _index(self) -> tuple[tuple[list[int], list[int]], tuple[list[int], list[int]]]:
         """(grades, prefix): per parity p, the offsets of parity p ascending,
-        and prefix[p][k], the mask of the generators at the lowest k of them."""
+        and prefix[p][k], the mask of the generators at the lowest k of them;
+        so prefix[p][-1] is the whole class of parity p."""
         grades, prefix = ([], []), ([0], [0])
         for t, mask in zip(*_levels(self.offsets)):
             grades[t % 2].append(t)
@@ -302,24 +324,15 @@ class IotaComplex:
         return prefix[t % 2][bisect_right(grades[t % 2], t)]
 
     @cached_property
-    def _classes(self) -> tuple[int, int]:
-        """The masks of the generators at even and at odd offsets, from one
-        pass over the offsets, so ``validate``'s tower check, which reads
-        only these, builds no ``_index``."""
-        classes = [0, 0]
-        for i, t in enumerate(self.offsets):
-            classes[t % 2] |= 1 << i
-        return tuple(classes)
-
-    @cached_property
     def _tower(self) -> int:
         """The deep tower representative: the first cycle of the even class
         of L = C/(U - 1), in kernel order (generators ascending), that is not
         a boundary; one elimination over the boundaries of the odd class and
-        one over the even class.  With no such cycle, ``_refusal`` names the
-        failed ``validate`` check (the error is raised again on each read)."""
+        one over the even class.  With no such cycle, ``_require_iota``
+        names the failed ``validate`` check, and on an iota-complex it is a
+        bug (the error is raised again on each read)."""
         d = self.diff
-        even, odd = self._classes
+        even, odd = (prefix[-1] for prefix in self._index[1])
         boundaries = gf2.Echelon()
         while odd:
             low = odd & -odd
@@ -332,20 +345,20 @@ class IotaComplex:
             if not v and z not in boundaries:
                 return z
             even ^= low
-        raise _refusal(self, "missing deep tower class")
+        _require_iota(self)
+        raise RuntimeError("missing deep tower class on an iota-complex")
 
     @cached_property
     def _diagnostics(self) -> Diagnostics:
         """The four checks that ``validate`` returns, run on first read and
         kept; a SearchSizeError from the iota^2 homotopy is raised, not
-        kept, so it is raised again on each read.
+        kept, so it is raised again on each read.  A complex that ``hfi``
+        builds holds ``_BUILT`` here from construction and runs none.
 
         iota^2 ~ id asks for a degree +1 map H with dH + Hd = iota^2 + id.
         When iota^2 + id is itself 0, H = 0 solves that system and the check
-        passes as "iota^2 = id exactly" without a solve.  This is the usual
-        case: iota on the standard complex of a symmetric graded root
-        reflects the root, and tensor products and duals keep iota^2 = id.
-        Otherwise ``solve_homotopy`` looks for H.
+        passes as "iota^2 = id exactly" without a solve, as on a raw copy of
+        a built complex.  Otherwise ``solve_homotopy`` looks for H.
 
         The four products dd, iota d, d iota and iota iota come from two
         ``mat_mul`` calls, which read the bits of d and of iota once each:
@@ -424,8 +437,17 @@ def iota_complex(labels, gradings, diff, iota, tau=None) -> IotaComplex:
 
 
 def trivial_complex(grading=0) -> IotaComplex:
-    """One generator, zero differential, identity involution."""
-    return graded_complex(("x",), (grading,), (0,), (1,), grading)
+    """One generator, zero differential, identity involution; it keeps
+    ``_BUILT`` as its checks."""
+    return _built(graded_complex(("x",), (grading,), (0,), (1,), grading))
+
+
+def _built(c: IotaComplex, *operands: IotaComplex) -> IotaComplex:
+    """c, keeping ``_BUILT`` as its checks when every operand keeps it: an
+    iota-complex by construction ("The involution", module docstring)."""
+    if all(x.__dict__.get("_diagnostics") is _BUILT for x in operands):
+        c.__dict__["_diagnostics"] = _BUILT
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -575,9 +597,12 @@ def validate(c: IotaComplex) -> Diagnostics:
     refuse bad gradings and map degrees, so those need no check.
 
     Returns the complex's kept, frozen ``Diagnostics``
-    (``IotaComplex._diagnostics``): the checks run once per complex, on the
-    first ``validate`` or local-map search that reads them.  A
-    SearchSizeError of the iota^2 homotopy solve comes through.
+    (``IotaComplex._diagnostics``).  A complex that ``hfi`` builds (a
+    trivial tower, a standard complex, or a tensor product or dual of
+    such) keeps ``_BUILT`` from construction, so no check runs; a raw one
+    runs them once, on the first ``validate``, correction terms or
+    local-map search that reads them.  A SearchSizeError of the iota^2
+    homotopy solve comes through.
 
     The checks test whole columns and build no truncated model; the
     module docstring's "Truncation" bullet says why they agree with the
@@ -587,16 +612,15 @@ def validate(c: IotaComplex) -> Diagnostics:
     return c._diagnostics
 
 
-def _refusal(c: IotaComplex, bug: str) -> Exception:
-    """The error for a computation that failed, or may not run, on c: a
-    ValueError naming the first failed ``validate`` check and its detail,
-    or, if c passes every check, RuntimeError(bug), since then the failure
-    is a bug.  It reads the complex's kept checks."""
-    failed = c._diagnostics.failed()
-    if not failed:
-        return RuntimeError(bug)
-    name, detail = failed[0]
-    return ValueError(f"not an iota-complex: check {name!r} fails ({detail})")
+def _require_iota(*cs: IotaComplex) -> None:
+    """Raise, for the first complex that fails a ``validate`` check, the
+    ValueError that names its first failed check and its detail; each
+    complex's kept checks are read, so a built one runs none."""
+    for c in cs:
+        failed = c._diagnostics.failed()
+        if failed:
+            name, detail = failed[0]
+            raise ValueError(f"not an iota-complex: check {name!r} fails ({detail})")
 
 
 def _single_tower_check(c: IotaComplex) -> tuple[bool, str]:
@@ -607,15 +631,19 @@ def _single_tower_check(c: IotaComplex) -> tuple[bool, str]:
     images of the two classes lie on disjoint bits, and the rank of d is
     the sum of the two ranks.  So both dimensions are |class| - rank(d),
     and one tag-free ``gf2.rank`` of all the columns gives them, the sum
-    that the lowest level of ``_eliminate`` reads.  The classes are the
-    complex's own (``IotaComplex._classes``), as the local-map search
-    reads them.
+    that the lowest level of ``_eliminate`` reads.  The odd class is the
+    last prefix mask of ``IotaComplex._index``, which the local-map search
+    reads too.  Only a raw complex runs this check.
     """
     rank = gf2.rank(c.diff)
-    odd = c._classes[1].bit_count()
+    odd = c._index[1][1][-1].bit_count()
     d_even, d_odd = c.n - odd - rank, odd - rank
     ok = d_even == 1 and d_odd == 0
     return ok, (f"deep homology ranks: {d_even} in tau-parity, {d_odd} off-parity")
+
+
+# the checks of every complex that hfi builds: those of the trivial complex
+_BUILT = IotaComplex(("x",), (0,), (0,), (1,), 0)._diagnostics
 
 
 # ---------------------------------------------------------------------------
@@ -655,16 +683,16 @@ def tensor(a: IotaComplex, b: IotaComplex) -> IotaComplex:
             # the copies ib << (i * m) fill disjoint blocks of m bits, so the
             # integer product is their XOR
             iota.append(ia * ib)
-    return IotaComplex(labels, offsets, tuple(diff), tuple(iota), a.tau + b.tau)
+    return _built(IotaComplex(labels, offsets, tuple(diff), tuple(iota), a.tau + b.tau), a, b)
 
 
 def dual(a: IotaComplex) -> IotaComplex:
     """Dual complex: gradings negated, differential and iota transposed
     (``_spread`` with n = 1), an entry keeping its exponent."""
     _require_complex(a)
-    return IotaComplex(tuple(f"{l}^" for l in a.labels), tuple(-t for t in a.offsets),
-                       tuple(_spread(a.diff, a.n, 1)), tuple(_spread(a.iota, a.n, 1)),
-                       -a.tau)
+    return _built(IotaComplex(tuple(f"{l}^" for l in a.labels), tuple(-t for t in a.offsets),
+                              tuple(_spread(a.diff, a.n, 1)), tuple(_spread(a.iota, a.n, 1)),
+                              -a.tau), a)
 
 
 def _cone_columns(a: IotaComplex, q_cols) -> Map:
@@ -755,12 +783,13 @@ def homology_ranks(c: IotaComplex, window) -> dict[Grading, int]:
     truncation"), so dim H_t = |C_t| - rank d(C_t) - rank d(C_{t+1}) is read
     off the first level of ``_eliminate`` at or above t: none of t + 1's
     parity sits at t.  That needs d^2 = 0, checked first by one
-    ``mat_mul``: a complex with d^2 != 0 has no homology, and is refused
-    with the ValueError of ``_refusal``, which names "d^2 = 0".
+    ``mat_mul``: a complex with d^2 != 0 has no homology, and
+    ``_require_iota`` refuses it with the ValueError that names "d^2 = 0".
     """
     _require_complex(c)
     if any(mat_mul(c.diff, c.diff)):
-        raise _refusal(c, "d^2 != 0, but validate's d^2 check passes")
+        _require_iota(c)
+        raise RuntimeError("d^2 != 0, but validate's d^2 check passes")
     grades, masks = _levels(c.offsets)
     sizes, ranks, _ = _eliminate(grades, masks, c.diff)
     gradings = [rational(g) for g in window]
@@ -865,19 +894,25 @@ def correction_terms(c: IotaComplex) -> tuple[Grading, Grading, Grading]:
     benchmark's ``oracle_cross_check`` ops_per_s rose from 2,059 to 2,243
     (20 s runs at seed 29, medians of 10 alternating pairs, CPython 3.11 on
     a shared 2-core x86-64 machine).  The trivial complex returns
-    (0, 0, 0).  When C or its cone has no tower, or the triple breaks
-    d-under <= d <= d-bar, a complex that fails a ``validate`` check raises
-    ValueError naming the first such check (``_refusal``).
+    (0, 0, 0).
+
+    The terms are defined on iota-complexes only, so before any
+    elimination ``_require_iota`` refuses a complex that fails a
+    ``validate`` check with the ValueError that names the first one; a
+    complex that ``hfi`` builds keeps its checks and runs none.  After
+    that gate, a missing tower of C or of its cone, or a triple that
+    breaks d-under <= d <= d-bar, is a bug and raises RuntimeError.
     """
     _require_complex(c)
+    _require_iota(c)
     levels, reduced = _levels(c.offsets), [0] * c.n
     d, _ = _tower_tops(*levels, c.diff, reduced)
     d_bar, odd = _tower_tops(*_cone_levels(*levels, c.n), _cone_columns(c, reduced))
     if None in (d, d_bar, odd):
-        raise _refusal(c, "no tower class found; complex violates the tower axiom")
+        raise RuntimeError("no tower class found on an iota-complex")
     terms = (c.tau + d, c.tau + d_bar, c.tau + odd - 1)
     if not (terms[2] <= terms[0] <= terms[1]):
-        raise _refusal(c, f"correction-term sanity violated: {terms}")
+        raise RuntimeError(f"correction-term sanity violated: {terms}")
     return terms
 
 
@@ -1015,8 +1050,8 @@ def solve_homotopy(a: IotaComplex, b: IotaComplex, rhs: Map) -> Map | None:
     truncated model; the module docstring's "Truncation" bullet says why it
     solves the truncated system.  A system of more than
     MAX_LOCAL_MAP_UNKNOWNS H unknowns raises SearchSizeError, counted from
-    the row masks before any column is built; ``validate`` and ``_refusal``
-    let it through.  A non-complex raises TypeError.
+    the row masks before any column is built; ``validate`` and
+    ``_require_iota`` let it through.  A non-complex raises TypeError.
     """
     _require_complex(a, b)
     if len(rhs) != a.n or any(col >> b.n for col in rhs):
@@ -1052,9 +1087,9 @@ class LocalMapWitness:
     generators, 4,705 unknowns) an unread witness holds 88 bytes under
     ``tracemalloc`` (4.7 KB when it held the row masks and the tower
     representatives, 6.5 MB when it held the columns) and a read one
-    2.3 KB; the 165-generator complex keeps its index, parity classes,
-    tower representative and ``validate`` checks in 3.3 KB (2.6 KB without
-    the checks).
+    2.3 KB.  The 165-generator complex keeps its index and tower
+    representative in 2.3 KB and shares ``_BUILT`` for its checks; a raw
+    copy of it, which keeps its own checks, holds 2.8 KB.
     """
 
     def __init__(self, source: IotaComplex, target: IotaComplex):
@@ -1095,9 +1130,10 @@ def find_local_map(a: IotaComplex, b: IotaComplex) -> LocalMapWitness | None:
 
     Local maps join iota-complexes only, so both complexes must pass
     ``validate``.  After the budget check, and before either tower is read,
-    the search reads each complex's kept checks (``IotaComplex._diagnostics``,
-    run once per complex) and refuses a complex that fails one with the
-    ValueError of ``_refusal``, which names its first failed check.
+    ``_require_iota`` reads each complex's kept checks
+    (``IotaComplex._diagnostics``: none run on a complex that ``hfi``
+    builds, and a raw one runs them once) and refuses a complex that
+    fails one with the ValueError that names its first failed check.
 
     The search is exact: it builds no truncated model and reads no N.  With
     offsets from a.tau, the unknown F[i, j] (H[i, j]) is there when x_i of b
@@ -1175,14 +1211,12 @@ def find_local_map(a: IotaComplex, b: IotaComplex) -> LocalMapWitness | None:
     # H and the degree +2 K may send to x_i of b
     F, H, K = (_rows(a, b, k) for k in (0, 1, 2))
     nf, nh = (sum(row.bit_count() for row in X) for X in (F, H))
-    w_dim = b._classes[1].bit_count()  # the slack w, a chain of b's odd class
+    w_dim = b._index[1][1][-1].bit_count()  # the slack w, a chain of b's odd class
     if (nf + nh + w_dim) > MAX_LOCAL_MAP_UNKNOWNS:
         raise SearchSizeError(
             f"local-map system too large: {nf} F-vars, "
             f"{nh} H-vars, {w_dim} slack vars (limit {MAX_LOCAL_MAP_UNKNOWNS})")
-    for c in (a, b):  # local maps join iota-complexes only
-        if not c._diagnostics.ok:
-            raise _refusal(c, "validate is not ok but names no failed check")
+    _require_iota(a, b)  # local maps join iota-complexes only
 
     # gauge fixing: the F entries that a change of H' reaches first, and
     # the H entries that a change of K (degree +2) reaches first
@@ -1216,6 +1250,10 @@ def locally_equivalent(a: IotaComplex, b: IotaComplex) -> bool:
 
 
 def complex_to_json(c: IotaComplex) -> dict:
+    """The complex as JSON: the layout ``iota_complex`` reads.  A
+    non-complex raises TypeError."""
+    _require_complex(c)
+
     def mat(m: Map, degree: int) -> list:
         """Row i, column j: [e] if U^e x_i is the x_i-term of the image of x_j, else []."""
         g = c.gradings

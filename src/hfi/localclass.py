@@ -104,8 +104,13 @@ class LocalClass:
 
     @staticmethod
     def from_json(obj) -> "LocalClass":
+        """The class that ``to_json`` wrote, from the dict or its JSON text;
+        a missing "coeffs" or "shift" key raises ValueError naming it."""
         if isinstance(obj, str):
             obj = json.loads(obj)
+        for key in ("coeffs", "shift"):
+            if key not in obj:
+                raise ValueError(f"a local class in JSON needs the key {key!r}")
         return LocalClass(tuple((int(i), c) for i, c in obj["coeffs"].items()),
                           obj["shift"])
 

@@ -23,7 +23,9 @@ from fractions import Fraction
 class PlumbingGraph:
     """A weighted tree, checked on construction, and its index form.
 
-    Vertex i is ``vertices[i]``.  ``__post_init__`` builds the index form
+    Vertex i is ``vertices[i]``.  ``vertices`` and ``edges`` are stored as
+    tuples of tuples, whatever sequences they are given as, so the graph
+    hashes and compares by value.  ``__post_init__`` builds the index form
     once, and it is read-only afterwards: ``index`` maps a vertex id to its
     index, ``adj[i]`` lists the neighbours of i, ``order`` is the BFS order
     from vertex 0 and ``parent[i]`` the BFS parent of i (-1 at vertex 0).
@@ -39,6 +41,8 @@ class PlumbingGraph:
     parent: list[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name in ("vertices", "edges"):
+            object.__setattr__(self, name, tuple(map(tuple, getattr(self, name))))
         index = {v: i for i, (v, _) in enumerate(self.vertices)}
         n = len(index)
         if n != len(self.vertices):
@@ -122,10 +126,15 @@ def is_negative_definite(g: PlumbingGraph) -> bool:
 def chi(g: PlumbingGraph, x: list[int]) -> int:
     """chi(x) = -( <x, x> + <K, x> ) / 2, an integer since K is characteristic.
 
-    x holds one multiplicity per vertex; a cycle of another length raises
-    ValueError."""
+    x holds one multiplicity per vertex; a cycle of another length, or a
+    multiplicity that is not an int (a bool or a float is not), raises
+    ValueError, which names its position."""
     if len(x) != g.n:
         raise ValueError(f"a cycle on {g.n} vertices has {g.n} multiplicities, got {len(x)}")
+    for i, xv in enumerate(x):
+        if type(xv) is not int:
+            raise ValueError(f"multiplicity {xv!r} at position {i} is not an int: "
+                             "a cycle has integer multiplicities")
     xx = sum(xv * (w * xv + sum(x[u] for u in nbrs))
              for xv, w, nbrs in zip(x, g.weights(), g.adj))
     kx = sum(k * xi for k, xi in zip(canonical_K(g), x))

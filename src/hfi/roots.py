@@ -85,9 +85,16 @@ class SymmetricRootProfile:
 
 
 def standard_complex(p: SymmetricRootProfile) -> IotaComplex:
-    """The standard iota-complex of a symmetric profile (involution J_0)."""
+    """The standard iota-complex of a symmetric profile (involution J_0).
+
+    It passes every ``validate`` check by construction and keeps
+    ``complexes._BUILT`` as its checks (``hfi.complexes``, "The
+    involution"); a ``p`` that is not a ``SymmetricRootProfile`` raises
+    TypeError."""
     from . import complexes
 
+    if not isinstance(p, SymmetricRootProfile):
+        raise TypeError(f"not a SymmetricRootProfile: {p!r}")
     n = p.n
     labels = [f"v{i + 1}" for i in range(n)] + [f"a{i + 1}" for i in range(n - 1)]
     gradings = list(p.leaves) + [a + 1 for a in p.angles]
@@ -96,7 +103,8 @@ def standard_complex(p: SymmetricRootProfile) -> IotaComplex:
     # J_0 reflects the leaves and the angles
     iota = ([1 << (n - 1 - i) for i in range(n)]
             + [1 << (2 * n - 2 - i) for i in range(n - 1)])
-    return complexes.graded_complex(labels, gradings, diff, iota, p.leaves[0])
+    return complexes._built(complexes.graded_complex(labels, gradings, diff, iota,
+                                                     p.leaves[0]))
 
 
 # ---------------------------------------------------------------------------

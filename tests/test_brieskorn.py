@@ -72,6 +72,15 @@ def test_tau_sequence_unknown_center_raises_value_error():
         tau_sequence(g, "not-a-vertex", 5)
 
 
+def test_tau_sequence_refuses_steps_that_are_not_a_non_negative_int():
+    # steps=-5 read [0] and True read as one step
+    g, c = seifert_plumbing(BrieskornParams(2, 3, 7))
+    assert tau_sequence(g, c, 0) == [0]
+    for steps in (-5, -1, True, False, 2.0, "3", None):
+        with pytest.raises(ValueError, match=f"steps {steps!r} is not a non-negative int"):
+            tau_sequence(g, c, steps)
+
+
 def test_tau_sequence_refuses_an_indefinite_tree(monkeypatch):
     # on c(-1) - a(0) the closure over a would never end, so the tree is
     # refused before any step; a closure that runs fails the test at once

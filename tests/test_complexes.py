@@ -26,16 +26,20 @@ def std(*pairs):
     return standard_complex(to_profile(M(*pairs)))
 
 
+# validate's four checks, run even on a complex that keeps _BUILT
+run_checks = complexes.IotaComplex._diagnostics.func
+
+
 def test_trivial_complex_is_the_unit():
     c = trivial_complex()
-    assert validate(c).ok
+    assert run_checks(c).ok
     assert correction_terms(c) == (0, 0, 0)
 
 
 def test_standard_complex_m20():
     # h = 2, r = 0: d-tower at 2, the involution obstructs nothing above 0
     c = std(2, 0)
-    assert validate(c).ok
+    assert run_checks(c).ok
     assert correction_terms(c) == (2, 2, 0)
 
 
@@ -76,10 +80,10 @@ def test_tensor_with_dual_is_locally_trivial():
 def test_tensor_of_standard_complexes():
     # M(2,0) (x) M(2,0): d-tower at 4, involutive lower tower trails by 2s_1
     t = tensor(std(2, 0), std(2, 0))
-    assert validate(t).ok
+    assert run_checks(t).ok
     d, d_bar, d_under = correction_terms(t)
     assert d == 4 and d_bar == 4 and d_under == 2
-    assert validate(tensor(std(2, 0), std(0, -2))).ok
+    assert run_checks(tensor(std(2, 0), std(0, -2))).ok
 
 
 def test_validate_rejects_broken_differential():
@@ -313,7 +317,7 @@ def test_validate_skips_the_homotopy_solve_when_iota_squared_is_id(monkeypatch):
 
     monkeypatch.setattr(complexes, "solve_homotopy", no_solve)
     for c in _involutive_complexes():
-        diag = validate(c)
+        diag = run_checks(c)
         assert diag.ok, str(diag)
         assert dict((name, detail) for name, _, detail in diag.checks)[
             "iota^2 ~ id"] == "iota^2 = id exactly"
@@ -342,7 +346,7 @@ def test_validate_builds_no_truncated_model(monkeypatch):
                        [[1, 0, 0], [1, 0, 0], [0, 0, 1]], tau=c.tau)
     _no_model(monkeypatch)
     for c in valid:
-        diag = validate(c)
+        diag = run_checks(c)
         assert diag.ok, str(diag)
     assert [name for name, _ in validate(bad).failed()] == ["iota^2 ~ id"]
 
@@ -398,15 +402,18 @@ def test_validate_pins_every_check_of_each_outcome():
         assert validate(c).checks == checks
 
 
-def test_validate_of_a_new_complex_builds_no_parity_index():
-    # the tower check reads only the parity classes; the index behind
-    # _at_or_below belongs to the local-map search and the homotopy solve
-    for c, checks in _one_complex_per_validate_outcome():
-        if checks[2][2] == "iota^2 = id exactly":
-            assert validate(c).checks == checks
-            assert "_index" not in vars(c)
-    for c in _involutive_complexes():
-        assert validate(c).ok and "_index" not in vars(c)
+def test_validate_of_a_new_complex_builds_no_parity_index(monkeypatch):
+    # a complex that hfi builds keeps its checks from construction, so
+    # validate runs none of them and builds no index
+    built = _involutive_complexes()
+
+    def no_check(*args):
+        raise AssertionError("a validate check ran")
+
+    monkeypatch.setattr(complexes, "mat_mul", no_check)
+    monkeypatch.setattr(complexes, "_single_tower_check", no_check)
+    for c in built:
+        assert validate(c) is complexes._BUILT and "_index" not in vars(c)
 
 
 def test_correction_terms_builds_no_mapping_cone(monkeypatch):
@@ -728,14 +735,18 @@ def _first_failed_check(c) -> str:
 @settings(max_examples=300, deadline=None)
 @given(raw_complexes())
 def test_local_map_search_answers_only_for_iota_complexes(c):
-    # find_local_map and locally_equivalent answer for a complex that
-    # passes validate and refuse any other by its first failed check, in
-    # both directions; homology_ranks never reads a negative rank
+    # correction_terms, find_local_map and locally_equivalent answer for a
+    # complex that passes validate and refuse any other by its first failed
+    # check, the search in both directions; homology_ranks never reads a
+    # negative rank
     t = trivial_complex(c.tau)  # the same tower coset
     if validate(c).ok:
         assert type(locally_equivalent(c, t)) is bool
+        d, d_bar, d_under = correction_terms(c)
+        assert d_under <= d <= d_bar
     else:
-        for search in (lambda: find_local_map(c, t), lambda: find_local_map(t, c),
+        for search in (lambda: correction_terms(c),
+                       lambda: find_local_map(c, t), lambda: find_local_map(t, c),
                        lambda: locally_equivalent(c, t)):
             with pytest.raises(ValueError, match=_first_failed_check(c)):
                 search()
@@ -745,6 +756,43 @@ def test_local_map_search_answers_only_for_iota_complexes(c):
     else:
         with pytest.raises(ValueError, match=r"check 'd\^2 = 0' fails"):
             homology_ranks(c, window)
+
+
+def test_a_raw_complex_that_fails_checks_is_refused_by_its_first_failed_check():
+    # a chain-map, iota^2 and tower failure on which correction_terms read
+    # (1/2, 1/2, 1/2); every iota-complex computation now refuses it
+    c = hfi.IotaComplex(tuple(f"x{i}" for i in range(6)), (1, -3, -2, 2, 3, 0),
+                        (0, 12, 0, 0, 8, 0), (17, 3, 4, 8, 16, 40), Fraction(1, 2))
+    assert [name for name, _ in validate(c).failed()] == [
+        "iota chain map", "iota^2 ~ id", "single U-inverted tower"]
+    t = trivial_complex(c.tau)
+    for call in (lambda: correction_terms(c), lambda: hfi.complex_correction_terms(c),
+                 lambda: find_local_map(c, t), lambda: find_local_map(t, c),
+                 lambda: locally_equivalent(c, t), lambda: locally_equivalent(t, c)):
+        with pytest.raises(ValueError, match=re.escape(
+                "not an iota-complex: check 'iota chain map' fails (iota d != d iota)")):
+            call()
+
+
+def test_built_complexes_run_no_check(monkeypatch):
+    # a class complex, a standard complex and tensor products and duals keep
+    # their checks from construction: their correction terms, a search
+    # between them and validate run neither the tower check nor a product
+    a = std(4, 0, 2, 2)
+    b = tensor(a, tensor(std(2, 0), dual(std(2, 0))))
+    cls = class_complex(Y(1) - Y(2) + I(-2))
+    calls = []
+    for name in ("_single_tower_check", "mat_mul"):
+        def counted(*args, _run=getattr(complexes, name), _name=name):
+            calls.append(_name)
+            return _run(*args)
+
+        monkeypatch.setattr(complexes, name, counted)
+    assert correction_terms(cls) == (0, 2, 0)
+    assert locally_equivalent(a, b) and locally_equivalent(b, a)
+    assert all(validate(c).ok for c in (a, b, cls))
+    assert calls == []
+    assert all(validate(c) is complexes._BUILT for c in (a, b, cls))
 
 
 def test_a_complex_with_two_towers_is_refused_by_the_search():
@@ -774,9 +822,12 @@ def test_homology_ranks_refuses_a_complex_with_d_squared_nonzero():
 
 def test_a_search_validates_each_complex_once_for_every_later_validate(monkeypatch):
     # the search reads each complex's kept checks, so after it neither
-    # validate nor a second search checks a tower again
-    a = std(4, 0, 2, 2)
-    b = tensor(a, tensor(std(2, 0), dual(std(2, 0))))
+    # validate nor a second search checks a tower again; on raw copies the
+    # first search runs them, and the built originals run none
+    built_a = std(4, 0, 2, 2)
+    built_b = tensor(built_a, tensor(std(2, 0), dual(std(2, 0))))
+    a, b = (hfi.IotaComplex(c.labels, c.offsets, c.diff, c.iota, c.tau)
+            for c in (built_a, built_b))
     check, checked = complexes._single_tower_check, []
 
     def counted(c):
@@ -784,6 +835,7 @@ def test_a_search_validates_each_complex_once_for_every_later_validate(monkeypat
         return check(c)
 
     monkeypatch.setattr(complexes, "_single_tower_check", counted)
+    assert locally_equivalent(built_a, built_b) and checked == []
     assert locally_equivalent(a, b)
     assert len(checked) == 2 and checked[0] is a and checked[1] is b
     assert validate(a).ok and validate(b).ok and validate(a) is validate(a)

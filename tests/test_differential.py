@@ -878,6 +878,39 @@ def test_tower_check_rank_matches_the_lowest_level_of_the_elimination():
         assert complexes._single_tower_check(c) == want, c.labels
 
 
+def test_a_built_complex_keeps_the_checks_it_would_compute():
+    # trivial towers and standard complexes, and tensor products and duals
+    # of such, keep _BUILT from construction; the four checks, run on each,
+    # give that verdict field for field: on the 122 pair complexes, the 77
+    # oracle class complexes and seeded random products and duals
+    run_checks = complexes.IotaComplex._diagnostics.func
+    pairs = _local_equivalence_complexes()
+    classes = [class_complex(LocalClass.from_json(entry["want"]["total"]))
+               for entry in json.loads(BENCH_REFERENCE.read_text())["oracle_cross_check"]]
+    assert len(pairs) == 122 and len(classes) == 77
+    rng = random.Random(20170653)
+    pool = [complexes.trivial_complex(g) for g in (0, 1, -2, Fraction(1, 2))]
+    pool += [standard_complex(to_profile(root)) for root in SMALL_ROOTS]
+    drawn = []
+    while len(drawn) < 200:
+        a = rng.choice(pool + drawn[-20:])
+        c = complexes.dual(a) if rng.random() < 0.3 else complexes.tensor(a, rng.choice(pool))
+        if c.n <= 200:
+            drawn.append(c)
+    assert {c.tau.denominator for c in drawn} == {1, 2}
+    for c in pairs + classes + drawn:
+        assert vars(c)["_diagnostics"] is complexes._BUILT
+        assert run_checks(c) == complexes._BUILT, c.labels
+    # no other constructor keeps it: a raw complex, one read from raw maps,
+    # a tensor product with a raw operand and the dual of a raw complex
+    std = pool[4]
+    raw = complexes.IotaComplex(std.labels, std.offsets, std.diff, std.iota, std.tau)
+    for c in (raw, dataclasses.replace(std), complexes.tensor(raw, std),
+              complexes.tensor(std, raw), complexes.dual(raw),
+              complexes.iota_complex(("x",), (0,), [[0]], [[1]])):
+        assert "_diagnostics" not in vars(c)
+
+
 def _assert_same_systems(a, b, rng, refused=None):
     """find_local_map a -> b, and solve_homotopy a -> b on up to three
     right-hand sides (two of them from the dict reference's F, which equals
@@ -1035,7 +1068,7 @@ def _assert_gauge_fixing_keeps_the_verdict(a, b, monkeypatch) -> tuple[bool, int
     assert (None if w is None else (w.F, w.H)) == want
     # the budget counts every F, H and slack unknown, before any elimination
     nf, nh = (sum(row.bit_count() for row in X) for X in (F, H))
-    nw = b._classes[1].bit_count()
+    nw = b._index[1][1][-1].bit_count()
 
     def no_elimination(*args, **kw):
         raise AssertionError("a GF(2) elimination ran")

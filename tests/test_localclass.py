@@ -182,6 +182,15 @@ def test_from_json_zero_denominator_shift_is_a_value_error():
         LocalClass.from_json({"coeffs": {"1": 1}, "shift": "1/0"})
 
 
+def test_from_json_names_a_missing_key():
+    # {} raised KeyError: 'coeffs'
+    for obj, key in (({}, "coeffs"), ({"shift": "0"}, "coeffs"), ({"coeffs": {}}, "shift"),
+                     ("{}", "coeffs")):
+        with pytest.raises(ValueError, match=f"needs the key '{key}'"):
+            LocalClass.from_json(obj)
+    assert LocalClass.from_json({"coeffs": {}, "shift": "0"}) == I(0)
+
+
 @given(classes, classes)
 def test_group_commutativity(a, b):
     assert a + b == b + a

@@ -185,3 +185,24 @@ def test_chi_refuses_a_cycle_of_the_wrong_length():
     for x in ([0] * 7, [0] * 8 + [5], []):
         with pytest.raises(ValueError, match=f"8 multiplicities, got {len(x)}"):
             chi(g, x)
+
+
+def test_chi_refuses_a_multiplicity_that_is_not_an_int():
+    # on one vertex of weight -2, [0.5] read the float 0.0 and [True] read 1
+    g = graph_from_text("vertex a -2\n")
+    assert chi(g, [1]) == 1
+    for x, position in (([0.5], 0), ([True], 0), ([Fraction(1)], 0)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"multiplicity {x[position]!r} at position {position} is not an int")):
+            chi(g, x)
+    e8 = e8_graph()
+    with pytest.raises(ValueError, match="multiplicity 1.0 at position 5 is not an int"):
+        chi(e8, [0] * 5 + [1.0] + [0] * 2)
+
+
+def test_a_graph_built_from_lists_is_the_graph_built_from_tuples():
+    # the lists were kept, so hash raised TypeError and == read False
+    built = PlumbingGraph([("a", -2), ["b", -2]], [["a", "b"]])
+    want = PlumbingGraph((("a", -2), ("b", -2)), (("a", "b"),))
+    assert built == want and hash(built) == hash(want)
+    assert built.vertices == (("a", -2), ("b", -2)) and built.edges == (("a", "b"),)

@@ -9,8 +9,8 @@ from hypothesis import given, seed, settings, strategies as st
 from dense_reference import is_graded_root_profile, mirror_merge
 from hfi import cterms
 from hfi.brieskorn import BrieskornParams, brieskorn_root, seifert_plumbing
-from hfi.complexes import (complex_to_json, correction_terms, homology_ranks,
-                           validate)
+from hfi.complexes import (IotaComplex, complex_to_json, correction_terms,
+                           homology_ranks)
 from hfi.localclass import I
 from hfi.monotone import M, MonotoneRoot, decompose, monotone_subroot
 from hfi.plumbing import chi, minimal_cycle
@@ -125,7 +125,7 @@ def test_profile_constructor_refuses_bool_gradings():
 def test_reference_profile_standard_complex():
     c = standard_complex(fig_profile())
     assert c.n == 11
-    assert validate(c).ok
+    assert IotaComplex._diagnostics.func(c).ok  # the checks that c keeps, run
     ranks = homology_ranks(c, [0, -1, -2, -3, -4, -5, -6])
     # two leaves at 0; four branches alive at -2; the central 4-fold merge
     # collapses them to one at -4; the outer leaves reappear at -6

@@ -44,7 +44,6 @@ import argparse
 import json
 import os
 import platform
-import re
 import statistics
 import subprocess
 import sys
@@ -116,16 +115,10 @@ def layer_timings(repeats: int) -> dict:
     from hfi import complexes, report
 
     def unknowns(a, b) -> int:
-        """The unknown count of find_local_map(a, b), read off the
-        SearchSizeError it raises, before any elimination, at a budget of 0."""
-        limit, complexes.MAX_LOCAL_MAP_UNKNOWNS = complexes.MAX_LOCAL_MAP_UNKNOWNS, 0
-        try:
-            complexes.find_local_map(a, b)
-        except complexes.SearchSizeError as e:
-            return sum(map(int, re.findall(r"(\d+) (?:F-|H-|slack )vars", str(e))))
-        finally:
-            complexes.MAX_LOCAL_MAP_UNKNOWNS = limit
-        return 0
+        """The unknown count that find_local_map(a, b) budgets: the F and H
+        row masks of ``complexes._rows`` and the slack, b's odd class."""
+        return (sum(row.bit_count() for k in (0, 1) for row in complexes._rows(a, b, k))
+                + b._index[1][1][-1].bit_count())
 
     pool = workloads.load_reference()["local_equivalence"]
     sides = [c for e in pool for c in workloads.pair_complexes(e)]
